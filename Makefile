@@ -29,13 +29,14 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # Parallel-kernel micro-benchmarks: report speedup_x at 1 worker vs all cores.
+# Discover and ReadCSVDir are the pre-Augment front half on school-l x1.
 bench-parallel:
-	$(GO) test -bench='Mul|MulABt|Transpose|RStar|LeverageIndices' -benchtime=1x -run=^$$ \
-		./internal/linalg/ ./internal/featsel/ ./internal/coreset/
+	$(GO) test -bench='Mul|MulABt|Transpose|RStar|LeverageIndices|Discover|ReadCSVDir' -benchtime=1x -run=^$$ \
+		./internal/linalg/ ./internal/featsel/ ./internal/coreset/ ./internal/discovery/ ./internal/dataframe/
 
 # Allocation-regression gate: the AllocsPerRun tests that skip under -race.
 alloc:
-	$(GO) test -run 'Allocs' ./internal/join/ ./internal/dataframe/ ./internal/eval/ ./internal/obs/ ./internal/faults/ ./internal/checkpoint/ ./internal/ml/
+	$(GO) test -run 'Allocs' ./internal/join/ ./internal/dataframe/ ./internal/discovery/ ./internal/eval/ ./internal/obs/ ./internal/faults/ ./internal/checkpoint/ ./internal/ml/
 
 # Chaos suite under the race detector: deterministic fault injection,
 # quarantine isolation, cancellation/timeout, pool panic recovery, and the

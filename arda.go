@@ -20,13 +20,8 @@ package arda
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 
 	"github.com/arda-ml/arda/internal/core"
 	"github.com/arda-ml/arda/internal/coreset"
@@ -167,29 +162,10 @@ const (
 // is named after the file.
 func ReadCSVFile(path string) (*Table, error) { return dataframe.ReadCSVFile(path) }
 
-// LoadCSVDir loads every *.csv file in dir as a table, sorted by name.
-func LoadCSVDir(dir string) ([]*Table, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(strings.ToLower(e.Name()), ".csv") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	tables := make([]*Table, 0, len(names))
-	for _, name := range names {
-		t, err := dataframe.ReadCSVFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, fmt.Errorf("arda: loading %s: %w", name, err)
-		}
-		tables = append(tables, t)
-	}
-	return tables, nil
-}
+// LoadCSVDir loads every *.csv file in dir as a table, sorted by name. Files
+// are read in parallel on the shared worker pool; the result does not depend
+// on the worker count.
+func LoadCSVDir(dir string) ([]*Table, error) { return dataframe.ReadCSVDir(dir) }
 
 // Discover proposes candidate joins from the base table into the repository,
 // ranked by estimated relevancy. It plays the role of an external

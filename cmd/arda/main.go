@@ -46,6 +46,7 @@ import (
 	"github.com/arda-ml/arda/internal/checkpoint"
 	"github.com/arda-ml/arda/internal/cli"
 	"github.com/arda-ml/arda/internal/metrics"
+	"github.com/arda-ml/arda/internal/parallel"
 )
 
 // Exit codes for scripted callers.
@@ -134,6 +135,9 @@ func main() {
 		cli.Noticef("pprof/expvar serving on http://%s/debug/pprof (counters at /debug/vars)", ln)
 	}
 
+	// Load and discovery run on the worker pool before Augment applies
+	// Options.Workers, so -workers is set here to bound them too.
+	parallel.SetMaxWorkers(*workers)
 	tables, err := arda.LoadCSVDir(*dir)
 	if err != nil {
 		cli.Fatalf("loading %s: %v", *dir, err)

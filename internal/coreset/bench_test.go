@@ -3,41 +3,9 @@ package coreset
 import (
 	"math/rand"
 	"testing"
-	"time"
 
-	"github.com/arda-ml/arda/internal/parallel"
+	"github.com/arda-ml/arda/internal/testenv"
 )
-
-// benchSpeedup times f on one worker and on every available core and reports
-// the ratio as the "speedup_x" metric (≈1 on a single-core machine).
-func benchSpeedup(b *testing.B, f func()) {
-	defer parallel.SetMaxWorkers(0)
-	min := func() time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for r := 0; r < 2; r++ {
-			start := time.Now()
-			f()
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	parallel.SetMaxWorkers(1)
-	seq := min()
-	parallel.SetMaxWorkers(0)
-	par := min()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f()
-	}
-	b.StopTimer()
-	// ResetTimer deletes user metrics, so report after the measured loop.
-	if par > 0 {
-		b.ReportMetric(seq.Seconds()/par.Seconds(), "speedup_x")
-	}
-	b.ReportMetric(float64(parallel.MaxWorkers()), "workers")
-}
 
 // BenchmarkLeverageIndices measures leverage-score coreset construction —
 // Gram build plus n independent ridge solves — at 1 worker vs all cores.
@@ -48,7 +16,7 @@ func BenchmarkLeverageIndices(b *testing.B) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	benchSpeedup(b, func() {
+	testenv.BenchSpeedup(b, func() {
 		if _, err := LeverageIndices(x, n, d, 300, rand.New(rand.NewSource(82))); err != nil {
 			b.Fatal(err)
 		}

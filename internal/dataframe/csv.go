@@ -7,11 +7,14 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"github.com/arda-ml/arda/internal/atomicio"
+	"github.com/arda-ml/arda/internal/parallel"
 )
 
 // timeLayouts are the timestamp formats recognized by CSV type inference,
@@ -134,21 +137,44 @@ func normalizeHeader(table string, raw []string) ([]string, error) {
 // surfaced as an ingestion error. A literal NaN cell needs no rejection —
 // numeric columns represent missing values as NaN, so it simply reads back
 // as missing.
+//
+// Each cell is parsed once: the time and float readings are kept as they are
+// made, and a reading is dropped at the first cell that does not fit it.
 func inferColumn(table, name string, raw []string) (Column, error) {
 	allTime, allNum, any := true, true, false
-	for _, s := range raw {
+	var unix []int64   // allocated at the first cell that reads as a timestamp
+	var vals []float64 // allocated at the first cell that reads as a float
+	infRow := -1       // first ±Inf cell; an error only if the column stays numeric
+	for i, s := range raw {
 		if s == "" {
 			continue
 		}
 		any = true
 		if allTime {
-			if _, ok := parseTime(s); !ok {
-				allTime = false
+			var ts int64
+			if ts, allTime = parseTime(s); allTime {
+				if unix == nil {
+					unix = make([]int64, len(raw))
+					for j := range unix {
+						unix[j] = MissingTime
+					}
+				}
+				unix[i] = ts
 			}
 		}
 		if allNum {
-			if _, err := strconv.ParseFloat(s, 64); err != nil {
-				allNum = false
+			v, err := strconv.ParseFloat(s, 64)
+			if allNum = err == nil; allNum {
+				if vals == nil {
+					vals = make([]float64, len(raw))
+					for j := range vals {
+						vals[j] = math.NaN()
+					}
+				}
+				vals[i] = v
+				if infRow < 0 && math.IsInf(v, 0) {
+					infRow = i
+				}
 			}
 		}
 		if !allTime && !allNum {
@@ -157,34 +183,14 @@ func inferColumn(table, name string, raw []string) (Column, error) {
 	}
 	switch {
 	case any && allTime:
-		unix := make([]int64, len(raw))
-		for i, s := range raw {
-			if s == "" {
-				unix[i] = MissingTime
-				continue
-			}
-			ts, _ := parseTime(s)
-			unix[i] = ts
-		}
 		return NewTime(name, unix), nil
 	case any && allNum:
-		vals := make([]float64, len(raw))
-		for i, s := range raw {
-			if s == "" {
-				vals[i] = math.NaN()
-				continue
-			}
-			v, _ := strconv.ParseFloat(s, 64)
-			if math.IsInf(v, 0) {
-				return nil, fmt.Errorf("dataframe: CSV for table %q: row %d, column %q: non-finite value %q", table, i+1, name, s)
-			}
-			vals[i] = v
+		if infRow >= 0 {
+			return nil, fmt.Errorf("dataframe: CSV for table %q: row %d, column %q: non-finite value %q", table, infRow+1, name, raw[infRow])
 		}
 		return NewNumeric(name, vals), nil
 	default:
-		vals := make([]string, len(raw))
-		copy(vals, raw)
-		return NewCategorical(name, vals), nil
+		return NewCategorical(name, raw), nil // reads raw, keeps only its strings
 	}
 }
 
@@ -204,6 +210,33 @@ func ReadCSVFile(path string) (*Table, error) {
 		base = base[:i]
 	}
 	return ReadCSV(base, f)
+}
+
+// ReadCSVDir reads every *.csv file directly under dir as a table and
+// returns them sorted by file name. Files are read on the shared parallel
+// pool, so at most the process-wide worker cap of them are open and being
+// parsed at once; the result — and, when several files are malformed, the
+// error, which is that of the first bad file in name order — does not depend
+// on the worker count.
+func ReadCSVDir(dir string) ([]*Table, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasSuffix(strings.ToLower(e.Name()), ".csv") {
+			names = append(names, e.Name())
+		}
+	}
+	sort.Strings(names)
+	return parallel.Map(0, len(names), func(i int) (*Table, error) {
+		t, err := ReadCSVFile(filepath.Join(dir, names[i]))
+		if err != nil {
+			return nil, fmt.Errorf("loading %s: %w", names[i], err)
+		}
+		return t, nil
+	})
 }
 
 // WriteCSV writes the table as CSV with a header row. Missing values are

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -257,5 +258,89 @@ func TestWriteCSVFileAtomic(t *testing.T) {
 	}
 	if back2.NumRows() != 1 {
 		t.Fatalf("rows after overwrite = %d", back2.NumRows())
+	}
+}
+
+// twoPassInferColumn is the inference inferColumn replaced, kept as the
+// reference: one pass to pick the kind, a second to parse every cell again.
+func twoPassInferColumn(table, name string, raw []string) (Column, error) {
+	allTime, allNum, any := true, true, false
+	for _, s := range raw {
+		if s == "" {
+			continue
+		}
+		any = true
+		if _, ok := parseTime(s); !ok {
+			allTime = false
+		}
+		if _, err := strconv.ParseFloat(s, 64); err != nil {
+			allNum = false
+		}
+	}
+	switch {
+	case any && allTime:
+		unix := make([]int64, len(raw))
+		for i, s := range raw {
+			unix[i] = MissingTime
+			if s != "" {
+				unix[i], _ = parseTime(s)
+			}
+		}
+		return NewTime(name, unix), nil
+	case any && allNum:
+		vals := make([]float64, len(raw))
+		for i, s := range raw {
+			vals[i] = math.NaN()
+			if s != "" {
+				vals[i], _ = strconv.ParseFloat(s, 64)
+			}
+			if math.IsInf(vals[i], 0) {
+				return nil, fmt.Errorf("dataframe: CSV for table %q: row %d, column %q: non-finite value %q", table, i+1, name, s)
+			}
+		}
+		return NewNumeric(name, vals), nil
+	default:
+		return NewCategorical(name, append([]string(nil), raw...)), nil
+	}
+}
+
+// The single-parse inferColumn must pick the same kind, values and error as
+// the two-pass reference, including where a reading is abandoned mid-column.
+func TestInferColumnMatchesTwoPassReference(t *testing.T) {
+	cases := [][]string{
+		nil,
+		{"", "", ""},
+		{"1", "2.5", "", "-3e4"},
+		{"", "", "7"},
+		{"2020-01-02", "", "2021-03-04"},
+		{"2020-01-02 10:30", "2020-01-02T10:30:00Z", "01/02/2006"},
+		{"2020-01-02", "12"},      // time reading abandoned at row 2
+		{"12", "2020-01-02"},      // float reading abandoned at row 2
+		{"1", "2", "x", "3"},      // numeric until row 3
+		{"1", "Inf", "x"},         // Inf before a non-numeric cell: categorical, no error
+		{"1", "", "-Inf", "+Inf"}, // numeric with two Inf cells: the first is reported
+		{"NaN", "2"},              // literal NaN reads as missing
+		{"nan", "NaN", ""},        // numeric column with no present value
+		{"a", "b", "a", ""},
+	}
+	for _, raw := range cases {
+		got, gotErr := inferColumn("t", "c", raw)
+		want, wantErr := twoPassInferColumn("t", "c", raw)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Errorf("inferColumn(%q) error = %v, reference error = %v", raw, gotErr, wantErr)
+			continue
+		}
+		if gotErr != nil {
+			continue
+		}
+		if got.Kind() != want.Kind() || got.Len() != want.Len() {
+			t.Errorf("inferColumn(%q) = %v × %d, reference %v × %d", raw, got.Kind(), got.Len(), want.Kind(), want.Len())
+			continue
+		}
+		for i := 0; i < want.Len(); i++ {
+			if got.IsMissing(i) != want.IsMissing(i) || got.StringAt(i) != want.StringAt(i) {
+				t.Errorf("inferColumn(%q) row %d = %q, reference %q", raw, i, got.StringAt(i), want.StringAt(i))
+			}
+		}
 	}
 }

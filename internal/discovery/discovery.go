@@ -11,10 +11,12 @@ package discovery
 import (
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"github.com/arda-ml/arda/internal/dataframe"
 	"github.com/arda-ml/arda/internal/join"
+	"github.com/arda-ml/arda/internal/parallel"
 )
 
 // Candidate is one proposed join between the base table and a repository
@@ -47,9 +49,10 @@ type Options struct {
 	// NameBonus is the score bonus for matching column names (default 0.3).
 	NameBonus float64
 	// UseMinHash estimates value containment from MinHash signatures
-	// instead of exact set intersection — O(k) per column pair after a
-	// one-time signature build, the way Aurum-style profilers scale to
-	// large repositories. Estimates carry ~±0.1 error.
+	// instead of exact set intersection — O(k) per column pair once each
+	// column's signature is built from its profiled value set, the way
+	// Aurum-style profilers scale to large repositories. Estimates carry
+	// ~±0.1 error.
 	UseMinHash bool
 }
 
@@ -68,49 +71,181 @@ func (o *Options) defaults() {
 // Discover proposes candidate joins from the base table into every table of
 // the repository, ranked by descending score. The target column is never
 // used as a key.
+//
+// Every column is profiled exactly once (see columnProfile). The base table's
+// profile is built up front and only read afterwards; each foreign table is
+// profiled, matched and dropped as one work item of the shared parallel pool,
+// so the process-wide worker cap bounds discovery like every other stage.
+// Per-table results are concatenated in repository order before the stable
+// sort, which makes the candidate list independent of the worker count.
 func Discover(base *dataframe.Table, repo []*dataframe.Table, target string, opts Options) []Candidate {
 	opts.defaults()
-	var sigs *sigCache
-	if opts.UseMinHash {
-		sigs = &sigCache{limit: opts.MaxValueSample, cache: map[dataframe.Column]*MinHash{}}
-	}
+	return discover(profileTable(base, opts), target, len(repo),
+		func(i int) *tableProfile { return profileTable(repo[i], opts) }, opts)
+}
+
+// discover matches an immutable base profile against n foreign profiles.
+// foreign(i) is called once per index, from a pool worker; it either builds
+// the profile (Discover) or hands out one built earlier (Transitive).
+func discover(base *tableProfile, target string, n int, foreign func(i int) *tableProfile, opts Options) []Candidate {
+	bLat := base.coordinate(geoLatNames, target)
+	bLon := base.coordinate(geoLonNames, target)
+	perTable := make([][]Candidate, n)
+	parallel.ForEach(0, n, func(i int) {
+		perTable[i] = matchTable(base, target, bLat, bLon, foreign(i), opts)
+	})
 	var out []Candidate
-	for _, foreign := range repo {
-		cands := discoverTable(base, foreign, target, opts, sigs)
+	for _, cands := range perTable {
 		out = append(out, cands...)
 	}
 	sort.SliceStable(out, func(a, b int) bool { return out[a].Score > out[b].Score })
 	return out
 }
 
-// sigCache memoizes per-column MinHash signatures for one Discover call.
-type sigCache struct {
-	limit int
-	cache map[dataframe.Column]*MinHash
+// columnProfile is everything matching needs to know about one column,
+// computed in a single pass over its rows and never modified afterwards.
+type columnProfile struct {
+	name string
+	norm string // normalizeName(name)
+	kind dataframe.Kind
+	// span is [min, max] over the present values of a numeric or time
+	// column (time in Unix seconds); min > max when there are none.
+	span [2]float64
+	// nums and strs hold the first MaxValueSample distinct present values in
+	// row order, of a numeric and a categorical column respectively. Numeric
+	// values are keyed by their IEEE-754 bits: two non-NaN floats have equal
+	// bits exactly when their shortest round-trip decimal strings are equal,
+	// so this is the set of formatted values without formatting any (+0 and
+	// −0 stay distinct; NaN is the missing marker and never enters).
+	nums map[uint64]struct{}
+	strs map[string]struct{}
+	// sig is the MinHash signature of the value set (Options.UseMinHash).
+	sig *MinHash
 }
 
-// of returns (building if needed) the signature of a column.
-func (s *sigCache) of(c dataframe.Column) *MinHash {
-	if sig, ok := s.cache[c]; ok {
-		return sig
+// tableProfile is a table with one profile per column, in column order.
+type tableProfile struct {
+	table *dataframe.Table
+	cols  []columnProfile
+}
+
+func profileTable(t *dataframe.Table, opts Options) *tableProfile {
+	p := &tableProfile{table: t, cols: make([]columnProfile, t.NumCols())}
+	for i, c := range t.Columns() {
+		p.cols[i] = profileColumn(c, opts)
 	}
-	sig := columnSignature(c, s.limit)
-	s.cache[c] = sig
-	return sig
+	return p
 }
 
-// discoverTable proposes candidates between one base/foreign table pair:
-// every sufficiently-overlapping column pair individually, plus a composite
-// candidate when several hard pairs hit the same table.
-func discoverTable(base, foreign *dataframe.Table, target string, opts Options, sigs *sigCache) []Candidate {
+func profileColumn(c dataframe.Column, opts Options) columnProfile {
+	p := columnProfile{name: c.Name(), norm: normalizeName(c.Name()), kind: c.Kind()}
+	lo, hi := math.Inf(1), math.Inf(-1)
+	switch col := c.(type) {
+	case *dataframe.NumericColumn:
+		p.nums = make(map[uint64]struct{})
+		for _, v := range col.Values {
+			if math.IsNaN(v) {
+				continue
+			}
+			if v < lo {
+				lo = v
+			}
+			if v > hi {
+				hi = v
+			}
+			if len(p.nums) < opts.MaxValueSample {
+				p.nums[math.Float64bits(v)] = struct{}{}
+			}
+		}
+	case *dataframe.CategoricalColumn:
+		// Distinctness is over the strings of used codes (Dict may hold
+		// duplicates or unused entries); the bitmap over codes means each
+		// string is hashed once per distinct code rather than once per row.
+		p.strs = make(map[string]struct{})
+		seen := make([]bool, len(col.Dict))
+		for _, code := range col.Codes {
+			if code < 0 || seen[code] {
+				continue
+			}
+			if len(p.strs) >= opts.MaxValueSample {
+				break
+			}
+			seen[code] = true
+			p.strs[col.Dict[code]] = struct{}{}
+		}
+	case *dataframe.TimeColumn:
+		for _, v := range col.Unix {
+			if v == dataframe.MissingTime {
+				continue
+			}
+			f := float64(v)
+			if f < lo {
+				lo = f
+			}
+			if f > hi {
+				hi = f
+			}
+		}
+	}
+	p.span = [2]float64{lo, hi}
+	if opts.UseMinHash {
+		p.sig = newMinHash(len(p.nums) + len(p.strs))
+		for bits := range p.nums {
+			p.sig.add(strconv.FormatFloat(math.Float64frombits(bits), 'g', -1, 64))
+		}
+		for s := range p.strs {
+			p.sig.add(s)
+		}
+	}
+	return p
+}
+
+// containment returns the share of a's distinct values found in b, for two
+// columns of the same kind: |A ∩ B| / |A|, 0 when A is empty.
+func (a *columnProfile) containment(b *columnProfile) float64 {
+	if a.sig != nil {
+		return a.sig.Containment(b.sig)
+	}
+	if a.kind == dataframe.Categorical {
+		return containment(a.strs, b.strs)
+	}
+	if a.span[1] < b.span[0] || b.span[1] < a.span[0] {
+		return 0 // disjoint ranges share no value
+	}
+	return containment(a.nums, b.nums)
+}
+
+func containment[K comparable](a, b map[K]struct{}) float64 {
+	if len(a) == 0 {
+		return 0
+	}
+	small, large := a, b
+	if len(b) < len(a) {
+		small, large = b, a
+	}
+	hits := 0
+	for v := range small {
+		if _, ok := large[v]; ok {
+			hits++
+		}
+	}
+	return float64(hits) / float64(len(a))
+}
+
+// matchTable proposes candidates between the base table and one foreign
+// table: every sufficiently-overlapping column pair individually (base-column
+// major), then a composite candidate when several hard pairs hit the same
+// table, then the geo candidate.
+func matchTable(base *tableProfile, target string, bLat, bLon *columnProfile, foreign *tableProfile, opts Options) []Candidate {
 	var pairs []join.KeyPair
 	var scores []float64
-	for _, bc := range base.Columns() {
-		if bc.Name() == target {
+	for i := range base.cols {
+		bc := &base.cols[i]
+		if bc.name == target {
 			continue
 		}
-		for _, fc := range foreign.Columns() {
-			kp, score, ok := matchColumns(bc, fc, opts, sigs)
+		for j := range foreign.cols {
+			kp, score, ok := matchColumns(bc, &foreign.cols[j], opts)
 			if !ok {
 				continue
 			}
@@ -121,7 +256,7 @@ func discoverTable(base, foreign *dataframe.Table, target string, opts Options, 
 	var out []Candidate
 	for i, kp := range pairs {
 		out = append(out, Candidate{
-			Table: foreign,
+			Table: foreign.table,
 			Keys:  []join.KeyPair{kp},
 			Score: scores[i],
 			Soft:  kp.Kind == join.Soft,
@@ -144,37 +279,33 @@ func discoverTable(base, foreign *dataframe.Table, target string, opts Options, 
 	}
 	if len(comp) >= 2 {
 		out = append(out, Candidate{
-			Table: foreign,
+			Table: foreign.table,
 			Keys:  comp,
 			Score: compScore / float64(len(comp)) * 1.1,
 		})
 	}
-	if geo, ok := geoCandidate(base, foreign, target, opts); ok {
+	if geo, ok := geoCandidate(bLat, bLon, foreign); ok {
 		out = append(out, geo)
 	}
 	return out
 }
 
-// geoCoordinateNames lists normalized name fragments identifying latitude
-// and longitude columns.
+// geoLatNames and geoLonNames list normalized name fragments identifying
+// latitude and longitude columns.
 var geoLatNames = []string{"lat", "latitude"}
 var geoLonNames = []string{"lon", "lng", "longitude"}
 
-// findCoordinate returns the first numeric column whose normalized name
-// matches one of the fragments.
-func findCoordinate(t *dataframe.Table, fragments []string, exclude string) *dataframe.NumericColumn {
-	for _, c := range t.Columns() {
-		if c.Name() == exclude {
+// coordinate returns the first numeric column whose normalized name matches
+// one of the fragments, skipping the column named exclude.
+func (t *tableProfile) coordinate(fragments []string, exclude string) *columnProfile {
+	for i := range t.cols {
+		c := &t.cols[i]
+		if c.name == exclude || c.kind != dataframe.Numeric {
 			continue
 		}
-		nc, ok := c.(*dataframe.NumericColumn)
-		if !ok {
-			continue
-		}
-		name := normalizeName(c.Name())
 		for _, f := range fragments {
-			if name == f || strings.HasSuffix(name, f) || strings.HasPrefix(name, f) {
-				return nc
+			if c.norm == f || strings.HasSuffix(c.norm, f) || strings.HasPrefix(c.norm, f) {
+				return c
 			}
 		}
 	}
@@ -183,24 +314,25 @@ func findCoordinate(t *dataframe.Table, fragments []string, exclude string) *dat
 
 // geoCandidate proposes a location-based join when both tables carry a
 // lat/lon coordinate pair with overlapping extents.
-func geoCandidate(base, foreign *dataframe.Table, target string, opts Options) (Candidate, bool) {
-	bLat := findCoordinate(base, geoLatNames, target)
-	bLon := findCoordinate(base, geoLonNames, target)
-	fLat := findCoordinate(foreign, geoLatNames, "")
-	fLon := findCoordinate(foreign, geoLonNames, "")
-	if bLat == nil || bLon == nil || fLat == nil || fLon == nil {
+func geoCandidate(bLat, bLon *columnProfile, foreign *tableProfile) (Candidate, bool) {
+	if bLat == nil || bLon == nil {
 		return Candidate{}, false
 	}
-	ovLat := rangeOverlap(numericRange(bLat), numericRange(fLat))
-	ovLon := rangeOverlap(numericRange(bLon), numericRange(fLon))
+	fLat := foreign.coordinate(geoLatNames, "")
+	fLon := foreign.coordinate(geoLonNames, "")
+	if fLat == nil || fLon == nil {
+		return Candidate{}, false
+	}
+	ovLat := rangeOverlap(bLat.span, fLat.span)
+	ovLon := rangeOverlap(bLon.span, fLon.span)
 	if ovLat <= 0 || ovLon <= 0 {
 		return Candidate{}, false
 	}
 	return Candidate{
-		Table: foreign,
+		Table: foreign.table,
 		Keys: []join.KeyPair{
-			{BaseColumn: bLon.Name(), ForeignColumn: fLon.Name(), Kind: join.Soft},
-			{BaseColumn: bLat.Name(), ForeignColumn: fLat.Name(), Kind: join.Soft},
+			{BaseColumn: bLon.name, ForeignColumn: fLon.name, Kind: join.Soft},
+			{BaseColumn: bLat.name, ForeignColumn: fLat.name, Kind: join.Soft},
 		},
 		Score: (ovLat + ovLon) / 2,
 		Soft:  true,
@@ -208,50 +340,40 @@ func geoCandidate(base, foreign *dataframe.Table, target string, opts Options) (
 	}, true
 }
 
-// matchColumns scores one base/foreign column pair as a potential key.
-// When sigs is non-nil, containment is estimated from MinHash signatures.
-func matchColumns(bc, fc dataframe.Column, opts Options, sigs *sigCache) (join.KeyPair, float64, bool) {
-	nameScore := nameAffinity(bc.Name(), fc.Name()) * opts.NameBonus
-	kp := join.KeyPair{BaseColumn: bc.Name(), ForeignColumn: fc.Name()}
-	containmentOf := func() float64 {
-		if sigs != nil {
-			return sigs.of(bc).Containment(sigs.of(fc))
-		}
-		switch bc.Kind() {
-		case dataframe.Categorical:
-			return containment(categoricalSet(bc.(*dataframe.CategoricalColumn), opts.MaxValueSample),
-				categoricalSet(fc.(*dataframe.CategoricalColumn), opts.MaxValueSample))
-		default:
-			return containment(numericSet(bc.(*dataframe.NumericColumn), opts.MaxValueSample),
-				numericSet(fc.(*dataframe.NumericColumn), opts.MaxValueSample))
-		}
+// matchColumns scores one base/foreign column pair as a potential key. It
+// only reads the two profiles and allocates nothing.
+func matchColumns(bc, fc *columnProfile, opts Options) (join.KeyPair, float64, bool) {
+	kp := join.KeyPair{BaseColumn: bc.name, ForeignColumn: fc.name}
+	if bc.kind != fc.kind {
+		return kp, 0, false
 	}
-	switch {
-	case bc.Kind() == dataframe.Time && fc.Kind() == dataframe.Time:
+	nameScore := nameAffinity(bc.norm, fc.norm) * opts.NameBonus
+	switch bc.kind {
+	case dataframe.Time:
 		// Time keys are soft; score by range overlap.
-		ov := rangeOverlap(timeRange(bc), timeRange(fc))
+		ov := rangeOverlap(bc.span, fc.span)
 		if ov <= 0 && nameScore == 0 {
 			return kp, 0, false
 		}
 		kp.Kind = join.Soft
 		return kp, ov + nameScore, true
-	case bc.Kind() == dataframe.Categorical && fc.Kind() == dataframe.Categorical:
-		cont := containmentOf()
+	case dataframe.Categorical:
+		cont := bc.containment(fc)
 		if cont < opts.MinContainment {
 			return kp, 0, false
 		}
 		kp.Kind = join.Hard
 		return kp, cont + nameScore, true
-	case bc.Kind() == dataframe.Numeric && fc.Kind() == dataframe.Numeric:
+	case dataframe.Numeric:
 		// Numeric keys: exact containment suggests a hard (integer id) key;
 		// otherwise a name match with range overlap suggests a soft key.
-		cont := containmentOf()
+		cont := bc.containment(fc)
 		if cont >= opts.MinContainment {
 			kp.Kind = join.Hard
 			return kp, cont + nameScore, true
 		}
 		if nameScore > 0 {
-			ov := rangeOverlap(numericRange(bc), numericRange(fc))
+			ov := rangeOverlap(bc.span, fc.span)
 			if ov > 0 {
 				kp.Kind = join.Soft
 				return kp, 0.5*ov + nameScore, true
@@ -263,10 +385,9 @@ func matchColumns(bc, fc dataframe.Column, opts Options, sigs *sigCache) (join.K
 	}
 }
 
-// nameAffinity returns 1 for equal normalized names, 0.5 when one contains
-// the other, 0 otherwise.
-func nameAffinity(a, b string) float64 {
-	na, nb := normalizeName(a), normalizeName(b)
+// nameAffinity compares two normalized column names: 1 when equal, 0.5 when
+// one contains the other, 0 otherwise.
+func nameAffinity(na, nb string) float64 {
 	switch {
 	case na == nb && na != "":
 		return 1
@@ -287,96 +408,6 @@ func normalizeName(s string) string {
 		}
 		return r
 	}, s)
-}
-
-// containment returns |A ∩ B| / |A|.
-func containment(a, b map[string]bool) float64 {
-	if len(a) == 0 {
-		return 0
-	}
-	hits := 0
-	for v := range a {
-		if b[v] {
-			hits++
-		}
-	}
-	return float64(hits) / float64(len(a))
-}
-
-// categoricalSet collects up to limit distinct values of a categorical
-// column.
-func categoricalSet(c *dataframe.CategoricalColumn, limit int) map[string]bool {
-	out := make(map[string]bool)
-	for _, code := range c.Codes {
-		if code >= 0 {
-			out[c.Dict[code]] = true
-			if len(out) >= limit {
-				break
-			}
-		}
-	}
-	return out
-}
-
-// numericSet collects up to limit distinct formatted values of a numeric
-// column.
-func numericSet(c *dataframe.NumericColumn, limit int) map[string]bool {
-	out := make(map[string]bool)
-	for i := range c.Values {
-		if s, ok := keyStringNumeric(c, i); ok {
-			out[s] = true
-			if len(out) >= limit {
-				break
-			}
-		}
-	}
-	return out
-}
-
-// keyStringNumeric formats a present numeric value for set comparison.
-func keyStringNumeric(c *dataframe.NumericColumn, i int) (string, bool) {
-	if c.IsMissing(i) {
-		return "", false
-	}
-	// Match join's canonical numeric key formatting.
-	return dataframe.NewNumeric("", c.Values[i:i+1]).StringAt(0), true
-}
-
-// numericRange returns [min, max] of a numeric column.
-func numericRange(c dataframe.Column) [2]float64 {
-	col := c.(*dataframe.NumericColumn)
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for i, v := range col.Values {
-		if col.IsMissing(i) {
-			continue
-		}
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return [2]float64{lo, hi}
-}
-
-// timeRange returns [min, max] of a time column in seconds.
-func timeRange(c dataframe.Column) [2]float64 {
-	col := c.(*dataframe.TimeColumn)
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range col.Unix {
-		if v == dataframe.MissingTime {
-			continue
-		}
-		f := float64(v)
-		if f < lo {
-			lo = f
-		}
-		if f > hi {
-			hi = f
-		}
-	}
-	return [2]float64{lo, hi}
 }
 
 // rangeOverlap returns the overlap fraction of interval a within interval b

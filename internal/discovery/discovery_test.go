@@ -94,10 +94,10 @@ func TestDiscoverComposite(t *testing.T) {
 }
 
 func TestNameAffinity(t *testing.T) {
-	if nameAffinity("pickup_date", "PickupDate") != 1 {
+	if nameAffinity(normalizeName("pickup_date"), normalizeName("PickupDate")) != 1 {
 		t.Fatal("normalized equal names should score 1")
 	}
-	if nameAffinity("date", "pickup_date") != 0.5 {
+	if nameAffinity(normalizeName("date"), normalizeName("pickup_date")) != 0.5 {
 		t.Fatal("containment should score 0.5")
 	}
 	if nameAffinity("foo", "bar") != 0 {

@@ -3,8 +3,6 @@ package discovery
 import (
 	"hash/fnv"
 	"math"
-
-	"github.com/arda-ml/arda/internal/dataframe"
 )
 
 // MinHash signatures let discovery estimate value overlap between columns
@@ -47,22 +45,34 @@ var hashA, hashB = func() ([minHashK]uint64, [minHashK]uint64) {
 
 // NewMinHash computes the signature of a string set.
 func NewMinHash(values map[string]bool) *MinHash {
-	m := &MinHash{mins: make([]uint64, minHashK), Size: len(values)}
+	m := newMinHash(len(values))
+	for v := range values {
+		m.add(v)
+	}
+	return m
+}
+
+// newMinHash starts the signature of a set of size distinct values; the
+// caller adds each of them once.
+func newMinHash(size int) *MinHash {
+	m := &MinHash{mins: make([]uint64, minHashK), Size: size}
 	for i := range m.mins {
 		m.mins[i] = math.MaxUint64
 	}
-	for v := range values {
-		h := fnv.New64a()
-		h.Write([]byte(v))
-		base := h.Sum64()
-		for i := 0; i < minHashK; i++ {
-			hv := hashA[i]*base + hashB[i]
-			if hv < m.mins[i] {
-				m.mins[i] = hv
-			}
+	return m
+}
+
+// add folds one value into the signature.
+func (m *MinHash) add(v string) {
+	h := fnv.New64a()
+	h.Write([]byte(v))
+	base := h.Sum64()
+	for i := 0; i < minHashK; i++ {
+		hv := hashA[i]*base + hashB[i]
+		if hv < m.mins[i] {
+			m.mins[i] = hv
 		}
 	}
-	return m
 }
 
 // Jaccard estimates |A∩B| / |A∪B| from two signatures.
@@ -93,17 +103,4 @@ func (m *MinHash) Containment(other *MinHash) float64 {
 		c = 1
 	}
 	return c
-}
-
-// columnSignature builds the MinHash of a column's distinct values (up to
-// the discovery value-sample cap).
-func columnSignature(c dataframe.Column, limit int) *MinHash {
-	switch col := c.(type) {
-	case *dataframe.CategoricalColumn:
-		return NewMinHash(categoricalSet(col, limit))
-	case *dataframe.NumericColumn:
-		return NewMinHash(numericSet(col, limit))
-	default:
-		return NewMinHash(nil)
-	}
 }

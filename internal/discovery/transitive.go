@@ -50,7 +50,14 @@ func Transitive(base *dataframe.Table, repo []*dataframe.Table, target string, o
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-	firstHop := Discover(base, repo, target, opts.Options)
+	// The repository is profiled once: the first hop builds each table's
+	// profile as it matches it, and every second hop reuses them (an
+	// intermediate table's profile then serves as the base side).
+	profiles := make([]*tableProfile, len(repo))
+	firstHop := discover(profileTable(base, opts.Options), target, len(repo), func(i int) *tableProfile {
+		profiles[i] = profileTable(repo[i], opts.Options)
+		return profiles[i]
+	}, opts.Options)
 	expanded := 0
 	var out []Candidate
 	seen := map[string]bool{}
@@ -66,16 +73,19 @@ func Transitive(base *dataframe.Table, repo []*dataframe.Table, target string, o
 
 		// Discover second hops from the intermediate table. Its own key
 		// columns stay eligible — they are exactly what links onward tables.
-		var rest []*dataframe.Table
-		for _, t := range repo {
-			if t != first.Table && t != base {
-				rest = append(rest, t)
+		var inter *tableProfile
+		var rest []*tableProfile
+		for i, t := range repo {
+			switch {
+			case t == first.Table:
+				inter = profiles[i]
+			case t != base:
+				rest = append(rest, profiles[i])
 			}
 		}
-		second := Discover(first.Table, rest, "", opts.Options)
+		second := discover(inter, "", len(rest), func(i int) *tableProfile { return rest[i] }, opts.Options)
 		joined := 0
 		widened := first.Table
-		var hops []string
 		for _, hop := range second {
 			if joined >= opts.MaxPerIntermediate {
 				break
@@ -94,7 +104,6 @@ func Transitive(base *dataframe.Table, repo []*dataframe.Table, target string, o
 				continue
 			}
 			widened = res.Table
-			hops = append(hops, hop.Table.Name())
 			joined++
 		}
 		if joined == 0 {
@@ -109,7 +118,6 @@ func Transitive(base *dataframe.Table, repo []*dataframe.Table, target string, o
 			Score: first.Score * 0.9,
 			Soft:  first.Soft,
 		})
-		_ = hops
 	}
 	return out
 }

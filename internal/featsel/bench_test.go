@@ -2,42 +2,10 @@ package featsel
 
 import (
 	"testing"
-	"time"
 
 	"github.com/arda-ml/arda/internal/ml"
-	"github.com/arda-ml/arda/internal/parallel"
+	"github.com/arda-ml/arda/internal/testenv"
 )
-
-// benchSpeedup times f on one worker and on every available core and reports
-// the ratio as the "speedup_x" metric (≈1 on a single-core machine).
-func benchSpeedup(b *testing.B, f func()) {
-	defer parallel.SetMaxWorkers(0)
-	min := func() time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for r := 0; r < 2; r++ {
-			start := time.Now()
-			f()
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	parallel.SetMaxWorkers(1)
-	seq := min()
-	parallel.SetMaxWorkers(0)
-	par := min()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f()
-	}
-	b.StopTimer()
-	// ResetTimer deletes user metrics, so report after the measured loop.
-	if par > 0 {
-		b.ReportMetric(seq.Seconds()/par.Seconds(), "speedup_x")
-	}
-	b.ReportMetric(float64(parallel.MaxWorkers()), "workers")
-}
 
 // BenchmarkRStar measures the K parallel injection repetitions of RIFS —
 // the pipeline's dominant cost (paper §7, Figure 4) — at 1 worker vs all
@@ -46,7 +14,7 @@ func benchSpeedup(b *testing.B, f func()) {
 func BenchmarkRStar(b *testing.B) {
 	ds := planted(ml.Classification, 300, 3, 30, 71)
 	r := &RIFS{Config: RIFSConfig{K: 8, Forest: ForestRanker{NTrees: 20, MaxDepth: 8}}}
-	benchSpeedup(b, func() {
+	testenv.BenchSpeedup(b, func() {
 		if _, err := r.RStar(ds, 72); err != nil {
 			b.Fatal(err)
 		}

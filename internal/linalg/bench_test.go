@@ -3,43 +3,9 @@ package linalg
 import (
 	"math/rand"
 	"testing"
-	"time"
 
-	"github.com/arda-ml/arda/internal/parallel"
+	"github.com/arda-ml/arda/internal/testenv"
 )
-
-// benchSpeedup times f on one worker and on every available core, reports
-// the ratio as the "speedup_x" metric, and leaves f running at full width
-// for the measured loop. On a multi-core machine the metric shows the win;
-// on one core it honestly reports ~1.
-func benchSpeedup(b *testing.B, f func()) {
-	defer parallel.SetMaxWorkers(0)
-	min := func() time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for r := 0; r < 3; r++ {
-			start := time.Now()
-			f()
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	parallel.SetMaxWorkers(1)
-	seq := min()
-	parallel.SetMaxWorkers(0)
-	par := min()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f()
-	}
-	b.StopTimer()
-	// ResetTimer deletes user metrics, so report after the measured loop.
-	if par > 0 {
-		b.ReportMetric(seq.Seconds()/par.Seconds(), "speedup_x")
-	}
-	b.ReportMetric(float64(parallel.MaxWorkers()), "workers")
-}
 
 func randMatrix(rows, cols int, seed int64) *Matrix {
 	rng := rand.New(rand.NewSource(seed))
@@ -55,18 +21,18 @@ func randMatrix(rows, cols int, seed int64) *Matrix {
 func BenchmarkMul(b *testing.B) {
 	a := randMatrix(256, 256, 1)
 	c := randMatrix(256, 256, 2)
-	benchSpeedup(b, func() { Mul(a, c) })
+	testenv.BenchSpeedup(b, func() { Mul(a, c) })
 }
 
 // BenchmarkMulABt measures the transpose-free Gram kernel used by the
 // moment-matched injector (Σ = C·Cᵀ).
 func BenchmarkMulABt(b *testing.B) {
 	c := randMatrix(384, 64, 3)
-	benchSpeedup(b, func() { MulABt(c, c) })
+	testenv.BenchSpeedup(b, func() { MulABt(c, c) })
 }
 
 // BenchmarkTranspose measures the row-scattered parallel transpose.
 func BenchmarkTranspose(b *testing.B) {
 	m := randMatrix(512, 512, 4)
-	benchSpeedup(b, func() { m.T() })
+	testenv.BenchSpeedup(b, func() { m.T() })
 }

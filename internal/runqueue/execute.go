@@ -335,10 +335,20 @@ func (m *Manager) attempt(ctx context.Context, r *run) (res *RunResult, err erro
 	if dir == "" {
 		dir = m.cfg.DataDir
 	}
-	tables, err := loadCSVDir(dir)
+	// A canceled run (by its user or by a drain; possibly before it started)
+	// stops between the steps of the front half rather than loading or
+	// profiling a repository it will never use.
+	if ctx.Err() != nil {
+		return nil, core.ErrCanceled
+	}
+	// The same loader the arda CLI uses, so a daemon run over a directory
+	// sees the tables the CLI run over it sees.
+	loadStart := time.Now()
+	tables, err := dataframe.ReadCSVDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("runqueue: loading %s: %w", dir, err)
 	}
+	loadMS := time.Since(loadStart).Milliseconds()
 	var base *dataframe.Table
 	repo := make([]*dataframe.Table, 0, len(tables))
 	for _, t := range tables {
@@ -351,10 +361,18 @@ func (m *Manager) attempt(ctx context.Context, r *run) (res *RunResult, err erro
 	if base == nil {
 		return nil, fmt.Errorf("runqueue: base table %q not found in %s (%d tables)", spec.Base, dir, len(tables))
 	}
+	if ctx.Err() != nil {
+		return nil, core.ErrCanceled
+	}
+	discoverStart := time.Now()
 	cands := discovery.Discover(base, repo, spec.Target, discovery.Options{})
 	if spec.Transitive {
 		rng := rand.New(rand.NewSource(spec.seed()))
 		cands = append(cands, discovery.Transitive(base, repo, spec.Target, discovery.TransitiveOptions{}, rng)...)
+	}
+	discoverMS := time.Since(discoverStart).Milliseconds()
+	if ctx.Err() != nil {
+		return nil, core.ErrCanceled
 	}
 
 	opts, err := spec.options(m.cfg)
@@ -392,6 +410,8 @@ func (m *Manager) attempt(ctx context.Context, r *run) (res *RunResult, err erro
 		Quarantined: len(out.Quarantined),
 		Degraded:    len(out.Degraded),
 		ResumedFrom: out.ResumedFrom,
+		LoadMS:      loadMS,
+		DiscoverMS:  discoverMS,
 		ElapsedMS:   out.Elapsed.Milliseconds(),
 		SelectionMS: out.SelectionElapsed.Milliseconds(),
 	}

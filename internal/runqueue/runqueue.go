@@ -144,8 +144,13 @@ type RunResult struct {
 	Quarantined int      `json:"quarantined"`
 	Degraded    int      `json:"degraded"`
 	ResumedFrom string   `json:"resumed_from,omitempty"`
-	ElapsedMS   int64    `json:"elapsed_ms"`
-	SelectionMS int64    `json:"selection_ms"`
+	// LoadMS and DiscoverMS are the attempt's time before the pipeline: CSV
+	// load and join discovery. ElapsedMS is the pipeline alone, so these two
+	// explain most of finished_at − started_at − elapsed_ms.
+	LoadMS      int64 `json:"load_ms"`
+	DiscoverMS  int64 `json:"discover_ms"`
+	ElapsedMS   int64 `json:"elapsed_ms"`
+	SelectionMS int64 `json:"selection_ms"`
 }
 
 // Record is one run's persisted document: the spec plus lifecycle state.

@@ -1,6 +1,7 @@
 package runqueue
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -180,6 +181,18 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 	}
 	if onDisk.State != StateCompleted || onDisk.Result == nil || onDisk.Result.TableDigest != final.Result.TableDigest {
 		t.Fatalf("persisted record diverges from in-memory: %+v", onDisk)
+	}
+	// The record accounts for the attempt's time before the pipeline: load
+	// and discovery are reported next to elapsed_ms, and the three fit inside
+	// the run's wall clock.
+	for _, key := range []string{`"load_ms"`, `"discover_ms"`} {
+		if !bytes.Contains(raw, []byte(key)) {
+			t.Fatalf("run.json has no %s field: %s", key, raw)
+		}
+	}
+	wall := final.FinishedAt.Sub(final.StartedAt).Milliseconds()
+	if r := onDisk.Result; r.LoadMS < 0 || r.DiscoverMS < 0 || r.LoadMS+r.DiscoverMS+r.ElapsedMS > wall {
+		t.Fatalf("load %d + discover %d + elapsed %d ms do not fit the run's %d ms", r.LoadMS, r.DiscoverMS, r.ElapsedMS, wall)
 	}
 
 	checkAccounting(t, m)

@@ -2,15 +2,10 @@ package runqueue
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 
 	"github.com/arda-ml/arda/internal/core"
 	"github.com/arda-ml/arda/internal/coreset"
-	"github.com/arda-ml/arda/internal/dataframe"
 	"github.com/arda-ml/arda/internal/featsel"
 	"github.com/arda-ml/arda/internal/join"
 )
@@ -213,30 +208,4 @@ func (s *Spec) options(defaults Config) (core.Options, error) {
 		opts.Selector = sel
 	}
 	return opts, nil
-}
-
-// loadCSVDir loads every *.csv file in dir as a table, sorted by name — the
-// same deterministic load order the arda CLI uses, so a daemon run over a
-// directory is bit-identical to the CLI run over it.
-func loadCSVDir(dir string) ([]*dataframe.Table, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(strings.ToLower(e.Name()), ".csv") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	tables := make([]*dataframe.Table, 0, len(names))
-	for _, name := range names {
-		t, err := dataframe.ReadCSVFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, fmt.Errorf("loading %s: %w", name, err)
-		}
-		tables = append(tables, t)
-	}
-	return tables, nil
 }
