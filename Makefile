@@ -1,14 +1,18 @@
-# Development targets. `make check` is the gate every PR must pass: vet,
-# build, the full test suite under the race detector (the parallel execution
+# Development targets. `make check` is the gate every PR must pass: gofmt,
+# vet, build, the full test suite under the race detector (the parallel execution
 # layer makes -race mandatory, not optional), and the allocation-regression
 # tests without -race (AllocsPerRun is unreliable under the detector, so
 # those tests skip themselves in the race run).
 
 GO ?= go
 
-.PHONY: check vet build test race alloc chaos crash lease-chaos bench bench-parallel bench-dataplane trace-smoke metrics-smoke serve-smoke bench-stages bench-checkpoint bench-select bench-obs profile-select
+.PHONY: check fmt vet build test race alloc chaos crash lease-chaos bench bench-parallel trace-smoke metrics-smoke serve-smoke profile-select
 
-check: vet build race alloc chaos crash lease-chaos trace-smoke metrics-smoke serve-smoke
+check: fmt vet build race alloc chaos crash lease-chaos trace-smoke metrics-smoke serve-smoke
+
+# Fails when any file is not gofmt-clean (gofmt -l prints its name).
+fmt:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -137,30 +141,6 @@ serve-smoke:
 	echo "serve-smoke: run $$id completed"; \
 	kill -TERM $$pid; wait $$pid
 
-# Stage-cost breakdown over the five corpora via the tracing layer; writes
-# BENCH_stages.json.
-bench-stages:
-	$(GO) run ./cmd/ardabench -quick -exp stages -stages-out BENCH_stages.json
-
-# Data-plane benchmarks: hashed vs string join keys, cached vs cold encode,
-# pooled vs materialized subset scoring. Writes a benchstat-comparable JSON
-# report (raw lines preserved under .raw).
-bench-dataplane:
-	$(GO) test -bench='Dataplane' -benchmem -benchtime=3x -run=^$$ \
-		./internal/join/ ./internal/dataframe/ ./internal/eval/ \
-		| $(GO) run ./cmd/benchjson > BENCH_dataplane.json
-	@grep -c '"op"' BENCH_dataplane.json >/dev/null && echo "wrote BENCH_dataplane.json"
-
-# Split-kernel benchmarks: the live adaptive presorted/flat kernel
-# ("presorted") against the preserved sort-per-node kernel ("sorted") over
-# the forest shapes ARDA fits; benchjson pairs the variants into headline
-# speedup ratios.
-bench-select:
-	$(GO) test -bench='SelectForest' -benchmem -benchtime=3x -run=^$$ \
-		./internal/ml/ \
-		| $(GO) run ./cmd/benchjson > BENCH_select.json
-	@grep -c '"op"' BENCH_select.json >/dev/null && echo "wrote BENCH_select.json"
-
 # CPU profile of one RIFS selection run (the K injection repetitions with
 # their ranking ensembles — the pipeline's dominant cost): inspect with
 # `go tool pprof select.pprof`.
@@ -169,22 +149,3 @@ profile-select:
 		-cpuprofile=select.pprof ./internal/featsel/
 	@rm -f featsel.test
 	@echo "wrote select.pprof (go tool pprof select.pprof)"
-
-# Checkpoint-overhead benchmark: the same pipeline with durability off
-# ("plain") and on ("checkpointed"); benchjson pairs the variants into a
-# headline overhead ratio.
-bench-checkpoint:
-	$(GO) test -bench='CheckpointOverhead' -benchmem -benchtime=3x -run=^$$ \
-		./internal/core/ \
-		| $(GO) run ./cmd/benchjson > BENCH_checkpoint.json
-	@grep -c '"op"' BENCH_checkpoint.json >/dev/null && echo "wrote BENCH_checkpoint.json"
-
-# Telemetry-overhead benchmark: the same pipeline with the full plane off
-# ("plain") and on ("telemetry": trace + histograms + event stream + runtime
-# sampler); benchjson pairs the variants into a headline overhead ratio. The
-# contract is ≲3% overhead.
-bench-obs:
-	$(GO) test -bench='ObsOverhead' -benchmem -benchtime=3x -run=^$$ \
-		./internal/core/ \
-		| $(GO) run ./cmd/benchjson > BENCH_obs.json
-	@grep -c '"op"' BENCH_obs.json >/dev/null && echo "wrote BENCH_obs.json"

@@ -58,33 +58,33 @@ const (
 
 func main() {
 	var (
-		mode       = flag.String("mode", "augment", "augment | discover (list candidate joins) | describe (profile tables)")
-		dir        = flag.String("dir", ".", "directory of CSV files (base table + repository)")
-		baseName   = flag.String("base", "", "name of the base table (file name without .csv)")
-		target     = flag.String("target", "", "target column in the base table")
-		out        = flag.String("out", "", "path to write the augmented CSV (optional)")
-		selector   = flag.String("selector", "RIFS", "feature selector: RIFS, random forest, sparse regression, lasso, logistic reg, linear svc, f-test, mutual info, relief, forward selection, backward selection, rfe, all features")
-		plan       = flag.String("plan", "budget", "join plan: budget | table | full")
-		strategy   = flag.String("coreset", "uniform", "coreset strategy: uniform | stratified | sketch | leverage")
-		size       = flag.Int("size", 0, "coreset size (0 = automatic)")
-		budget     = flag.Int("budget", 0, "feature budget per batch (0 = coreset size)")
-		tau        = flag.Float64("tau", 0, "Tuple-Ratio prefilter threshold (0 = disabled)")
-		seed       = flag.Int64("seed", 1, "random seed")
-		softJoin   = flag.String("soft", "2way", "soft-key join method: 2way | nearest | hard")
-		transitive = flag.Bool("transitive", false, "also discover two-hop (transitive) join candidates")
-		knnImpute  = flag.Int("knn-impute", 0, "use k-nearest-neighbour imputation with this k (0 = median/random)")
-		sig        = flag.Int("significance", 0, "bootstrap resamples for the augmentation significance test (0 = off)")
-		workers    = flag.Int("workers", 0, "max parallel workers (0 = all cores); results are identical for any value")
-		timeout    = flag.Duration("timeout", 0, "bound the run's wall-clock time (e.g. 90s, 5m); an exceeded run stops with a partial report (0 = unbounded)")
-		verbose    = flag.Bool("v", false, "stream pipeline progress and the stage-cost tree to stderr")
-		traceFile  = flag.String("trace", "", "write the run's trace event stream to this file as NDJSON")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and expvar run counters on this address (e.g. localhost:6060)")
+		mode        = flag.String("mode", "augment", "augment | discover (list candidate joins) | describe (profile tables)")
+		dir         = flag.String("dir", ".", "directory of CSV files (base table + repository)")
+		baseName    = flag.String("base", "", "name of the base table (file name without .csv)")
+		target      = flag.String("target", "", "target column in the base table")
+		out         = flag.String("out", "", "path to write the augmented CSV (optional)")
+		selector    = flag.String("selector", "RIFS", "feature selector: RIFS, random forest, sparse regression, lasso, logistic reg, linear svc, f-test, mutual info, relief, forward selection, backward selection, rfe, all features")
+		plan        = flag.String("plan", "budget", "join plan: budget | table | full")
+		strategy    = flag.String("coreset", "uniform", "coreset strategy: uniform | stratified | sketch | leverage")
+		size        = flag.Int("size", 0, "coreset size (0 = automatic)")
+		budget      = flag.Int("budget", 0, "feature budget per batch (0 = coreset size)")
+		tau         = flag.Float64("tau", 0, "Tuple-Ratio prefilter threshold (0 = disabled)")
+		seed        = flag.Int64("seed", 1, "random seed")
+		softJoin    = flag.String("soft", "2way", "soft-key join method: 2way | nearest | hard")
+		transitive  = flag.Bool("transitive", false, "also discover two-hop (transitive) join candidates")
+		knnImpute   = flag.Int("knn-impute", 0, "use k-nearest-neighbour imputation with this k (0 = median/random)")
+		sig         = flag.Int("significance", 0, "bootstrap resamples for the augmentation significance test (0 = off)")
+		workers     = flag.Int("workers", 0, "max parallel workers (0 = all cores); results are identical for any value")
+		timeout     = flag.Duration("timeout", 0, "bound the run's wall-clock time (e.g. 90s, 5m); an exceeded run stops with a partial report (0 = unbounded)")
+		verbose     = flag.Bool("v", false, "stream pipeline progress and the stage-cost tree to stderr")
+		traceFile   = flag.String("trace", "", "write the run's trace event stream to this file as NDJSON")
+		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof and expvar run counters on this address (e.g. localhost:6060)")
 		metricsAddr = flag.String("metrics-addr", "", "serve live run telemetry on this address: /metrics (Prometheus), /statusz (stage tree), /events (NDJSON stream)")
-		ckDir      = flag.String("checkpoint-dir", "", "snapshot pipeline state into this directory after every stage (crash-safe)")
-		ckTTL      = flag.Duration("checkpoint-ttl", 0, "discard checkpoint state in -checkpoint-dir older than this before the run (0 = keep)")
-		resume     = flag.Bool("resume", false, "continue from the last completed stage recorded in -checkpoint-dir")
-		maxCells   = flag.Int64("max-cells", 0, "bound the augmented working set to this many cells, degrading deterministically (0 = unbounded)")
-		maxBytes   = flag.Int64("max-candidate-bytes", 0, "bound the candidate tables admitted per run to this estimated byte size (0 = unbounded)")
+		ckDir       = flag.String("checkpoint-dir", "", "snapshot pipeline state into this directory after every stage (crash-safe)")
+		ckTTL       = flag.Duration("checkpoint-ttl", 0, "discard checkpoint state in -checkpoint-dir older than this before the run (0 = keep)")
+		resume      = flag.Bool("resume", false, "continue from the last completed stage recorded in -checkpoint-dir")
+		maxCells    = flag.Int64("max-cells", 0, "bound the augmented working set to this many cells, degrading deterministically (0 = unbounded)")
+		maxBytes    = flag.Int64("max-candidate-bytes", 0, "bound the candidate tables admitted per run to this estimated byte size (0 = unbounded)")
 	)
 	flag.Parse()
 	cli.Setup("arda", *verbose)

@@ -25,13 +25,12 @@ import (
 
 func main() {
 	var (
-		expList   = flag.String("exp", "all", "comma-separated experiments: fig3, fig4, fig5, fig6, table1, table2, table3, table4, table5, table6, ablation, extensions, stages, all")
-		quick     = flag.Bool("quick", false, "run at reduced scale")
-		seed      = flag.Int64("seed", 1, "random seed")
-		out       = flag.String("out", "", "also write the report to this file")
-		stagesOut = flag.String("stages-out", "BENCH_stages.json", "write the stage-cost breakdown JSON here when the stages experiment runs")
-		workers   = flag.Int("workers", 0, "max parallel workers (0 = all cores); results are identical for any value")
-		verbose   = flag.Bool("v", false, "stream experiment progress to stderr")
+		expList = flag.String("exp", "all", "comma-separated experiments: fig3, fig4, fig5, fig6, table1, table2, table3, table4, table5, table6, ablation, extensions, all")
+		quick   = flag.Bool("quick", false, "run at reduced scale")
+		seed    = flag.Int64("seed", 1, "random seed")
+		out     = flag.String("out", "", "also write the report to this file")
+		workers = flag.Int("workers", 0, "max parallel workers (0 = all cores); results are identical for any value")
+		verbose = flag.Bool("v", false, "stream experiment progress to stderr")
 	)
 	flag.Parse()
 	cli.Setup("ardabench", *verbose)
@@ -170,26 +169,6 @@ func main() {
 				return err
 			}
 			emit(r.Render())
-			return nil
-		})
-	}
-	if all || want["stages"] {
-		run("Stage breakdown", func() error {
-			r, err := experiments.StageBreakdown(scale, *seed)
-			if err != nil {
-				return err
-			}
-			emit(r.Render())
-			if *stagesOut != "" {
-				doc, err := r.JSON()
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(*stagesOut, doc, 0o644); err != nil {
-					return err
-				}
-				cli.Noticef("stage breakdown written to %s", *stagesOut)
-			}
 			return nil
 		})
 	}

@@ -1,6 +1,6 @@
 // Package cli centralizes diagnostics for the repo's commands (cmd/arda,
-// cmd/ardabench, cmd/datagen, cmd/benchjson, cmd/tracecheck): one
-// mutex-guarded stderr writer and one -v contract. Reports and data belong
+// cmd/ardabench, cmd/datagen, cmd/tracecheck): one mutex-guarded stderr
+// writer and one -v contract. Reports and data belong
 // on stdout; every progress line, warning, and error flows through here, so
 // verbose pipeline progress and failure output never interleave mid-line on
 // stderr and quiet runs stay quiet.

@@ -5,61 +5,8 @@ import (
 
 	"github.com/arda-ml/arda/internal/discovery"
 	"github.com/arda-ml/arda/internal/featsel"
-	"github.com/arda-ml/arda/internal/join"
 	"github.com/arda-ml/arda/internal/synth"
 )
-
-// TestAugmentHashPlaneEquivalence runs the full pipeline with the hashed-key
-// join plane on and off under one seed and asserts identical output — the
-// end-to-end guarantee that the allocation-light data plane changed no
-// result bit anywhere in the ARDA flow (joins, aggregation, resampling,
-// selection, materialization, scoring).
-func TestAugmentHashPlaneEquivalence(t *testing.T) {
-	corpus := synth.Poverty(synth.Config{Seed: 61, Scale: 0.2})
-	cands := discovery.Discover(corpus.Base, corpus.Repo, corpus.Target, discovery.Options{})
-	if len(cands) == 0 {
-		t.Fatal("discovery found nothing")
-	}
-	run := func(hashed bool) *Result {
-		prev := join.SetHashJoinKeys(hashed)
-		defer join.SetHashJoinKeys(prev)
-		res, err := Augment(corpus.Base, cands, Options{
-			Target:      corpus.Target,
-			CoresetSize: 192,
-			Selector:    &featsel.RIFS{Config: featsel.RIFSConfig{K: 3, Forest: featsel.ForestRanker{NTrees: 15, MaxDepth: 6}}},
-			Estimator:   fastEstimator(1),
-			Seed:        62,
-			KNNImpute:   3,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	hashed := run(true)
-	stringed := run(false)
-
-	if len(hashed.KeptColumns) != len(stringed.KeptColumns) {
-		t.Fatalf("kept columns differ: %v vs %v", hashed.KeptColumns, stringed.KeptColumns)
-	}
-	for i := range hashed.KeptColumns {
-		if hashed.KeptColumns[i] != stringed.KeptColumns[i] {
-			t.Fatalf("kept columns differ: %v vs %v", hashed.KeptColumns, stringed.KeptColumns)
-		}
-	}
-	if len(hashed.KeptTables) != len(stringed.KeptTables) {
-		t.Fatalf("kept tables differ: %v vs %v", hashed.KeptTables, stringed.KeptTables)
-	}
-	for i := range hashed.KeptTables {
-		if hashed.KeptTables[i] != stringed.KeptTables[i] {
-			t.Fatalf("kept tables differ: %v vs %v", hashed.KeptTables, stringed.KeptTables)
-		}
-	}
-	if hashed.BaseScore != stringed.BaseScore || hashed.FinalScore != stringed.FinalScore {
-		t.Fatalf("scores differ across key planes: base %v vs %v, final %v vs %v",
-			hashed.BaseScore, stringed.BaseScore, hashed.FinalScore, stringed.FinalScore)
-	}
-}
 
 // TestAugmentKeptTablesDeduped asserts KeptTables lists each contributing
 // foreign table once even when several of its candidate joins keep columns.

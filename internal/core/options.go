@@ -65,15 +65,6 @@ type Options struct {
 	// Estimator scores candidate subsets during selection; nil defaults to
 	// the lightly-optimized random forest.
 	Estimator eval.Fitter
-	// EstimatorForest optionally declares a custom Estimator to be
-	// ml.FitForest under exactly this configuration, letting selectors that
-	// implement featsel.ForestEstimatorAware fit the threshold sweep's nested
-	// candidate forests in one cross-forest tree wave over a shared split
-	// cache. Purely a fast path — selection output is identical with or
-	// without it — but declaring a config that does not match Estimator
-	// breaks selection. Ignored when Estimator is nil: the default estimator
-	// declares its own configuration.
-	EstimatorForest *ml.ForestConfig
 	// TupleRatioTau enables Kumar et al.'s Tuple-Ratio prefilter when > 0:
 	// candidate tables with nS/nR > τ are dropped before joining (§7.3).
 	TupleRatioTau float64

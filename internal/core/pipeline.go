@@ -89,8 +89,11 @@ func AugmentContext(ctx context.Context, base *dataframe.Table, cands []discover
 	if opts.Workers > 0 {
 		parallel.SetMaxWorkers(opts.Workers)
 	}
+	// The default estimator is a forest whose shape the pipeline knows, so
+	// ForestEstimatorAware selectors are told it; a caller-supplied Estimator
+	// is opaque.
 	estimator := opts.Estimator
-	estForest := opts.EstimatorForest
+	var estForest *ml.ForestConfig
 	if estimator == nil {
 		estimator = automl.DefaultEstimator(opts.Seed)
 		fc := automl.DefaultForestConfig(opts.Seed)
@@ -108,11 +111,9 @@ func AugmentContext(ctx context.Context, base *dataframe.Table, cands []discover
 	cFeatOffered := tr.Counter("select.features_offered")
 	cFeatKept := tr.Counter("select.features_kept")
 	// Pre-registered so metrics always carry the keys; RIFS adds to the
-	// first when decided threshold buckets let it skip outstanding
-	// repetitions, to the cache pair when the run-level split cache serves
-	// (or cold-builds) presorted columns, and to the last when the sweep
-	// schedules nested candidate forests as one cross-forest tree wave.
-	tr.Counter("select.reps_short_circuited")
+	// cache pair when the run-level split cache serves (or cold-builds)
+	// presorted columns, and to the last when the sweep schedules nested
+	// candidate forests as one cross-forest tree wave.
 	tr.Counter("select.splitset_cache_hits")
 	tr.Counter("select.splitset_cache_misses")
 	tr.Counter("select.trees_scheduled")
@@ -489,7 +490,7 @@ func AugmentContext(ctx context.Context, base *dataframe.Table, cands []discover
 			sa.AttachSpan(selSpan)
 		}
 		if fa, ok := opts.Selector.(featsel.ForestEstimatorAware); ok && estForest != nil {
-			fa.SetEstimatorForest(estForest)
+			fa.SetSweepForest(estForest)
 		}
 		selStart := time.Now()
 		selected, err := selectWith(ctx, opts.Selector, ds, estimator, opts.Seed+int64(bi+1))
@@ -498,7 +499,7 @@ func AugmentContext(ctx context.Context, base *dataframe.Table, cands []discover
 			sa.AttachSpan(nil)
 		}
 		if fa, ok := opts.Selector.(featsel.ForestEstimatorAware); ok && estForest != nil {
-			fa.SetEstimatorForest(nil)
+			fa.SetSweepForest(nil)
 		}
 		if err != nil {
 			if isInterrupt(err) {

@@ -6,28 +6,19 @@ import (
 	"github.com/arda-ml/arda/internal/ml"
 )
 
-// BenchmarkDataplaneSubsetScore compares pooled copy-free subset scoring
-// against materializing a fresh column-subset matrix per evaluation — the
+// BenchmarkDataplaneSubsetScore times pooled copy-free subset scoring — the
 // inner loop of every wrapper feature-selection search. The trivial fitter
-// isolates scorer allocations from model training, which is identical on
-// both paths. Collected into BENCH_dataplane.json by `make bench-dataplane`.
+// isolates the scorer from model training.
 func BenchmarkDataplaneSubsetScore(b *testing.B) {
 	ds := subsetFixture(2000, 16, 5)
 	sp := TrainTestSplit(ds, 0.25, 9)
 	cols := []int{0, 1, 2, 3, 5, 8, 13}
 	fit := func(d *ml.Dataset) ml.Model { return constModel(0) }
-	b.Run("pooled", func(b *testing.B) {
-		HoldoutSubsetScore(ds, sp, fit, cols)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			HoldoutSubsetScore(ds, sp, fit, cols)
-		}
-	})
-	b.Run("materialized", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			HoldoutScore(ds.SelectFeatures(cols), sp, fit)
-		}
-	})
+	ev := NewSubsetEvaluator(ds, sp, fit, allColumns(ds.D))
+	ev.ScoreAt(cols)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev.ScoreAt(cols)
+	}
 }

@@ -224,56 +224,27 @@ func HoldoutScore(ds *ml.Dataset, sp Split, fit Fitter) float64 {
 	return Score(ds.Task, ds.Classes, pred, test.Y)
 }
 
-// subsetScratch pools the gather buffers HoldoutSubsetScore fills on every
-// call, so repeated subset evaluations (the RIFS threshold sweep scores
-// hundreds of feature subsets over the same dataset) stop allocating a fresh
-// design matrix each time. Buffers are fully overwritten before use, and the
-// fitted model is discarded before the buffers return to the pool, so reuse
-// never leaks state between evaluations.
+// subsetScratch pools the gather buffers SubsetEvaluator fills on every
+// score, so repeated subset evaluations (the RIFS threshold sweep and the
+// wrapper searches score hundreds of feature subsets over the same dataset)
+// stop allocating a fresh design matrix each time. Buffers are fully
+// overwritten before use, and the fitted model is discarded before the
+// buffers return to the pool, so reuse never leaks state between evaluations.
 var subsetScratch = sync.Pool{New: func() any { return new(subsetBufs) }}
 
-// subsetBufs is one reusable pair of gather buffers.
+// subsetBufs is one reusable gather buffer.
 type subsetBufs struct {
-	x, y []float64
+	x []float64
 }
 
-// HoldoutSubsetScore is HoldoutScore restricted to the given feature columns,
-// without materializing the column subset: train and test matrices are
-// gathered straight from ds (through any view indirection) into pooled
-// scratch. It returns exactly what
-// HoldoutScore(ds.SelectFeatures(cols), sp, fit) would, allocation-light.
-func HoldoutSubsetScore(ds *ml.Dataset, sp Split, fit Fitter, cols []int) float64 {
-	d := len(cols)
-	nTr, nTe := len(sp.Train), len(sp.Test)
-	sb := subsetScratch.Get().(*subsetBufs)
-	defer subsetScratch.Put(sb)
-	if need := (nTr + nTe) * d; cap(sb.x) < need {
-		sb.x = make([]float64, need)
-	}
-	if need := nTr + nTe; cap(sb.y) < need {
-		sb.y = make([]float64, need)
-	}
-	x := sb.x[: (nTr+nTe)*d : (nTr+nTe)*d]
-	y := sb.y[: nTr+nTe : nTr+nTe]
-	trainX, testX := x[:nTr*d], x[nTr*d:]
-	trainY, testY := y[:nTr], y[nTr:]
-	ds.GatherSubsetInto(sp.Train, cols, trainX, trainY)
-	ds.GatherSubsetInto(sp.Test, cols, testX, testY)
-	train := &ml.Dataset{X: trainX, N: nTr, D: d, Y: trainY, Task: ds.Task, Classes: ds.Classes}
-	test := &ml.Dataset{X: testX, N: nTe, D: d, Y: testY, Task: ds.Task, Classes: ds.Classes}
-	m := fit(train)
-	pred := ml.PredictAll(m, test)
-	return Score(ds.Task, ds.Classes, pred, testY)
-}
-
-// SubsetEvaluator scores many nested feature subsets of one dataset on a
-// fixed holdout split. The constructor gathers the base columns once into a
-// compact train+test design matrix; ScoreAt then sub-gathers each candidate
-// subset from that matrix instead of walking the full dataset's (possibly
-// view-indirected) rows again — the win for the RIFS threshold sweep, whose
-// tighter-threshold subsets are all contained in the loosest one. Scores
-// are bit-identical to HoldoutSubsetScore over the same split: both paths
-// gather the same cell values into the same row-major layout before fitting.
+// SubsetEvaluator scores many feature subsets of one dataset on a fixed
+// holdout split — the one subset-scoring path of every wrapper search. The
+// constructor gathers the base columns once into a compact train+test design
+// matrix (held for the evaluator's lifetime); ScoreAt then sub-gathers each
+// candidate subset from that matrix instead of walking the full dataset's
+// (possibly view-indirected) rows again. Scores are bit-identical to
+// HoldoutScore(ds.SelectFeatures(cols), sp, fit): both gather the same cell
+// values into the same row-major layout before fitting.
 type SubsetEvaluator struct {
 	task     ml.Task
 	classes  int
@@ -322,8 +293,9 @@ func NewSubsetEvaluator(ds *ml.Dataset, sp Split, fit Fitter, base []int) *Subse
 }
 
 // ScoreAt trains on the train side restricted to the base-column positions
-// pos and returns the holdout task score (-Inf for an empty subset). Gathers
-// go into the shared pooled scratch, so concurrent calls are safe and
+// pos — gathered in the order given, so pos need not be ascending — and
+// returns the holdout task score (-Inf for an empty subset). Gathers go into
+// the shared pooled scratch, so concurrent calls are safe and
 // allocation-light.
 func (e *SubsetEvaluator) ScoreAt(pos []int) float64 {
 	k := len(pos)

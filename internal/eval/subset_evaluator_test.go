@@ -8,10 +8,10 @@ import (
 	"github.com/arda-ml/arda/internal/ml"
 )
 
-// TestSubsetEvaluatorMatchesHoldoutSubsetScore: ScoreAt over base-column
-// positions must return exactly what HoldoutSubsetScore returns for the
-// corresponding absolute columns — the gather-of-a-gather contract the RIFS
-// threshold sweep relies on.
+// TestSubsetEvaluatorMatchesHoldoutSubsetScore: ScoreAt over positions in a
+// proper base subset must return exactly the materialized holdout score of
+// the corresponding absolute columns — the gather-of-a-gather contract the
+// RIFS threshold sweep relies on.
 func TestSubsetEvaluatorMatchesHoldoutSubsetScore(t *testing.T) {
 	ds := subsetFixture(160, 8, 21)
 	sp := TrainTestSplit(ds, 0.25, 9)
@@ -30,10 +30,10 @@ func TestSubsetEvaluatorMatchesHoldoutSubsetScore(t *testing.T) {
 		{[]int{3, 4}, []int{4, 7}},
 	}
 	for _, tc := range cases {
-		want := HoldoutSubsetScore(ds, sp, fit, tc.cols)
+		want := HoldoutScore(ds.SelectFeatures(tc.cols), sp, fit)
 		got := ev.ScoreAt(tc.pos)
 		if got != want {
-			t.Fatalf("pos %v (cols %v): evaluator score %v != direct subset score %v",
+			t.Fatalf("pos %v (cols %v): evaluator score %v != materialized subset score %v",
 				tc.pos, tc.cols, got, want)
 		}
 		// Re-score to prove pooled scratch reuse does not leak state.

@@ -27,22 +27,34 @@ func subsetFixture(n, d int, seed int64) *ml.Dataset {
 	return ds
 }
 
+// allColumns returns [0, d).
+func allColumns(d int) []int {
+	cols := make([]int, d)
+	for j := range cols {
+		cols[j] = j
+	}
+	return cols
+}
+
 // TestHoldoutSubsetScoreEquivalence proves the pooled-scratch subset scorer
-// returns exactly what materializing the column subset would.
+// returns exactly what materializing the column subset would, for ascending
+// and arbitrarily ordered subsets (the ranking-ordered prefixes the wrapper
+// searches score).
 func TestHoldoutSubsetScoreEquivalence(t *testing.T) {
 	ds := subsetFixture(120, 6, 5)
 	sp := TrainTestSplit(ds, 0.25, 9)
 	fit := func(d *ml.Dataset) ml.Model {
 		return ml.FitForest(d, ml.ForestConfig{NTrees: 8, MaxDepth: 4, Seed: 3})
 	}
+	ev := NewSubsetEvaluator(ds, sp, fit, allColumns(ds.D))
 	for _, cols := range [][]int{{0}, {0, 1}, {5, 2, 0}, {0, 1, 2, 3, 4, 5}} {
 		want := HoldoutScore(ds.SelectFeatures(cols), sp, fit)
-		got := HoldoutSubsetScore(ds, sp, fit, cols)
+		got := ev.ScoreAt(cols)
 		if got != want {
 			t.Fatalf("cols %v: pooled score %v != materialized score %v", cols, got, want)
 		}
 		// Repeat to prove pool reuse does not leak state between calls.
-		if again := HoldoutSubsetScore(ds, sp, fit, cols); again != want {
+		if again := ev.ScoreAt(cols); again != want {
 			t.Fatalf("cols %v: pooled score drifted on reuse: %v != %v", cols, again, want)
 		}
 	}
@@ -58,7 +70,7 @@ func TestHoldoutSubsetScoreOnView(t *testing.T) {
 		return ml.FitForest(d, ml.ForestConfig{NTrees: 8, MaxDepth: 4, Seed: 3})
 	}
 	want := HoldoutScore(ds.SelectFeatures([]int{0, 1}), sp, fit)
-	got := HoldoutSubsetScore(v, sp, fit, []int{1, 2})
+	got := NewSubsetEvaluator(v, sp, fit, allColumns(v.D)).ScoreAt([]int{1, 2})
 	if got != want {
 		t.Fatalf("view subset score %v != backing subset score %v", got, want)
 	}
@@ -77,9 +89,10 @@ func TestHoldoutSubsetScoreAllocs(t *testing.T) {
 	// A trivial fitter isolates the scorer's own allocations from model
 	// training (which allocates the same on both paths).
 	fit := func(d *ml.Dataset) ml.Model { return constModel(0) }
-	HoldoutSubsetScore(ds, sp, fit, cols) // warm the pool
+	ev := NewSubsetEvaluator(ds, sp, fit, allColumns(ds.D))
+	ev.ScoreAt(cols) // warm the pool
 	pooled := testing.AllocsPerRun(20, func() {
-		HoldoutSubsetScore(ds, sp, fit, cols)
+		ev.ScoreAt(cols)
 	})
 	materialized := testing.AllocsPerRun(20, func() {
 		HoldoutScore(ds.SelectFeatures(cols), sp, fit)

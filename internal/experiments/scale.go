@@ -92,22 +92,15 @@ func (s Scale) Selector(m featsel.Method) (featsel.Selector, error) {
 	}
 }
 
-// EstimatorForest is the forest configuration behind Estimator, declared
-// separately so pipelines can hand it to featsel.ForestEstimatorAware
-// selectors (the threshold sweep's cross-forest wave fast path).
-func (s Scale) EstimatorForest(seed int64) ml.ForestConfig {
-	return ml.ForestConfig{
+// Estimator is the "lightly auto-optimized random forest" used to score
+// selections and final augmentations.
+func (s Scale) Estimator(seed int64) eval.Fitter {
+	cfg := ml.ForestConfig{
 		NTrees:   s.Trees * 2,
 		MaxDepth: 12,
 		Seed:     seed,
 		Parallel: true,
 	}
-}
-
-// Estimator is the "lightly auto-optimized random forest" used to score
-// selections and final augmentations.
-func (s Scale) Estimator(seed int64) eval.Fitter {
-	cfg := s.EstimatorForest(seed)
 	return func(d *ml.Dataset) ml.Model {
 		return ml.FitForest(d, cfg)
 	}

@@ -235,6 +235,45 @@ func TestExponentialSearchFindsPlantedSize(t *testing.T) {
 	}
 }
 
+// TestExponentialSearchMatchesMaterializedScoring: the search over the shared
+// SubsetEvaluator must select exactly what the same search selects when every
+// prefix is scored by materializing its columns, on a view-backed dataset and
+// with a shuffled (non-ascending) order such as a ranking produces.
+func TestExponentialSearchMatchesMaterializedScoring(t *testing.T) {
+	for _, task := range []ml.Task{ml.Classification, ml.Regression} {
+		backing := planted(task, 240, 3, 21, 37)
+		perm := rand.New(rand.NewSource(5)).Perm(backing.D)
+		ds := backing.View(perm[:18])
+		order := rand.New(rand.NewSource(6)).Perm(ds.D)
+		est := fastForest(4)
+		split := eval.TrainTestSplit(ds, 0.25, 44)
+		scored := 0
+		want := exponentialSearch(order, func(cols []int) float64 {
+			scored++
+			return eval.HoldoutScore(ds.SelectFeatures(cols), split, est)
+		})
+		got := ExponentialSearch(ds, order, est, 44)
+		scorer := newSubsetScorer(ds, est, 44)
+		for k := 1; k <= ds.D; k++ {
+			mat := eval.HoldoutScore(ds.SelectFeatures(order[:k]), split, est)
+			if sc := scorer.ScoreAt(order[:k]); sc != mat {
+				t.Fatalf("task %v prefix %d: evaluator score %v != materialized %v", task, k, sc, mat)
+			}
+		}
+		if scored < 2 {
+			t.Fatalf("task %v: reference search scored %d subsets", task, scored)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("task %v: selected %v, materialized scoring selects %v", task, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("task %v: selected %v, materialized scoring selects %v", task, got, want)
+			}
+		}
+	}
+}
+
 func TestRankingSelectorEndToEnd(t *testing.T) {
 	ds := planted(ml.Regression, 300, 3, 20, 21)
 	s := &RankingSelector{Ranker: &FTestRanker{}}

@@ -144,18 +144,19 @@ func (r *RIFS) AttachSpan(s *obs.Span) { r.span = s }
 
 // ForestEstimatorAware is implemented by selectors whose wrapper search can
 // exploit knowing that the estimator is a random forest with a specific
-// configuration. The pipeline forwards its estimator's forest config through
-// this interface when it has one; the declaration is an optimization hint
-// only and must never change what gets selected.
+// configuration. The pipeline forwards the forest config through this
+// interface exactly when it installs its default estimator (whose shape it
+// knows); the declaration is an optimization hint only and must never change
+// what gets selected.
 type ForestEstimatorAware interface {
-	SetEstimatorForest(fc *ml.ForestConfig)
+	SetSweepForest(fc *ml.ForestConfig)
 }
 
-// SetEstimatorForest implements ForestEstimatorAware: it declares the
-// Fitter passed to Select to be ml.FitForest under fc, enabling the sweep's
+// SetSweepForest implements ForestEstimatorAware: it declares the Fitter
+// passed to Select to be ml.FitForest under fc, enabling the sweep's
 // cross-forest wave fast path. Pass nil to revert to the opaque-estimator
 // path. Not safe to call concurrently with Select.
-func (r *RIFS) SetEstimatorForest(fc *ml.ForestConfig) { r.Config.SweepForest = fc }
+func (r *RIFS) SetSweepForest(fc *ml.ForestConfig) { r.Config.SweepForest = fc }
 
 // Name implements Selector.
 func (r *RIFS) Name() string { return "RIFS" }
@@ -176,9 +177,7 @@ func (r *RIFS) Select(ds *ml.Dataset, est eval.Fitter, seed int64) ([]int, error
 func (r *RIFS) SelectCtx(ctx context.Context, ds *ml.Dataset, est eval.Fitter, seed int64) ([]int, error) {
 	cfg := r.Config
 	cfg.defaults()
-	// Selection only consumes r* through ≥-threshold bucket membership, so
-	// rstarCtx may stop early once every bucket is decided (see allDecided).
-	rstar, err := r.rstarCtx(ctx, ds, seed, cfg.Thresholds)
+	rstar, err := r.rstarCtx(ctx, ds, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -256,23 +255,6 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// sweepThresholds is the callback-scored form of Algorithm 3's wrapper,
-// kept for callers that bring their own subset scorer: walk the increasing
-// threshold set, keeping the subset {j : r*_j ≥ τ} while its holdout score
-// stays monotone, and return the last subset before the score decreases
-// (nil when even the loosest threshold selects nothing).
-func sweepThresholds(ctx context.Context, rstar, thresholds []float64, workers int, score func([]int) float64) ([]int, error) {
-	subsets, uniq := thresholdSubsets(rstar, thresholds)
-	if len(uniq) == 0 {
-		return nil, nil
-	}
-	scores := make([]float64, len(uniq))
-	if err := parallel.ForEachCtx(ctx, workers, len(uniq), func(i int) { scores[i] = score(uniq[i]) }); err != nil {
-		return nil, err
-	}
-	return monotoneWalk(subsets, uniq, scores), nil
-}
-
 // thresholdSubsets materializes Algorithm 3's candidate subsets: for each
 // threshold τ (ascending), the features with r* ≥ τ. The subsets are nested
 // — a tighter threshold always selects a subset of a looser one — so the
@@ -333,28 +315,15 @@ func positionsIn(base, sub []int) []int {
 	return pos
 }
 
-// RStar runs the injection repetitions of Algorithm 1 and returns, per real
+// RStar runs the K injection repetitions of Algorithm 1 and returns, per real
 // feature, the fraction of repetitions in which it outranked every injected
-// random feature. All K repetitions always run (r* values are the output
-// here, so no repetition can be skipped).
+// random feature.
 func (r *RIFS) RStar(ds *ml.Dataset, seed int64) ([]float64, error) {
-	return r.rstarCtx(nil, ds, seed, nil)
+	return r.rstarCtx(nil, ds, seed)
 }
 
 // rstarCtx is RStar with cooperative cancellation over the K repetitions.
-//
-// When thresholds is non-nil the caller only consumes r* through the bucket
-// memberships {r*_j ≥ τ}, which lets outstanding repetitions be skipped once
-// every membership is arithmetically decided: a feature with c outranking
-// repetitions so far and R still outstanding is certainly in a bucket
-// needing cNeed when c ≥ cNeed and certainly out when c+R < cNeed. The
-// repetitions run in a fixed wave schedule with the decision point checked
-// between waves, so the skip decision depends only on merged counts — never
-// on timing or worker count — and the returned fractions (skipped counts
-// over the full K) land in exactly the buckets the complete run would put
-// them in. Skipped repetitions surface as the select.reps_short_circuited
-// trace counter.
-func (r *RIFS) rstarCtx(ctx context.Context, ds *ml.Dataset, seed int64, thresholds []float64) ([]float64, error) {
+func (r *RIFS) rstarCtx(ctx context.Context, ds *ml.Dataset, seed int64) ([]float64, error) {
 	cfg := r.Config
 	cfg.defaults()
 	// Every ranking-forest tree fit in the repetitions lands in the run's
@@ -453,37 +422,17 @@ func (r *RIFS) rstarCtx(ctx context.Context, ds *ml.Dataset, seed int64, thresho
 		return beats, nil
 	}
 
-	counts := make([]int, d)
-	need := neededCounts(thresholds, cfg.K)
-	waves := repSchedule(cfg.K, need)
-	// A schedule that collapsed to one barrier-free wave can never
-	// short-circuit, so reps_short_circuited == 0 is structural there, not a
-	// near-miss; the span records which case a trace is looking at.
-	r.span.SetInt("rep_waves", int64(len(waves)))
-	if len(waves) == 1 && need != nil {
-		r.span.SetInt("rep_schedule_collapsed", 1)
+	counts, err := parallel.MapReduceCtx(ctx, cfg.Workers, cfg.K, runRep,
+		make([]int, d),
+		func(acc []int, beats []byte) []int {
+			for j, b := range beats {
+				acc[j] += int(b)
+			}
+			return acc
+		})
+	if err != nil {
+		return nil, err
 	}
-	done, skipped := 0, 0
-	for _, wave := range waves {
-		if done > 0 && allDecided(counts, need, cfg.K-done) {
-			skipped = cfg.K - done
-			break
-		}
-		_, err := parallel.MapReduceCtx(ctx, cfg.Workers, wave,
-			func(i int) ([]byte, error) { return runRep(done + i) },
-			counts,
-			func(acc []int, beats []byte) []int {
-				for j, b := range beats {
-					acc[j] += int(b)
-				}
-				return acc
-			})
-		if err != nil {
-			return nil, err
-		}
-		done += wave
-	}
-	r.span.Trace().Counter("select.reps_short_circuited").Add(int64(skipped))
 	if scache != nil {
 		st := scache.Stats()
 		tr := r.span.Trace()
@@ -495,104 +444,6 @@ func (r *RIFS) rstarCtx(ctx context.Context, ds *ml.Dataset, seed int64, thresho
 		rstar[j] = float64(c) / float64(cfg.K)
 	}
 	return rstar, nil
-}
-
-// waveSize is the base repetition schedule early termination checks
-// against: the first wave runs ⌈K/2⌉ repetitions, each later wave half of
-// what remains (at least one). The schedule depends only on (done, K), so
-// the decision points are the same for every worker count.
-func waveSize(done, k int) int {
-	if done == 0 {
-		return (k + 1) / 2
-	}
-	if w := (k - done) / 2; w > 1 {
-		return w
-	}
-	return 1
-}
-
-// repSchedule returns the wave sizes the K repetitions run in. Wave
-// boundaries only exist at decision points where early termination is
-// arithmetically possible for at least one count value, so configurations
-// whose (K, thresholds) can never decide early — e.g. small K with the
-// default threshold grid — collapse to a single barrier-free wave and pay
-// nothing for the machinery. Depends only on (k, need): deterministic.
-func repSchedule(k int, need []int) []int {
-	if need == nil {
-		return []int{k}
-	}
-	var waves []int
-	done := 0
-	for done < k {
-		w := waveSize(done, k)
-		for done+w < k && !decidablePoint(done+w, k, need) {
-			w += waveSize(done+w, k)
-		}
-		waves = append(waves, w)
-		done += w
-	}
-	return waves
-}
-
-// decidablePoint reports whether, after done of k repetitions, some count
-// value could have every threshold bucket decided — i.e. whether checking
-// allDecided there can ever pay off.
-func decidablePoint(done, k int, need []int) bool {
-	for c := 0; c <= done; c++ {
-		if countDecided(c, need, k-done) {
-			return true
-		}
-	}
-	return false
-}
-
-// neededCounts maps each threshold τ to the minimum repetition count c with
-// c/K ≥ τ: feature j belongs to τ's subset iff its final count reaches it.
-// Returns nil when thresholds is nil (no early termination).
-func neededCounts(thresholds []float64, k int) []int {
-	if thresholds == nil {
-		return nil
-	}
-	need := make([]int, 0, len(thresholds))
-	for _, tau := range thresholds {
-		c := int(math.Ceil(tau * float64(k)))
-		if c < 0 {
-			c = 0
-		}
-		// Fix up floating-point edges of the ceil so c is exactly the
-		// smallest count whose fraction clears τ under float64 division.
-		for c > 0 && float64(c-1)/float64(k) >= tau {
-			c--
-		}
-		for c <= k && float64(c)/float64(k) < tau {
-			c++
-		}
-		need = append(need, c)
-	}
-	return need
-}
-
-// allDecided reports whether, with rem repetitions outstanding, every
-// feature's membership in every threshold bucket is already fixed.
-func allDecided(counts, need []int, rem int) bool {
-	for _, c := range counts {
-		if !countDecided(c, need, rem) {
-			return false
-		}
-	}
-	return true
-}
-
-// countDecided reports whether a feature with count c has every threshold
-// bucket decided with rem repetitions outstanding: c ≥ cNeed can never fall
-// out of the bucket, and c+rem < cNeed can never get in.
-func countDecided(c int, need []int, rem int) bool {
-	for _, cn := range need {
-		if c < cn && c+rem >= cn {
-			return false
-		}
-	}
-	return true
 }
 
 // aggregateRanking computes the ν-weighted ensemble ranking (normalized rank
@@ -646,7 +497,6 @@ func (r *RIFS) aggregateRanking(cfg *RIFSConfig, aug *ml.Dataset, seed int64) ([
 
 // injector fills out (length ds.N) with one synthetic noise column.
 type injector func(repSeed int64, col int, out []float64)
-
 
 // injectInto fills the noise block of the row-major augmented design x
 // (n rows, stride d+t, real features occupying columns [0, d)) with the t

@@ -94,143 +94,19 @@ func TestNuEndpointsSelect(t *testing.T) {
 	}
 }
 
-// TestNeededCounts pins the threshold → minimum-count mapping, including the
-// floating-point fix-up at exact multiples.
-func TestNeededCounts(t *testing.T) {
-	if neededCounts(nil, 10) != nil {
-		t.Fatal("nil thresholds must disable early termination")
-	}
-	def := []float64{0.2, 0.4, 0.6, 0.8, 1.0}
-	got := neededCounts(def, 10)
-	for i, want := range []int{2, 4, 6, 8, 10} {
-		if got[i] != want {
-			t.Fatalf("K=10 need[%d] = %d, want %d", i, got[i], want)
-		}
-	}
-	got = neededCounts(def, 4)
-	for i, want := range []int{1, 2, 3, 4, 4} {
-		if got[i] != want {
-			t.Fatalf("K=4 need[%d] = %d, want %d", i, got[i], want)
-		}
-	}
-	// Definitional check across K: need[τ] is the smallest c whose float64
-	// fraction clears τ, under the same division rstar uses.
-	for k := 1; k <= 12; k++ {
-		for _, tau := range []float64{0.1, 1.0 / 3, 0.5, 0.75, 0.9, 1} {
-			c := neededCounts([]float64{tau}, k)[0]
-			if c > 0 && float64(c-1)/float64(k) >= tau {
-				t.Fatalf("K=%d tau=%v: need %d not minimal", k, tau, c)
-			}
-			if c <= k && float64(c)/float64(k) < tau {
-				t.Fatalf("K=%d tau=%v: need %d does not clear tau", k, tau, c)
-			}
-		}
-	}
-}
-
-// TestCountDecidedEnumeration brute-forces the decision rule: a count is
-// decided iff every possible completion (0..rem more hits) lands in the same
-// threshold buckets.
-func TestCountDecidedEnumeration(t *testing.T) {
-	k := 10
-	need := neededCounts([]float64{0.2, 0.4, 0.6, 0.8, 1.0}, k)
-	for done := 0; done <= k; done++ {
-		rem := k - done
-		for c := 0; c <= done; c++ {
-			// A final count can be anything in [c, c+rem]; membership is
-			// undecided iff some bucket flips across those completions.
-			undecided := false
-			for _, cn := range need {
-				for extra := 0; extra <= rem; extra++ {
-					if (c+extra >= cn) != (c >= cn) {
-						undecided = true
-					}
-				}
-			}
-			if countDecided(c, need, rem) != !undecided {
-				t.Fatalf("done=%d c=%d: countDecided=%v, enumeration says undecided=%v",
-					done, c, countDecided(c, need, rem), undecided)
-			}
-		}
-	}
-}
-
-// TestRepSchedule pins the wave schedule: barriers only exist at decision
-// points where termination is arithmetically possible, so K=4 with the
-// default grid runs as one barrier-free wave while K=10 checks once at 9.
-func TestRepSchedule(t *testing.T) {
-	if w := repSchedule(7, nil); len(w) != 1 || w[0] != 7 {
-		t.Fatalf("nil need: schedule %v, want [7]", w)
-	}
-	def := []float64{0.2, 0.4, 0.6, 0.8, 1.0}
-	if w := repSchedule(4, neededCounts(def, 4)); len(w) != 1 || w[0] != 4 {
-		t.Fatalf("K=4 default grid: schedule %v, want the single wave [4]", w)
-	}
-	if w := repSchedule(10, neededCounts(def, 10)); len(w) != 2 || w[0] != 9 || w[1] != 1 {
-		t.Fatalf("K=10 default grid: schedule %v, want [9 1]", w)
-	}
-	// Every schedule must cover exactly k repetitions, and every interior
-	// barrier must sit at a decidable point.
-	for k := 1; k <= 16; k++ {
-		for _, ths := range [][]float64{def, {0.5}, {0.25, 0.75}, {1.0}} {
-			need := neededCounts(ths, k)
-			sum := 0
-			for _, w := range repSchedule(k, need) {
-				if w <= 0 {
-					t.Fatalf("K=%d %v: non-positive wave", k, ths)
-				}
-				sum += w
-				if sum < k && !decidablePoint(sum, k, need) {
-					t.Fatalf("K=%d %v: barrier at non-decidable point %d", k, ths, sum)
-				}
-			}
-			if sum != k {
-				t.Fatalf("K=%d %v: schedule covers %d reps", k, ths, sum)
-			}
-		}
-	}
-}
-
-// TestShortCircuitBucketEquivalence: the thresholds-aware r* path may skip
-// repetitions, but every feature must land in exactly the threshold buckets
-// the full run puts it in — that is all Select consumes.
-func TestShortCircuitBucketEquivalence(t *testing.T) {
-	ds := planted(ml.Classification, 200, 3, 20, 13)
-	thresholds := []float64{0.2, 0.4, 0.6, 0.8, 1.0}
-	r := &RIFS{Config: RIFSConfig{K: 10, Forest: ForestRanker{NTrees: 10, MaxDepth: 6}}}
-	full, err := r.RStar(ds, 55)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2 := &RIFS{Config: r.Config}
-	tr := obs.New("test")
-	root := tr.Root()
-	r2.AttachSpan(root)
-	short, err := r2.rstarCtx(nil, ds, 55, thresholds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range full {
-		for _, tau := range thresholds {
-			if (full[j] >= tau) != (short[j] >= tau) {
-				t.Fatalf("feature %d: bucket tau=%v differs (full r*=%v, short r*=%v)",
-					j, tau, full[j], short[j])
-			}
-		}
-	}
-	if c := tr.Counter("select.reps_short_circuited").Value(); c < 0 || c >= 10 {
-		t.Fatalf("short-circuit counter %d out of range [0, 10)", c)
-	}
-}
-
-// TestRStarNeverShortCircuits: the r*-returning entry point passes nil
-// thresholds, so all K repetitions always run and exact fractions come back.
+// TestRStarNeverShortCircuits: all K repetitions always run — one select.rep
+// span each — and r* comes back as exact multiples of 1/K.
 func TestRStarNeverShortCircuits(t *testing.T) {
 	ds := planted(ml.Classification, 150, 2, 10, 19)
+	tr := obs.New("test")
 	r := &RIFS{Config: RIFSConfig{K: 5, Forest: ForestRanker{NTrees: 8, MaxDepth: 5}}}
+	r.AttachSpan(tr.Root())
 	rstar, err := r.RStar(ds, 23)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := tr.Finish().SpanCounts()["select.rep"]; got != 5 {
+		t.Fatalf("ran %d repetitions, want K=5", got)
 	}
 	for j, v := range rstar {
 		scaled := v * 5

@@ -145,6 +145,18 @@ func TestRIFSSupportsBothTasks(t *testing.T) {
 	}
 }
 
+// walkThresholds is Algorithm 3's wrapper over a callback scorer, built from
+// the same two halves the production sweep uses: thresholdSubsets names the
+// candidates, every distinct one is scored once, monotoneWalk picks.
+func walkThresholds(rstar, thresholds []float64, score func([]int) float64) []int {
+	subsets, uniq := thresholdSubsets(rstar, thresholds)
+	scores := make([]float64, len(uniq))
+	for i, cols := range uniq {
+		scores[i] = score(cols)
+	}
+	return monotoneWalk(subsets, uniq, scores)
+}
+
 func TestSweepThresholdsMonotoneStop(t *testing.T) {
 	rstar := []float64{1.0, 1.0, 0.6, 0.3, 0.1}
 	thresholds := []float64{0.2, 0.5, 0.9}
@@ -160,10 +172,7 @@ func TestSweepThresholdsMonotoneStop(t *testing.T) {
 			return 0.75
 		}
 	}
-	got, err := sweepThresholds(nil, rstar, thresholds, 2, score)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := walkThresholds(rstar, thresholds, score)
 	if len(got) != 3 {
 		t.Fatalf("sweep returned %d features, want 3 (stop before the drop)", len(got))
 	}
@@ -171,10 +180,7 @@ func TestSweepThresholdsMonotoneStop(t *testing.T) {
 
 func TestSweepThresholdsEmpty(t *testing.T) {
 	rstar := []float64{0.1, 0.05}
-	got, err := sweepThresholds(nil, rstar, []float64{0.5, 0.9}, 2, func([]int) float64 { return 1 })
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := walkThresholds(rstar, []float64{0.5, 0.9}, func([]int) float64 { return 1 })
 	if got != nil {
 		t.Fatalf("no feature clears the thresholds, want nil, got %v", got)
 	}
@@ -187,12 +193,8 @@ func TestSweepThresholdsMonotoneImprovementGoesToEnd(t *testing.T) {
 		calls++
 		return 1 - float64(len(cols))*0.1 // fewer features always better
 	}
-	// workers=1: the calls counter below is unsynchronized, and the count
-	// assertion checks that duplicate subsets are scored once.
-	got, err := sweepThresholds(nil, rstar, []float64{0.3, 0.5, 0.7, 0.9}, 1, score)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The count assertion checks that duplicate subsets are scored once.
+	got := walkThresholds(rstar, []float64{0.3, 0.5, 0.7, 0.9}, score)
 	if len(got) != 1 {
 		t.Fatalf("monotone improvement should reach the tightest threshold, got %d features", len(got))
 	}

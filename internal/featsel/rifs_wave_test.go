@@ -22,7 +22,7 @@ func TestSweepForestWaveMatchesOpaque(t *testing.T) {
 			t.Fatal(err)
 		}
 		fast := &RIFS{Config: base}
-		fast.SetEstimatorForest(&fc)
+		fast.SetSweepForest(&fc)
 		got, err := fast.Select(ds, est, 42)
 		if err != nil {
 			t.Fatal(err)
@@ -37,7 +37,7 @@ func TestSweepForestWaveMatchesOpaque(t *testing.T) {
 		}
 
 		// Detaching must restore the opaque path (and the same answer).
-		fast.SetEstimatorForest(nil)
+		fast.SetSweepForest(nil)
 		again, err := fast.Select(ds, est, 42)
 		if err != nil {
 			t.Fatal(err)
@@ -136,11 +136,8 @@ func TestSweepSingleFeatureBase(t *testing.T) {
 	if pos := positionsIn([]int{7}, []int{7}); len(pos) != 1 || pos[0] != 0 {
 		t.Fatalf("positionsIn singleton = %v, want [0]", pos)
 	}
-	got, err := sweepThresholds(nil, []float64{0.9}, []float64{0.5, 0.95}, 1,
+	got := walkThresholds([]float64{0.9}, []float64{0.5, 0.95},
 		func(cols []int) float64 { return float64(len(cols)) })
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(got) != 1 || got[0] != 0 {
 		t.Fatalf("single-feature sweep = %v, want [0]", got)
 	}

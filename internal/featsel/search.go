@@ -35,29 +35,17 @@ type ContextSelector interface {
 	SelectCtx(ctx context.Context, ds *ml.Dataset, est eval.Fitter, seed int64) ([]int, error)
 }
 
-// subsetScorer evaluates feature subsets on a fixed holdout split with
-// memoization keyed by the subset's prefix length in a fixed order.
-type subsetScorer struct {
-	ds    *ml.Dataset
-	split eval.Split
-	est   eval.Fitter
-}
-
 // newSubsetScorer fixes a stratified holdout split for all evaluations of a
-// single selector run, so subset comparisons are apples-to-apples.
-func newSubsetScorer(ds *ml.Dataset, est eval.Fitter, seed int64) *subsetScorer {
-	return &subsetScorer{ds: ds, split: eval.TrainTestSplit(ds, 0.25, seed), est: est}
-}
-
-// score trains est on the training side restricted to cols and returns the
-// holdout task score. Scoring gathers the subset straight from the dataset
-// into pooled scratch (eval.HoldoutSubsetScore) instead of materializing a
-// fresh matrix per candidate subset.
-func (s *subsetScorer) score(cols []int) float64 {
-	if len(cols) == 0 {
-		return math.Inf(-1)
+// single selector run, so subset comparisons are apples-to-apples, and
+// gathers every column of ds once; ScoreAt(cols) then scores any subset, in
+// any column order, without materializing it (-Inf for the empty subset).
+// The evaluator holds one (train+test)×d copy of ds for the run's lifetime.
+func newSubsetScorer(ds *ml.Dataset, est eval.Fitter, seed int64) *eval.SubsetEvaluator {
+	all := make([]int, ds.D)
+	for j := range all {
+		all[j] = j
 	}
-	return eval.HoldoutSubsetScore(s.ds, s.split, s.est, cols)
+	return eval.NewSubsetEvaluator(ds, eval.TrainTestSplit(ds, 0.25, seed), est, all)
 }
 
 // ExponentialSearch implements the paper's §6.3 subset search over a feature
@@ -65,7 +53,11 @@ func (s *subsetScorer) score(cols []int) float64 {
 // at 2^k, then binary-search [2^(k−1), 2^k] (Bentley–Yao); the best size seen
 // wins.
 func ExponentialSearch(ds *ml.Dataset, order []int, est eval.Fitter, seed int64) []int {
-	scorer := newSubsetScorer(ds, est, seed)
+	return exponentialSearch(order, newSubsetScorer(ds, est, seed).ScoreAt)
+}
+
+// exponentialSearch is ExponentialSearch over a subset-scoring function.
+func exponentialSearch(order []int, score func(cols []int) float64) []int {
 	cache := map[int]float64{}
 	at := func(k int) float64 {
 		if k <= 0 {
@@ -77,7 +69,7 @@ func ExponentialSearch(ds *ml.Dataset, order []int, est eval.Fitter, seed int64)
 		if v, ok := cache[k]; ok {
 			return v
 		}
-		v := scorer.score(order[:k])
+		v := score(order[:k])
 		cache[k] = v
 		return v
 	}
@@ -220,7 +212,7 @@ func (s *ForwardSelector) Select(ds *ml.Dataset, est eval.Fitter, seed int64) ([
 		bestJ, bestScore := -1, current
 		for _, j := range remaining {
 			cand := append(append([]int{}, selected...), j)
-			if sc := scorer.score(cand); sc > bestScore {
+			if sc := scorer.ScoreAt(cand); sc > bestScore {
 				bestJ, bestScore = j, sc
 			}
 		}
@@ -271,7 +263,7 @@ func (s *BackwardSelector) Select(ds *ml.Dataset, est eval.Fitter, seed int64) (
 	for i := range selected {
 		selected[i] = i
 	}
-	current := scorer.score(selected)
+	current := scorer.ScoreAt(selected)
 	for round := 0; len(selected) > minF; round++ {
 		if s.MaxRounds > 0 && round >= s.MaxRounds {
 			break
@@ -289,7 +281,7 @@ func (s *BackwardSelector) Select(ds *ml.Dataset, est eval.Fitter, seed int64) (
 			trial := make([]int, 0, len(selected)-1)
 			trial = append(trial, selected[:pos]...)
 			trial = append(trial, selected[pos+1:]...)
-			if sc := scorer.score(trial); sc >= bestScore {
+			if sc := scorer.ScoreAt(trial); sc >= bestScore {
 				bestPos, bestScore = pos, sc
 			}
 		}
@@ -340,7 +332,7 @@ func (s *RFESelector) Select(ds *ml.Dataset, est eval.Fitter, seed int64) ([]int
 		selected[i] = i
 	}
 	best := append([]int{}, selected...)
-	bestScore := scorer.score(selected)
+	bestScore := scorer.ScoreAt(selected)
 	round := 0
 	for len(selected) > minF {
 		round++
@@ -359,7 +351,7 @@ func (s *RFESelector) Select(ds *ml.Dataset, est eval.Fitter, seed int64) ([]int
 			next[i] = selected[order[i]]
 		}
 		selected = next
-		if sc := scorer.score(selected); sc > bestScore {
+		if sc := scorer.ScoreAt(selected); sc > bestScore {
 			bestScore = sc
 			best = append(best[:0], selected...)
 		}

@@ -166,11 +166,9 @@ func AggregateByKey(t *dataframe.Table, keyCols []string) (*dataframe.Table, err
 // groupRowsByKey groups rows by composite key in first-appearance order,
 // preferring the hashed plane and falling back to string keys.
 func groupRowsByKey(cols []dataframe.Column, n int) [][]int {
-	if hashJoinKeys {
-		if kcs := newGroupHasher(cols); kcs != nil {
-			if groups, ok := hashGroups(kcs, n); ok {
-				return groups
-			}
+	if kcs := newGroupHasher(cols); kcs != nil {
+		if groups, ok := hashGroups(kcs, n); ok {
+			return groups
 		}
 	}
 	index := make(map[string]int)

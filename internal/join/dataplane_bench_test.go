@@ -7,69 +7,40 @@ import (
 	"github.com/arda-ml/arda/internal/dataframe"
 )
 
-// Dataplane benchmarks compare the allocation-light data plane against the
-// paths it replaced. Both planes stay in-tree (the string plane is the
-// collision fallback), so every pair here is an apples-to-apples measurement
-// of the same operation; `make bench-dataplane` collects them into
-// BENCH_dataplane.json.
+// Dataplane benchmarks time the allocation-light join data plane; the
+// end-to-end figures are `go run ./bench`'s join.ms / join.prep_cache_hit_ratio.
 
 func BenchmarkDataplaneCompositeKey(b *testing.B) {
 	const n = 5000
 	base, foreign := largeKeyTables(n)
 	baseCols := []dataframe.Column{base.Column("k"), base.Column("c")}
 	foreignCols := []dataframe.Column{foreign.Column("k"), foreign.Column("c")}
-	b.Run("hashed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, ok := hashHardMatch(baseCols, foreignCols, n, n); !ok {
-				b.Fatal("unexpected fallback")
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, ok := hashHardMatch(baseCols, foreignCols, n, n); !ok {
+			b.Fatal("unexpected fallback")
 		}
-	})
-	b.Run("string", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			stringHardMatch(baseCols, foreignCols, n, n)
-		}
-	})
+	}
 }
 
 func BenchmarkDataplaneHardJoin(b *testing.B) {
 	base, foreign := benchTables(5000, 20000, 2000, 1)
 	spec := &Spec{Keys: []KeyPair{{BaseColumn: "k", ForeignColumn: "k", Kind: Hard}}}
-	for _, plane := range []struct {
-		name   string
-		hashed bool
-	}{{"hashed", true}, {"string", false}} {
-		b.Run(plane.name, func(b *testing.B) {
-			prev := SetHashJoinKeys(plane.hashed)
-			defer SetHashJoinKeys(prev)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Execute(base, foreign, spec, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Execute(base, foreign, spec, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkDataplaneAggregate(b *testing.B) {
 	_, foreign := largeKeyTables(20000)
-	for _, plane := range []struct {
-		name   string
-		hashed bool
-	}{{"hashed", true}, {"string", false}} {
-		b.Run(plane.name, func(b *testing.B) {
-			prev := SetHashJoinKeys(plane.hashed)
-			defer SetHashJoinKeys(prev)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := AggregateByKey(foreign, []string{"k", "c"}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := AggregateByKey(foreign, []string{"k", "c"}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -186,46 +186,44 @@ func geoJoin(base, foreign *dataframe.Table, spec *Spec, prefix string) (*Result
 // hard keys every row lands in one group.
 func buildGeoGroups(baseHard, foreignHard []dataframe.Column, fx, fy *dataframe.NumericColumn, nForeign int) (lookup func(int) int, groups [][]geoPoint) {
 	nHard := len(foreignHard)
-	if hashJoinKeys {
-		if h := newJoinHasher(baseHard, foreignHard); h != nil {
-			index := make(map[uint64]int)
-			rep := make([]int, 0, 8) // group -> representative foreign row
-			collision := false
-			for i := 0; i < nForeign; i++ {
-				if fx.IsMissing(i) || fy.IsMissing(i) {
-					continue
-				}
-				hk, ok := h.foreignKey(i)
+	if h := newJoinHasher(baseHard, foreignHard); h != nil {
+		index := make(map[uint64]int)
+		rep := make([]int, 0, 8) // group -> representative foreign row
+		collision := false
+		for i := 0; i < nForeign; i++ {
+			if fx.IsMissing(i) || fy.IsMissing(i) {
+				continue
+			}
+			hk, ok := h.foreignKey(i)
+			if !ok && nHard > 0 {
+				continue
+			}
+			g, seen := index[hk]
+			if !seen {
+				g = len(groups)
+				index[hk] = g
+				groups = append(groups, nil)
+				rep = append(rep, i)
+			} else if !h.eqFF(i, rep[g]) {
+				collision = true
+				break
+			}
+			groups[g] = append(groups[g], geoPoint{x: fx.Values[i], y: fy.Values[i], row: i})
+		}
+		if !collision {
+			return func(i int) int {
+				hk, ok := h.baseKey(i)
 				if !ok && nHard > 0 {
-					continue
+					return -1
 				}
 				g, seen := index[hk]
-				if !seen {
-					g = len(groups)
-					index[hk] = g
-					groups = append(groups, nil)
-					rep = append(rep, i)
-				} else if !h.eqFF(i, rep[g]) {
-					collision = true
-					break
+				if !seen || !h.eqBF(i, rep[g]) {
+					return -1
 				}
-				groups[g] = append(groups[g], geoPoint{x: fx.Values[i], y: fy.Values[i], row: i})
-			}
-			if !collision {
-				return func(i int) int {
-					hk, ok := h.baseKey(i)
-					if !ok && nHard > 0 {
-						return -1
-					}
-					g, seen := index[hk]
-					if !seen || !h.eqBF(i, rep[g]) {
-						return -1
-					}
-					return g
-				}, groups
-			}
-			groups = nil
+				return g
+			}, groups
 		}
+		groups = nil
 	}
 	index := make(map[string]int)
 	for i := 0; i < nForeign; i++ {

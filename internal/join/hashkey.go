@@ -18,24 +18,11 @@ import (
 // unknown Column implementation) also fall back to strings, keeping results
 // identical to the string path in every case.
 
-// hashJoinKeys gates the hashed-key fast path. Tests and benchmarks flip it
-// to compare the hashed and string planes; production code leaves it on.
-var hashJoinKeys = true
-
 // hashKeyMask is ANDed into every composite hash. Tests shrink it to force
-// collisions and exercise the verification/fallback machinery; production
-// code leaves it all-ones.
+// collisions and exercise the verification/fallback machinery (at 0 every
+// pair of distinct keys collides, so the string path runs exactly as it does
+// after a production collision); production code leaves it all-ones.
 var hashKeyMask = ^uint64(0)
-
-// SetHashJoinKeys toggles the hashed-key plane (on by default) and returns
-// the previous setting. Both planes produce identical results; the knob
-// exists so tests and benchmarks outside this package can compare them. Not
-// safe to flip while joins are running.
-func SetHashJoinKeys(enabled bool) (prev bool) {
-	prev = hashJoinKeys
-	hashJoinKeys = enabled
-	return prev
-}
 
 // mix64 is the SplitMix64 finalizer: a cheap invertible mixer whose output
 // bits all depend on all input bits.
@@ -265,9 +252,6 @@ func hashGroups(cols []keyCol, n int) (groups [][]int, ok bool) {
 // false when the spec is unsupported by the hasher or a verified collision
 // occurred; the caller then reruns the string path.
 func hashHardMatch(baseCols, foreignCols []dataframe.Column, nBase, nForeign int) (match []int, matched int, ok bool) {
-	if !hashJoinKeys {
-		return nil, 0, false
-	}
 	h := newJoinHasher(baseCols, foreignCols)
 	if h == nil {
 		return nil, 0, false

@@ -10,15 +10,9 @@ import (
 	"github.com/arda-ml/arda/internal/testenv"
 )
 
-// withHashPlane runs fn with the hashed-key plane forced to the given state,
-// restoring the previous state after.
-func withHashPlane(enabled bool, fn func()) {
-	prev := SetHashJoinKeys(enabled)
-	defer SetHashJoinKeys(prev)
-	fn()
-}
-
-// withHashMask runs fn with the given collision-forcing hash mask.
+// withHashMask runs fn with the given collision-forcing hash mask. Mask 0
+// makes every pair of distinct keys collide, which is how these tests reach
+// the string-key plane: the same verified-collision fallback production takes.
 func withHashMask(mask uint64, fn func()) {
 	prev := hashKeyMask
 	hashKeyMask = mask
@@ -76,28 +70,34 @@ func requireTablesIdentical(t *testing.T, a, b *dataframe.Table) {
 	}
 }
 
-// runBothPlanes executes the join on the hashed and string planes with
-// identically seeded RNGs and asserts bit-identical results.
-func runBothPlanes(t *testing.T, base, foreign *dataframe.Table, spec *Spec) {
+// requireMaskEquivalent executes the join with the production (all-ones) hash
+// mask and again under mask, with identically seeded RNGs, and asserts
+// bit-identical results.
+func requireMaskEquivalent(t *testing.T, mask uint64, base, foreign *dataframe.Table, spec *Spec) {
 	t.Helper()
-	var hashed, stringed *Result
-	var errH, errS error
-	withHashPlane(true, func() {
-		hashed, errH = Execute(base, foreign, spec, rand.New(rand.NewSource(7)))
+	hashed, errH := Execute(base, foreign, spec, rand.New(rand.NewSource(7)))
+	var masked *Result
+	var errM error
+	withHashMask(mask, func() {
+		masked, errM = Execute(base, foreign, spec, rand.New(rand.NewSource(7)))
 	})
-	withHashPlane(false, func() {
-		stringed, errS = Execute(base, foreign, spec, rand.New(rand.NewSource(7)))
-	})
-	if (errH == nil) != (errS == nil) {
-		t.Fatalf("error mismatch: hashed=%v string=%v", errH, errS)
+	if (errH == nil) != (errM == nil) {
+		t.Fatalf("error mismatch: hashed=%v mask %#x=%v", errH, mask, errM)
 	}
 	if errH != nil {
 		return
 	}
-	if hashed.Matched != stringed.Matched {
-		t.Fatalf("matched: hashed=%d string=%d", hashed.Matched, stringed.Matched)
+	if hashed.Matched != masked.Matched {
+		t.Fatalf("matched: hashed=%d mask %#x=%d", hashed.Matched, mask, masked.Matched)
 	}
-	requireTablesIdentical(t, hashed.Table, stringed.Table)
+	requireTablesIdentical(t, hashed.Table, masked.Table)
+}
+
+// runBothPlanes asserts the hashed-key plane and the string-key plane (mask
+// 0) produce bit-identical joins.
+func runBothPlanes(t *testing.T, base, foreign *dataframe.Table, spec *Spec) {
+	t.Helper()
+	requireMaskEquivalent(t, 0, base, foreign, spec)
 }
 
 // equivalenceCases builds the (base, foreign, spec) fixtures shared by the
@@ -294,26 +294,42 @@ func TestHashPlaneEquivalenceFuzz(t *testing.T) {
 }
 
 // TestHashPlaneForcedCollisions shrinks the hash mask so distinct keys
-// constantly collide, proving the verification/fallback machinery still
-// yields results bit-identical to the string plane.
+// collide always (0), mostly (2 bits) or occasionally (4 bits), proving the
+// verification/fallback machinery yields results bit-identical to the
+// collision-free hashed plane for every join flavor.
 func TestHashPlaneForcedCollisions(t *testing.T) {
-	for _, mask := range []uint64{0, 0x3} {
+	for _, mask := range []uint64{0, 0x3, 0xf} {
 		mask := mask
 		t.Run(fmt.Sprintf("mask%#x", mask), func(t *testing.T) {
-			withHashMask(mask, func() {
-				for name, mk := range equivalenceCases() {
-					t.Run(name, func(t *testing.T) {
-						base, foreign, spec := mk()
-						runBothPlanes(t, base, foreign, spec)
-					})
-				}
-			})
+			for name, mk := range equivalenceCases() {
+				t.Run(name, func(t *testing.T) {
+					base, foreign, spec := mk()
+					requireMaskEquivalent(t, mask, base, foreign, spec)
+				})
+			}
 		})
 	}
 }
 
+// TestMaskZeroReachesStringPlane pins what the equivalence tests rely on:
+// under mask 0 any two distinct keys are a verified collision, so the hashed
+// attempt declines and the caller runs the string-key path.
+func TestMaskZeroReachesStringPlane(t *testing.T) {
+	base, foreign := largeKeyTables(50)
+	baseCols := []dataframe.Column{base.Column("k"), base.Column("c")}
+	foreignCols := []dataframe.Column{foreign.Column("k"), foreign.Column("c")}
+	withHashMask(0, func() {
+		if _, _, ok := hashHardMatch(baseCols, foreignCols, 50, 50); ok {
+			t.Fatal("hashHardMatch accepted colliding keys under mask 0")
+		}
+		if _, ok := hashGroups(newGroupHasher(foreignCols), 50); ok {
+			t.Fatal("hashGroups accepted colliding keys under mask 0")
+		}
+	})
+}
+
 // TestAggregateByKeyEquivalence checks grouped aggregation is identical on
-// both planes, including under forced collisions.
+// the hashed plane, the string plane (mask 0), and under partial collisions.
 func TestAggregateByKeyEquivalence(t *testing.T) {
 	tbl := dataframe.MustNewTable("f",
 		dataframe.NewCategorical("g", []string{"a", "b", "a", "", "b", "a"}),
@@ -321,20 +337,21 @@ func TestAggregateByKeyEquivalence(t *testing.T) {
 		dataframe.NewNumeric("v", []float64{10, 20, 30, 40, 50, 60}),
 		dataframe.NewTime("ts", []int64{10, 20, 30, 40, dataframe.MissingTime, 60}),
 		dataframe.NewCategorical("m", []string{"x", "y", "x", "y", "x", "y"}))
-	check := func(t *testing.T) {
-		var hashed, stringed *dataframe.Table
-		var errH, errS error
-		withHashPlane(true, func() { hashed, errH = AggregateByKey(tbl, []string{"g", "k"}) })
-		withHashPlane(false, func() { stringed, errS = AggregateByKey(tbl, []string{"g", "k"}) })
-		if errH != nil || errS != nil {
-			t.Fatalf("errors: %v / %v", errH, errS)
+	check := func(mask uint64) func(*testing.T) {
+		return func(t *testing.T) {
+			hashed, errH := AggregateByKey(tbl, []string{"g", "k"})
+			var masked *dataframe.Table
+			var errM error
+			withHashMask(mask, func() { masked, errM = AggregateByKey(tbl, []string{"g", "k"}) })
+			if errH != nil || errM != nil {
+				t.Fatalf("errors: %v / %v", errH, errM)
+			}
+			requireTablesIdentical(t, hashed, masked)
 		}
-		requireTablesIdentical(t, hashed, stringed)
 	}
-	t.Run("full mask", check)
-	t.Run("forced collisions", func(t *testing.T) {
-		withHashMask(1, func() { check(t) })
-	})
+	t.Run("full mask", check(0)) // hashed plane at full mask vs the string plane
+	t.Run("forced collisions", check(1))
+	t.Run("mask 0xf", check(0xf))
 }
 
 // largeKeyTables builds a pair of tables with enough rows that per-row

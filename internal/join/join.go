@@ -150,50 +150,48 @@ type softGroup struct {
 // first, string keys on collision or unmodeled columns) and returns the
 // groups plus a base-row lookup resolving each base row to its group.
 func buildSoftGroups(baseHard, foreignHard []dataframe.Column, foreignSoftKey func(int) (float64, bool), nForeign int) (lookup func(int) *softGroup, all []*softGroup) {
-	if hashJoinKeys {
-		if h := newJoinHasher(baseHard, foreignHard); h != nil {
-			groups := make(map[uint64]*softGroup)
-			rep := make(map[uint64]int) // group hash -> representative foreign row
-			collision := false
-			for i := 0; i < nForeign; i++ {
-				hk, ok := h.foreignKey(i)
+	if h := newJoinHasher(baseHard, foreignHard); h != nil {
+		groups := make(map[uint64]*softGroup)
+		rep := make(map[uint64]int) // group hash -> representative foreign row
+		collision := false
+		for i := 0; i < nForeign; i++ {
+			hk, ok := h.foreignKey(i)
+			if !ok {
+				continue
+			}
+			sk, ok := foreignSoftKey(i)
+			if !ok {
+				continue
+			}
+			g := groups[hk]
+			if g == nil {
+				g = &softGroup{}
+				groups[hk] = g
+				rep[hk] = i
+				all = append(all, g)
+			} else if !h.eqFF(i, rep[hk]) {
+				collision = true
+				break
+			}
+			g.rows = append(g.rows, i)
+			g.keys = append(g.keys, sk)
+		}
+		if !collision {
+			return func(i int) *softGroup {
+				hk, ok := h.baseKey(i)
 				if !ok {
-					continue
-				}
-				sk, ok := foreignSoftKey(i)
-				if !ok {
-					continue
+					return nil
 				}
 				g := groups[hk]
-				if g == nil {
-					g = &softGroup{}
-					groups[hk] = g
-					rep[hk] = i
-					all = append(all, g)
-				} else if !h.eqFF(i, rep[hk]) {
-					collision = true
-					break
+				if g == nil || !h.eqBF(i, rep[hk]) {
+					// A hit failing verification means the base key is
+					// absent (no second group can own this hash).
+					return nil
 				}
-				g.rows = append(g.rows, i)
-				g.keys = append(g.keys, sk)
-			}
-			if !collision {
-				return func(i int) *softGroup {
-					hk, ok := h.baseKey(i)
-					if !ok {
-						return nil
-					}
-					g := groups[hk]
-					if g == nil || !h.eqBF(i, rep[hk]) {
-						// A hit failing verification means the base key is
-						// absent (no second group can own this hash).
-						return nil
-					}
-					return g
-				}, all
-			}
-			all = nil
+				return g
+			}, all
 		}
+		all = nil
 	}
 	groups := make(map[string]*softGroup)
 	for i := 0; i < nForeign; i++ {

@@ -274,9 +274,9 @@ func choleskyInto(l, a *Matrix) error {
 		i := j + 1
 		for ; i+4 <= n; i += 4 {
 			r0 := l.Row(i)[:j+1]
-			r1 := l.Row(i+1)[:j+1]
-			r2 := l.Row(i+2)[:j+1]
-			r3 := l.Row(i+3)[:j+1]
+			r1 := l.Row(i + 1)[:j+1]
+			r2 := l.Row(i + 2)[:j+1]
+			r3 := l.Row(i + 3)[:j+1]
 			s0 := acol[i*n]
 			s1 := acol[(i+1)*n]
 			s2 := acol[(i+2)*n]

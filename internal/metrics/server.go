@@ -47,11 +47,17 @@ func NewServer(addr string, tr *obs.Trace, stream *obs.StreamSink) (*Server, err
 		return nil, fmt.Errorf("metrics listener: %w", err)
 	}
 	s.h = h
-	s.sampler = obs.StartRuntimeSampler(tr, samplerInterval, map[string]func() int64{
+	s.sampler = StartSampler(tr)
+	return s, nil
+}
+
+// StartSampler starts the runtime sampler every served trace carries:
+// heap/GC/goroutine gauges plus worker-pool utilization, at samplerInterval.
+func StartSampler(tr *obs.Trace) *obs.RuntimeSampler {
+	return obs.StartRuntimeSampler(tr, samplerInterval, map[string]func() int64{
 		"workers.in_flight": func() int64 { return int64(parallel.InFlight()) },
 		"workers.max":       func() int64 { return int64(parallel.MaxWorkers()) },
 	})
-	return s, nil
 }
 
 // Addr returns the bound listen address (useful with ":0").
@@ -70,8 +76,15 @@ func (s *Server) Close() error {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	ServeMetrics(w, s.tr)
+}
+
+// ServeMetrics writes tr's counters, gauges and histograms as a Prometheus
+// text-exposition response — the /metrics body of both the single-run
+// telemetry server and the ardad daemon.
+func ServeMetrics(w http.ResponseWriter, tr *obs.Trace) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	WritePrometheus(w, s.tr.Metrics(), s.tr.Histograms())
+	WritePrometheus(w, tr.Metrics(), tr.Histograms())
 }
 
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
@@ -81,22 +94,25 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, snap.Render())
 }
 
-// handleEvents streams the run's events as NDJSON: the recorded history
-// first (so a scraper that connects mid-run sees the run from the start),
-// then live events, terminating when the trace finishes or the client goes
-// away.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if s.stream == nil {
 		http.NotFound(w, r)
 		return
 	}
+	ServeEvents(w, r, s.stream)
+}
+
+// ServeEvents streams a trace's events as NDJSON: the recorded history first
+// (so a client that connects mid-run sees the run from the start), then live
+// events, terminating when the trace finishes or the client goes away.
+func ServeEvents(w http.ResponseWriter, r *http.Request, stream *obs.StreamSink) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	if flusher != nil {
 		flusher.Flush() // commit headers so clients know they are connected
 	}
-	sub := s.stream.Subscribe(4096)
+	sub := stream.Subscribe(4096)
 	defer sub.Close()
 	enc := json.NewEncoder(w)
 	for {

@@ -9,7 +9,7 @@ import (
 
 // TestForestFitAllocs is the allocation-regression gate for the split kernel:
 // with the pooled per-tree workspaces warm, fitting a tree must allocate far
-// less than the legacy kernel's per-node sorting (which allocates scratch and
+// less than the reference kernel's per-node sorting (which allocates scratch and
 // comparator closures on every split). The fitted tree's own nodes and
 // importance slice are real output, so the budget is a ratio, not zero.
 func TestForestFitAllocs(t *testing.T) {

@@ -33,10 +33,6 @@ type ForestConfig struct {
 	// it never affects the fitted forest, and nil (the default) costs one
 	// branch per tree.
 	TreeDur *obs.Histogram
-	// legacyKernel grows trees with the original per-node sorting kernel
-	// instead of the shared presorted scaffold. Package-internal: only the
-	// kernel-equivalence tests and the `make bench-select` pairing set it.
-	legacyKernel bool
 }
 
 // treeTimer times one tree fit into a histogram; the zero timer (nil
@@ -110,8 +106,8 @@ func splitSetFor(ds *Dataset, tc TreeConfig, workers int) *splitSet {
 }
 
 // bootstrapTree draws one bootstrap sample and grows one tree from the
-// shared split set. The RNG stream is identical to the legacy path: n Intn
-// draws for the bootstrap, then MTry shuffles inside tree growth.
+// shared split set. The RNG stream is n Intn draws for the bootstrap, then
+// MTry shuffles inside tree growth.
 func bootstrapTree(ss *splitSet, tc TreeConfig, seed int64) *Tree {
 	rng := rand.New(rand.NewSource(seed))
 	ws := treeScratch.Get()
@@ -176,25 +172,12 @@ func FitForest(ds *Dataset, cfg ForestConfig) *Forest {
 	if cfg.Parallel {
 		workers = 0 // process-wide maximum
 	}
-	if cfg.legacyKernel {
-		parallel.ForEach(workers, cfg.NTrees, func(t int) {
-			tm := startTreeTimer(cfg.TreeDur)
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(t)*7919))
-			idx := make([]int, ds.N)
-			for i := range idx {
-				idx[i] = rng.Intn(ds.N)
-			}
-			f.Trees[t] = fitTreeLegacy(ds, idx, tc, rng)
-			tm.finish()
-		})
-	} else {
-		ss := splitSetFor(ds, tc, workers)
-		parallel.ForEach(workers, cfg.NTrees, func(t int) {
-			tm := startTreeTimer(cfg.TreeDur)
-			f.Trees[t] = bootstrapTree(ss, tc, cfg.Seed+int64(t)*7919)
-			tm.finish()
-		})
-	}
+	ss := splitSetFor(ds, tc, workers)
+	parallel.ForEach(workers, cfg.NTrees, func(t int) {
+		tm := startTreeTimer(cfg.TreeDur)
+		f.Trees[t] = bootstrapTree(ss, tc, cfg.Seed+int64(t)*7919)
+		tm.finish()
+	})
 	aggregateImportances(f, ds.D)
 	return f
 }

@@ -25,22 +25,14 @@ type ForestJob struct {
 func FitForests(workers int, jobs []ForestJob) []*Forest {
 	forests := make([]*Forest, len(jobs))
 	type jobState struct {
-		ss *splitSet
-		tc TreeConfig
+		ss  *splitSet
+		tc  TreeConfig
 		cfg ForestConfig
 	}
 	states := make([]jobState, len(jobs))
 	offsets := make([]int, len(jobs)+1)
 	for i, job := range jobs {
 		cfg, tc := resolveForestConfig(job.DS, job.Cfg)
-		if cfg.legacyKernel {
-			// The reference kernel has no shared split set to schedule
-			// across; keep its per-forest path.
-			for k, j := range jobs {
-				forests[k] = FitForest(j.DS, j.Cfg)
-			}
-			return forests
-		}
 		states[i] = jobState{tc: tc, cfg: cfg}
 		offsets[i+1] = offsets[i] + cfg.NTrees
 		forests[i] = &Forest{

@@ -6,13 +6,30 @@ import (
 	"sort"
 )
 
-// This file preserves the original per-node sorting CART kernel. The live
-// kernel (tree.go) presorts each feature once per tree and partitions the
-// orders down the tree; this one re-sorts the node's samples per candidate
-// feature through sort.Slice. It stays in the tree as the reference
-// implementation the presorted kernel is validated against (classification
-// trees must match bit-for-bit; see splitkernel_test.go) and as the "sorted"
-// side of the bench pairing behind `make bench-select`.
+// This file freezes the original per-node sorting CART kernel as the
+// reference the live kernel (tree.go, splitset.go) is validated against:
+// where the live kernel presorts each feature once and partitions the orders
+// down the tree, this one re-sorts the node's samples per candidate feature
+// through sort.Slice. Classification trees must match bit-for-bit; see
+// splitkernel_test.go.
+
+// refFitForest is FitForest over the reference kernel: the same defaulting,
+// the same Seed + t·7919 per-tree RNG, the same n-draw bootstrap followed by
+// tree growth on that stream, the same importance aggregation.
+func refFitForest(ds *Dataset, cfg ForestConfig) *Forest {
+	cfg, tc := resolveForestConfig(ds, cfg)
+	f := &Forest{Trees: make([]*Tree, cfg.NTrees), task: ds.Task, classes: ds.Classes}
+	for t := range f.Trees {
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(t)*7919))
+		idx := make([]int, ds.N)
+		for i := range idx {
+			idx[i] = rng.Intn(ds.N)
+		}
+		f.Trees[t] = fitTreeLegacy(ds, idx, tc, rng)
+	}
+	aggregateImportances(f, ds.D)
+	return f
+}
 
 // legacyTreeBuilder holds mutable state for growing one tree with the
 // sort-per-node kernel.

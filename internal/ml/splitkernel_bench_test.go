@@ -2,50 +2,35 @@ package ml
 
 import "testing"
 
-// Paired split-kernel benchmarks behind `make bench-select`: the live kernel
-// ("presorted" — the adaptive presorted/flat scaffold) against the preserved
-// sort-per-node kernel ("sorted"); cmd/benchjson reduces each pair to a
-// headline speedup ratio.
+// Forest-fit benchmarks over the shapes ARDA fits.
 
-// benchSelectKernel runs FitForest over ds under both kernels as paired
-// sub-benchmarks.
-func benchSelectKernel(b *testing.B, ds *Dataset, cfg ForestConfig) {
-	b.Run("presorted", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			FitForest(ds, cfg)
-		}
-	})
-	b.Run("sorted", func(b *testing.B) {
-		b.ReportAllocs()
-		legacy := cfg
-		legacy.legacyKernel = true
-		for i := 0; i < b.N; i++ {
-			FitForest(ds, legacy)
-		}
-	})
+func benchFitForest(b *testing.B, ds *Dataset, cfg ForestConfig) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		FitForest(ds, cfg)
+	}
 }
 
 // BenchmarkSelectForestCoreset is the RIFS selection-forest shape: a small
 // coreset with many (mostly noise) columns, classification mtry = √d — the
 // flat regime of the adaptive kernel.
 func BenchmarkSelectForestCoreset(b *testing.B) {
-	ds := makeClassification(160, 6, 144, 201)
-	benchSelectKernel(b, ds, ForestConfig{NTrees: 20, MaxDepth: 10, Seed: 7, Parallel: true})
+	benchFitForest(b, makeClassification(160, 6, 144, 201),
+		ForestConfig{NTrees: 20, MaxDepth: 10, Seed: 7, Parallel: true})
 }
 
 // BenchmarkSelectForestRegression is the regression ranking-forest shape:
 // mtry = d/3 pushes the root into the presorted regime.
 func BenchmarkSelectForestRegression(b *testing.B) {
-	ds := makeRegression(500, 28, 202)
-	benchSelectKernel(b, ds, ForestConfig{NTrees: 20, MaxDepth: 10, Seed: 7, Parallel: true})
+	benchFitForest(b, makeRegression(500, 28, 202),
+		ForestConfig{NTrees: 20, MaxDepth: 10, Seed: 7, Parallel: true})
 }
 
 // BenchmarkSelectForestEvaluate is the downstream evaluation-forest shape:
 // thousands of samples over few columns, all presorted until deep subtrees.
 func BenchmarkSelectForestEvaluate(b *testing.B) {
-	ds := makeClassification(3000, 5, 15, 203)
-	benchSelectKernel(b, ds, ForestConfig{NTrees: 20, MaxDepth: 10, Seed: 7, Parallel: true})
+	benchFitForest(b, makeClassification(3000, 5, 15, 203),
+		ForestConfig{NTrees: 20, MaxDepth: 10, Seed: 7, Parallel: true})
 }
 
 // BenchmarkSelectForestRepetitions is the run-level split-cache pair over

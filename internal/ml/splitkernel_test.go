@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"github.com/arda-ml/arda/internal/parallel"
 )
 
 // kernelFixture builds a dataset with duplicated feature values (quantized
@@ -135,26 +137,12 @@ func TestTreeKernelEquivalenceRegressionTieFree(t *testing.T) {
 }
 
 // TestForestKernelEquivalenceClassification: FitForest with the shared split
-// set must reproduce the legacy per-tree kernel's forest exactly — same
+// set must reproduce the reference per-tree kernel's forest exactly — same
 // bootstrap RNG streams, same trees, same aggregated importances.
 func TestForestKernelEquivalenceClassification(t *testing.T) {
 	ds := kernelFixture(250, 10, Classification, 21)
 	cfg := ForestConfig{NTrees: 12, MaxDepth: 8, Seed: 5, Parallel: true}
-	legacy := cfg
-	legacy.legacyKernel = true
-	fNew := FitForest(ds, cfg)
-	fOld := FitForest(ds, legacy)
-	for i := range fNew.Trees {
-		if !sameTree(fNew.Trees[i], fOld.Trees[i]) {
-			t.Fatalf("tree %d differs between kernels", i)
-		}
-	}
-	in, io := fNew.Importances(), fOld.Importances()
-	for j := range in {
-		if in[j] != io[j] {
-			t.Fatalf("importance[%d] %v != legacy %v", j, in[j], io[j])
-		}
-	}
+	sameForest(t, refFitForest(ds, cfg), FitForest(ds, cfg))
 }
 
 // TestForestKernelEquivalenceRegression: bootstrap duplicates are ties, and
@@ -165,16 +153,38 @@ func TestForestKernelEquivalenceClassification(t *testing.T) {
 func TestForestKernelEquivalenceRegression(t *testing.T) {
 	ds := kernelFixture(200, 6, Regression, 31)
 	cfg := ForestConfig{NTrees: 10, MaxDepth: 8, Seed: 9}
-	legacy := cfg
-	legacy.legacyKernel = true
 	fNew := FitForest(ds, cfg)
-	fOld := FitForest(ds, legacy)
+	fOld := refFitForest(ds, cfg)
 	sum := 0.0
 	for i := 0; i < ds.N; i++ {
 		sum += math.Abs(fNew.Predict(ds.Row(i)) - fOld.Predict(ds.Row(i)))
 	}
 	if mad := sum / float64(ds.N); mad > 0.02 {
-		t.Fatalf("mean |new-legacy| prediction gap %v, want < 0.02", mad)
+		t.Fatalf("mean |new-reference| prediction gap %v, want < 0.02", mad)
+	}
+}
+
+// TestForestMatchesReference: the one production forest path against the
+// frozen reference at 1 and 8 workers, over the selection-forest shape (flat
+// regime, mtry = √d) and the evaluation shape (presorted regime), through
+// FitForest and through the FitForests wave.
+func TestForestMatchesReference(t *testing.T) {
+	shapes := []struct {
+		name string
+		ds   *Dataset
+		cfg  ForestConfig
+	}{
+		{"flat", kernelFixture(160, 40, Classification, 41), ForestConfig{NTrees: 9, MaxDepth: 8, Seed: 3, Parallel: true}},
+		{"presorted", kernelFixture(400, 5, Classification, 43), ForestConfig{NTrees: 6, MinLeaf: 3, Seed: 11, Parallel: true}},
+	}
+	defer parallel.SetMaxWorkers(0)
+	for _, workers := range []int{1, 8} {
+		parallel.SetMaxWorkers(workers)
+		for _, sh := range shapes {
+			want := refFitForest(sh.ds, sh.cfg)
+			sameForest(t, want, FitForest(sh.ds, sh.cfg))
+			sameForest(t, want, FitForests(0, []ForestJob{{DS: sh.ds, Cfg: sh.cfg}})[0])
+		}
 	}
 }
 

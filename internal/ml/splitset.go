@@ -14,19 +14,19 @@ import (
 // so it never needs re-clearing.
 type treeWorkspace struct {
 	// Common scratch (both kernels).
-	ys      []float64 // target by tree position
-	labels  []int32   // class code by tree position (classification)
-	vbuf    []float64 // node values in sorted order (flat scan input)
-	ybuf    []float64 // node targets in sorted order
-	lbuf    []int32   // node labels in sorted order
-	lcnt    []float64 // class-count scratch (left / nodeStats)
-	rcnt    []float64 // class-count scratch (right)
-	rbuf    []float64 // one-row gather scratch
-	feats   []int     // feature permutation for MTry shuffles
-	samples []int32   // flat-kernel position lists, partitioned in place
-	pay     []int32   // flat-kernel sort payload (positions)
-	cnt     []int32   // bootstrap multiplicity per dataset row (forest path)
-	rowOf   []int32   // tree position → dataset row (flat forest path)
+	ys      []float64     // target by tree position
+	labels  []int32       // class code by tree position (classification)
+	vbuf    []float64     // node values in sorted order (flat scan input)
+	ybuf    []float64     // node targets in sorted order
+	lbuf    []int32       // node labels in sorted order
+	lcnt    []float64     // class-count scratch (left / nodeStats)
+	rcnt    []float64     // class-count scratch (right)
+	rbuf    []float64     // one-row gather scratch
+	feats   []int         // feature permutation for MTry shuffles
+	samples []int32       // flat-kernel position lists, partitioned in place
+	pay     []int32       // flat-kernel sort payload (positions)
+	cnt     []int32       // bootstrap multiplicity per dataset row (forest path)
+	rowOf   []int32       // tree position → dataset row (flat forest path)
 	scols   []SplitColumn // per-feature column headers handed to the builder
 	// Presorted-kernel scratch.
 	colv   []float64 // d×m column-major feature values by tree position

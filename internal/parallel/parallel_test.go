@@ -368,7 +368,9 @@ func TestScratchPoolSizedRetention(t *testing.T) {
 	for i := 0; i < scratchEpochPuts+1; i++ {
 		p.Put(make([]byte, 100))
 	}
-	// Exactly 2× the mark is retained; the pool should hand it back.
+	// Exactly 2× the mark is retained; the pool should hand it back. Under
+	// the race detector sync.Pool drops a share of Puts on purpose, so "must
+	// be handed back" is only assertable without it.
 	boundary := make([]byte, 200)
 	p.Put(boundary)
 	found := false
@@ -378,7 +380,7 @@ func TestScratchPoolSizedRetention(t *testing.T) {
 			break
 		}
 	}
-	if !found {
+	if !found && !raceEnabled {
 		t.Fatal("workspace at exactly 2x the high-water mark was dropped")
 	}
 
@@ -397,7 +399,7 @@ func TestScratchPoolSizedRetention(t *testing.T) {
 	// to compare against yet).
 	p2 := NewScratchPoolSized(fresh, func(b []byte) int { return cap(b) })
 	p2.Put(make([]byte, 1<<20))
-	if b := p2.Get(); cap(b) != 1<<20 {
+	if b := p2.Get(); cap(b) != 1<<20 && !raceEnabled {
 		t.Fatal("first put must establish, not trip, the high-water mark")
 	}
 }

@@ -292,6 +292,8 @@ func (m *Manager) attempt(ctx context.Context, r *run) (res *RunResult, err erro
 	}()
 
 	m.mu.Lock()
+	// Counted per call; persisted by whichever transition follows the attempt.
+	r.rec.Attempts++
 	spec := r.rec.Spec
 	id := r.rec.ID
 	seq := r.rec.Seq

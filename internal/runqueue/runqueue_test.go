@@ -123,15 +123,23 @@ func waitSettled(t *testing.T, m *Manager, timeout time.Duration) Accounting {
 // checkAccounting asserts the exact queue partition: every admitted,
 // requeued, or taken-over run is in exactly one live or terminal state — or
 // was fenced out of this process's custody (lost) and is its new owner's to
-// count.
+// count. A finishing run is briefly counted both as terminal and as running
+// (see waitSettled), so the partition is polled for a moment before failing.
 func checkAccounting(t *testing.T, m *Manager) {
 	t.Helper()
-	a := m.Accounting()
-	in := a.Admitted + a.Requeued + a.Takeovers
-	out := a.Completed + a.Failed + a.Canceled + a.Queued + a.Running + a.Lost
-	if in != out {
-		t.Fatalf("queue accounting violated: admitted %d + requeued %d + takeovers %d != completed %d + failed %d + canceled %d + queued %d + running %d + lost %d",
-			a.Admitted, a.Requeued, a.Takeovers, a.Completed, a.Failed, a.Canceled, a.Queued, a.Running, a.Lost)
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		a := m.Accounting()
+		in := a.Admitted + a.Requeued + a.Takeovers
+		out := a.Completed + a.Failed + a.Canceled + a.Queued + a.Running + a.Lost
+		if in == out {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("queue accounting violated: admitted %d + requeued %d + takeovers %d != completed %d + failed %d + canceled %d + queued %d + running %d + lost %d",
+				a.Admitted, a.Requeued, a.Takeovers, a.Completed, a.Failed, a.Canceled, a.Queued, a.Running, a.Lost)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -181,6 +189,9 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 	}
 	if onDisk.State != StateCompleted || onDisk.Result == nil || onDisk.Result.TableDigest != final.Result.TableDigest {
 		t.Fatalf("persisted record diverges from in-memory: %+v", onDisk)
+	}
+	if final.Attempts != 1 || onDisk.Attempts != 1 {
+		t.Fatalf("attempts = %d in memory, %d on disk; want 1 for an undisturbed run", final.Attempts, onDisk.Attempts)
 	}
 	// The record accounts for the attempt's time before the pipeline: load
 	// and discovery are reported next to elapsed_ms, and the three fit inside
@@ -405,6 +416,9 @@ func TestTransientRunFailureRetriesToCompletion(t *testing.T) {
 	final := waitTerminal(t, m, rec.ID, 2*time.Minute)
 	if final.State != StateCompleted {
 		t.Fatalf("run finished %s (%s), want completed after transient retries", final.State, final.Error)
+	}
+	if final.Attempts < 2 {
+		t.Fatalf("record counts %d attempts, want >= 2 after injected transient failures", final.Attempts)
 	}
 	checkAccounting(t, m)
 	if err := m.Close(time.Minute); err != nil {

@@ -19,13 +19,9 @@ import (
 
 	"github.com/arda-ml/arda/internal/metrics"
 	"github.com/arda-ml/arda/internal/obs"
-	"github.com/arda-ml/arda/internal/parallel"
 	"github.com/arda-ml/arda/internal/retry"
 	"github.com/arda-ml/arda/internal/runqueue"
 )
-
-// samplerInterval matches the single-run telemetry server's cadence.
-const samplerInterval = 250 * time.Millisecond
 
 // Server serves the augmentation service API for one manager:
 //
@@ -72,10 +68,7 @@ func New(addr string, mgr *runqueue.Manager, tr *obs.Trace) (*Server, error) {
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	s.h = h
-	s.sampler = obs.StartRuntimeSampler(tr, samplerInterval, map[string]func() int64{
-		"workers.in_flight": func() int64 { return int64(parallel.InFlight()) },
-		"workers.max":       func() int64 { return int64(parallel.MaxWorkers()) },
-	})
+	s.sampler = metrics.StartSampler(tr)
 	return s, nil
 }
 
@@ -224,36 +217,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		http.ServeFile(w, r, path)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		flusher.Flush()
-	}
-	sub := stream.Subscribe(4096)
-	defer sub.Close()
-	enc := json.NewEncoder(w)
-	for {
-		select {
-		case ev, ok := <-sub.Events():
-			if !ok {
-				return
-			}
-			if err := enc.Encode(ev); err != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
+	metrics.ServeEvents(w, r, stream)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	metrics.WritePrometheus(w, s.tr.Metrics(), s.tr.Histograms())
+	metrics.ServeMetrics(w, s.tr)
 }
 
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
