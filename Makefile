@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race alloc chaos crash lease-chaos bench bench-parallel trace-smoke metrics-smoke serve-smoke profile-select
+.PHONY: check fmt vet build test race alloc chaos crash lease-chaos bench bench-parallel bench-smoke failover-soak trace-smoke metrics-smoke serve-smoke profile-select
 
-check: fmt vet build race alloc chaos crash lease-chaos trace-smoke metrics-smoke serve-smoke
+check: fmt vet build race alloc chaos crash lease-chaos trace-smoke metrics-smoke serve-smoke bench-smoke
 
 # Fails when any file is not gofmt-clean (gofmt -l prints its name).
 fmt:
@@ -38,6 +38,25 @@ bench-parallel:
 	$(GO) test -bench='Mul|MulABt|Transpose|RStar|LeverageIndices|Discover|ReadCSVDir' -benchtime=1x -run=^$$ \
 		./internal/linalg/ ./internal/featsel/ ./internal/coreset/ ./internal/discovery/ ./internal/dataframe/
 
+# The system benchmark's own checks, shortened (about a minute): bench/ still
+# compiles against the program, and one traced tall run and one untraced wide
+# run still pass its digest / one-worker / checkpoint verification. Catches a
+# broken benchmark before the gate does; measures nothing.
+bench-smoke:
+	$(GO) vet ./bench
+	$(GO) run ./bench -workload tall-base -seconds 5 -trace 1
+	$(GO) run ./bench -workload wide-repo -seconds 5 -trace 0
+
+# Ten full-length service-failover passes at ten seeds, stopping at the first
+# that fails: every SIGKILL must be followed by a takeover and every run must
+# complete exactly once. About seven minutes, so not part of check; run it
+# when a change touches runqueue, lease, checkpoint or a run's duration.
+failover-soak:
+	@for i in 1 2 3 4 5 6 7 8 9 10; do \
+		echo "failover-soak: pass $$i"; \
+		$(GO) run ./bench -workload service-failover -seconds 25 -seed $$i || exit 1; \
+	done
+
 # Allocation-regression gate: the AllocsPerRun tests that skip under -race.
 alloc:
 	$(GO) test -run 'Allocs' ./internal/join/ ./internal/dataframe/ ./internal/discovery/ ./internal/eval/ ./internal/obs/ ./internal/faults/ ./internal/checkpoint/ ./internal/ml/
@@ -55,12 +74,13 @@ chaos:
 
 # Crash/durability suite under the race detector: checkpoint corruption
 # rejection, kill-at-every-stage-boundary resume equivalence, budget
-# degradation determinism, atomic artifact writes, daemon state recovery,
-# and the process-level gates (arda SIGINT partial report, ardad SIGKILL
+# degradation determinism, atomic artifact writes, daemon state recovery
+# (incl. a run's persist → publish → discard completion order and a restart
+# from scratch over a half-deleted checkpoint), and the process-level gates (arda SIGINT partial report, ardad SIGKILL
 # with two runs in flight resuming bit-identically at 1 and 8 workers).
 crash:
 	$(GO) test -race -timeout 30m \
-		-run 'TestCheckpoint|TestResume|TestApplyBudgets|TestBudget|TestSave|TestOpen|TestCreate|TestTruncate|TestLoad|TestNilLog|TestNDJSONFileSink|TestWriteCSVFileAtomic|TestWriteFile|TestPrune|TestRecover|TestSubmitRuns' \
+		-run 'TestCheckpoint|TestResume|TestApplyBudgets|TestBudget|TestSave|TestOpen|TestCreate|TestTruncate|TestLoad|TestNilLog|TestNDJSONFileSink|TestWriteCSVFileAtomic|TestWriteFile|TestPrune|TestDiscard|TestRecover|TestSubmitRuns|TestHalfDeleted|TestCompletionDurable' \
 		./internal/checkpoint/ ./internal/core/ ./internal/atomicio/ ./internal/obs/ ./internal/dataframe/ ./internal/runqueue/
 	$(GO) test -timeout 20m -run 'TestSIGINTPartialReport|TestCrashRecoveryBitIdentical' \
 		./cmd/arda/ ./cmd/ardad/

@@ -98,19 +98,8 @@ func Create(dir, runID, fingerprint string, seed int64) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if name == ManifestName || strings.HasSuffix(name, shardSuffix) ||
-			strings.HasSuffix(name, shardSuffix+atomicio.TempSuffix) ||
-			name == ManifestName+atomicio.TempSuffix {
-			if err := os.Remove(filepath.Join(dir, name)); err != nil {
-				return nil, fmt.Errorf("checkpoint: clearing stale %s: %w", name, err)
-			}
-		}
+	if err := removeLogFiles(dir); err != nil {
+		return nil, fmt.Errorf("checkpoint: clearing stale log: %w", err)
 	}
 	l := &Log{dir: dir, man: manifest{RunID: runID, Fingerprint: fingerprint, Seed: seed}}
 	if err := l.writeManifest(); err != nil {

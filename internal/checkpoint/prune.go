@@ -77,19 +77,14 @@ func Prune(dir string, maxAge time.Duration, keepLatest int, skip func(rel strin
 		if skip != nil && skip(l.rel) {
 			continue
 		}
-		if err := removeLogFiles(l.path); err != nil {
-			return pruned, err
+		// dir itself is only emptied of checkpoint files; a per-run
+		// subdirectory goes with them unless foreign files remain in it.
+		rm := Discard
+		if l.rel == "" {
+			rm = removeLogFiles
 		}
-		if l.rel != "" {
-			// Remove the now-empty per-run directory; a directory still holding
-			// foreign files is deliberately left in place.
-			if err := os.Remove(l.path); err != nil && !errors.Is(err, os.ErrNotExist) {
-				if rest, rerr := os.ReadDir(l.path); rerr == nil && len(rest) > 0 {
-					pruned = append(pruned, l.rel)
-					continue
-				}
-				return pruned, err
-			}
+		if err := rm(l.path); err != nil {
+			return pruned, err
 		}
 		name := l.rel
 		if name == "" {
@@ -106,8 +101,27 @@ func Prune(dir string, maxAge time.Duration, keepLatest int, skip func(rel strin
 	return pruned, nil
 }
 
-// removeLogFiles deletes the checkpoint-owned files of one run log: the
-// manifest, every shard, and stray temp files — the same ownership rule
+// Discard deletes the run log in dir: the manifest first (made durable
+// before anything else goes), then every shard and stray temp file, then dir
+// itself when that leaves it empty. A process killed mid-delete therefore
+// leaves "no manifest" — which Open reports as os.ErrNotExist, nothing to
+// resume — never a manifest naming shards that are gone. Foreign files, and
+// a directory still holding them, are left in place; a missing dir is not an
+// error.
+func Discard(dir string) error {
+	if err := removeLogFiles(dir); err != nil {
+		return err
+	}
+	if err := os.Remove(dir); err != nil && !errors.Is(err, os.ErrNotExist) {
+		if rest, rerr := os.ReadDir(dir); rerr == nil && len(rest) > 0 {
+			return nil
+		}
+		return err
+	}
+	return nil
+}
+
+// removeLogFiles is Discard without the final rmdir — the ownership rule
 // Create applies when clearing a directory for reuse.
 func removeLogFiles(dir string) error {
 	entries, err := os.ReadDir(dir)
@@ -117,9 +131,15 @@ func removeLogFiles(dir string) error {
 		}
 		return err
 	}
+	if err := os.Remove(filepath.Join(dir, ManifestName)); err == nil {
+		if err := atomicio.SyncDir(dir); err != nil {
+			return err
+		}
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
 	for _, e := range entries {
-		name := e.Name()
-		if ownedFile(name) {
+		if name := e.Name(); name != ManifestName && ownedFile(name) {
 			if err := os.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
 				return err
 			}

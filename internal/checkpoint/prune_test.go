@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -163,5 +164,39 @@ func TestPruneThenResumeStartsFresh(t *testing.T) {
 	// A pruned directory must look like "nothing to resume".
 	if _, err := Open(dir, "fp"); !os.IsNotExist(err) {
 		t.Fatalf("Open after prune = %v, want os.ErrNotExist", err)
+	}
+}
+
+// TestDiscard: a discarded log is gone whether it was whole or had already
+// lost its manifest (a Discard killed after its first step), Open then finds
+// nothing to resume, and foreign files keep their directory.
+func TestDiscard(t *testing.T) {
+	root := t.TempDir()
+	whole, orphans, foreign := filepath.Join(root, "whole"), filepath.Join(root, "orphans"), filepath.Join(root, "foreign")
+	makeLog(t, whole, 0)
+	makeLog(t, orphans, 0)
+	if err := os.Remove(filepath.Join(orphans, ManifestName)); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{whole, orphans, filepath.Join(root, "never-existed")} {
+		if err := Discard(dir); err != nil {
+			t.Fatalf("Discard(%s): %v", dir, err)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Fatalf("%s still present after Discard (err=%v)", dir, err)
+		}
+		if _, err := Open(dir, "fp"); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("Open(%s) after Discard = %v, want os.ErrNotExist", dir, err)
+		}
+	}
+	makeLog(t, foreign, 0)
+	if err := os.WriteFile(filepath.Join(foreign, "notes.txt"), []byte("keep"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := Discard(foreign); err != nil {
+		t.Fatal(err)
+	}
+	if rest, err := os.ReadDir(foreign); err != nil || len(rest) != 1 || rest[0].Name() != "notes.txt" {
+		t.Fatalf("Discard left %v (%v), want only notes.txt", rest, err)
 	}
 }

@@ -1,0 +1,40 @@
+package core
+
+import (
+	"testing"
+
+	"github.com/arda-ml/arda/internal/discovery"
+	"github.com/arda-ml/arda/internal/parallel"
+	"github.com/arda-ml/arda/internal/synth"
+)
+
+// TestEndToEndWitness pins one default-options run per task — a regression
+// corpus and a classification corpus whose base tables are mostly one-hot
+// columns — to the scores and table digest recorded at commit 064769a. Every
+// forest behind these numbers (RIFS rankings, the sweep, both evaluation
+// forests) goes through the split kernel, so a kernel change that alters any
+// tree, anywhere, at either worker count, moves them.
+func TestEndToEndWitness(t *testing.T) {
+	defer parallel.SetMaxWorkers(0)
+	cases := []struct {
+		corpus      *synth.Corpus
+		base, final float64
+		digest      uint64
+	}{
+		{synth.Poverty(synth.Config{Seed: 61, Scale: 0.2}), 0.003234788539047573, 0.7224497459787897, 0x71d40fcb562d2a86},
+		{synth.SchoolL(synth.Config{Seed: 61, Scale: 0.2}), 0.41975308641975306, 0.7160493827160493, 0x592dc08585da6138},
+	}
+	for _, c := range cases {
+		cands := discovery.Discover(c.corpus.Base, c.corpus.Repo, c.corpus.Target, discovery.Options{})
+		for _, workers := range []int{1, 8} {
+			res, err := Augment(c.corpus.Base, cands, Options{Target: c.corpus.Target, Seed: 62, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.BaseScore != c.base || res.FinalScore != c.final || res.Table.Digest() != c.digest {
+				t.Errorf("%s at %d workers: base %v final %v digest %#x, want %v %v %#x", c.corpus.Base.Name(), workers,
+					res.BaseScore, res.FinalScore, res.Table.Digest(), c.base, c.final, c.digest)
+			}
+		}
+	}
+}

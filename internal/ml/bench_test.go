@@ -63,3 +63,16 @@ func BenchmarkMLPFit(b *testing.B) {
 		FitMLP(ds, MLPConfig{Epochs: 20, Seed: int64(i)})
 	}
 }
+
+// BenchmarkFitForestOneHot is the rung under the benchmark's
+// ml.forest_fit_probe_ms: the evaluation forest over a tall one-hot base
+// table (tall-base's training split — 9,000 rows, 64 one-hot columns and one
+// continuous — under automl.DefaultForestConfig's shape).
+func BenchmarkFitForestOneHot(b *testing.B) {
+	ds := oneHotFixture(9000, 64, 1, Regression, 108)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		FitForest(ds, ForestConfig{NTrees: 60, MaxDepth: 12, Seed: int64(i), Parallel: true})
+	}
+}

@@ -1,38 +1,100 @@
 package ml
 
 import (
+	"math"
 	"sync"
+	"unsafe"
 )
 
 // SplitColumn is one feature column of a split set: the column's values over
-// a fixed row set, plus — when presorted — the row indices sorted by
-// (value, row). A SplitColumn is immutable once published: the split kernel
-// only reads it, so one column can back any number of concurrently fitted
-// forests over the same rows.
+// a fixed row set, plus what the split kernel needs to walk them in
+// (value, row) order — for most columns the row indices sorted that way, for
+// a two-valued column (every one-hot column) nothing but a byte per row
+// saying which of its two values the row holds: its order over any row set is
+// that set ascending, lows first, then highs. A SplitColumn is immutable once
+// published: the split kernel only reads it, so one column can back any
+// number of concurrently fitted forests over the same rows.
 type SplitColumn struct {
 	v   []float64
 	ord []int32 // rows sorted by (value, row); nil when not presorted
+	// mask is non-nil exactly when the column is two-valued: mask[r] is 1
+	// where v[r] == hi and 0 where v[r] == lo.
+	mask   []uint8
+	lo, hi float64
+}
+
+// splitColumnBytes is a SplitColumn header's size (workspace accounting).
+const splitColumnBytes = int(unsafe.Sizeof(SplitColumn{}))
+
+// classifyTwo marks the column two-valued when its values hold exactly two
+// bit patterns, both finite, with lo < hi as floats — so a NaN, an infinity
+// or a -0/+0 pair leaves the column on the ordered path, where the kernel's
+// float comparisons already say what happens to them.
+func (c *SplitColumn) classifyTwo() {
+	if len(c.v) == 0 {
+		return
+	}
+	a := math.Float64bits(c.v[0])
+	b := a
+	for _, x := range c.v {
+		if xb := math.Float64bits(x); xb != a && xb != b {
+			if b != a {
+				return // a third pattern
+			}
+			b = xb
+		}
+	}
+	lo, hi := math.Float64frombits(a), math.Float64frombits(b)
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	if !(lo < hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
+		return
+	}
+	c.lo, c.hi = lo, hi
+	c.mask = make([]uint8, len(c.v))
+	for r, x := range c.v {
+		if x == hi {
+			c.mask[r] = 1
+		}
+	}
 }
 
 // NewSplitColumn wraps caller-owned buffers as a split column. When ord is
-// non-nil it must have len(values) entries; it is filled in place with the
+// non-nil it must have len(values) entries; unless the column turns out
+// two-valued (which needs no order) it is filled in place with the
 // (value, row)-sorted permutation — the same unique total order the split
 // kernel's own presort produces, so a caller-presorted column is
 // indistinguishable from a cache-built one. Pass a nil ord for a values-only
 // column (the flat kernel then sorts nodes on demand).
 func NewSplitColumn(values []float64, ord []int32) SplitColumn {
+	c := SplitColumn{v: values}
+	c.classifyTwo()
 	if ord != nil {
-		ord = ord[:len(values)]
-		for i := range ord {
-			ord[i] = int32(i)
-		}
-		sortOrder(values, ord)
+		c.presort(ord[:len(values)])
 	}
-	return SplitColumn{v: values, ord: ord}
+	return c
 }
 
-// Presorted reports whether the column carries a (value, row) order.
-func (c SplitColumn) Presorted() bool { return c.ord != nil }
+// presort gives a classified column its (value, row) order — in buf, or in a
+// fresh buffer when buf is nil — unless it is two-valued and needs none.
+func (c *SplitColumn) presort(buf []int32) {
+	if c.mask != nil {
+		return
+	}
+	if buf == nil {
+		buf = make([]int32, len(c.v))
+	}
+	for i := range buf {
+		buf[i] = int32(i)
+	}
+	sortOrder(c.v, buf)
+	c.ord = buf
+}
+
+// Presorted reports whether the column can be walked in (value, row) order
+// without sorting: it carries that order, or is two-valued and needs none.
+func (c SplitColumn) Presorted() bool { return c.ord != nil || c.mask != nil }
 
 // SplitCacheStats reports a cache's column traffic: misses are column
 // requests that had to build (gather values and/or presort), hits are
@@ -105,19 +167,12 @@ func (c *SplitCache) Columns(idx []int, withOrders bool) []SplitColumn {
 			for r := 0; r < c.n; r++ {
 				v[r] = c.ds.At(r, j)
 			}
-			c.cols[j] = SplitColumn{v: v}
+			c.cols[j] = NewSplitColumn(v, nil)
 			c.valsOK[j] = true
 			built = true
 		}
 		if withOrders && !c.ordsOK[j] {
-			col := c.cols[j]
-			ord := make([]int32, c.n)
-			for r := range ord {
-				ord[r] = int32(r)
-			}
-			sortOrder(col.v, ord)
-			col.ord = ord
-			c.cols[j] = col
+			c.cols[j].presort(nil)
 			c.ordsOK[j] = true
 			built = true
 		}
@@ -147,7 +202,7 @@ func (c *SplitCache) View(cols []SplitColumn, extra []SplitColumn) *SplitView {
 	all := make([]SplitColumn, 0, len(cols)+len(extra))
 	all = append(all, cols...)
 	all = append(all, extra...)
-	return &SplitView{ss: &splitSet{
+	ss := &splitSet{
 		n:       c.n,
 		d:       len(all),
 		task:    c.task,
@@ -155,7 +210,9 @@ func (c *SplitCache) View(cols []SplitColumn, extra []SplitColumn) *SplitView {
 		ys:      c.ys,
 		labels:  c.labels,
 		cols:    all,
-	}}
+	}
+	ss.markTwo()
+	return &SplitView{ss: ss}
 }
 
 // SplitView is an assembled column set ready to back forest fitting; attach
@@ -198,7 +255,7 @@ func (ds *Dataset) attachedSplits(needOrders bool) *splitSet {
 	}
 	if needOrders {
 		for _, col := range ss.cols {
-			if col.ord == nil {
+			if !col.Presorted() {
 				return nil
 			}
 		}

@@ -10,7 +10,7 @@ import (
 // workspace serves one FitTree call at a time; the pool amortizes the
 // columns, orders, and scan buffers across the hundreds of trees a RIFS run
 // fits. All slices are length-managed by the reserve helpers; contents are
-// garbage between trees except `left`, which is kept all-false by partition
+// garbage between trees except `left`, which is kept all-zero by partition
 // so it never needs re-clearing.
 type treeWorkspace struct {
 	// Common scratch (both kernels).
@@ -28,13 +28,18 @@ type treeWorkspace struct {
 	cnt     []int32       // bootstrap multiplicity per dataset row (forest path)
 	rowOf   []int32       // tree position → dataset row (flat forest path)
 	scols   []SplitColumn // per-feature column headers handed to the builder
+	spos    []int32       // a flat node's positions ascending (two-valued candidates)
 	// Presorted-kernel scratch.
-	colv   []float64 // d×m column-major feature values by tree position
-	orders []int32   // d×m per-feature positions, value-sorted per node range
-	spill  []int32   // stable-partition scratch for right-bound positions
-	left   []bool    // goes-left mask during a split (all-false invariant)
-	base   []int32   // first tree position per dataset row (counting scans)
-	ncnt   []int32   // in-node multiplicity per dataset row (all-zero invariant)
+	colv []float64 // d×m column-major feature values by tree position
+	// orders holds one m-long plane per feature — its positions, value-sorted
+	// per node range — and, when the tree has two-valued columns (whose own
+	// planes then stay untouched), plane d: all positions ascending per node
+	// range, from which such a column's order is split on demand.
+	orders []int32
+	spill  []int32 // stable-partition scratch for right-bound positions
+	left   []uint8 // goes-left mask during a split (all-zero invariant)
+	base   []int32 // first tree position per dataset row (counting scans)
+	ncnt   []int32 // in-node multiplicity per dataset row (all-zero invariant)
 }
 
 // retained is the workspace's pooled footprint in bytes (slice capacities,
@@ -45,8 +50,8 @@ func (ws *treeWorkspace) retained() int {
 	f := cap(ws.ys) + cap(ws.vbuf) + cap(ws.ybuf) + cap(ws.lcnt) + cap(ws.rcnt) +
 		cap(ws.rbuf) + cap(ws.colv)
 	i := cap(ws.labels) + cap(ws.lbuf) + cap(ws.samples) + cap(ws.pay) + cap(ws.cnt) +
-		cap(ws.rowOf) + cap(ws.orders) + cap(ws.spill) + cap(ws.base) + cap(ws.ncnt)
-	return f*8 + i*4 + cap(ws.feats)*8 + cap(ws.left) + cap(ws.scols)*48
+		cap(ws.rowOf) + cap(ws.orders) + cap(ws.spill) + cap(ws.base) + cap(ws.ncnt) + cap(ws.spos)
+	return f*8 + i*4 + cap(ws.feats)*8 + cap(ws.left) + cap(ws.scols)*splitColumnBytes
 }
 
 var treeScratch = parallel.NewScratchPoolSized(
@@ -94,13 +99,13 @@ func (ws *treeWorkspace) reserveColHeaders(d int) {
 	ws.scols = ws.scols[:d]
 }
 
-// reserveOrders sizes the presorted kernel's order arrays and partition
+// reserveOrders sizes the presorted kernel's order planes and partition
 // scratch.
-func (ws *treeWorkspace) reserveOrders(m, d int) {
-	ws.orders = growInt32(ws.orders, m*d)
+func (ws *treeWorkspace) reserveOrders(m, planes int) {
+	ws.orders = growInt32(ws.orders, m*planes)
 	ws.spill = growInt32(ws.spill, m)
 	if cap(ws.left) < m {
-		ws.left = make([]bool, m)
+		ws.left = make([]uint8, m)
 	}
 	ws.left = ws.left[:m]
 }
@@ -131,14 +136,15 @@ type splitSet struct {
 	task    Task
 	classes int
 	cols    []SplitColumn // per-feature values (+ (value,row) orders when presorted)
+	anyTwo  bool          // some column is two-valued
 	ys      []float64
 	labels  []int32 // class codes (classification)
 }
 
-// buildSplitSet gathers ds into column-major form and, when needOrders is
-// set (the presorted regime), sorts each feature once on the worker pool
-// (per-feature sorts are independent, so parallelism cannot change the
-// result).
+// buildSplitSet gathers ds into column-major form, classifies each column
+// and, when needOrders is set (the presorted regime), sorts every column that
+// is not two-valued once — all on the worker pool (columns are independent,
+// so parallelism cannot change the result).
 func buildSplitSet(ds *Dataset, workers int, needOrders bool) *splitSet {
 	n, d := ds.N, ds.D
 	ss := &splitSet{
@@ -166,18 +172,24 @@ func buildSplitSet(ds *Dataset, workers int, needOrders bool) *splitSet {
 			ss.labels[i] = int32(ds.Label(i))
 		}
 	}
-	if needOrders {
-		orders := make([]int32, n*d)
-		parallel.ForEach(workers, d, func(j int) {
-			ord := orders[j*n : (j+1)*n]
-			for i := range ord {
-				ord[i] = int32(i)
-			}
-			sortOrder(ss.cols[j].v, ord)
-			ss.cols[j].ord = ord
-		})
-	}
+	parallel.ForEach(workers, d, func(j int) {
+		ss.cols[j].classifyTwo()
+		if needOrders {
+			ss.cols[j].presort(nil)
+		}
+	})
+	ss.markTwo()
 	return ss
+}
+
+// markTwo records whether any of the set's columns is two-valued.
+func (ss *splitSet) markTwo() {
+	for i := range ss.cols {
+		if ss.cols[i].mask != nil {
+			ss.anyTwo = true
+			return
+		}
+	}
 }
 
 // fitTreeFromSplitSet grows one tree over a bootstrap sample given as
@@ -186,7 +198,9 @@ func buildSplitSet(ds *Dataset, workers int, needOrders bool) *splitSet {
 // the presorted regime, emitting rows in global value order yields per-tree
 // orders already sorted by (value, position) without comparing a single
 // value; in the flat regime the tree reads the shared columns through the
-// position→row map and no per-tree columns are materialized at all.
+// position→row map and no per-tree columns are materialized at all. In
+// either regime a two-valued column is read in place, through that map and
+// its byte mask, and gets neither an order nor a copy.
 func fitTreeFromSplitSet(ss *splitSet, cfg TreeConfig, rng *rand.Rand, ws *treeWorkspace) *Tree {
 	if cfg.MinLeaf <= 0 {
 		cfg.MinLeaf = 1
@@ -209,24 +223,35 @@ func fitTreeFromSplitSet(ss *splitSet, cfg TreeConfig, rng *rand.Rand, ws *treeW
 	}
 	b.mtry = resolveMTry(cfg.MTry, d)
 	ws.reserve(m, d, b.classScratch())
-
-	if useFlatKernel(b.mtry, d, m) {
+	flat := useFlatKernel(b.mtry, d, m)
+	if flat || ss.anyTwo {
 		ws.rowOf = growInt32(ws.rowOf, m)
-		ws.base = growInt32(ws.base, n)
-		base := ws.base
-		w := 0
-		for r := 0; r < n; r++ {
-			base[r] = int32(w)
-			for k := int32(0); k < cnt[r]; k++ {
-				ws.rowOf[w] = int32(r)
-				ws.ys[w] = ss.ys[r]
-				if ss.labels != nil {
-					ws.labels[w] = ss.labels[r]
-				}
-				w++
+		b.rowOf = ws.rowOf
+	}
+	if ss.anyTwo {
+		// Scratch a two-valued column's node order is split into (with pay).
+		ws.spill = growInt32(ws.spill, m)
+		ws.spos = growInt32(ws.spos, m)
+	}
+	ws.base = growInt32(ws.base, n)
+	base := ws.base
+	w := 0
+	for r := 0; r < n; r++ {
+		base[r] = int32(w)
+		for k := int32(0); k < cnt[r]; k++ {
+			if b.rowOf != nil {
+				b.rowOf[w] = int32(r)
 			}
+			ws.ys[w] = ss.ys[r]
+			if ss.labels != nil {
+				ws.labels[w] = ss.labels[r]
+			}
+			w++
 		}
-		b.scols, b.rowOf, b.ssn = ss.cols, ws.rowOf, n
+	}
+
+	if flat {
+		b.scols, b.ssn = ss.cols, n
 		// Large nodes can skip the per-node sort when a feature carries a
 		// global (value, row) order: walking that order and emitting each
 		// in-node row's copies in ascending position order reproduces the
@@ -245,23 +270,18 @@ func fitTreeFromSplitSet(ss *splitSet, cfg TreeConfig, rng *rand.Rand, ws *treeW
 		return b.tree
 	}
 
-	ws.reserveCols(m, d)
-	ws.reserveOrders(m, d)
-	ws.base = growInt32(ws.base, n)
-	base := ws.base
-	w := 0
-	for r := 0; r < n; r++ {
-		base[r] = int32(w)
-		for k := int32(0); k < cnt[r]; k++ {
-			ws.ys[w] = ss.ys[r]
-			if ss.labels != nil {
-				ws.labels[w] = ss.labels[r]
-			}
-			w++
-		}
+	b.planes = d
+	if ss.anyTwo {
+		b.planes, b.copied = d+1, true
 	}
+	ws.reserveCols(m, d)
+	ws.reserveOrders(m, b.planes)
 	ws.reserveColHeaders(d)
 	for j := 0; j < d; j++ {
+		if ss.cols[j].mask != nil {
+			ws.scols[j] = ss.cols[j]
+			continue
+		}
 		gcol := ss.cols[j].v
 		gord := ss.cols[j].ord
 		tcol := ws.colv[j*m : (j+1)*m]
@@ -282,8 +302,16 @@ func fitTreeFromSplitSet(ss *splitSet, cfg TreeConfig, rng *rand.Rand, ws *treeW
 		}
 		ws.scols[j] = SplitColumn{v: tcol}
 	}
+	if ss.anyTwo {
+		for p, pos := 0, ws.orders[d*m:(d+1)*m]; p < m; p++ {
+			pos[p] = int32(p)
+		}
+	}
 	b.scols = ws.scols
 	b.grow(0, m, 0)
+	// The headers of columns read in place alias the forest's shared split
+	// set; a pooled workspace must not keep it alive.
+	clear(ws.scols)
 	return b.tree
 }
 

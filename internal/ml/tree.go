@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 )
 
 // TreeConfig controls CART decision-tree growth.
@@ -17,27 +18,35 @@ type TreeConfig struct {
 	MTry int
 }
 
-// The split kernel has two regimes, chosen per subtree by sample count only
-// (never by data values or scheduling, so the choice is deterministic):
+// The split kernel has two regimes, chosen per subtree by counts only — the
+// node's samples m, the feature count d and the resolved mtry, never data
+// values or scheduling — so the choice is deterministic:
 //
-//   - presorted (m > presortCutoff): per-feature orders are computed once —
-//     derived linearly from the forest's shared split set, or sorted once
-//     per tree — and stably partitioned down the tree, so nodes never sort.
-//     Each split pays O(d·m) to repartition every feature's order.
-//   - flat (m <= presortCutoff, and subtrees below smallNodeCutoff): nodes
-//     gather the node's values into flat scratch and sort with a
-//     specialized (float64 key, int32 payload) introsort. Each split pays
-//     O(mtry·m·log m) with tiny constants and no d-factor.
+//   - presorted: every feature's (value, position) order is derived once per
+//     tree, linearly, from the forest's shared split set (or sorted once, for
+//     a lone FitTree) and stably partitioned down the tree, so nodes never
+//     sort. Each split pays O(d·m) to repartition the orders.
+//   - flat: a node gathers each candidate feature's values into flat scratch
+//     and sorts them with a specialized (float64 key, int32 payload)
+//     introsort. Each split pays O(mtry·m·log m) with tiny constants and no
+//     d-factor.
 //
-// The crossover is decided by comparing the two per-split costs: presorted
-// partitioning repartitions all d features (O(d·m)), flat sorting sorts
-// only the mtry candidates (O(mtry·m·log m)), so flat wins exactly when
-// mtry·log₂(m) < d. That boundary separates ARDA's two forest shapes:
-// classification selection forests on a coreset (mtry = √d with d ≈
-// 100-200 → flat) and regression or evaluation forests (mtry = d/3, or
-// thousands of samples → presorted). useFlatKernel evaluates the rule; it
-// is monotone in m, so once a subtree crosses into the flat regime it
-// stays there.
+// Flat wins exactly when mtry·⌈log₂ m⌉ < d, and always at or below
+// smallNodeCutoff samples. That boundary separates ARDA's forest shapes:
+// classification selection forests on a coreset (mtry = √d, d in the
+// hundreds → flat) and regression or evaluation forests (mtry = d/3, or
+// thousands of samples → presorted). useFlatKernel evaluates the rule; it is
+// monotone in m, so a subtree that crosses into the flat regime stays there.
+//
+// Within either regime a two-valued column (SplitColumn.mask; every one-hot
+// column) carries no order at all: over any node its (value, position)
+// sequence is the node's positions ascending, lows first, then highs. The
+// presorted regime keeps one extra plane per tree for that — all positions,
+// ascending per node range, partitioned like a feature's order — and the
+// flat regime sorts a node's positions once; splitByMask turns either into a
+// two-valued feature's order in one stable pass. Both regimes feed the same
+// scan loops the same sequences, so which path produced a sequence never
+// shows in a tree.
 const smallNodeCutoff = 64
 
 // useFlatKernel reports whether the flat kernel is the cheaper regime for a
@@ -94,9 +103,9 @@ func (t *Tree) NumNodes() int { return len(t.nodes) }
 
 // treeBuilder grows one tree. Sample identity is a tree-local position
 // p ∈ [0, m). Feature values live in per-feature split columns: the tree's
-// own gathered columns (length m, rowOf nil) or the forest's shared
-// split-set columns addressed through the bootstrap row map (length n,
-// rowOf set).
+// own gathered columns (length m, indexed by position) or the forest's
+// shared split-set columns (length n) addressed through the bootstrap row
+// map rowOf; rowsOf says which a given feature is.
 type treeBuilder struct {
 	cfg     TreeConfig
 	rng     *rand.Rand
@@ -108,8 +117,13 @@ type treeBuilder struct {
 	ws      *treeWorkspace
 
 	scols []SplitColumn // per-feature values (+ global orders when shared)
-	rowOf []int32       // tree position → column row; nil means identity
-	ssn   int           // shared split-set row count (scan cost rule)
+	rowOf []int32       // tree position → row of a shared column; nil without shared columns
+	// copied marks a presorted tree over a shared split set: its ordered
+	// columns are per-tree copies indexed by position, and only two-valued
+	// columns are read in place through rowOf.
+	copied bool
+	planes int // order planes in ws.orders: d, plus the position plane when copied
+	ssn    int // shared split-set row count (scan cost rule)
 	// canScan marks the shared-column flat path where tree positions are
 	// row-major: large nodes then extract their sorted (value, position)
 	// sequence from a column's global order instead of sorting.
@@ -162,6 +176,7 @@ func FitTree(ds *Dataset, idx []int, cfg TreeConfig, rng *rand.Rand) *Tree {
 		}
 	}
 	if !useFlatKernel(b.mtry, ds.D, m) {
+		b.planes = ds.D
 		ws.reserveOrders(m, ds.D)
 		for j := 0; j < ds.D; j++ {
 			col := ws.colv[j*m : (j+1)*m]
@@ -205,29 +220,94 @@ func (b *treeBuilder) flatRoot() {
 	b.growFlat(s, 0)
 }
 
-// row maps a tree position to its row in the column store.
-func (b *treeBuilder) row(p int32) int32 {
-	if b.rowOf != nil {
-		return b.rowOf[p]
+// rowsOf returns the position→row map feature feat's column is read
+// through, nil when the column is indexed by position.
+func (b *treeBuilder) rowsOf(feat int) []int32 {
+	if b.copied && b.scols[feat].mask == nil {
+		return nil
 	}
-	return p
+	return b.rowOf
+}
+
+// splitByMask stably splits pos — positions in ascending order — into
+// two-valued feature feat's (value, position) order: the positions holding
+// its low value, then those holding its high one. It returns the order (in
+// scratch, valid until the next call) and the number of lows. Both cursors
+// are written unconditionally and advanced by the mask byte, so the loop has
+// no data-dependent branch.
+func (b *treeBuilder) splitByMask(pos []int32, feat int) ([]int32, int) {
+	mask, ro := b.scols[feat].mask, b.rowOf
+	lows, highs := b.ws.pay[:len(pos)], b.ws.spill[:len(pos)]
+	w, h := 0, 0
+	for _, p := range pos {
+		hb := int(mask[ro[p]])
+		lows[w], highs[h] = p, p
+		w += 1 - hb
+		h += hb
+	}
+	copy(lows[w:], highs[:h])
+	return lows, w
+}
+
+// orderedPairs fills (vbuf, out) with the values and payloads (labels or
+// targets, by position) of the positions in ord — one feature's
+// (value, position) order over a node; nlow is splitByMask's count when the
+// feature is two-valued, negative otherwise. It reports false, possibly
+// without filling anything, when the feature is constant over the node: no
+// split exists.
+func orderedPairs[T int32 | float64](b *treeBuilder, feat int, ord []int32, nlow int, vbuf []float64, out, payload []T) bool {
+	sc := &b.scols[feat]
+	if nlow < 0 {
+		col := sc.v
+		for i, p := range ord {
+			vbuf[i] = col[p]
+			out[i] = payload[p]
+		}
+		return vbuf[0] != vbuf[len(ord)-1]
+	}
+	if nlow == 0 || nlow == len(ord) {
+		return false
+	}
+	for i := range vbuf[:nlow] {
+		vbuf[i] = sc.lo
+	}
+	for i := nlow; i < len(ord); i++ {
+		vbuf[i] = sc.hi
+	}
+	for i, p := range ord {
+		out[i] = payload[p]
+	}
+	return true
 }
 
 // ---- presorted kernel ----
 
+// nodeOrder returns feature feat's positions over the node range
+// [start, end) in ascending (value, position) order — its own plane's range,
+// or for a two-valued feature the position plane's range split by the mask —
+// and splitByMask's low count (negative for an ordered feature).
+func (b *treeBuilder) nodeOrder(feat, start, end int) ([]int32, int) {
+	mt := b.m
+	if b.scols[feat].mask == nil {
+		return b.ws.orders[feat*mt+start : feat*mt+end], -1
+	}
+	return b.splitByMask(b.ws.orders[b.d*mt+start:b.d*mt+end], feat)
+}
+
 // grow recursively builds the subtree over positions [start, end) of every
-// feature's order array and returns its node index. Small subtrees hand off
-// to the flat kernel: their positions are read out of any one feature's
-// (already partitioned) order range, after which the per-feature orders for
-// that range are simply abandoned.
+// order plane and returns its node index. Small subtrees hand off to the
+// flat kernel: their positions are read out in feature 0's order — like the
+// node statistics, so sums run in one order whichever way that feature is
+// stored — after which the planes' ranges are simply abandoned.
 func (b *treeBuilder) grow(start, end, depth int) int32 {
+	ord0, _ := b.nodeOrder(0, start, end)
 	if useFlatKernel(b.mtry, b.d, end-start) {
 		s := b.ws.samples[start:end]
-		copy(s, b.ws.orders[start:end])
+		copy(s, ord0)
 		return b.growFlat(s, depth)
 	}
 	m := end - start
-	imp, value := b.nodeStats(start, end)
+	imp, value := b.nodeStats(ord0)
 	id := int32(len(b.tree.nodes))
 	b.tree.nodes = append(b.tree.nodes, treeNode{feature: -1, value: value})
 	if imp <= 1e-12 || m < 2*b.cfg.MinLeaf ||
@@ -258,85 +338,31 @@ func (b *treeBuilder) grow(start, end, depth int) int32 {
 	return id
 }
 
-// nodeStats returns the node impurity (Gini for classification, variance
-// for regression) and the node prediction, iterating the node's positions
-// via feature 0's order range (every feature's range holds the same
-// position set; the presorted path requires d > 0).
-func (b *treeBuilder) nodeStats(start, end int) (imp, value float64) {
-	ws := b.ws
-	n := float64(end - start)
-	ord := ws.orders[start:end]
-	if b.task == Classification {
-		cnt := ws.lcnt
-		for k := range cnt {
-			cnt[k] = 0
-		}
-		for _, p := range ord {
-			cnt[ws.labels[p]]++
-		}
-		gini := 1.0
-		best, bestK := -1.0, 0
-		for k, c := range cnt {
-			p := c / n
-			gini -= p * p
-			if c > best {
-				best, bestK = c, k
-			}
-		}
-		return gini, float64(bestK)
-	}
-	sum, sumSq := 0.0, 0.0
-	for _, p := range ord {
-		y := ws.ys[p]
-		sum += y
-		sumSq += y * y
-	}
-	mean := sum / n
-	return sumSq/n - mean*mean, mean
-}
-
 // bestSplit scans MTry candidate features and returns the best (feature,
 // threshold, impurity gain). The feats permutation persists across nodes of
 // one tree, exactly like the original kernel's partial Fisher-Yates state.
 func (b *treeBuilder) bestSplit(start, end int, parentImp float64) (int, float64, float64) {
 	mtry := b.shuffleFeats()
 	ws := b.ws
-	feats := ws.feats
 	m := end - start
-	mt := b.m
 	vbuf := ws.vbuf[:m]
 	bestFeat, bestThr, bestGain := -1, 0.0, math.Inf(-1)
-	if b.task == Classification {
-		lbuf := ws.lbuf[:m]
-		for f := 0; f < mtry; f++ {
-			feat := feats[f]
-			col := ws.colv[feat*mt : (feat+1)*mt]
-			for i, p := range ws.orders[feat*mt+start : feat*mt+end] {
-				vbuf[i] = col[p]
-				lbuf[i] = ws.labels[p]
-			}
-			if vbuf[0] == vbuf[m-1] {
+	for _, feat := range ws.feats[:mtry] {
+		ord, nlow := b.nodeOrder(feat, start, end)
+		var thr, gain float64
+		if b.task == Classification {
+			lbuf := ws.lbuf[:m]
+			if !orderedPairs(b, feat, ord, nlow, vbuf, lbuf, ws.labels) {
 				continue // constant feature in this node: no split exists
 			}
-			thr, gain := scanSplitsClass(vbuf, lbuf, ws.lcnt, ws.rcnt, parentImp, b.cfg.MinLeaf)
-			if gain > bestGain {
-				bestFeat, bestThr, bestGain = feat, thr, gain
+			thr, gain = scanSplitsClass(vbuf, lbuf, ws.lcnt, ws.rcnt, parentImp, b.cfg.MinLeaf)
+		} else {
+			ybuf := ws.ybuf[:m]
+			if !orderedPairs(b, feat, ord, nlow, vbuf, ybuf, ws.ys) {
+				continue
 			}
+			thr, gain = scanSplitsReg(vbuf, ybuf, parentImp, b.cfg.MinLeaf)
 		}
-		return bestFeat, bestThr, bestGain
-	}
-	ybuf := ws.ybuf[:m]
-	for f := 0; f < mtry; f++ {
-		feat := feats[f]
-		col := ws.colv[feat*mt : (feat+1)*mt]
-		for i, p := range ws.orders[feat*mt+start : feat*mt+end] {
-			vbuf[i] = col[p]
-			ybuf[i] = ws.ys[p]
-		}
-		if vbuf[0] == vbuf[m-1] {
-			continue
-		}
-		thr, gain := scanSplitsReg(vbuf, ybuf, parentImp, b.cfg.MinLeaf)
 		if gain > bestGain {
 			bestFeat, bestThr, bestGain = feat, thr, gain
 		}
@@ -368,57 +394,73 @@ func (b *treeBuilder) shuffleFeats() int {
 	return mtry
 }
 
-// partition splits [start, end) around `feat <= thr`: the split feature's
-// order is already value-sorted, so the left size falls out of a binary
-// search, and every other feature's range is stably compacted around the
-// goes-left mask — keeping both child ranges value-sorted without
-// resorting. Returns the left child's size (0 or m means the split is void
-// and the caller must keep the leaf).
+// partition splits [start, end) around `feat <= thr`: the goes-left mask
+// comes from the split feature — its order is value-sorted, so the left size
+// falls out of a binary search; a two-valued feature's byte mask says it
+// outright — and every other plane's range is stably compacted around the
+// mask, keeping both child ranges sorted without resorting. The compaction
+// writes both destinations unconditionally and advances them by the mask
+// byte: which side an element goes to is a coin flip no branch predictor
+// wins. Returns the left child's size (0 or m means the split is void and the
+// caller must keep the leaf).
 func (b *treeBuilder) partition(feat int, thr float64, start, end int) int {
 	ws := b.ws
 	mt := b.m
-	col := ws.colv[feat*mt : (feat+1)*mt]
-	ord := ws.orders[feat*mt+start : feat*mt+end]
-	lo, hi := 0, len(ord)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if col[ord[mid]] <= thr {
-			lo = mid + 1
-		} else {
-			hi = mid
+	left := ws.left
+	var lefts []int32 // the positions whose left byte is set, to clear it again
+	if sc := &b.scols[feat]; sc.mask != nil {
+		if sc.hi <= thr {
+			return end - start
+		}
+		pos := ws.orders[b.d*mt+start : b.d*mt+end]
+		mask, ro := sc.mask, b.rowOf
+		nl := 0
+		for _, p := range pos {
+			l := 1 - mask[ro[p]]
+			left[p] = l
+			nl += int(l)
+		}
+		lefts = pos[:nl] // once the position plane itself is partitioned
+	} else {
+		col := sc.v
+		ord := ws.orders[feat*mt+start : feat*mt+end]
+		lo, hi := 0, len(ord)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if col[ord[mid]] <= thr {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo == 0 || lo == len(ord) {
+			return lo
+		}
+		lefts = ord[:lo]
+		for _, p := range lefts {
+			left[p] = 1
 		}
 	}
-	nl := lo
-	if nl == 0 || nl == len(ord) {
-		return nl
-	}
-	left := ws.left
-	for _, p := range ord[:nl] {
-		left[p] = true
-	}
 	spill := ws.spill
-	for j := 0; j < b.d; j++ {
-		if j == feat {
-			continue // already value-sorted: its first nl entries are the left side
+	for j := 0; j < b.planes; j++ {
+		if j == feat || (j < b.d && b.scols[j].mask != nil) {
+			continue // its own order already has the left side first; two-valued columns have none
 		}
 		seg := ws.orders[j*mt+start : j*mt+end]
 		w, r := 0, 0
 		for _, p := range seg {
-			if left[p] {
-				seg[w] = p
-				w++
-			} else {
-				spill[r] = p
-				r++
-			}
+			l := int(left[p])
+			seg[w], spill[r] = p, p
+			w += l
+			r += 1 - l
 		}
 		copy(seg[w:], spill[:r])
 	}
-	// Restore the all-false mask invariant for the next split.
-	for _, p := range ord[:nl] {
-		left[p] = false
+	// Restore the all-zero mask invariant for the next split.
+	for _, p := range lefts {
+		left[p] = 0
 	}
-	return nl
+	return len(lefts)
 }
 
 // ---- flat kernel ----
@@ -427,7 +469,7 @@ func (b *treeBuilder) partition(feat int, thr float64, start, end int) int {
 // sorting each candidate feature's node values into flat scratch per split.
 func (b *treeBuilder) growFlat(samples []int32, depth int) int32 {
 	m := len(samples)
-	imp, value := b.nodeStatsFlat(samples)
+	imp, value := b.nodeStats(samples)
 	id := int32(len(b.tree.nodes))
 	b.tree.nodes = append(b.tree.nodes, treeNode{feature: -1, value: value})
 	if imp <= 1e-12 || m < 2*b.cfg.MinLeaf ||
@@ -476,8 +518,10 @@ func (b *treeBuilder) growFlat(samples []int32, depth int) int32 {
 	return id
 }
 
-// nodeStatsFlat is nodeStats over an explicit position list.
-func (b *treeBuilder) nodeStatsFlat(samples []int32) (imp, value float64) {
+// nodeStats returns the impurity (Gini for classification, variance for
+// regression) and the prediction of the node holding the given positions,
+// summing in their order.
+func (b *treeBuilder) nodeStats(samples []int32) (imp, value float64) {
 	ws := b.ws
 	n := float64(len(samples))
 	if b.task == Classification {
@@ -511,12 +555,13 @@ func (b *treeBuilder) nodeStatsFlat(samples []int32) (imp, value float64) {
 
 // sortedPairs fills (vbuf, pay) with the node's (value, position) pairs in
 // ascending (value, position) order by gathering and sorting. Nodes eligible
-// for counting-scan extraction use scanVals instead.
+// for counting-scan extraction use scanVals instead, two-valued features
+// splitByMask.
 func (b *treeBuilder) sortedPairs(samples []int32, feat int, vbuf []float64, pay []int32) {
 	col := b.scols[feat].v
-	if b.rowOf != nil {
+	if ro := b.rowsOf(feat); ro != nil {
 		for i, p := range samples {
-			vbuf[i] = col[b.rowOf[p]]
+			vbuf[i] = col[ro[p]]
 			pay[i] = p
 		}
 	} else {
@@ -572,53 +617,29 @@ func scanVals[T int32 | float64](b *treeBuilder, feat, m int, vbuf []float64, ou
 }
 
 // bestSplitFlat produces each candidate feature's sorted (value, position)
-// pairs — per-node sort or counting-scan extraction — and sweeps the flat
-// scan.
+// pairs and sweeps the flat scan.
 func (b *treeBuilder) bestSplitFlat(samples []int32, parentImp float64, scan bool) (int, float64, float64) {
 	mtry := b.shuffleFeats()
 	ws := b.ws
-	feats := ws.feats
 	m := len(samples)
 	vbuf := ws.vbuf[:m]
-	pay := ws.pay[:m]
+	var spos []int32 // flatPairs' sorted copy of samples, once a candidate needs it
 	bestFeat, bestThr, bestGain := -1, 0.0, math.Inf(-1)
-	if b.task == Classification {
-		lbuf := ws.lbuf[:m]
-		for f := 0; f < mtry; f++ {
-			feat := feats[f]
-			if !scan || !scanVals(b, feat, m, vbuf, lbuf, ws.labels) {
-				b.sortedPairs(samples, feat, vbuf, pay)
-				if vbuf[0] == vbuf[m-1] {
-					continue
-				}
-				for i, p := range pay {
-					lbuf[i] = ws.labels[p]
-				}
-			} else if vbuf[0] == vbuf[m-1] {
+	for _, feat := range ws.feats[:mtry] {
+		var thr, gain float64
+		if b.task == Classification {
+			lbuf := ws.lbuf[:m]
+			if !flatPairs(b, samples, &spos, feat, scan, vbuf, lbuf, ws.labels) {
 				continue
 			}
-			thr, gain := scanSplitsClass(vbuf, lbuf, ws.lcnt, ws.rcnt, parentImp, b.cfg.MinLeaf)
-			if gain > bestGain {
-				bestFeat, bestThr, bestGain = feat, thr, gain
-			}
-		}
-		return bestFeat, bestThr, bestGain
-	}
-	ybuf := ws.ybuf[:m]
-	for f := 0; f < mtry; f++ {
-		feat := feats[f]
-		if !scan || !scanVals(b, feat, m, vbuf, ybuf, ws.ys) {
-			b.sortedPairs(samples, feat, vbuf, pay)
-			if vbuf[0] == vbuf[m-1] {
+			thr, gain = scanSplitsClass(vbuf, lbuf, ws.lcnt, ws.rcnt, parentImp, b.cfg.MinLeaf)
+		} else {
+			ybuf := ws.ybuf[:m]
+			if !flatPairs(b, samples, &spos, feat, scan, vbuf, ybuf, ws.ys) {
 				continue
 			}
-			for i, p := range pay {
-				ybuf[i] = ws.ys[p]
-			}
-		} else if vbuf[0] == vbuf[m-1] {
-			continue
+			thr, gain = scanSplitsReg(vbuf, ybuf, parentImp, b.cfg.MinLeaf)
 		}
-		thr, gain := scanSplitsReg(vbuf, ybuf, parentImp, b.cfg.MinLeaf)
 		if gain > bestGain {
 			bestFeat, bestThr, bestGain = feat, thr, gain
 		}
@@ -626,11 +647,42 @@ func (b *treeBuilder) bestSplitFlat(samples []int32, parentImp float64, scan boo
 	return bestFeat, bestThr, bestGain
 }
 
+// flatPairs fills (vbuf, out) with feature feat's ascending (value, payload)
+// sequence over a flat node and reports whether the feature varies there. A
+// two-valued feature splits the node's positions, sorted once per node into
+// *spos by the first such candidate; any other feature extracts by counting
+// scan where that is cheaper (scan) and it carries a global order, and
+// gathers and sorts otherwise.
+func flatPairs[T int32 | float64](b *treeBuilder, samples []int32, spos *[]int32, feat int, scan bool, vbuf []float64, out, payload []T) bool {
+	m := len(samples)
+	if b.scols[feat].mask != nil {
+		if *spos == nil {
+			*spos = b.ws.spos[:m]
+			copy(*spos, samples)
+			slices.Sort(*spos)
+		}
+		ord, nlow := b.splitByMask(*spos, feat)
+		return orderedPairs(b, feat, ord, nlow, vbuf, out, payload)
+	}
+	if scan && scanVals(b, feat, m, vbuf, out, payload) {
+		return vbuf[0] != vbuf[m-1]
+	}
+	pay := b.ws.pay[:m]
+	b.sortedPairs(samples, feat, vbuf, pay)
+	if vbuf[0] == vbuf[m-1] {
+		return false
+	}
+	for i, p := range pay {
+		out[i] = payload[p]
+	}
+	return true
+}
+
 // partitionFlat partitions samples in place around `feat <= thr` and
 // returns the left side's size.
 func (b *treeBuilder) partitionFlat(samples []int32, feat int, thr float64) int {
 	col := b.scols[feat].v
-	ro := b.rowOf
+	ro := b.rowsOf(feat)
 	lo, hi := 0, len(samples)
 	for lo < hi {
 		r := samples[lo]

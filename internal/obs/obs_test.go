@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -93,6 +94,37 @@ func TestConcurrentChildrenDeterministicOrder(t *testing.T) {
 		if c.Ord != i || c.Attrs["ord"] != int64(i) {
 			t.Fatalf("child %d has ord %d", i, c.Ord)
 		}
+	}
+}
+
+// TestChildrenInOrderOfFirstAppearance: siblings render as the run happened —
+// stage names in the order each first started, a parallel family's members
+// by ordinal wherever they were created — not alphabetically.
+func TestChildrenInOrderOfFirstAppearance(t *testing.T) {
+	tr := New("run")
+	root := tr.Root()
+	root.Child("prefilter", 0).End()
+	sel := root.Child("select", 0)
+	sel.Child("select.rep", 2).End()
+	sel.Child("select.rep", 0).End()
+	sel.Child("select.sweep", 0).End()
+	sel.Child("select.rep", 1).End()
+	sel.End()
+	root.Child("evaluate", 0).End()
+	root.Child("batch", 1).End()
+	stats := tr.Finish()
+	render := func(s *SpanStat) string {
+		var parts []string
+		for _, c := range s.Children {
+			parts = append(parts, fmt.Sprintf("%s[%d]", c.Name, c.Ord))
+		}
+		return strings.Join(parts, " ")
+	}
+	if got, want := render(stats.Root), "prefilter[0] select[0] evaluate[0] batch[1]"; got != want {
+		t.Fatalf("root children %q, want %q", got, want)
+	}
+	if got, want := render(stats.Root.Children[1]), "select.rep[0] select.rep[1] select.rep[2] select.sweep[0]"; got != want {
+		t.Fatalf("select children %q, want %q", got, want)
 	}
 }
 

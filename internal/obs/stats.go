@@ -7,10 +7,12 @@ import (
 	"time"
 )
 
-// SpanStat is one node of the immutable span-tree snapshot. Children are
-// ordered by (Ord, Name), never by completion time, so two runs of the same
-// seeded pipeline produce structurally identical snapshots for any worker
-// count.
+// SpanStat is one node of the immutable span-tree snapshot. Children read in
+// the order things happened: names in the order each first appeared under
+// the parent, ordinals ascending within a name — never completion time, so
+// two runs of the same seeded pipeline produce structurally identical
+// snapshots for any worker count (sequential stages start in program order;
+// a parallel family such as select.rep[i] shares one name).
 type SpanStat struct {
 	// Name is the stage name ("join", "select", …).
 	Name string `json:"name"`
@@ -74,11 +76,18 @@ func (s *Span) stat() *SpanStat {
 	for _, c := range children {
 		st.Children = append(st.Children, c.stat())
 	}
-	sort.SliceStable(st.Children, func(i, j int) bool {
-		if st.Children[i].Ord != st.Children[j].Ord {
-			return st.Children[i].Ord < st.Children[j].Ord
+	first := make(map[string]int, len(children)) // name → creation index of its first span
+	for i, c := range st.Children {
+		if _, ok := first[c.Name]; !ok {
+			first[c.Name] = i
 		}
-		return st.Children[i].Name < st.Children[j].Name
+	}
+	sort.SliceStable(st.Children, func(i, j int) bool {
+		a, b := st.Children[i], st.Children[j]
+		if a.Name != b.Name {
+			return first[a.Name] < first[b.Name]
+		}
+		return a.Ord < b.Ord
 	})
 	return st
 }

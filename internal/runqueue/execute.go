@@ -6,11 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"time"
 
 	"github.com/arda-ml/arda/internal/atomicio"
+	"github.com/arda-ml/arda/internal/checkpoint"
 	"github.com/arda-ml/arda/internal/core"
 	"github.com/arda-ml/arda/internal/dataframe"
 	"github.com/arda-ml/arda/internal/discovery"
@@ -68,8 +68,36 @@ func (m *Manager) execute(r *run) {
 	var res *RunResult
 	var err error
 	start := time.Now()
+	// An unusable checkpoint is not an unusable run: the clean fallback is
+	// running without it (core/durability.go). Once per execute, a corrupt or
+	// mismatched checkpoint is discarded — under a lease check, so only the
+	// run's owner deletes — and the attempt starts over from scratch under a
+	// fresh trace; a second such error is a real failure.
+	discarded := false
+	attempt := func() (*RunResult, error) {
+		res, err := m.attempt(ctx, r)
+		if discarded || !(errors.Is(err, core.ErrCheckpointCorrupt) || errors.Is(err, core.ErrCheckpointMismatch)) {
+			return res, err
+		}
+		discarded = true
+		m.mu.Lock()
+		id, lse := r.rec.ID, r.lease
+		m.mu.Unlock()
+		if lse != nil {
+			if lerr := lse.Check(); lerr != nil {
+				return nil, lerr
+			}
+		}
+		if derr := checkpoint.Discard(m.ckDir(id)); derr != nil {
+			m.logf("discarding checkpoint of %s: %v", id, derr)
+			return nil, err
+		}
+		m.cDiscarded.Add(1)
+		m.logf("%s: checkpoint unusable, discarded; restarting from scratch: %v", id, err)
+		return m.attempt(ctx, r)
+	}
 	for try := 1; ; try++ {
-		res, err = m.attempt(ctx, r)
+		res, err = attempt()
 		if err == nil || !faults.IsTransient(err) || try >= policy.Attempts {
 			break
 		}
@@ -133,16 +161,21 @@ func (m *Manager) abandonRun(r *run) {
 	m.logf("abandoned %s: lease lost to another owner (had fence %d)", id, fence)
 }
 
-// finishRun persists a terminal transition and settles the run's durable
-// artifacts: a completed run publishes result.json and discards its
-// checkpoint directory (nothing left to resume); failed and canceled runs
-// keep theirs for postmortem or resubmission. In lease mode the transition
-// is fenced twice — a verification here, and the persist's own check — so a
-// stale owner abandons instead of overwriting the new owner's record; only
-// a fenced, persisted transition is counted and logged as completed.
+// finishRun makes a terminal transition durable, then visible, then settles
+// the run's artifacts — in that order, so a process killed at any instant
+// leaves either a non-terminal record next to an intact checkpoint or a
+// terminal record: the terminal record is built aside, a completed run
+// publishes result.json, run.json is persisted (fenced twice in lease mode —
+// a verification here and the persist's own — so a stale owner abandons
+// instead of overwriting the new owner's record), the transition is counted
+// and logged, and only then does the in-memory run (what Get and List serve)
+// turn terminal and a completed run's checkpoint directory go (nothing left
+// to resume; failed and canceled runs keep theirs for postmortem or
+// resubmission, as does a completed one whose record could not be written).
 func (m *Manager) finishRun(r *run, state State, res *RunResult, errMsg string) {
 	m.mu.Lock()
 	lse := r.lease
+	rec := r.rec
 	m.mu.Unlock()
 	if lse != nil {
 		if err := lse.Check(); err != nil {
@@ -151,14 +184,10 @@ func (m *Manager) finishRun(r *run, state State, res *RunResult, errMsg string) 
 			return
 		}
 	}
-
-	m.mu.Lock()
-	r.rec.State = state
-	r.rec.Error = errMsg
-	r.rec.FinishedAt = time.Now()
-	r.rec.Result = res
-	rec := r.rec
-	m.mu.Unlock()
+	rec.State = state
+	rec.Error = errMsg
+	rec.FinishedAt = time.Now()
+	rec.Result = res
 
 	if state == StateCompleted {
 		body, err := json.MarshalIndent(res, "", "  ")
@@ -176,17 +205,15 @@ func (m *Manager) finishRun(r *run, state State, res *RunResult, errMsg string) 
 			m.cPersistFailures.Add(1)
 			m.logf("publishing result for %s: %v", rec.ID, err)
 		}
-		if err := os.RemoveAll(m.ckDir(rec.ID)); err != nil {
-			m.logf("clearing checkpoints for %s: %v", rec.ID, err)
-		}
 	}
-	if err := m.persist(r); err != nil {
-		if errors.Is(err, lease.ErrLeaseLost) {
-			m.markLost(r)
-			m.abandonRun(r)
-			return
-		}
-		m.logf("persisting %s %s: %v", state, rec.ID, err)
+	perr := m.persistRecord(rec, lse)
+	if errors.Is(perr, lease.ErrLeaseLost) {
+		m.markLost(r)
+		m.abandonRun(r)
+		return
+	}
+	if perr != nil {
+		m.logf("persisting %s %s: %v", state, rec.ID, perr)
 	}
 	switch state {
 	case StateCompleted:
@@ -199,6 +226,14 @@ func (m *Manager) finishRun(r *run, state State, res *RunResult, errMsg string) 
 	case StateCanceled:
 		m.cCanceled.Add(1)
 		m.logf("canceled %s", rec.ID)
+	}
+	m.mu.Lock()
+	r.rec.State, r.rec.Error, r.rec.FinishedAt, r.rec.Result = state, errMsg, rec.FinishedAt, res
+	m.mu.Unlock()
+	if state == StateCompleted && perr == nil {
+		if err := checkpoint.Discard(m.ckDir(rec.ID)); err != nil {
+			m.logf("clearing checkpoints for %s: %v", rec.ID, err)
+		}
 	}
 	if lse != nil {
 		lse.Release()

@@ -305,6 +305,7 @@ type Manager struct {
 	cRejectedFull, cRejectedDraining    *obs.Counter
 	cRejectedTenant                     *obs.Counter
 	cRetried, cPruned, cPersistFailures *obs.Counter
+	cDiscarded                          *obs.Counter
 	cTakeovers, cLost                   *obs.Counter
 	cLeaseAcquired, cLeaseRenewals      *obs.Counter
 	gLeasesHeld                         *obs.Gauge
@@ -409,6 +410,7 @@ func Open(cfg Config) (*Manager, error) {
 		cRetried:          tr.Counter("queue.run_retries"),
 		cPruned:           tr.Counter("queue.checkpoints_pruned"),
 		cPersistFailures:  tr.Counter("queue.persist_failures"),
+		cDiscarded:        tr.Counter("queue.checkpoints_discarded"),
 		cTakeovers:        tr.Counter("lease.takeovers"),
 		cLost:             tr.Counter("lease.lost"),
 		cLeaseAcquired:    tr.Counter("lease.acquired"),
@@ -684,6 +686,13 @@ func (m *Manager) persist(r *run) error {
 	rec := r.rec
 	lse := r.lease
 	m.mu.Unlock()
+	return m.persistRecord(rec, lse)
+}
+
+// persistRecord is persist for a record value that is not (yet) the run's
+// in-memory one: finishRun writes a terminal record through it before
+// publishing that record to readers.
+func (m *Manager) persistRecord(rec Record, lse *lease.Lease) error {
 	if lse != nil {
 		if err := lse.Check(); err != nil {
 			return err
@@ -931,7 +940,9 @@ func (m *Manager) readRecord(id string) (Record, error) {
 	return rec, nil
 }
 
-// Get returns a snapshot of one run's record. In lease mode a run this
+// Get returns a snapshot of one run's record. An executed run's terminal
+// state is reported only once it is on disk (finishRun publishes after
+// persisting). In lease mode a run this
 // process does not own (a peer's, or one fenced away from us) is answered
 // from its on-disk record, so any daemon over the shared state dir can
 // answer for any run.

@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/arda-ml/arda/internal/checkpoint"
 	"github.com/arda-ml/arda/internal/dataframe"
 	"github.com/arda-ml/arda/internal/faults"
 	"github.com/arda-ml/arda/internal/parallel"
@@ -102,9 +106,9 @@ func waitRunning(t *testing.T, m *Manager, id string, timeout time.Duration) {
 }
 
 // waitSettled polls until no run is executing. A run's terminal state is
-// visible (Get, waitTerminal) one persist before its terminal counter is
-// incremented and the supervisor releases its slot, so tests asserting exact
-// counter values must let the bookkeeping catch up first.
+// visible (Get, waitTerminal) before its checkpoint is cleared and the
+// supervisor releases its slot, so tests asserting exact occupancy or the
+// settled artifacts must let the bookkeeping catch up first.
 func waitSettled(t *testing.T, m *Manager, timeout time.Duration) Accounting {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -546,6 +550,177 @@ func TestStreamExposesRunEvents(t *testing.T) {
 	if _, _, err := m.Stream("r424242"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Stream(unknown) = %v, want ErrNotFound", err)
 	}
+	if err := m.Close(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readManifest returns the fingerprint and the listed shard files of the
+// checkpoint log in dir (nil shards while no manifest has been published).
+func readManifest(t *testing.T, dir string) (string, []string) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, checkpoint.ManifestName))
+	if err != nil {
+		return "", nil
+	}
+	var man struct {
+		Fingerprint string
+		Entries     []struct{ Shard string }
+	}
+	if err := json.Unmarshal(raw[bytes.IndexByte(raw, '\n')+1:], &man); err != nil {
+		t.Fatalf("manifest in %s: %v", dir, err)
+	}
+	var shards []string
+	for _, e := range man.Entries {
+		shards = append(shards, e.Shard)
+	}
+	return man.Fingerprint, shards
+}
+
+// TestHalfDeletedCheckpointRestartsFromScratch: a checkpoint whose manifest
+// names a shard that is gone — what a process killed while clearing a
+// finished run's checkpoint used to leave — makes the checkpoint unusable,
+// not the run. The next owner discards it, restarts from scratch and lands
+// on the uninterrupted result.
+func TestHalfDeletedCheckpointRestartsFromScratch(t *testing.T) {
+	defer parallel.SetMaxWorkers(0)
+	defer testenv.NoGoroutineLeak(t)()
+	dataDir, base, target := writeCorpus(t)
+	spec := fastSpec(dataDir, base, target)
+
+	ref := openManager(t, Config{})
+	refRec, err := ref.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := waitTerminal(t, ref, refRec.ID, 2*time.Minute)
+	if want.State != StateCompleted {
+		t.Fatalf("reference run %s: %s", want.State, want.Error)
+	}
+	if err := ref.Close(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+
+	state := t.TempDir()
+	inj := faults.New(1, faults.Rule{Stage: "join", Ordinal: -1, Kind: faults.Delay, Delay: 40 * time.Millisecond})
+	m1 := openManager(t, Config{StateDir: state, Injector: inj})
+	rec, err := m1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := m1.ckDir(rec.ID)
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(5 * time.Millisecond) {
+		if _, shards := readManifest(t, ck); len(shards) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("run never checkpointed a stage")
+		}
+	}
+	if err := m1.Drain(10 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := m1.Get(rec.ID); got.State != StateQueued {
+		t.Fatalf("preempted run in state %s, want queued", got.State)
+	}
+	if err := m1.Close(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	_, shards := readManifest(t, ck)
+	if err := os.Remove(filepath.Join(ck, shards[0])); err != nil {
+		t.Fatal(err)
+	}
+
+	m2 := openManager(t, Config{StateDir: state})
+	final := waitTerminal(t, m2, rec.ID, 2*time.Minute)
+	if final.State != StateCompleted {
+		t.Fatalf("run over a half-deleted checkpoint finished %s (%s), want completed", final.State, final.Error)
+	}
+	if got, w := final.Result, want.Result; got.TableDigest != w.TableDigest ||
+		got.BaseScore != w.BaseScore || got.FinalScore != w.FinalScore || got.ResumedFrom != "" {
+		t.Fatalf("restarted result diverges from uninterrupted run:\n  restarted: %+v\n  reference: %+v", got, w)
+	}
+	if n := m2.cDiscarded.Value(); n != 1 {
+		t.Fatalf("queue.checkpoints_discarded = %d, want 1", n)
+	}
+	if a := waitSettled(t, m2, time.Minute); a.Requeued != 1 || a.Completed != 1 || a.Failed != 0 {
+		t.Fatalf("restart accounting = %+v, want 1 requeued 1 completed", a)
+	}
+	checkAccounting(t, m2)
+	if err := m2.Close(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCompletionDurableBeforeVisible holds the persist that completes a run
+// and checks the order of its transition: while run.json is still being
+// written, readers see a running run and its checkpoint still opens;
+// afterwards the run is completed on disk and in memory, the checkpoint is
+// gone, and the completion was logged once.
+func TestCompletionDurableBeforeVisible(t *testing.T) {
+	defer parallel.SetMaxWorkers(0)
+	defer testenv.NoGoroutineLeak(t)()
+	dataDir, base, target := writeCorpus(t)
+
+	var mu sync.Mutex
+	var lines []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	// Every record write is held 400ms: admission, the running transition,
+	// result.json, and — the window under test — the completing run.json.
+	inj := faults.New(1, faults.Rule{Stage: faults.SiteServerPersist, Ordinal: -1, Kind: faults.Delay, Delay: 400 * time.Millisecond})
+	m := openManager(t, Config{Injector: inj, Logf: logf})
+	rec, err := m.Submit(fastSpec(dataDir, base, target))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// result.json lands immediately before the completing persist starts.
+	resultPath := filepath.Join(m.runDir(rec.ID), "result.json")
+	for deadline := time.Now().Add(2 * time.Minute); ; time.Sleep(2 * time.Millisecond) {
+		if _, err := os.Stat(resultPath); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("run never published its result")
+		}
+	}
+	if got, _ := m.Get(rec.ID); got.State != StateRunning {
+		t.Fatalf("Get reports %s while the completing persist is in flight, want running", got.State)
+	}
+	if disk, err := m.readRecord(rec.ID); err != nil || disk.State.Terminal() {
+		t.Fatalf("on-disk record %+v (%v) while the completing persist is in flight", disk.State, err)
+	}
+	fp, _ := readManifest(t, m.ckDir(rec.ID))
+	if _, err := checkpoint.Open(m.ckDir(rec.ID), fp); err != nil {
+		t.Fatalf("checkpoint does not open while the run is not yet durably completed: %v", err)
+	}
+
+	final := waitTerminal(t, m, rec.ID, time.Minute)
+	if final.State != StateCompleted {
+		t.Fatalf("run finished %s (%s), want completed", final.State, final.Error)
+	}
+	if disk, err := m.readRecord(rec.ID); err != nil || disk.State != StateCompleted {
+		t.Fatalf("Get reports completed but the on-disk record says %s (%v)", disk.State, err)
+	}
+	waitSettled(t, m, time.Minute)
+	if _, err := os.Stat(m.ckDir(rec.ID)); !os.IsNotExist(err) {
+		t.Fatalf("checkpoints not cleared after completion (err=%v)", err)
+	}
+	mu.Lock()
+	completed := 0
+	for _, l := range lines {
+		if strings.HasPrefix(l, "completed "+rec.ID) {
+			completed++
+		}
+	}
+	mu.Unlock()
+	if completed != 1 {
+		t.Fatalf("%d completed log lines, want exactly 1:\n%s", completed, strings.Join(lines, "\n"))
+	}
+	checkAccounting(t, m)
 	if err := m.Close(time.Minute); err != nil {
 		t.Fatal(err)
 	}
