@@ -64,12 +64,15 @@ alloc:
 # Chaos suite under the race detector: deterministic fault injection,
 # quarantine isolation, cancellation/timeout, pool panic recovery, and the
 # daemon's admission/persistence/run fault sites, queue-pressure rejection,
-# and drain-under-load behavior (exact accounting, no leaked goroutines).
+# tenant fairness and quotas, lease ownership (default config, dead-owner
+# adoption at Open, skewed-heartbeat self-fence), drain-under-load and the
+# drain/admission hand-off, accounting exact in every snapshot, and the
+# never-panic fuzz seeds for run.json, lease.json and run specs.
 chaos:
 	$(GO) test -race -timeout 20m -run 'TestChaos|TestCancel|TestTimeout|TestCanceled|TestPanic|TestForEachPanic|TestMapPanic|TestInjector|TestRetry|TestDo|TestBackoff' \
 		./internal/core/ ./internal/parallel/ ./internal/faults/ ./internal/retry/
 	$(GO) test -race -timeout 20m \
-		-run 'TestQueueBounds|TestAdmissionAndPersistenceFaults|TestTransientRunFailure|TestRunHardFailure|TestDrain|TestService|TestTenant|TestLease' \
+		-run 'TestQueueBounds|TestAdmissionAndPersistenceFaults|TestTransientRunFailure|TestRunHardFailure|TestDrain|TestService|TestTenant|TestLease|TestAccounting|FuzzReadRecord|FuzzSpecJSON' \
 		./internal/runqueue/ ./internal/server/
 
 # Crash/durability suite under the race detector: checkpoint corruption
@@ -85,15 +88,14 @@ crash:
 	$(GO) test -timeout 20m -run 'TestSIGINTPartialReport|TestCrashRecoveryBitIdentical' \
 		./cmd/arda/ ./cmd/ardad/
 
-# Multi-process lease suite under the race detector, then the process-level
-# chaos gate: three ardad daemons sharing one state directory while a kill
-# driver SIGKILLs whichever daemon owns running work; every run must complete
-# exactly once, bit-identical to an uninterrupted daemon, at 1 and 8 workers.
+# The lease primitive's own suite (incl. the lease.json fuzz seeds) under the
+# race detector, then the process-level chaos gate: three ardad daemons
+# sharing one state directory while a kill driver SIGKILLs whichever daemon
+# owns running work; every run must complete exactly once, bit-identical to
+# an uninterrupted daemon, at 1 and 8 workers. (The manager's lease tests
+# are part of chaos: there is one queue protocol, so one manager suite.)
 lease-chaos:
 	$(GO) test -race -timeout 20m ./internal/lease/
-	$(GO) test -race -timeout 30m \
-		-run 'TestTenantFairDispatch|TestTenantCaps|TestLeaseSkewTakeover|TestDrainAdmissionRace' \
-		./internal/runqueue/
 	$(GO) test -timeout 30m -run 'TestMultiDaemonChaosExactlyOnce' ./cmd/ardad/
 
 # Observability smoke: generate a small corpus, run the full pipeline with

@@ -56,7 +56,7 @@ func runningOwners(t *testing.T, state string) map[string]int {
 
 // checkStatuszInvariant scrapes one daemon's /statusz and asserts the
 // extended accounting equation: every run this process ever took custody of
-// (admitted, requeued at startup, or adopted) is in exactly one state or was
+// (admitted or adopted) is in exactly one state or was
 // fenced away to a new owner.
 func checkStatuszInvariant(t *testing.T, d *daemon) {
 	t.Helper()

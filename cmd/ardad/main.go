@@ -7,13 +7,14 @@
 //
 //	ardad -addr localhost:8080 -state /var/lib/ardad -dir data/
 //
-// Several daemons may share one -state directory (on one host or a shared
-// filesystem): each run is owned via a crash-safe filesystem lease with a
-// monotonic fencing token, heartbeat-renewed at a third of -lease-ttl. A
-// SIGKILLed daemon's runs are adopted by a surviving peer — immediately when
-// the dead process is on the same host, within -lease-ttl otherwise — and a
-// stale owner is fenced out at its next write instead of corrupting state.
-// Set -lease-ttl 0 to run the single-process protocol with no lease files.
+// One daemon or several may serve one -state directory (on one host or a
+// shared filesystem); the protocol is the same. Each run is owned via a
+// crash-safe filesystem lease with a monotonic fencing token,
+// heartbeat-renewed at a third of -lease-ttl. A SIGKILLed daemon's runs are
+// adopted by a surviving peer, or by the next daemon started over the
+// directory — immediately when the dead process is on the same host, within
+// -lease-ttl otherwise — and a stale owner is fenced out at its next write
+// instead of corrupting state.
 //
 // Submit runs as JSON specs (see internal/runqueue.Spec):
 //
@@ -22,10 +23,11 @@
 // Durability: every accepted run is persisted before it is acknowledged and
 // checkpoints its pipeline state after every stage, so killing the daemon —
 // including kill -9 — and restarting it over the same -state directory
-// requeues and resumes in-flight runs to bit-identical results. SIGTERM and
+// adopts and resumes in-flight runs to bit-identical results. SIGTERM and
 // SIGINT drain gracefully: admission closes (new submits get 503 +
 // Retry-After), in-flight runs get -drain-timeout to finish, stragglers are
-// checkpointed and requeued for the next start, and the process exits 0.
+// checkpointed and their leases released for a peer or the next start to
+// adopt, and the process exits 0.
 //
 // Queueing: at most -concurrency runs execute at once and at most -queue-cap
 // wait; submits beyond that are rejected with 429. Each spec may name a
@@ -65,9 +67,9 @@ func main() {
 		runTimeout   = flag.Duration("run-timeout", 0, "default per-run wall-clock budget for specs without one (0 = unbounded)")
 		maxCells     = flag.Int64("max-cells", 0, "default per-run working-set bound in cells (0 = unbounded)")
 		maxBytes     = flag.Int64("max-candidate-bytes", 0, "default per-run candidate byte budget (0 = unbounded)")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight runs before checkpointing and requeueing them")
+		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight runs before checkpointing them and handing them off")
 		ckTTL        = flag.Duration("checkpoint-ttl", 0, "prune per-run checkpoint state older than this at startup (0 = keep forever; never prunes runs holding a live lease)")
-		leaseTTL     = flag.Duration("lease-ttl", 10*time.Second, "run-ownership lease TTL for multi-daemon shared -state dirs (0 = single-process mode, no leases)")
+		leaseTTL     = flag.Duration("lease-ttl", runqueue.DefaultLeaseTTL, "run-ownership lease TTL: how long a run orphaned by a dead daemon on another host waits for adoption (same-host orphans are adopted at once); values <= 0 mean the default")
 		tenant       = flag.String("tenant", "default", "admission lane for specs that name no tenant")
 		tenantCap    = flag.Int("tenant-cap", 0, "maximum queued runs per tenant lane (0 = -queue-cap)")
 		tenantInFl   = flag.Int("tenant-inflight", 0, "maximum concurrently executing runs per tenant (0 = unlimited)")
@@ -114,7 +116,7 @@ func main() {
 	cli.Noticef("ardad serving on http://%s (state %s)", srv.Addr(), *state)
 
 	// Graceful drain: stop admitting, give in-flight runs the drain budget,
-	// checkpoint-and-requeue what remains, then stop the listener. The order
+	// checkpoint and hand off what remains, then stop the listener. The order
 	// matters — the listener stays up during the drain so status polls and
 	// event streams keep answering (submits get 503) until the queue is idle.
 	sig := make(chan os.Signal, 1)

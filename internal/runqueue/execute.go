@@ -24,7 +24,7 @@ import (
 // queued, if a drain preempts it; or abandoned, if its lease is stolen). It
 // owns the run's full failure surface: panics in the attempt are contained
 // and converted to errors, transient failures retry with capped exponential
-// backoff, and every state transition persists — fenced, in lease mode —
+// backoff, and every state transition persists, fenced by the run's lease,
 // before execute returns the supervisor to the queue.
 func (m *Manager) execute(r *run) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -57,7 +57,6 @@ func (m *Manager) execute(r *run) {
 	if err := m.persist(r); err != nil {
 		if errors.Is(err, lease.ErrLeaseLost) {
 			m.markLost(r)
-			m.abandonRun(r)
 			return
 		}
 		m.logf("persisting running %s: %v", r.rec.ID, err)
@@ -83,10 +82,8 @@ func (m *Manager) execute(r *run) {
 		m.mu.Lock()
 		id, lse := r.rec.ID, r.lease
 		m.mu.Unlock()
-		if lse != nil {
-			if lerr := lse.Check(); lerr != nil {
-				return nil, lerr
-			}
+		if lerr := lse.Check(); lerr != nil {
+			return nil, lerr
 		}
 		if derr := checkpoint.Discard(m.ckDir(id)); derr != nil {
 			m.logf("discarding checkpoint of %s: %v", id, derr)
@@ -133,10 +130,8 @@ func (m *Manager) execute(r *run) {
 		// Fenced out mid-run (heartbeat observed the theft, or a fenced write
 		// did): the new owner resumes from the shared checkpoint. Nothing is
 		// persisted here — writing now would fight the new owner's state.
-		if !lost {
-			m.markLost(r)
-		}
-		m.abandonRun(r)
+		// (markLost is a no-op when the heartbeat already booked the loss.)
+		m.markLost(r)
 	case err == nil:
 		m.finishRun(r, StateCompleted, res, "")
 	case errors.Is(err, core.ErrCanceled) && preempted:
@@ -150,39 +145,26 @@ func (m *Manager) execute(r *run) {
 	}
 }
 
-// abandonRun is the stale-owner exit: the run's lease was stolen, its new
-// owner carries it (and its accounting) from here, and this process must not
-// touch its durable state again. markLost already counted the departure.
-func (m *Manager) abandonRun(r *run) {
-	m.mu.Lock()
-	id := r.rec.ID
-	fence := r.rec.Fence
-	m.mu.Unlock()
-	m.logf("abandoned %s: lease lost to another owner (had fence %d)", id, fence)
-}
-
 // finishRun makes a terminal transition durable, then visible, then settles
 // the run's artifacts — in that order, so a process killed at any instant
 // leaves either a non-terminal record next to an intact checkpoint or a
-// terminal record: the terminal record is built aside, a completed run
-// publishes result.json, run.json is persisted (fenced twice in lease mode —
-// a verification here and the persist's own — so a stale owner abandons
-// instead of overwriting the new owner's record), the transition is counted
-// and logged, and only then does the in-memory run (what Get and List serve)
-// turn terminal and a completed run's checkpoint directory go (nothing left
-// to resume; failed and canceled runs keep theirs for postmortem or
-// resubmission, as does a completed one whose record could not be written).
+// terminal record. The terminal record is built aside; a completed run
+// publishes result.json; run.json is persisted, fenced twice (a verification
+// here and the persist's own) so a stale owner abandons instead of
+// overwriting the new owner's record. Then the in-memory run (what Get and
+// List serve) turns terminal and its counter moves in one critical section,
+// so no Accounting snapshot sees the run both running and terminal. Last, a
+// completed run's checkpoint directory goes (nothing left to resume; failed
+// and canceled runs keep theirs for postmortem or resubmission, as does a
+// completed one whose record could not be written) and the lease is released.
 func (m *Manager) finishRun(r *run, state State, res *RunResult, errMsg string) {
 	m.mu.Lock()
 	lse := r.lease
 	rec := r.rec
 	m.mu.Unlock()
-	if lse != nil {
-		if err := lse.Check(); err != nil {
-			m.markLost(r)
-			m.abandonRun(r)
-			return
-		}
+	if err := lse.Check(); err != nil {
+		m.markLost(r)
+		return
 	}
 	rec.State = state
 	rec.Error = errMsg
@@ -209,47 +191,51 @@ func (m *Manager) finishRun(r *run, state State, res *RunResult, errMsg string) 
 	perr := m.persistRecord(rec, lse)
 	if errors.Is(perr, lease.ErrLeaseLost) {
 		m.markLost(r)
-		m.abandonRun(r)
 		return
 	}
 	if perr != nil {
 		m.logf("persisting %s %s: %v", state, rec.ID, perr)
 	}
+	var counter *obs.Counter
+	var line string
 	switch state {
 	case StateCompleted:
-		m.cCompleted.Add(1)
-		m.logf("completed %s: base %.4f → augmented %.4f, %d columns kept",
+		counter = m.cCompleted
+		line = fmt.Sprintf("completed %s: base %.4f → augmented %.4f, %d columns kept",
 			rec.ID, res.BaseScore, res.FinalScore, len(res.KeptColumns))
 	case StateFailed:
-		m.cFailed.Add(1)
-		m.logf("failed %s: %s", rec.ID, errMsg)
+		counter, line = m.cFailed, fmt.Sprintf("failed %s: %s", rec.ID, errMsg)
 	case StateCanceled:
-		m.cCanceled.Add(1)
-		m.logf("canceled %s", rec.ID)
+		counter, line = m.cCanceled, "canceled "+rec.ID
 	}
 	m.mu.Lock()
+	if r.leaseLost {
+		// A heartbeat observed the theft while the record was being written:
+		// the run is already booked as lost, and its new owner finishes it.
+		m.mu.Unlock()
+		return
+	}
 	r.rec.State, r.rec.Error, r.rec.FinishedAt, r.rec.Result = state, errMsg, rec.FinishedAt, res
+	counter.Add(1)
 	m.mu.Unlock()
+	m.logf("%s", line)
 	if state == StateCompleted && perr == nil {
 		if err := checkpoint.Discard(m.ckDir(rec.ID)); err != nil {
 			m.logf("clearing checkpoints for %s: %v", rec.ID, err)
 		}
 	}
-	if lse != nil {
-		lse.Release()
-		m.mu.Lock()
-		r.lease = nil
-		m.updateLeaseGaugeLocked()
-		m.mu.Unlock()
-	}
+	lse.Release()
+	m.mu.Lock()
+	r.lease = nil
+	m.updateLeaseGaugeLocked()
+	m.mu.Unlock()
 }
 
 // requeueRun returns a drain-preempted run to the queued state on disk. It
 // is not re-added to the in-memory queue — the manager is draining and its
-// supervisors are exiting — but the persisted state makes the next Open
-// requeue it. In lease mode the run's lease is released after the fenced
-// persist, so a live peer adopts it immediately instead of waiting for this
-// process to exit.
+// supervisors are exiting — but the run's lease is released after the fenced
+// persist, so a live peer's reaper (or the next Open over this state dir)
+// adopts it immediately instead of waiting for this process to exit.
 func (m *Manager) requeueRun(r *run) {
 	m.mu.Lock()
 	r.rec.State = StateQueued
@@ -260,20 +246,17 @@ func (m *Manager) requeueRun(r *run) {
 	if err := m.persist(r); err != nil {
 		if errors.Is(err, lease.ErrLeaseLost) {
 			m.markLost(r)
-			m.abandonRun(r)
 			return
 		}
 		m.logf("persisting preempted %s: %v", r.rec.ID, err)
 	}
-	if lse != nil {
-		if err := lse.Release(); err != nil {
-			m.logf("releasing preempted %s: %v", r.rec.ID, err)
-		}
-		m.mu.Lock()
-		r.lease = nil
-		m.updateLeaseGaugeLocked()
-		m.mu.Unlock()
+	if err := lse.Release(); err != nil {
+		m.logf("releasing preempted %s: %v", r.rec.ID, err)
 	}
+	m.mu.Lock()
+	r.lease = nil
+	m.updateLeaseGaugeLocked()
+	m.mu.Unlock()
 	m.logf("preempted %s: checkpointed, will resume on restart", r.rec.ID)
 }
 
@@ -291,7 +274,7 @@ type fencedSink struct {
 func (s *fencedSink) Emit(ev obs.Event) { s.inner.Emit(ev) }
 
 func (s *fencedSink) Flush() error {
-	if s.lse != nil && s.lse.Check() != nil {
+	if s.lse.Check() != nil {
 		return nil
 	}
 	return s.inner.Flush()
@@ -314,11 +297,11 @@ func sanitizeOwner(owner string) string {
 // trace whose event stream is both subscribable live (Manager.Stream) and
 // persisted as trace.ndjson in the run directory. Panics anywhere in the
 // attempt — CSV loading, discovery, the pipeline — are contained here and
-// returned as errors, so one poisoned run cannot take down the daemon. In
-// lease mode the attempt is fenced end to end: every checkpoint write
-// re-verifies the lease (core.Options.CheckpointGuard), the final outputs
-// are written only after a last verification, and a lost lease suppresses
-// even the trace flush — the new owner's artifacts win everywhere.
+// returned as errors, so one poisoned run cannot take down the daemon. The
+// attempt is fenced end to end: every checkpoint write re-verifies the lease
+// (core.Options.CheckpointGuard), the final outputs are written only after a
+// last verification, and a lost lease suppresses even the trace flush — the
+// new owner's artifacts win everywhere.
 func (m *Manager) attempt(ctx context.Context, r *run) (res *RunResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -346,13 +329,10 @@ func (m *Manager) attempt(ctx context.Context, r *run) (res *RunResult, err erro
 	// late subscribers; the file sink publishes atomically on Flush.
 	stream := obs.NewStreamSink(0)
 	tracePath := filepath.Join(m.runDir(id), "trace.ndjson")
-	traceTmp := tracePath + ".tmp"
-	if lse != nil {
-		// Owner-unique tmp: a peer re-attempting this run after a takeover
-		// must never truncate the stale owner's still-open in-progress file
-		// (or vice versa). The fenced Flush's rename decides the winner.
-		traceTmp = fmt.Sprintf("%s.tmp-%s", tracePath, sanitizeOwner(m.owner))
-	}
+	// Owner-unique tmp: a peer re-attempting this run after a takeover must
+	// never truncate the stale owner's still-open in-progress file (or vice
+	// versa). The fenced Flush's rename decides the winner.
+	traceTmp := fmt.Sprintf("%s.tmp-%s", tracePath, sanitizeOwner(m.owner))
 	fileSink, ferr := obs.NewNDJSONFileSinkAt(tracePath, traceTmp)
 	if ferr != nil {
 		return nil, fmt.Errorf("runqueue: creating trace sink: %w", ferr)
@@ -420,21 +400,17 @@ func (m *Manager) attempt(ctx context.Context, r *run) (res *RunResult, err erro
 	opts.Resume = true // an empty checkpoint directory starts fresh
 	opts.FaultInjector = m.cfg.Injector
 	opts.Trace = trace
-	if lse != nil {
-		opts.CheckpointGuard = lse.Check
-	}
+	opts.CheckpointGuard = lse.Check
 
 	out, err := core.AugmentContext(ctx, base, cands, opts)
 	if err != nil {
 		return nil, err
 	}
-	if lse != nil {
-		// Last fence before publishing outputs: a stolen lease means the new
-		// owner computes (bit-identical) outputs of its own — ours must not
-		// land next to its record.
-		if cerr := lse.Check(); cerr != nil {
-			return nil, cerr
-		}
+	// Last fence before publishing outputs: a stolen lease means the new
+	// owner computes (bit-identical) outputs of its own — ours must not land
+	// next to its record.
+	if cerr := lse.Check(); cerr != nil {
+		return nil, cerr
 	}
 	res = &RunResult{
 		BaseScore:   out.BaseScore,

@@ -1,8 +1,10 @@
 package runqueue
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -377,6 +379,205 @@ func TestDrainAdmissionRaceHandsOffLease(t *testing.T) {
 		t.Fatalf("adopter accounting = %+v, want 1 takeover 1 completed", a)
 	}
 	if err := m2.Close(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLeaseDefaultConfigOwnsEveryRun: a Config that sets no LeaseTTL runs the
+// leased protocol. Every admitted, non-terminal run has a lease file naming
+// this manager and a record fenced at >= 1, and the lease is gone once the
+// run is terminal.
+func TestLeaseDefaultConfigOwnsEveryRun(t *testing.T) {
+	defer parallel.SetMaxWorkers(0)
+	defer testenv.NoGoroutineLeak(t)()
+	dataDir, _, target := writeCorpus(t)
+
+	// Hold every attempt so both runs are observably non-terminal: one
+	// running, one queued behind the single supervisor.
+	inj := faults.New(26, faults.Rule{
+		Stage: faults.SiteServerRun, Ordinal: -1, Kind: faults.Delay, Delay: 300 * time.Millisecond,
+	})
+	state := t.TempDir()
+	m, err := Open(Config{StateDir: state, Concurrency: 1, Injector: inj, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i := 0; i < 2; i++ {
+		rec, err := m.Submit(failFastSpec(dataDir, target, ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Fence < 1 {
+			t.Fatalf("admitted %s with fence %d, want >= 1", rec.ID, rec.Fence)
+		}
+		ids = append(ids, rec.ID)
+	}
+	waitRunning(t, m, ids[0], time.Minute)
+	for _, id := range ids {
+		rec, err := m.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := lease.Read(filepath.Join(state, "runs", id, lease.FileName))
+		if err != nil {
+			t.Fatalf("%s run %s has no lease: %v", rec.State, id, err)
+		}
+		if info.Owner != m.owner || info.Token != rec.Fence || rec.Fence < 1 {
+			t.Fatalf("%s run %s: lease %+v, record fence %d, want owner %q and matching token >= 1", rec.State, id, info, rec.Fence, m.owner)
+		}
+	}
+	if a := m.Accounting(); a.LeasesHeld != 2 {
+		t.Fatalf("accounting = %+v, want 2 leases held", a)
+	}
+	for _, id := range ids {
+		waitTerminal(t, m, id, time.Minute)
+	}
+	waitSettled(t, m, time.Minute)
+	for _, id := range ids {
+		if _, err := os.Stat(filepath.Join(state, "runs", id, lease.FileName)); !os.IsNotExist(err) {
+			t.Fatalf("terminal run %s still has a lease file (err=%v)", id, err)
+		}
+	}
+	checkAccounting(t, m)
+	if err := m.Close(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLeaseDeadOwnerAdoptedAtOpen: restart recovery is the reaper's adoption.
+// A running record whose lease is unexpired but held by a dead process on
+// this host — what SIGKILL leaves — is adopted by Open itself, without
+// waiting out the TTL, under a token above both the record's fence and the
+// dead owner's.
+func TestLeaseDeadOwnerAdoptedAtOpen(t *testing.T) {
+	defer parallel.SetMaxWorkers(0)
+	defer testenv.NoGoroutineLeak(t)()
+	dataDir, _, target := writeCorpus(t)
+	cmd := exec.Command("true")
+	if err := cmd.Run(); err != nil {
+		t.Skipf("cannot run `true`: %v", err)
+	}
+	host, _ := os.Hostname()
+
+	state := t.TempDir()
+	dir := filepath.Join(state, "runs", "r000004")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rec := Record{ID: "r000004", Seq: 4, Spec: failFastSpec(dataDir, target, ""), State: StateRunning, Fence: 3, Takeovers: 2}
+	raw, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "run.json"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	held, err := json.Marshal(lease.Info{
+		RunID: rec.ID, Owner: "gone", Host: host, PID: cmd.Process.Pid,
+		Token: 5, ExpiresUnixNS: time.Now().Add(time.Hour).UnixNano(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, lease.FileName), held, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// No supervisor may finish the run before it is inspected: hold attempts.
+	inj := faults.New(27, faults.Rule{
+		Stage: faults.SiteServerRun, Ordinal: -1, Kind: faults.Delay, Delay: 200 * time.Millisecond,
+	})
+	m := openManager(t, Config{StateDir: state, Injector: inj})
+	// Adopted by Open, not by a later reaper tick (the first is TTL/2 away).
+	got, err := m.Get(rec.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Fence != 6 || got.Takeovers != 3 {
+		t.Fatalf("adopted record = fence %d takeovers %d, want fence max(3,5)+1 = 6 and 3 takeovers", got.Fence, got.Takeovers)
+	}
+	if a := m.Accounting(); a.Takeovers != 1 || a.Admitted != 0 {
+		t.Fatalf("accounting after Open = %+v, want 1 takeover", a)
+	}
+	final := waitTerminal(t, m, rec.ID, time.Minute)
+	if final.State != StateFailed || final.Fence != 6 {
+		t.Fatalf("adopted run finished %s under fence %d, want failed (no such table) under 6", final.State, final.Fence)
+	}
+	// New submissions number past the adopted directory.
+	next, err := m.Submit(failFastSpec(dataDir, target, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Seq <= 4 {
+		t.Fatalf("post-adoption Seq = %d, want > 4", next.Seq)
+	}
+	waitTerminal(t, m, next.ID, time.Minute)
+	checkAccounting(t, m)
+	if err := m.Close(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAccountingExactUnderConcurrentCompletion hammers Accounting while a
+// batch of fast runs is admitted, dispatched and finished by two
+// supervisors: no snapshot may count a run twice or not at all.
+func TestAccountingExactUnderConcurrentCompletion(t *testing.T) {
+	defer parallel.SetMaxWorkers(0)
+	defer testenv.NoGoroutineLeak(t)()
+	dataDir, _, target := writeCorpus(t)
+	m := openManager(t, Config{QueueCap: 64, Concurrency: 2, Logf: func(string, ...any) {}})
+
+	stop := make(chan struct{})
+	type verdict struct {
+		snapshots int
+		bad       *Accounting
+	}
+	done := make(chan verdict, 1)
+	go func() {
+		var v verdict
+		for {
+			select {
+			case <-stop:
+				done <- v
+				return
+			default:
+			}
+			a := m.Accounting()
+			v.snapshots++
+			if !balanced(a) && v.bad == nil {
+				v.bad = &a
+			}
+		}
+	}()
+
+	var ids []string
+	for i := 0; i < 40; i++ {
+		rec, err := m.Submit(failFastSpec(dataDir, target, ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, rec.ID)
+		if i%8 == 7 {
+			// A queued cancel is a terminal transition of its own.
+			if _, err := m.Cancel(rec.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, id := range ids {
+		waitTerminal(t, m, id, time.Minute)
+	}
+	close(stop)
+	v := <-done
+	if v.bad != nil {
+		t.Fatalf("a snapshot (of %d) broke the partition: %+v", v.snapshots, *v.bad)
+	}
+	a := waitSettled(t, m, time.Minute)
+	if a.Admitted != 40 || a.Failed+a.Canceled != 40 || a.Queued != 0 || a.Running != 0 {
+		t.Fatalf("final accounting = %+v, want 40 admitted, all failed or canceled", a)
+	}
+	if err := m.Close(time.Minute); err != nil {
 		t.Fatal(err)
 	}
 }

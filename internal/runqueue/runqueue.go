@@ -1,18 +1,19 @@
 // Package runqueue is the run-management core of the augmentation service: a
 // bounded, tenant-fair admission queue feeding a crash-tolerant supervisor
-// that executes ARDA runs on the shared worker pool — optionally as one of N
+// that executes ARDA runs on the shared worker pool, as one of N >= 1
 // cooperating processes over a single shared state directory.
 //
 // Robustness invariants, in the order they were designed:
 //
 //   - No accepted run is ever lost. A run's record is persisted crash-safely
 //     (internal/atomicio) under the state directory before Submit
-//     acknowledges it, every state transition rewrites it, and Open requeues
-//     any run found in a non-terminal state — so a `kill -9` of the daemon
-//     at any instant is recovered by a restart over the same directory.
+//     acknowledges it, every state transition rewrites it, and Open adopts
+//     any run found in a non-terminal state that no live process owns — so a
+//     `kill -9` of the daemon at any instant is recovered by a restart over
+//     the same directory (or by a surviving peer).
 //   - Recovery is bit-identical. Each run checkpoints through the ordinary
 //     pipeline machinery (internal/checkpoint) into a per-run directory, and
-//     a requeued run resumes from its last completed stage; the checkpoint
+//     an adopted run resumes from its last completed stage; the checkpoint
 //     layer's fingerprint + resume guarantees make the recovered result
 //     identical to an uninterrupted run at any worker count.
 //   - Admission is bounded and fair. The queue holds at most QueueCap
@@ -30,25 +31,26 @@
 //     affecting its neighbors. The chaos fault sites faults.SiteServerAdmit
 //     and faults.SiteServerPersist let tests fire admission and persistence
 //     failures deterministically.
-//   - Ownership is leased and fenced (Config.LeaseTTL > 0). In shared-dir
-//     mode every run is owned via a crash-safe filesystem lease
-//     (internal/lease): admission acquires it, a heartbeat renews it at
-//     TTL/3, and every record/checkpoint write re-verifies it first. A
-//     reaper adopts runs whose lease is orphaned — expired, or held by a
-//     dead process on this host — re-admitting them under a strictly larger
-//     fencing token (a takeover). A stale owner observes lease.ErrLeaseLost
-//     at its next fenced write or heartbeat and abandons without writing,
-//     so two processes never corrupt one run's state; the worst race
-//     outcome is duplicated compute, resolved by the higher token.
+//   - Ownership is leased and fenced. Every run is owned via a crash-safe
+//     filesystem lease (internal/lease): admission acquires it, a heartbeat
+//     renews it at TTL/3, and every record/checkpoint write re-verifies it
+//     first. A reaper — run once at Open, then every TTL/2 — adopts runs
+//     whose lease is orphaned (released, expired, or held by a dead process
+//     on this host), re-admitting them under a strictly larger fencing token
+//     (a takeover); restart recovery is that same adoption. A stale owner
+//     observes lease.ErrLeaseLost at its next fenced write or heartbeat and
+//     abandons without writing, so two processes never corrupt one run's
+//     state; the worst race outcome is duplicated compute, resolved by the
+//     higher token.
 //
-// Accounting is exact: every admitted, requeued, or taken-over run is, at
-// all times, in exactly one of queued / running / completed / failed /
-// canceled / lost, and the obs counters (queue.admitted, queue.requeued,
-// lease.takeovers, queue.completed, queue.failed, queue.canceled,
-// lease.lost, queue.rejected_full, queue.rejected_draining,
-// queue.rejected_tenant) plus the queue.depth / queue.running gauges
-// reconcile against that partition — the chaos suite asserts it in-process
-// and the multi-daemon gate asserts it across SIGKILLed processes.
+// Accounting is exact: every admitted or taken-over run is, at every
+// instant, in exactly one of queued / running / completed / failed /
+// canceled / lost, and the obs counters (queue.admitted, lease.takeovers,
+// queue.completed, queue.failed, queue.canceled, lease.lost,
+// queue.rejected_full, queue.rejected_draining, queue.rejected_tenant) plus
+// the queue.depth / queue.running gauges reconcile against that partition —
+// the chaos suite asserts it in-process and the multi-daemon gate asserts it
+// across SIGKILLed processes.
 package runqueue
 
 import (
@@ -154,9 +156,8 @@ type RunResult struct {
 }
 
 // Record is one run's persisted document: the spec plus lifecycle state.
-// It is rewritten crash-safely on every transition, and — in shared-dir
-// mode — only ever by the process holding the run's lease, under the fence
-// token recorded here.
+// It is rewritten crash-safely on every transition, only ever by the process
+// holding the run's lease, under the fence token recorded here.
 type Record struct {
 	ID   string `json:"id"`
 	Seq  int64  `json:"seq"`
@@ -181,8 +182,8 @@ type Record struct {
 // Config configures a Manager.
 type Config struct {
 	// StateDir is the daemon's durable root: runs/<id>/ record + result +
-	// trace (+ lease), checkpoints/<id>/ pipeline checkpoints. Required. In
-	// lease mode (LeaseTTL > 0) several processes may share one StateDir.
+	// trace + lease, checkpoints/<id>/ pipeline checkpoints. Required.
+	// Several processes may share one StateDir.
 	StateDir string
 	// DataDir is the default CSV corpus for specs that do not name one.
 	DataDir string
@@ -225,10 +226,10 @@ type Config struct {
 	// It bounds how long a backlogged lane can hold the dispatcher, and
 	// therefore any other lane's queue wait, to quantum runs per competitor.
 	DRRQuantum int
-	// LeaseTTL, when > 0, enables shared-state-dir mode: every run is owned
-	// via a filesystem lease with this TTL, heartbeat-renewed at TTL/3, and
-	// a reaper adopts runs whose lease is orphaned. 0 (the default) keeps
-	// the single-process behavior with no lease files.
+	// LeaseTTL is the validity window of a run's ownership lease: renewed by
+	// a heartbeat at TTL/3, and the longest a run orphaned by a dead process
+	// on another host waits for the reaper (which scans at TTL/2) to adopt
+	// it. <= 0 means DefaultLeaseTTL.
 	LeaseTTL time.Duration
 	// Owner overrides this manager's lease identity (tests); empty derives a
 	// process-unique one.
@@ -243,6 +244,10 @@ type Config struct {
 	// Logf receives operational progress lines.
 	Logf func(format string, args ...any)
 }
+
+// DefaultLeaseTTL is the lease TTL of a Config that sets none, and the
+// default of ardad's -lease-ttl flag.
+const DefaultLeaseTTL = 10 * time.Second
 
 // persistRetry is the backoff for crash-safe record writes: short, capped,
 // and bounded — a persistence failure that survives it fails the transition.
@@ -262,8 +267,8 @@ type run struct {
 	// a user cancel terminates the run, a drain preemption requeues it.
 	userCanceled   bool
 	drainPreempted bool
-	// lease is this process's ownership of the run (lease mode); nil after
-	// release or outside lease mode.
+	// lease is this process's ownership of the run; nil once released
+	// (terminal, or handed off by a drain).
 	lease *lease.Lease
 	// leaseLost marks a run fenced out of this process's custody: another
 	// owner holds it now, so this process must not write its state again.
@@ -293,14 +298,13 @@ type lane struct {
 
 // Manager owns the lanes, the supervisors, and the state directory.
 type Manager struct {
-	cfg       Config
-	tr        *obs.Trace
-	leaseMode bool
-	owner     string
-	quantum   int
+	cfg     Config
+	tr      *obs.Trace
+	owner   string
+	quantum int
 
 	gDepth, gRunning                    *obs.Gauge
-	cAdmitted, cRequeued                *obs.Counter
+	cAdmitted                           *obs.Counter
 	cCompleted, cFailed, cCanceled      *obs.Counter
 	cRejectedFull, cRejectedDraining    *obs.Counter
 	cRejectedTenant                     *obs.Counter
@@ -343,12 +347,11 @@ func validTenant(s string) bool {
 	return true
 }
 
-// Open loads (or initializes) the state directory, requeues every run left
-// in a non-terminal state by a previous process (in lease mode: adopts every
-// orphaned run, leaving live peers' runs alone), prunes stale checkpoint
-// directories per Config.CheckpointTTL, and starts the supervisors — plus,
-// in lease mode, the heartbeat and reaper loops. The returned manager is
-// accepting submissions; stop it with Close.
+// Open loads (or initializes) the state directory, adopts every orphaned run
+// (left non-terminal by a dead or drained process; live peers' runs are left
+// alone), prunes stale checkpoint directories per Config.CheckpointTTL, and
+// starts the supervisors, the heartbeat and the reaper. The returned manager
+// is accepting submissions; stop it with Close.
 func Open(cfg Config) (*Manager, error) {
 	if cfg.StateDir == "" {
 		return nil, fmt.Errorf("runqueue: Config.StateDir is required")
@@ -377,6 +380,9 @@ func Open(cfg Config) (*Manager, error) {
 	if cfg.DRRQuantum <= 0 {
 		cfg.DRRQuantum = 1
 	}
+	if cfg.LeaseTTL <= 0 {
+		cfg.LeaseTTL = DefaultLeaseTTL
+	}
 	if err := os.MkdirAll(filepath.Join(cfg.StateDir, "runs"), 0o755); err != nil {
 		return nil, err
 	}
@@ -394,13 +400,11 @@ func Open(cfg Config) (*Manager, error) {
 	}
 	m := &Manager{
 		cfg:               cfg,
-		leaseMode:         cfg.LeaseTTL > 0,
 		owner:             cfg.Owner,
 		quantum:           cfg.DRRQuantum,
 		gDepth:            tr.Gauge("queue.depth"),
 		gRunning:          tr.Gauge("queue.running"),
 		cAdmitted:         tr.Counter("queue.admitted"),
-		cRequeued:         tr.Counter("queue.requeued"),
 		cCompleted:        tr.Counter("queue.completed"),
 		cFailed:           tr.Counter("queue.failed"),
 		cCanceled:         tr.Counter("queue.canceled"),
@@ -433,11 +437,9 @@ func Open(cfg Config) (*Manager, error) {
 	if err := m.recover(); err != nil {
 		return nil, err
 	}
-	if m.leaseMode {
-		// Adopt whatever a dead process (possibly our own previous
-		// incarnation) left orphaned before supervisors start.
-		m.reapOnce()
-	}
+	// Adopt whatever a dead process (possibly our own previous incarnation)
+	// left orphaned before supervisors start.
+	m.reapOnce()
 	// The prune skip hook protects any run directory holding a live lease:
 	// a slow-but-alive run on a peer process keeps its resume state even
 	// when its checkpoint mtimes exceed the TTL.
@@ -457,11 +459,9 @@ func Open(cfg Config) (*Manager, error) {
 		m.wg.Add(1)
 		go m.supervise()
 	}
-	if m.leaseMode {
-		m.wg.Add(2)
-		go m.heartbeats()
-		go m.reaper()
-	}
+	m.wg.Add(2)
+	go m.heartbeats()
+	go m.reaper()
 	return m, nil
 }
 
@@ -608,22 +608,14 @@ func parseSeq(name string) (int64, bool) {
 	return n, true
 }
 
-// recover scans the state directory. In single-process mode it rebuilds the
-// in-memory table and requeues every non-terminal run in original admission
-// order, exactly as before. In lease mode it only advances nextSeq past
-// every existing run directory — adoption of orphaned runs is the reaper's
-// job (reapOnce), because a non-terminal record here may be live on a peer.
-// Run records that cannot be parsed are skipped with a log line (a torn
-// write cannot happen — records are written atomically — so an unreadable
-// record means external damage, and dropping it is better than refusing to
-// start).
+// recover advances nextSeq past every existing run directory. It adopts
+// nothing: a non-terminal record here may be live on a peer, so adoption of
+// orphaned runs is the reaper's job (reapOnce).
 func (m *Manager) recover() error {
-	root := filepath.Join(m.cfg.StateDir, "runs")
-	entries, err := os.ReadDir(root)
+	entries, err := os.ReadDir(filepath.Join(m.cfg.StateDir, "runs"))
 	if err != nil {
 		return err
 	}
-	var requeue []*run
 	for _, e := range entries {
 		if !e.IsDir() {
 			continue
@@ -631,37 +623,6 @@ func (m *Manager) recover() error {
 		if seq, ok := parseSeq(e.Name()); ok && seq >= m.nextSeq {
 			m.nextSeq = seq + 1
 		}
-		if m.leaseMode {
-			continue
-		}
-		raw, err := os.ReadFile(filepath.Join(root, e.Name(), "run.json"))
-		if err != nil {
-			m.logf("recover: skipping %s: %v", e.Name(), err)
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			m.logf("recover: skipping %s: unreadable record: %v", e.Name(), err)
-			continue
-		}
-		r := &run{rec: rec, tenant: m.recordTenant(rec)}
-		m.runs[rec.ID] = r
-		if rec.Seq >= m.nextSeq {
-			m.nextSeq = rec.Seq + 1
-		}
-		if !rec.State.Terminal() {
-			requeue = append(requeue, r)
-		}
-	}
-	sort.Slice(requeue, func(i, j int) bool { return requeue[i].rec.Seq < requeue[j].rec.Seq })
-	for _, r := range requeue {
-		r.rec.State = StateQueued
-		if err := m.persist(r); err != nil {
-			m.logf("recover: persisting requeued %s: %v", r.rec.ID, err)
-		}
-		m.enqueueLocked(r)
-		m.cRequeued.Add(1)
-		m.logf("requeued %s (%s/%s) from previous process", r.rec.ID, r.rec.Spec.Base, r.rec.Spec.Target)
 	}
 	return nil
 }
@@ -678,9 +639,10 @@ func (m *Manager) recordTenant(rec Record) string {
 // persist writes the run's record crash-safely, retrying transient
 // persistence faults with capped backoff. The faults.SiteServerPersist site
 // is probed on every attempt so the chaos suite can fire deterministic
-// persistence failures. In lease mode the write is fenced: the run's lease
-// is re-verified immediately before it, and a lost lease aborts with
-// lease.ErrLeaseLost, leaving the new owner's on-disk state untouched.
+// persistence failures. The write is fenced: the run's lease is re-verified
+// immediately before it, and a lost lease aborts with lease.ErrLeaseLost,
+// leaving the new owner's on-disk state untouched. (A run whose lease this
+// process already released — handed off by a drain — is written unfenced.)
 func (m *Manager) persist(r *run) error {
 	m.mu.Lock()
 	rec := r.rec
@@ -702,10 +664,7 @@ func (m *Manager) persistRecord(rec Record, lse *lease.Lease) error {
 	if err != nil {
 		return err
 	}
-	dir := m.runDir(rec.ID)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
+	dir := m.runDir(rec.ID) // exists: claimed at admission (allocSeqLocked)
 	err = retry.Do(nil, persistRetry, faults.IsTransient, func() error {
 		if err := m.cfg.Injector.Check(faults.SiteServerPersist, int(rec.Seq)); err != nil {
 			return err
@@ -718,18 +677,15 @@ func (m *Manager) persistRecord(rec Record, lse *lease.Lease) error {
 	return err
 }
 
-// allocSeqLocked claims the next run sequence. In lease mode the claim is
-// the atomic creation of the run directory itself — exactly one process
-// sharing the state dir wins each number; losers advance and retry — so
-// concurrent daemons partition the ID space without coordination.
+// allocSeqLocked claims the next run sequence. The claim is the atomic
+// creation of the run directory itself — exactly one process sharing the
+// state dir wins each number; losers advance and retry — so concurrent
+// daemons partition the ID space without coordination.
 func (m *Manager) allocSeqLocked() (int64, string, error) {
 	for {
 		seq := m.nextSeq
 		m.nextSeq++
 		id := fmt.Sprintf("r%06d", seq)
-		if !m.leaseMode {
-			return seq, id, nil
-		}
 		err := os.Mkdir(m.runDir(id), 0o755)
 		if err == nil {
 			return seq, id, nil
@@ -741,9 +697,9 @@ func (m *Manager) allocSeqLocked() (int64, string, error) {
 	}
 }
 
-// Submit validates and admits one run: the record is persisted (in lease
-// mode: under a freshly acquired ownership lease) before the submission is
-// acknowledged, so an accepted run survives any crash. Admission failures
+// Submit validates and admits one run: the record is persisted, under a
+// freshly acquired ownership lease, before the submission is acknowledged,
+// so an accepted run survives any crash. Admission failures
 // are typed: ErrQueueFull (global bound), *TenantLimitError (lane bound),
 // ErrDraining (manager shutting down), spec validation errors, and injected
 // admission faults.
@@ -788,14 +744,12 @@ func (m *Manager) Submit(spec Spec) (Record, error) {
 	if err != nil {
 		return Record{}, err
 	}
-	// Best-effort removal of a lease-mode run directory claimed but never
-	// persisted (admission failed below): an empty directory is harmless to
-	// every scanner, this just keeps the tree tidy.
+	// Best-effort removal of a run directory claimed but never persisted
+	// (admission failed below): an empty directory is harmless to every
+	// scanner, this just keeps the tree tidy.
 	abandonDir := func() {
-		if m.leaseMode {
-			os.Remove(m.leasePath(id))
-			os.Remove(m.runDir(id))
-		}
+		os.Remove(m.leasePath(id))
+		os.Remove(m.runDir(id))
 	}
 
 	// The admission fault site runs outside the lock: Delay-kind faults
@@ -816,23 +770,19 @@ func (m *Manager) Submit(spec Spec) (Record, error) {
 		},
 		tenant: tenant,
 	}
-	if m.leaseMode {
-		lse, err := lease.Acquire(m.leasePath(id), lease.Options{
-			RunID: id, Owner: m.owner, Token: 1, TTL: m.cfg.LeaseTTL,
-			Injector: m.cfg.Injector, Ordinal: int(seq),
-		})
-		if err != nil {
-			abandonDir()
-			return Record{}, fmt.Errorf("runqueue: leasing %s: %w", id, err)
-		}
-		r.lease = lse
-		r.rec.Fence = lse.Token()
-		m.cLeaseAcquired.Add(1)
+	lse, err := lease.Acquire(m.leasePath(id), lease.Options{
+		RunID: id, Owner: m.owner, Token: 1, TTL: m.cfg.LeaseTTL,
+		Injector: m.cfg.Injector, Ordinal: int(seq),
+	})
+	if err != nil {
+		abandonDir()
+		return Record{}, fmt.Errorf("runqueue: leasing %s: %w", id, err)
 	}
+	r.lease = lse
+	r.rec.Fence = lse.Token()
+	m.cLeaseAcquired.Add(1)
 	if err := m.persist(r); err != nil {
-		if r.lease != nil {
-			r.lease.Release()
-		}
+		lse.Release()
 		abandonDir()
 		return Record{}, fmt.Errorf("runqueue: persisting admission: %w", err)
 	}
@@ -864,23 +814,11 @@ func (m *Manager) Submit(spec Spec) (Record, error) {
 }
 
 // admitDuringDrain resolves the admission/drain race for a run already
-// persisted when the drain was observed. In lease mode the run is ACCEPTED:
-// its record is durable and its lease is released, which is precisely the
-// hand-off contract — a peer's reaper (or the next process over this state
-// dir) adopts it. The draining process never forgets a persisted record. In
-// single-process mode there is no peer to hand off to, so the record is
-// terminal-ized as canceled and the submission rejected with ErrDraining.
+// persisted when the drain was observed. The run is ACCEPTED: its record is
+// durable and its lease is released, which is precisely the hand-off
+// contract — a peer's reaper (or the next process over this state dir)
+// adopts it. The draining process never forgets a persisted record.
 func (m *Manager) admitDuringDrain(r *run) (Record, error) {
-	if !m.leaseMode {
-		r.rec.State = StateCanceled
-		r.rec.Error = "rejected: admission raced drain"
-		r.rec.FinishedAt = time.Now()
-		if err := m.persist(r); err != nil {
-			m.logf("persisting drain-raced %s: %v", r.rec.ID, err)
-		}
-		m.cRejectedDraining.Add(1)
-		return Record{}, ErrDraining
-	}
 	if err := r.lease.Release(); err != nil {
 		m.logf("releasing drain-raced %s: %v", r.rec.ID, err)
 	}
@@ -908,12 +846,10 @@ func (m *Manager) rejectPersisted(r *run, rejection error, reason string) (Recor
 	if err := m.persist(r); err != nil {
 		m.logf("persisting overflow-raced %s: %v", r.rec.ID, err)
 	}
-	if lse != nil {
-		lse.Release()
-		m.mu.Lock()
-		r.lease = nil
-		m.mu.Unlock()
-	}
+	lse.Release()
+	m.mu.Lock()
+	r.lease = nil
+	m.mu.Unlock()
 	if errors.Is(rejection, ErrQueueFull) {
 		m.cRejectedFull.Add(1)
 	} else {
@@ -922,9 +858,10 @@ func (m *Manager) rejectPersisted(r *run, rejection error, reason string) (Recor
 	return Record{}, rejection
 }
 
-// readRecord loads one run's persisted record from disk — how a lease-mode
-// manager answers for runs owned by its peers. The id is validated as a
-// plain run-directory name so HTTP path values cannot traverse.
+// readRecord loads one run's persisted record from disk — how a manager
+// answers for runs it does not hold (a peer's, or an earlier process's). It
+// never takes m.mu. The id is validated as a plain run-directory name so
+// HTTP path values cannot traverse.
 func (m *Manager) readRecord(id string) (Record, error) {
 	if _, ok := parseSeq(id); !ok || id != filepath.Base(id) {
 		return Record{}, ErrNotFound
@@ -942,10 +879,9 @@ func (m *Manager) readRecord(id string) (Record, error) {
 
 // Get returns a snapshot of one run's record. An executed run's terminal
 // state is reported only once it is on disk (finishRun publishes after
-// persisting). In lease mode a run this
-// process does not own (a peer's, or one fenced away from us) is answered
-// from its on-disk record, so any daemon over the shared state dir can
-// answer for any run.
+// persisting). A run this process does not hold (a peer's, an earlier
+// process's, or one fenced away from us) is answered from its on-disk
+// record, so any daemon over the shared state dir can answer for any run.
 func (m *Manager) Get(id string) (Record, error) {
 	m.mu.Lock()
 	r, ok := m.runs[id]
@@ -955,14 +891,11 @@ func (m *Manager) Get(id string) (Record, error) {
 		return rec, nil
 	}
 	m.mu.Unlock()
-	if !m.leaseMode {
-		return Record{}, ErrNotFound
-	}
 	return m.readRecord(id)
 }
 
-// List returns snapshots of every known run in admission order — in lease
-// mode, merged with the on-disk records of runs owned by peer processes.
+// List returns snapshots of every known run in admission order: the runs
+// this process holds, merged with the on-disk records of all the others.
 func (m *Manager) List() []Record {
 	m.mu.Lock()
 	recs := make(map[string]Record, len(m.runs))
@@ -972,19 +905,17 @@ func (m *Manager) List() []Record {
 		}
 	}
 	m.mu.Unlock()
-	if m.leaseMode {
-		entries, err := os.ReadDir(filepath.Join(m.cfg.StateDir, "runs"))
-		if err == nil {
-			for _, e := range entries {
-				if !e.IsDir() {
-					continue
-				}
-				if _, ok := recs[e.Name()]; ok {
-					continue
-				}
-				if rec, err := m.readRecord(e.Name()); err == nil {
-					recs[e.Name()] = rec
-				}
+	entries, err := os.ReadDir(filepath.Join(m.cfg.StateDir, "runs"))
+	if err == nil {
+		for _, e := range entries {
+			if !e.IsDir() {
+				continue
+			}
+			if _, ok := recs[e.Name()]; ok {
+				continue
+			}
+			if rec, err := m.readRecord(e.Name()); err == nil {
+				recs[e.Name()] = rec
 			}
 		}
 	}
@@ -1007,9 +938,6 @@ func (m *Manager) Cancel(id string) (Record, error) {
 	r, ok := m.runs[id]
 	if !ok || r.leaseLost {
 		m.mu.Unlock()
-		if !m.leaseMode {
-			return Record{}, ErrNotFound
-		}
 		rec, err := m.readRecord(id)
 		if err != nil {
 			return Record{}, err
@@ -1072,24 +1000,20 @@ func (m *Manager) Cancel(id string) (Record, error) {
 // an attempt ran to a flush (including interrupted attempts).
 func (m *Manager) Stream(id string) (*obs.StreamSink, string, error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	r, ok := m.runs[id]
-	if !ok {
-		if m.leaseMode {
-			// A peer's run: no live stream here, but the persisted trace may
-			// exist (the caller stats it).
-			if _, err := m.readRecordLockedless(id); err == nil {
-				return nil, filepath.Join(m.runDir(id), "trace.ndjson"), nil
-			}
-		}
-		return nil, "", ErrNotFound
+	var stream *obs.StreamSink
+	if ok {
+		stream = r.stream
 	}
-	return r.stream, filepath.Join(m.runDir(id), "trace.ndjson"), nil
-}
-
-// readRecordLockedless is readRecord without touching m.mu (Stream holds it).
-func (m *Manager) readRecordLockedless(id string) (Record, error) {
-	return m.readRecord(id)
+	m.mu.Unlock()
+	if !ok {
+		// Not held here: no live stream, but the persisted trace may exist
+		// (the caller stats it).
+		if _, err := m.readRecord(id); err != nil {
+			return nil, "", err
+		}
+	}
+	return stream, filepath.Join(m.runDir(id), "trace.ndjson"), nil
 }
 
 // TablePath returns the augmented table written for a completed keep_table
@@ -1107,7 +1031,7 @@ type LaneAccounting struct {
 
 // Accounting is the queue's exact bookkeeping snapshot.
 type Accounting struct {
-	Admitted, Requeued, Takeovers     int64
+	Admitted, Takeovers               int64
 	Completed, Failed, Canceled, Lost int64
 	RejectedFull, RejectedDraining    int64
 	RejectedTenant                    int64
@@ -1116,32 +1040,38 @@ type Accounting struct {
 	Lanes                             []LaneAccounting
 }
 
-// Accounting returns the current counters plus live queue occupancy. At any
-// quiescent point
+// Accounting returns the current counters plus live queue occupancy. In
+// every snapshot
 //
-//	Admitted + Requeued + Takeovers ==
+//	Admitted + Takeovers ==
 //	    Completed + Failed + Canceled + Queued + Running + Lost
 //
-// holds exactly (requeued and taken-over runs are re-admissions of earlier
-// admits, counted once per process that queued them; lost runs left this
-// process's custody when their lease was stolen and are owned — and counted
-// — by their new owner).
+// holds exactly: a run's state and the counter that books it change in one
+// critical section of the lock this snapshot is taken under. (Taken-over
+// runs are re-admissions of earlier admits, counted once per process that
+// queued them; lost runs left this process's custody when their lease was
+// stolen and are owned — and counted — by their new owner.)
 func (m *Manager) Accounting() Accounting {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	// Queued is counted from run states, not lane lengths: a drain-preempted
-	// or drain-admitted run is in the queued state (persisted for the next
-	// process) but no longer in any of this process's lanes. Runs fenced out
-	// of our custody are excluded — their new owner counts them.
-	var queued int64
+	// Queued and Running are counted from run states, not lane lengths or
+	// supervisor slots: a drain-preempted or drain-admitted run is in the
+	// queued state (persisted for the next process) but in none of this
+	// process's lanes, and a finished run's supervisor holds its slot a little
+	// longer (checkpoint discard, lease release). Runs fenced out of our
+	// custody are excluded — their new owner counts them.
+	var queued, running int64
 	for _, r := range m.runs {
-		if r.rec.State == StateQueued && !r.leaseLost {
+		switch {
+		case r.leaseLost:
+		case r.rec.State == StateQueued:
 			queued++
+		case r.rec.State == StateRunning:
+			running++
 		}
 	}
 	a := Accounting{
 		Admitted:         m.cAdmitted.Value(),
-		Requeued:         m.cRequeued.Value(),
 		Takeovers:        m.cTakeovers.Value(),
 		Completed:        m.cCompleted.Value(),
 		Failed:           m.cFailed.Value(),
@@ -1151,7 +1081,7 @@ func (m *Manager) Accounting() Accounting {
 		RejectedDraining: m.cRejectedDraining.Value(),
 		RejectedTenant:   m.cRejectedTenant.Value(),
 		Queued:           queued,
-		Running:          int64(m.running),
+		Running:          running,
 		LeasesHeld:       m.gLeasesHeld.Value(),
 		LeaseRenewals:    m.cLeaseRenewals.Value(),
 	}
@@ -1180,54 +1110,41 @@ func (m *Manager) Draining() bool {
 // finish. Runs still executing at the deadline are preempted: their contexts
 // are canceled, the pipeline stops at its next stage boundary (its
 // checkpoint already holds every completed stage), and the run returns to
-// the queued state so the next process resumes it. Queued runs stay queued
-// on disk — and in lease mode their leases are released immediately, so a
-// live peer adopts them without waiting for this process to exit. Drain
-// returns once no run is executing; it is idempotent.
+// the queued state so the next owner resumes it. Queued runs stay queued on
+// disk and their leases are released immediately, so a live peer adopts them
+// without waiting for this process to exit. Drain returns once no run is
+// executing; it is idempotent.
 func (m *Manager) Drain(timeout time.Duration) error {
 	m.mu.Lock()
 	m.draining = true
 	m.cond.Broadcast()
-	// Hand queued runs off right away (lease mode): they are persisted, no
-	// local supervisor will ever claim them, and a freed lease is the signal
-	// peers adopt on.
-	var handoff []*run
-	if m.leaseMode {
-		for _, r := range m.runs {
-			if r.rec.State == StateQueued && !r.claimed && r.lease != nil && !r.leaseLost {
-				handoff = append(handoff, r)
-			}
+	// Hand queued runs off right away: they are persisted, no local
+	// supervisor will ever claim them, and a freed lease is the signal peers
+	// adopt on.
+	type handoff struct {
+		id  string
+		lse *lease.Lease
+	}
+	var handoffs []handoff
+	for _, r := range m.runs {
+		if r.rec.State == StateQueued && !r.claimed && r.lease != nil && !r.leaseLost {
+			handoffs = append(handoffs, handoff{r.rec.ID, r.lease})
+			r.lease = nil
 		}
 	}
+	m.updateLeaseGaugeLocked()
 	m.mu.Unlock()
-	for _, r := range handoff {
-		m.mu.Lock()
-		lse := r.lease
-		r.lease = nil
-		m.updateLeaseGaugeLocked()
-		m.mu.Unlock()
-		if lse != nil {
-			if err := lse.Release(); err != nil {
-				m.logf("releasing %s for hand-off: %v", r.rec.ID, err)
-			} else {
-				m.logf("drain: released lease of queued %s for hand-off", r.rec.ID)
-			}
+	for _, h := range handoffs {
+		if err := h.lse.Release(); err != nil {
+			m.logf("releasing %s for hand-off: %v", h.id, err)
+		} else {
+			m.logf("drain: released lease of queued %s for hand-off", h.id)
 		}
 	}
 	m.logf("draining: admission closed, waiting up to %s for in-flight runs", timeout)
 
-	deadline := time.Now().Add(timeout)
-	for {
-		m.mu.Lock()
-		n := m.running
-		m.mu.Unlock()
-		if n == 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	if m.waitIdle(time.Now().Add(timeout)) == 0 {
+		return nil
 	}
 
 	// Deadline passed: preempt. The pipeline checkpoints at every stage
@@ -1244,16 +1161,21 @@ func (m *Manager) Drain(timeout time.Duration) error {
 
 	// Preempted pipelines return promptly; bound the wait defensively so a
 	// wedged run cannot hang shutdown forever.
-	force := time.Now().Add(timeout + 10*time.Second)
+	if n := m.waitIdle(time.Now().Add(timeout + 10*time.Second)); n > 0 {
+		return fmt.Errorf("runqueue: %d runs still executing after drain preemption", n)
+	}
+	return nil
+}
+
+// waitIdle polls until no supervisor is executing a run or the deadline
+// passes, and returns how many still are.
+func (m *Manager) waitIdle(deadline time.Time) int {
 	for {
 		m.mu.Lock()
 		n := m.running
 		m.mu.Unlock()
-		if n == 0 {
-			return nil
-		}
-		if time.Now().After(force) {
-			return fmt.Errorf("runqueue: %d runs still executing after drain preemption", n)
+		if n == 0 || time.Now().After(deadline) {
+			return n
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -1374,12 +1296,12 @@ func (m *Manager) markLost(r *run) {
 	}
 	m.cLost.Add(1)
 	m.updateLeaseGaugeLocked()
-	id := r.rec.ID
+	id, fence := r.rec.ID, r.rec.Fence
 	m.mu.Unlock()
 	if cancel != nil {
 		cancel()
 	}
-	m.logf("lease lost for %s: fenced out, abandoning to the new owner", id)
+	m.logf("lease lost for %s (had fence %d): fenced out, abandoning to the new owner", id, fence)
 }
 
 // reaper periodically adopts orphaned runs (reapOnce) at TTL/2.

@@ -105,45 +105,33 @@ func waitRunning(t *testing.T, m *Manager, id string, timeout time.Duration) {
 	}
 }
 
-// waitSettled polls until no run is executing. A run's terminal state is
-// visible (Get, waitTerminal) before its checkpoint is cleared and the
-// supervisor releases its slot, so tests asserting exact occupancy or the
-// settled artifacts must let the bookkeeping catch up first.
+// waitSettled polls until no supervisor holds a run. A run's terminal state
+// is visible (Get, waitTerminal, Accounting) before its checkpoint is
+// cleared, its lease released and its supervisor's slot freed, so tests
+// asserting the settled artifacts must let execute return first.
 func waitSettled(t *testing.T, m *Manager, timeout time.Duration) Accounting {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for {
-		a := m.Accounting()
-		if a.Running == 0 {
-			return a
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("queue never settled: %+v", a)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if n := m.waitIdle(time.Now().Add(timeout)); n > 0 {
+		t.Fatalf("queue never settled: %d supervisors busy, %+v", n, m.Accounting())
 	}
+	return m.Accounting()
 }
 
-// checkAccounting asserts the exact queue partition: every admitted,
-// requeued, or taken-over run is in exactly one live or terminal state — or
+// balanced reports whether the snapshot satisfies the queue partition: every
+// admitted or taken-over run is in exactly one live or terminal state — or
 // was fenced out of this process's custody (lost) and is its new owner's to
-// count. A finishing run is briefly counted both as terminal and as running
-// (see waitSettled), so the partition is polled for a moment before failing.
+// count.
+func balanced(a Accounting) bool {
+	return a.Admitted+a.Takeovers == a.Completed+a.Failed+a.Canceled+a.Queued+a.Running+a.Lost
+}
+
+// checkAccounting asserts the partition on one snapshot; it holds at every
+// instant, so there is nothing to wait for.
 func checkAccounting(t *testing.T, m *Manager) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		a := m.Accounting()
-		in := a.Admitted + a.Requeued + a.Takeovers
-		out := a.Completed + a.Failed + a.Canceled + a.Queued + a.Running + a.Lost
-		if in == out {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("queue accounting violated: admitted %d + requeued %d + takeovers %d != completed %d + failed %d + canceled %d + queued %d + running %d + lost %d",
-				a.Admitted, a.Requeued, a.Takeovers, a.Completed, a.Failed, a.Canceled, a.Queued, a.Running, a.Lost)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if a := m.Accounting(); !balanced(a) {
+		t.Fatalf("queue accounting violated: admitted %d + takeovers %d != completed %d + failed %d + canceled %d + queued %d + running %d + lost %d",
+			a.Admitted, a.Takeovers, a.Completed, a.Failed, a.Canceled, a.Queued, a.Running, a.Lost)
 	}
 }
 
@@ -332,23 +320,26 @@ func TestDrainRejectsAndPreemptedRunResumesIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Restart over the same state directory: the run requeues and resumes
-	// from its checkpoint to the identical result.
+	// Restart over the same state directory: Open adopts the run under a
+	// larger fence and it resumes from its checkpoint to the identical result.
 	m2 := openManager(t, Config{StateDir: state})
 	resumed, err := m2.Get(rec.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resumed.State.Terminal() && resumed.State != StateCompleted {
-		t.Fatalf("requeued run in state %s after restart", resumed.State)
+		t.Fatalf("adopted run in state %s after restart", resumed.State)
 	}
 	final := waitTerminal(t, m2, rec.ID, 2*time.Minute)
 	if final.State != StateCompleted {
 		t.Fatalf("resumed run finished %s (%s), want completed", final.State, final.Error)
 	}
+	if final.Takeovers != 1 || final.Fence <= preempted.Fence {
+		t.Fatalf("restart adoption not fenced: takeovers %d, fence %d after %d", final.Takeovers, final.Fence, preempted.Fence)
+	}
 	a := waitSettled(t, m2, time.Minute)
-	if a.Requeued != 1 || a.Completed != 1 {
-		t.Fatalf("restart accounting = %+v, want 1 requeued 1 completed", a)
+	if a.Takeovers != 1 || a.Completed != 1 {
+		t.Fatalf("restart accounting = %+v, want 1 takeover 1 completed", a)
 	}
 	checkAccounting(t, m2)
 
@@ -489,8 +480,8 @@ func TestRecoverSkipsTerminalAndCorruptRecords(t *testing.T) {
 	}
 
 	m := openManager(t, Config{StateDir: state})
-	// The completed record is visible untouched; the corrupt one is skipped;
-	// the interrupted one requeues and completes.
+	// The completed record is served from disk untouched; the corrupt one is
+	// skipped; the interrupted one is adopted and completes.
 	if rec, err := m.Get("r000001"); err != nil || rec.State != StateCompleted {
 		t.Fatalf("completed record after recover: %+v, %v", rec, err)
 	}
@@ -620,8 +611,9 @@ func TestHalfDeletedCheckpointRestartsFromScratch(t *testing.T) {
 	if err := m1.Drain(10 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := m1.Get(rec.ID); got.State != StateQueued {
-		t.Fatalf("preempted run in state %s, want queued", got.State)
+	preempted, _ := m1.Get(rec.ID)
+	if preempted.State != StateQueued {
+		t.Fatalf("preempted run in state %s, want queued", preempted.State)
 	}
 	if err := m1.Close(time.Minute); err != nil {
 		t.Fatal(err)
@@ -643,8 +635,11 @@ func TestHalfDeletedCheckpointRestartsFromScratch(t *testing.T) {
 	if n := m2.cDiscarded.Value(); n != 1 {
 		t.Fatalf("queue.checkpoints_discarded = %d, want 1", n)
 	}
-	if a := waitSettled(t, m2, time.Minute); a.Requeued != 1 || a.Completed != 1 || a.Failed != 0 {
-		t.Fatalf("restart accounting = %+v, want 1 requeued 1 completed", a)
+	if final.Takeovers != 1 || final.Fence <= preempted.Fence {
+		t.Fatalf("restart adoption not fenced: takeovers %d, fence %d after %d", final.Takeovers, final.Fence, preempted.Fence)
+	}
+	if a := waitSettled(t, m2, time.Minute); a.Takeovers != 1 || a.Completed != 1 || a.Failed != 0 {
+		t.Fatalf("restart accounting = %+v, want 1 takeover 1 completed", a)
 	}
 	checkAccounting(t, m2)
 	if err := m2.Close(time.Minute); err != nil {

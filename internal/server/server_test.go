@@ -338,7 +338,7 @@ func TestServiceDrainGate(t *testing.T) {
 	}()
 
 	// Let some runs get in flight, then drain with a short deadline so
-	// stragglers are preempted and requeued.
+	// stragglers are preempted and handed off.
 	time.Sleep(300 * time.Millisecond)
 	if err := mgr.Drain(100 * time.Millisecond); err != nil {
 		t.Fatalf("drain: %v", err)
@@ -369,8 +369,8 @@ func TestServiceDrainGate(t *testing.T) {
 	if a.Running != 0 {
 		t.Fatalf("%d runs still running after drain", a.Running)
 	}
-	in := a.Admitted + a.Requeued
-	out := a.Completed + a.Failed + a.Canceled + a.Queued + a.Running
+	in := a.Admitted + a.Takeovers
+	out := a.Completed + a.Failed + a.Canceled + a.Queued + a.Running + a.Lost
 	if in != out {
 		t.Fatalf("accounting violated after drain: %+v", a)
 	}
