@@ -397,11 +397,7 @@ func TestLeaseDefaultConfigOwnsEveryRun(t *testing.T) {
 	inj := faults.New(26, faults.Rule{
 		Stage: faults.SiteServerRun, Ordinal: -1, Kind: faults.Delay, Delay: 300 * time.Millisecond,
 	})
-	state := t.TempDir()
-	m, err := Open(Config{StateDir: state, Concurrency: 1, Injector: inj, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := openManager(t, Config{Injector: inj}) // no LeaseTTL
 	var ids []string
 	for i := 0; i < 2; i++ {
 		rec, err := m.Submit(failFastSpec(dataDir, target, ""))
@@ -419,7 +415,7 @@ func TestLeaseDefaultConfigOwnsEveryRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		info, err := lease.Read(filepath.Join(state, "runs", id, lease.FileName))
+		info, err := lease.Read(m.leasePath(id))
 		if err != nil {
 			t.Fatalf("%s run %s has no lease: %v", rec.State, id, err)
 		}
@@ -435,7 +431,7 @@ func TestLeaseDefaultConfigOwnsEveryRun(t *testing.T) {
 	}
 	waitSettled(t, m, time.Minute)
 	for _, id := range ids {
-		if _, err := os.Stat(filepath.Join(state, "runs", id, lease.FileName)); !os.IsNotExist(err) {
+		if _, err := os.Stat(m.leasePath(id)); !os.IsNotExist(err) {
 			t.Fatalf("terminal run %s still has a lease file (err=%v)", id, err)
 		}
 	}
@@ -504,15 +500,6 @@ func TestLeaseDeadOwnerAdoptedAtOpen(t *testing.T) {
 	if final.State != StateFailed || final.Fence != 6 {
 		t.Fatalf("adopted run finished %s under fence %d, want failed (no such table) under 6", final.State, final.Fence)
 	}
-	// New submissions number past the adopted directory.
-	next, err := m.Submit(failFastSpec(dataDir, target, ""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next.Seq <= 4 {
-		t.Fatalf("post-adoption Seq = %d, want > 4", next.Seq)
-	}
-	waitTerminal(t, m, next.ID, time.Minute)
 	checkAccounting(t, m)
 	if err := m.Close(time.Minute); err != nil {
 		t.Fatal(err)
