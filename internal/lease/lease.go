@@ -12,9 +12,12 @@
 //   - An existing lease is stealable only when it is orphaned: past its
 //     expiry time, or held by a process on this host that is no longer alive
 //     (signal 0 probes the PID, so a SIGKILLed daemon's runs are adoptable
-//     immediately instead of after a TTL). The steal renames the lease file
-//     to a unique stale name — rename(2) succeeds for exactly one renamer —
-//     and then links as if the lease were free.
+//     immediately instead of after a TTL). A thief first takes the steal
+//     right for the generation it read — an exclusive link of its claim to
+//     lease.json.steal-<token>-<k>, so one thief per orphaned generation —
+//     re-reads the lease under it, and only then renames that generation
+//     aside and links as if the lease were free. Rename alone would move
+//     whatever is at the path, including a faster thief's fresh lease.
 //   - Renew extends the expiry, but self-fences first: if the on-disk lease
 //     is no longer this owner's (stolen), or is this owner's but already
 //     expired (the heartbeat arrived too late — clock skew, a paused
@@ -173,8 +176,9 @@ type Lease struct {
 
 // Acquire takes ownership of path: it links a candidate document into place
 // (atomic, first contender wins) and, when an orphaned lease is in the way,
-// steals it by renaming it aside (atomic, exactly one thief wins) before
-// linking. A live lease returns ErrHeld.
+// steals it — claimSteal admits one thief per orphaned generation, and that
+// thief renames the generation aside before linking. A live lease, or a live
+// thief already stealing this generation, returns ErrHeld.
 func Acquire(path string, o Options) (*Lease, error) {
 	if o.Owner == "" {
 		return nil, fmt.Errorf("lease: Options.Owner is required")
@@ -214,10 +218,28 @@ func Acquire(path string, o Options) (*Lease, error) {
 	defer tmp.Close()
 
 	// Bounded contention loop: each pass either links (win), observes a live
-	// holder (ErrHeld), or renames an orphaned lease aside and links again.
+	// holder or a live thief (ErrHeld), or — holding the steal right for the
+	// orphaned generation it read — renames that generation aside and links
+	// again. The claim is never rewritten once a marker links to it, so a
+	// marker always reads as a complete document.
+	var marker string // our steal marker, while we hold one
+	var dead []string // markers dead thieves left for the same generation
+	dropMarker := func() {
+		if marker != "" {
+			os.Remove(marker)
+			marker = ""
+		}
+	}
+	defer dropMarker()
 	for try := 0; try < 8; try++ {
 		err := os.Link(tmpName, path)
 		if err == nil {
+			// The displaced generation is gone, and with it every marker
+			// naming it: ours and the ones dead thieves left behind.
+			dropMarker()
+			for _, m := range dead {
+				os.Remove(m)
+			}
 			if serr := atomicio.SyncDir(dir); serr != nil {
 				os.Remove(path)
 				return nil, serr
@@ -227,6 +249,9 @@ func Acquire(path string, o Options) (*Lease, error) {
 		if !errors.Is(err, fs.ErrExist) {
 			return nil, err
 		}
+		// Holding a marker here means someone linked into the gap our rename
+		// opened: the steal is over, and the marker must not outlive it.
+		dropMarker()
 		cur, rerr := Read(path)
 		if rerr != nil {
 			if errors.Is(rerr, fs.ErrNotExist) {
@@ -237,21 +262,65 @@ func Acquire(path string, o Options) (*Lease, error) {
 		if !cur.Orphaned(time.Now()) {
 			return nil, fmt.Errorf("%w: %s holds %s (token %d)", ErrHeld, cur.Owner, path, cur.Token)
 		}
+		// Refresh the candidate's expiry before it becomes a marker: the
+		// steal may have waited out a contention round.
+		if werr := write(); werr != nil {
+			return nil, werr
+		}
+		if marker, dead, err = claimSteal(tmpName, path, cur.Token); err != nil {
+			return nil, err
+		}
+		// The marker only proves nobody else may displace generation
+		// cur.Token from now on; a thief that finished before we linked it
+		// may already have. Look again, and touch nothing but that generation.
+		if again, rerr := Read(path); rerr != nil || again.Token != cur.Token || again.Owner != cur.Owner {
+			dropMarker()
+			continue
+		}
 		stale := fmt.Sprintf("%s.stale-%d-%d", path, os.Getpid(), time.Now().UnixNano())
 		if rerr := os.Rename(path, stale); rerr != nil {
 			if errors.Is(rerr, fs.ErrNotExist) {
-				continue // another thief renamed first: race them for the link
+				continue // its owner released it under us: race for the link
 			}
 			return nil, rerr
 		}
 		os.Remove(stale)
-		// Refresh the candidate's expiry before linking: the steal may have
-		// waited out a contention round.
-		if werr := write(); werr != nil {
-			return nil, werr
-		}
 	}
 	return nil, fmt.Errorf("%w: %s contended beyond retry bound", ErrHeld, path)
+}
+
+// claimSteal takes the exclusive right to displace the orphaned generation
+// `token` at path: it hard-links the claim to <path>.steal-<token>-<k> for the
+// first k whose predecessors all belong to thieves that are themselves
+// orphaned (dead, or their claim expired). link(2) admits one creator per
+// name, markers are never renewed — so "orphaned" only ever turns true — and
+// a name is reused only after the generation it names has left path, which
+// the caller re-checks; together a thief can only displace the generation it
+// read. A live thief's marker is ErrHeld. On success it returns the caller's
+// marker and the dead thieves' it walked past, for the winner to sweep.
+func claimSteal(claim, path string, token int64) (marker string, dead []string, err error) {
+	for try := 0; try < 32 && len(dead) < 8; try++ {
+		marker = fmt.Sprintf("%s.steal-%d-%d", path, token, len(dead))
+		err := os.Link(claim, marker)
+		if err == nil {
+			return marker, dead, nil
+		}
+		if !errors.Is(err, fs.ErrExist) {
+			return "", nil, err
+		}
+		thief, rerr := Read(marker)
+		if errors.Is(rerr, fs.ErrNotExist) {
+			continue // its thief just finished or gave up: the name is free again
+		}
+		if rerr != nil {
+			return "", nil, rerr
+		}
+		if !thief.Orphaned(time.Now()) {
+			return "", nil, fmt.Errorf("%w: %s is stealing %s (token %d)", ErrHeld, thief.Owner, path, token)
+		}
+		dead = append(dead, marker)
+	}
+	return "", nil, fmt.Errorf("%w: %s has too many abandoned steals of token %d", ErrHeld, path, token)
 }
 
 // Token returns the fencing token of this acquisition.

@@ -217,7 +217,7 @@ func TestDeadPIDOrphansImmediately(t *testing.T) {
 }
 
 // TestConcurrentStealSingleWinner: eight thieves over one expired lease —
-// the rename-aside step admits exactly one.
+// the steal marker admits exactly one per orphaned generation.
 func TestConcurrentStealSingleWinner(t *testing.T) {
 	path := leasePath(t)
 	if _, err := Acquire(path, Options{Owner: "o0", Token: 1, TTL: 30 * time.Millisecond}); err != nil {
@@ -261,6 +261,62 @@ func TestConcurrentStealSingleWinner(t *testing.T) {
 	for _, e := range entries {
 		if e.Name() != FileName {
 			t.Fatalf("debris left after contention: %s", e.Name())
+		}
+	}
+}
+
+// writeInfo plants a lease-format document at path.
+func writeInfo(t *testing.T, path string, info Info) {
+	t.Helper()
+	body, _ := json.Marshal(&info)
+	if err := os.WriteFile(path, body, 0o644); err != nil {
+		t.Fatalf("write %s: %v", path, err)
+	}
+}
+
+// TestStealMarkers covers the two ways a thief can find the steal right for
+// an orphaned generation already taken. A live thief's marker means the steal
+// is in progress: ErrHeld, and neither the lease nor the marker is touched. A
+// marker whose thief died between linking it and finishing is walked past —
+// the next thief takes the next marker name, wins, and sweeps both.
+func TestStealMarkers(t *testing.T) {
+	cmd := exec.Command("true")
+	if err := cmd.Run(); err != nil {
+		t.Skipf("cannot run `true`: %v", err)
+	}
+	host, _ := os.Hostname()
+	expired := Info{Owner: "gone", Host: "elsewhere", PID: 1, Token: 5, ExpiresUnixNS: time.Now().Add(-time.Second).UnixNano()}
+	thief := Info{Owner: "thief", Host: host, PID: os.Getpid(), Token: 6, ExpiresUnixNS: time.Now().Add(time.Hour).UnixNano()}
+
+	path := leasePath(t)
+	writeInfo(t, path, expired)
+	writeInfo(t, path+".steal-5-0", thief)
+	if _, err := Acquire(path, Options{Owner: "o2", Token: 6, TTL: time.Minute}); !errors.Is(err, ErrHeld) {
+		t.Fatalf("acquire under a live thief's marker: %v, want ErrHeld", err)
+	}
+	if cur, err := Read(path); err != nil || cur.Token != 5 {
+		t.Fatalf("lease displaced despite the live marker: %+v, %v", cur, err)
+	}
+	if _, err := os.Stat(path + ".steal-5-0"); err != nil {
+		t.Fatalf("live thief's marker removed: %v", err)
+	}
+
+	thief.PID = cmd.Process.Pid // the thief died holding the steal right
+	writeInfo(t, path+".steal-5-0", thief)
+	l, err := Acquire(path, Options{Owner: "o2", Token: 6, TTL: time.Minute})
+	if err != nil {
+		t.Fatalf("acquire past a dead thief's marker: %v", err)
+	}
+	if cur, err := Read(path); err != nil || cur.Owner != "o2" || cur.Token != 6 || l.Check() != nil {
+		t.Fatalf("lease after the steal: %+v, %v", cur, err)
+	}
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != FileName {
+			t.Fatalf("debris left after the steal: %s", e.Name())
 		}
 	}
 }
