@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race alloc chaos crash lease-chaos bench bench-parallel bench-smoke failover-soak trace-smoke metrics-smoke serve-smoke profile-select
+.PHONY: check fmt vet build test race alloc chaos crash lease-chaos quality bench bench-parallel bench-smoke failover-soak trace-smoke metrics-smoke serve-smoke profile-select
 
-check: fmt vet build race alloc chaos crash lease-chaos trace-smoke metrics-smoke serve-smoke bench-smoke
+check: fmt vet build race alloc quality chaos crash lease-chaos trace-smoke metrics-smoke serve-smoke bench-smoke
 
 # Fails when any file is not gofmt-clean (gofmt -l prints its name).
 fmt:
@@ -61,22 +61,35 @@ failover-soak:
 alloc:
 	$(GO) test -run 'Allocs' ./internal/join/ ./internal/dataframe/ ./internal/discovery/ ./internal/eval/ ./internal/obs/ ./internal/faults/ ./internal/checkpoint/ ./internal/ml/
 
+# The answer-quality gate (internal/core/quality_test.go), verbose so the
+# numbers it holds are printed: table precision / recall, score gain and
+# answer stability over (corpus seed × pipeline seed) pairs of the wide
+# corpus against the values recorded at the parent commit, bit-equality on a
+# corpus the screen leaves alone, and the join-spec never-panic fuzz seeds.
+# race runs the same tests under the detector.
+quality:
+	$(GO) test -run 'TestQuality' -v ./internal/core/
+	$(GO) test -run 'FuzzJoinSpec' ./internal/join/
+
 # Chaos suite under the race detector: deterministic fault injection,
-# quarantine isolation, cancellation/timeout, pool panic recovery, and the
+# quarantine isolation, cancellation/timeout, pool panic recovery, the screen
+# stage's own suite (its rule, 1 vs 8 workers, its fault site, cancellation
+# mid-fan-out), and the
 # daemon's admission/persistence/run fault sites, queue-pressure rejection,
 # tenant fairness and quotas, lease ownership (default config, dead-owner
 # adoption at Open, skewed-heartbeat self-fence), drain-under-load and the
 # drain/admission hand-off, accounting exact in every snapshot, and the
 # never-panic fuzz seeds for run.json, lease.json and run specs.
 chaos:
-	$(GO) test -race -timeout 20m -run 'TestChaos|TestCancel|TestTimeout|TestCanceled|TestPanic|TestForEachPanic|TestMapPanic|TestInjector|TestRetry|TestDo|TestBackoff' \
+	$(GO) test -race -timeout 20m -run 'TestChaos|TestCancel|TestTimeout|TestCanceled|TestScreen|TestPanic|TestForEachPanic|TestMapPanic|TestInjector|TestRetry|TestDo|TestBackoff' \
 		./internal/core/ ./internal/parallel/ ./internal/faults/ ./internal/retry/
 	$(GO) test -race -timeout 20m \
 		-run 'TestQueueBounds|TestAdmissionAndPersistenceFaults|TestTransientRunFailure|TestRunHardFailure|TestDrain|TestService|TestTenant|TestLease|TestAccounting|FuzzReadRecord|FuzzSpecJSON' \
 		./internal/runqueue/ ./internal/server/
 
 # Crash/durability suite under the race detector: checkpoint corruption
-# rejection, kill-at-every-stage-boundary resume equivalence, budget
+# rejection, kill-at-every-stage-boundary resume equivalence (with and without
+# the screen boundary), budget
 # degradation determinism, atomic artifact writes, daemon state recovery
 # (incl. a run's persist → publish → discard completion order and a restart
 # from scratch over a half-deleted checkpoint), and the process-level gates (arda SIGINT partial report, ardad SIGKILL
@@ -107,7 +120,7 @@ trace-smoke:
 		-size 192 -seed 1 -v -trace /tmp/arda-trace-smoke/trace.ndjson \
 		-out /tmp/arda-trace-smoke/augmented.csv
 	$(GO) run ./cmd/tracecheck \
-		-stages prefilter,coreset,join,impute,select,materialize,evaluate \
+		-stages prefilter,coreset,screen,join,impute,select,materialize,evaluate \
 		/tmp/arda-trace-smoke/trace.ndjson
 
 # Telemetry smoke: run the pipeline with the live metrics server enabled and
@@ -125,7 +138,7 @@ metrics-smoke:
 		-out /tmp/arda-metrics-smoke/augmented.csv & \
 	pid=$$!; \
 	/tmp/arda-metrics-smoke/tracecheck -scrape http://127.0.0.1:19753 \
-		-stages prefilter,coreset,join,impute,select,materialize,evaluate \
+		-stages prefilter,coreset,screen,join,impute,select,materialize,evaluate \
 		-require-metrics arda_join_seconds,arda_select_seconds,arda_workers_in_flight,arda_workers_max,arda_runtime_goroutines,arda_runtime_heap_alloc_bytes \
 		|| { kill $$pid 2>/dev/null; exit 1; }; \
 	wait $$pid
@@ -153,7 +166,7 @@ serve-smoke:
 	test -n "$$id" || { echo "serve-smoke: submit failed"; kill $$pid 2>/dev/null; exit 1; }; \
 	echo "serve-smoke: submitted run $$id"; \
 	/tmp/arda-serve-smoke/tracecheck -scrape http://127.0.0.1:19754 -events-path /runs/$$id/events \
-		-stages prefilter,coreset,join,impute,select,materialize,evaluate \
+		-stages prefilter,coreset,screen,join,impute,select,materialize,evaluate \
 		-require-metrics arda_queue_admitted,arda_queue_depth,arda_queue_wait_seconds,arda_runtime_goroutines,arda_workers_in_flight,arda_lease_,arda_tenant_acme_ \
 		|| { kill $$pid 2>/dev/null; exit 1; }; \
 	ok=0; for i in $$(seq 1 100); do \

@@ -59,6 +59,11 @@ type QuarantinedCandidate = core.QuarantinedCandidate
 // Result.Degraded).
 type Degradation = core.Degradation
 
+// ScreenedTable is the screen stage's verdict on one candidate table: its
+// score on the coreset, what it would cost of one selection round, and
+// whether it went on to the join plan (see Result.Screened).
+type ScreenedTable = core.ScreenedTable
+
 // Typed interrupt errors. An Augment run stopped by cancellation or an
 // Options.Timeout deadline returns one of these (test with errors.Is)
 // together with a partial Result snapshot of the work completed so far.

@@ -350,10 +350,21 @@ func main() {
 }
 
 // reportAttrition prints the candidate attrition and quarantine summary;
-// verbose adds one line per quarantined candidate.
+// verbose adds one line per table the screen scored and per quarantined
+// candidate.
 func reportAttrition(res *arda.Result, verbose bool) {
-	fmt.Printf("candidates: %d considered → %d after dedupe → %d after tuple-ratio\n",
-		res.CandidatesConsidered, res.CandidatesDeduped, res.CandidatesDeduped-res.CandidatesFiltered)
+	prefiltered := res.CandidatesDeduped - res.CandidatesFiltered
+	fmt.Printf("candidates: %d considered → %d after dedupe → %d after tuple-ratio → %d after screen\n",
+		res.CandidatesConsidered, res.CandidatesDeduped, prefiltered, prefiltered-res.CandidatesScreened)
+	if verbose {
+		for _, s := range res.Screened {
+			verdict := "dropped"
+			if s.Kept {
+				verdict = "kept"
+			}
+			cli.Progressf("  screen %-7s %s: score %.2f, %d features", verdict, s.Name, s.Score, s.Features)
+		}
+	}
 	if res.Trace != nil {
 		c := res.Trace.Counters
 		if hits, misses := c["select.splitset_cache_hits"], c["select.splitset_cache_misses"]; hits+misses > 0 {

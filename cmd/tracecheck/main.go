@@ -14,7 +14,7 @@
 // Usage:
 //
 //	tracecheck trace.ndjson
-//	tracecheck -stages prefilter,coreset,join,impute,select,materialize,evaluate trace.ndjson
+//	tracecheck -stages prefilter,coreset,screen,join,impute,select,materialize,evaluate trace.ndjson
 //	tracecheck -scrape http://127.0.0.1:9090 -stages ... -require-metrics arda_join_seconds,arda_workers_in_flight
 //	arda ... -trace /dev/stdout | tracecheck -
 package main

@@ -1,8 +1,10 @@
 // Schools: a large, noisy repository (School-L style — hundreds of joinable
-// tables, most of them useless). This example shows why the budget-join plan
-// and Tuple-Ratio prefiltering matter at repository scale: it runs the same
-// classification task with table-join, budget-join, and budget-join + TR
-// prefilter, reporting quality and wall time for each.
+// tables, most of them useless). This example shows what matters at
+// repository scale: the screen stage cuts 350 tables to the ones a selection
+// round can rank on the coreset, and the join plan decides how those are
+// offered. It runs the same classification task with table-join,
+// budget-join, and budget-join + TR prefilter, reporting quality and wall
+// time for each.
 //
 //	go run ./examples/schools
 package main
@@ -30,16 +32,16 @@ func main() {
 		opts  arda.Options
 		cands []arda.Candidate
 	}{
-		// Table-join runs one feature-selection pass per table; even capped
-		// to the 100 highest-scored candidates it is far slower than
-		// budget-join over all 350.
+		// Table-join runs one feature-selection pass per table that survives
+		// the screen; even capped to the 100 highest-scored candidates it is
+		// far slower than budget-join over all 350.
 		{"table-join (top 100 candidates)", arda.Options{Plan: arda.TableJoin}, cands[:100]},
 		{"budget-join (default)", arda.Options{Plan: arda.BudgetJoin}, cands},
 		{"budget-join + TR prefilter", arda.Options{Plan: arda.BudgetJoin, TupleRatioTau: 2.5}, cands},
 	}
 
 	// A lighter RIFS (fewer injection repetitions, smaller ranking forest)
-	// keeps the 350-batch table-join run tractable for a demo.
+	// keeps the one-table-a-batch table-join run tractable for a demo.
 	selector := arda.NewRIFS(arda.RIFSConfig{K: 4})
 
 	fmt.Printf("%-36s %9s %9s %6s %9s\n", "configuration", "base", "augmented", "kept", "time")
@@ -58,6 +60,10 @@ func main() {
 		fmt.Printf("%-36s %9.3f %9.3f %6d %9s\n",
 			r.name, res.BaseScore, res.FinalScore, len(res.KeptColumns),
 			time.Since(start).Round(100*time.Millisecond))
+		if res.CandidatesScreened > 0 {
+			fmt.Printf("%-36s (screen passed on %d of %d tables)\n", "",
+				len(res.Screened)-res.CandidatesScreened, len(res.Screened))
+		}
 		if res.CandidatesFiltered > 0 {
 			fmt.Printf("%-36s (TR rule removed %d tables before joining)\n", "", res.CandidatesFiltered)
 		}

@@ -51,6 +51,10 @@ type runState struct {
 	Accum *dataframe.Table
 	// KeptByCandidate maps candidate ordinal -> kept source columns.
 	KeptByCandidate [][]string
+	// Screen is the screen stage's outcome — surviving ordinals and per-table
+	// scores — from the "screen" snapshot on; nil when every candidate fit
+	// and the stage chose nothing.
+	Screen *screenOutcome
 	// Quarantined, Batches, Degraded, and SelectionNanos mirror the Result
 	// accumulation at the snapshot point.
 	Quarantined    []QuarantinedCandidate
@@ -84,20 +88,23 @@ type addedCandidate struct {
 }
 
 // stageRank linearizes the stage sequence so "how far did the run get" is a
-// single comparison. Per-batch stages interleave as join/impute/select per
-// batch ordinal; materialize and evaluate order after every batch.
+// single comparison. screen sits between coreset and the first batch;
+// per-batch stages interleave as join/impute/select per batch ordinal;
+// materialize and evaluate order after every batch.
 func stageRank(stage string, batch int) int {
 	switch stage {
 	case "prefilter":
 		return 0
 	case "coreset":
 		return 1
+	case "screen":
+		return 2
 	case "join":
-		return 2 + batch*3
-	case "impute":
 		return 3 + batch*3
-	case "select":
+	case "impute":
 		return 4 + batch*3
+	case "select":
+		return 5 + batch*3
 	case "materialize":
 		return math.MaxInt32 - 1
 	case "evaluate":

@@ -11,14 +11,17 @@ import (
 	"testing"
 
 	"github.com/arda-ml/arda/internal/checkpoint"
+	"github.com/arda-ml/arda/internal/discovery"
 	"github.com/arda-ml/arda/internal/faults"
 	"github.com/arda-ml/arda/internal/parallel"
+	"github.com/arda-ml/arda/internal/synth"
 	"github.com/arda-ml/arda/internal/testenv"
 )
 
 // resultKey flattens the deterministic parts of a Result for equality
-// comparison: kept features, scores, batch reports, quarantines, degradation
-// steps, and the full augmented table contents. Timing fields are excluded.
+// comparison: kept features, scores, batch reports, the screen's verdicts,
+// quarantines, degradation steps, and the full augmented table contents.
+// Timing fields are excluded.
 func resultKey(t *testing.T, r *Result) string {
 	t.Helper()
 	var b strings.Builder
@@ -37,6 +40,11 @@ func resultKey(t *testing.T, r *Result) string {
 		b.WriteString("/")
 		b.WriteString(strings.Join(br.KeptFeatures, ","))
 		writeF(br.Score)
+	}
+	fmt.Fprintf(&b, "|screened:%d", r.CandidatesScreened)
+	for _, s := range r.Screened {
+		fmt.Fprintf(&b, "|s:%s/%d/%t", s.Name, s.Features, s.Kept)
+		writeF(s.Score)
 	}
 	for _, q := range quarantineKeys(r.Quarantined) {
 		b.WriteString("|q:")
@@ -81,12 +89,31 @@ func cloneCheckpointDir(t *testing.T, src string) string {
 // produce a Result bit-identical to the uninterrupted baseline, at both 1
 // and 8 workers.
 func TestCheckpointResumeBitIdenticalAtEveryBoundary(t *testing.T) {
+	corpus, cands := chaosCorpus(t)
+	resumeAtEveryBoundary(t, corpus, cands, chaosOptions,
+		"prefilter", "coreset", "join", "impute", "select", "materialize", "evaluate")
+}
+
+// TestCheckpointResumeBitIdenticalWithScreen is the same suite over a corpus
+// the screen stage has to cut (350 tables against 192 coreset rows, then two
+// budget batches): the log gains the screen boundary, and a run killed on
+// either side of it resumes to the same survivors, scores and table.
+func TestCheckpointResumeBitIdenticalWithScreen(t *testing.T) {
+	corpus, cands := wideCorpus(t)
+	resumeAtEveryBoundary(t, corpus, cands, wideOptions,
+		"prefilter", "coreset", "screen", "join", "impute", "select", "materialize", "evaluate")
+}
+
+// resumeAtEveryBoundary is the body of the two tests above: mkOpts builds the
+// run's options for a worker count, wantStages are the checkpoint stages the
+// full run must have written.
+func resumeAtEveryBoundary(t *testing.T, corpus *synth.Corpus, cands []discovery.Candidate,
+	mkOpts func(*synth.Corpus, int, *faults.Injector) Options, wantStages ...string) {
 	defer testenv.NoGoroutineLeak(t)()
 	defer parallel.SetMaxWorkers(0)
-	corpus, cands := chaosCorpus(t)
 
 	// Uncheckpointed baseline.
-	baseOpts := chaosOptions(corpus, 1, nil)
+	baseOpts := mkOpts(corpus, 1, nil)
 	baseline, err := Augment(corpus.Base, cands, baseOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +122,7 @@ func TestCheckpointResumeBitIdenticalAtEveryBoundary(t *testing.T) {
 
 	// Full checkpointed run: output must be unchanged by checkpointing.
 	ckDir := t.TempDir()
-	full := chaosOptions(corpus, 1, nil)
+	full := mkOpts(corpus, 1, nil)
 	full.CheckpointDir = ckDir
 	ckRes, err := Augment(corpus.Base, cands, full)
 	if err != nil {
@@ -116,7 +143,7 @@ func TestCheckpointResumeBitIdenticalAtEveryBoundary(t *testing.T) {
 	for _, e := range entries {
 		stages[e.Stage] = true
 	}
-	for _, s := range []string{"prefilter", "coreset", "join", "impute", "select", "materialize", "evaluate"} {
+	for _, s := range wantStages {
 		if !stages[s] {
 			t.Fatalf("no %q checkpoint in %+v", s, entries)
 		}
@@ -130,7 +157,7 @@ func TestCheckpointResumeBitIdenticalAtEveryBoundary(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			opts := chaosOptions(corpus, workers, nil)
+			opts := mkOpts(corpus, workers, nil)
 			opts.CheckpointDir = dir
 			opts.Resume = true
 			res, err := Augment(corpus.Base, cands, opts)
@@ -155,19 +182,36 @@ func TestCheckpointResumeBitIdenticalAtEveryBoundary(t *testing.T) {
 // through the manifest and the resumed Result must match the uninterrupted
 // faulted baseline exactly.
 func TestCheckpointResumeWithQuarantine(t *testing.T) {
-	defer testenv.NoGoroutineLeak(t)()
-	defer parallel.SetMaxWorkers(0)
 	corpus, cands := chaosCorpus(t)
-	rules := []faults.Rule{
+	resumeWithQuarantine(t, corpus, cands, chaosOptions,
 		faults.At(faults.Error, "join", 2),
 		faults.At(faults.Panic, "join", 5),
 		faults.At(faults.Error, "impute", 7),
 		faults.At(faults.Error, "encode", 9),
 		faults.At(faults.Panic, "materialize", 0),
-	}
+	)
+}
+
+// TestCheckpointResumeWithScreenQuarantine adds the screen's fault site: a
+// candidate quarantined there is neither scored again nor offered again on
+// whichever side of the screen boundary the run is resumed.
+func TestCheckpointResumeWithScreenQuarantine(t *testing.T) {
+	corpus, cands := wideCorpus(t)
+	resumeWithQuarantine(t, corpus, cands, wideOptions,
+		faults.At(faults.Error, "screen", 3),
+		faults.At(faults.Panic, "screen", 7),
+		faults.At(faults.Error, "join", 2),
+		faults.At(faults.Panic, "materialize", 0),
+	)
+}
+
+func resumeWithQuarantine(t *testing.T, corpus *synth.Corpus, cands []discovery.Candidate,
+	mkOpts func(*synth.Corpus, int, *faults.Injector) Options, rules ...faults.Rule) {
+	defer testenv.NoGoroutineLeak(t)()
+	defer parallel.SetMaxWorkers(0)
 	mkInj := func() *faults.Injector { return faults.New(99, rules...) }
 
-	baseline, err := Augment(corpus.Base, cands, chaosOptions(corpus, 1, mkInj()))
+	baseline, err := Augment(corpus.Base, cands, mkOpts(corpus, 1, mkInj()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +221,7 @@ func TestCheckpointResumeWithQuarantine(t *testing.T) {
 	want := resultKey(t, baseline)
 
 	ckDir := t.TempDir()
-	full := chaosOptions(corpus, 1, mkInj())
+	full := mkOpts(corpus, 1, mkInj())
 	full.CheckpointDir = ckDir
 	if _, err := Augment(corpus.Base, cands, full); err != nil {
 		t.Fatal(err)
@@ -200,7 +244,7 @@ func TestCheckpointResumeWithQuarantine(t *testing.T) {
 		// site runs inside exactly one stage region, so a site either
 		// replayed entirely before the crash (its quarantine persisted in
 		// the snapshot) or runs entirely after resume.
-		opts := chaosOptions(corpus, 8, mkInj())
+		opts := mkOpts(corpus, 8, mkInj())
 		opts.CheckpointDir = dir
 		opts.Resume = true
 		res, err := Augment(corpus.Base, cands, opts)

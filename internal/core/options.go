@@ -1,8 +1,10 @@
-// Package core implements the end-to-end ARDA pipeline (§3 of the paper):
-// coreset construction over the base table, join planning under a feature
-// budget, batch join execution with imputation, feature selection (RIFS by
-// default), optional Tuple-Ratio prefiltering, materialization of the kept
-// features over the full base table, and the final model estimate.
+// Package core implements the end-to-end ARDA pipeline (§3 of the paper) as
+// eight stages: optional Tuple-Ratio prefiltering, coreset construction over
+// the base table, a screen that passes on only as many candidate tables as
+// one selection round can rank on that coreset, join planning under a
+// feature budget with batch join execution, imputation, feature selection
+// (RIFS by default), materialization of the kept features over the full base
+// table, and the final model estimate.
 package core
 
 import (
@@ -58,7 +60,9 @@ type Options struct {
 	// Plan selects the table-grouping strategy; default BudgetJoin.
 	Plan PlanKind
 	// Budget is the maximum number of features considered per batch; 0
-	// defaults to the coreset size.
+	// defaults to the coreset size. Whatever the budget, the screen stage has
+	// already cut the candidates to the tables whose features fit the
+	// coreset's row count, so at the default one batch holds them all.
 	Budget int
 	// Selector is the feature-selection method; nil defaults to RIFS.
 	Selector featsel.Selector
@@ -98,8 +102,9 @@ type Options struct {
 	// (0 disables).
 	Significance int
 	// CheckpointDir, when set, makes the run durable: after every pipeline
-	// stage (prefilter, coreset, each batch's join/impute/select,
-	// materialize, evaluate) the run's state is snapshotted crash-safely into
+	// stage (prefilter, coreset, screen when it had to choose, each batch's
+	// join/impute/select, materialize, evaluate) the run's state is
+	// snapshotted crash-safely into
 	// this directory via internal/checkpoint. A process killed at any instant
 	// leaves the directory describing the completed-stage prefix; rerunning
 	// with Resume continues from there. Unset (the default) costs nothing.
@@ -145,7 +150,8 @@ type Options struct {
 	// materialization) during the run.
 	Logf func(format string, args ...any)
 	// Trace, when set, receives hierarchical stage spans (prefilter, coreset,
-	// per-batch join/impute/select, materialize, evaluate) and run counters;
+	// screen, per-batch join/impute/select, materialize, evaluate) and run
+	// counters;
 	// Augment finishes the trace and stores the snapshot in Result.Trace.
 	// Create one obs.Trace per run. Tracing only observes: output is
 	// bit-identical with Trace nil (the default, which costs nothing) or set.
@@ -216,8 +222,8 @@ type BatchReport struct {
 type QuarantinedCandidate struct {
 	// Name is the candidate table's name.
 	Name string
-	// Stage is the pipeline stage that faulted: "join", "impute", "encode",
-	// or "materialize".
+	// Stage is the pipeline stage that faulted: "screen", "join", "impute",
+	// "encode", or "materialize".
 	Stage string
 	// Reason is the fault description (error text or recovered panic).
 	Reason string
@@ -265,9 +271,19 @@ type Result struct {
 	Quarantined []QuarantinedCandidate
 	// CandidatesConsidered, CandidatesDeduped, and CandidatesFiltered report
 	// the prefilter attrition: candidates as passed in, remaining after
-	// deduplication, and removed by the Tuple-Ratio prefilter (so the count
-	// entering the join plan is CandidatesDeduped - CandidatesFiltered).
+	// deduplication, and removed by the Tuple-Ratio prefilter and the
+	// resource budgets (so the count entering the screen stage is
+	// CandidatesDeduped - CandidatesFiltered).
 	CandidatesConsidered, CandidatesDeduped, CandidatesFiltered int
+	// CandidatesScreened is the number of candidates the screen stage took
+	// out — ranked below the cut, or quarantined there — so the count
+	// entering the join plan is CandidatesDeduped - CandidatesFiltered -
+	// CandidatesScreened. 0 when every candidate's features fit the coreset.
+	CandidatesScreened int
+	// Screened is the screen stage's verdict on every candidate it scored, in
+	// candidate order: estimated features, score, kept or dropped. nil when
+	// the candidates fit and the stage scored nothing.
+	Screened []ScreenedTable
 	// Elapsed is the total wall-clock duration.
 	Elapsed time.Duration
 	// SelectionElapsed is the time spent inside feature selection.

@@ -33,6 +33,7 @@ const (
 	seedStageSketch
 	seedStageMaterialize
 	seedStageFinal
+	seedStageScreen
 )
 
 // stageSeed folds a stage/id path into the run seed via repeated seed
@@ -126,7 +127,7 @@ func AugmentContext(ctx context.Context, base *dataframe.Table, cands []discover
 	// histogram of their name automatically; the last two are fed below span
 	// granularity by ml tree fits and eval subset scoring.
 	for _, h := range []string{
-		"prefilter", "coreset", "batch", "join", "join.cand", "impute",
+		"prefilter", "coreset", "screen", "batch", "join", "join.cand", "impute",
 		"select", "select.rep", "select.sweep", "materialize",
 		"materialize.cand", "evaluate", "select.tree_fit", "select.subset_score",
 	} {
@@ -162,6 +163,7 @@ func AugmentContext(ctx context.Context, base *dataframe.Table, cands []discover
 	// them as they come into existence.
 	var accum *dataframe.Table
 	var keptByCandidate [][]string
+	var screened *screenOutcome
 	saveCk := func(stage string, batch int, sseed int64, mut func(*runState)) {
 		if ck == nil || done(stage, batch) {
 			return
@@ -169,6 +171,7 @@ func AugmentContext(ctx context.Context, base *dataframe.Table, cands []discover
 		st := &runState{
 			Accum:           accum,
 			KeptByCandidate: keptByCandidate,
+			Screen:          screened,
 			Quarantined:     res.Quarantined,
 			Batches:         res.Batches,
 			Degraded:        res.Degraded,
@@ -314,6 +317,47 @@ func AugmentContext(ctx context.Context, base *dataframe.Table, cands []discover
 		return partial(err)
 	}
 
+	// Per-run caches: foreign-table preparations (aggregation/resampling) are
+	// shared by screen, the batch phase and materialization, and binarize
+	// plans are reused across the batch loop's re-encodings of carried-forward
+	// columns. Both are valid because candidate tables are never mutated and
+	// work tables are only encoded fully imputed.
+	prepCache := join.NewPrepCache()
+	encCache := dataframe.NewEncodeCache()
+
+	// Screen (screen.go): only the tables one selection round can rank on this
+	// coreset go on. It snapshots only when it had to choose; "everything
+	// fits" is recomputed on resume, like the prefilter.
+	span = root.Child("screen", 0)
+	span.SetInt("candidates_in", int64(len(cands)))
+	if done("screen", -1) && rs.Screen != nil {
+		screened = rs.Screen
+	} else {
+		var faults []error
+		screened, faults, err = screenCandidates(ctx, screenInput{
+			Coreset: joinBase, Cands: cands, Capacity: min(size, joinBase.NumRows()),
+			Task: task, Classes: classes, Opts: &opts, Prep: prepCache,
+		})
+		if err != nil {
+			span.End()
+			return partial(mapInterrupt(err))
+		}
+		for ord, ferr := range faults {
+			if ferr != nil {
+				quarantine(cands[ord].Table.Name(), "screen", ferr)
+			}
+		}
+	}
+	res.CandidatesScreened, res.Screened = len(cands)-len(screened.Kept), screened.Tables
+	cands = screened.keep(cands)
+	span.SetInt("candidates_out", int64(len(cands)))
+	tr.Gauge("candidates.after_screen").Set(int64(len(cands)))
+	span.End()
+	if screened.Tables != nil {
+		opts.logf("screen: kept %d of %d candidates", len(cands), len(cands)+res.CandidatesScreened)
+		saveCk("screen", -1, stageSeed(opts.Seed, seedStageScreen), func(st *runState) { st.Accum = joinBase })
+	}
+
 	plan := BuildPlan(cands, opts.Plan, budget)
 	opts.logf("plan: %s, %d candidates in %d batches (budget %d features, coreset %d rows)",
 		opts.Plan, len(cands), len(plan), budget, joinBase.NumRows())
@@ -330,14 +374,6 @@ func AugmentContext(ctx context.Context, base *dataframe.Table, cands []discover
 	for bi := range plan {
 		batchOffset[bi+1] = batchOffset[bi] + len(plan[bi].Candidates)
 	}
-
-	// Per-run caches: foreign-table preparations (aggregation/resampling) are
-	// reused between the batch phase and materialization, and binarize plans
-	// are reused across the batch loop's re-encodings of carried-forward
-	// columns. Both are valid because candidate tables are never mutated and
-	// work tables are only encoded fully imputed.
-	prepCache := join.NewPrepCache()
-	encCache := dataframe.NewEncodeCache()
 
 	accum = dataframe.MustNewTable(joinBase.Name(), joinBase.Columns()...)
 	keptByCandidate = make([][]string, len(cands)) // candidate ordinal -> kept source columns (unprefixed)
@@ -484,8 +520,11 @@ func AugmentContext(ctx context.Context, base *dataframe.Table, cands []discover
 			ds = coreset.SketchDataset(ds, size, stageRNG(opts.Seed, seedStageSketch, int64(bi)))
 		}
 
+		// The span counts what the counters count — candidate columns offered
+		// and kept; the base and carried-forward columns are features_carried.
 		selSpan := batchSpan.Child("select", 0)
-		selSpan.SetInt("features_in", int64(ds.D))
+		selSpan.SetInt("features_in", int64(newCols))
+		selSpan.SetInt("features_carried", int64(work.NumCols()-newCols-1))
 		if sa, ok := opts.Selector.(obs.SpanAttacher); ok {
 			sa.AttachSpan(selSpan)
 		}
@@ -509,9 +548,6 @@ func AugmentContext(ctx context.Context, base *dataframe.Table, cands []discover
 			}
 			return nil, fmt.Errorf("core: feature selection on batch %d: %w", bi, err)
 		}
-		selSpan.SetInt("features_selected", int64(len(selected)))
-		selSpan.End()
-		cFeatOffered.Add(int64(newCols))
 
 		report := BatchReport{Tables: tables, CandidateFeatures: newCols}
 		keptSources := map[string]bool{}
@@ -530,6 +566,9 @@ func AugmentContext(ctx context.Context, base *dataframe.Table, cands []discover
 				}
 			}
 		}
+		selSpan.SetInt("features_selected", int64(len(report.KeptFeatures)))
+		selSpan.End()
+		cFeatOffered.Add(int64(newCols))
 		// Carry kept columns forward so later batches can co-predict with
 		// them.
 		for _, name := range report.KeptFeatures {

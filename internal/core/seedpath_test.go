@@ -7,8 +7,9 @@ import (
 
 // TestStageSeedPathUniqueness guards the seed-splitting contract underneath
 // every stage RNG: across the stage/id paths the pipeline actually derives —
-// coreset, per-(batch, candidate) joins, per-batch imputation and sketching,
-// per-ordinal materialization, the final imputation, and one nesting level
+// coreset, per-ordinal screening, per-(batch, candidate) joins, per-batch
+// imputation and sketching, per-ordinal materialization, the final
+// imputation, and one nesting level
 // of per-repetition selector splits — no two distinct paths may collide on
 // the derived seed, for a sampled set of run seeds. A collision would
 // silently correlate two stages' randomness and undermine the determinism
@@ -36,6 +37,7 @@ func TestStageSeedPathUniqueness(t *testing.T) {
 		}
 		for ord := int64(0); ord < maxBatch*maxCand; ord++ {
 			add(fmt.Sprintf("materialize/%d", ord), seedStageMaterialize, ord)
+			add(fmt.Sprintf("screen/%d", ord), seedStageScreen, ord)
 		}
 	}
 }

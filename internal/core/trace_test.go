@@ -16,7 +16,7 @@ import (
 // pipelineStages are the span names a full traced Augment run must cover —
 // the paper's §6 cost breakdown.
 var pipelineStages = []string{
-	"prefilter", "coreset", "join", "impute", "select", "materialize", "evaluate",
+	"prefilter", "coreset", "screen", "join", "impute", "select", "materialize", "evaluate",
 }
 
 // tracedRun runs a small Poverty pipeline with a trace attached.

@@ -62,21 +62,11 @@ func ExecuteCached(base, foreign *dataframe.Table, spec *Spec, rng *rand.Rand, c
 		for _, kp := range hard {
 			hardCols = append(hardCols, kp.ForeignColumn)
 		}
-		ck := prepSpec("resample", append([]string{soft.ForeignColumn}, hardCols...), gran)
-		if prepared = cache.get(foreign, ck); prepared == nil {
-			prepared, err = ResampleTime(foreign, soft.ForeignColumn, gran, hardCols)
-			if err == nil {
-				cache.put(foreign, ck, prepared)
-			}
-		}
+		prepared, err = cache.prepare(foreign, prepSpec("resample", append([]string{soft.ForeignColumn}, hardCols...), gran),
+			func() (*dataframe.Table, error) { return ResampleTime(foreign, soft.ForeignColumn, gran, hardCols) })
 	} else {
-		ck := prepSpec("aggregate", foreignKeyCols, 0)
-		if prepared = cache.get(foreign, ck); prepared == nil {
-			prepared, err = AggregateByKey(foreign, foreignKeyCols)
-			if err == nil {
-				cache.put(foreign, ck, prepared)
-			}
-		}
+		prepared, err = cache.prepare(foreign, prepSpec("aggregate", foreignKeyCols, 0),
+			func() (*dataframe.Table, error) { return AggregateByKey(foreign, foreignKeyCols) })
 	}
 	if err != nil {
 		return nil, err

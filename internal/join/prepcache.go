@@ -1,6 +1,7 @@
 package join
 
 import (
+	"errors"
 	"strconv"
 	"strings"
 	"sync"
@@ -10,21 +11,33 @@ import (
 )
 
 // PrepCache memoizes Execute's foreign-table preparation (key aggregation or
-// time resampling). The ARDA pipeline prepares the same candidate table at
-// least twice — once while scoring batches against the coreset and again when
-// materializing kept features over the full base table — and the preparation
-// depends only on the foreign table, the key set, and the resample
-// granularity, never on the base rows. Entries are keyed by the foreign
-// table's identity (pointer), so the cache is only valid while candidate
-// tables are not mutated; the pipeline guarantees that by joining into
-// fresh/cloned work tables. Create one cache per Augment run and drop it with
-// the run.
+// time resampling). The ARDA pipeline prepares the same candidate table up to
+// three times — when screening it against the coreset, when joining its batch,
+// and again when materializing kept features over the full base table — and
+// the preparation depends only on the foreign table, the key set, and the
+// resample granularity, never on the base rows. Entries are keyed by the
+// foreign table's identity (pointer), so the cache is only valid while
+// candidate tables are not mutated; the pipeline guarantees that by joining
+// into fresh/cloned work tables. Create one cache per Augment run and drop it
+// with the run. Safe for concurrent use: callers racing on one key wait for
+// the single preparation instead of each computing it.
 type PrepCache struct {
 	mu     sync.Mutex
-	m      map[prepKey]*dataframe.Table
+	m      map[prepKey]*prepEntry
 	hits   atomic.Int64
 	misses atomic.Int64
 }
+
+// prepEntry is one preparation, computed at most once. err starts as
+// errPrepPanicked so an entry whose preparation panicked (the once is spent)
+// fails later callers instead of handing them a nil table.
+type prepEntry struct {
+	once     sync.Once
+	prepared *dataframe.Table
+	err      error
+}
+
+var errPrepPanicked = errors.New("join: preparing the foreign table panicked")
 
 // CacheStats is a hit/miss snapshot of a per-run cache.
 type CacheStats struct {
@@ -42,7 +55,7 @@ type prepKey struct {
 
 // NewPrepCache returns an empty preparation cache.
 func NewPrepCache() *PrepCache {
-	return &PrepCache{m: make(map[prepKey]*dataframe.Table)}
+	return &PrepCache{m: make(map[prepKey]*prepEntry)}
 }
 
 // prepSpec renders the preparation parameters as a cache-key string. Column
@@ -61,40 +74,35 @@ func prepSpec(mode string, keyCols []string, gran int64) string {
 	return b.String()
 }
 
-// get returns the cached preparation, or nil. A nil cache always misses.
-func (c *PrepCache) get(t *dataframe.Table, spec string) *dataframe.Table {
+// prepare returns the cached preparation of (t, spec), calling fn to compute
+// it on the first request for the key. A nil cache always computes.
+func (c *PrepCache) prepare(t *dataframe.Table, spec string, fn func() (*dataframe.Table, error)) (*dataframe.Table, error) {
 	if c == nil {
-		return nil
+		return fn()
 	}
+	key := prepKey{t, spec}
 	c.mu.Lock()
-	prepared := c.m[prepKey{t, spec}]
-	c.mu.Unlock()
-	if prepared == nil {
+	e := c.m[key]
+	if e == nil {
+		e = &prepEntry{err: errPrepPanicked}
+		c.m[key] = e
 		c.misses.Add(1)
 	} else {
 		c.hits.Add(1)
 	}
-	return prepared
+	c.mu.Unlock()
+	e.once.Do(func() { e.prepared, e.err = fn() })
+	return e.prepared, e.err
 }
 
-// Stats returns the cache's hit/miss counts so far. Every miss is followed
-// by exactly one put, so Misses == Len() iff no preparation was ever
-// recomputed — the pipeline's prepare-once contract.
+// Stats returns the cache's hit/miss counts so far. Every miss creates
+// exactly one entry, so Misses == Len() always — the pipeline's prepare-once
+// contract — and Hits counts the preparations a run did not repeat.
 func (c *PrepCache) Stats() CacheStats {
 	if c == nil {
 		return CacheStats{}
 	}
 	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
-}
-
-// put stores a preparation. A nil cache drops it.
-func (c *PrepCache) put(t *dataframe.Table, spec string, prepared *dataframe.Table) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[prepKey{t, spec}] = prepared
 }
 
 // Len returns the number of cached preparations.

@@ -422,6 +422,7 @@ func (m *Manager) attempt(ctx context.Context, r *run) (res *RunResult, err erro
 		Cols:        out.Table.NumCols(),
 		Quarantined: len(out.Quarantined),
 		Degraded:    len(out.Degraded),
+		Screened:    out.CandidatesScreened,
 		ResumedFrom: out.ResumedFrom,
 		LoadMS:      loadMS,
 		DiscoverMS:  discoverMS,

@@ -123,7 +123,10 @@ type RunResult struct {
 	Cols        int      `json:"cols"`
 	Quarantined int      `json:"quarantined"`
 	Degraded    int      `json:"degraded"`
-	ResumedFrom string   `json:"resumed_from,omitempty"`
+	// Screened is how many candidates the screen stage took out before the
+	// join plan (0 when they all fit the coreset).
+	Screened    int    `json:"screened"`
+	ResumedFrom string `json:"resumed_from,omitempty"`
 	// LoadMS and DiscoverMS are the attempt's time before the pipeline: CSV
 	// load and join discovery. ElapsedMS is the pipeline alone, so these two
 	// explain most of finished_at − started_at − elapsed_ms.
