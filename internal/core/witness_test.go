@@ -13,7 +13,11 @@ import (
 // columns — to the scores and table digest recorded at commit 064769a. Every
 // forest behind these numbers (RIFS rankings, the sweep, both evaluation
 // forests) goes through the split kernel, so a kernel change that alters any
-// tree, anywhere, at either worker count, moves them.
+// tree, anywhere, at either worker count, moves them. Poverty's 42 tables fit
+// its coreset, so the screen stage left its row as recorded; SchoolL's 350
+// tables do not (1,050 features against 256 rows), and its row was recorded
+// again when the stage landed (before: final 0.7160493827160493, digest
+// 0x592dc08585da6138).
 func TestEndToEndWitness(t *testing.T) {
 	defer parallel.SetMaxWorkers(0)
 	cases := []struct {
@@ -22,7 +26,7 @@ func TestEndToEndWitness(t *testing.T) {
 		digest      uint64
 	}{
 		{synth.Poverty(synth.Config{Seed: 61, Scale: 0.2}), 0.003234788539047573, 0.7224497459787897, 0x71d40fcb562d2a86},
-		{synth.SchoolL(synth.Config{Seed: 61, Scale: 0.2}), 0.41975308641975306, 0.7160493827160493, 0x592dc08585da6138},
+		{synth.SchoolL(synth.Config{Seed: 61, Scale: 0.2}), 0.41975308641975306, 0.6790123456790124, 0x234c0303df5f6643},
 	}
 	for _, c := range cases {
 		cands := discovery.Discover(c.corpus.Base, c.corpus.Repo, c.corpus.Target, discovery.Options{})
