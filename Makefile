@@ -6,6 +6,10 @@
 
 GO ?= go
 
+# The pipeline's eight stages (core's stage table, in order): what the smoke
+# targets require of a run's trace.
+STAGES := prefilter,coreset,screen,join,impute,select,materialize,evaluate
+
 .PHONY: check fmt vet build test race alloc chaos crash lease-chaos quality bench bench-parallel bench-smoke failover-soak trace-smoke metrics-smoke serve-smoke profile-select
 
 check: fmt vet build race alloc quality chaos crash lease-chaos trace-smoke metrics-smoke serve-smoke bench-smoke
@@ -120,7 +124,7 @@ trace-smoke:
 		-size 192 -seed 1 -v -trace /tmp/arda-trace-smoke/trace.ndjson \
 		-out /tmp/arda-trace-smoke/augmented.csv
 	$(GO) run ./cmd/tracecheck \
-		-stages prefilter,coreset,screen,join,impute,select,materialize,evaluate \
+		-stages $(STAGES) \
 		/tmp/arda-trace-smoke/trace.ndjson
 
 # Telemetry smoke: run the pipeline with the live metrics server enabled and
@@ -138,7 +142,7 @@ metrics-smoke:
 		-out /tmp/arda-metrics-smoke/augmented.csv & \
 	pid=$$!; \
 	/tmp/arda-metrics-smoke/tracecheck -scrape http://127.0.0.1:19753 \
-		-stages prefilter,coreset,screen,join,impute,select,materialize,evaluate \
+		-stages $(STAGES) \
 		-require-metrics arda_join_seconds,arda_select_seconds,arda_workers_in_flight,arda_workers_max,arda_runtime_goroutines,arda_runtime_heap_alloc_bytes \
 		|| { kill $$pid 2>/dev/null; exit 1; }; \
 	wait $$pid
@@ -166,7 +170,7 @@ serve-smoke:
 	test -n "$$id" || { echo "serve-smoke: submit failed"; kill $$pid 2>/dev/null; exit 1; }; \
 	echo "serve-smoke: submitted run $$id"; \
 	/tmp/arda-serve-smoke/tracecheck -scrape http://127.0.0.1:19754 -events-path /runs/$$id/events \
-		-stages prefilter,coreset,screen,join,impute,select,materialize,evaluate \
+		-stages $(STAGES) \
 		-require-metrics arda_queue_admitted,arda_queue_depth,arda_queue_wait_seconds,arda_runtime_goroutines,arda_workers_in_flight,arda_lease_,arda_tenant_acme_ \
 		|| { kill $$pid 2>/dev/null; exit 1; }; \
 	ok=0; for i in $$(seq 1 100); do \

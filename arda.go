@@ -280,8 +280,10 @@ func Augment(base *Table, cands []Candidate, opts Options) (*Result, error) {
 // AugmentContext is Augment under a context: cancellation and deadlines are
 // honoured at every stage boundary and between parallel work items. An
 // interrupted run returns ErrCanceled or ErrDeadline together with a partial
-// Result snapshot. Options.Timeout, when set, additionally bounds the run's
-// wall-clock time relative to the call.
+// Result snapshot, and so does a run whose stage fails for another reason
+// (with that error); a nil Result means the pipeline never started.
+// Options.Timeout, when set, additionally bounds the run's wall-clock time
+// relative to the call.
 func AugmentContext(ctx context.Context, base *Table, cands []Candidate, opts Options) (*Result, error) {
 	return core.AugmentContext(ctx, base, cands, opts)
 }

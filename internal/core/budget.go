@@ -124,70 +124,68 @@ func applyBudgets(baseRows, baseCols int, cands []discovery.Candidate, size int,
 		})
 	}
 
-	// Rung 3: cap candidates by score. Admission walks candidates in
-	// descending score (ties broken by original position, so the order is
-	// total and deterministic) and keeps each one only if the running cells
-	// and bytes estimates stay within every configured budget. The admitted
-	// set keeps its original relative order — the join plan depends on it.
+	// Rung 3: cap candidates by score.
+	kept, deg := capCandidates(rows, baseCols, cands, opts)
+	if deg != nil {
+		degs = append(degs, *deg)
+	}
+	return kept, size, extraFiltered, degs
+}
+
+// capCandidates is the ladder's last rung. Admission walks candidates in
+// descending score (ties broken by original position, so the order is total
+// and deterministic) and keeps each one only if the running cells and bytes
+// estimates stay within every configured budget. The admitted set keeps its
+// original relative order — the join plan depends on it. It returns cands
+// and nil when they already fit.
+func capCandidates(rows, baseCols int, cands []discovery.Candidate, opts *Options) ([]discovery.Candidate, *Degradation) {
 	cellsBefore := estimateCells(rows, baseCols, cands)
 	bytesBefore := estimateCandidateBytes(cands)
 	overCells := opts.MaxCells > 0 && cellsBefore > opts.MaxCells
 	overBytes := opts.MaxCandidateBytes > 0 && bytesBefore > opts.MaxCandidateBytes
-	if overCells || overBytes {
-		order := make([]int, len(cands))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return cands[order[a]].Score > cands[order[b]].Score
-		})
-		admitted := make([]bool, len(cands))
-		cells := int64(rows) * int64(baseCols)
-		var bytes int64
-		seenBytes := make(map[string]bool)
-		for _, i := range order {
-			c := cands[i]
-			addCells := int64(0)
-			if added := c.Table.NumCols() - len(c.Keys); added > 0 {
-				addCells = int64(rows) * int64(added)
-			}
-			addBytes := int64(0)
-			if !seenBytes[c.Table.Name()] {
-				addBytes = int64(c.Table.NumRows()) * int64(c.Table.NumCols()) * 8
-			}
-			if opts.MaxCells > 0 && cells+addCells > opts.MaxCells {
-				continue
-			}
-			if opts.MaxCandidateBytes > 0 && bytes+addBytes > opts.MaxCandidateBytes {
-				continue
-			}
-			admitted[i] = true
-			cells += addCells
-			bytes += addBytes
-			seenBytes[c.Table.Name()] = true
-		}
-		kept := cands[:0:0]
-		for i, c := range cands {
-			if admitted[i] {
-				kept = append(kept, c)
-			}
-		}
-		budget := "max-cells"
-		before := cellsBefore
-		after := estimateCells(rows, baseCols, kept)
-		if overBytes {
-			budget = "max-candidate-bytes"
-			before = bytesBefore
-			after = estimateCandidateBytes(kept)
-		}
-		degs = append(degs, Degradation{
-			Action: "cap-candidates",
-			Budget: budget,
-			Detail: fmt.Sprintf("admitted %d of %d candidates by score", len(kept), len(cands)),
-			Before: before,
-			After:  after,
-		})
-		cands = kept
+	if !overCells && !overBytes {
+		return cands, nil
 	}
-	return cands, size, extraFiltered, degs
+	order := make([]int, len(cands))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return cands[order[a]].Score > cands[order[b]].Score
+	})
+	admitted := make([]bool, len(cands))
+	cells := int64(rows) * int64(baseCols)
+	var bytes int64
+	seenBytes := make(map[string]bool)
+	for _, i := range order {
+		c := cands[i]
+		addCells := int64(rows) * int64(max(c.Table.NumCols()-len(c.Keys), 0))
+		addBytes := int64(0)
+		if !seenBytes[c.Table.Name()] {
+			addBytes = int64(c.Table.NumRows()) * int64(c.Table.NumCols()) * 8
+		}
+		if opts.MaxCells > 0 && cells+addCells > opts.MaxCells ||
+			opts.MaxCandidateBytes > 0 && bytes+addBytes > opts.MaxCandidateBytes {
+			continue
+		}
+		admitted[i] = true
+		cells += addCells
+		bytes += addBytes
+		seenBytes[c.Table.Name()] = true
+	}
+	kept := cands[:0:0]
+	for i, c := range cands {
+		if admitted[i] {
+			kept = append(kept, c)
+		}
+	}
+	deg := &Degradation{
+		Action: "cap-candidates", Budget: "max-cells",
+		Detail: fmt.Sprintf("admitted %d of %d candidates by score", len(kept), len(cands)),
+		Before: cellsBefore, After: estimateCells(rows, baseCols, kept),
+	}
+	if overBytes {
+		deg.Budget, deg.Before, deg.After = "max-candidate-bytes", bytesBefore, estimateCandidateBytes(kept)
+	}
+	return kept, deg
 }

@@ -39,7 +39,6 @@ func resultKey(t *testing.T, r *Result) string {
 		b.WriteString(strings.Join(br.Tables, ","))
 		b.WriteString("/")
 		b.WriteString(strings.Join(br.KeptFeatures, ","))
-		writeF(br.Score)
 	}
 	fmt.Fprintf(&b, "|screened:%d", r.CandidatesScreened)
 	for _, s := range r.Screened {

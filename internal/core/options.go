@@ -90,8 +90,6 @@ type Options struct {
 	// kernels); 0 keeps the current cap (GOMAXPROCS by default). The cap only
 	// affects speed: a run's output is bit-identical for any value.
 	Workers int
-	// KeepScores records per-batch selection scores in the result when true.
-	KeepScores bool
 	// KNNImpute switches imputation from the paper's simple median/random
 	// strategy to k-nearest-neighbour imputation (§9 "sophisticated methods
 	// for data imputation"); the value is k (0 disables).
@@ -151,17 +149,15 @@ type Options struct {
 	Logf func(format string, args ...any)
 	// Trace, when set, receives hierarchical stage spans (prefilter, coreset,
 	// screen, per-batch join/impute/select, materialize, evaluate) and run
-	// counters;
-	// Augment finishes the trace and stores the snapshot in Result.Trace.
-	// Create one obs.Trace per run. Tracing only observes: output is
+	// counters. Create one obs.Trace per run. Tracing only observes: output is
 	// bit-identical with Trace nil (the default, which costs nothing) or set.
-	// When Augment returns an error alongside a partial Result (cancellation,
-	// timeout, a fatal stage error), the trace is finished too: open spans
-	// close at their partial durations, sinks flush, and Result.Trace holds
-	// the partial snapshot — so interrupted runs still leave valid -trace
-	// files and terminated event streams. Only a nil Result (options or
-	// checkpoint-open errors, before the pipeline starts) leaves the trace
-	// unfinished for the caller.
+	// Whenever Augment returns a Result — complete, or partial beside an
+	// error (cancellation, timeout, a failing stage) — it has finished the
+	// trace: open spans are closed at their partial durations, the sinks
+	// flushed, and Result.Trace holds the snapshot, so interrupted and failed
+	// runs still leave valid -trace files and terminated event streams. Only
+	// a nil Result (options or checkpoint-open errors, before the pipeline
+	// starts) leaves the trace unfinished for the caller.
 	Trace *obs.Trace
 }
 
@@ -211,9 +207,6 @@ type BatchReport struct {
 	CandidateFeatures int
 	// KeptFeatures lists the new columns the selector kept.
 	KeptFeatures []string
-	// Score is the selection-time holdout score after keeping the features
-	// (recorded when Options.KeepScores).
-	Score float64
 }
 
 // QuarantinedCandidate records one candidate table isolated by the fault

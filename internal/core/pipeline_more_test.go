@@ -110,31 +110,6 @@ func TestAugmentTupleRatioFilterRemovesTables(t *testing.T) {
 	}
 }
 
-func TestAugmentKeepScores(t *testing.T) {
-	corpus := synth.Poverty(synth.Config{Seed: 59, Scale: 0.15})
-	cands := discovery.Discover(corpus.Base, corpus.Repo, corpus.Target, discovery.Options{})
-	res, err := Augment(corpus.Base, cands, Options{
-		Target:      corpus.Target,
-		CoresetSize: 160,
-		Selector:    fastRIFS(),
-		Estimator:   fastEstimator(7),
-		KeepScores:  true,
-		Seed:        60,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recorded := false
-	for _, b := range res.Batches {
-		if len(b.KeptFeatures) > 0 && b.Score > 0 {
-			recorded = true
-		}
-	}
-	if !recorded {
-		t.Fatal("KeepScores did not record any batch score")
-	}
-}
-
 func TestAugmentColumnPrefixes(t *testing.T) {
 	corpus := synth.Poverty(synth.Config{Seed: 61, Scale: 0.15})
 	cands := discovery.Discover(corpus.Base, corpus.Repo, corpus.Target, discovery.Options{})

@@ -4,9 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
+	"github.com/arda-ml/arda/internal/dataframe"
+	"github.com/arda-ml/arda/internal/discovery"
 	"github.com/arda-ml/arda/internal/faults"
 	"github.com/arda-ml/arda/internal/join"
 	"github.com/arda-ml/arda/internal/retry"
@@ -29,39 +30,33 @@ var (
 // immediately or keep failing — a long ladder would just stall the batch.
 var candidateRetry = retry.Policy{Attempts: 3, Base: time.Millisecond}
 
-// interruptOf maps the context's state to the typed sentinel: nil while the
-// context is live (or nil), ErrDeadline/ErrCanceled once it is done.
-func interruptOf(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	switch err := ctx.Err(); {
-	case err == nil:
-		return nil
-	case errors.Is(err, context.DeadlineExceeded):
+// mapInterrupt reduces a cancellation or deadline error — raw from the
+// context or already typed, however a stage wrapped it — to the bare typed
+// sentinel, passing nil and other errors through.
+func mapInterrupt(err error) error {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, ErrDeadline):
 		return ErrDeadline
-	default:
+	case errors.Is(err, context.Canceled), errors.Is(err, ErrCanceled):
 		return ErrCanceled
 	}
+	return err
 }
 
 // isInterrupt reports whether err stems from cancellation or a deadline
 // rather than from the work itself.
 func isInterrupt(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadline)
+	err = mapInterrupt(err)
+	return err == ErrCanceled || err == ErrDeadline
 }
 
-// mapInterrupt converts raw context errors to the typed sentinels, passing
-// other errors through.
-func mapInterrupt(err error) error {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return ErrDeadline
-	case errors.Is(err, context.Canceled):
-		return ErrCanceled
+// interruptOf is the context's state as a typed sentinel: nil while the
+// context is live (or nil).
+func interruptOf(ctx context.Context) error {
+	if ctx == nil {
+		return nil
 	}
-	return err
+	return mapInterrupt(ctx.Err())
 }
 
 // recoveredError converts a recovered panic value into an error, keeping
@@ -89,13 +84,19 @@ func faultAt(inj *faults.Injector, stage string, ordinal int) (err error) {
 	return inj.Check(stage, ordinal)
 }
 
-// guardedJoin executes one candidate join inside the full fault boundary:
-// injector checkpoint, panic containment, and transient-fault retry. mkRNG
-// re-derives the stage RNG for every attempt — the RNG is attempt-local
-// state, so a retried join draws exactly the sequence a first-try success
-// would and the output stays bit-identical.
-func guardedJoin(ctx context.Context, inj *faults.Injector, stage string, ordinal int,
-	mkRNG func() *rand.Rand, fn func(*rand.Rand) (*join.Result, error)) (*join.Result, error) {
+// guardedJoin joins cand onto left inside the full fault boundary: injector
+// checkpoint, panic containment, and transient-fault retry. An empty
+// candidate can only contribute all-NULL columns, so it is refused before it
+// wastes a join (or an injector probe). The RNG is re-derived from seedPath
+// for every attempt — it is attempt-local state, so a retried join draws
+// exactly the sequence a first-try success would and the output stays
+// bit-identical.
+func guardedJoin(ctx context.Context, o *Options, prep *join.PrepCache, stage string, ordinal int,
+	left *dataframe.Table, cand discovery.Candidate, prefix string, seedPath ...int64) (*join.Result, error) {
+	if cand.Table.NumRows() == 0 {
+		return nil, errors.New("candidate table is empty")
+	}
+	spec := specFor(cand, *o, prefix)
 	var jr *join.Result
 	err := retry.Do(ctx, candidateRetry, faults.IsTransient, func() (err error) {
 		defer func() {
@@ -103,14 +104,11 @@ func guardedJoin(ctx context.Context, inj *faults.Injector, stage string, ordina
 				err = recoveredError(v)
 			}
 		}()
-		if err := inj.Check(stage, ordinal); err != nil {
+		if err := o.FaultInjector.Check(stage, ordinal); err != nil {
 			return err
 		}
-		jr, err = fn(mkRNG())
+		jr, err = join.ExecuteCached(left, cand.Table, spec, stageRNG(o.Seed, seedPath...), prep)
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return jr, nil
+	return jr, err
 }

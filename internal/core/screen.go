@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
-	"math/rand"
 	"sort"
 
 	"github.com/arda-ml/arda/internal/dataframe"
@@ -66,6 +64,17 @@ type screenOutcome struct {
 	// Tables holds one verdict per candidate, in candidate order; nil when
 	// the candidates fit and nothing was scored.
 	Tables []ScreenedTable
+}
+
+// keptOrdinals lists the ordinals a verdict list keeps, ascending.
+func keptOrdinals(tables []ScreenedTable) []int {
+	kept := make([]int, 0, len(tables))
+	for ord, t := range tables {
+		if t.Kept {
+			kept = append(kept, ord)
+		}
+	}
+	return kept
 }
 
 // keep returns the surviving candidates, in their original order.
@@ -139,11 +148,7 @@ func screenCandidates(ctx context.Context, in screenInput) (out *screenOutcome, 
 		used += features[ord]
 		out.Tables[ord].Kept = true
 	}
-	for ord := range out.Tables {
-		if out.Tables[ord].Kept {
-			out.Kept = append(out.Kept, ord)
-		}
-	}
+	out.Kept = keptOrdinals(out.Tables)
 	return out, faults, nil
 }
 
@@ -157,15 +162,8 @@ func screenScore(ctx context.Context, in *screenInput, ord int, y []float64) (be
 		}
 	}()
 	cand := in.Cands[ord]
-	if cand.Table.NumRows() == 0 {
-		return 0, errors.New("candidate table is empty")
-	}
-	spec := specFor(cand, *in.Opts, "screen.")
-	jr, err := guardedJoin(ctx, in.Opts.FaultInjector, "screen", ord,
-		func() *rand.Rand { return stageRNG(in.Opts.Seed, seedStageScreen, int64(ord)) },
-		func(rng *rand.Rand) (*join.Result, error) {
-			return join.ExecuteCached(in.Coreset, cand.Table, spec, rng, in.Prep)
-		})
+	jr, err := guardedJoin(ctx, in.Opts, in.Prep, "screen", ord, in.Coreset, cand, "screen.",
+		seedStageScreen, int64(ord))
 	if err != nil || len(jr.AddedColumns) == 0 {
 		return 0, err
 	}

@@ -11,10 +11,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/arda-ml/arda/internal/eval"
 	"github.com/arda-ml/arda/internal/faults"
+	"github.com/arda-ml/arda/internal/ml"
 	"github.com/arda-ml/arda/internal/obs"
 	"github.com/arda-ml/arda/internal/parallel"
 	"github.com/arda-ml/arda/internal/testenv"
@@ -197,5 +200,77 @@ func TestTelemetryInterruptedRunFlushesTrace(t *testing.T) {
 	}
 	if replayed == 0 {
 		t.Fatal("flushed stream replayed no history")
+	}
+}
+
+// failingSelector supports every task and fails every selection: a fatal,
+// non-interrupt stage error.
+type failingSelector struct{}
+
+func (failingSelector) Name() string          { return "failing" }
+func (failingSelector) Supports(ml.Task) bool { return true }
+func (failingSelector) Select(*ml.Dataset, eval.Fitter, int64) ([]int, error) {
+	return nil, errors.New("boom")
+}
+
+// TestTelemetryFatalStageErrorFinishesTrace is the failure-side twin of the
+// test above: a stage that fails for a reason other than interruption still
+// returns the partial Result with its trace finished — the file sink
+// published and ending with the run event, a live subscriber's channel
+// closed — as Options.Trace documents.
+func TestTelemetryFatalStageErrorFinishesTrace(t *testing.T) {
+	defer parallel.SetMaxWorkers(0)
+	defer testenv.NoGoroutineLeak(t)()
+	corpus, cands := chaosCorpus(t)
+
+	path := filepath.Join(t.TempDir(), "failed.ndjson")
+	sink, err := obs.NewNDJSONFileSink(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := obs.NewStreamSink(0)
+	sub := stream.Subscribe(1 << 16)
+
+	opts := chaosOptions(corpus, 2, nil)
+	opts.Selector = failingSelector{}
+	opts.Trace = obs.New("augment", sink, stream)
+	res, err := AugmentContext(context.Background(), corpus.Base, cands, opts)
+	if err == nil || isInterrupt(err) || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("AugmentContext = %v, want the selector's error", err)
+	}
+	if res == nil || res.Trace == nil {
+		t.Fatalf("a failed stage must still return the partial Result with its trace: %+v", res)
+	}
+	if res.Table != nil || res.CandidatesConsidered == 0 {
+		t.Fatalf("partial Result = %+v, want the attrition so far and no final table", res)
+	}
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("failed run left no published trace file: %v", err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(raw), []byte("\n"))
+	var last obs.Event
+	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil || last.Type != obs.EventRun {
+		t.Fatalf("trace file must end with the run event, got %q (%v)", lines[len(lines)-1], err)
+	}
+
+	// Finish flushed the stream sink, which closes every subscription: the
+	// drain below returns instead of blocking until the test times out.
+	closed := make(chan int)
+	go func() {
+		n := 0
+		for range sub.Events() {
+			n++
+		}
+		closed <- n
+	}()
+	select {
+	case n := <-closed:
+		if n == 0 {
+			t.Fatal("subscriber saw no events before the stream closed")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("subscriber's channel never closed: the trace was not finished")
 	}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -14,10 +16,14 @@ import (
 )
 
 // pipelineStages are the span names a full traced Augment run must cover —
-// the paper's §6 cost breakdown.
-var pipelineStages = []string{
-	"prefilter", "coreset", "screen", "join", "impute", "select", "materialize", "evaluate",
-}
+// the paper's §6 cost breakdown — read off the production stage table.
+var pipelineStages = func() []string {
+	names := make([]string, len(stageTable))
+	for i, s := range stageTable {
+		names[i] = s.name
+	}
+	return names
+}()
 
 // tracedRun runs a small Poverty pipeline with a trace attached.
 func tracedRun(t *testing.T, workers int, trace *obs.Trace) *Result {
@@ -173,5 +179,57 @@ func TestAugmentTraceToggleBitIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("augmented table bytes differ with tracing on vs off")
+	}
+}
+
+// TestStageTable pins what the rest of the package derives from the stage
+// table: stageRank orders every boundary the way the driver visits it — the
+// per-batch group interleaved per batch, the stages after it above every
+// batch — and a traced run has a latency histogram registered under every
+// stage name before any stage has run (a run canceled before its first stage
+// already exposes them all, empty).
+func TestStageTable(t *testing.T) {
+	type boundary struct {
+		stage string
+		batch int
+	}
+	var visit []boundary
+	for _, s := range stageTable[:batchLo] {
+		visit = append(visit, boundary{s.name, -1})
+	}
+	for b := 0; b <= 2; b++ {
+		for _, s := range stageTable[batchLo:batchHi] {
+			visit = append(visit, boundary{s.name, b})
+		}
+	}
+	for _, s := range stageTable[batchHi:] {
+		visit = append(visit, boundary{s.name, -1})
+	}
+	if len(visit) != len(stageTable)+2*(batchHi-batchLo) || batchLo >= batchHi {
+		t.Fatalf("per-batch group [%d:%d) of %d stages", batchLo, batchHi, len(stageTable))
+	}
+	for i := 1; i < len(visit); i++ {
+		prev, cur := visit[i-1], visit[i]
+		if p, c := stageRank(prev.stage, prev.batch), stageRank(cur.stage, cur.batch); p < 0 || c <= p {
+			t.Errorf("stageRank(%v) = %d, not below stageRank(%v) = %d", prev, p, cur, c)
+		}
+	}
+	if r := stageRank("no-such-stage", -1); r != -1 {
+		t.Errorf("stageRank of an unknown stage = %d, want -1", r)
+	}
+
+	corpus, cands := chaosCorpus(t)
+	opts := chaosOptions(corpus, 0, nil)
+	opts.Trace = obs.New("augment")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := AugmentContext(ctx, corpus.Base, cands, opts)
+	if !errors.Is(err, ErrCanceled) || res == nil || res.Trace == nil {
+		t.Fatalf("canceled run = %+v, %v; want a partial Result with its trace", res, err)
+	}
+	for _, s := range stageTable {
+		if h, ok := res.Trace.Histograms[s.name]; !ok || h.Count != 0 {
+			t.Errorf("stage %q: histogram registered %v with %d observations before any stage ran", s.name, ok, h.Count)
+		}
 	}
 }

@@ -324,8 +324,8 @@ func (m *Manager) attempt(ctx context.Context, r *run) (res *RunResult, err erro
 		return nil, err
 	}
 
-	// A fresh trace per attempt: the pipeline finishes its trace even on
-	// error, so attempts cannot share one. The stream sink replays history to
+	// A fresh trace per attempt: a trace is finished once, on every exit of
+	// the attempt, so attempts cannot share one. The stream sink replays history to
 	// late subscribers; the file sink publishes atomically on Flush.
 	stream := obs.NewStreamSink(0)
 	tracePath := filepath.Join(m.runDir(id), "trace.ndjson")
@@ -342,7 +342,13 @@ func (m *Manager) attempt(ctx context.Context, r *run) (res *RunResult, err erro
 	m.mu.Lock()
 	r.stream = stream
 	m.mu.Unlock()
+	// Every exit finishes the trace — the front half's (load, base lookup,
+	// spec options) before the pipeline ever sees it, and a panic's — so the
+	// stream closes and GET /runs/{id}/events of a failed run ends instead of
+	// blocking. Finish is idempotent; after the pipeline's own it is a no-op.
+	// The fenced Flush is repeated only for its error.
 	defer func() {
+		trace.Finish()
 		if perr := guarded.Flush(); perr != nil && err == nil {
 			m.logf("publishing trace for %s: %v", id, perr)
 		}

@@ -15,6 +15,7 @@ import (
 	"github.com/arda-ml/arda/internal/checkpoint"
 	"github.com/arda-ml/arda/internal/dataframe"
 	"github.com/arda-ml/arda/internal/faults"
+	"github.com/arda-ml/arda/internal/obs"
 	"github.com/arda-ml/arda/internal/parallel"
 	"github.com/arda-ml/arda/internal/synth"
 	"github.com/arda-ml/arda/internal/testenv"
@@ -440,6 +441,30 @@ func TestRunHardFailureIsContained(t *testing.T) {
 	checkAccounting(t, m)
 	if a := waitSettled(t, m, time.Minute); a.Failed != 1 {
 		t.Fatalf("accounting = %+v, want 1 failed", a)
+	}
+
+	// The attempt failed before the pipeline started, and still finished its
+	// trace: a late subscriber (GET /runs/{id}/events of the failed run)
+	// replays the history, terminal run event last, and its channel closes.
+	stream, _, err := m.Stream(bad.ID)
+	if err != nil || stream == nil {
+		t.Fatalf("Stream(%s) = %v, %v; want the failed attempt's stream", bad.ID, stream, err)
+	}
+	sub := stream.Subscribe(0)
+	defer sub.Close()
+	var last obs.Event
+	for open := true; open; {
+		select {
+		case ev, ok := <-sub.Events():
+			if open = ok; ok {
+				last = ev
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("the failed run's event stream never closed")
+		}
+	}
+	if last.Type != obs.EventRun {
+		t.Fatalf("failed run's stream ended with %q %q, want the run event", last.Type, last.Name)
 	}
 	if err := m.Close(time.Minute); err != nil {
 		t.Fatal(err)
