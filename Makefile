@@ -42,14 +42,17 @@ bench-parallel:
 	$(GO) test -bench='Mul|MulABt|Transpose|RStar|LeverageIndices|Discover|ReadCSVDir' -benchtime=1x -run=^$$ \
 		./internal/linalg/ ./internal/featsel/ ./internal/coreset/ ./internal/discovery/ ./internal/dataframe/
 
-# The system benchmark's own checks, shortened (about a minute): bench/ still
-# compiles against the program, and one traced tall run and one untraced wide
-# run still pass its digest / one-worker / checkpoint verification. Catches a
-# broken benchmark before the gate does; measures nothing.
+# The system benchmark's own checks, shortened (about a minute and a half):
+# bench/ still compiles against the program, one traced tall run and one
+# untraced wide run still pass its digest / one-worker / checkpoint
+# verification, and one ardad under two clients still completes every run
+# exactly once. Catches a broken benchmark before the gate does; measures
+# nothing.
 bench-smoke:
 	$(GO) vet ./bench
 	$(GO) run ./bench -workload tall-base -seconds 5 -trace 1
 	$(GO) run ./bench -workload wide-repo -seconds 5 -trace 0
+	$(GO) run ./bench -workload service-steady -seconds 5 -trace 0
 
 # Ten full-length service-failover passes at ten seeds, stopping at the first
 # that fails: every SIGKILL must be followed by a takeover and every run must
@@ -180,11 +183,13 @@ serve-smoke:
 	echo "serve-smoke: run $$id completed"; \
 	kill -TERM $$pid; wait $$pid
 
-# CPU profile of one RIFS selection run (the K injection repetitions with
-# their ranking ensembles — the pipeline's dominant cost): inspect with
+# CPU profile of RIFS's K injection repetitions with their ranking ensembles
+# — the pipeline's dominant cost — on both tasks: BenchmarkRStar is a
+# classification fixture, BenchmarkRStarRegression the 256-row regression
+# coreset three of the four benchmark workloads run. Inspect with
 # `go tool pprof select.pprof`.
 profile-select:
-	$(GO) test -bench='^BenchmarkRStar$$' -benchtime=3x -run=^$$ \
+	$(GO) test -bench='^BenchmarkRStar' -benchtime=3x -run=^$$ \
 		-cpuprofile=select.pprof ./internal/featsel/
 	@rm -f featsel.test
 	@echo "wrote select.pprof (go tool pprof select.pprof)"

@@ -151,7 +151,8 @@ var (
 		"quarantine.total", "checkpoint.saved", "checkpoint.write_failures",
 	}
 	subStageHistograms = []string{
-		"batch", "join.cand", "select.rep", "select.sweep", "materialize.cand",
+		"batch", "join.cand", "select.rep", "rep.inject", "rep.forest", "rep.sparse",
+		"select.sweep", "materialize.cand",
 		"select.tree_fit", "select.subset_score",
 	}
 )

@@ -9,6 +9,7 @@ import (
 	"github.com/arda-ml/arda/internal/dataframe"
 	"github.com/arda-ml/arda/internal/eval"
 	"github.com/arda-ml/arda/internal/ml"
+	"github.com/arda-ml/arda/internal/parallel"
 )
 
 // The stages outside the per-batch group (batch.go), in table order.
@@ -205,8 +206,15 @@ func (r *run) evaluate(context.Context, int) (bool, error) {
 	span := r.tr.Root().Child("evaluate", 0)
 	defer span.End()
 	o, res := &r.opts, &r.st.Result
-	baseDS, errB := DatasetOf(r.base, o.Target, r.task, r.classes)
-	augDS, errA := DatasetOf(res.Table, o.Target, r.task, r.classes)
+	// The two encodings are independent (tables are only read), so they run
+	// as two pool items.
+	tables := [2]*dataframe.Table{r.base, res.Table}
+	var dss [2]*ml.Dataset
+	var errs [2]error
+	parallel.ForEach(0, 2, func(i int) {
+		dss[i], errs[i] = DatasetOf(tables[i], o.Target, r.task, r.classes)
+	})
+	baseDS, augDS, errB, errA := dss[0], dss[1], errs[0], errs[1]
 	if errB == nil {
 		res.BaseScore = eval.HoldoutScore(baseDS, eval.TrainTestSplit(baseDS, 0.25, o.Seed), r.estimator)
 	}

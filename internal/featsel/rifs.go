@@ -137,7 +137,8 @@ type RIFS struct {
 
 // AttachSpan implements obs.SpanAttacher: subsequent Select calls emit one
 // child span per injection repetition (with features_injected /
-// features_outranked attributes) plus a threshold-sweep span under s. Spans
+// features_outranked attributes, and rep.inject / rep.forest / rep.sparse
+// children of its own) plus a threshold-sweep span under s. Spans
 // only observe the run — selection output is bit-identical with tracing on
 // or off. Attach nil to detach. Not safe to call concurrently with Select.
 func (r *RIFS) AttachSpan(s *obs.Span) { r.span = s }
@@ -391,6 +392,7 @@ func (r *RIFS) rstarCtx(ctx context.Context, ds *ml.Dataset, seed int64) ([]floa
 			}
 			ws.base = true
 		}
+		injectSpan := repSpan.Child("rep.inject", 0)
 		injectInto(ws.x, n, d, t, inject, repSeed, ws.noiseV)
 		aug := &ml.Dataset{X: ws.x, N: n, D: d2, Y: ds.Y, Task: ds.Task, Classes: ds.Classes}
 		if useViews {
@@ -399,7 +401,8 @@ func (r *RIFS) rstarCtx(ctx context.Context, ds *ml.Dataset, seed int64) ([]floa
 			}
 			aug.AttachSplits(scache.View(scache.Columns(realIdx, true), ws.noise))
 		}
-		agg, err := r.aggregateRanking(&cfg, aug, repSeed)
+		injectSpan.End()
+		agg, err := r.aggregateRanking(&cfg, aug, repSeed, repSpan)
 		if err != nil {
 			return nil, err
 		}
@@ -450,26 +453,38 @@ func (r *RIFS) rstarCtx(ctx context.Context, ds *ml.Dataset, seed int64) ([]floa
 // combination of forest importances and sparse-regression row norms) over
 // every column of aug. At the ν endpoints only the weighted half is fitted:
 // the other half's weight is exactly zero, so its ranking cannot move the
-// aggregate, and skipping it returns bit-identical values.
-func (r *RIFS) aggregateRanking(cfg *RIFSConfig, aug *ml.Dataset, seed int64) ([]float64, error) {
+// aggregate, and skipping it returns bit-identical values. Each half that
+// runs gets its own child of the repetition's span rep (nil: tracing off).
+func (r *RIFS) aggregateRanking(cfg *RIFSConfig, aug *ml.Dataset, seed int64, rep *obs.Span) ([]float64, error) {
 	var rfScores, srScores []float64
 	var rfErr, srErr error
-	switch {
-	case cfg.Nu == 1:
+	forest := func(sp *obs.Span) {
+		sp.Begin()
 		rfScores, rfErr = cfg.Forest.Rank(aug, seed)
-	case cfg.Nu == 0:
+		sp.End()
+	}
+	sparse := func(sp *obs.Span) {
+		sp.Begin()
 		sr := &SparseRegressionRanker{Config: cfg.Sparse}
 		srScores, srErr = sr.Rank(aug, seed)
+		sp.End()
+	}
+	switch {
+	case cfg.Nu == 1:
+		forest(rep.Child("rep.forest", 0))
+	case cfg.Nu == 0:
+		sparse(rep.Child("rep.sparse", 0))
 	default:
 		// The two ensemble halves are independent; run them as two
 		// concurrent work items (each seeded identically to the sequential
-		// path).
+		// path). Their spans are created here, in program order, and overlap
+		// in time when two workers are free.
+		spans := [2]*obs.Span{rep.Child("rep.forest", 0), rep.Child("rep.sparse", 0)}
 		parallel.ForEach(cfg.Workers, 2, func(half int) {
 			if half == 0 {
-				rfScores, rfErr = cfg.Forest.Rank(aug, seed)
+				forest(spans[0])
 			} else {
-				sr := &SparseRegressionRanker{Config: cfg.Sparse}
-				srScores, srErr = sr.Rank(aug, seed)
+				sparse(spans[1])
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package featsel
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/arda-ml/arda/internal/ml"
@@ -41,7 +42,7 @@ func TestNuEndpointsExact(t *testing.T) {
 
 	cfg := RIFSConfig{Nu: 1, Forest: ForestRanker{NTrees: 10, MaxDepth: 6}}
 	cfg.defaults()
-	agg, err := r.aggregateRanking(&cfg, ds, 17)
+	agg, err := r.aggregateRanking(&cfg, ds, 17, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestNuEndpointsExact(t *testing.T) {
 
 	cfg = RIFSConfig{Nu: 0, NuSet: true, Forest: ForestRanker{NTrees: 10, MaxDepth: 6}}
 	cfg.defaults()
-	agg, err = r.aggregateRanking(&cfg, ds, 17)
+	agg, err = r.aggregateRanking(&cfg, ds, 17, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +106,23 @@ func TestRStarNeverShortCircuits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Finish().SpanCounts()["select.rep"]; got != 5 {
+	stats := tr.Finish()
+	if got := stats.SpanCounts()["select.rep"]; got != 5 {
 		t.Fatalf("ran %d repetitions, want K=5", got)
+	}
+	// Every repetition splits into its three parts, and they fit inside it
+	// (the two ranking halves may overlap, so no sum is asserted).
+	for _, rep := range stats.Root.Children {
+		var names []string
+		for _, c := range rep.Children {
+			names = append(names, c.Name)
+			if c.Dur > rep.Dur {
+				t.Fatalf("%s[%d]: child %s (%v) outlasts it (%v)", rep.Name, rep.Ord, c.Name, c.Dur, rep.Dur)
+			}
+		}
+		if got := strings.Join(names, " "); got != "rep.inject rep.forest rep.sparse" {
+			t.Fatalf("%s[%d] has children %q, want rep.inject rep.forest rep.sparse", rep.Name, rep.Ord, got)
+		}
 	}
 	for j, v := range rstar {
 		scaled := v * 5

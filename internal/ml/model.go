@@ -9,6 +9,8 @@ package ml
 import (
 	"fmt"
 	"math"
+
+	"github.com/arda-ml/arda/internal/parallel"
 )
 
 // Task distinguishes regression from classification datasets.
@@ -242,18 +244,37 @@ func (ds *Dataset) CleanNaNs() {
 }
 
 // Model is a fitted predictor. For classification models Predict returns the
-// predicted class code; for regression, the predicted value.
+// predicted class code; for regression, the predicted value. Predict must be
+// safe for concurrent calls — PredictAll makes them — which every model of
+// this package is: a fitted model is only read, and per-call scratch is local.
 type Model interface {
 	Predict(x []float64) float64
 }
 
-// PredictAll applies the model to every row of ds.
+// predictBlock is PredictAll's rows per pool item: a few hundred forest
+// predictions, far above the pool's per-item overhead.
+const predictBlock = 256
+
+// PredictAll applies the model to every row of ds, in row blocks on the
+// shared worker pool. Each prediction is written at its row's index, so the
+// result is the same for any worker count. A dataset of one block — every
+// holdout of a coreset, scored hundreds of times per run — never touches the
+// pool.
 func PredictAll(m Model, ds *Dataset) []float64 {
 	out := make([]float64, ds.N)
-	for i := 0; i < ds.N; i++ {
-		out[i] = m.Predict(ds.Row(i))
+	if ds.N <= predictBlock {
+		predictRows(m, ds, out, 0, ds.N)
+	} else {
+		parallel.Blocks(0, ds.N, predictBlock, func(lo, hi int) { predictRows(m, ds, out, lo, hi) })
 	}
 	return out
+}
+
+// predictRows fills out[lo:hi] with the model's predictions for those rows.
+func predictRows(m Model, ds *Dataset, out []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		out[i] = m.Predict(ds.Row(i))
+	}
 }
 
 // Standardization holds per-feature location/scale for z-scoring.

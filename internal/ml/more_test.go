@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"github.com/arda-ml/arda/internal/parallel"
 )
 
 func TestForestImportancesOnConstantTarget(t *testing.T) {
@@ -69,6 +71,53 @@ func TestPredictAllLength(t *testing.T) {
 	}
 	if got := PredictAll(m, ds); len(got) != ds.N {
 		t.Fatalf("PredictAll length = %d", len(got))
+	}
+}
+
+// TestPredictAllAnyWorkers: PredictAll runs Predict from several pool workers
+// at once, so every model must only read its fitted state (the race detector
+// is the judge) and the predictions must equal a serial loop's at any worker
+// count — over several row blocks, a short last block, and a column view.
+func TestPredictAllAnyWorkers(t *testing.T) {
+	cls := makeClassification(3*predictBlock+17, 2, 4, 87)
+	reg := makeRegression(3*predictBlock+17, 3, 88)
+	ridge, err := FitRidge(reg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := reg.View([]int{0, 1, 3})
+	cases := []struct {
+		name string
+		m    Model
+		ds   *Dataset
+	}{
+		{"tree", FitTree(reg, nil, TreeConfig{MaxDepth: 6}, rand.New(rand.NewSource(1))), reg},
+		{"forest reg", FitForest(reg, ForestConfig{NTrees: 5, MaxDepth: 6, Seed: 2}), reg},
+		{"forest cls", FitForest(cls, ForestConfig{NTrees: 5, MaxDepth: 6, Seed: 3}), cls},
+		{"forest view", FitForest(view, ForestConfig{NTrees: 5, MaxDepth: 6, Seed: 4}), view},
+		{"ridge", ridge, reg},
+		{"lasso", FitLasso(reg, LassoConfig{Lambda: 0.01, MaxIter: 20}), reg},
+		{"logistic", FitLogistic(cls, LogisticConfig{MaxIter: 10}), cls},
+		{"mlp", FitMLP(cls, MLPConfig{Hidden: []int{4}, Epochs: 2, Seed: 5}), cls},
+		{"knn", FitKNN(cls.Subset([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}), 3), cls},
+		{"linear svm", FitLinearSVM(cls, SVMConfig{Epochs: 2, Seed: 6}), cls},
+		{"rbf svm", FitRBFSVM(cls.Subset([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}), RBFSVMConfig{Epochs: 2, Seed: 7}), cls},
+	}
+	defer parallel.SetMaxWorkers(0)
+	for _, tc := range cases {
+		want := make([]float64, tc.ds.N)
+		for i := range want {
+			want[i] = tc.m.Predict(tc.ds.Row(i))
+		}
+		for _, workers := range []int{1, 8} {
+			parallel.SetMaxWorkers(workers)
+			got := PredictAll(tc.m, tc.ds)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s at %d workers: row %d predicted %v, serial loop %v", tc.name, workers, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 

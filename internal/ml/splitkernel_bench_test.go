@@ -26,6 +26,15 @@ func BenchmarkSelectForestRegression(b *testing.B) {
 		ForestConfig{NTrees: 20, MaxDepth: 10, Seed: 7, Parallel: true})
 }
 
+// BenchmarkSelectForestCoresetRegression is the service workloads' ranking
+// forest under the default estimator's size: 192 coreset rows × 130 columns
+// (40 one-hot, 90 continuous), mtry = d/3 = 43, so the cost rule keeps every
+// node above eight samples presorted.
+func BenchmarkSelectForestCoresetRegression(b *testing.B) {
+	benchFitForest(b, oneHotFixture(192, 40, 90, Regression, 205),
+		ForestConfig{NTrees: 60, MaxDepth: 12, Seed: 7, Parallel: true})
+}
+
 // BenchmarkSelectForestEvaluate is the downstream evaluation-forest shape:
 // thousands of samples over few columns, all presorted until deep subtrees.
 func BenchmarkSelectForestEvaluate(b *testing.B) {

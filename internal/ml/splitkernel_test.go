@@ -101,18 +101,19 @@ func TestTreeKernelEquivalenceClassification(t *testing.T) {
 // TestTreeKernelEquivalenceRegressionTieFree: in the flat regime the live
 // kernel gathers, partitions, and sums in exactly the legacy order, so with
 // tie-free columns and no duplicate samples regression trees must match
-// bit-for-bit. (The presorted regime iterates node members in value order
-// rather than partition order, so its regression sums — and hence leaf values
-// — can differ in the last ulp; that regime is covered by the aggregate
-// forest test below.)
+// bit-for-bit. Every shape here is flat from the root under the cost rule.
+// (The presorted regime iterates node members in value order rather than
+// partition order, so its regression sums — and hence leaf values — can
+// differ in the last ulp; that regime, small nodes included, is covered by
+// the aggregate forest test below.)
 func TestTreeKernelEquivalenceRegressionTieFree(t *testing.T) {
 	cases := []struct {
 		n, d int
 		cfg  TreeConfig
 	}{
-		{60, 4, TreeConfig{}}, // below the small-node cutoff
-		{60, 4, TreeConfig{MinLeaf: 5}},
-		{300, 24, TreeConfig{MTry: 2}}, // mtry·log₂(m) = 18 < 24: flat
+		{60, 24, TreeConfig{MTry: 2}}, // mtry·⌈log₂ m⌉ = 12 < 24
+		{60, 24, TreeConfig{MTry: 2, MinLeaf: 5}},
+		{300, 24, TreeConfig{MTry: 2}}, // 18 < 24
 	}
 	for _, tc := range cases {
 		rng := rand.New(rand.NewSource(7))
@@ -130,6 +131,9 @@ func TestTreeKernelEquivalenceRegressionTieFree(t *testing.T) {
 		}
 		want := fitTreeLegacy(ds, nil, tc.cfg, rand.New(rand.NewSource(3)))
 		got := FitTree(ds, nil, tc.cfg, rand.New(rand.NewSource(3)))
+		if mtry := resolveMTry(tc.cfg.MTry, tc.d); !useFlatKernel(mtry, tc.d, tc.n) {
+			t.Fatalf("n=%d d=%d cfg %+v is not flat from the root: the case tests nothing", tc.n, tc.d, tc.cfg)
+		}
 		if !sameTree(want, got) {
 			t.Fatalf("n=%d d=%d cfg %+v: flat-regime regression tree differs from legacy", tc.n, tc.d, tc.cfg)
 		}
@@ -149,18 +153,27 @@ func TestForestKernelEquivalenceClassification(t *testing.T) {
 // the kernels order tied targets differently (sort.Slice's unstable order vs
 // the stable (value, position) order), so regression partial sums — and
 // occasionally a near-equal split argmax — can differ. The ensembles must
-// still agree closely in aggregate on the training rows.
+// still agree closely in aggregate on the training rows. The second shape is
+// the one the cost rule alone keeps presorted at small nodes: 60 rows,
+// mtry = d, so every node down to m = 2 partitions orders and never sorts.
 func TestForestKernelEquivalenceRegression(t *testing.T) {
-	ds := kernelFixture(200, 6, Regression, 31)
-	cfg := ForestConfig{NTrees: 10, MaxDepth: 8, Seed: 9}
-	fNew := FitForest(ds, cfg)
-	fOld := refFitForest(ds, cfg)
-	sum := 0.0
-	for i := 0; i < ds.N; i++ {
-		sum += math.Abs(fNew.Predict(ds.Row(i)) - fOld.Predict(ds.Row(i)))
-	}
-	if mad := sum / float64(ds.N); mad > 0.02 {
-		t.Fatalf("mean |new-reference| prediction gap %v, want < 0.02", mad)
+	for _, tc := range []struct {
+		n, d int
+		cfg  ForestConfig
+	}{
+		{200, 6, ForestConfig{NTrees: 10, MaxDepth: 8, Seed: 9}},
+		{60, 4, ForestConfig{NTrees: 10, MTry: 4, Seed: 9}},
+	} {
+		ds := kernelFixture(tc.n, tc.d, Regression, 31)
+		fNew := FitForest(ds, tc.cfg)
+		fOld := refFitForest(ds, tc.cfg)
+		sum := 0.0
+		for i := 0; i < ds.N; i++ {
+			sum += math.Abs(fNew.Predict(ds.Row(i)) - fOld.Predict(ds.Row(i)))
+		}
+		if mad := sum / float64(ds.N); mad > 0.02 {
+			t.Fatalf("n=%d d=%d: mean |new-reference| prediction gap %v, want < 0.02", tc.n, tc.d, mad)
+		}
 	}
 }
 
@@ -188,32 +201,72 @@ func TestForestMatchesReference(t *testing.T) {
 	}
 }
 
-// TestUseFlatKernelRule pins the regime rule: monotone in m (once a subtree
-// goes flat it stays flat), flat below the small-node cutoff, and crossing
-// exactly at mtry·ceil(log₂ m) vs d.
+// ceilLog2 is ⌈log₂ m⌉ for m ≥ 1, computed the slow way.
+func ceilLog2(m int) int {
+	k := 0
+	for 1<<k < m {
+		k++
+	}
+	return k
+}
+
+// TestUseFlatKernelRule pins the regime rule: flat exactly when
+// mtry·⌈log₂ m⌉ < d at every m — no node size overrides it — hence monotone
+// in m (once a subtree goes flat it stays flat); flat at m ≤ 1 and d = 0.
 func TestUseFlatKernelRule(t *testing.T) {
-	if !useFlatKernel(3, 100, 64) {
-		t.Fatal("small nodes must use the flat kernel")
+	for _, tc := range []struct{ mtry, d int }{{1, 10}, {3, 100}, {5, 40}, {12, 148}, {49, 148}, {72, 216}, {20, 20}, {1, 1}} {
+		sawPresorted := false
+		for m := 2; m <= 1<<12; m++ {
+			flat := useFlatKernel(tc.mtry, tc.d, m)
+			if want := tc.mtry*ceilLog2(m) < tc.d; flat != want {
+				t.Fatalf("mtry=%d d=%d m=%d: flat=%v, want mtry·⌈log₂ m⌉ < d = %v", tc.mtry, tc.d, m, flat, want)
+			}
+			if flat && sawPresorted {
+				t.Fatalf("mtry=%d d=%d: flat at m=%d after presorted at smaller m", tc.mtry, tc.d, m)
+			}
+			sawPresorted = sawPresorted || !flat
+		}
+		for _, m := range []int{0, 1} {
+			if !useFlatKernel(tc.mtry, tc.d, m) {
+				t.Fatalf("mtry=%d d=%d: m=%d must be flat", tc.mtry, tc.d, m)
+			}
+		}
 	}
-	if !useFlatKernel(12, 148, 160) { // 12·8 = 96 < 148: ARDA's selection-forest shape
-		t.Fatal("classification selection shape (mtry=sqrt(d)) should be flat")
+	// The crossing, at its exact m: 5·⌈log₂ m⌉ < 40 holds up to m = 128.
+	if !useFlatKernel(5, 40, 128) || useFlatKernel(5, 40, 129) {
+		t.Fatal("mtry=5 d=40 must cross from flat to presorted between m=128 and m=129")
 	}
-	if useFlatKernel(49, 148, 160) { // 49·8 = 392 >= 148: regression shape (mtry=d/3)
-		t.Fatal("regression shape (mtry=d/3) should be presorted")
+	if useFlatKernel(49, 148, 64) || useFlatKernel(49, 148, 9) || !useFlatKernel(49, 148, 8) {
+		t.Fatal("mtry=49 d=148 must stay presorted down to m=9 (49·4 ≥ 148) and go flat at m=8 (49·3 < 148)")
 	}
-	// Monotone in m: growing m can only move flat → presorted, never back,
-	// so a subtree that goes flat stays flat as its nodes shrink.
-	for _, mtry := range []int{1, 5, 20} {
-		for _, d := range []int{10, 100} {
-			sawPresorted := false
-			for m := 2; m <= 1<<20; m *= 2 {
-				flat := useFlatKernel(mtry, d, m)
-				if flat && sawPresorted {
-					t.Fatalf("mtry=%d d=%d: flat at m=%d after presorted at smaller m", mtry, d, m)
-				}
-				if !flat {
-					sawPresorted = true
-				}
+	if !useFlatKernel(7, 0, 1000) {
+		t.Fatal("a tree without features is flat")
+	}
+}
+
+// TestKernelRegimeOfBenchmarkShapes names the regime — at the root and at
+// nodes of 64, 16 and 4 samples — of the forests the benchmark fits, with
+// FitForest's own mtry defaulting: which shapes ever sort is this table.
+func TestKernelRegimeOfBenchmarkShapes(t *testing.T) {
+	const P, F = false, true // presorted, flat
+	for _, tc := range []struct {
+		name string
+		n, d int
+		task Task
+		want [4]bool // root, m = 64, 16, 4
+	}{
+		{"tall-base RIFS ranking forest (180 real + 36 injected)", 256, 216, Regression, [4]bool{P, P, P, F}},
+		{"wide-repo RIFS ranking forest", 256, 387, Classification, [4]bool{F, F, F, F}},
+		{"service RIFS ranking forest", 192, 130, Regression, [4]bool{P, P, P, F}},
+		{"tall-base sweep forest (a subset on 3/4 of the coreset)", 192, 60, Regression, [4]bool{P, P, P, F}},
+		{"wide-repo sweep forest", 192, 40, Classification, [4]bool{P, F, F, F}},
+		{"tall-base evaluate forest", 9000, 73, Regression, [4]bool{P, P, P, F}},
+		{"wide-repo evaluate forest", 1200, 100, Classification, [4]bool{P, F, F, F}},
+	} {
+		_, tcfg := resolveForestConfig(&Dataset{N: tc.n, D: tc.d, Task: tc.task}, ForestConfig{})
+		for i, m := range [4]int{tc.n, 64, 16, 4} {
+			if got := useFlatKernel(tcfg.MTry, tc.d, m); got != tc.want[i] {
+				t.Errorf("%s (%d × %d, mtry %d) at m=%d: flat=%v, want %v", tc.name, tc.n, tc.d, tcfg.MTry, m, got, tc.want[i])
 			}
 		}
 	}

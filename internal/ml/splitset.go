@@ -128,9 +128,9 @@ func growInt32(s []int32, n int) []int32 {
 // values plus — in the presorted regime — per-feature row indices sorted by
 // (value, row). FitForest builds it once; every bootstrap tree either
 // derives its per-tree orders from the global ones with a linear counting
-// scan (large n) or reads the shared columns through its bootstrap row map
-// and sorts nodes flat (small n). Below the presort cutoff the global
-// orders are skipped entirely.
+// scan (presorted regime) or reads the shared columns through its bootstrap
+// row map and sorts nodes flat. A forest whose trees start flat skips the
+// global orders entirely.
 type splitSet struct {
 	n, d    int
 	task    Task

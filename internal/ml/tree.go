@@ -31,12 +31,17 @@ type TreeConfig struct {
 //     introsort. Each split pays O(mtry·m·log m) with tiny constants and no
 //     d-factor.
 //
-// Flat wins exactly when mtry·⌈log₂ m⌉ < d, and always at or below
-// smallNodeCutoff samples. That boundary separates ARDA's forest shapes:
-// classification selection forests on a coreset (mtry = √d, d in the
-// hundreds → flat) and regression or evaluation forests (mtry = d/3, or
-// thousands of samples → presorted). useFlatKernel evaluates the rule; it is
-// monotone in m, so a subtree that crosses into the flat regime stays there.
+// Flat wins exactly when mtry·⌈log₂ m⌉ < d: useFlatKernel is that rule and
+// nothing else, and grow's hand-off, a forest's need for global orders and a
+// tree's root regime all ask it. It is monotone in m, so a subtree that
+// crosses into the flat regime stays there. The boundary separates ARDA's
+// forest shapes: classification selection forests on a coreset (mtry = √d,
+// d in the hundreds) are flat at every m; regression forests (mtry = d/3)
+// stay presorted down to m ≈ 4, whatever n is; an evaluation forest over
+// thousands of rows and √d of ~100 columns starts presorted and hands off
+// where ⌈log₂ m⌉ drops below d/mtry. No node size overrides the rule and no
+// constant weights it: with the sort side counted twice the benchmark measured
+// the same, and counted four times the wide classification run lost a quarter.
 //
 // Within either regime a two-valued column (SplitColumn.mask; every one-hot
 // column) carries no order at all: over any node its (value, position)
@@ -47,12 +52,13 @@ type TreeConfig struct {
 // two-valued feature's order in one stable pass. Both regimes feed the same
 // scan loops the same sequences, so which path produced a sequence never
 // shows in a tree.
-const smallNodeCutoff = 64
 
 // useFlatKernel reports whether the flat kernel is the cheaper regime for a
-// (sub)tree of m samples with the given resolved mtry.
+// (sub)tree of m samples with the given resolved mtry. A tree without
+// features or without samples has no order to keep and is flat (flatRoot
+// builds the empty tree's lone leaf); m = 1 is flat by the rule itself.
 func useFlatKernel(mtry, d, m int) bool {
-	if d == 0 || m <= smallNodeCutoff {
+	if d == 0 || m <= 1 {
 		return true
 	}
 	return mtry*bits.Len(uint(m-1)) < d
@@ -295,10 +301,11 @@ func (b *treeBuilder) nodeOrder(feat, start, end int) ([]int32, int) {
 }
 
 // grow recursively builds the subtree over positions [start, end) of every
-// order plane and returns its node index. Small subtrees hand off to the
-// flat kernel: their positions are read out in feature 0's order — like the
-// node statistics, so sums run in one order whichever way that feature is
-// stored — after which the planes' ranges are simply abandoned.
+// order plane and returns its node index. A subtree the cost rule calls flat
+// hands off to the flat kernel: its positions are read out in feature 0's
+// order — like the node statistics, so sums run in one order whichever way
+// that feature is stored — after which the planes' ranges are simply
+// abandoned.
 func (b *treeBuilder) grow(start, end, depth int) int32 {
 	ord0, _ := b.nodeOrder(0, start, end)
 	if useFlatKernel(b.mtry, b.d, end-start) {

@@ -176,9 +176,9 @@ func everyForestPath(ds *Dataset, cfg ForestConfig, check func(path string, f *F
 }
 
 // twoValuedShapes covers the kernel's regimes over the mixed fixture: flat
-// from the root, presorted with every split above the small-node cutoff,
-// presorted handing off to flat at the cutoff and by the cost rule, and
-// MTry = d (no feature sampling).
+// from the root; presorted with large leaves; presorted all the way down
+// (6·⌈log₂ m⌉ ≥ 16 until m = 4); presorted handing off to flat mid-tree
+// (5·⌈log₂ m⌉ < 40 from m = 128); and MTry = d, which never goes flat.
 var twoValuedShapes = []struct {
 	name string
 	n, d int
@@ -186,7 +186,7 @@ var twoValuedShapes = []struct {
 }{
 	{"flat", 300, 24, ForestConfig{NTrees: 6, MTry: 2, Seed: 3, Parallel: true}},
 	{"presorted", 600, 16, ForestConfig{NTrees: 5, MTry: 8, MinLeaf: 40, Seed: 5, Parallel: true}},
-	{"handoff_cutoff", 400, 16, ForestConfig{NTrees: 6, MTry: 6, Seed: 7, Parallel: true}},
+	{"presorted_deep", 400, 16, ForestConfig{NTrees: 6, MTry: 6, Seed: 7, Parallel: true}},
 	{"handoff_rule", 400, 40, ForestConfig{NTrees: 6, MTry: 5, MaxDepth: 9, Seed: 11, Parallel: true}},
 	{"mtry_all", 300, 12, ForestConfig{NTrees: 5, MTry: 12, MaxDepth: 10, Seed: 13, Parallel: true}},
 }
@@ -217,8 +217,14 @@ func TestTwoValuedColumnsMatchReference(t *testing.T) {
 
 // TestTwoValuedRegressionFingerprints pins regression forests — where tied
 // values make the frozen reference's unstable sort diverge in the last bit,
-// so it cannot referee — to fingerprints recorded at commit 064769a, before
-// two-valued columns left the ordered path. The last two shapes are the
+// so it cannot referee — to recorded fingerprints. flat, presorted and
+// handoff_rule date from commit 064769a, before two-valued columns left the
+// ordered path. The other four were re-recorded when nodes of ≤ 64 samples
+// stopped going flat regardless of the cost rule: a node's target sums run
+// in value order where they ran in partition order, so against fdb4aab the
+// 8,869 nodes keep every feature, threshold and child but for one mirrored
+// exact tie in presorted_deep, and 1,614 leaf and node means move by at most
+// 7e-15 relative. The last two shapes are the
 // ones ARDA fits: a RIFS ranking forest over a coreset (64 one-hot + 152
 // continuous columns) and an evaluation forest over a one-hot base table.
 func TestTwoValuedRegressionFingerprints(t *testing.T) {
@@ -229,15 +235,15 @@ func TestTwoValuedRegressionFingerprints(t *testing.T) {
 		want uint64
 	}
 	var cases []fixture
-	wants := []uint64{0xabe6a6a6fc11837e, 0xd55f0ae9fa97db53, 0x79e36209fe1653a2, 0x8dfbf83eff827c68, 0xa9772bf410a593bc}
+	wants := []uint64{0xabe6a6a6fc11837e, 0xd55f0ae9fa97db53, 0xed1afa129cd379dc, 0x8dfbf83eff827c68, 0x6e7b18653cbcec9a}
 	for i, sh := range twoValuedShapes {
 		cases = append(cases, fixture{sh.name, twoValuedFixture(sh.n, sh.d, Regression, 23), sh.cfg, wants[i]})
 	}
 	cases = append(cases,
 		fixture{"rifs_256x216", oneHotFixture(256, 64, 152, Regression, 29),
-			ForestConfig{NTrees: 8, MaxDepth: 12, Seed: 17, Parallel: true}, 0xc96d4337442b78ab},
+			ForestConfig{NTrees: 8, MaxDepth: 12, Seed: 17, Parallel: true}, 0xf51451544dce0aec},
 		fixture{"evaluate_3000x65", oneHotFixture(3000, 64, 1, Regression, 31),
-			ForestConfig{NTrees: 4, MaxDepth: 12, Seed: 19, Parallel: true}, 0x9d5d8f61d6fb7c97},
+			ForestConfig{NTrees: 4, MaxDepth: 12, Seed: 19, Parallel: true}, 0x034da2031459e2df},
 	)
 	for _, c := range cases {
 		everyForestPath(c.ds, c.cfg, func(path string, f *Forest) {

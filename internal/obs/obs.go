@@ -284,6 +284,20 @@ func (s *Span) Child(name string, ord int) *Span {
 	return c
 }
 
+// Begin restarts the span's clock. Siblings appear in a snapshot in the order
+// their names were first created, so a parent that fans out differently-named
+// children creates them in program order before the fan-out, and each work
+// item calls Begin when it actually starts: the tree stays independent of
+// scheduling and a child's duration excludes its wait for a worker.
+func (s *Span) Begin() {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.start = time.Now()
+	s.mu.Unlock()
+}
+
 // End stops the span's clock (monotonic duration) and emits a span event to
 // the trace's sinks. End is idempotent; only the first call sets the
 // duration.

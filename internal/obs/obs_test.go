@@ -128,6 +128,28 @@ func TestChildrenInOrderOfFirstAppearance(t *testing.T) {
 	}
 }
 
+// TestBeginRestartsClock: a span created ahead of its work (to fix its place
+// among its siblings) times only what follows Begin, and keeps that place.
+func TestBeginRestartsClock(t *testing.T) {
+	tr := New("run")
+	first, second := tr.Root().Child("a", 0), tr.Root().Child("b", 0)
+	const wait = 50 * time.Millisecond
+	time.Sleep(wait)
+	second.Begin()
+	second.End()
+	first.End()
+	stats := tr.Finish()
+	a, b := stats.Root.Children[0], stats.Root.Children[1]
+	if a.Name != "a" || b.Name != "b" {
+		t.Fatalf("children %s %s, want a b", a.Name, b.Name)
+	}
+	if a.Dur < wait || b.Dur >= wait {
+		t.Fatalf("a ran %v (want ≥ %v), b ran %v (want < %v: Begin restarts its clock)", a.Dur, wait, b.Dur, wait)
+	}
+	var nilSpan *Span
+	nilSpan.Begin()
+}
+
 func TestFinishEndsOpenSpans(t *testing.T) {
 	tr := New("run")
 	open := tr.Root().Child("open", 0)
