@@ -10,7 +10,7 @@ GO ?= go
 # targets require of a run's trace.
 STAGES := prefilter,coreset,screen,join,impute,select,materialize,evaluate
 
-.PHONY: check fmt vet build test race alloc chaos crash lease-chaos quality bench bench-parallel bench-smoke failover-soak trace-smoke metrics-smoke serve-smoke profile-select
+.PHONY: check fmt vet build test race alloc chaos crash lease-chaos quality bench bench-parallel bench-smoke failover-soak trace-smoke metrics-smoke serve-smoke profile-select profile-forest
 
 check: fmt vet build race alloc quality chaos crash lease-chaos trace-smoke metrics-smoke serve-smoke bench-smoke
 
@@ -71,8 +71,9 @@ alloc:
 # The answer-quality gate (internal/core/quality_test.go), verbose so the
 # numbers it holds are printed: table precision / recall, score gain and
 # answer stability over (corpus seed × pipeline seed) pairs of the wide
-# corpus against the values recorded at the parent commit, bit-equality on a
-# corpus the screen leaves alone, and the join-spec never-panic fuzz seeds.
+# corpus against the values recorded at the parent commit, recorded scores,
+# digests and answer on a corpus the screen leaves alone, and the join-spec
+# never-panic fuzz seeds.
 # race runs the same tests under the detector.
 quality:
 	$(GO) test -run 'TestQuality' -v ./internal/core/
@@ -193,3 +194,13 @@ profile-select:
 		-cpuprofile=select.pprof ./internal/featsel/
 	@rm -f featsel.test
 	@echo "wrote select.pprof (go tool pprof select.pprof)"
+
+# CPU profile of the split kernel alone: the forest shapes ARDA fits
+# (BenchmarkSelectForest*: ranking forests over a coreset on both tasks,
+# the regression ranking shape, both evaluation-forest shapes and the
+# split-cache pair). Inspect with `go tool pprof forest.pprof`.
+profile-forest:
+	$(GO) test -bench='^BenchmarkSelectForest' -benchtime=10x -run=^$$ \
+		-cpuprofile=forest.pprof ./internal/ml/
+	@rm -f ml.test
+	@echo "wrote forest.pprof (go tool pprof forest.pprof)"

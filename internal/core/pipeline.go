@@ -152,7 +152,7 @@ var (
 	}
 	subStageHistograms = []string{
 		"batch", "join.cand", "select.rep", "rep.inject", "rep.forest", "rep.sparse",
-		"select.sweep", "materialize.cand",
+		"rep.aggregate", "select.sweep", "materialize.cand",
 		"select.tree_fit", "select.subset_score",
 	}
 )

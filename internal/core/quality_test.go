@@ -151,28 +151,45 @@ func TestQualitySchoolL(t *testing.T) {
 }
 
 // TestQualityPoverty is the other half of the gate: a corpus whose 42 tables
-// fit its coreset must come out of the screen stage untouched, to the bit.
+// fit its coreset — a regression task — must pass through the screen stage
+// untouched (no candidate screened out, no verdicts recorded), and its answer
+// is pinned: base score, final score and table digest per pair, and the mean
+// table precision, recall and answer stability.
 func TestQualityPoverty(t *testing.T) {
 	defer parallel.SetMaxWorkers(0)
-	// Recorded with this harness at 2a17cbb: base score, final score and
-	// table digest per (corpus seed 1, pipeline seed) pair.
-	parent := []struct {
+	// Base score, final score and table digest per (corpus seed 1, pipeline
+	// seed) pair, recorded when trees started growing over a bootstrap's
+	// distinct rows: their regression sums round differently, which moved
+	// every score and two digests — from (0.10228123084553165,
+	// 0.8467506233449846, 0x8fe97953008e1c0a), (0.09899840619059108,
+	// 0.8216310462074696, same digest) and (0.14394870148082972,
+	// 0.8283535196233383, 0x4548e00b00140276) at 2a17cbb — and the mean gain
+	// from 0.7172 to 0.7181, but kept the same tables in every pair.
+	recorded := []struct {
 		base, final float64
 		digest      uint64
 	}{
-		{0.10228123084553165, 0.8467506233449846, 0x8fe97953008e1c0a},
-		{0.09899840619059108, 0.8216310462074696, 0xa6d9c48f7c51edd5},
-		{0.14394870148082972, 0.8283535196233383, 0x4548e00b00140276},
+		{0.10233709717360084, 0.8416606543335783, 0x5145106f0d07aac5},
+		{0.09899940762977133, 0.8222686394736531, 0xa6d9c48f7c51edd5},
+		{0.14394870148082928, 0.8356368042289377, 0x3765983d15e61e7c},
 	}
+	const (
+		precision = 0.7083333333333334
+		recall    = 1
+		stability = 0.5032051282051282
+	)
 	q := measureQuality(t, synth.Poverty, 0.5, []int64{1}, []int64{2, 3, 4})
 	t.Logf("poverty ×0.5: %s", q)
 	for i, res := range q.results {
 		if res.CandidatesScreened != 0 || res.Screened != nil {
 			t.Errorf("pair %d: the screen dropped %d candidates of a corpus that fits", i, res.CandidatesScreened)
 		}
-		if p := parent[i]; res.BaseScore != p.base || res.FinalScore != p.final || res.Table.Digest() != p.digest {
-			t.Errorf("pair %d: base %v final %v digest %#x, parent had %v %v %#x",
+		if p := recorded[i]; res.BaseScore != p.base || res.FinalScore != p.final || res.Table.Digest() != p.digest {
+			t.Errorf("pair %d: base %v final %v digest %#x, recorded %v %v %#x",
 				i, res.BaseScore, res.FinalScore, res.Table.Digest(), p.base, p.final, p.digest)
 		}
+	}
+	if p, r := stats.Mean(q.precision), stats.Mean(q.recall); p != precision || r != recall || q.stability != stability {
+		t.Errorf("precision %v recall %v stability %v, recorded %v %v %v", p, r, q.stability, precision, recall, stability)
 	}
 }

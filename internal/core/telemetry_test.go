@@ -53,7 +53,7 @@ func TestTelemetryHistogramCountsWorkerInvariant(t *testing.T) {
 	// The stage histograms pre-registered by the pipeline must all have fired,
 	// as must the per-item and per-model families threaded through the layers.
 	for _, name := range append(append([]string{}, pipelineStages...),
-		"join.cand", "select.rep", "rep.inject", "rep.forest", "rep.sparse",
+		"join.cand", "select.rep", "rep.inject", "rep.forest", "rep.sparse", "rep.aggregate",
 		"materialize.cand", "select.tree_fit", "select.subset_score") {
 		if one[name] == 0 {
 			t.Fatalf("histogram %q never observed (have %v)", name, one)

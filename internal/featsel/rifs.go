@@ -137,8 +137,8 @@ type RIFS struct {
 
 // AttachSpan implements obs.SpanAttacher: subsequent Select calls emit one
 // child span per injection repetition (with features_injected /
-// features_outranked attributes, and rep.inject / rep.forest / rep.sparse
-// children of its own) plus a threshold-sweep span under s. Spans
+// features_outranked attributes, and rep.inject / rep.forest / rep.sparse /
+// rep.aggregate children of its own) plus a threshold-sweep span under s. Spans
 // only observe the run — selection output is bit-identical with tracing on
 // or off. Attach nil to detach. Not safe to call concurrently with Select.
 func (r *RIFS) AttachSpan(s *obs.Span) { r.span = s }
@@ -454,7 +454,8 @@ func (r *RIFS) rstarCtx(ctx context.Context, ds *ml.Dataset, seed int64) ([]floa
 // every column of aug. At the ν endpoints only the weighted half is fitted:
 // the other half's weight is exactly zero, so its ranking cannot move the
 // aggregate, and skipping it returns bit-identical values. Each half that
-// runs gets its own child of the repetition's span rep (nil: tracing off).
+// runs gets its own child of the repetition's span rep (nil: tracing off),
+// and so does the rank combination, rep.aggregate.
 func (r *RIFS) aggregateRanking(cfg *RIFSConfig, aug *ml.Dataset, seed int64, rep *obs.Span) ([]float64, error) {
 	var rfScores, srScores []float64
 	var rfErr, srErr error
@@ -494,6 +495,7 @@ func (r *RIFS) aggregateRanking(cfg *RIFSConfig, aug *ml.Dataset, seed int64, re
 	if srErr != nil {
 		return nil, fmt.Errorf("featsel: rifs sparse ranking: %w", srErr)
 	}
+	defer rep.Child("rep.aggregate", 0).End()
 	agg := make([]float64, aug.D)
 	switch {
 	case cfg.Nu == 1:

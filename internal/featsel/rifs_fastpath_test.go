@@ -110,8 +110,9 @@ func TestRStarNeverShortCircuits(t *testing.T) {
 	if got := stats.SpanCounts()["select.rep"]; got != 5 {
 		t.Fatalf("ran %d repetitions, want K=5", got)
 	}
-	// Every repetition splits into its three parts, and they fit inside it
+	// Every repetition splits into its four parts, and they fit inside it
 	// (the two ranking halves may overlap, so no sum is asserted).
+	const parts = "rep.inject rep.forest rep.sparse rep.aggregate"
 	for _, rep := range stats.Root.Children {
 		var names []string
 		for _, c := range rep.Children {
@@ -120,8 +121,8 @@ func TestRStarNeverShortCircuits(t *testing.T) {
 				t.Fatalf("%s[%d]: child %s (%v) outlasts it (%v)", rep.Name, rep.Ord, c.Name, c.Dur, rep.Dur)
 			}
 		}
-		if got := strings.Join(names, " "); got != "rep.inject rep.forest rep.sparse" {
-			t.Fatalf("%s[%d] has children %q, want rep.inject rep.forest rep.sparse", rep.Name, rep.Ord, got)
+		if got := strings.Join(names, " "); got != parts {
+			t.Fatalf("%s[%d] has children %q, want %s", rep.Name, rep.Ord, got, parts)
 		}
 	}
 	for j, v := range rstar {

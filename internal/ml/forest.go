@@ -111,18 +111,21 @@ func splitSetFor(ds *Dataset, tc TreeConfig, workers int) *splitSet {
 func bootstrapTree(ss *splitSet, tc TreeConfig, seed int64) *Tree {
 	rng := rand.New(rand.NewSource(seed))
 	ws := treeScratch.Get()
-	n := ss.n
-	ws.cnt = growInt32(ws.cnt, n)
-	cnt := ws.cnt
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	for i := 0; i < n; i++ {
-		cnt[rng.Intn(n)]++
-	}
+	drawBootstrap(ws, ss.n, rng)
 	t := fitTreeFromSplitSet(ss, tc, rng, ws)
 	treeScratch.Put(ws)
 	return t
+}
+
+// drawBootstrap draws n rows with replacement into ws.cnt as per-row
+// multiplicities: n Intn draws from rng.
+func drawBootstrap(ws *treeWorkspace, n int, rng *rand.Rand) {
+	ws.cnt = growInt32(ws.cnt, n)
+	cnt := ws.cnt
+	clear(cnt)
+	for i := 0; i < n; i++ {
+		cnt[rng.Intn(n)]++
+	}
 }
 
 // aggregateImportances fills f.imp with the normalized mean of per-tree

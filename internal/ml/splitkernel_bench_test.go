@@ -42,6 +42,15 @@ func BenchmarkSelectForestEvaluate(b *testing.B) {
 		ForestConfig{NTrees: 20, MaxDepth: 10, Seed: 7, Parallel: true})
 }
 
+// BenchmarkSelectForestEvaluateRegression is tall-base's evaluation-forest
+// shape: a 9,000-row regression base table of 64 one-hot and 9 continuous
+// columns, 10 trees of depth 12 — mtry = 24, so presorted from the root down
+// to nodes of nine samples, its one-hot columns split by mask.
+func BenchmarkSelectForestEvaluateRegression(b *testing.B) {
+	benchFitForest(b, oneHotFixture(9000, 64, 9, Regression, 206),
+		ForestConfig{NTrees: 10, MaxDepth: 12, Seed: 7, Parallel: true})
+}
+
 // BenchmarkSelectForestRepetitions is the run-level split-cache pair over
 // the RIFS repetition shape: the same forest fit from a warm run-level cache
 // view ("cached" — what every repetition after the first pays) versus

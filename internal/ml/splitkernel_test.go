@@ -140,6 +140,101 @@ func TestTreeKernelEquivalenceRegressionTieFree(t *testing.T) {
 	}
 }
 
+// expandCounts lists row r cnt[r] times, rows ascending: the bootstrap
+// copies a tree over units stands for, in row-major order.
+func expandCounts(cnt []int32) []int {
+	var idx []int
+	for r, c := range cnt {
+		for k := int32(0); k < c; k++ {
+			idx = append(idx, r)
+		}
+	}
+	return idx
+}
+
+// TestUnitsMatchExpandedCopies pins the sample representation: a tree grown
+// over a bootstrap's units (fitTreeFromSplitSet over per-row multiplicities)
+// is the tree FitTree grows over the expanded index list, one weight-1 unit
+// per copy. Classification trees are bit-equal — class counts add integer
+// weights exactly — in both regimes, with and without global orders, on the
+// one-hot and the mixed fixtures. Regression trees over a tie-free fixture
+// keep every feature, threshold and child; only their sums round
+// differently, so node values agree within 1e-12 relative. Tie-free means
+// continuous values and leaves of at least eight samples: in a node of a few
+// units, two features can cut out the same partition, and which of their
+// mathematically equal gains wins is decided by last-ulp rounding.
+func TestUnitsMatchExpandedCopies(t *testing.T) {
+	type shape struct {
+		name   string
+		ds     *Dataset
+		cfg    TreeConfig
+		flat   bool // the root's regime, asserted so no case tests nothing
+		orders bool // the split set carries global orders (counting scans when flat)
+	}
+	fit := func(t *testing.T, sh shape, seed int64) (units, copies *Tree) {
+		t.Helper()
+		if got := useFlatKernel(resolveMTry(sh.cfg.MTry, sh.ds.D), sh.ds.D, sh.ds.N); got != sh.flat {
+			t.Fatalf("%s: root flat=%v, want %v", sh.name, got, sh.flat)
+		}
+		ws := &treeWorkspace{}
+		drawBootstrap(ws, sh.ds.N, rand.New(rand.NewSource(seed)))
+		idx := expandCounts(ws.cnt)
+		units = fitTreeFromSplitSet(buildSplitSet(sh.ds, 1, sh.orders), sh.cfg, rand.New(rand.NewSource(seed+1)), ws)
+		copies = FitTree(sh.ds, idx, sh.cfg, rand.New(rand.NewSource(seed+1)))
+		return units, copies
+	}
+
+	oneHot := oneHotFixture(256, 64, 40, Classification, 29)
+	mixed := twoValuedFixture(300, 24, Classification, 19)
+	for _, sh := range []shape{
+		{"one-hot flat", oneHot, TreeConfig{MTry: 10}, true, false},
+		{"one-hot flat scan", oneHot, TreeConfig{MTry: 10, MinLeaf: 3}, true, true},
+		{"one-hot presorted", oneHot, TreeConfig{MTry: 35, MaxDepth: 12}, false, true},
+		{"mixed flat", mixed, TreeConfig{MTry: 2}, true, false},
+		{"mixed flat scan", mixed, TreeConfig{MTry: 2}, true, true},
+		{"mixed presorted", mixed, TreeConfig{MTry: 8, MinLeaf: 3}, false, true},
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			if units, copies := fit(t, sh, seed); !sameTree(units, copies) {
+				t.Errorf("%s, bootstrap %d: tree over units (%d nodes) differs from the tree over copies (%d nodes)",
+					sh.name, seed, units.NumNodes(), copies.NumNodes())
+			}
+		}
+	}
+
+	n, d := 300, 12
+	rng := rand.New(rand.NewSource(7))
+	x, y := make([]float64, n*d), make([]float64, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < d; j++ {
+			x[i*d+j] = rng.Float64() // continuous draws: ties have measure zero
+		}
+		y[i] = 3 + 2*x[i*d] - x[i*d+d-1] + 0.1*rng.NormFloat64()
+	}
+	tieFree := mustDataset(x, n, d, y, Regression, 0)
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b)) }
+	for _, sh := range []shape{
+		{"tie-free flat", tieFree, TreeConfig{MTry: 1, MinLeaf: 8}, true, false},
+		{"tie-free flat scan", tieFree, TreeConfig{MTry: 1, MinLeaf: 8}, true, true},
+		{"tie-free presorted", tieFree, TreeConfig{MTry: 4, MinLeaf: 8}, false, true},
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			units, copies := fit(t, sh, seed)
+			if units.NumNodes() != copies.NumNodes() {
+				t.Errorf("%s, bootstrap %d: %d nodes over units, %d over copies", sh.name, seed, units.NumNodes(), copies.NumNodes())
+				continue
+			}
+			for i, a := range units.nodes {
+				b := copies.nodes[i]
+				if a.feature != b.feature || a.threshold != b.threshold || a.left != b.left || a.right != b.right || !near(a.value, b.value) {
+					t.Errorf("%s, bootstrap %d, node %d: %+v over units, %+v over copies", sh.name, seed, i, a, b)
+					break
+				}
+			}
+		}
+	}
+}
+
 // TestForestKernelEquivalenceClassification: FitForest with the shared split
 // set must reproduce the reference per-tree kernel's forest exactly — same
 // bootstrap RNG streams, same trees, same aggregated importances.
@@ -149,10 +244,10 @@ func TestForestKernelEquivalenceClassification(t *testing.T) {
 	sameForest(t, refFitForest(ds, cfg), FitForest(ds, cfg))
 }
 
-// TestForestKernelEquivalenceRegression: bootstrap duplicates are ties, and
-// the kernels order tied targets differently (sort.Slice's unstable order vs
-// the stable (value, position) order), so regression partial sums — and
-// occasionally a near-equal split argmax — can differ. The ensembles must
+// TestForestKernelEquivalenceRegression: the live kernel adds a drawn row's
+// w·y once, where the reference adds y once per bootstrap copy in
+// sort.Slice's unstable order, so regression partial sums — and occasionally
+// a near-equal split argmax — can differ. The ensembles must
 // still agree closely in aggregate on the training rows. The second shape is
 // the one the cost rule alone keeps presorted at small nodes: 60 rows,
 // mtry = d, so every node down to m = 2 partitions orders and never sorts.

@@ -9,36 +9,41 @@ import (
 // treeWorkspace is the pooled per-tree scratch of the split kernel. One
 // workspace serves one FitTree call at a time; the pool amortizes the
 // columns, orders, and scan buffers across the hundreds of trees a RIFS run
-// fits. All slices are length-managed by the reserve helpers; contents are
-// garbage between trees except `left`, which is kept all-zero by partition
-// so it never needs re-clearing.
+// fits. All slices are length-managed by the reserve helpers, which size
+// them by the tree's sample count m — never by its unit count, which varies
+// from one bootstrap to the next: sized by units, the workspace would regrow
+// whenever a bootstrap drew more distinct rows than any before, while every
+// tree of a forest shares m. Contents are garbage between trees except
+// `left`, which is kept all-zero by partition so it never needs re-clearing.
 type treeWorkspace struct {
 	// Common scratch (both kernels).
-	ys      []float64     // target by tree position
-	labels  []int32       // class code by tree position (classification)
+	ys      []float64     // target by unit
+	labels  []int32       // class code by unit (classification)
+	wt      []float64     // multiplicity by unit
 	vbuf    []float64     // node values in sorted order (flat scan input)
 	ybuf    []float64     // node targets in sorted order
 	lbuf    []int32       // node labels in sorted order
+	wbuf    []float64     // node multiplicities in sorted order
 	lcnt    []float64     // class-count scratch (left / nodeStats)
 	rcnt    []float64     // class-count scratch (right)
 	rbuf    []float64     // one-row gather scratch
 	feats   []int         // feature permutation for MTry shuffles
-	samples []int32       // flat-kernel position lists, partitioned in place
-	pay     []int32       // flat-kernel sort payload (positions)
+	samples []int32       // flat-kernel unit lists, partitioned in place
+	pay     []int32       // flat-kernel sort payload (units)
 	cnt     []int32       // bootstrap multiplicity per dataset row (forest path)
-	rowOf   []int32       // tree position → dataset row (flat forest path)
+	rowOf   []int32       // unit → dataset row (forest path)
 	scols   []SplitColumn // per-feature column headers handed to the builder
-	spos    []int32       // a flat node's positions ascending (two-valued candidates)
+	spos    []int32       // a flat node's units ascending (two-valued candidates)
 	// Presorted-kernel scratch.
-	colv []float64 // d×m column-major feature values by tree position
-	// orders holds one m-long plane per feature — its positions, value-sorted
+	colv []float64 // d×u column-major feature values by unit
+	// orders holds one u-long plane per feature — its units, value-sorted
 	// per node range — and, when the tree has two-valued columns (whose own
-	// planes then stay untouched), plane d: all positions ascending per node
+	// planes then stay untouched), plane d: all units ascending per node
 	// range, from which such a column's order is split on demand.
 	orders []int32
-	spill  []int32 // stable-partition scratch for right-bound positions
+	spill  []int32 // stable-partition scratch for right-bound units
 	left   []uint8 // goes-left mask during a split (all-zero invariant)
-	base   []int32 // first tree position per dataset row (counting scans)
+	unitOf []int32 // unit per drawn dataset row (order derivation, counting scans)
 	ncnt   []int32 // in-node multiplicity per dataset row (all-zero invariant)
 }
 
@@ -47,10 +52,10 @@ type treeWorkspace struct {
 // pool's retention cap so sweep-sized trees don't keep base-table-sized
 // scratch alive.
 func (ws *treeWorkspace) retained() int {
-	f := cap(ws.ys) + cap(ws.vbuf) + cap(ws.ybuf) + cap(ws.lcnt) + cap(ws.rcnt) +
-		cap(ws.rbuf) + cap(ws.colv)
+	f := cap(ws.ys) + cap(ws.wt) + cap(ws.vbuf) + cap(ws.ybuf) + cap(ws.wbuf) +
+		cap(ws.lcnt) + cap(ws.rcnt) + cap(ws.rbuf) + cap(ws.colv)
 	i := cap(ws.labels) + cap(ws.lbuf) + cap(ws.samples) + cap(ws.pay) + cap(ws.cnt) +
-		cap(ws.rowOf) + cap(ws.orders) + cap(ws.spill) + cap(ws.base) + cap(ws.ncnt) + cap(ws.spos)
+		cap(ws.rowOf) + cap(ws.orders) + cap(ws.spill) + cap(ws.unitOf) + cap(ws.ncnt) + cap(ws.spos)
 	return f*8 + i*4 + cap(ws.feats)*8 + cap(ws.left) + cap(ws.scols)*splitColumnBytes
 }
 
@@ -65,7 +70,9 @@ var treeScratch = parallel.NewScratchPoolSized(
 // state fresh, as the per-node sorting kernel did).
 func (ws *treeWorkspace) reserve(m, d, k int) {
 	ws.ys = growFloat(ws.ys, m)
+	ws.wt = growFloat(ws.wt, m)
 	ws.vbuf = growFloat(ws.vbuf, m)
+	ws.wbuf = growFloat(ws.wbuf, m)
 	ws.rbuf = growFloat(ws.rbuf, d)
 	ws.samples = growInt32(ws.samples, m)
 	ws.pay = growInt32(ws.pay, m)
@@ -193,23 +200,26 @@ func (ss *splitSet) markTwo() {
 }
 
 // fitTreeFromSplitSet grows one tree over a bootstrap sample given as
-// per-row multiplicities ws.cnt (Σcnt samples total). Tree positions are
-// assigned row-major — row r's copies occupy consecutive positions — so in
-// the presorted regime, emitting rows in global value order yields per-tree
-// orders already sorted by (value, position) without comparing a single
-// value; in the flat regime the tree reads the shared columns through the
-// position→row map and no per-tree columns are materialized at all. In
-// either regime a two-valued column is read in place, through that map and
-// its byte mask, and gets neither an order nor a copy.
+// per-row multiplicities ws.cnt (Σcnt samples total). The tree's units are
+// the rows the bootstrap drew, in ascending row order, each weighted by its
+// multiplicity — so in the presorted regime, emitting drawn rows in global
+// value order yields per-tree orders already sorted by (value, unit) without
+// comparing a single value; in the flat regime the tree reads the shared
+// columns through the unit→row map and no per-tree columns are materialized
+// at all. In either regime a two-valued column is read in place, through
+// that map and its byte mask, and gets neither an order nor a copy.
 func fitTreeFromSplitSet(ss *splitSet, cfg TreeConfig, rng *rand.Rand, ws *treeWorkspace) *Tree {
 	if cfg.MinLeaf <= 0 {
 		cfg.MinLeaf = 1
 	}
 	n, d := ss.n, ss.d
 	cnt := ws.cnt
-	m := 0
-	for r := 0; r < n; r++ {
-		m += int(cnt[r])
+	m, units := 0, 0
+	for _, c := range cnt[:n] {
+		if c > 0 {
+			m += int(c)
+			units++
+		}
 	}
 	b := &treeBuilder{
 		cfg:     cfg,
@@ -217,7 +227,7 @@ func fitTreeFromSplitSet(ss *splitSet, cfg TreeConfig, rng *rand.Rand, ws *treeW
 		tree:    &Tree{importance: make([]float64, d)},
 		task:    ss.task,
 		classes: ss.classes,
-		m:       m,
+		units:   units,
 		d:       d,
 		ws:      ws,
 	}
@@ -233,32 +243,34 @@ func fitTreeFromSplitSet(ss *splitSet, cfg TreeConfig, rng *rand.Rand, ws *treeW
 		ws.spill = growInt32(ws.spill, m)
 		ws.spos = growInt32(ws.spos, m)
 	}
-	ws.base = growInt32(ws.base, n)
-	base := ws.base
-	w := 0
-	for r := 0; r < n; r++ {
-		base[r] = int32(w)
-		for k := int32(0); k < cnt[r]; k++ {
-			if b.rowOf != nil {
-				b.rowOf[w] = int32(r)
-			}
-			ws.ys[w] = ss.ys[r]
-			if ss.labels != nil {
-				ws.labels[w] = ss.labels[r]
-			}
-			w++
+	ws.unitOf = growInt32(ws.unitOf, n)
+	unitOf := ws.unitOf
+	u := 0
+	for r, c := range cnt[:n] {
+		if c == 0 {
+			continue
 		}
+		unitOf[r] = int32(u)
+		if b.rowOf != nil {
+			b.rowOf[u] = int32(r)
+		}
+		ws.ys[u] = ss.ys[r]
+		if ss.labels != nil {
+			ws.labels[u] = ss.labels[r]
+		}
+		ws.wt[u] = float64(c)
+		u++
 	}
 
 	if flat {
 		b.scols, b.ssn = ss.cols, n
 		// Large nodes can skip the per-node sort when a feature carries a
 		// global (value, row) order: walking that order and emitting each
-		// in-node row's copies in ascending position order reproduces the
-		// sort's (value, position) sequence exactly. Interior nodes register
-		// their membership as per-row counts in ws.ncnt (zeroed by make and
-		// kept all-zero by growFlat's mark/clear pairing), so the scan skips
-		// out-of-node rows without per-position mask checks.
+		// in-node row reproduces the sort's (value, unit) sequence exactly.
+		// Interior nodes register their membership as per-row multiplicities
+		// in ws.ncnt (zeroed by make and kept all-zero by growFlat's
+		// mark/clear pairing), so the scan skips out-of-node rows without
+		// per-unit mask checks.
 		for _, col := range ss.cols {
 			if col.ord != nil {
 				b.canScan = true
@@ -283,32 +295,27 @@ func fitTreeFromSplitSet(ss *splitSet, cfg TreeConfig, rng *rand.Rand, ws *treeW
 			continue
 		}
 		gcol := ss.cols[j].v
-		gord := ss.cols[j].ord
-		tcol := ws.colv[j*m : (j+1)*m]
-		tord := ws.orders[j*m : (j+1)*m]
+		tcol := ws.colv[j*units : (j+1)*units]
+		tord := ws.orders[j*units : (j+1)*units]
 		w := 0
-		for _, r := range gord {
-			c := cnt[r]
-			if c == 0 {
+		for _, r := range ss.cols[j].ord {
+			if cnt[r] == 0 {
 				continue
 			}
-			v := gcol[r]
-			p := base[r]
-			for k := int32(0); k < c; k++ {
-				tord[w] = p + k
-				tcol[p+k] = v
-				w++
-			}
+			u := unitOf[r]
+			tord[w] = u
+			tcol[u] = gcol[r]
+			w++
 		}
 		ws.scols[j] = SplitColumn{v: tcol}
 	}
 	if ss.anyTwo {
-		for p, pos := 0, ws.orders[d*m:(d+1)*m]; p < m; p++ {
-			pos[p] = int32(p)
+		for u, pos := 0, ws.orders[d*units:(d+1)*units]; u < units; u++ {
+			pos[u] = int32(u)
 		}
 	}
 	b.scols = ws.scols
-	b.grow(0, m, 0)
+	b.grow(0, units, 0)
 	// The headers of columns read in place alias the forest's shared split
 	// set; a pooled workspace must not keep it alive.
 	clear(ws.scols)

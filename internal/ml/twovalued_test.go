@@ -217,16 +217,19 @@ func TestTwoValuedColumnsMatchReference(t *testing.T) {
 
 // TestTwoValuedRegressionFingerprints pins regression forests — where tied
 // values make the frozen reference's unstable sort diverge in the last bit,
-// so it cannot referee — to recorded fingerprints. flat, presorted and
-// handoff_rule date from commit 064769a, before two-valued columns left the
-// ordered path. The other four were re-recorded when nodes of ≤ 64 samples
-// stopped going flat regardless of the cost rule: a node's target sums run
-// in value order where they ran in partition order, so against fdb4aab the
-// 8,869 nodes keep every feature, threshold and child but for one mirrored
-// exact tie in presorted_deep, and 1,614 leaf and node means move by at most
-// 7e-15 relative. The last two shapes are the
-// ones ARDA fits: a RIFS ranking forest over a coreset (64 one-hot + 152
-// continuous columns) and an evaluation forest over a one-hot base table.
+// so it cannot referee — to recorded fingerprints. All seven were recorded
+// again when trees started growing over a bootstrap's distinct rows weighted
+// by multiplicity instead of over its copies: a node's target sums add w·y
+// once per row where they added y w times, a different rounding. Against
+// 6f1d43c, flat and presorted keep every feature, threshold and child, their
+// node means moving by at most 4e-15 relative; in the other five, every tree
+// splits differently somewhere, at a near-tied split — in a node of a few
+// rows, two features can cut out the same partition, and which of their
+// mathematically equal gains wins is decided in the last ulp.
+// TestUnitsMatchExpandedCopies pins the representation itself. The last two
+// shapes are the ones ARDA fits: a RIFS ranking forest over a coreset (64
+// one-hot + 152 continuous columns) and an evaluation forest over a one-hot
+// base table.
 func TestTwoValuedRegressionFingerprints(t *testing.T) {
 	type fixture struct {
 		name string
@@ -235,15 +238,15 @@ func TestTwoValuedRegressionFingerprints(t *testing.T) {
 		want uint64
 	}
 	var cases []fixture
-	wants := []uint64{0xabe6a6a6fc11837e, 0xd55f0ae9fa97db53, 0xed1afa129cd379dc, 0x8dfbf83eff827c68, 0x6e7b18653cbcec9a}
+	wants := []uint64{0x60140c56d2c2e478, 0x32b53c6196a9e16b, 0xa2cf336699ea71d1, 0x70bd2c2e181924bb, 0x3214f364d170f6bd}
 	for i, sh := range twoValuedShapes {
 		cases = append(cases, fixture{sh.name, twoValuedFixture(sh.n, sh.d, Regression, 23), sh.cfg, wants[i]})
 	}
 	cases = append(cases,
 		fixture{"rifs_256x216", oneHotFixture(256, 64, 152, Regression, 29),
-			ForestConfig{NTrees: 8, MaxDepth: 12, Seed: 17, Parallel: true}, 0xf51451544dce0aec},
+			ForestConfig{NTrees: 8, MaxDepth: 12, Seed: 17, Parallel: true}, 0x1f6fd2af7379de93},
 		fixture{"evaluate_3000x65", oneHotFixture(3000, 64, 1, Regression, 31),
-			ForestConfig{NTrees: 4, MaxDepth: 12, Seed: 19, Parallel: true}, 0x034da2031459e2df},
+			ForestConfig{NTrees: 4, MaxDepth: 12, Seed: 19, Parallel: true}, 0xd0262f32fd787087},
 	)
 	for _, c := range cases {
 		everyForestPath(c.ds, c.cfg, func(path string, f *Forest) {
