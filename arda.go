@@ -201,8 +201,9 @@ func Describe(t *Table) string {
 func NewSelector(m Method) (Selector, error) { return featsel.New(m) }
 
 // RIFSConfig tunes random-injection feature selection (see featsel.RIFSConfig
-// for field documentation); the zero value uses the paper's defaults
-// (η = 0.2, K = 10, ν = 0.5, moment-matched injection).
+// for field documentation); the zero value uses the paper's η = 0.2, K = 10
+// and moment-matched injection, and ranks with the random forest alone
+// (ν = 1). Nu: 0.5 restores the paper's forest + ℓ2,1 ensemble.
 type RIFSConfig = featsel.RIFSConfig
 
 // NewRIFS constructs a RIFS selector with explicit parameters. Use this to

@@ -95,48 +95,47 @@ func measureQuality(t *testing.T, gen func(synth.Config) *synth.Corpus, scale fl
 }
 
 // TestQualitySchoolL holds the wide corpus — 350 tables, 1,050 candidate
-// features against a 256-row coreset, five planted tables — to the answer the
-// parent commit gave: the screen stage may not find fewer planted tables or a
-// smaller score gain, and it has to be more precise and more stable, which is
-// what it is for. The pairs are the benchmark's own (wide-repo is corpus seed
-// 1, pipeline seeds 2–4) plus the next corpus seed, at the benchmark's scale:
-// a smaller base table does not shrink the problem — the coreset stays at 256
-// rows — it only makes the holdout score noisier. The witness is the planted
-// co-predictor pair: tutoring hours (programs) and the volunteer index
-// (community) carry their signal as a product, and a screen that ranks tables
-// one at a time must still pass both on.
+// features against a 256-row coreset, five planted tables — to the answer
+// RIFS is meant to give: keep what beats noise and little else. Over 12
+// pairs, corpus seeds 1–4 (wide-repo is corpus seed 1) × the benchmark's
+// pipeline seeds 2–4, at the benchmark's scale — a smaller base table does
+// not shrink the problem, the coreset stays at 256 rows, it only makes the
+// holdout score noisier — it asks for mean table precision ≥ 0.5 at mean
+// recall ≥ 0.8, answer stability ≥ 0.6, and a mean score gain no smaller
+// than the 0.2826 the commit before the screen stage had. The witness is the
+// planted co-predictor pair: tutoring hours (programs) and the volunteer
+// index (community) carry their signal as a product, and a screen that ranks
+// tables one at a time must still pass both on.
 //
-// What the gate does not say: over 24 pairs (corpus seeds 1–4 at scales 0.5
-// and 1) the screen passed all five planted tables on 24 times, ranked 0–14
-// of 350, yet mean recall was 0.867 against the parent's 0.892 — RIFS, on the
-// one round it now runs, dropped a district-level table (community,
-// district_funding) a little more often than its five rounds did. That is
-// the selector's lottery (ROADMAP 1(b)–(c)), and this gate is what its fix
-// will be held to.
+// The forest-only ranking (ν = 1) gives precision 0.932, recall 0.883, gain
+// 0.303 and stability 0.692 on these pairs, keeping 3–7 tables; the paper's
+// ν = 0.5 ensemble gave 0.274, 0.883, 0.284 and 0.166, keeping 12–23 tables
+// on wide-repo's seeds. What the gate does not say: the recall lost is
+// RIFS's, not the screen's. The screen passes all five planted tables every
+// time, and RIFS drops one or two of district_funding, community and
+// demographics in 6 of the 12 pairs.
 func TestQualitySchoolL(t *testing.T) {
 	defer parallel.SetMaxWorkers(0)
-	// Recorded with this harness at 2a17cbb, the commit before the stage:
-	// precision 0.1283 ± 0.0631, recall 0.8333 ± 0.0745, gain 0.2826 ± 0.0248,
-	// stability 0.1450 over 6 pairs.
 	const (
-		parentPrecision = 0.12830240547755745
-		parentRecall    = 0.8333333333333334
-		parentGain      = 0.28259143807148795
-		parentStability = 0.14495642566528044
+		minPrecision = 0.5
+		minRecall    = 0.8
+		minStability = 0.6
+		// The mean gain this harness measured at 2a17cbb, before the screen.
+		minGain = 0.28259143807148795
 	)
-	q := measureQuality(t, synth.SchoolL, 1, []int64{1, 2}, []int64{2, 3, 4})
+	q := measureQuality(t, synth.SchoolL, 1, []int64{1, 2, 3, 4}, []int64{2, 3, 4})
 	t.Logf("school-l: %s", q)
-	if got := stats.Mean(q.recall); got < parentRecall {
-		t.Errorf("mean table recall %.4f, parent had %.4f", got, parentRecall)
+	if got := stats.Mean(q.precision); got < minPrecision {
+		t.Errorf("mean table precision %.4f is below %.4f", got, minPrecision)
 	}
-	if got := stats.Mean(q.gain); got < parentGain {
-		t.Errorf("mean score gain %.4f, parent had %.4f", got, parentGain)
+	if got := stats.Mean(q.recall); got < minRecall {
+		t.Errorf("mean table recall %.4f is below %.4f", got, minRecall)
 	}
-	if got := stats.Mean(q.precision); got <= parentPrecision {
-		t.Errorf("mean table precision %.4f is not above the parent's %.4f", got, parentPrecision)
+	if q.stability < minStability {
+		t.Errorf("answer stability %.4f is below %.4f", q.stability, minStability)
 	}
-	if q.stability <= parentStability {
-		t.Errorf("answer stability %.4f is not above the parent's %.4f", q.stability, parentStability)
+	if got := stats.Mean(q.gain); got < minGain {
+		t.Errorf("mean score gain %.4f is below %.4f", got, minGain)
 	}
 	for i, res := range q.results {
 		survived := map[string]bool{}
@@ -158,25 +157,25 @@ func TestQualitySchoolL(t *testing.T) {
 func TestQualityPoverty(t *testing.T) {
 	defer parallel.SetMaxWorkers(0)
 	// Base score, final score and table digest per (corpus seed 1, pipeline
-	// seed) pair, recorded when trees started growing over a bootstrap's
-	// distinct rows: their regression sums round differently, which moved
-	// every score and two digests — from (0.10228123084553165,
-	// 0.8467506233449846, 0x8fe97953008e1c0a), (0.09899840619059108,
-	// 0.8216310462074696, same digest) and (0.14394870148082972,
-	// 0.8283535196233383, 0x4548e00b00140276) at 2a17cbb — and the mean gain
-	// from 0.7172 to 0.7181, but kept the same tables in every pair.
+	// seed) pair, recorded when RIFS began ranking with its forest alone
+	// (ν = 1). The base scores did not move; the finals and digests moved
+	// from (0.8416606543335783, 0x5145106f0d07aac5), (0.8222686394736531,
+	// 0xa6d9c48f7c51edd5) and (0.8356368042289377, 0x3765983d15e61e7c), and
+	// precision / recall / stability from 0.7083 / 1 / 0.5032: both keep all
+	// five planted tables, but the ensemble added three and five different
+	// noise tables in two of the pairs, and the forest adds one in one pair.
 	recorded := []struct {
 		base, final float64
 		digest      uint64
 	}{
-		{0.10233709717360084, 0.8416606543335783, 0x5145106f0d07aac5},
-		{0.09899940762977133, 0.8222686394736531, 0xa6d9c48f7c51edd5},
-		{0.14394870148082928, 0.8356368042289377, 0x3765983d15e61e7c},
+		{0.10233709717360084, 0.8503398676487572, 0xc61cf2113159a815},
+		{0.09899940762977133, 0.838476258253941, 0x4548e00b00140276},
+		{0.14394870148082928, 0.8292960900141017, 0x4548e00b00140276},
 	}
 	const (
-		precision = 0.7083333333333334
+		precision = 0.9444444444444445
 		recall    = 1
-		stability = 0.5032051282051282
+		stability = 0.888888888888889
 	)
 	q := measureQuality(t, synth.Poverty, 0.5, []int64{1}, []int64{2, 3, 4})
 	t.Logf("poverty ×0.5: %s", q)

@@ -38,8 +38,10 @@ func tracedRun(t *testing.T, workers int, trace *obs.Trace) *Result {
 		CoresetSize: 192,
 		// A small budget forces several batches, so carried-forward columns
 		// are re-encoded and the encode cache sees reuse.
-		Budget:    48,
-		Selector:  &featsel.RIFS{Config: featsel.RIFSConfig{K: 3, Forest: featsel.ForestRanker{NTrees: 15, MaxDepth: 6}}},
+		Budget: 48,
+		// The paper's ensemble, so that every repetition part (rep.sparse
+		// included) shows in the trace.
+		Selector:  &featsel.RIFS{Config: featsel.RIFSConfig{K: 3, Nu: 0.5, Forest: featsel.ForestRanker{NTrees: 15, MaxDepth: 6}}},
 		Estimator: fastEstimator(1),
 		Seed:      72,
 		Workers:   workers,

@@ -9,44 +9,48 @@ import (
 
 // TestRIFSWorkersDeterminism asserts the seed-splitting contract end to end:
 // RStar and Select must produce bit-identical output whether the repetitions,
-// ranking halves, and threshold sweep run on one worker or eight.
+// ranking halves, and threshold sweep run on one worker or eight — at the
+// default (ν = 1, the forest alone) and with the paper's ensemble (ν = 0.5),
+// whose two halves run as concurrent work items.
 func TestRIFSWorkersDeterminism(t *testing.T) {
 	defer parallel.SetMaxWorkers(0)
 	ds := planted(ml.Classification, 200, 3, 20, 51)
-	r := &RIFS{Config: RIFSConfig{K: 4, Forest: ForestRanker{NTrees: 15, MaxDepth: 6}}}
+	for _, nu := range []float64{0, 0.5} {
+		r := &RIFS{Config: RIFSConfig{K: 4, Nu: nu, Forest: ForestRanker{NTrees: 15, MaxDepth: 6}}}
 
-	parallel.SetMaxWorkers(1)
-	rstar1, err := r.RStar(ds, 52)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel1, err := r.Select(ds, fastForest(7), 53)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	parallel.SetMaxWorkers(8)
-	rstar8, err := r.RStar(ds, 52)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel8, err := r.Select(ds, fastForest(7), 53)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for j := range rstar1 {
-		if rstar1[j] != rstar8[j] {
-			t.Fatalf("r*[%d] differs across worker counts: %v vs %v", j, rstar1[j], rstar8[j])
+		parallel.SetMaxWorkers(1)
+		rstar1, err := r.RStar(ds, 52)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if len(sel1) != len(sel8) {
-		t.Fatalf("selected %d features with 1 worker, %d with 8: %v vs %v",
-			len(sel1), len(sel8), sel1, sel8)
-	}
-	for i := range sel1 {
-		if sel1[i] != sel8[i] {
-			t.Fatalf("selection differs across worker counts: %v vs %v", sel1, sel8)
+		sel1, err := r.Select(ds, fastForest(7), 53)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		parallel.SetMaxWorkers(8)
+		rstar8, err := r.RStar(ds, 52)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel8, err := r.Select(ds, fastForest(7), 53)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		for j := range rstar1 {
+			if rstar1[j] != rstar8[j] {
+				t.Fatalf("nu=%v: r*[%d] differs across worker counts: %v vs %v", nu, j, rstar1[j], rstar8[j])
+			}
+		}
+		if len(sel1) != len(sel8) {
+			t.Fatalf("nu=%v: selected %d features with 1 worker, %d with 8: %v vs %v",
+				nu, len(sel1), len(sel8), sel1, sel8)
+		}
+		for i := range sel1 {
+			if sel1[i] != sel8[i] {
+				t.Fatalf("nu=%v: selection differs across worker counts: %v vs %v", nu, sel1, sel8)
+			}
 		}
 	}
 }

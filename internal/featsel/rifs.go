@@ -47,8 +47,11 @@ type RIFSConfig struct {
 	// ranking in the aggregate. The paper permits ν ∈ [0, 1] and the
 	// endpoints are meaningful: ν = 1 ranks with the forest alone and ν = 0
 	// with the sparse regression alone (the unused ensemble half is skipped
-	// entirely). Because 0 is also Go's zero value, an explicit sparse-only
-	// configuration must set NuSet; an unset Nu defaults to 0.5.
+	// entirely). An unset or out-of-range Nu defaults to 1, the forest alone:
+	// on the synthetic corpora the sparse half admits most of the false
+	// positives and, on a wide repository, takes most of a repetition's time
+	// (EXPERIMENTS.md). The paper's ensemble is Nu: 0.5. Because 0 is also
+	// Go's zero value, an explicit sparse-only configuration must set NuSet.
 	Nu float64
 	// NuSet marks Nu as explicitly configured, distinguishing an intentional
 	// Nu of 0 (sparse-regression-only ranking) from an unset field.
@@ -64,7 +67,8 @@ type RIFSConfig struct {
 	MomentMatchCap int
 	// Forest configures the forest half of the ranking ensemble.
 	Forest ForestRanker
-	// Sparse configures the ℓ2,1 half of the ranking ensemble.
+	// Sparse configures the ℓ2,1 half of the ranking ensemble (fitted only
+	// at ν < 1).
 	Sparse ml.Sparse21Config
 	// Workers bounds the goroutines used for the K injection repetitions,
 	// the ranking ensemble, and the threshold sweep; 0 uses the process-wide
@@ -90,11 +94,8 @@ func (c *RIFSConfig) defaults() {
 	if c.K <= 0 {
 		c.K = 10
 	}
-	if c.Nu == 0 && !c.NuSet {
-		c.Nu = 0.5
-	}
-	if c.Nu < 0 || c.Nu > 1 {
-		c.Nu = 0.5
+	if (c.Nu == 0 && !c.NuSet) || c.Nu < 0 || c.Nu > 1 {
+		c.Nu = 1
 	}
 	if len(c.Thresholds) == 0 {
 		c.Thresholds = []float64{0.2, 0.4, 0.6, 0.8, 1.0}
@@ -114,10 +115,11 @@ func (c *RIFSConfig) defaults() {
 }
 
 // RIFS is the paper's random-injection feature selection (Algorithms 1–3):
-// repeatedly append synthetic noise columns, rank all columns with a
-// ν-weighted ensemble of random-forest importances and ℓ2,1 sparse-regression
-// norms, score each real feature by how often it outranks every injected
-// column, and pick the survivor threshold by a monotone holdout sweep.
+// repeatedly append synthetic noise columns, rank all columns — by
+// random-forest importances at the default ν = 1, by the paper's ν-weighted
+// ensemble with ℓ2,1 sparse-regression norms at ν < 1 — score each real
+// feature by how often it outranks every injected column, and pick the
+// survivor threshold by a monotone holdout sweep.
 type RIFS struct {
 	Config RIFSConfig
 
@@ -138,9 +140,10 @@ type RIFS struct {
 // AttachSpan implements obs.SpanAttacher: subsequent Select calls emit one
 // child span per injection repetition (with features_injected /
 // features_outranked attributes, and rep.inject / rep.forest / rep.sparse /
-// rep.aggregate children of its own) plus a threshold-sweep span under s. Spans
-// only observe the run — selection output is bit-identical with tracing on
-// or off. Attach nil to detach. Not safe to call concurrently with Select.
+// rep.aggregate children of its own, one per ranking half that runs) plus a
+// threshold-sweep span under s. Spans only observe the run — selection output
+// is bit-identical with tracing on or off. Attach nil to detach. Not safe to
+// call concurrently with Select.
 func (r *RIFS) AttachSpan(s *obs.Span) { r.span = s }
 
 // ForestEstimatorAware is implemented by selectors whose wrapper search can

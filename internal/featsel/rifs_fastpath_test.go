@@ -10,20 +10,20 @@ import (
 )
 
 // TestNuDefaulting pins the NuSet sentinel semantics: a zero Nu is "unset"
-// (defaults to 0.5) unless NuSet marks it as an intentional sparse-only
-// endpoint; out-of-range values fall back to 0.5.
+// (defaults to 1, the forest ranking alone) unless NuSet marks it as an
+// intentional sparse-only endpoint; out-of-range values fall back to 1.
 func TestNuDefaulting(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  RIFSConfig
 		want float64
 	}{
-		{"unset", RIFSConfig{}, 0.5},
+		{"unset", RIFSConfig{}, 1},
 		{"explicit_zero", RIFSConfig{Nu: 0, NuSet: true}, 0},
 		{"explicit_one", RIFSConfig{Nu: 1}, 1},
 		{"mid", RIFSConfig{Nu: 0.3}, 0.3},
-		{"below_range", RIFSConfig{Nu: -0.2, NuSet: true}, 0.5},
-		{"above_range", RIFSConfig{Nu: 1.5}, 0.5},
+		{"below_range", RIFSConfig{Nu: -0.2, NuSet: true}, 1},
+		{"above_range", RIFSConfig{Nu: 1.5}, 1},
 	}
 	for _, tc := range cases {
 		tc.cfg.defaults()
@@ -96,39 +96,48 @@ func TestNuEndpointsSelect(t *testing.T) {
 }
 
 // TestRStarNeverShortCircuits: all K repetitions always run — one select.rep
-// span each — and r* comes back as exact multiples of 1/K.
+// span each — and r* comes back as exact multiples of 1/K. Every repetition
+// splits into its parts: the paper's ensemble (ν = 0.5) shows both ranking
+// halves, the default (ν = 1) the forest alone.
 func TestRStarNeverShortCircuits(t *testing.T) {
 	ds := planted(ml.Classification, 150, 2, 10, 19)
-	tr := obs.New("test")
-	r := &RIFS{Config: RIFSConfig{K: 5, Forest: ForestRanker{NTrees: 8, MaxDepth: 5}}}
-	r.AttachSpan(tr.Root())
-	rstar, err := r.RStar(ds, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := tr.Finish()
-	if got := stats.SpanCounts()["select.rep"]; got != 5 {
-		t.Fatalf("ran %d repetitions, want K=5", got)
-	}
-	// Every repetition splits into its four parts, and they fit inside it
-	// (the two ranking halves may overlap, so no sum is asserted).
-	const parts = "rep.inject rep.forest rep.sparse rep.aggregate"
-	for _, rep := range stats.Root.Children {
-		var names []string
-		for _, c := range rep.Children {
-			names = append(names, c.Name)
-			if c.Dur > rep.Dur {
-				t.Fatalf("%s[%d]: child %s (%v) outlasts it (%v)", rep.Name, rep.Ord, c.Name, c.Dur, rep.Dur)
+	for _, tc := range []struct {
+		nu    float64
+		parts string
+	}{
+		{0.5, "rep.inject rep.forest rep.sparse rep.aggregate"},
+		{0, "rep.inject rep.forest rep.aggregate"},
+	} {
+		tr := obs.New("test")
+		r := &RIFS{Config: RIFSConfig{K: 5, Nu: tc.nu, Forest: ForestRanker{NTrees: 8, MaxDepth: 5}}}
+		r.AttachSpan(tr.Root())
+		rstar, err := r.RStar(ds, 23)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats := tr.Finish()
+		if got := stats.SpanCounts()["select.rep"]; got != 5 {
+			t.Fatalf("nu=%v: ran %d repetitions, want K=5", tc.nu, got)
+		}
+		// The parts fit inside their repetition (the two ranking halves may
+		// overlap, so no sum is asserted).
+		for _, rep := range stats.Root.Children {
+			var names []string
+			for _, c := range rep.Children {
+				names = append(names, c.Name)
+				if c.Dur > rep.Dur {
+					t.Fatalf("%s[%d]: child %s (%v) outlasts it (%v)", rep.Name, rep.Ord, c.Name, c.Dur, rep.Dur)
+				}
+			}
+			if got := strings.Join(names, " "); got != tc.parts {
+				t.Fatalf("nu=%v: %s[%d] has children %q, want %s", tc.nu, rep.Name, rep.Ord, got, tc.parts)
 			}
 		}
-		if got := strings.Join(names, " "); got != parts {
-			t.Fatalf("%s[%d] has children %q, want %s", rep.Name, rep.Ord, got, parts)
-		}
-	}
-	for j, v := range rstar {
-		scaled := v * 5
-		if math.Abs(scaled-math.Round(scaled)) > 1e-12 {
-			t.Fatalf("r*[%d] = %v is not a multiple of 1/K", j, v)
+		for j, v := range rstar {
+			scaled := v * 5
+			if math.Abs(scaled-math.Round(scaled)) > 1e-12 {
+				t.Fatalf("nu=%v: r*[%d] = %v is not a multiple of 1/K", tc.nu, j, v)
+			}
 		}
 	}
 }
