@@ -97,14 +97,13 @@ chaos:
 
 # Crash/durability suite under the race detector: checkpoint corruption
 # rejection, kill-at-every-stage-boundary resume equivalence (with and without
-# the screen boundary), budget
-# degradation determinism, atomic artifact writes, daemon state recovery
+# the screen boundary), atomic artifact writes, daemon state recovery
 # (incl. a run's persist → publish → discard completion order and a restart
 # from scratch over a half-deleted checkpoint), and the process-level gates (arda SIGINT partial report, ardad SIGKILL
 # with two runs in flight resuming bit-identically at 1 and 8 workers).
 crash:
 	$(GO) test -race -timeout 30m \
-		-run 'TestCheckpoint|TestResume|TestApplyBudgets|TestBudget|TestSave|TestOpen|TestCreate|TestTruncate|TestLoad|TestNilLog|TestNDJSONFileSink|TestWriteCSVFileAtomic|TestWriteFile|TestPrune|TestDiscard|TestRecover|TestSubmitRuns|TestHalfDeleted|TestCompletionDurable' \
+		-run 'TestCheckpoint|TestResume|TestSave|TestOpen|TestCreate|TestTruncate|TestLoad|TestNilLog|TestNDJSONFileSink|TestWriteCSVFileAtomic|TestWriteFile|TestPrune|TestDiscard|TestRecover|TestSubmitRuns|TestHalfDeleted|TestCompletionDurable' \
 		./internal/checkpoint/ ./internal/core/ ./internal/atomicio/ ./internal/obs/ ./internal/dataframe/ ./internal/runqueue/
 	$(GO) test -timeout 20m -run 'TestSIGINTPartialReport|TestCrashRecoveryBitIdentical' \
 		./cmd/arda/ ./cmd/ardad/
@@ -132,10 +131,11 @@ trace-smoke:
 		/tmp/arda-trace-smoke/trace.ndjson
 
 # Telemetry smoke: run the pipeline with the live metrics server enabled and
-# validate it from outside while the run executes — /metrics must be
-# syntactically valid Prometheus text exposition containing the stage
-# histograms and worker gauges, and /events must stream a complete,
-# schema-valid span stream ending with the terminal run event.
+# validate it from outside while the run executes — /debug/pprof/cmdline
+# must answer 200 on the same listener, /metrics must be syntactically valid,
+# typed Prometheus text exposition containing the stage histograms and worker
+# gauges, and /events must stream a complete, schema-valid span stream ending
+# with the terminal run event.
 metrics-smoke:
 	@rm -rf /tmp/arda-metrics-smoke && mkdir -p /tmp/arda-metrics-smoke
 	$(GO) build -o /tmp/arda-metrics-smoke/arda ./cmd/arda
@@ -145,6 +145,10 @@ metrics-smoke:
 		-target performance -size 192 -seed 1 -metrics-addr 127.0.0.1:19753 \
 		-out /tmp/arda-metrics-smoke/augmented.csv & \
 	pid=$$!; \
+	code=000; for i in $$(seq 1 100); do \
+		code=$$(curl -s -o /dev/null -w '%{http_code}' http://127.0.0.1:19753/debug/pprof/cmdline) && break; sleep 0.1; \
+	done; \
+	test "$$code" = 200 || { echo "metrics-smoke: /debug/pprof/cmdline answered $$code"; kill $$pid 2>/dev/null; exit 1; }; \
 	/tmp/arda-metrics-smoke/tracecheck -scrape http://127.0.0.1:19753 \
 		-stages $(STAGES) \
 		-require-metrics arda_join_seconds,arda_select_seconds,arda_workers_in_flight,arda_workers_max,arda_runtime_goroutines,arda_runtime_heap_alloc_bytes \

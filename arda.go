@@ -54,11 +54,6 @@ type Result = core.Result
 // boundary instead of failing the run (see Result.Quarantined).
 type QuarantinedCandidate = core.QuarantinedCandidate
 
-// Degradation records one deterministic step the resource-budget ladder took
-// to fit the run under Options.MaxCells / Options.MaxCandidateBytes (see
-// Result.Degraded).
-type Degradation = core.Degradation
-
 // ScreenedTable is the screen stage's verdict on one candidate table: its
 // score on the coreset, what it would cost of one selection round, and
 // whether it went on to the join plan (see Result.Screened).
@@ -247,11 +242,6 @@ func NewTraceWriter(w io.Writer) *obs.NDJSONSink { return obs.NewNDJSONSink(w) }
 // complete trace. Check the error of the sink's Flush (called by
 // Trace.Finish; Flush is idempotent) to confirm the publish.
 func NewTraceFile(path string) (*obs.NDJSONFileSink, error) { return obs.NewNDJSONFileSink(path) }
-
-// PublishTraceExpvar exports the trace's counters as the expvar variable
-// "arda.counters", served on /debug/vars by net/http servers using the
-// default mux (see cmd/arda's -pprof flag).
-func PublishTraceExpvar(t *Trace) { obs.PublishExpvar(t) }
 
 // TraceHistogram is a lock-free power-of-two-bucket latency distribution;
 // traces record one per stage and per-item span name automatically (plus

@@ -14,18 +14,16 @@
 // the stage-cost tree with per-stage p50/p95/p99 latencies to stderr,
 // -trace writes the run's span/counter event stream as NDJSON (published
 // atomically when the run finishes — including canceled and timed-out
-// runs), -pprof serves net/http/pprof plus the run counters as the expvar
-// "arda.counters", and -metrics-addr serves live telemetry: /metrics
-// (Prometheus text exposition of counters, gauges, and latency histograms),
-// /statusz (the live rendered stage tree), and /events (the NDJSON event
-// stream, replayed from the start of the run).
+// runs), and -metrics-addr serves live telemetry: /metrics (Prometheus text
+// exposition of counters, gauges, and latency histograms), /statusz (the
+// live rendered stage tree), /events (the NDJSON event stream, replayed from
+// the start of the run), and the net/http/pprof profiles under
+// /debug/pprof/.
 //
 // Durability: -checkpoint-dir snapshots pipeline state after every stage so
 // a killed run can continue with -resume; -checkpoint-ttl discards saved
-// state older than the given age before the run; -max-cells and
-// -max-candidate-bytes bound the run's working set, degrading the
-// configuration deterministically instead of failing. SIGINT/SIGTERM stop
-// the run at the next stage boundary with a partial report.
+// state older than the given age before the run. SIGINT/SIGTERM stop the
+// run at the next stage boundary with a partial report.
 //
 // Exit codes: 0 success, 1 hard failure, 2 canceled (signal), 3 deadline
 // exceeded, 4 unusable checkpoint state under -resume.
@@ -36,8 +34,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof" // register /debug/pprof on the default mux
 	"os"
 	"os/signal"
 	"syscall"
@@ -78,23 +74,20 @@ func main() {
 		timeout     = flag.Duration("timeout", 0, "bound the run's wall-clock time (e.g. 90s, 5m); an exceeded run stops with a partial report (0 = unbounded)")
 		verbose     = flag.Bool("v", false, "stream pipeline progress and the stage-cost tree to stderr")
 		traceFile   = flag.String("trace", "", "write the run's trace event stream to this file as NDJSON")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof and expvar run counters on this address (e.g. localhost:6060)")
-		metricsAddr = flag.String("metrics-addr", "", "serve live run telemetry on this address: /metrics (Prometheus), /statusz (stage tree), /events (NDJSON stream)")
+		metricsAddr = flag.String("metrics-addr", "", "serve live run telemetry on this address: /metrics (Prometheus), /statusz (stage tree), /events (NDJSON stream), /debug/pprof/")
 		ckDir       = flag.String("checkpoint-dir", "", "snapshot pipeline state into this directory after every stage (crash-safe)")
 		ckTTL       = flag.Duration("checkpoint-ttl", 0, "discard checkpoint state in -checkpoint-dir older than this before the run (0 = keep)")
 		resume      = flag.Bool("resume", false, "continue from the last completed stage recorded in -checkpoint-dir")
-		maxCells    = flag.Int64("max-cells", 0, "bound the augmented working set to this many cells, degrading deterministically (0 = unbounded)")
-		maxBytes    = flag.Int64("max-candidate-bytes", 0, "bound the candidate tables admitted per run to this estimated byte size (0 = unbounded)")
 	)
 	flag.Parse()
 	cli.Setup("arda", *verbose)
 
 	// Observability: a trace is attached when anything will consume it — an
-	// NDJSON file, the verbose stage tree, a pprof/expvar endpoint, or the
-	// live telemetry server. Set up before the (possibly slow) CSV load so
-	// /metrics and /events answer from the moment the process is up; the
-	// stream sink's replay buffer means even a subscriber that connects
-	// later sees the run from its first span.
+	// NDJSON file, the verbose stage tree, or the live telemetry server. Set
+	// up before the (possibly slow) CSV load so /metrics and /events answer
+	// from the moment the process is up; the stream sink's replay buffer
+	// means even a subscriber that connects later sees the run from its
+	// first span.
 	var sinks []arda.TraceSink
 	var traceSink interface{ Flush() error }
 	if *traceFile != "" {
@@ -112,7 +105,7 @@ func main() {
 		sinks = append(sinks, stream)
 	}
 	var trace *arda.Trace
-	if *traceFile != "" || *verbose || *pprofAddr != "" || serveMetrics {
+	if *traceFile != "" || *verbose || serveMetrics {
 		trace = arda.NewTrace(sinks...)
 	}
 	var msrv *metrics.Server
@@ -122,17 +115,7 @@ func main() {
 			cli.Fatalf("starting telemetry server: %v", err)
 		}
 		msrv = srv
-		cli.Noticef("telemetry serving on http://%s/metrics (also /statusz, /events)", srv.Addr())
-	}
-	if *pprofAddr != "" {
-		arda.PublishTraceExpvar(trace)
-		ln := *pprofAddr
-		go func() {
-			if err := http.ListenAndServe(ln, nil); err != nil {
-				cli.Errorf("pprof server: %v", err)
-			}
-		}()
-		cli.Noticef("pprof/expvar serving on http://%s/debug/pprof (counters at /debug/vars)", ln)
+		cli.Noticef("telemetry serving on http://%s/metrics (also /statusz, /events, /debug/pprof/)", srv.Addr())
 	}
 
 	// Load and discovery run on the worker pool before Augment applies
@@ -178,19 +161,17 @@ func main() {
 	}
 
 	opts := arda.Options{
-		Target:            *target,
-		CoresetSize:       *size,
-		Budget:            *budget,
-		TupleRatioTau:     *tau,
-		Seed:              *seed,
-		KNNImpute:         *knnImpute,
-		Significance:      *sig,
-		Workers:           *workers,
-		Timeout:           *timeout,
-		CheckpointDir:     *ckDir,
-		Resume:            *resume,
-		MaxCells:          *maxCells,
-		MaxCandidateBytes: *maxBytes,
+		Target:        *target,
+		CoresetSize:   *size,
+		Budget:        *budget,
+		TupleRatioTau: *tau,
+		Seed:          *seed,
+		KNNImpute:     *knnImpute,
+		Significance:  *sig,
+		Workers:       *workers,
+		Timeout:       *timeout,
+		CheckpointDir: *ckDir,
+		Resume:        *resume,
 	}
 	if *verbose {
 		opts.Logf = cli.Progressf
@@ -370,12 +351,6 @@ func reportAttrition(res *arda.Result, verbose bool) {
 		if hits, misses := c["select.splitset_cache_hits"], c["select.splitset_cache_misses"]; hits+misses > 0 {
 			fmt.Printf("selection presort cache: %d hits / %d misses; %d sweep trees scheduled as waves\n",
 				hits, misses, c["select.trees_scheduled"])
-		}
-	}
-	if len(res.Degraded) > 0 {
-		fmt.Printf("degraded: %d budget step(s) applied\n", len(res.Degraded))
-		for _, d := range res.Degraded {
-			fmt.Printf("  - %s under %s: %s (%d → %d)\n", d.Action, d.Budget, d.Detail, d.Before, d.After)
 		}
 	}
 	if len(res.Quarantined) == 0 {

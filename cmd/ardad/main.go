@@ -36,7 +36,8 @@
 // (-tenant-cap) and in-flight quotas (-tenant-inflight), so one tenant's
 // flood cannot starve the others. Transient run failures retry with capped
 // exponential backoff. /metrics exposes the queue, lease, and per-tenant
-// telemetry plus runtime gauges in Prometheus text format;
+// telemetry plus runtime gauges in Prometheus text format (typed counters,
+// gauges and histograms);
 // /runs/{id}/events streams one run's trace as NDJSON.
 //
 // Old checkpoints: -checkpoint-ttl prunes per-run checkpoint directories
@@ -65,8 +66,6 @@ func main() {
 		concurrency  = flag.Int("concurrency", 2, "runs executing at once (they share the worker pool)")
 		workers      = flag.Int("workers", 0, "max parallel workers shared by all runs (0 = all cores); results are identical for any value")
 		runTimeout   = flag.Duration("run-timeout", 0, "default per-run wall-clock budget for specs without one (0 = unbounded)")
-		maxCells     = flag.Int64("max-cells", 0, "default per-run working-set bound in cells (0 = unbounded)")
-		maxBytes     = flag.Int64("max-candidate-bytes", 0, "default per-run candidate byte budget (0 = unbounded)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight runs before checkpointing them and handing them off")
 		ckTTL        = flag.Duration("checkpoint-ttl", 0, "prune per-run checkpoint state older than this at startup (0 = keep forever; never prunes runs holding a live lease)")
 		leaseTTL     = flag.Duration("lease-ttl", runqueue.DefaultLeaseTTL, "run-ownership lease TTL: how long a run orphaned by a dead daemon on another host waits for adoption (same-host orphans are adopted at once); values <= 0 mean the default")
@@ -94,8 +93,6 @@ func main() {
 		Concurrency:       *concurrency,
 		Workers:           *workers,
 		RunTimeout:        *runTimeout,
-		MaxCells:          *maxCells,
-		MaxCandidateBytes: *maxBytes,
 		CheckpointTTL:     *ckTTL,
 		LeaseTTL:          *leaseTTL,
 		DefaultTenant:     *tenant,

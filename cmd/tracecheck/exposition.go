@@ -11,8 +11,10 @@ import (
 // validateExposition checks a Prometheus text-format (version 0.0.4) scrape
 // line by line: comment lines must be well-formed HELP/TYPE declarations,
 // sample lines must be `name{labels} value [timestamp]` with a legal metric
-// name, parseable labels, and a float value. It returns the set of sample
-// metric names seen (including _bucket/_sum/_count family members).
+// name, parseable labels, and a float value. Every arda_ sample must belong
+// to a family declared counter, gauge or histogram: an untyped or undeclared
+// one is an error. It returns the set of sample metric names seen (including
+// _bucket/_sum/_count family members).
 func validateExposition(r io.Reader) (map[string]bool, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
@@ -42,6 +44,9 @@ func validateExposition(r io.Reader) (map[string]bool, error) {
 				default:
 					return nil, fmt.Errorf("line %d: unknown metric type %q", line, fields[3])
 				}
+				if _, dup := typed[fields[2]]; dup {
+					return nil, fmt.Errorf("line %d: %s declared twice", line, fields[2])
+				}
 				typed[fields[2]] = fields[3]
 			}
 			continue
@@ -67,6 +72,13 @@ func validateExposition(r io.Reader) (map[string]bool, error) {
 				return nil, fmt.Errorf("line %d: timestamp %q is not an integer", line, fields[1])
 			}
 		}
+		if strings.HasPrefix(name, "arda_") {
+			switch typed[familyOf(name, typed)] {
+			case "counter", "gauge", "histogram":
+			default:
+				return nil, fmt.Errorf("line %d: %s is not declared counter, gauge or histogram", line, name)
+			}
+		}
 		names[name] = true
 	}
 	if err := sc.Err(); err != nil {
@@ -87,6 +99,17 @@ func validateExposition(r io.Reader) (map[string]bool, error) {
 		}
 	}
 	return names, nil
+}
+
+// familyOf returns the declared family a sample belongs to: the sample name
+// itself, or the histogram it is a _bucket, _sum or _count member of.
+func familyOf(name string, typed map[string]string) string {
+	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+		if fam, ok := strings.CutSuffix(name, suffix); ok && typed[fam] == "histogram" {
+			return fam
+		}
+	}
+	return name
 }
 
 // splitSample separates a sample line into its metric name and the

@@ -29,9 +29,9 @@ var (
 
 // Durable runs snapshot the cumulative state after every stage. Each shard
 // is self-sufficient: resume loads only the LAST one and recomputes the cheap
-// deterministic prefix (prefilter, degradation ladder, plan) from the
-// original inputs, which the fingerprint guarantees are unchanged — so no
-// shard serializes the candidate tables themselves.
+// deterministic prefix (prefilter, plan) from the original inputs, which the
+// fingerprint guarantees are unchanged — so no shard serializes the candidate
+// tables themselves.
 //
 // The one subtle invariant is column aliasing. A batch's work table shares
 // column OBJECTS with Accum, and imputation mutates them in place: that is
@@ -80,11 +80,10 @@ func runFingerprint(base *dataframe.Table, cands []discovery.Candidate, o *Optio
 	if o.Selector != nil {
 		selector = o.Selector.Name()
 	}
-	fmt.Fprintf(h, "v2|target=%s|coreset=%d/%d|plan=%d|budget=%d|tau=%g|soft=%d|noresample=%t|tol=%g|seed=%d|knn=%d|sig=%d|maxcells=%d|maxbytes=%d|sel=%s|customest=%t|",
+	fmt.Fprintf(h, "v3|target=%s|coreset=%d/%d|plan=%d|budget=%d|tau=%g|soft=%d|noresample=%t|tol=%g|seed=%d|knn=%d|sig=%d|sel=%s|customest=%t|",
 		o.Target, o.CoresetStrategy, o.CoresetSize, o.Plan, o.Budget,
 		o.TupleRatioTau, o.SoftMethod, o.DisableTimeResample, o.Tolerance,
-		o.Seed, o.KNNImpute, o.Significance,
-		o.MaxCells, o.MaxCandidateBytes, selector, o.Estimator != nil)
+		o.Seed, o.KNNImpute, o.Significance, selector, o.Estimator != nil)
 	writeU64(base.Digest())
 	writeU64(uint64(len(cands)))
 	for _, c := range cands {

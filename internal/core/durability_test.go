@@ -20,7 +20,7 @@ import (
 
 // resultKey flattens the deterministic parts of a Result for equality
 // comparison: kept features, scores, batch reports, the screen's verdicts,
-// quarantines, degradation steps, and the full augmented table contents.
+// quarantines, and the full augmented table contents.
 // Timing fields are excluded.
 func resultKey(t *testing.T, r *Result) string {
 	t.Helper()
@@ -48,9 +48,6 @@ func resultKey(t *testing.T, r *Result) string {
 	for _, q := range quarantineKeys(r.Quarantined) {
 		b.WriteString("|q:")
 		b.WriteString(q)
-	}
-	for _, d := range r.Degraded {
-		b.WriteString("|deg:" + d.Action + "/" + d.Budget + "/" + d.Detail)
 	}
 	if r.Table != nil {
 		fmt.Fprintf(&b, "|digest:%016x", r.Table.Digest())

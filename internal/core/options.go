@@ -123,17 +123,6 @@ type Options struct {
 	// checkpoint log. Like the observability hooks, it is excluded from the
 	// resume fingerprint.
 	CheckpointGuard func() error
-	// MaxCells bounds the projected working-set size in table cells
-	// (coreset rows × total columns under consideration) when > 0. Instead of
-	// failing, a run over budget degrades deterministically — tighten the
-	// tuple-ratio prefilter, shrink the coreset, then cap candidates in
-	// descending score order — and records each step in Result.Degraded.
-	MaxCells int64
-	// MaxCandidateBytes bounds the estimated bytes of admitted candidate
-	// tables when > 0: candidates are admitted in descending score order
-	// until the cumulative estimate would exceed the budget, and the cut is
-	// recorded in Result.Degraded.
-	MaxCandidateBytes int64
 	// Timeout bounds the run's wall-clock duration when > 0: AugmentContext
 	// derives a deadline from it (and Augment from context.Background()), and
 	// a run that exceeds it stops at the next checkpoint with ErrDeadline and
@@ -222,24 +211,6 @@ type QuarantinedCandidate struct {
 	Reason string
 }
 
-// Degradation records one deterministic step the run took to fit a resource
-// budget (Options.MaxCells / Options.MaxCandidateBytes) instead of failing.
-// The ladder is a pure function of the inputs and options, so the same run
-// degrades identically at any worker count.
-type Degradation struct {
-	// Action names the ladder rung taken: "tighten-tuple-ratio",
-	// "shrink-coreset", or "cap-candidates".
-	Action string
-	// Budget names the exceeded budget that forced the step: "max-cells" or
-	// "max-candidate-bytes".
-	Budget string
-	// Detail describes the step (e.g. the new τ or coreset size).
-	Detail string
-	// Before and After are the projected resource figure (cells or bytes)
-	// around the step.
-	Before, After int64
-}
-
 // Result is the output of an ARDA run.
 type Result struct {
 	// Table is the full base table with every kept feature column appended
@@ -264,9 +235,8 @@ type Result struct {
 	Quarantined []QuarantinedCandidate
 	// CandidatesConsidered, CandidatesDeduped, and CandidatesFiltered report
 	// the prefilter attrition: candidates as passed in, remaining after
-	// deduplication, and removed by the Tuple-Ratio prefilter and the
-	// resource budgets (so the count entering the screen stage is
-	// CandidatesDeduped - CandidatesFiltered).
+	// deduplication, and removed by the Tuple-Ratio prefilter (so the count
+	// entering the screen stage is CandidatesDeduped - CandidatesFiltered).
 	CandidatesConsidered, CandidatesDeduped, CandidatesFiltered int
 	// CandidatesScreened is the number of candidates the screen stage took
 	// out — ranked below the cut, or quarantined there — so the count
@@ -281,10 +251,6 @@ type Result struct {
 	Elapsed time.Duration
 	// SelectionElapsed is the time spent inside feature selection.
 	SelectionElapsed time.Duration
-	// Degraded lists the resource-budget degradation steps taken, in order,
-	// when Options.MaxCells or Options.MaxCandidateBytes forced the run to
-	// shed work; empty when the run fit its budgets.
-	Degraded []Degradation
 	// ResumedFrom names the checkpoint stage the run continued from (e.g.
 	// "coreset" or "select[2]") when Options.Resume found usable state;
 	// empty for a run executed start to finish.

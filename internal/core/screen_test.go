@@ -317,3 +317,35 @@ func TestCancelDuringScreen(t *testing.T) {
 		t.Fatalf("canceled run took %v, draining the screen would take %v — not prompt", elapsed, drain)
 	}
 }
+
+// TestScreenBoundsWidth pins the one candidate cap the run has: on the wide
+// fixture at the default budget the tables the screen keeps estimate no more
+// features than the coreset has rows (unless the best table alone is kept),
+// and selection is offered no more than that either.
+func TestScreenBoundsWidth(t *testing.T) {
+	defer parallel.SetMaxWorkers(0)
+	corpus, cands := wideCorpus(t)
+	opts := chaosOptions(corpus, 2, nil)
+	opts.Trace = obs.New("augment")
+	res, err := Augment(corpus.Base, cands, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := int64(opts.CoresetSize)
+	var kept, features int64
+	for _, s := range res.Screened {
+		if s.Kept {
+			kept++
+			features += int64(s.Features)
+		}
+	}
+	if res.CandidatesScreened == 0 || kept == 0 {
+		t.Fatalf("fixture did not engage the screen: dropped %d, kept %d", res.CandidatesScreened, kept)
+	}
+	if kept > 1 && features > rows {
+		t.Fatalf("screen kept %d tables estimating %d features, over the %d-row coreset", kept, features, rows)
+	}
+	if offered := res.Trace.Counters["select.features_offered"]; offered > rows {
+		t.Fatalf("select.features_offered = %d, over the %d-row coreset", offered, rows)
+	}
+}

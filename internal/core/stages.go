@@ -14,36 +14,22 @@ import (
 
 // The stages outside the per-batch group (batch.go), in table order.
 
-// prefilter dedupes the candidates, applies the Tuple-Ratio rule and walks
-// the resource-budget ladder: over-budget runs degrade instead of failing,
-// by decisions that depend only on inputs and options, never on timing.
+// prefilter dedupes the candidates, applies the Tuple-Ratio rule and fixes
+// the coreset size.
 func (r *run) prefilter(context.Context, int) (bool, error) {
 	span := r.tr.Root().Child("prefilter", 0)
 	defer span.End()
 	o, res, tr := &r.opts, &r.st.Result, r.tr
-	rows, cols := r.base.NumRows(), r.base.NumCols()
+	rows := r.base.NumRows()
 
 	cands := DedupeCandidates(r.base, r.cands)
 	res.CandidatesDeduped = len(cands)
 	cands, res.CandidatesFiltered = FilterTupleRatio(rows, cands, o.TupleRatioTau)
+	r.cands = cands
 	r.size = o.CoresetSize
 	if r.size <= 0 {
 		r.size = coreset.DefaultSize(rows)
 	}
-	var extraFiltered int
-	cands, r.size, extraFiltered, res.Degraded = applyBudgets(rows, cols, cands, r.size, o)
-	res.CandidatesFiltered += extraFiltered
-	if len(res.Degraded) > 0 {
-		tr.Counter("budget.degradations").Add(int64(len(res.Degraded)))
-		for _, d := range res.Degraded {
-			tr.Counter("budget." + d.Action).Add(1)
-			o.logf("budget: %s (%s): %s [%d -> %d]", d.Action, d.Budget, d.Detail, d.Before, d.After)
-		}
-	}
-	r.cands = cands
-
-	tr.Gauge("budget.estimated_cells").Set(estimateCells(min(r.size, rows), cols, cands))
-	tr.Gauge("budget.estimated_candidate_bytes").Set(estimateCandidateBytes(cands))
 	span.SetInt("considered", int64(res.CandidatesConsidered))
 	span.SetInt("after_dedupe", int64(res.CandidatesDeduped))
 	span.SetInt("after_tuple_ratio", int64(len(cands)))

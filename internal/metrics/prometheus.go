@@ -40,23 +40,18 @@ func sanitizeMetricName(name string) string {
 	return b.String()
 }
 
-// WritePrometheus renders the metric map and histogram snapshots in the
-// Prometheus text exposition format (version 0.0.4). Scalar metrics are
-// exposed as untyped samples; histograms (observed in nanoseconds) are
+// WritePrometheus renders the counter, gauge and histogram snapshots in the
+// Prometheus text exposition format (version 0.0.4). Counters and gauges are
+// exposed as typed samples; histograms (observed in nanoseconds) are
 // exposed as cumulative-bucket histograms in seconds under a _seconds
-// suffix, per Prometheus base-unit convention. Output is sorted by name so
-// consecutive scrapes diff cleanly.
-func WritePrometheus(w io.Writer, metrics map[string]int64, hists map[string]obs.HistogramStat) error {
-	names := make([]string, 0, len(metrics))
-	for name := range metrics {
-		names = append(names, name)
+// suffix, per Prometheus base-unit convention. Each kind is sorted by name
+// so consecutive scrapes diff cleanly.
+func WritePrometheus(w io.Writer, counters, gauges map[string]int64, hists map[string]obs.HistogramStat) error {
+	if err := writeScalars(w, "counter", counters); err != nil {
+		return err
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		pn := sanitizeMetricName(name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s untyped\n%s %d\n", pn, pn, metrics[name]); err != nil {
-			return err
-		}
+	if err := writeScalars(w, "gauge", gauges); err != nil {
+		return err
 	}
 	hnames := make([]string, 0, len(hists))
 	for name := range hists {
@@ -65,6 +60,22 @@ func WritePrometheus(w io.Writer, metrics map[string]int64, hists map[string]obs
 	sort.Strings(hnames)
 	for _, name := range hnames {
 		if err := writeHistogram(w, sanitizeMetricName(name)+"_seconds", hists[name]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeScalars renders one kind of scalar metric, sorted by name.
+func writeScalars(w io.Writer, kind string, metrics map[string]int64) error {
+	names := make([]string, 0, len(metrics))
+	for name := range metrics {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		pn := sanitizeMetricName(name)
+		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n%s %d\n", pn, kind, pn, metrics[name]); err != nil {
 			return err
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/pprof"
 	"time"
 
 	"github.com/arda-ml/arda/internal/obs"
@@ -21,6 +22,7 @@ const samplerInterval = 250 * time.Millisecond
 //	/statusz — the rendered live stage tree + attrition counters
 //	/events  — the run's NDJSON event stream (replayed from the start,
 //	           then live, closing when the run finishes)
+//	/debug/pprof/ — the net/http/pprof profiles of the process
 //
 // It owns a runtime sampler feeding heap/GC/goroutine gauges and worker-pool
 // utilization into the trace, so scrapes always see fresh values. The
@@ -42,6 +44,11 @@ func NewServer(addr string, tr *obs.Trace, stream *obs.StreamSink) (*Server, err
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/statusz", s.handleStatusz)
 	mux.HandleFunc("/events", s.handleEvents)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	h, err := Listen(addr, mux)
 	if err != nil {
 		return nil, fmt.Errorf("metrics listener: %w", err)
@@ -84,7 +91,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // telemetry server and the ardad daemon.
 func ServeMetrics(w http.ResponseWriter, tr *obs.Trace) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	WritePrometheus(w, tr.Metrics(), tr.Histograms())
+	counters, gauges := tr.Scalars()
+	WritePrometheus(w, counters, gauges, tr.Histograms())
 }
 
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {

@@ -32,12 +32,13 @@ func TestWritePrometheusHistogram(t *testing.T) {
 	h.Observe(100)
 	h.Observe(1 << 30) // bucket 31, upper 2^31ns ≈ 2.147s
 	var b strings.Builder
-	if err := WritePrometheus(&b, map[string]int64{"x.y": 3}, map[string]obs.HistogramStat{"join": h.Snapshot()}); err != nil {
+	if err := WritePrometheus(&b, map[string]int64{"x.y": 3}, map[string]int64{"x.z": 4}, map[string]obs.HistogramStat{"join": h.Snapshot()}); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
 	for _, want := range []string{
-		"# TYPE arda_x_y untyped\narda_x_y 3\n",
+		"# TYPE arda_x_y counter\narda_x_y 3\n",
+		"# TYPE arda_x_z gauge\narda_x_z 4\n",
 		"# TYPE arda_join_seconds histogram\n",
 		`arda_join_seconds_bucket{le="1.28e-07"} 2`,
 		`arda_join_seconds_bucket{le="2.147483648"} 3`,
@@ -51,8 +52,9 @@ func TestWritePrometheusHistogram(t *testing.T) {
 }
 
 // TestServerEndToEnd runs a trace behind a live server: /metrics scrapes
-// mid-run (gauges + histograms present), /statusz renders the live tree,
-// and /events streams history + live events, terminating at Finish.
+// mid-run (gauges + histograms present), /debug/pprof/cmdline answers,
+// /statusz renders the live tree, and /events streams history + live
+// events, terminating at Finish.
 func TestServerEndToEnd(t *testing.T) {
 	defer testenv.NoGoroutineLeak(t)()
 	stream := obs.NewStreamSink(0)
@@ -89,6 +91,8 @@ func TestServerEndToEnd(t *testing.T) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
 		}
 	}
+
+	get(t, base+"/debug/pprof/cmdline") // the profiles share the listener
 
 	statusz := get(t, base+"/statusz")
 	if !strings.Contains(statusz, "run: augment") || !strings.Contains(statusz, "prefilter") {

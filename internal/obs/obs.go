@@ -19,6 +19,7 @@
 package obs
 
 import (
+	"maps"
 	"sort"
 	"strconv"
 	"sync"
@@ -215,19 +216,27 @@ func (t *Trace) metricEvents() []Event {
 
 // Metrics returns the current counter and gauge values by name.
 func (t *Trace) Metrics() map[string]int64 {
+	counters, gauges := t.Scalars()
+	maps.Copy(counters, gauges)
+	return counters
+}
+
+// Scalars returns the current counter and gauge values by name, apart.
+func (t *Trace) Scalars() (counters, gauges map[string]int64) {
 	if t == nil {
-		return nil
+		return nil, nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make(map[string]int64, len(t.counters)+len(t.gauges))
+	counters = make(map[string]int64, len(t.counters)+len(t.gauges)) // room for Metrics' merge
 	for name, c := range t.counters {
-		out[name] = c.Value()
+		counters[name] = c.Value()
 	}
+	gauges = make(map[string]int64, len(t.gauges))
 	for name, g := range t.gauges {
-		out[name] = g.Value()
+		gauges[name] = g.Value()
 	}
-	return out
+	return counters, gauges
 }
 
 // emit streams one event to every sink.

@@ -230,11 +230,3 @@ func TestRenderAndStageTotals(t *testing.T) {
 		t.Fatalf("render missing spans:\n%s", out)
 	}
 }
-
-func TestPublishExpvar(t *testing.T) {
-	tr := New("run")
-	tr.Counter("x").Add(9)
-	PublishExpvar(tr)
-	PublishExpvar(tr) // idempotent
-	tr.Finish()
-}

@@ -427,7 +427,6 @@ func (m *Manager) attempt(ctx context.Context, r *run) (res *RunResult, err erro
 		Rows:        out.Table.NumRows(),
 		Cols:        out.Table.NumCols(),
 		Quarantined: len(out.Quarantined),
-		Degraded:    len(out.Degraded),
 		Screened:    out.CandidatesScreened,
 		ResumedFrom: out.ResumedFrom,
 		LoadMS:      loadMS,

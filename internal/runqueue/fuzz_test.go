@@ -78,7 +78,7 @@ func FuzzSpecJSON(f *testing.F) {
 		f.Add(raw)
 	}
 	f.Add([]byte(`{"base":"b","target":"t","timeout":"-1s"}`))
-	f.Add([]byte(`{"base":"b","target":"t","tau":1e308,"max_cells":-1}`))
+	f.Add([]byte(`{"base":"b","target":"t","tau":1e308,"size":-1}`))
 	f.Add([]byte(`{"base":1}`))
 	f.Add([]byte(`[]`))
 

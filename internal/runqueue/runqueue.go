@@ -122,7 +122,6 @@ type RunResult struct {
 	Rows        int      `json:"rows"`
 	Cols        int      `json:"cols"`
 	Quarantined int      `json:"quarantined"`
-	Degraded    int      `json:"degraded"`
 	// Screened is how many candidates the screen stage took out before the
 	// join plan (0 when they all fit the coreset).
 	Screened    int    `json:"screened"`
@@ -179,10 +178,6 @@ type Config struct {
 	// RunTimeout is the default per-run wall-clock budget for specs without
 	// their own; 0 leaves runs unbounded.
 	RunTimeout time.Duration
-	// MaxCells / MaxCandidateBytes are default resource budgets for specs
-	// without their own; 0 leaves them unbounded.
-	MaxCells          int64
-	MaxCandidateBytes int64
 	// RetryAttempts/RetryBase/RetryMax shape the transient-failure retry of a
 	// run (capped exponential backoff); zero values mean 3 attempts, 100ms
 	// base, 2s cap.

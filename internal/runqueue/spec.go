@@ -54,10 +54,6 @@ type Spec struct {
 	// Timeout bounds the run's wall clock as a Go duration string ("90s");
 	// empty applies the daemon's default run budget.
 	Timeout string `json:"timeout,omitempty"`
-	// MaxCells bounds the working set in cells (0 = daemon default).
-	MaxCells int64 `json:"max_cells,omitempty"`
-	// MaxCandidateBytes bounds admitted candidate bytes (0 = daemon default).
-	MaxCandidateBytes int64 `json:"max_candidate_bytes,omitempty"`
 	// KeepTable also writes the augmented table (table.csv in the run
 	// directory) for download.
 	KeepTable bool `json:"keep_table,omitempty"`
@@ -154,9 +150,8 @@ func (s *Spec) seed() int64 {
 }
 
 // options builds the pipeline options for one execution of the spec.
-// Defaults for timeout and the resource budgets come from the manager
-// config; checkpointing, tracing, workers, and injectors are wired by the
-// supervisor.
+// The default timeout comes from the manager config; checkpointing,
+// tracing, workers, and injectors are wired by the supervisor.
 func (s *Spec) options(defaults Config) (core.Options, error) {
 	plan, err := s.planKind()
 	if err != nil {
@@ -177,28 +172,18 @@ func (s *Spec) options(defaults Config) (core.Options, error) {
 	if timeout == 0 {
 		timeout = defaults.RunTimeout
 	}
-	maxCells := s.MaxCells
-	if maxCells == 0 {
-		maxCells = defaults.MaxCells
-	}
-	maxBytes := s.MaxCandidateBytes
-	if maxBytes == 0 {
-		maxBytes = defaults.MaxCandidateBytes
-	}
 	opts := core.Options{
-		Target:            s.Target,
-		CoresetStrategy:   strat,
-		CoresetSize:       s.Size,
-		Plan:              plan,
-		Budget:            s.Budget,
-		TupleRatioTau:     s.Tau,
-		SoftMethod:        soft,
-		Seed:              s.seed(),
-		KNNImpute:         s.KNNImpute,
-		Significance:      s.Significance,
-		Timeout:           timeout,
-		MaxCells:          maxCells,
-		MaxCandidateBytes: maxBytes,
+		Target:          s.Target,
+		CoresetStrategy: strat,
+		CoresetSize:     s.Size,
+		Plan:            plan,
+		Budget:          s.Budget,
+		TupleRatioTau:   s.Tau,
+		SoftMethod:      soft,
+		Seed:            s.seed(),
+		KNNImpute:       s.KNNImpute,
+		Significance:    s.Significance,
+		Timeout:         timeout,
 	}
 	if s.Selector != "" {
 		sel, err := featsel.New(featsel.Method(s.Selector))

@@ -142,6 +142,10 @@ func TestServiceEndToEnd(t *testing.T) {
 	if resp := postJSON(t, base+"/runs", map[string]any{"base": baseTable, "target": target, "siize": 9}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("typo submit = %d, want 400", resp.StatusCode)
 	}
+	// So are resource budgets: a spec has none.
+	if resp := postJSON(t, base+"/runs", map[string]any{"base": baseTable, "target": target, "max_candidate_bytes": 1 << 20}, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("budget submit = %d, want 400", resp.StatusCode)
+	}
 
 	final := waitHTTPTerminal(t, base, rec.ID, 2*time.Minute)
 	if final.State != runqueue.StateCompleted {
