@@ -201,8 +201,8 @@ profile-select:
 
 # CPU profile of the split kernel alone: the forest shapes ARDA fits
 # (BenchmarkSelectForest*: ranking forests over a coreset on both tasks,
-# the regression ranking shape, both evaluation-forest shapes and the
-# split-cache pair). Inspect with `go tool pprof forest.pprof`.
+# the regression ranking shape, both evaluation-forest shapes and the RIFS
+# repetition pair). Inspect with `go tool pprof forest.pprof`.
 profile-forest:
 	$(GO) test -bench='^BenchmarkSelectForest' -benchtime=10x -run=^$$ \
 		-cpuprofile=forest.pprof ./internal/ml/

@@ -346,13 +346,6 @@ func reportAttrition(res *arda.Result, verbose bool) {
 			cli.Progressf("  screen %-7s %s: score %.2f, %d features", verdict, s.Name, s.Score, s.Features)
 		}
 	}
-	if res.Trace != nil {
-		c := res.Trace.Counters
-		if hits, misses := c["select.splitset_cache_hits"], c["select.splitset_cache_misses"]; hits+misses > 0 {
-			fmt.Printf("selection presort cache: %d hits / %d misses; %d sweep trees scheduled as waves\n",
-				hits, misses, c["select.trees_scheduled"])
-		}
-	}
 	if len(res.Quarantined) == 0 {
 		return
 	}

@@ -169,9 +169,8 @@ func sample(task ml.Task, rng *rand.Rand, seed int64) candidate {
 }
 
 // DefaultForestConfig is the forest configuration behind DefaultEstimator,
-// exposed so the pipeline can declare the default estimator's shape to
-// selectors that fast-path known forest estimators
-// (featsel.ForestEstimatorAware).
+// exposed so a caller can fit the same forest directly, as the benchmark's
+// forest-fit probe does.
 func DefaultForestConfig(seed int64) ml.ForestConfig {
 	return ml.ForestConfig{
 		NTrees:   60,

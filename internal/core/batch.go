@@ -214,16 +214,12 @@ func (r *run) selectBatch(ctx context.Context, b int) (bool, error) {
 }
 
 // runSelector runs the selector with the run's hooks attached for the call:
-// its span, the default estimator's forest shape, the selection clock.
+// its span and the selection clock.
 func (r *run) runSelector(ctx context.Context, span *obs.Span, ds *ml.Dataset, b int) ([]int, error) {
 	sel := r.opts.Selector
 	if sa, ok := sel.(obs.SpanAttacher); ok {
 		sa.AttachSpan(span)
 		defer sa.AttachSpan(nil)
-	}
-	if fa, ok := sel.(featsel.ForestEstimatorAware); ok && r.estForest != nil {
-		fa.SetSweepForest(r.estForest)
-		defer fa.SetSweepForest(nil)
 	}
 	defer func(start time.Time) { r.st.Result.SelectionElapsed += time.Since(start) }(time.Now())
 	// The context-aware path stops a canceled run's selection promptly.

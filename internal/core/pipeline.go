@@ -100,10 +100,6 @@ type run struct {
 	task      ml.Task
 	classes   int
 	estimator eval.Fitter
-	// estForest is the default estimator's forest shape, which
-	// ForestEstimatorAware selectors are told; a caller-supplied Estimator is
-	// opaque and leaves it nil.
-	estForest *ml.ForestConfig
 
 	// The cheap deterministic prefix, recomputed by every run: prefilter sets
 	// size and narrows cands, screen narrows them again, and the plan and
@@ -138,16 +134,17 @@ type run struct {
 }
 
 // Pre-registered, so a live scrape (-metrics-addr) exposes every counter and
-// latency distribution from its first request, not from the first bump. RIFS
-// feeds the split-set cache pair and trees_scheduled through its span. Ended
+// latency distribution from its first request, not from the first bump. Ended
 // spans feed the histogram of their name: the stage table names the stages'
 // own, subStageHistograms the spans inside them, and its last two are fed
-// below span granularity by ml tree fits and eval subset scoring.
+// below span granularity: select.tree_fit by every RIFS ranking-forest tree
+// (the only trees it counts), select.subset_score by every subset a wrapper
+// selector scores, RIFS's threshold sweep included, timing the whole fit and
+// predict.
 var (
 	runCounters = []string{
 		"join.rows_matched", "join.candidates_scored", "join.candidates_skipped",
 		"select.features_offered", "select.features_kept",
-		"select.splitset_cache_hits", "select.splitset_cache_misses", "select.trees_scheduled",
 		"quarantine.total", "checkpoint.saved", "checkpoint.write_failures",
 	}
 	subStageHistograms = []string{
@@ -178,8 +175,6 @@ func newRun(base *dataframe.Table, cands []discovery.Candidate, opts Options) (*
 	}
 	if r.estimator == nil {
 		r.estimator = automl.DefaultEstimator(opts.Seed)
-		fc := automl.DefaultForestConfig(opts.Seed)
-		r.estForest = &fc
 	}
 	for _, name := range runCounters {
 		r.tr.Counter(name)

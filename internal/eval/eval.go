@@ -109,9 +109,8 @@ func R2(pred, truth []float64) float64 {
 	return 1 - ssRes/ssTot
 }
 
-// Score returns the task's headline score for predictions: accuracy for
-// classification, and for regression a bounded "higher is better" score
-// 1/(1+MAE-normalized) is unintuitive, so we use R² clipped at 0.
+// Score returns the task's headline score for predictions, higher is
+// better: accuracy for classification, R² clipped at 0 for regression.
 func Score(task ml.Task, classes int, pred, truth []float64) float64 {
 	if task == ml.Classification {
 		return Accuracy(pred, truth)
@@ -238,9 +237,10 @@ type subsetBufs struct {
 }
 
 // SubsetEvaluator scores many feature subsets of one dataset on a fixed
-// holdout split — the one subset-scoring path of every wrapper search. The
-// constructor gathers the base columns once into a compact train+test design
-// matrix (held for the evaluator's lifetime); ScoreAt then sub-gathers each
+// holdout split with the run's estimator — the one subset-scoring path of
+// every wrapper search, RIFS's threshold sweep included. The constructor
+// gathers the base columns once into a compact train+test design matrix
+// (held for the evaluator's lifetime); ScoreAt then sub-gathers each
 // candidate subset from that matrix instead of walking the full dataset's
 // (possibly view-indirected) rows again. Scores are bit-identical to
 // HoldoutScore(ds.SelectFeatures(cols), sp, fit): both gather the same cell
@@ -254,16 +254,9 @@ type SubsetEvaluator struct {
 	x        []float64 // base design, train rows then test rows, stride d
 	y        []float64 // targets, train then test
 
-	// Lazily-built run-level split cache over the compact train matrix;
-	// ScoreForestWave shares its presorted columns across every candidate
-	// subset in the sweep instead of re-sorting per nested forest.
-	cacheOnce sync.Once
-	trainDS   *ml.Dataset
-	cache     *ml.SplitCache
-
 	// scoreDur, when attached, observes per-subset scoring latency (the
-	// whole fit+predict for ScoreAt; the holdout evaluation for wave-fitted
-	// forests). Observability only; nil costs one branch per score.
+	// whole fit and predict). Observability only; nil costs one branch per
+	// score.
 	scoreDur *obs.Histogram
 }
 
@@ -325,92 +318,6 @@ func (e *SubsetEvaluator) ScoreAt(pos []int) float64 {
 	m := e.fit(train)
 	pred := ml.PredictAll(m, test)
 	return Score(e.task, e.classes, pred, testY)
-}
-
-// ScoreForestWave is ScoreAt over every subset at once, specialized to
-// random-forest fitters: it presorts the train columns once into a shared
-// split cache, hands each non-empty subset a column-subset view of it, and
-// fits all nested forests in one flattened cross-forest tree wave
-// (ml.FitForests). It returns the per-subset scores plus the number of trees
-// scheduled in the wave.
-//
-// cfg must describe the same forest the evaluator's Fitter would train — the
-// caller asserts that equivalence; when it holds, scores are bit-identical
-// to calling ScoreAt on each subset, at any worker count. Empty subsets score
-// -Inf without fitting.
-func (e *SubsetEvaluator) ScoreForestWave(posSets [][]int, cfg ml.ForestConfig, workers int) ([]float64, int) {
-	e.cacheOnce.Do(func() {
-		e.trainDS = &ml.Dataset{
-			X: e.x[:e.nTr*e.d], N: e.nTr, D: e.d,
-			Y: e.y[:e.nTr], Task: e.task, Classes: e.classes,
-		}
-		e.cache = ml.NewSplitCache(e.trainDS)
-		all := make([]int, e.d)
-		for j := range all {
-			all[j] = j
-		}
-		// Cold build of every base column (values + orders) up front: the
-		// wave below then records pure hits, keeping the cache counters
-		// independent of fit scheduling.
-		e.cache.Columns(all, true)
-	})
-	scores := make([]float64, len(posSets))
-	jobs := make([]ml.ForestJob, 0, len(posSets))
-	live := make([]int, 0, len(posSets))
-	for i, pos := range posSets {
-		if len(pos) == 0 {
-			scores[i] = math.Inf(-1)
-			continue
-		}
-		sub := e.trainDS.View(pos)
-		sub.AttachSplits(e.cache.View(e.cache.Columns(pos, true), nil))
-		jobs = append(jobs, ml.ForestJob{DS: sub, Cfg: cfg})
-		live = append(live, i)
-	}
-	forests := ml.FitForests(workers, jobs)
-	trees := 0
-	for k, f := range forests {
-		trees += len(f.Trees)
-		scores[live[k]] = e.scoreModel(f, posSets[live[k]])
-	}
-	return scores, trees
-}
-
-// scoreModel evaluates a fitted model on the holdout rows restricted to the
-// base-column positions pos, gathering through the same pooled scratch and
-// row-major layout as ScoreAt's test half.
-func (e *SubsetEvaluator) scoreModel(m ml.Model, pos []int) float64 {
-	if e.scoreDur != nil {
-		defer e.scoreDur.ObserveSince(time.Now())
-	}
-	k := len(pos)
-	sb := subsetScratch.Get().(*subsetBufs)
-	defer subsetScratch.Put(sb)
-	if need := e.nTe * k; cap(sb.x) < need {
-		sb.x = make([]float64, need)
-	}
-	x := sb.x[: e.nTe*k : e.nTe*k]
-	for i := 0; i < e.nTe; i++ {
-		row := e.x[(e.nTr+i)*e.d : (e.nTr+i+1)*e.d]
-		out := x[i*k : (i+1)*k]
-		for c, p := range pos {
-			out[c] = row[p]
-		}
-	}
-	testY := e.y[e.nTr:]
-	test := &ml.Dataset{X: x, N: e.nTe, D: k, Y: testY, Task: e.task, Classes: e.classes}
-	pred := ml.PredictAll(m, test)
-	return Score(e.task, e.classes, pred, testY)
-}
-
-// SplitCacheStats reports the run-level split-cache counters accumulated by
-// ScoreForestWave (zero value before the first wave). Call it only after the
-// waves of interest have completed.
-func (e *SubsetEvaluator) SplitCacheStats() ml.SplitCacheStats {
-	if e.cache == nil {
-		return ml.SplitCacheStats{}
-	}
-	return e.cache.Stats()
 }
 
 // HoldoutError trains on sp.Train and returns the MAE on sp.Test (regression

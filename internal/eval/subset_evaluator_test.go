@@ -88,45 +88,3 @@ func TestSubsetEvaluatorConcurrent(t *testing.T) {
 		}
 	}
 }
-
-// TestScoreForestWaveMatchesScoreAt: the cross-forest wave fast path must
-// return exactly ScoreAt's score for every subset — the wave only changes
-// where the presort work happens and how trees are scheduled, never the
-// fitted forests or the holdout evaluation — and must hold at any worker
-// count. Empty subsets score -Inf without fitting.
-func TestScoreForestWaveMatchesScoreAt(t *testing.T) {
-	cfg := ml.ForestConfig{NTrees: 9, MaxDepth: 5, Seed: 13}
-	ds := subsetFixture(170, 9, 31)
-	sp := TrainTestSplit(ds, 0.25, 3)
-	fit := func(d *ml.Dataset) ml.Model { return ml.FitForest(d, cfg) }
-	base := []int{0, 1, 2, 4, 5, 7, 8}
-	posSets := [][]int{{0, 1, 2, 3, 4, 5, 6}, {0, 2, 4, 6}, {1}, nil, {3, 5}}
-
-	ev := NewSubsetEvaluator(ds, sp, fit, base)
-	want := make([]float64, len(posSets))
-	for i, pos := range posSets {
-		if len(pos) == 0 {
-			want[i] = math.Inf(-1)
-			continue
-		}
-		want[i] = ev.ScoreAt(pos)
-	}
-	for _, workers := range []int{1, 8} {
-		ev := NewSubsetEvaluator(ds, sp, fit, base)
-		scores, trees := ev.ScoreForestWave(posSets, cfg, workers)
-		if wantTrees := cfg.NTrees * 4; trees != wantTrees {
-			t.Fatalf("workers=%d: scheduled %d trees, want %d (4 non-empty subsets)", workers, trees, wantTrees)
-		}
-		for i := range want {
-			if scores[i] != want[i] && !(math.IsInf(scores[i], -1) && math.IsInf(want[i], -1)) {
-				t.Fatalf("workers=%d subset %v: wave score %v != ScoreAt %v",
-					workers, posSets[i], scores[i], want[i])
-			}
-		}
-		st := ev.SplitCacheStats()
-		if st.Misses != int64(len(base)) {
-			t.Fatalf("workers=%d: cache misses = %d, want %d (one cold build per base column)",
-				workers, st.Misses, len(base))
-		}
-	}
-}

@@ -76,15 +76,6 @@ type RIFSConfig struct {
 	// (seed, repetition) and counts merge in repetition order, so the
 	// selected features are identical for any worker count.
 	Workers int
-	// SweepForest, when non-nil, declares that the estimator passed to
-	// Select is a random forest fitted with exactly this configuration. The
-	// threshold sweep then presorts the train columns once and fits every
-	// nested candidate forest in one flattened cross-forest tree wave
-	// (eval.SubsetEvaluator.ScoreForestWave) instead of invoking the opaque
-	// Fitter per subset. Scores — and therefore the selected features — are
-	// bit-identical either way, so this is purely a fast path; setting it
-	// for an estimator that is not this exact forest breaks selection.
-	SweepForest *ml.ForestConfig
 }
 
 func (c *RIFSConfig) defaults() {
@@ -146,22 +137,6 @@ type RIFS struct {
 // call concurrently with Select.
 func (r *RIFS) AttachSpan(s *obs.Span) { r.span = s }
 
-// ForestEstimatorAware is implemented by selectors whose wrapper search can
-// exploit knowing that the estimator is a random forest with a specific
-// configuration. The pipeline forwards the forest config through this
-// interface exactly when it installs its default estimator (whose shape it
-// knows); the declaration is an optimization hint only and must never change
-// what gets selected.
-type ForestEstimatorAware interface {
-	SetSweepForest(fc *ml.ForestConfig)
-}
-
-// SetSweepForest implements ForestEstimatorAware: it declares the Fitter
-// passed to Select to be ml.FitForest under fc, enabling the sweep's
-// cross-forest wave fast path. Pass nil to revert to the opaque-estimator
-// path. Not safe to call concurrently with Select.
-func (r *RIFS) SetSweepForest(fc *ml.ForestConfig) { r.Config.SweepForest = fc }
-
 // Name implements Selector.
 func (r *RIFS) Name() string { return "RIFS" }
 
@@ -197,10 +172,11 @@ func (r *RIFS) SelectCtx(ctx context.Context, ds *ml.Dataset, est eval.Fitter, s
 }
 
 // sweep is Algorithm 3: walk the increasing threshold set, keeping the
-// subset {j : r*_j ≥ τ} while its holdout score stays monotone. The nested
-// candidate subsets are all contained in the loosest one, so the base
-// columns are gathered from ds once (eval.SubsetEvaluator) and each tighter
-// subset re-gathers from that compact matrix.
+// subset {j : r*_j ≥ τ} while its holdout score, under the run's estimator,
+// stays monotone. The nested candidate subsets are all contained in the
+// loosest one, so the base columns are gathered from ds once
+// (eval.SubsetEvaluator) and each tighter subset re-gathers from that
+// compact matrix.
 func (r *RIFS) sweep(ctx context.Context, ds *ml.Dataset, est eval.Fitter, seed int64, rstar []float64, cfg *RIFSConfig) ([]int, error) {
 	subsets, uniq := thresholdSubsets(rstar, cfg.Thresholds)
 	if len(uniq) == 0 {
@@ -215,48 +191,14 @@ func (r *RIFS) sweep(ctx context.Context, ds *ml.Dataset, est eval.Fitter, seed 
 	// sequential stopping point; scoring is deterministic on the fixed
 	// split), then the monotone walk replays over the precomputed scores,
 	// returning exactly what the sequential sweep would.
-	var scores []float64
-	if fc := cfg.SweepForest; fc != nil {
-		// The estimator is a declared forest: presort the train columns once
-		// and fit every candidate forest in one flattened tree wave. The wave
-		// is a single barrier, so cancellation is checked at its edges.
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		posSets := make([][]int, len(uniq))
-		for i := range uniq {
-			posSets[i] = positionsIn(uniq[0], uniq[i])
-		}
-		var trees int
-		wcfg := *fc
-		wcfg.TreeDur = r.span.Trace().Histogram("select.tree_fit")
-		scores, trees = ev.ScoreForestWave(posSets, wcfg, cfg.Workers)
-		tr := r.span.Trace()
-		tr.Counter("select.trees_scheduled").Add(int64(trees))
-		st := ev.SplitCacheStats()
-		tr.Counter("select.splitset_cache_hits").Add(st.Hits)
-		tr.Counter("select.splitset_cache_misses").Add(st.Misses)
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-	} else {
-		scores = make([]float64, len(uniq))
-		err := parallel.ForEachCtx(ctx, cfg.Workers, len(uniq), func(i int) {
-			scores[i] = ev.ScoreAt(positionsIn(uniq[0], uniq[i]))
-		})
-		if err != nil {
-			return nil, err
-		}
+	scores := make([]float64, len(uniq))
+	err := parallel.ForEachCtx(ctx, cfg.Workers, len(uniq), func(i int) {
+		scores[i] = ev.ScoreAt(positionsIn(uniq[0], uniq[i]))
+	})
+	if err != nil {
+		return nil, err
 	}
 	return monotoneWalk(subsets, uniq, scores), nil
-}
-
-// ctxErr is ctx.Err() tolerating the package's nil-context convention.
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
 }
 
 // thresholdSubsets materializes Algorithm 3's candidate subsets: for each
@@ -331,7 +273,8 @@ func (r *RIFS) rstarCtx(ctx context.Context, ds *ml.Dataset, seed int64) ([]floa
 	cfg := r.Config
 	cfg.defaults()
 	// Every ranking-forest tree fit in the repetitions lands in the run's
-	// per-tree latency histogram (nil — free — when tracing is off).
+	// per-tree latency histogram (nil — free — when tracing is off); these
+	// are the only trees it counts.
 	cfg.Forest.TreeDur = r.span.Trace().Histogram("select.tree_fit")
 	d := ds.D
 	t := int(math.Ceil(cfg.Eta * float64(d)))
@@ -343,23 +286,15 @@ func (r *RIFS) rstarCtx(ctx context.Context, ds *ml.Dataset, seed int64) ([]floa
 		return nil, err
 	}
 	n, d2 := ds.N, d+t
-	// Run-level split cache: the d real columns are presorted exactly once
-	// per run and every repetition's forest reads them through a per-rep
-	// view, so only the t refreshed noise columns are presorted per
-	// repetition (inside the workspace's reusable buffers). The sparse half
-	// ignores the attachment. Skipped entirely at ν = 0, where no forest
-	// ever fits. The cold build happens before the repetition fan-out, so
-	// the hit/miss counters are independent of worker count.
+	// The d real columns are presorted once, before the repetition fan-out,
+	// and every repetition's forest reads them through a per-rep view, so
+	// only the t refreshed noise columns are presorted per repetition (inside
+	// the workspace's reusable buffers). The sparse half ignores the
+	// attachment. Skipped entirely at ν = 0, where no forest ever fits.
 	useViews := cfg.Nu > 0
-	var scache *ml.SplitCache
-	var realIdx []int
+	var realCols []ml.SplitColumn
 	if useViews {
-		scache = ml.NewSplitCache(ds)
-		realIdx = make([]int, d)
-		for j := range realIdx {
-			realIdx[j] = j
-		}
-		scache.Columns(realIdx, true)
+		realCols = ml.PresortColumns(ds, cfg.Workers)
 	}
 	// Pooled augmented-dataset workspaces: the first d columns hold the real
 	// features and are written once per workspace; repetitions reusing a
@@ -402,7 +337,7 @@ func (r *RIFS) rstarCtx(ctx context.Context, ds *ml.Dataset, seed int64) ([]floa
 			for c := 0; c < t; c++ {
 				ws.noise[c] = ml.NewSplitColumn(ws.noiseV[c*n:(c+1)*n], ws.noiseO[c*n:(c+1)*n])
 			}
-			aug.AttachSplits(scache.View(scache.Columns(realIdx, true), ws.noise))
+			aug.AttachSplits(ml.NewSplitView(ds, realCols, ws.noise))
 		}
 		injectSpan.End()
 		agg, err := r.aggregateRanking(&cfg, aug, repSeed, repSpan)
@@ -438,12 +373,6 @@ func (r *RIFS) rstarCtx(ctx context.Context, ds *ml.Dataset, seed int64) ([]floa
 		})
 	if err != nil {
 		return nil, err
-	}
-	if scache != nil {
-		st := scache.Stats()
-		tr := r.span.Trace()
-		tr.Counter("select.splitset_cache_hits").Add(st.Hits)
-		tr.Counter("select.splitset_cache_misses").Add(st.Misses)
 	}
 	rstar := make([]float64, d)
 	for j, c := range counts {

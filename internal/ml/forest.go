@@ -64,9 +64,7 @@ type Forest struct {
 }
 
 // resolveForestConfig applies FitForest's defaulting rules, returning the
-// normalized config and the per-tree config it implies. Shared by FitForest
-// and the cross-forest FitForests scheduler so a forest fits identically
-// through either entry point.
+// normalized config and the per-tree config it implies.
 func resolveForestConfig(ds *Dataset, cfg ForestConfig) (ForestConfig, TreeConfig) {
 	if cfg.NTrees <= 0 {
 		cfg.NTrees = 100
@@ -93,7 +91,7 @@ func resolveForestConfig(ds *Dataset, cfg ForestConfig) (ForestConfig, TreeConfi
 }
 
 // splitSetFor returns the split set backing a forest fit on ds: the attached
-// run-level view when one matches (presort already paid), a fresh per-forest
+// split view when one matches (presort already paid), a fresh per-forest
 // build otherwise. All bootstrap trees have m == ds.N samples, so they all
 // land in the same kernel regime; global orders are only required when the
 // presorted regime will consume them.
@@ -158,7 +156,7 @@ func aggregateImportances(f *Forest, d int) {
 
 // FitForest trains a random forest on ds with bootstrap resampling. The
 // dataset is presorted once into a shared split scaffold — or read from an
-// attached run-level split view (AttachSplits) when one matches — and each
+// attached split view (AttachSplits) when one matches — and each
 // tree derives its bootstrap sample's feature orders from it with a linear
 // scan, so tree growth never sorts (see splitset.go).
 func FitForest(ds *Dataset, cfg ForestConfig) *Forest {

@@ -51,26 +51,20 @@ func BenchmarkSelectForestEvaluateRegression(b *testing.B) {
 		ForestConfig{NTrees: 10, MaxDepth: 12, Seed: 7, Parallel: true})
 }
 
-// BenchmarkSelectForestRepetitions is the run-level split-cache pair over
-// the RIFS repetition shape: the same forest fit from a warm run-level cache
-// view ("cached" — what every repetition after the first pays) versus
-// building its own per-forest split set ("uncached" — what every repetition
-// paid before the cache existed). The cached variant's global orders also
-// light up the counting-scan extraction at large nodes.
+// BenchmarkSelectForestRepetitions is the presorted-columns pair over the
+// RIFS repetition shape: the same forest fit from a view over columns
+// presorted once outside the loop ("cached" — what every repetition pays)
+// versus building its own per-forest split set ("uncached"). The view's
+// global orders also light up the counting-scan extraction at large nodes.
 func BenchmarkSelectForestRepetitions(b *testing.B) {
 	ds := makeClassification(160, 6, 144, 204)
 	cfg := ForestConfig{NTrees: 20, MaxDepth: 10, Seed: 7, Parallel: true}
 	b.Run("cached", func(b *testing.B) {
-		cache := NewSplitCache(ds)
-		idx := make([]int, ds.D)
-		for j := range idx {
-			idx[j] = j
-		}
-		cache.Columns(idx, true) // run-level cold build, outside the reps
+		cols := PresortColumns(ds, 0) // once per RStar call, outside the reps
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ds.AttachSplits(cache.View(cache.Columns(idx, true), nil))
+			ds.AttachSplits(NewSplitView(ds, cols, nil))
 			FitForest(ds, cfg)
 			ds.AttachSplits(nil)
 		}

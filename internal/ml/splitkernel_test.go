@@ -274,8 +274,7 @@ func TestForestKernelEquivalenceRegression(t *testing.T) {
 
 // TestForestMatchesReference: the one production forest path against the
 // frozen reference at 1 and 8 workers, over the selection-forest shape (flat
-// regime, mtry = √d) and the evaluation shape (presorted regime), through
-// FitForest and through the FitForests wave.
+// regime, mtry = √d) and the evaluation shape (presorted regime).
 func TestForestMatchesReference(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -291,7 +290,6 @@ func TestForestMatchesReference(t *testing.T) {
 		for _, sh := range shapes {
 			want := refFitForest(sh.ds, sh.cfg)
 			sameForest(t, want, FitForest(sh.ds, sh.cfg))
-			sameForest(t, want, FitForests(0, []ForestJob{{DS: sh.ds, Cfg: sh.cfg}})[0])
 		}
 	}
 }

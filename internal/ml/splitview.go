@@ -2,8 +2,9 @@ package ml
 
 import (
 	"math"
-	"sync"
 	"unsafe"
+
+	"github.com/arda-ml/arda/internal/parallel"
 )
 
 // SplitColumn is one feature column of a split set: the column's values over
@@ -65,8 +66,8 @@ func (c *SplitColumn) classifyTwo() {
 // two-valued (which needs no order) it is filled in place with the
 // (value, row)-sorted permutation — the same unique total order the split
 // kernel's own presort produces, so a caller-presorted column is
-// indistinguishable from a cache-built one. Pass a nil ord for a values-only
-// column (the flat kernel then sorts nodes on demand).
+// indistinguishable from one PresortColumns builds. Pass a nil ord for a
+// values-only column (the flat kernel then sorts nodes on demand).
 func NewSplitColumn(values []float64, ord []int32) SplitColumn {
 	c := SplitColumn{v: values}
 	c.classifyTwo()
@@ -96,120 +97,48 @@ func (c *SplitColumn) presort(buf []int32) {
 // without sorting: it carries that order, or is two-valued and needs none.
 func (c SplitColumn) Presorted() bool { return c.ord != nil || c.mask != nil }
 
-// SplitCacheStats reports a cache's column traffic: misses are column
-// requests that had to build (gather values and/or presort), hits are
-// requests served entirely from already-built state.
-type SplitCacheStats struct {
-	Hits, Misses int64
-}
-
-// SplitCache is a run-level store of presorted split columns over one
-// dataset's rows. Where the per-forest split set dies with its forest, the
-// cache outlives every forest fitted during a run: the K RIFS repetitions
-// and the threshold sweep's nested forests all draw the immutable real
-// columns from here and pay the gather + presort exactly once per run.
-//
-// Builds are serialized by a mutex and the (value, row) sort is a unique
-// total order, so the cached columns are identical no matter which caller
-// builds them first or how many workers race to ask. For deterministic
-// hit/miss counts, prewarm the cache (one Columns call for every index)
-// before fanning work out to the pool.
-type SplitCache struct {
-	ds      *Dataset
-	n       int
-	task    Task
-	classes int
-	ys      []float64
-	labels  []int32
-
-	mu     sync.Mutex
-	cols   []SplitColumn
-	valsOK []bool
-	ordsOK []bool
-	stats  SplitCacheStats
-}
-
-// NewSplitCache prepares an empty cache over ds's rows. Columns build
-// lazily; ys and class labels are captured eagerly (they are shared by every
-// view). ds must stay alive and unmodified for the cache's lifetime.
-func NewSplitCache(ds *Dataset) *SplitCache {
-	c := &SplitCache{
-		ds:      ds,
-		n:       ds.N,
-		task:    ds.Task,
-		classes: ds.Classes,
-		ys:      ds.Y,
-		cols:    make([]SplitColumn, ds.D),
-		valsOK:  make([]bool, ds.D),
-		ordsOK:  make([]bool, ds.D),
-	}
-	if ds.Task == Classification {
-		c.labels = make([]int32, ds.N)
-		for i := 0; i < ds.N; i++ {
-			c.labels[i] = int32(ds.Label(i))
+// PresortColumns builds every column of ds as a split column carrying its
+// (value, row) order (a two-valued column needs none), on up to workers
+// goroutines (0 = process-wide maximum). Columns are independent and the
+// order is a unique total order, so the result is identical at any worker
+// count. The columns are immutable: any number of views over ds's rows, and
+// the forests fitted through them, can share them.
+func PresortColumns(ds *Dataset, workers int) []SplitColumn {
+	cols := make([]SplitColumn, ds.D)
+	parallel.ForEach(workers, ds.D, func(j int) {
+		v := make([]float64, ds.N)
+		for r := range v {
+			v[r] = ds.At(r, j)
 		}
-	}
-	return c
+		c := NewSplitColumn(v, nil)
+		c.presort(nil)
+		cols[j] = c
+	})
+	return cols
 }
 
-// Columns returns the cached split columns for the given source-column
-// indices, building any that are missing (values always; orders only when
-// withOrders). The returned slice is freshly allocated; the columns it holds
-// are shared and immutable.
-func (c *SplitCache) Columns(idx []int, withOrders bool) []SplitColumn {
-	out := make([]SplitColumn, len(idx))
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, j := range idx {
-		built := false
-		if !c.valsOK[j] {
-			v := make([]float64, c.n)
-			for r := 0; r < c.n; r++ {
-				v[r] = c.ds.At(r, j)
-			}
-			c.cols[j] = NewSplitColumn(v, nil)
-			c.valsOK[j] = true
-			built = true
-		}
-		if withOrders && !c.ordsOK[j] {
-			c.cols[j].presort(nil)
-			c.ordsOK[j] = true
-			built = true
-		}
-		if built {
-			c.stats.Misses++
-		} else {
-			c.stats.Hits++
-		}
-		out[i] = c.cols[j]
-	}
-	return out
-}
-
-// Stats returns the cache's hit/miss counters so far.
-func (c *SplitCache) Stats() SplitCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
-
-// View assembles a per-forest split view: cols (typically cached real
-// columns, in dataset column order) followed by extra per-forest columns
-// (e.g. a repetition's freshly injected noise columns). The view borrows the
-// cache's row metadata; the dataset it is attached to must therefore share
-// this cache's rows and targets.
-func (c *SplitCache) View(cols []SplitColumn, extra []SplitColumn) *SplitView {
+// NewSplitView assembles a split view over ds's rows and targets: cols
+// (typically PresortColumns's shared columns, in dataset column order)
+// followed by extra per-forest columns (e.g. a repetition's freshly injected
+// noise columns). The view backs any dataset with ds's rows and targets
+// whose columns are exactly cols then extra.
+func NewSplitView(ds *Dataset, cols, extra []SplitColumn) *SplitView {
 	all := make([]SplitColumn, 0, len(cols)+len(extra))
 	all = append(all, cols...)
 	all = append(all, extra...)
 	ss := &splitSet{
-		n:       c.n,
+		n:       ds.N,
 		d:       len(all),
-		task:    c.task,
-		classes: c.classes,
-		ys:      c.ys,
-		labels:  c.labels,
+		task:    ds.Task,
+		classes: ds.Classes,
+		ys:      ds.Y,
 		cols:    all,
+	}
+	if ds.Task == Classification {
+		ss.labels = make([]int32, ds.N)
+		for i := range ss.labels {
+			ss.labels[i] = int32(ds.Label(i))
+		}
 	}
 	ss.markTwo()
 	return &SplitView{ss: ss}
@@ -230,9 +159,9 @@ func (v *SplitView) NumColumns() int {
 	return v.ss.d
 }
 
-// AttachSplits hands the dataset a prebuilt split view: FitForest (and the
-// flattened FitForests scheduler) will fit trees straight from the view's
-// columns instead of gathering and presorting the dataset again. The view
+// AttachSplits hands the dataset a prebuilt split view: FitForest will fit
+// trees straight from the view's columns instead of gathering and presorting
+// the dataset again. The view
 // must describe exactly this dataset's columns over exactly its rows — same
 // values, same order; the fitted forest is then bit-identical to one grown
 // without the view. Attach nil to detach. The attachment is advisory: a

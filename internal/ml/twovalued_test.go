@@ -150,28 +150,22 @@ func forestFingerprint(f *Forest) uint64 {
 	return h.Sum64()
 }
 
-// withCacheView attaches a run-level SplitCache view over all of ds's
-// columns for the duration of fn — the shape RIFS and the sweep fit through.
-func withCacheView(ds *Dataset, fn func()) {
-	cache := NewSplitCache(ds)
-	idx := make([]int, ds.D)
-	for j := range idx {
-		idx[j] = j
-	}
-	ds.AttachSplits(cache.View(cache.Columns(idx, true), nil))
+// withSplitView attaches a PresortColumns view over all of ds's columns for
+// the duration of fn — the shape RIFS's ranking forests fit through.
+func withSplitView(ds *Dataset, fn func()) {
+	ds.AttachSplits(NewSplitView(ds, PresortColumns(ds, 0), nil))
 	defer ds.AttachSplits(nil)
 	fn()
 }
 
-// everyForestPath fits (ds, cfg) through FitForest, the FitForests wave and
-// an attached cache view, at 1 and 8 workers, and hands each forest to check.
+// everyForestPath fits (ds, cfg) through FitForest alone and through an
+// attached split view, at 1 and 8 workers, and hands each forest to check.
 func everyForestPath(ds *Dataset, cfg ForestConfig, check func(path string, f *Forest)) {
 	defer parallel.SetMaxWorkers(0)
 	for _, workers := range []int{1, 8} {
 		parallel.SetMaxWorkers(workers)
 		check("FitForest", FitForest(ds, cfg))
-		check("FitForests", FitForests(0, []ForestJob{{DS: ds, Cfg: cfg}})[0])
-		withCacheView(ds, func() { check("cache view", FitForest(ds, cfg)) })
+		withSplitView(ds, func() { check("split view", FitForest(ds, cfg)) })
 	}
 }
 
