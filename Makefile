@@ -72,11 +72,12 @@ alloc:
 # numbers it holds are printed: table precision / recall, score gain and
 # answer stability over (corpus seed × pipeline seed) pairs of the wide
 # corpus against the values recorded at the parent commit, recorded scores,
-# digests and answer on a corpus the screen leaves alone, and the join-spec
-# never-panic fuzz seeds.
+# digests and answer on a corpus the screen leaves alone, the pinned
+# Poverty / SchoolL answers of TestEndToEndWitness at 1 and 8 workers, and
+# the join-spec never-panic fuzz seeds.
 # race runs the same tests under the detector.
 quality:
-	$(GO) test -run 'TestQuality' -v ./internal/core/
+	$(GO) test -run 'TestQuality|TestEndToEndWitness' -v ./internal/core/
 	$(GO) test -run 'FuzzJoinSpec' ./internal/join/
 
 # Chaos suite under the race detector: deterministic fault injection,

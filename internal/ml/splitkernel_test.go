@@ -99,21 +99,26 @@ func TestTreeKernelEquivalenceClassification(t *testing.T) {
 }
 
 // TestTreeKernelEquivalenceRegressionTieFree: in the flat regime the live
-// kernel gathers, partitions, and sums in exactly the legacy order, so with
-// tie-free columns and no duplicate samples regression trees must match
-// bit-for-bit. Every shape here is flat from the root under the cost rule.
-// (The presorted regime iterates node members in value order rather than
-// partition order, so its regression sums — and hence leaf values — can
-// differ in the last ulp; that regime, small nodes included, is covered by
-// the aggregate forest test below.)
+// kernel gathers and partitions in the legacy order, but it centres the
+// targets and scores boundaries by CART's proxy from sums against the node
+// totals, so its regression sums round differently. With tie-free columns, no
+// duplicate samples and leaves of at least five samples, trees must still
+// match the legacy kernel split for split — same features, thresholds and
+// children — with node values within 1e-12 of the legacy's and importances
+// within 1e-12 of the tree's total. (With smaller leaves a node of two or
+// three samples can be cut two ways of mathematically equal gain, and the
+// last ulp picks one.) Every shape here is flat from the root under the cost
+// rule. (The presorted regime iterates node members in value order rather
+// than partition order; that regime, small nodes included, is covered by the
+// aggregate forest test below.)
 func TestTreeKernelEquivalenceRegressionTieFree(t *testing.T) {
 	cases := []struct {
 		n, d int
 		cfg  TreeConfig
 	}{
-		{60, 24, TreeConfig{MTry: 2}}, // mtry·⌈log₂ m⌉ = 12 < 24
+		{60, 24, TreeConfig{MTry: 2, MinLeaf: 8}}, // mtry·⌈log₂ m⌉ = 12 < 24
 		{60, 24, TreeConfig{MTry: 2, MinLeaf: 5}},
-		{300, 24, TreeConfig{MTry: 2}}, // 18 < 24
+		{300, 24, TreeConfig{MTry: 2, MinLeaf: 8}}, // 18 < 24
 	}
 	for _, tc := range cases {
 		rng := rand.New(rand.NewSource(7))
@@ -134,8 +139,24 @@ func TestTreeKernelEquivalenceRegressionTieFree(t *testing.T) {
 		if mtry := resolveMTry(tc.cfg.MTry, tc.d); !useFlatKernel(mtry, tc.d, tc.n) {
 			t.Fatalf("n=%d d=%d cfg %+v is not flat from the root: the case tests nothing", tc.n, tc.d, tc.cfg)
 		}
-		if !sameTree(want, got) {
-			t.Fatalf("n=%d d=%d cfg %+v: flat-regime regression tree differs from legacy", tc.n, tc.d, tc.cfg)
+		if len(got.nodes) != len(want.nodes) || len(got.nodes) < 5 {
+			t.Fatalf("n=%d cfg %+v: %d nodes, legacy %d", tc.n, tc.cfg, len(got.nodes), len(want.nodes))
+		}
+		for i, a := range want.nodes {
+			b := got.nodes[i]
+			if a.feature != b.feature || a.threshold != b.threshold || a.left != b.left || a.right != b.right ||
+				math.Abs(a.value-b.value) > 1e-12 {
+				t.Fatalf("n=%d cfg %+v, node %d: %+v, legacy %+v", tc.n, tc.cfg, i, b, a)
+			}
+		}
+		total := 0.0
+		for _, v := range want.importance {
+			total += v
+		}
+		for j, v := range want.importance {
+			if math.Abs(got.importance[j]-v) > 1e-12*total {
+				t.Fatalf("n=%d cfg %+v: importance[%d] %v, legacy %v", tc.n, tc.cfg, j, got.importance[j], v)
+			}
 		}
 	}
 }

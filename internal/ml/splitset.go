@@ -17,15 +17,16 @@ import (
 // `left`, which is kept all-zero by partition so it never needs re-clearing.
 type treeWorkspace struct {
 	// Common scratch (both kernels).
-	ys      []float64     // target by unit
+	ys      []float64     // target by unit (regression: centred)
 	labels  []int32       // class code by unit (classification)
 	wt      []float64     // multiplicity by unit
-	vbuf    []float64     // node values in sorted order (flat scan input)
-	ybuf    []float64     // node targets in sorted order
-	lbuf    []int32       // node labels in sorted order
-	wbuf    []float64     // node multiplicities in sorted order
-	lcnt    []float64     // class-count scratch (left / nodeStats)
-	rcnt    []float64     // class-count scratch (right)
+	vbuf    []float64     // node values in sorted order (flat sort keys, class scan input)
+	uval    []float64     // a flat node's feature values by unit (regression, columns read through rowOf)
+	lbuf    []int32       // node labels in sorted order (classification)
+	wbuf    []float64     // node multiplicities in sorted order (classification)
+	tcnt    []float64     // the node's class counts (nodeStats)
+	lcnt    []float64     // class-count scratch (left)
+	rcnt    []float64     // class-count scratch (right; a two-valued column's high side)
 	rbuf    []float64     // one-row gather scratch
 	feats   []int         // feature permutation for MTry shuffles
 	samples []int32       // flat-kernel unit lists, partitioned in place
@@ -33,7 +34,6 @@ type treeWorkspace struct {
 	cnt     []int32       // bootstrap multiplicity per dataset row (forest path)
 	rowOf   []int32       // unit → dataset row (forest path)
 	scols   []SplitColumn // per-feature column headers handed to the builder
-	spos    []int32       // a flat node's units ascending (two-valued candidates)
 	// Presorted-kernel scratch.
 	colv []float64 // d×u column-major feature values by unit
 	// orders holds one u-long plane per feature — its units, value-sorted
@@ -52,10 +52,10 @@ type treeWorkspace struct {
 // pool's retention cap so sweep-sized trees don't keep base-table-sized
 // scratch alive.
 func (ws *treeWorkspace) retained() int {
-	f := cap(ws.ys) + cap(ws.wt) + cap(ws.vbuf) + cap(ws.ybuf) + cap(ws.wbuf) +
-		cap(ws.lcnt) + cap(ws.rcnt) + cap(ws.rbuf) + cap(ws.colv)
+	f := cap(ws.ys) + cap(ws.wt) + cap(ws.vbuf) + cap(ws.uval) + cap(ws.wbuf) +
+		cap(ws.tcnt) + cap(ws.lcnt) + cap(ws.rcnt) + cap(ws.rbuf) + cap(ws.colv)
 	i := cap(ws.labels) + cap(ws.lbuf) + cap(ws.samples) + cap(ws.pay) + cap(ws.cnt) +
-		cap(ws.rowOf) + cap(ws.orders) + cap(ws.spill) + cap(ws.unitOf) + cap(ws.ncnt) + cap(ws.spos)
+		cap(ws.rowOf) + cap(ws.orders) + cap(ws.spill) + cap(ws.unitOf) + cap(ws.ncnt)
 	return f*8 + i*4 + cap(ws.feats)*8 + cap(ws.left) + cap(ws.scols)*splitColumnBytes
 }
 
@@ -72,17 +72,18 @@ func (ws *treeWorkspace) reserve(m, d, k int) {
 	ws.ys = growFloat(ws.ys, m)
 	ws.wt = growFloat(ws.wt, m)
 	ws.vbuf = growFloat(ws.vbuf, m)
-	ws.wbuf = growFloat(ws.wbuf, m)
 	ws.rbuf = growFloat(ws.rbuf, d)
 	ws.samples = growInt32(ws.samples, m)
 	ws.pay = growInt32(ws.pay, m)
 	if k > 0 {
 		ws.labels = growInt32(ws.labels, m)
 		ws.lbuf = growInt32(ws.lbuf, m)
+		ws.wbuf = growFloat(ws.wbuf, m)
+		ws.tcnt = growFloat(ws.tcnt, k)
 		ws.lcnt = growFloat(ws.lcnt, k)
 		ws.rcnt = growFloat(ws.rcnt, k)
 	} else {
-		ws.ybuf = growFloat(ws.ybuf, m)
+		ws.uval = growFloat(ws.uval, m)
 	}
 	if cap(ws.feats) < d {
 		ws.feats = make([]int, d)
@@ -144,8 +145,25 @@ type splitSet struct {
 	classes int
 	cols    []SplitColumn // per-feature values (+ (value,row) orders when presorted)
 	anyTwo  bool          // some column is two-valued
-	ys      []float64
+	ys      []float64     // targets; for regression centred, ys[r] = Y[r] - ymean
+	ymean   float64
 	labels  []int32 // class codes (classification)
+}
+
+// setTargets gives the set ds's targets: class codes for classification, for
+// regression the targets centred by their mean, which every tree of the
+// forest adds back at its leaves.
+func (ss *splitSet) setTargets(ds *Dataset) {
+	if ds.Task == Classification {
+		ss.ys = ds.Y
+		ss.labels = make([]int32, ds.N)
+		for i := range ss.labels {
+			ss.labels[i] = int32(ds.Label(i))
+		}
+		return
+	}
+	ss.ys = append([]float64(nil), ds.Y...)
+	ss.ymean = centre(ss.ys)
 }
 
 // buildSplitSet gathers ds into column-major form, classifies each column
@@ -160,8 +178,8 @@ func buildSplitSet(ds *Dataset, workers int, needOrders bool) *splitSet {
 		task:    ds.Task,
 		classes: ds.Classes,
 		cols:    make([]SplitColumn, d),
-		ys:      ds.Y,
 	}
+	ss.setTargets(ds)
 	colv := make([]float64, n*d)
 	rbuf := make([]float64, d)
 	for i := 0; i < n; i++ {
@@ -172,12 +190,6 @@ func buildSplitSet(ds *Dataset, workers int, needOrders bool) *splitSet {
 	}
 	for j := 0; j < d; j++ {
 		ss.cols[j].v = colv[j*n : (j+1)*n]
-	}
-	if ds.Task == Classification {
-		ss.labels = make([]int32, n)
-		for i := 0; i < n; i++ {
-			ss.labels[i] = int32(ds.Label(i))
-		}
 	}
 	parallel.ForEach(workers, d, func(j int) {
 		ss.cols[j].classifyTwo()
@@ -209,70 +221,22 @@ func (ss *splitSet) markTwo() {
 // at all. In either regime a two-valued column is read in place, through
 // that map and its byte mask, and gets neither an order nor a copy.
 func fitTreeFromSplitSet(ss *splitSet, cfg TreeConfig, rng *rand.Rand, ws *treeWorkspace) *Tree {
-	if cfg.MinLeaf <= 0 {
-		cfg.MinLeaf = 1
-	}
-	n, d := ss.n, ss.d
-	cnt := ws.cnt
-	m, units := 0, 0
-	for _, c := range cnt[:n] {
-		if c > 0 {
-			m += int(c)
-			units++
-		}
-	}
-	b := &treeBuilder{
-		cfg:     cfg,
-		rng:     rng,
-		tree:    &Tree{importance: make([]float64, d)},
-		task:    ss.task,
-		classes: ss.classes,
-		units:   units,
-		d:       d,
-		ws:      ws,
-	}
-	b.mtry = resolveMTry(cfg.MTry, d)
-	ws.reserve(m, d, b.classScratch())
-	flat := useFlatKernel(b.mtry, d, m)
-	if flat || ss.anyTwo {
-		ws.rowOf = growInt32(ws.rowOf, m)
-		b.rowOf = ws.rowOf
-	}
-	if ss.anyTwo {
-		// Scratch a two-valued column's node order is split into (with pay).
-		ws.spill = growInt32(ws.spill, m)
-		ws.spos = growInt32(ws.spos, m)
-	}
-	ws.unitOf = growInt32(ws.unitOf, n)
-	unitOf := ws.unitOf
-	u := 0
-	for r, c := range cnt[:n] {
-		if c == 0 {
-			continue
-		}
-		unitOf[r] = int32(u)
-		if b.rowOf != nil {
-			b.rowOf[u] = int32(r)
-		}
-		ws.ys[u] = ss.ys[r]
-		if ss.labels != nil {
-			ws.labels[u] = ss.labels[r]
-		}
-		ws.wt[u] = float64(c)
-		u++
-	}
-
-	if flat {
+	b := &treeBuilder{}
+	m := b.initUnits(ss, cfg, rng, ws)
+	n, d, units := ss.n, ss.d, b.units
+	cnt, unitOf := ws.cnt, ws.unitOf
+	if useFlatKernel(b.mtry, d, m) {
 		b.scols, b.ssn = ss.cols, n
-		// Large nodes can skip the per-node sort when a feature carries a
-		// global (value, row) order: walking that order and emitting each
-		// in-node row reproduces the sort's (value, unit) sequence exactly.
-		// Interior nodes register their membership as per-row multiplicities
-		// in ws.ncnt (zeroed by make and kept all-zero by growFlat's
-		// mark/clear pairing), so the scan skips out-of-node rows without
-		// per-unit mask checks.
+		// Large classification nodes can skip the per-node sort when a
+		// feature carries a global (value, row) order: walking that order and
+		// emitting each in-node row reproduces the sort's (value, unit)
+		// sequence exactly. Interior nodes register their membership as
+		// per-row multiplicities in ws.ncnt (zeroed by make and kept all-zero
+		// by growFlat's mark/clear pairing), so the scan skips out-of-node
+		// rows without per-unit mask checks. (A regression forest — mtry =
+		// d/3 — goes flat only at m ≈ 4, where sorting is the cheaper side.)
 		for _, col := range ss.cols {
-			if col.ord != nil {
+			if col.ord != nil && ss.task == Classification {
 				b.canScan = true
 				ws.ncnt = growInt32(ws.ncnt, n)
 				break
@@ -320,6 +284,62 @@ func fitTreeFromSplitSet(ss *splitSet, cfg TreeConfig, rng *rand.Rand, ws *treeW
 	// set; a pooled workspace must not keep it alive.
 	clear(ws.scols)
 	return b.tree
+}
+
+// initUnits sets b up for one tree over the bootstrap sample given as per-row
+// multiplicities ws.cnt — its units the drawn rows in ascending row order,
+// with their targets (or labels) and multiplicities, and the unit→row map
+// when the tree reads shared columns — and returns the sample count m = Σcnt.
+func (b *treeBuilder) initUnits(ss *splitSet, cfg TreeConfig, rng *rand.Rand, ws *treeWorkspace) int {
+	if cfg.MinLeaf <= 0 {
+		cfg.MinLeaf = 1
+	}
+	n, d := ss.n, ss.d
+	cnt := ws.cnt
+	m, units := 0, 0
+	for _, c := range cnt[:n] {
+		if c > 0 {
+			m += int(c)
+			units++
+		}
+	}
+	*b = treeBuilder{
+		cfg:     cfg,
+		rng:     rng,
+		tree:    &Tree{importance: make([]float64, d)},
+		task:    ss.task,
+		classes: ss.classes,
+		units:   units,
+		d:       d,
+		ws:      ws,
+		ymean:   ss.ymean,
+	}
+	b.mtry = resolveMTry(cfg.MTry, d)
+	ws.reserve(m, d, b.classScratch())
+	if useFlatKernel(b.mtry, d, m) || ss.anyTwo {
+		ws.rowOf = growInt32(ws.rowOf, m)
+		b.rowOf = ws.rowOf
+	}
+	ws.unitOf = growInt32(ws.unitOf, n)
+	unitOf := ws.unitOf
+	u := 0
+	for r, c := range cnt[:n] {
+		if c == 0 {
+			continue
+		}
+		unitOf[r] = int32(u)
+		if b.rowOf != nil {
+			b.rowOf[u] = int32(r)
+		}
+		ws.ys[u] = ss.ys[r]
+		if ss.labels != nil {
+			ws.labels[u] = ss.labels[r]
+		}
+		ws.wt[u] = float64(c)
+		u++
+	}
+
+	return m
 }
 
 // sortOrder sorts ord in place by (key[ord[i]], ord[i]) ascending — the

@@ -131,15 +131,9 @@ func NewSplitView(ds *Dataset, cols, extra []SplitColumn) *SplitView {
 		d:       len(all),
 		task:    ds.Task,
 		classes: ds.Classes,
-		ys:      ds.Y,
 		cols:    all,
 	}
-	if ds.Task == Classification {
-		ss.labels = make([]int32, ds.N)
-		for i := range ss.labels {
-			ss.labels[i] = int32(ds.Label(i))
-		}
-	}
+	ss.setTargets(ds)
 	ss.markTwo()
 	return &SplitView{ss: ss}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"slices"
 )
 
 // TreeConfig controls CART decision-tree growth.
@@ -21,12 +20,16 @@ type TreeConfig struct {
 // A tree's samples are units: the distinct rows a bootstrap drew, in
 // ascending row order, each weighted by its multiplicity w (FitTree: one unit
 // of weight 1 per index entry). Every per-sample loop — order derivation,
-// partitions, gathers, scans — walks units, and a node's sample count m is
+// partitions, node sums, scans — walks units, and a node's sample count m is
 // its units' Σw: MinLeaf, the importance weight, the leaf mean and the regime
 // rule all count samples, so a tree over units is the tree over the expanded
 // copies. Class counts add w exactly, so classification trees are
-// bit-identical to the expanded kernel's; regression sums add w·y and w·y²
-// once per unit, a different float order from adding y w times.
+// bit-identical to the expanded kernel's; regression sums add w·y and w·(y·y)
+// once per unit, a different float order from adding y w times. Regression
+// targets are centred once, by the training mean (a forest's split set, or
+// FitTree's samples), and the mean is added back at the leaves: the sums then
+// stay near zero, where Σw·y² − (Σw·y)²/Σw keeps the variance of targets far
+// from it.
 //
 // The split kernel has two regimes, chosen per subtree by counts only — the
 // node's samples m, the feature count d and the resolved mtry, never data
@@ -54,14 +57,19 @@ type TreeConfig struct {
 // constant weights it: with the sort side counted twice the benchmark measured
 // the same, and counted four times the wide classification run lost a quarter.
 //
-// Within either regime a two-valued column (SplitColumn.mask; every one-hot
-// column) carries no order at all: over any node its (value, unit) sequence
-// is the node's units ascending, lows first, then highs. The presorted
-// regime keeps one extra plane per tree for that — all units, ascending per
-// node range, partitioned like a feature's order — and the flat regime sorts
-// a node's units once; splitByMask turns either into a two-valued feature's
-// order in one stable pass. Both regimes feed the same scan loops the same
-// sequences, so which path produced a sequence never shows in a tree.
+// Every candidate is scored from sums against the node's totals, which
+// nodeStats computes once per node. A two-valued column (SplitColumn.mask;
+// every one-hot column) has one admissible boundary and needs no order: one
+// pass over the node's units, in any order, adds up its high side — class
+// counts, or Σw, Σw·y, Σw·(y·y) — and the low side is the node total minus
+// that. An ordered column is swept in (value, unit) order: classification
+// through scanSplitsClass's incremental Gini, regression by regressionCut,
+// which reads values, targets and weights through the order in place and
+// maximises CART's proxy sumL²/nL + sumR²/nR (sumR and nR from the node
+// totals) — the exact variance reduction is computed once per node, for the
+// winner, from its kept left-side sums. Class counts are exact integers, so
+// the two-valued pass scores a classification split bit-identically to
+// scanning the column's (lows, then highs) sequence.
 
 // useFlatKernel reports whether the flat kernel is the cheaper regime for a
 // (sub)tree of m samples with the given resolved mtry. A tree without
@@ -140,10 +148,12 @@ type treeBuilder struct {
 	copied bool
 	planes int // order planes in ws.orders: d, plus the unit plane when copied
 	ssn    int // shared split-set row count (scan cost rule)
-	// canScan marks the shared-column flat path where units are rows in
-	// ascending order: large nodes then extract their sorted (value, unit)
-	// sequence from a column's global order instead of sorting.
+	// canScan marks the shared-column flat path of a classification tree,
+	// where units are rows in ascending order: large nodes then extract their
+	// sorted (value, label, multiplicity) sequence from a column's global
+	// order instead of sorting.
 	canScan bool
+	ymean   float64 // the mean the regression targets ws.ys were centred by
 }
 
 // FitTree grows a CART tree over the samples indexed by idx (all samples if
@@ -193,6 +203,9 @@ func FitTree(ds *Dataset, idx []int, cfg TreeConfig, rng *rand.Rand) *Tree {
 			ws.colv[j*m+p] = rbuf[j]
 		}
 	}
+	if b.task == Regression {
+		b.ymean = centre(ws.ys[:m])
+	}
 	if !useFlatKernel(b.mtry, ds.D, m) {
 		b.planes = ds.D
 		ws.reserveOrders(m, ds.D)
@@ -210,6 +223,23 @@ func FitTree(ds *Dataset, idx []int, cfg TreeConfig, rng *rand.Rand) *Tree {
 	}
 	treeScratch.Put(ws)
 	return b.tree
+}
+
+// centre subtracts the mean of ys from each entry in place and returns the
+// mean (0 for no entries).
+func centre(ys []float64) float64 {
+	if len(ys) == 0 {
+		return 0
+	}
+	mean := 0.0
+	for _, y := range ys {
+		mean += y
+	}
+	mean /= float64(len(ys))
+	for i := range ys {
+		ys[i] -= mean
+	}
+	return mean
 }
 
 // classScratch is the class-count scratch size (0 for regression).
@@ -247,97 +277,232 @@ func (b *treeBuilder) rowsOf(feat int) []int32 {
 	return b.rowOf
 }
 
-// splitByMask stably splits pos — units in ascending order — into
-// two-valued feature feat's (value, unit) order: the units holding its low
-// value, then those holding its high one. It returns the order (in scratch,
-// valid until the next call) and the number of lows. Both cursors are
-// written unconditionally and advanced by the mask byte, so the loop has no
-// data-dependent branch.
-func (b *treeBuilder) splitByMask(pos []int32, feat int) ([]int32, int) {
-	mask, ro := b.scols[feat].mask, b.rowOf
-	lows, highs := b.ws.pay[:len(pos)], b.ws.spill[:len(pos)]
-	w, h := 0, 0
-	for _, p := range pos {
-		hb := int(mask[ro[p]])
-		lows[w], highs[h] = p, p
-		w += 1 - hb
-		h += hb
-	}
-	copy(lows[w:], highs[:h])
-	return lows, w
+// nodeTotals are a node's sums, computed once per node by nodeStats: its
+// impurity (Gini or variance), its sample count Σw and, for regression, Σw·y
+// and Σw·(y·y) over its centred targets. A classification node's class counts
+// are in ws.tcnt.
+type nodeTotals struct {
+	imp, n, sum, sq float64
 }
 
-// orderedPairs fills (vbuf, out, wbuf) with the values, payloads (labels or
-// targets, by unit) and multiplicities of the units in ord — one feature's
-// (value, unit) order over a node; nlow is splitByMask's count when the
-// feature is two-valued, negative otherwise. It reports false, possibly
-// without filling anything, when the feature is constant over the node: no
-// split exists.
-func orderedPairs[T int32 | float64](b *treeBuilder, feat int, ord []int32, nlow int, vbuf []float64, out, payload []T, wbuf []float64) bool {
-	sc := &b.scols[feat]
-	wt := b.ws.wt
-	if nlow < 0 {
-		col := sc.v
+// cut is one candidate split of a node: its threshold and its score — the
+// Gini gain for classification; CART's proxy sumL²/nL + sumR²/nR for
+// regression, which orders a node's candidates as the variance reduction does
+// — and, for regression, the left side's Σw, Σw·y and Σw·(y·y), from which
+// varianceGain computes the winner's exact reduction. A cut scoring -Inf has no
+// admissible boundary.
+type cut struct {
+	thr, score float64
+	n, sum, sq float64
+}
+
+var noCut = cut{score: math.Inf(-1)}
+
+// varianceGain returns regression cut c's exact variance reduction over a
+// node with totals nt.
+func varianceGain(c cut, nt *nodeTotals) float64 {
+	nr, sumR, sqR := nt.n-c.n, nt.sum-c.sum, nt.sq-c.sq
+	varL := max(c.sq/c.n-(c.sum/c.n)*(c.sum/c.n), 0)
+	varR := max(sqR/nr-(sumR/nr)*(sumR/nr), 0)
+	return nt.imp - (c.n/nt.n)*varL - (nr/nt.n)*varR
+}
+
+// bestSplit scores MTry candidate features over the node holding units and
+// returns the best (feature, threshold, impurity gain), or feature -1. A
+// presorted node (flat false) reads an ordered feature's order from its plane
+// at [start, start+len(units)); a flat node sorts, or — classification, with
+// counts non-nil — extracts by counting scan. The feats permutation persists
+// across nodes of one tree, exactly like the original kernel's partial
+// Fisher-Yates state.
+func (b *treeBuilder) bestSplit(units []int32, nt *nodeTotals, flat bool, start int, counts []int32) (int, float64, float64) {
+	mtry := b.shuffleFeats()
+	ws := b.ws
+	end := start + len(units)
+	bestFeat, best := -1, noCut
+	for _, feat := range ws.feats[:mtry] {
+		sc := &b.scols[feat]
+		var c cut
+		switch {
+		case sc.mask != nil:
+			c = b.twoValuedCut(sc, units, nt)
+		case b.task == Classification:
+			var ord []int32
+			if !flat {
+				ord = ws.orders[feat*b.units+start : feat*b.units+end]
+			}
+			c = b.classCut(feat, units, ord, counts, nt.imp)
+		case flat:
+			c = noCut
+			if col, ord, ok := b.flatOrder(units, feat); ok {
+				c = regressionCut(col, ord, ws.ys, ws.wt, nt, b.cfg.MinLeaf)
+			}
+		default:
+			c = regressionCut(sc.v, ws.orders[feat*b.units+start:feat*b.units+end], ws.ys, ws.wt, nt, b.cfg.MinLeaf)
+		}
+		if c.score > best.score {
+			bestFeat, best = feat, c
+		}
+	}
+	if bestFeat < 0 {
+		return -1, 0, 0
+	}
+	if b.task == Classification {
+		return bestFeat, best.thr, best.score
+	}
+	return bestFeat, best.thr, varianceGain(best, nt)
+}
+
+// twoValuedCut scores a two-valued column's one boundary over the node
+// holding units. One branch-free pass through the column's mask lists the
+// units on its high side, in the order of units, and the sums run over that
+// list alone; the low side is the node's total minus them. Class counts are
+// exact integers, so the gain is bit-equal to scanSplitsClass's at that
+// boundary.
+func (b *treeBuilder) twoValuedCut(sc *SplitColumn, units []int32, nt *nodeTotals) cut {
+	ws := b.ws
+	mask, ro, wt := sc.mask, b.rowOf, ws.wt
+	highs := ws.pay[:len(units)]
+	k := 0
+	for _, p := range units {
+		highs[k] = p
+		k += int(mask[ro[p]])
+	}
+	highs = highs[:k]
+	fmin := float64(b.cfg.MinLeaf)
+	c := cut{thr: sc.lo + (sc.hi-sc.lo)/2}
+	if b.task == Classification {
+		hcnt, labels := ws.rcnt, ws.labels
+		clear(hcnt)
+		nh := 0.0
+		for _, p := range highs {
+			w := wt[p]
+			hcnt[labels[p]] += w
+			nh += w
+		}
+		nl := nt.n - nh
+		if nl < fmin || nh < fmin {
+			return noCut
+		}
+		leftSq, rightSq := 0.0, 0.0
+		for cls, h := range hcnt {
+			l := ws.tcnt[cls] - h
+			leftSq += l * l
+			rightSq += h * h
+		}
+		giniL := 1 - leftSq/(nl*nl)
+		giniR := 1 - rightSq/(nh*nh)
+		c.score = nt.imp - (nl/nt.n)*giniL - (nh/nt.n)*giniR
+		return c
+	}
+	ys := ws.ys
+	var nh, sh, qh float64
+	for _, p := range highs {
+		w, y := wt[p], ys[p]
+		nh += w
+		sh += w * y
+		qh += w * (y * y)
+	}
+	nl := nt.n - nh
+	if nl < fmin || nh < fmin {
+		return noCut
+	}
+	c.n, c.sum, c.sq = nl, nt.sum-sh, nt.sq-qh
+	c.score = c.sum*c.sum/nl + sh*sh/nh
+	return c
+}
+
+// classCut scores an ordered feature of a classification node: it fills
+// (vbuf, lbuf, wbuf) with the feature's ascending (value, label,
+// multiplicity) sequence — read through ord, the feature's order-plane range,
+// over a presorted node; over a flat node (ord nil) by counting scan where
+// that is cheaper (counts non-nil) and the feature carries a global order,
+// and by sorting otherwise — and sweeps it with scanSplitsClass.
+func (b *treeBuilder) classCut(feat int, units, ord, counts []int32, parentImp float64) cut {
+	ws := b.ws
+	u := len(units)
+	vbuf, lbuf, wbuf := ws.vbuf[:u], ws.lbuf[:u], ws.wbuf[:u]
+	switch {
+	case ord != nil:
+		col := b.scols[feat].v
 		for i, p := range ord {
 			vbuf[i] = col[p]
-			out[i] = payload[p]
-			wbuf[i] = wt[p]
+			lbuf[i] = ws.labels[p]
+			wbuf[i] = ws.wt[p]
 		}
-		return vbuf[0] != vbuf[len(ord)-1]
+	case counts != nil && b.scanVals(feat, counts, vbuf, lbuf, wbuf):
+		// the counting scan filled all three
+	default:
+		pay := ws.pay[:u]
+		b.sortedPairs(units, feat, vbuf, pay)
+		for i, p := range pay {
+			lbuf[i] = ws.labels[p]
+			wbuf[i] = ws.wt[p]
+		}
 	}
-	if nlow == 0 || nlow == len(ord) {
-		return false
+	if vbuf[0] == vbuf[u-1] {
+		return noCut // constant feature in this node: no split exists
 	}
-	for i := range vbuf[:nlow] {
-		vbuf[i] = sc.lo
+	thr, gain := scanSplitsClass(vbuf, lbuf, wbuf, ws.lcnt, ws.rcnt, parentImp, b.cfg.MinLeaf)
+	return cut{thr: thr, score: gain}
+}
+
+// flatOrder sorts a flat regression node's units by ordered feature feat and
+// returns the feature's values indexed by unit with that (value, unit) order
+// — a column read through rowOf is scattered into ws.uval first — or false
+// when the feature is constant over the node.
+func (b *treeBuilder) flatOrder(units []int32, feat int) ([]float64, []int32, bool) {
+	u := len(units)
+	vbuf, ord := b.ws.vbuf[:u], b.ws.pay[:u]
+	b.sortedPairs(units, feat, vbuf, ord)
+	if vbuf[0] == vbuf[u-1] {
+		return nil, nil, false
 	}
-	for i := nlow; i < len(ord); i++ {
-		vbuf[i] = sc.hi
+	col := b.scols[feat].v
+	if b.rowsOf(feat) != nil {
+		col = b.ws.uval
+		for i, p := range ord {
+			col[p] = vbuf[i]
+		}
 	}
-	for i, p := range ord {
-		out[i] = payload[p]
-		wbuf[i] = wt[p]
-	}
-	return true
+	return col, ord, true
 }
 
 // ---- presorted kernel ----
 
-// nodeOrder returns feature feat's units over the node range [start, end)
-// in ascending (value, unit) order — its own plane's range, or for a
-// two-valued feature the unit plane's range split by the mask — and
-// splitByMask's low count (negative for an ordered feature).
-func (b *treeBuilder) nodeOrder(feat, start, end int) ([]int32, int) {
-	mt := b.units
-	if b.scols[feat].mask == nil {
-		return b.ws.orders[feat*mt+start : feat*mt+end], -1
+// nodeUnits returns the units of the presorted node range [start, end), in
+// the order its sums run: the unit plane's range when the tree keeps one (a
+// two-valued column has no plane of its own), feature 0's otherwise.
+func (b *treeBuilder) nodeUnits(start, end int) []int32 {
+	plane := 0
+	if b.copied {
+		plane = b.d
 	}
-	return b.splitByMask(b.ws.orders[b.d*mt+start:b.d*mt+end], feat)
+	return b.ws.orders[plane*b.units+start : plane*b.units+end]
 }
 
 // grow recursively builds the subtree over units [start, end) of every
 // order plane and returns its node index. A subtree the cost rule calls flat
-// hands off to the flat kernel: its units are read out in feature 0's
-// order — like the node statistics, so sums run in one order whichever way
-// that feature is stored — after which the planes' ranges are simply
-// abandoned.
+// hands off to the flat kernel with its units in nodeUnits' order — the one
+// its node statistics were summed in — after which the planes' ranges are
+// simply abandoned.
 func (b *treeBuilder) grow(start, end, depth int) int32 {
-	ord0, _ := b.nodeOrder(0, start, end)
-	imp, value, m := b.nodeStats(ord0)
+	units := b.nodeUnits(start, end)
+	nt, value := b.nodeStats(units)
+	m := int(nt.n)
 	if useFlatKernel(b.mtry, b.d, m) {
 		s := b.ws.samples[start:end]
-		copy(s, ord0)
+		copy(s, units)
 		return b.growFlat(s, depth)
 	}
 	id := int32(len(b.tree.nodes))
 	b.tree.nodes = append(b.tree.nodes, treeNode{feature: -1, value: value})
-	if imp <= 1e-12 || m < 2*b.cfg.MinLeaf ||
+	if nt.imp <= 1e-12 || m < 2*b.cfg.MinLeaf ||
 		(b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) {
 		return id
 	}
 	// Zero-gain splits are allowed (impurity gain is non-negative for
 	// concave criteria, and e.g. XOR's first split has exactly zero gain).
-	feat, thr, gain := b.bestSplit(start, end, imp)
+	feat, thr, gain := b.bestSplit(units, &nt, false, start, nil)
 	if feat < 0 || gain < 0 {
 		return id
 	}
@@ -357,38 +522,6 @@ func (b *treeBuilder) grow(start, end, depth int) int32 {
 	nd.left = left
 	nd.right = right
 	return id
-}
-
-// bestSplit scans MTry candidate features and returns the best (feature,
-// threshold, impurity gain). The feats permutation persists across nodes of
-// one tree, exactly like the original kernel's partial Fisher-Yates state.
-func (b *treeBuilder) bestSplit(start, end int, parentImp float64) (int, float64, float64) {
-	mtry := b.shuffleFeats()
-	ws := b.ws
-	u := end - start
-	vbuf, wbuf := ws.vbuf[:u], ws.wbuf[:u]
-	bestFeat, bestThr, bestGain := -1, 0.0, math.Inf(-1)
-	for _, feat := range ws.feats[:mtry] {
-		ord, nlow := b.nodeOrder(feat, start, end)
-		var thr, gain float64
-		if b.task == Classification {
-			lbuf := ws.lbuf[:u]
-			if !orderedPairs(b, feat, ord, nlow, vbuf, lbuf, ws.labels, wbuf) {
-				continue // constant feature in this node: no split exists
-			}
-			thr, gain = scanSplitsClass(vbuf, lbuf, wbuf, ws.lcnt, ws.rcnt, parentImp, b.cfg.MinLeaf)
-		} else {
-			ybuf := ws.ybuf[:u]
-			if !orderedPairs(b, feat, ord, nlow, vbuf, ybuf, ws.ys, wbuf) {
-				continue
-			}
-			thr, gain = scanSplitsReg(vbuf, ybuf, wbuf, parentImp, b.cfg.MinLeaf)
-		}
-		if gain > bestGain {
-			bestFeat, bestThr, bestGain = feat, thr, gain
-		}
-	}
-	return bestFeat, bestThr, bestGain
 }
 
 // resolveMTry applies TreeConfig.MTry's defaulting rule.
@@ -489,10 +622,11 @@ func (b *treeBuilder) partition(feat int, thr float64, start, end int) int {
 // growFlat recursively builds the subtree over the given units, sorting
 // each candidate feature's node values into flat scratch per split.
 func (b *treeBuilder) growFlat(samples []int32, depth int) int32 {
-	imp, value, m := b.nodeStats(samples)
+	nt, value := b.nodeStats(samples)
+	m := int(nt.n)
 	id := int32(len(b.tree.nodes))
 	b.tree.nodes = append(b.tree.nodes, treeNode{feature: -1, value: value})
-	if imp <= 1e-12 || m < 2*b.cfg.MinLeaf ||
+	if nt.imp <= 1e-12 || m < 2*b.cfg.MinLeaf ||
 		(b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) {
 		return id
 	}
@@ -518,7 +652,7 @@ func (b *treeBuilder) growFlat(samples []int32, depth int) int32 {
 			}
 		}
 	}
-	feat, thr, gain := b.bestSplitFlat(samples, imp, counts)
+	feat, thr, gain := b.bestSplit(samples, &nt, true, 0, counts)
 	if counts != nil && u != b.units {
 		for _, p := range samples {
 			counts[b.rowOf[p]] = 0
@@ -542,49 +676,48 @@ func (b *treeBuilder) growFlat(samples []int32, depth int) int32 {
 	return id
 }
 
-// nodeStats returns the impurity (Gini for classification, variance for
-// regression), the prediction and the sample count Σw of the node holding
-// the given units, summing in their order.
-func (b *treeBuilder) nodeStats(samples []int32) (imp, value float64, m int) {
+// nodeStats returns the totals and the prediction (majority class, or mean
+// target with the centring mean added back) of the node holding the given
+// units, summing in their order; a classification node's class counts go to
+// ws.tcnt.
+func (b *treeBuilder) nodeStats(samples []int32) (nodeTotals, float64) {
 	ws := b.ws
 	wt := ws.wt
-	n := 0.0
+	var t nodeTotals
 	if b.task == Classification {
-		cnt := ws.lcnt
-		for k := range cnt {
-			cnt[k] = 0
-		}
+		cnt := ws.tcnt
+		clear(cnt)
 		for _, p := range samples {
 			w := wt[p]
 			cnt[ws.labels[p]] += w
-			n += w
+			t.n += w
 		}
 		gini := 1.0
 		best, bestK := -1.0, 0
 		for k, c := range cnt {
-			p := c / n
+			p := c / t.n
 			gini -= p * p
 			if c > best {
 				best, bestK = c, k
 			}
 		}
-		return gini, float64(bestK), int(n)
+		t.imp = gini
+		return t, float64(bestK)
 	}
-	sum, sumSq := 0.0, 0.0
 	for _, p := range samples {
 		w, y := wt[p], ws.ys[p]
-		n += w
-		sum += w * y
-		sumSq += w * (y * y)
+		t.n += w
+		t.sum += w * y
+		t.sq += w * (y * y)
 	}
-	mean := sum / n
-	return sumSq/n - mean*mean, mean, int(n)
+	mean := t.sum / t.n
+	t.imp = t.sq/t.n - mean*mean
+	return t, mean + b.ymean
 }
 
 // sortedPairs fills (vbuf, pay) with the node's (value, unit) pairs in
-// ascending (value, unit) order by gathering and sorting. Nodes eligible
-// for counting-scan extraction use scanVals instead, two-valued features
-// splitByMask.
+// ascending (value, unit) order by gathering and sorting. Classification
+// nodes eligible for counting-scan extraction use scanVals instead.
 func (b *treeBuilder) sortedPairs(samples []int32, feat int, vbuf []float64, pay []int32) {
 	col := b.scols[feat].v
 	if ro := b.rowsOf(feat); ro != nil {
@@ -601,22 +734,21 @@ func (b *treeBuilder) sortedPairs(samples []int32, feat int, vbuf []float64, pay
 	sortKV(vbuf, pay)
 }
 
-// scanVals fills (vbuf, out, wbuf) with the node's ascending
-// (value, payload, multiplicity) triples via a counting scan of the
-// feature's global (value, row) order — units are the drawn rows in
-// ascending row order, so walking rows in global value order and emitting
-// each in-node row once produces exactly the sequence sortKV would: same
-// comparison relation, unique total order, zero comparisons. The payload is
-// the unit's label (classification) or target (regression) rather than the
-// unit itself, and in-node membership is counts, the node's multiplicity
-// per row — no per-unit mask checks. Returns false when the feature carries
-// no global order (caller falls back to the sort).
-func scanVals[T int32 | float64](b *treeBuilder, feat int, counts []int32, vbuf []float64, out, payload []T, wbuf []float64) bool {
+// scanVals fills (vbuf, lbuf, wbuf) with the node's ascending
+// (value, label, multiplicity) triples via a counting scan of the feature's
+// global (value, row) order — units are the drawn rows in ascending row
+// order, so walking rows in global value order and emitting each in-node row
+// once produces exactly the sequence sortKV would: same comparison relation,
+// unique total order, zero comparisons. The payload is the unit's label
+// rather than the unit itself, and in-node membership is counts, the node's
+// multiplicity per row — no per-unit mask checks. Returns false when the
+// feature carries no global order (caller falls back to the sort).
+func (b *treeBuilder) scanVals(feat int, counts []int32, vbuf []float64, lbuf []int32, wbuf []float64) bool {
 	sc := b.scols[feat]
 	if sc.ord == nil {
 		return false
 	}
-	unitOf := b.ws.unitOf
+	unitOf, labels := b.ws.unitOf, b.ws.labels
 	col := sc.v
 	k := 0
 	for _, r := range sc.ord {
@@ -625,74 +757,9 @@ func scanVals[T int32 | float64](b *treeBuilder, feat int, counts []int32, vbuf 
 			continue
 		}
 		vbuf[k] = col[r]
-		out[k] = payload[unitOf[r]]
+		lbuf[k] = labels[unitOf[r]]
 		wbuf[k] = float64(c)
 		k++
-	}
-	return true
-}
-
-// bestSplitFlat produces each candidate feature's sorted (value, unit)
-// pairs — by counting scan over counts when that is non-nil — and sweeps the
-// flat scan.
-func (b *treeBuilder) bestSplitFlat(samples []int32, parentImp float64, counts []int32) (int, float64, float64) {
-	mtry := b.shuffleFeats()
-	ws := b.ws
-	u := len(samples)
-	vbuf, wbuf := ws.vbuf[:u], ws.wbuf[:u]
-	var spos []int32 // flatPairs' sorted copy of samples, once a candidate needs it
-	bestFeat, bestThr, bestGain := -1, 0.0, math.Inf(-1)
-	for _, feat := range ws.feats[:mtry] {
-		var thr, gain float64
-		if b.task == Classification {
-			lbuf := ws.lbuf[:u]
-			if !flatPairs(b, samples, &spos, feat, counts, vbuf, lbuf, ws.labels, wbuf) {
-				continue
-			}
-			thr, gain = scanSplitsClass(vbuf, lbuf, wbuf, ws.lcnt, ws.rcnt, parentImp, b.cfg.MinLeaf)
-		} else {
-			ybuf := ws.ybuf[:u]
-			if !flatPairs(b, samples, &spos, feat, counts, vbuf, ybuf, ws.ys, wbuf) {
-				continue
-			}
-			thr, gain = scanSplitsReg(vbuf, ybuf, wbuf, parentImp, b.cfg.MinLeaf)
-		}
-		if gain > bestGain {
-			bestFeat, bestThr, bestGain = feat, thr, gain
-		}
-	}
-	return bestFeat, bestThr, bestGain
-}
-
-// flatPairs fills (vbuf, out, wbuf) with feature feat's ascending
-// (value, payload, multiplicity) sequence over a flat node and reports
-// whether the feature varies there. A two-valued feature splits the node's
-// units, sorted once per node into *spos by the first such candidate; any
-// other feature extracts by counting scan where that is cheaper (counts
-// non-nil) and it carries a global order, and gathers and sorts otherwise.
-func flatPairs[T int32 | float64](b *treeBuilder, samples []int32, spos *[]int32, feat int, counts []int32, vbuf []float64, out, payload []T, wbuf []float64) bool {
-	u := len(samples)
-	if b.scols[feat].mask != nil {
-		if *spos == nil {
-			*spos = b.ws.spos[:u]
-			copy(*spos, samples)
-			slices.Sort(*spos)
-		}
-		ord, nlow := b.splitByMask(*spos, feat)
-		return orderedPairs(b, feat, ord, nlow, vbuf, out, payload, wbuf)
-	}
-	if counts != nil && scanVals(b, feat, counts, vbuf, out, payload, wbuf) {
-		return vbuf[0] != vbuf[u-1]
-	}
-	pay := b.ws.pay[:u]
-	b.sortedPairs(samples, feat, vbuf, pay)
-	if vbuf[0] == vbuf[u-1] {
-		return false
-	}
-	wt := b.ws.wt
-	for i, p := range pay {
-		out[i] = payload[p]
-		wbuf[i] = wt[p]
 	}
 	return true
 }
@@ -718,7 +785,7 @@ func (b *treeBuilder) partitionFlat(samples []int32, feat int, thr float64) int 
 	return lo
 }
 
-// ---- shared scan loops ----
+// ---- scan loops ----
 
 // scanSplitsClass sweeps a node's value-sorted (values, labels, weights)
 // sequence for the best Gini split; each entry stands for weights[i] samples,
@@ -768,47 +835,36 @@ func scanSplitsClass(vals []float64, labels []int32, weights, leftCnt, rightCnt 
 	return bestThr, bestGain
 }
 
-// scanSplitsReg sweeps a node's value-sorted (values, targets, weights)
-// sequence for the best variance-reduction split via incremental sums; each
-// entry adds w·y and w·y² once, and minLeaf counts samples.
-func scanSplitsReg(vals, ys, weights []float64, parentImp float64, minLeaf int) (float64, float64) {
-	n := len(vals)
-	var fn, sumL, sqL, sumR, sqR float64
-	for i, y := range ys {
-		fn += weights[i]
-		sumR += weights[i] * y
-		sqR += weights[i] * (y * y)
-	}
+// regressionCut sweeps a regression node whose units in ascending
+// (value, unit) order are ord — values col, centred targets ys and
+// multiplicities wt, all indexed by unit and read in place — for the
+// boundary maximising CART's proxy sumL²/nL + sumR²/nR, the right side taken
+// from the node totals nt: two divisions per admissible boundary and no
+// clamp. Each entry adds w·y and w·(y·y) once to the left sums the winner
+// keeps, and minLeaf counts samples.
+func regressionCut(col []float64, ord []int32, ys, wt []float64, nt *nodeTotals, minLeaf int) cut {
 	fmin := float64(minLeaf)
-	nl := 0.0
-	bestThr, bestGain := 0.0, math.Inf(-1)
-	for pos := 1; pos < n; pos++ {
-		w, y := weights[pos-1], ys[pos-1]
-		wy := w * y
-		wyy := w * (y * y)
-		sumL += wy
-		sqL += wyy
-		sumR -= wy
-		sqR -= wyy
+	best := noCut
+	var nl, sl, ql float64
+	v0 := col[ord[0]]
+	for i := 1; i < len(ord); i++ {
+		p := ord[i-1]
+		w, y := wt[p], ys[p]
 		nl += w
-		nr := fn - nl
-		v0, v1 := vals[pos-1], vals[pos]
-		if v0 == v1 || nl < fmin || nr < fmin {
-			continue
+		sl += w * y
+		ql += w * (y * y)
+		nr := nt.n - nl
+		if nr < fmin {
+			break // every later boundary leaves fewer on the right
 		}
-		varL := sqL/nl - (sumL/nl)*(sumL/nl)
-		varR := sqR/nr - (sumR/nr)*(sumR/nr)
-		if varL < 0 {
-			varL = 0
+		v1 := col[ord[i]]
+		if v0 != v1 && nl >= fmin {
+			sr := nt.sum - sl
+			if s := sl*sl/nl + sr*sr/nr; s > best.score {
+				best = cut{thr: v0 + (v1-v0)/2, score: s, n: nl, sum: sl, sq: ql}
+			}
 		}
-		if varR < 0 {
-			varR = 0
-		}
-		gain := parentImp - (nl/fn)*varL - (nr/fn)*varR
-		if gain > bestGain {
-			bestGain = gain
-			bestThr = v0 + (v1-v0)/2
-		}
+		v0 = v1
 	}
-	return bestThr, bestGain
+	return best
 }

@@ -211,19 +211,13 @@ func TestTwoValuedColumnsMatchReference(t *testing.T) {
 
 // TestTwoValuedRegressionFingerprints pins regression forests — where tied
 // values make the frozen reference's unstable sort diverge in the last bit,
-// so it cannot referee — to recorded fingerprints. All seven were recorded
-// again when trees started growing over a bootstrap's distinct rows weighted
-// by multiplicity instead of over its copies: a node's target sums add w·y
-// once per row where they added y w times, a different rounding. Against
-// 6f1d43c, flat and presorted keep every feature, threshold and child, their
-// node means moving by at most 4e-15 relative; in the other five, every tree
-// splits differently somewhere, at a near-tied split — in a node of a few
-// rows, two features can cut out the same partition, and which of their
-// mathematically equal gains wins is decided in the last ulp.
-// TestUnitsMatchExpandedCopies pins the representation itself. The last two
-// shapes are the ones ARDA fits: a RIFS ranking forest over a coreset (64
-// one-hot + 152 continuous columns) and an evaluation forest over a one-hot
-// base table.
+// so it cannot referee — to recorded fingerprints: the values pin every
+// node, tree importance and aggregate importance, alike at 1 and 8 workers,
+// through FitForest alone and through a split view.
+// TestUnitsMatchExpandedCopies pins the representation
+// itself. The last two shapes are the ones ARDA fits: a RIFS ranking forest
+// over a coreset (64 one-hot + 152 continuous columns) and an evaluation
+// forest over a one-hot base table.
 func TestTwoValuedRegressionFingerprints(t *testing.T) {
 	type fixture struct {
 		name string
@@ -232,15 +226,15 @@ func TestTwoValuedRegressionFingerprints(t *testing.T) {
 		want uint64
 	}
 	var cases []fixture
-	wants := []uint64{0x60140c56d2c2e478, 0x32b53c6196a9e16b, 0xa2cf336699ea71d1, 0x70bd2c2e181924bb, 0x3214f364d170f6bd}
+	wants := []uint64{0xb794eab86a4e6a70, 0x80d020cb0f3ccb10, 0x9c234e354baebc8d, 0xd2c556cc3d536109, 0x3dd9b99113a8c8ee}
 	for i, sh := range twoValuedShapes {
 		cases = append(cases, fixture{sh.name, twoValuedFixture(sh.n, sh.d, Regression, 23), sh.cfg, wants[i]})
 	}
 	cases = append(cases,
 		fixture{"rifs_256x216", oneHotFixture(256, 64, 152, Regression, 29),
-			ForestConfig{NTrees: 8, MaxDepth: 12, Seed: 17, Parallel: true}, 0x1f6fd2af7379de93},
+			ForestConfig{NTrees: 8, MaxDepth: 12, Seed: 17, Parallel: true}, 0xdff72447e39c01e3},
 		fixture{"evaluate_3000x65", oneHotFixture(3000, 64, 1, Regression, 31),
-			ForestConfig{NTrees: 4, MaxDepth: 12, Seed: 19, Parallel: true}, 0xd0262f32fd787087},
+			ForestConfig{NTrees: 4, MaxDepth: 12, Seed: 19, Parallel: true}, 0xe0d158c9812bfba9},
 	)
 	for _, c := range cases {
 		everyForestPath(c.ds, c.cfg, func(path string, f *Forest) {
@@ -308,9 +302,9 @@ func TestNoTwoValuedColumnReservesNothing(t *testing.T) {
 		}
 		fitTreeFromSplitSet(ss, TreeConfig{MTry: 3}, rand.New(rand.NewSource(1)), ws)
 		two := tc.planes > tc.ds.D
-		if len(ws.orders) != tc.planes*tc.ds.N || (ws.rowOf != nil) != two || (ws.spos != nil) != two {
-			t.Errorf("d=%d two-valued=%v: %d order entries (want %d planes of %d), rowOf %v, spos %v",
-				tc.ds.D, two, len(ws.orders), tc.planes, tc.ds.N, ws.rowOf != nil, ws.spos != nil)
+		if len(ws.orders) != tc.planes*tc.ds.N || (ws.rowOf != nil) != two {
+			t.Errorf("d=%d two-valued=%v: %d order entries (want %d planes of %d), rowOf %v",
+				tc.ds.D, two, len(ws.orders), tc.planes, tc.ds.N, ws.rowOf != nil)
 		}
 	}
 }
