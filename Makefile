@@ -10,7 +10,7 @@ GO ?= go
 # targets require of a run's trace.
 STAGES := prefilter,coreset,screen,join,impute,select,materialize,evaluate
 
-.PHONY: check fmt vet build test race alloc chaos crash lease-chaos quality bench bench-parallel bench-smoke failover-soak trace-smoke metrics-smoke serve-smoke profile-select profile-forest
+.PHONY: check fmt vet build test race alloc chaos crash lease-chaos quality bench bench-parallel bench-smoke failover-soak trace-smoke metrics-smoke serve-smoke profile-select profile-forest profile-load
 
 check: fmt vet build race alloc quality chaos crash lease-chaos trace-smoke metrics-smoke serve-smoke bench-smoke
 
@@ -209,3 +209,15 @@ profile-forest:
 		-cpuprofile=forest.pprof ./internal/ml/
 	@rm -f ml.test
 	@echo "wrote forest.pprof (go tool pprof forest.pprof)"
+
+# CPU and allocation profiles of the front half on the wide-repo corpus
+# (school-l x1): BenchmarkReadCSVDir, the CSV load, and BenchmarkDiscover,
+# column profiling and matching. Inspect with `go tool pprof load.pprof`, or
+# `go tool pprof -sample_index=alloc_space load.mem.pprof` for bytes.
+profile-load:
+	$(GO) test -bench='^BenchmarkReadCSVDir$$' -benchtime=10x -run=^$$ \
+		-cpuprofile=load.pprof -memprofile=load.mem.pprof ./internal/dataframe/
+	$(GO) test -bench='^BenchmarkDiscover$$' -benchtime=10x -run=^$$ \
+		-cpuprofile=discover.pprof -memprofile=discover.mem.pprof ./internal/discovery/
+	@rm -f dataframe.test discovery.test
+	@echo "wrote load.pprof, load.mem.pprof, discover.pprof, discover.mem.pprof (go tool pprof <file>)"

@@ -145,13 +145,18 @@ type CategoricalColumn struct {
 	Dict  []string
 }
 
+// presizeCap bounds the entries a dictionary's hash table is sized for up
+// front: a column's length bounds its distinct values, but a long column may
+// hold only a few.
+const presizeCap = 1 << 12
+
 // NewCategorical constructs a categorical column from raw string values,
 // building the dictionary in first-appearance order. Empty strings become
 // missing values.
 func NewCategorical(name string, values []string) *CategoricalColumn {
 	codes := make([]int, len(values))
 	var dict []string
-	index := make(map[string]int)
+	index := make(map[string]int, min(len(values), presizeCap))
 	for i, v := range values {
 		if v == "" {
 			codes[i] = -1

@@ -6,9 +6,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"github.com/arda-ml/arda/internal/testenv"
 )
 
 func TestReadCSVInference(t *testing.T) {
@@ -270,7 +274,7 @@ func twoPassInferColumn(table, name string, raw []string) (Column, error) {
 			continue
 		}
 		any = true
-		if _, ok := parseTime(s); !ok {
+		if _, ok := parseTime([]byte(s)); !ok {
 			allTime = false
 		}
 		if _, err := strconv.ParseFloat(s, 64); err != nil {
@@ -283,7 +287,7 @@ func twoPassInferColumn(table, name string, raw []string) (Column, error) {
 		for i, s := range raw {
 			unix[i] = MissingTime
 			if s != "" {
-				unix[i], _ = parseTime(s)
+				unix[i], _ = parseTime([]byte(s))
 			}
 		}
 		return NewTime(name, unix), nil
@@ -302,6 +306,18 @@ func twoPassInferColumn(table, name string, raw []string) (Column, error) {
 	default:
 		return NewCategorical(name, append([]string(nil), raw...)), nil
 	}
+}
+
+// inferStrings runs inferColumn over raw, laid out as the reader lays out a
+// column: cells as spans of one buffer.
+func inferStrings(table, name string, raw []string) (Column, error) {
+	var buf []byte
+	cells := make([]span, len(raw))
+	for i, s := range raw {
+		cells[i] = span{uint32(len(buf)), uint32(len(buf) + len(s))}
+		buf = append(buf, s...)
+	}
+	return inferColumn(table, name, buf, cells)
 }
 
 // The single-parse inferColumn must pick the same kind, values and error as
@@ -324,7 +340,7 @@ func TestInferColumnMatchesTwoPassReference(t *testing.T) {
 		{"a", "b", "a", ""},
 	}
 	for _, raw := range cases {
-		got, gotErr := inferColumn("t", "c", raw)
+		got, gotErr := inferStrings("t", "c", raw)
 		want, wantErr := twoPassInferColumn("t", "c", raw)
 		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 			t.Errorf("inferColumn(%q) error = %v, reference error = %v", raw, gotErr, wantErr)
@@ -342,5 +358,133 @@ func TestInferColumnMatchesTwoPassReference(t *testing.T) {
 				t.Errorf("inferColumn(%q) row %d = %q, reference %q", raw, i, got.StringAt(i), want.StringAt(i))
 			}
 		}
+	}
+}
+
+// A byte-order mark (as Excel writes one) is no part of the first column's
+// name.
+func TestReadCSVStripsByteOrderMark(t *testing.T) {
+	tab, err := ReadCSV("t", strings.NewReader("\ufeffschool_id,v\ns1,1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.Column("school_id") == nil {
+		t.Fatalf("columns %q: the byte-order mark leaked into the first name", tab.ColumnNames())
+	}
+}
+
+// parseTime tries only the layouts whose fixed separators fit the cell; it
+// must read every cell exactly as trying all six layouts in order does.
+func TestParseTimeLayouts(t *testing.T) {
+	allLayouts := func(s string) (int64, bool) {
+		for _, l := range timeLayouts {
+			if ts, err := time.Parse(l.layout, s); err == nil {
+				return ts.Unix(), true
+			}
+		}
+		return 0, false
+	}
+	for _, tc := range []struct {
+		cell string
+		ok   bool
+	}{
+		{"2020-01-02T10:30:00Z", true},      // RFC 3339
+		{"2020-01-02T10:30:00+02:00", true}, // RFC 3339 with an offset
+		{"2020-01-02 10:30:00", true},
+		{"2020-01-02 10:30", true},
+		{"2020-01-02", true},
+		{"01/02/2020 10:30:00", true},
+		{"01/02/2020", true},
+		{"2020-01-02 10:30:00.5", true}, // fractional seconds after a seconds field
+		{"2020-01-02  10:30", true},     // a run of spaces matches the layout's one
+		{"2020-1-02", false},
+		{"2020/01/02", false},
+		{"2020-01-02T", false},
+		{"2020-01-02x", false},
+		{"2020-01-0", false},
+		{"1/02/2020", false},
+		{"01-02-2020", false},
+		{"01/02/20", false},
+		{"01/02/2020T10:30:00", false},
+		{"2020-13-02", false},
+		{"1.2e-05", false},
+		{"12345", false},
+		{"", false},
+		{"-", false},
+	} {
+		got, ok := parseTime([]byte(tc.cell))
+		want, wantOK := allLayouts(tc.cell)
+		if ok != tc.ok || ok != wantOK || got != want {
+			t.Errorf("parseTime(%q) = %d, %v; all layouts give %d, %v; want ok %v", tc.cell, got, ok, want, wantOK, tc.ok)
+		}
+	}
+}
+
+// idFloatsCSV is a 2,000-row table with one id column and four float columns.
+func idFloatsCSV() []byte {
+	var b bytes.Buffer
+	b.WriteString("id,a,b,c,d\n")
+	for i := 0; i < 2000; i++ {
+		fmt.Fprintf(&b, "row-%05d,%v,%v,%v,%v\n", i, float64(i)/7, math.Sqrt(float64(i)), -float64(i)/3, float64(i%13)*1.1)
+	}
+	return b.Bytes()
+}
+
+// ReadCSV allocates per column, not per cell: no record or cell strings, and
+// a categorical column's dictionary is one string however many entries it
+// has.
+func TestReadCSVAllocsArePerColumn(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("AllocsPerRun is unreliable under -race")
+	}
+	data := idFloatsCSV()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := ReadCSV("t", bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// 10,000 cells; the reader makes about 50 allocations, some 20 of them
+	// io.ReadAll growing its buffer.
+	if allocs > 100 {
+		t.Fatalf("ReadCSV of 2,000 rows × 5 columns allocates %v times, want ≤ 100", allocs)
+	}
+}
+
+// A table read from CSV holds its own column data and dictionary strings, and
+// no part of the text it was read from.
+func TestReadCSVAllocsRetainNoText(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("heap accounting is unreliable under -race")
+	}
+	data := idFloatsCSV()
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	tab, err := ReadCSV("t", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := int64(heap()) - int64(before)
+	var own int64 // column data plus dictionary bytes
+	for _, c := range tab.Columns() {
+		switch c := c.(type) {
+		case *NumericColumn:
+			own += 8 * int64(len(c.Values))
+		case *CategoricalColumn:
+			own += 8*int64(len(c.Codes)) + 16*int64(len(c.Dict))
+			for _, s := range c.Dict {
+				own += int64(len(s))
+			}
+		}
+	}
+	runtime.KeepAlive(tab)
+	runtime.KeepAlive(data)
+	if held > own*5/4 {
+		t.Fatalf("the table holds %d bytes of heap for %d bytes of columns and dictionary (%d bytes of CSV)", held, own, len(data))
 	}
 }

@@ -110,6 +110,7 @@ func BenchmarkReadCSVDir(b *testing.B) {
 		bytes += st.Size()
 	}
 	b.SetBytes(bytes)
+	b.ReportAllocs()
 	testenv.BenchSpeedup(b, func() {
 		if _, err := dataframe.ReadCSVDir(dir); err != nil {
 			b.Fatal(err)

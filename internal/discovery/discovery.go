@@ -74,14 +74,18 @@ func (o *Options) defaults() {
 //
 // Every column is profiled exactly once (see columnProfile). The base table's
 // profile is built up front and only read afterwards; each foreign table is
-// profiled, matched and dropped as one work item of the shared parallel pool,
-// so the process-wide worker cap bounds discovery like every other stage.
+// profiled (numeric value sets only where a base key's range meets the
+// column's, see keyRanges), matched and dropped as one work item of the shared
+// parallel pool, so the process-wide worker cap bounds discovery like every
+// other stage.
 // Per-table results are concatenated in repository order before the stable
 // sort, which makes the candidate list independent of the worker count.
 func Discover(base *dataframe.Table, repo []*dataframe.Table, target string, opts Options) []Candidate {
 	opts.defaults()
-	return discover(profileTable(base, opts), target, len(repo),
-		func(i int) *tableProfile { return profileTable(repo[i], opts) }, opts)
+	bp := profileTable(base, opts, nil)
+	needSet := bp.keyRanges(target, opts)
+	return discover(bp, target, len(repo),
+		func(i int) *tableProfile { return profileTable(repo[i], opts, needSet) }, opts)
 }
 
 // discover matches an immutable base profile against n foreign profiles.
@@ -116,7 +120,8 @@ type columnProfile struct {
 	// values are keyed by their IEEE-754 bits: two non-NaN floats have equal
 	// bits exactly when their shortest round-trip decimal strings are equal,
 	// so this is the set of formatted values without formatting any (+0 and
-	// −0 stay distinct; NaN is the missing marker and never enters).
+	// −0 stay distinct; NaN is the missing marker and never enters). nums is
+	// nil for a foreign column whose range no base key's meets (keyRanges).
 	nums map[uint64]struct{}
 	strs map[string]struct{}
 	// sig is the MinHash signature of the value set (Options.UseMinHash).
@@ -129,31 +134,68 @@ type tableProfile struct {
 	cols  []columnProfile
 }
 
-func profileTable(t *dataframe.Table, opts Options) *tableProfile {
+// profileTable profiles every column of t. needSet, when not nil, decides
+// from a numeric column's span whether its value set is built; a column it
+// rejects keeps a nil set, which is only sound where every containment check
+// against that column finds the ranges disjoint first.
+func profileTable(t *dataframe.Table, opts Options, needSet func(span [2]float64) bool) *tableProfile {
 	p := &tableProfile{table: t, cols: make([]columnProfile, t.NumCols())}
 	for i, c := range t.Columns() {
-		p.cols[i] = profileColumn(c, opts)
+		p.cols[i] = profileColumn(c, opts, needSet)
 	}
 	return p
 }
 
-func profileColumn(c dataframe.Column, opts Options) columnProfile {
+// keyRanges returns the needSet under which foreign tables are profiled
+// against this base profile: a foreign numeric column needs its value set
+// only if its span meets the span of a base numeric column other than target,
+// since every other numeric containment check stops at disjoint ranges. Under
+// UseMinHash every set feeds a signature, so it returns nil (build them all).
+func (t *tableProfile) keyRanges(target string, opts Options) func([2]float64) bool {
+	if opts.UseMinHash {
+		return nil
+	}
+	var spans [][2]float64
+	for i := range t.cols {
+		if c := &t.cols[i]; c.kind == dataframe.Numeric && c.name != target {
+			spans = append(spans, c.span)
+		}
+	}
+	return func(span [2]float64) bool {
+		for _, s := range spans {
+			if !disjoint(s, span) {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+// disjoint reports whether two [min, max] spans share no value.
+func disjoint(a, b [2]float64) bool { return a[1] < b[0] || b[1] < a[0] }
+
+func profileColumn(c dataframe.Column, opts Options, needSet func(span [2]float64) bool) columnProfile {
 	p := columnProfile{name: c.Name(), norm: normalizeName(c.Name()), kind: c.Kind()}
 	lo, hi := math.Inf(1), math.Inf(-1)
 	switch col := c.(type) {
 	case *dataframe.NumericColumn:
-		p.nums = make(map[uint64]struct{})
 		for _, v := range col.Values {
-			if math.IsNaN(v) {
-				continue
-			}
-			if v < lo {
+			if v < lo { // false for NaN, the missing marker
 				lo = v
 			}
 			if v > hi {
 				hi = v
 			}
-			if len(p.nums) < opts.MaxValueSample {
+		}
+		if needSet != nil && !needSet([2]float64{lo, hi}) {
+			break
+		}
+		p.nums = make(map[uint64]struct{}, min(len(col.Values), opts.MaxValueSample))
+		for _, v := range col.Values {
+			if len(p.nums) == opts.MaxValueSample {
+				break
+			}
+			if !math.IsNaN(v) {
 				p.nums[math.Float64bits(v)] = struct{}{}
 			}
 		}
@@ -161,7 +203,7 @@ func profileColumn(c dataframe.Column, opts Options) columnProfile {
 		// Distinctness is over the strings of used codes (Dict may hold
 		// duplicates or unused entries); the bitmap over codes means each
 		// string is hashed once per distinct code rather than once per row.
-		p.strs = make(map[string]struct{})
+		p.strs = make(map[string]struct{}, min(len(col.Dict), opts.MaxValueSample))
 		seen := make([]bool, len(col.Dict))
 		for _, code := range col.Codes {
 			if code < 0 || seen[code] {
@@ -209,8 +251,8 @@ func (a *columnProfile) containment(b *columnProfile) float64 {
 	if a.kind == dataframe.Categorical {
 		return containment(a.strs, b.strs)
 	}
-	if a.span[1] < b.span[0] || b.span[1] < a.span[0] {
-		return 0 // disjoint ranges share no value
+	if disjoint(a.span, b.span) {
+		return 0 // disjoint ranges share no value; b's set may not be built
 	}
 	return containment(a.nums, b.nums)
 }

@@ -1,6 +1,9 @@
 package discovery
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"github.com/arda-ml/arda/internal/dataframe"
@@ -123,5 +126,82 @@ func TestNumericHardKeyByContainment(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("integer-id containment should yield a hard numeric key")
+	}
+}
+
+// A base table saved with a byte-order mark (as Excel saves CSV) proposes the
+// candidates the same file without one does: the first column keeps its name,
+// so its name affinity, and a target in first place is still the target.
+func TestDiscoverIgnoresByteOrderMark(t *testing.T) {
+	repo := []*dataframe.Table{
+		dataframe.MustNewTable("stats",
+			dataframe.NewCategorical("school_id", labels("s", 0, 40)),
+			dataframe.NewNumeric("score", ints(50, 40)),
+		),
+		dataframe.MustNewTable("grades",
+			dataframe.NewNumeric("performance", ints(0, 40)),
+			dataframe.NewNumeric("rank", ints(5, 40)),
+		),
+	}
+	var keyFirst, targetFirst strings.Builder
+	keyFirst.WriteString("school_id,performance\n")
+	targetFirst.WriteString("performance,school_id\n")
+	for i := 0; i < 30; i++ {
+		fmt.Fprintf(&keyFirst, "s%d,%d\n", i, i%4)
+		fmt.Fprintf(&targetFirst, "%d,s%d\n", i%4, i)
+	}
+	for label, text := range map[string]string{"key first": keyFirst.String(), "target first": targetFirst.String()} {
+		plain, err := dataframe.ReadCSV("base", strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		marked, err := dataframe.ReadCSV("base", strings.NewReader("\ufeff"+text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Discover(plain, repo, "performance", Options{})
+		if len(want) == 0 {
+			t.Fatalf("%s: no candidates; the comparison is vacuous", label)
+		}
+		requireSameCandidates(t, label, Discover(marked, repo, "performance", Options{}), want, true)
+	}
+}
+
+// Discover builds a foreign numeric column's value set only where a
+// containment check could read it: where its range meets a base numeric
+// column other than the target. The base side keeps every set, and under
+// UseMinHash so does every foreign column.
+func TestProfileAllocsNoDisjointValueSet(t *testing.T) {
+	opts := Options{}
+	opts.defaults()
+	base := profileTable(dataframe.MustNewTable("base",
+		dataframe.NewNumeric("id", ints(0, 100)),
+		dataframe.NewNumeric("y", ints(1000, 100)), // the target: its range opens nothing
+		dataframe.NewCategorical("zone", labels("z", 0, 100)),
+	), opts, nil)
+	for i := range base.cols {
+		if c := &base.cols[i]; c.kind == dataframe.Numeric && c.nums == nil {
+			t.Fatalf("base column %s has no value set", c.name)
+		}
+	}
+	needSet := base.keyRanges("y", opts)
+	for _, tc := range []struct {
+		col  dataframe.Column
+		want bool
+	}{
+		{dataframe.NewNumeric("ref", ints(50, 100)), true},       // meets id's range
+		{dataframe.NewNumeric("edge", ints(99, 10)), true},       // touches it at 99
+		{dataframe.NewNumeric("far", ints(500, 100)), false},     // disjoint from id
+		{dataframe.NewNumeric("like_y", ints(1000, 100)), false}, // meets only the target's range
+		{dataframe.NewNumeric("empty", []float64{math.NaN()}), false},
+	} {
+		if p := profileColumn(tc.col, opts, needSet); (p.nums != nil) != tc.want {
+			t.Errorf("foreign column %s: value set built = %v, want %v", p.name, p.nums != nil, tc.want)
+		}
+	}
+	minhash := opts
+	minhash.UseMinHash = true
+	if base.keyRanges("y", minhash) != nil {
+		t.Fatal("under UseMinHash every foreign column needs its set for its signature")
 	}
 }

@@ -297,10 +297,10 @@ func TestMatchColumnsAllocs(t *testing.T) {
 	opts := Options{}
 	opts.defaults()
 	pairs := [][2]columnProfile{
-		{profileColumn(dataframe.NewNumeric("school_id", ints(0, 500)), opts), profileColumn(dataframe.NewNumeric("School-ID", ints(250, 500)), opts)},
-		{profileColumn(dataframe.NewNumeric("score", []float64{0.5, 1.5}), opts), profileColumn(dataframe.NewNumeric("test_score", []float64{1.1, 9}), opts)},
-		{profileColumn(dataframe.NewCategorical("zone", labels("z", 0, 500)), opts), profileColumn(dataframe.NewCategorical("zone", labels("z", 100, 500)), opts)},
-		{profileColumn(dataframe.NewTime("t", []int64{1, 5}), opts), profileColumn(dataframe.NewTime("time", []int64{2, 9}), opts)},
+		{profileColumn(dataframe.NewNumeric("school_id", ints(0, 500)), opts, nil), profileColumn(dataframe.NewNumeric("School-ID", ints(250, 500)), opts, nil)},
+		{profileColumn(dataframe.NewNumeric("score", []float64{0.5, 1.5}), opts, nil), profileColumn(dataframe.NewNumeric("test_score", []float64{1.1, 9}), opts, nil)},
+		{profileColumn(dataframe.NewCategorical("zone", labels("z", 0, 500)), opts, nil), profileColumn(dataframe.NewCategorical("zone", labels("z", 100, 500)), opts, nil)},
+		{profileColumn(dataframe.NewTime("t", []int64{1, 5}), opts, nil), profileColumn(dataframe.NewTime("time", []int64{2, 9}), opts, nil)},
 	}
 	for i := range pairs {
 		bc, fc := &pairs[i][0], &pairs[i][1]
@@ -319,6 +319,7 @@ func TestMatchColumnsAllocs(t *testing.T) {
 func BenchmarkDiscover(b *testing.B) {
 	c := synth.SchoolL(synth.Config{Seed: 1, Scale: 1})
 	var n int
+	b.ReportAllocs()
 	testenv.BenchSpeedup(b, func() { n = len(Discover(c.Base, c.Repo, c.Target, Options{})) })
 	b.ReportMetric(float64(n), "candidates")
 }

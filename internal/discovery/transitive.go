@@ -52,10 +52,11 @@ func Transitive(base *dataframe.Table, repo []*dataframe.Table, target string, o
 	}
 	// The repository is profiled once: the first hop builds each table's
 	// profile as it matches it, and every second hop reuses them (an
-	// intermediate table's profile then serves as the base side).
+	// intermediate table's profile then serves as the base side, so every
+	// profile builds all its value sets).
 	profiles := make([]*tableProfile, len(repo))
-	firstHop := discover(profileTable(base, opts.Options), target, len(repo), func(i int) *tableProfile {
-		profiles[i] = profileTable(repo[i], opts.Options)
+	firstHop := discover(profileTable(base, opts.Options, nil), target, len(repo), func(i int) *tableProfile {
+		profiles[i] = profileTable(repo[i], opts.Options, nil)
 		return profiles[i]
 	}, opts.Options)
 	expanded := 0
