@@ -146,8 +146,8 @@ metrics-smoke:
 		-target performance -size 192 -seed 1 -metrics-addr 127.0.0.1:19753 \
 		-out /tmp/arda-metrics-smoke/augmented.csv & \
 	pid=$$!; \
-	code=000; for i in $$(seq 1 100); do \
-		code=$$(curl -s -o /dev/null -w '%{http_code}' http://127.0.0.1:19753/debug/pprof/cmdline) && break; sleep 0.1; \
+	code=000; for i in $$(seq 1 1000); do \
+		code=$$(curl -s -o /dev/null -w '%{http_code}' http://127.0.0.1:19753/debug/pprof/cmdline) && break; sleep 0.01; \
 	done; \
 	test "$$code" = 200 || { echo "metrics-smoke: /debug/pprof/cmdline answered $$code"; kill $$pid 2>/dev/null; exit 1; }; \
 	/tmp/arda-metrics-smoke/tracecheck -scrape http://127.0.0.1:19753 \

@@ -110,9 +110,10 @@ func splitList(s string) []string {
 }
 
 // scrapePoll is the shared backoff for waiting on a live server: unbounded
-// attempts at a flat 100ms cadence, stopped by the scrape-wait deadline on
+// attempts at a flat 10ms cadence (a CLI run can be over in ~100ms, so a
+// coarser poll can miss it), stopped by the scrape-wait deadline on
 // the context (see internal/retry).
-var scrapePoll = retry.Policy{Base: 100 * time.Millisecond, Max: 100 * time.Millisecond}
+var scrapePoll = retry.Policy{Base: 10 * time.Millisecond, Max: 10 * time.Millisecond}
 
 // scrapeLive validates a running telemetry server end-to-end: it subscribes
 // to the events endpoint first (so the scrape provably happens while the run
