@@ -3,7 +3,6 @@ package automl
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"github.com/arda-ml/arda/internal/ml"
 )
@@ -23,47 +22,6 @@ func separable(n int, seed int64) *ml.Dataset {
 	return ds
 }
 
-func TestSearchFindsGoodPipeline(t *testing.T) {
-	ds := separable(300, 1)
-	res := Search(ds, Config{Budget: 3 * time.Second, MaxTrials: 12, Seed: 2})
-	if res.Trials == 0 {
-		t.Fatal("no trials ran")
-	}
-	if res.Score < 0.85 {
-		t.Fatalf("best score = %v (%s)", res.Score, res.Description)
-	}
-	if res.Model == nil || res.Fit == nil {
-		t.Fatal("winner not materialized")
-	}
-	// The returned model predicts sensibly on training rows.
-	hits := 0
-	for i := 0; i < ds.N; i++ {
-		if int(res.Model.Predict(ds.Row(i))) == ds.Label(i) {
-			hits++
-		}
-	}
-	if float64(hits)/float64(ds.N) < 0.8 {
-		t.Fatalf("winner training accuracy = %v", float64(hits)/float64(ds.N))
-	}
-}
-
-func TestSearchRegression(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := 300
-	x := make([]float64, n*2)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		x[i*2] = rng.NormFloat64()
-		x[i*2+1] = rng.NormFloat64()
-		y[i] = 3*x[i*2] - x[i*2+1] + 0.1*rng.NormFloat64()
-	}
-	ds, _ := ml.NewDataset(x, n, 2, y, ml.Regression, 0)
-	res := Search(ds, Config{Budget: 3 * time.Second, MaxTrials: 12, Seed: 4})
-	if res.Score < 0.8 {
-		t.Fatalf("regression search R² = %v (%s)", res.Score, res.Description)
-	}
-}
-
 func TestDefaultEstimator(t *testing.T) {
 	ds := separable(200, 5)
 	m := DefaultEstimator(1)(ds)
@@ -75,13 +33,5 @@ func TestDefaultEstimator(t *testing.T) {
 	}
 	if float64(hits)/float64(ds.N) < 0.9 {
 		t.Fatal("default estimator underfits a separable problem")
-	}
-}
-
-func TestBestOfForestAndSVM(t *testing.T) {
-	ds := separable(300, 6)
-	m, name := BestOfForestAndSVM(ds, 7)
-	if m == nil || (name != "random forest" && name != "svm-rbf") {
-		t.Fatalf("winner = %q", name)
 	}
 }

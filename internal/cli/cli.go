@@ -1,5 +1,5 @@
 // Package cli centralizes diagnostics for the repo's commands (cmd/arda,
-// cmd/ardabench, cmd/datagen, cmd/tracecheck): one mutex-guarded stderr
+// cmd/ardad, cmd/datagen, cmd/tracecheck): one mutex-guarded stderr
 // writer and one -v contract. Reports and data belong
 // on stdout; every progress line, warning, and error flows through here, so
 // verbose pipeline progress and failure output never interleave mid-line on

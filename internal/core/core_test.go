@@ -113,6 +113,19 @@ func TestTupleRatioAndFilter(t *testing.T) {
 	if len(kept) != 2 || removed != 0 {
 		t.Fatal("tau=0 should disable the filter")
 	}
+	// Two composite keys whose parts only differ in where a separator-like
+	// byte falls are two domain values, not one.
+	pair := dataframe.MustNewTable("pair",
+		dataframe.NewCategorical("k1", []string{"x\x1fy", "x"}),
+		dataframe.NewCategorical("k2", []string{"z", "y\x1fz"}),
+	)
+	cp := discovery.Candidate{Table: pair, Keys: []join.KeyPair{
+		{BaseColumn: "k1", ForeignColumn: "k1", Kind: join.Hard},
+		{BaseColumn: "k2", ForeignColumn: "k2", Kind: join.Hard},
+	}}
+	if got := TupleRatio(100, cp); got != 50 {
+		t.Fatalf("TupleRatio(composite pair) = %v, want 50", got)
+	}
 }
 
 func TestDedupeCandidates(t *testing.T) {
@@ -125,6 +138,12 @@ func TestDedupeCandidates(t *testing.T) {
 	out := DedupeCandidates(base, []discovery.Candidate{c, c, {Table: base}})
 	if len(out) != 1 {
 		t.Fatalf("dedupe kept %d, want 1", len(out))
+	}
+	// Key sets that only differ in where "=" falls are distinct candidates.
+	ab := discovery.Candidate{Table: tab, Keys: []join.KeyPair{{BaseColumn: "a", ForeignColumn: "b=c"}}}
+	ba := discovery.Candidate{Table: tab, Keys: []join.KeyPair{{BaseColumn: "a=b", ForeignColumn: "c"}}}
+	if out := DedupeCandidates(base, []discovery.Candidate{ab, ba}); len(out) != 2 {
+		t.Fatalf("dedupe kept %d of two distinct key sets", len(out))
 	}
 }
 

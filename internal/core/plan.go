@@ -1,6 +1,8 @@
 package core
 
 import (
+	"strconv"
+
 	"github.com/arda-ml/arda/internal/dataframe"
 	"github.com/arda-ml/arda/internal/discovery"
 )
@@ -107,9 +109,11 @@ func DedupeCandidates(base *dataframe.Table, cands []discovery.Candidate) []disc
 		if c.Table == base || c.Table.Name() == base.Name() {
 			continue
 		}
-		key := c.Table.Name()
+		// Quoted names are self-delimiting, so distinct key sets never
+		// render alike.
+		key := strconv.Quote(c.Table.Name())
 		for _, kp := range c.Keys {
-			key += "\x1f" + kp.BaseColumn + "=" + kp.ForeignColumn
+			key += strconv.Quote(kp.BaseColumn) + strconv.Quote(kp.ForeignColumn)
 		}
 		if seen[key] {
 			continue

@@ -3,6 +3,7 @@ package core
 import (
 	"github.com/arda-ml/arda/internal/dataframe"
 	"github.com/arda-ml/arda/internal/discovery"
+	"github.com/arda-ml/arda/internal/join"
 )
 
 // TupleRatio computes Kumar et al.'s ratio nS/nR for a candidate join: the
@@ -20,7 +21,7 @@ func TupleRatio(baseRows int, c discovery.Candidate) float64 {
 }
 
 // KeyDomainSize counts distinct (composite) join-key values in the
-// candidate's foreign table.
+// candidate's foreign table, grouping keys exactly as the join does.
 func KeyDomainSize(c discovery.Candidate) int {
 	cols := make([]dataframe.Column, 0, len(c.Keys))
 	for _, kp := range c.Keys {
@@ -30,30 +31,7 @@ func KeyDomainSize(c discovery.Candidate) int {
 		}
 		cols = append(cols, col)
 	}
-	seen := make(map[string]bool)
-	for i := 0; i < c.Table.NumRows(); i++ {
-		key, ok := compositeKeyOf(cols, i)
-		if !ok {
-			continue
-		}
-		seen[key] = true
-	}
-	return len(seen)
-}
-
-// compositeKeyOf renders row i's composite key for domain counting.
-func compositeKeyOf(cols []dataframe.Column, i int) (string, bool) {
-	out := ""
-	for n, c := range cols {
-		if c.IsMissing(i) {
-			return "", false
-		}
-		if n > 0 {
-			out += "\x1f"
-		}
-		out += c.StringAt(i)
-	}
-	return out, true
+	return join.DistinctKeys(cols, c.Table.NumRows())
 }
 
 // FilterTupleRatio drops candidates whose tuple ratio exceeds tau, returning

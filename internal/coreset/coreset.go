@@ -111,30 +111,6 @@ func StratifiedIndices(labels []int, numClasses, size int, rng *rand.Rand) []int
 	return out
 }
 
-// Sample reduces a dataset to about size rows with the given strategy.
-// Sketch is not a row sample; use SketchDataset for it — Sample falls back to
-// Uniform when given Sketch.
-func Sample(ds *ml.Dataset, strategy Strategy, size int, rng *rand.Rand) *ml.Dataset {
-	if size <= 0 {
-		size = DefaultSize(ds.N)
-	}
-	switch strategy {
-	case Stratified:
-		if ds.Task == ml.Classification {
-			labels := make([]int, ds.N)
-			for i := range labels {
-				labels[i] = ds.Label(i)
-			}
-			return ds.Subset(StratifiedIndices(labels, ds.Classes, size, rng))
-		}
-		return ds.Subset(UniformIndices(ds.N, size, rng))
-	case Leverage:
-		return LeverageSample(ds, size, rng)
-	default:
-		return ds.Subset(UniformIndices(ds.N, size, rng))
-	}
-}
-
 // OSNAP is a sparse oblivious subspace embedding Π ∈ R^{ℓ×n} in which each
 // input row is hashed into s buckets with ±1/√s signs (Definition 2 of the
 // paper; s = ⌈log₂ n⌉ repetitions).

@@ -173,13 +173,15 @@ func TestSketchDatasetClassificationPerStratum(t *testing.T) {
 func TestSampleStrategies(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	ds := classificationDS(300, 8)
-	u := Sample(ds, Uniform, 50, rng)
-	if u.N != 50 {
-		t.Fatalf("uniform sample size = %d", u.N)
+	if u := UniformIndices(ds.N, 50, rng); len(u) != 50 {
+		t.Fatalf("uniform sample size = %d", len(u))
 	}
-	s := Sample(ds, Stratified, 50, rng)
-	if s.N < 45 || s.N > 55 {
-		t.Fatalf("stratified sample size = %d", s.N)
+	labels := make([]int, ds.N)
+	for i := range labels {
+		labels[i] = ds.Label(i)
+	}
+	if s := StratifiedIndices(labels, ds.Classes, 50, rng); len(s) < 45 || len(s) > 55 {
+		t.Fatalf("stratified sample size = %d", len(s))
 	}
 }
 
@@ -218,25 +220,6 @@ func TestStrategyString(t *testing.T) {
 	}
 	if Strategy(9).String() == "" {
 		t.Fatal("unknown strategy should still format")
-	}
-}
-
-func TestSampleSketchFallsBackToUniform(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	ds := classificationDS(200, 9)
-	// Sample is a row sampler; handed Sketch it must fall back to uniform.
-	s := Sample(ds, Sketch, 50, rng)
-	if s.N != 50 {
-		t.Fatalf("fallback sample size = %d", s.N)
-	}
-}
-
-func TestSampleDefaultSize(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	ds := classificationDS(4000, 10)
-	s := Sample(ds, Uniform, 0, rng)
-	if s.N != DefaultSize(4000) {
-		t.Fatalf("auto size = %d, want %d", s.N, DefaultSize(4000))
 	}
 }
 

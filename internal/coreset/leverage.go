@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"github.com/arda-ml/arda/internal/linalg"
-	"github.com/arda-ml/arda/internal/ml"
 	"github.com/arda-ml/arda/internal/parallel"
 )
 
@@ -120,21 +119,4 @@ func LeverageIndices(x []float64, n, d, size int, rng *rand.Rand) ([]int, error)
 		out[pos] = keys[pos].i
 	}
 	return out, nil
-}
-
-// LeverageSample reduces a dataset to about size rows by leverage-score
-// sampling over its (NaN-cleaned) feature matrix, falling back to uniform
-// sampling if the Gram factorization fails.
-func LeverageSample(ds *ml.Dataset, size int, rng *rand.Rand) *ml.Dataset {
-	if size <= 0 {
-		size = DefaultSize(ds.N)
-	}
-	if size >= ds.N {
-		return ds.Subset(allIndices(ds.N))
-	}
-	idx, err := LeverageIndices(ds.X, ds.N, ds.D, size, rng)
-	if err != nil {
-		return ds.Subset(UniformIndices(ds.N, size, rng))
-	}
-	return ds.Subset(idx)
 }

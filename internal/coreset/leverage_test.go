@@ -111,16 +111,15 @@ func TestLeverageIndicesDistinct(t *testing.T) {
 func TestLeverageSampleWiring(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ds := classificationDS(300, 5)
-	out := Sample(ds, Leverage, 60, rng)
-	if out.N != 60 {
-		t.Fatalf("leverage sample size = %d", out.N)
+	idx, err := LeverageIndices(ds.X, ds.N, ds.D, 60, rng)
+	if err != nil || len(idx) != 60 {
+		t.Fatalf("leverage sample size = %d (%v)", len(idx), err)
 	}
 	if Leverage.String() != "leverage" {
 		t.Fatal("strategy name")
 	}
 	// Oversized request returns everything.
-	all := LeverageSample(ds, 1000, rng)
-	if all.N != ds.N {
-		t.Fatalf("oversized leverage sample = %d", all.N)
+	if all, err := LeverageIndices(ds.X, ds.N, ds.D, 1000, rng); err != nil || len(all) != ds.N {
+		t.Fatalf("oversized leverage sample = %d (%v)", len(all), err)
 	}
 }

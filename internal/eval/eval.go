@@ -61,18 +61,6 @@ func MacroF1(pred, truth []float64, classes int) float64 {
 	return sum / float64(classes)
 }
 
-// MAE returns the mean absolute error.
-func MAE(pred, truth []float64) float64 {
-	if len(pred) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i, p := range pred {
-		s += math.Abs(p - truth[i])
-	}
-	return s / float64(len(pred))
-}
-
 // RMSE returns the root mean squared error.
 func RMSE(pred, truth []float64) float64 {
 	if len(pred) == 0 {
@@ -318,16 +306,6 @@ func (e *SubsetEvaluator) ScoreAt(pos []int) float64 {
 	m := e.fit(train)
 	pred := ml.PredictAll(m, test)
 	return Score(e.task, e.classes, pred, testY)
-}
-
-// HoldoutError trains on sp.Train and returns the MAE on sp.Test (regression
-// reporting metric in the paper's Table 1).
-func HoldoutError(ds *ml.Dataset, sp Split, fit Fitter) float64 {
-	train := ds.Subset(sp.Train)
-	test := ds.Subset(sp.Test)
-	m := fit(train)
-	pred := ml.PredictAll(m, test)
-	return MAE(pred, test.Y)
 }
 
 // CrossValScore returns the mean task score across k folds.

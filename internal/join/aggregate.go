@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 
 	"github.com/arda-ml/arda/internal/dataframe"
 )
@@ -27,21 +26,32 @@ func keyString(c dataframe.Column, i int) (string, bool) {
 	}
 }
 
-// compositeKey joins per-column key strings with an unprintable separator;
-// ok is false when any component is missing.
+// compositeKey renders row i's composite key as a string; ok is false when
+// any component is missing. A single-column key is its value's string; a
+// longer key length-prefixes each part, so no two distinct keys share a
+// rendering whatever bytes their values contain.
 func compositeKey(cols []dataframe.Column, i int) (string, bool) {
-	var b strings.Builder
-	for n, c := range cols {
+	if len(cols) == 1 {
+		return keyString(cols[0], i)
+	}
+	var b []byte
+	for _, c := range cols {
 		s, ok := keyString(c, i)
 		if !ok {
 			return "", false
 		}
-		if n > 0 {
-			b.WriteByte(0x1f)
-		}
-		b.WriteString(s)
+		b = strconv.AppendInt(b, int64(len(s)), 10)
+		b = append(b, ':')
+		b = append(b, s...)
 	}
-	return b.String(), true
+	return string(b), true
+}
+
+// DistinctKeys counts the distinct composite keys of rows 0..n-1 in cols,
+// skipping rows with a missing component: the number of groups
+// AggregateByKey would make.
+func DistinctKeys(cols []dataframe.Column, n int) int {
+	return len(groupRowsByKey(cols, n))
 }
 
 // Granularity detects the coarsest time unit (in seconds) that all present

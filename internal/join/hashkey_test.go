@@ -149,6 +149,22 @@ func equivalenceCases() map[string]func() (*dataframe.Table, *dataframe.Table, *
 				{BaseColumn: "n", ForeignColumn: "n", Kind: Hard},
 			}}
 		},
+		"composite parts holding the separator": func() (*dataframe.Table, *dataframe.Table, *Spec) {
+			// ("x\x1fy", "z") and ("x", "y\x1fz") are different keys, whatever
+			// bytes their parts contain.
+			base := dataframe.MustNewTable("b",
+				dataframe.NewCategorical("a", []string{"x\x1fy", "x"}),
+				dataframe.NewCategorical("c", []string{"z", "y\x1fz"}),
+				dataframe.NewNumeric("x", []float64{1, 2}))
+			foreign := dataframe.MustNewTable("f",
+				dataframe.NewCategorical("a", []string{"x\x1fy", "q"}),
+				dataframe.NewCategorical("c", []string{"z", "q"}),
+				dataframe.NewNumeric("v", []float64{10, 20}))
+			return base, foreign, &Spec{Keys: []KeyPair{
+				{BaseColumn: "a", ForeignColumn: "a", Kind: Hard},
+				{BaseColumn: "c", ForeignColumn: "c", Kind: Hard},
+			}}
+		},
 		"foreign dict remap": func() (*dataframe.Table, *dataframe.Table, *Spec) {
 			// Same category strings, different code assignment orders.
 			base := dataframe.MustNewTable("b",

@@ -447,41 +447,6 @@ func (s *SPDSolver) Solve(a, b *Matrix) (*Matrix, error) {
 	return s.out, nil
 }
 
-// RidgeSolve solves the regularized least squares problem
-// min_w ‖X·w − y‖² + lambda‖w‖² via the normal equations
-// (XᵀX + lambda·I)w = Xᵀy. X is n×d with d expected modest (use dual or
-// sketching for wide problems).
-func RidgeSolve(x *Matrix, y []float64, lambda float64) ([]float64, error) {
-	d := x.Cols
-	xtx := NewMatrix(d, d)
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		for a := 0; a < d; a++ {
-			va := row[a]
-			if va == 0 {
-				continue
-			}
-			out := xtx.Row(a)
-			for b := 0; b < d; b++ {
-				out[b] += va * row[b]
-			}
-		}
-	}
-	for a := 0; a < d; a++ {
-		xtx.Data[a*d+a] += lambda
-	}
-	xty := make([]float64, d)
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		AddScaled(xty, y[i], row)
-	}
-	l, err := CholeskyJittered(xtx, 0)
-	if err != nil {
-		return nil, err
-	}
-	return SolveCholesky(l, xty), nil
-}
-
 // MVNSampler draws samples from N(mu, sigma) using a jittered Cholesky factor
 // of sigma.
 type MVNSampler struct {

@@ -115,37 +115,6 @@ func TestSolveSPDMultiRHS(t *testing.T) {
 	}
 }
 
-func TestRidgeSolveShrinks(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n, d := 100, 4
-	x := NewMatrix(n, d)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	true4 := []float64{2, -1, 0.5, 0}
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		y[i] = Dot(x.Row(i), true4) + 0.01*rng.NormFloat64()
-	}
-	w, err := RidgeSolve(x, y, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range true4 {
-		if math.Abs(w[j]-true4[j]) > 0.05 {
-			t.Fatalf("ridge w[%d] = %v, want %v", j, w[j], true4[j])
-		}
-	}
-	// Heavy regularization shrinks toward zero.
-	wBig, err := RidgeSolve(x, y, 1e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Norm2(wBig) > 0.1*Norm2(w) {
-		t.Fatalf("heavy ridge did not shrink: %v vs %v", Norm2(wBig), Norm2(w))
-	}
-}
-
 func TestMVNSamplerMoments(t *testing.T) {
 	mu := []float64{1, -2}
 	sigma := FromRows([][]float64{{2, 0.8}, {0.8, 1}})

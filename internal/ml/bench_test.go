@@ -56,14 +56,6 @@ func BenchmarkLogisticFit(b *testing.B) {
 	}
 }
 
-func BenchmarkMLPFit(b *testing.B) {
-	ds := makeClassification(400, 3, 12, 107)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FitMLP(ds, MLPConfig{Epochs: 20, Seed: int64(i)})
-	}
-}
-
 // BenchmarkFitForestOneHot is the rung under the benchmark's
 // ml.forest_fit_probe_ms: the evaluation forest over a tall one-hot base
 // table (tall-base's training split — 9,000 rows, 64 one-hot columns and one

@@ -26,28 +26,6 @@ func (m *LinearModel) Predict(x []float64) float64 {
 // absolute values are comparable across features and usable as a ranking.
 func (m *LinearModel) Coefficients() []float64 { return m.W }
 
-// FitRidge fits a ridge regression (quadratic loss, ℓ2 penalty lambda) on
-// standardized features with an unpenalized intercept.
-func FitRidge(ds *Dataset, lambda float64) (*LinearModel, error) {
-	std := FitStandardization(ds)
-	sds := std.Apply(ds)
-	yMean := 0.0
-	for _, v := range sds.Y {
-		yMean += v
-	}
-	yMean /= float64(sds.N)
-	yc := make([]float64, sds.N)
-	for i, v := range sds.Y {
-		yc[i] = v - yMean
-	}
-	x := &linalg.Matrix{Rows: sds.N, Cols: sds.D, Data: sds.X}
-	w, err := linalg.RidgeSolve(x, yc, lambda)
-	if err != nil {
-		return nil, err
-	}
-	return &LinearModel{W: w, B: yMean, std: std}, nil
-}
-
 // LassoConfig controls coordinate-descent lasso fitting.
 type LassoConfig struct {
 	// Lambda is the ℓ1 penalty strength (default 0.01·λmax behaviour is the

@@ -5,24 +5,6 @@ import (
 	"testing"
 )
 
-func TestRidgeRecoversCoefficients(t *testing.T) {
-	ds := makeRegression(400, 2, 10)
-	m, err := FitRidge(ds, 1e-4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Training MSE should be tiny (noise σ = 0.1).
-	var mse float64
-	for i := 0; i < ds.N; i++ {
-		d := m.Predict(ds.Row(i)) - ds.Y[i]
-		mse += d * d
-	}
-	mse /= float64(ds.N)
-	if mse > 0.05 {
-		t.Fatalf("ridge training MSE = %v", mse)
-	}
-}
-
 func TestLassoSparsity(t *testing.T) {
 	ds := makeRegression(300, 8, 11)
 	m := FitLasso(ds, LassoConfig{Lambda: 0.2})
@@ -97,68 +79,5 @@ func TestLinearSVM(t *testing.T) {
 	fw := m.FeatureWeights()
 	if fw[0] < fw[2] {
 		t.Fatalf("svm signal weight below noise: %v", fw)
-	}
-}
-
-func TestRBFSVMNonlinear(t *testing.T) {
-	// Concentric rings: inner class 0, outer class 1 — not linearly
-	// separable, RBF should handle it.
-	n := 300
-	x := make([]float64, n*2)
-	y := make([]float64, n)
-	rng := newTestRNG(15)
-	for i := 0; i < n; i++ {
-		r := 1.0
-		if i%2 == 1 {
-			r = 3.0
-			y[i] = 1
-		}
-		theta := rng.Float64() * 2 * math.Pi
-		x[i*2] = r*math.Cos(theta) + 0.1*rng.NormFloat64()
-		x[i*2+1] = r*math.Sin(theta) + 0.1*rng.NormFloat64()
-	}
-	ds, _ := NewDataset(x, n, 2, y, Classification, 2)
-	m := FitRBFSVM(ds, RBFSVMConfig{Seed: 5, Gamma: 1})
-	if acc := accuracyOf(m, ds); acc < 0.9 {
-		t.Fatalf("rbf svm ring accuracy = %v", acc)
-	}
-	// A linear SVM must do much worse on rings.
-	lin := FitLinearSVM(ds, SVMConfig{Seed: 5})
-	if acc := accuracyOf(lin, ds); acc > 0.75 {
-		t.Fatalf("linear svm unexpectedly solves rings: %v", acc)
-	}
-}
-
-func TestKNNClassification(t *testing.T) {
-	ds := makeClassification(200, 2, 1, 16)
-	m := FitKNN(ds, 5)
-	if acc := accuracyOf(m, ds); acc < 0.9 {
-		t.Fatalf("knn accuracy = %v", acc)
-	}
-}
-
-func TestKNNRegression(t *testing.T) {
-	ds := makeRegression(200, 0, 17)
-	m := FitKNN(ds, 3)
-	var mse, variance, mean float64
-	for _, v := range ds.Y {
-		mean += v
-	}
-	mean /= float64(ds.N)
-	for i := 0; i < ds.N; i++ {
-		d := m.Predict(ds.Row(i)) - ds.Y[i]
-		mse += d * d
-		variance += (ds.Y[i] - mean) * (ds.Y[i] - mean)
-	}
-	if mse >= variance {
-		t.Fatalf("knn regression no better than mean: mse=%v var=%v", mse, variance)
-	}
-}
-
-func TestKNNCapsK(t *testing.T) {
-	ds := makeClassification(4, 1, 0, 18)
-	m := FitKNN(ds, 100)
-	if m.k != 4 {
-		t.Fatalf("k = %d, want capped at 4", m.k)
 	}
 }

@@ -118,145 +118,3 @@ func (m *LinearSVM) FeatureWeights() []float64 {
 	}
 	return out
 }
-
-// RBFSVMConfig controls kernelized (RBF) SVM training.
-type RBFSVMConfig struct {
-	// Lambda is the regularization strength (default 1e-2).
-	Lambda float64
-	// Gamma is the RBF width exp(−γ‖x−x'‖²); <= 0 selects 1/(d·var) as in
-	// scikit-learn's "scale" heuristic.
-	Gamma float64
-	// Epochs is the number of kernel-Pegasos passes (default 10).
-	Epochs int
-	// Seed seeds the SGD sample order.
-	Seed int64
-}
-
-// RBFSVM is a one-vs-rest kernel SVM trained with kernelized Pegasos. It
-// stores the (standardized) training set and per-class dual coefficients.
-type RBFSVM struct {
-	x       []float64
-	n, d    int
-	alpha   []float64 // classes×n dual coefficients (signed counts / λT)
-	labels  []int
-	classes int
-	gamma   float64
-	std     *Standardization
-}
-
-// FitRBFSVM trains a one-vs-rest RBF-kernel SVM via kernelized Pegasos.
-// Training is O(epochs·n²·d); intended for coreset-sized inputs.
-func FitRBFSVM(ds *Dataset, cfg RBFSVMConfig) *RBFSVM {
-	if cfg.Lambda <= 0 {
-		cfg.Lambda = 1e-2
-	}
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = 10
-	}
-	std := FitStandardization(ds)
-	sds := std.Apply(ds)
-	n, d, c := sds.N, sds.D, sds.Classes
-	gamma := cfg.Gamma
-	if gamma <= 0 {
-		// Features are standardized, so per-feature variance ≈ 1 and the
-		// "scale" heuristic reduces to 1/d.
-		gamma = 1 / float64(d)
-	}
-	m := &RBFSVM{
-		x:       sds.X,
-		n:       n,
-		d:       d,
-		alpha:   make([]float64, c*n),
-		labels:  make([]int, n),
-		classes: c,
-		gamma:   gamma,
-		std:     std,
-	}
-	for i := 0; i < n; i++ {
-		m.labels[i] = sds.Label(i)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	// Precompute the training kernel matrix once: training then costs
-	// O(epochs·n²) instead of O(epochs·n²·d).
-	gram := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		gram[i*n+i] = 1
-		for j := i + 1; j < n; j++ {
-			v := m.kernel(sds.Row(i), sds.Row(j))
-			gram[i*n+j] = v
-			gram[j*n+i] = v
-		}
-	}
-	// Count-based kernel Pegasos: alpha holds the number of margin
-	// violations per sample; score(x) = (1/λt)·Σ_i alpha_i·y_i·K(x_i, x).
-	for k := 0; k < c; k++ {
-		counts := make([]float64, n)
-		t := 0
-		total := cfg.Epochs * n
-		for step := 0; step < total; step++ {
-			t++
-			i := rng.Intn(n)
-			yi := -1.0
-			if m.labels[i] == k {
-				yi = 1
-			}
-			s := 0.0
-			grow := gram[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				if counts[j] == 0 {
-					continue
-				}
-				yj := -1.0
-				if m.labels[j] == k {
-					yj = 1
-				}
-				s += counts[j] * yj * grow[j]
-			}
-			s *= yi / (cfg.Lambda * float64(t))
-			if s < 1 {
-				counts[i]++
-			}
-		}
-		// Freeze dual coefficients scaled by the final 1/(λT).
-		inv := 1 / (cfg.Lambda * float64(t))
-		arow := m.alpha[k*n : (k+1)*n]
-		for i := range counts {
-			arow[i] = counts[i] * inv
-		}
-	}
-	return m
-}
-
-// kernel evaluates the RBF kernel between standardized vectors a and b.
-func (m *RBFSVM) kernel(a, b []float64) float64 {
-	s := 0.0
-	for j, v := range a {
-		dv := v - b[j]
-		s += dv * dv
-	}
-	return math.Exp(-m.gamma * s)
-}
-
-// Predict returns the class with the highest dual score.
-func (m *RBFSVM) Predict(x []float64) float64 {
-	sx := m.std.ApplyVec(x)
-	best, bestK := math.Inf(-1), 0
-	for k := 0; k < m.classes; k++ {
-		arow := m.alpha[k*m.n : (k+1)*m.n]
-		s := 0.0
-		for i := 0; i < m.n; i++ {
-			if arow[i] == 0 {
-				continue
-			}
-			yi := -1.0
-			if m.labels[i] == k {
-				yi = 1
-			}
-			s += arow[i] * yi * m.kernel(sx, m.x[i*m.d:(i+1)*m.d])
-		}
-		if s > best {
-			best, bestK = s, k
-		}
-	}
-	return float64(bestK)
-}
