@@ -10,7 +10,7 @@ GO ?= go
 # targets require of a run's trace.
 STAGES := prefilter,coreset,screen,join,impute,select,materialize,evaluate
 
-.PHONY: check fmt vet build test race alloc chaos crash lease-chaos quality bench-parallel bench-smoke failover-soak trace-smoke metrics-smoke serve-smoke profile-select profile-forest profile-load
+.PHONY: check fmt vet build test race alloc chaos crash lease-chaos quality bench-parallel bench-smoke failover-soak trace-smoke metrics-smoke serve-smoke profile-select profile-forest profile-load profile-join
 
 check: fmt vet build race alloc quality chaos crash lease-chaos trace-smoke metrics-smoke serve-smoke bench-smoke
 
@@ -221,3 +221,14 @@ profile-load:
 		-cpuprofile=discover.pprof -memprofile=discover.mem.pprof ./internal/discovery/
 	@rm -f dataframe.test discovery.test
 	@echo "wrote load.pprof, load.mem.pprof, discover.pprof, discover.mem.pprof (go tool pprof <file>)"
+
+# CPU and allocation profiles of the join data plane (BenchmarkDataplane*:
+# key grouping and probing on a composite key, the hard join, AggregateByKey,
+# and a time-resample join with its preparation cached and not). Inspect
+# with `go tool pprof join.pprof`, or
+# `go tool pprof -sample_index=alloc_space join.mem.pprof` for bytes.
+profile-join:
+	$(GO) test -bench='^BenchmarkDataplane' -benchtime=10x -run=^$$ \
+		-cpuprofile=join.pprof -memprofile=join.mem.pprof ./internal/join/
+	@rm -f join.test
+	@echo "wrote join.pprof, join.mem.pprof (go tool pprof <file>)"

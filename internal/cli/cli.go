@@ -29,13 +29,6 @@ func Setup(tool string, v bool) {
 	name, verbose = tool, v
 }
 
-// Verbose reports whether -v diagnostics are enabled.
-func Verbose() bool {
-	mu.Lock()
-	defer mu.Unlock()
-	return verbose
-}
-
 // Progressf writes one progress line to stderr, only when verbose. Its
 // signature matches core.Options.Logf, so commands pass it straight through.
 func Progressf(format string, args ...any) {

@@ -108,8 +108,9 @@ type run struct {
 	size  int
 	plan  []Batch
 
-	// Per-run caches: foreign-table preparations shared by screen, the batches
-	// and materialize, binarize plans by the batches' re-encodings of carried
+	// Per-run caches: soft, geo and time-resample foreign-table preparations
+	// shared by screen, the batches and materialize (a hard-key join
+	// prepares nothing), binarize plans by the batches' re-encodings of carried
 	// columns — valid because candidate tables are never mutated and work
 	// tables only encoded fully imputed.
 	prep *join.PrepCache

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"time"
 
 	"github.com/arda-ml/arda/internal/dataframe"
@@ -87,16 +89,17 @@ func faultAt(inj *faults.Injector, stage string, ordinal int) (err error) {
 // guardedJoin joins cand onto left inside the full fault boundary: injector
 // checkpoint, panic containment, and transient-fault retry. An empty
 // candidate can only contribute all-NULL columns, so it is refused before it
-// wastes a join (or an injector probe). The RNG is re-derived from seedPath
-// for every attempt — it is attempt-local state, so a retried join draws
-// exactly the sequence a first-try success would and the output stays
-// bit-identical.
+// wastes a join (or an injector probe). Only a soft join draws from an RNG,
+// so only a spec with a soft key gets one; it is re-derived from seedPath
+// for every attempt — attempt-local state, so a retried join draws exactly
+// the sequence a first-try success would and the output stays bit-identical.
 func guardedJoin(ctx context.Context, o *Options, prep *join.PrepCache, stage string, ordinal int,
 	left *dataframe.Table, cand discovery.Candidate, prefix string, seedPath ...int64) (*join.Result, error) {
 	if cand.Table.NumRows() == 0 {
 		return nil, errors.New("candidate table is empty")
 	}
 	spec := specFor(cand, *o, prefix)
+	soft := slices.ContainsFunc(spec.Keys, func(kp join.KeyPair) bool { return kp.Kind == join.Soft })
 	var jr *join.Result
 	err := retry.Do(ctx, candidateRetry, faults.IsTransient, func() (err error) {
 		defer func() {
@@ -107,7 +110,11 @@ func guardedJoin(ctx context.Context, o *Options, prep *join.PrepCache, stage st
 		if err := o.FaultInjector.Check(stage, ordinal); err != nil {
 			return err
 		}
-		jr, err = join.ExecuteCached(left, cand.Table, spec, stageRNG(o.Seed, seedPath...), prep)
+		var rng *rand.Rand
+		if soft {
+			rng = stageRNG(o.Seed, seedPath...)
+		}
+		jr, err = join.ExecuteCached(left, cand.Table, spec, rng, prep)
 		return err
 	})
 	return jr, err

@@ -149,8 +149,8 @@ func TestScreenKeepsBestThatFit(t *testing.T) {
 
 // TestScreenWorkersBitIdentical runs the wide fixture traced at 1 and 8
 // workers: the screen fans out over the pool, and nothing it produces — the
-// verdicts, the survivors, the table, the span tree, the counters (cache
-// hits and misses among them) — may depend on how.
+// verdicts, the survivors, the table, the span tree, the counters — may
+// depend on how.
 func TestScreenWorkersBitIdentical(t *testing.T) {
 	defer parallel.SetMaxWorkers(0)
 	corpus, cands := wideCorpus(t)
@@ -207,17 +207,12 @@ func TestScreenWorkersBitIdentical(t *testing.T) {
 		t.Fatalf("batches were offered %d tables, the screen passed on %d", offered, kept)
 	}
 
-	// Prepare-once holds across all three stages that join, and the two
-	// later ones now find the screen's work: every batch join is a hit.
+	// Every key here is hard, so every join reads its foreign table in
+	// place and no prepared copy is retained.
 	c := one.Trace.Counters
-	if c["prep_cache.misses"] != c["prep_cache.entries"] {
-		t.Fatalf("prep cache misses %d != entries %d", c["prep_cache.misses"], c["prep_cache.entries"])
-	}
-	if hits := c["prep_cache.hits"]; hits < int64(kept+len(one.KeptTables)) {
-		t.Fatalf("prep cache hits %d, want at least %d joins + %d materializations", hits, kept, len(one.KeptTables))
-	}
-	if ratio := float64(c["prep_cache.hits"]) / float64(c["prep_cache.hits"]+c["prep_cache.misses"]); ratio <= 0.10 {
-		t.Fatalf("prep cache hit ratio %.3f, want above the 0.10 of a run that never asked twice", ratio)
+	if c["prep_cache.entries"] != 0 || c["prep_cache.hits"]+c["prep_cache.misses"] != 0 {
+		t.Fatalf("hard-key joins used the prep cache: %d entries, %d hits, %d misses",
+			c["prep_cache.entries"], c["prep_cache.hits"], c["prep_cache.misses"])
 	}
 }
 

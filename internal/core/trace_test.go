@@ -104,23 +104,50 @@ func TestAugmentTraceStageCoverage(t *testing.T) {
 	}
 }
 
-// TestAugmentPrepCachePreparesOnce is the regression guard for the PR 2
-// caching contract: a full run must prepare each candidate table exactly
-// once per (keys, granularity) — every materialize-pass join of a kept
-// candidate reuses the batch phase's preparation, so cache misses equal
-// cache entries and the materialize pass adds only hits.
+// TestAugmentPrepCachePreparesOnce is the guard for the caching contract:
+// a run prepares each soft or time-resample candidate once per (keys,
+// granularity) — the screen prepares it, and its batch join finds that
+// work — so cache misses equal cache entries. The fixture is Pickup, whose
+// every candidate has a soft time key, with a coreset small enough that the
+// screen cuts. A hard-key join reads its foreign table in place: on the
+// Poverty run, whose keys are all hard, the cache holds nothing.
 func TestAugmentPrepCachePreparesOnce(t *testing.T) {
-	res := tracedRun(t, 0, obs.New("augment"))
+	corpus := synth.Pickup(synth.Config{Seed: 71, Scale: 0.2})
+	cands := discovery.Discover(corpus.Base, corpus.Repo, corpus.Target, discovery.Options{})
+	res, err := Augment(corpus.Base, cands, Options{
+		Target:      corpus.Target,
+		CoresetSize: 40,
+		Budget:      20,
+		Selector:    &featsel.RIFS{Config: featsel.RIFSConfig{K: 3, Forest: featsel.ForestRanker{NTrees: 15, MaxDepth: 6}}},
+		Estimator:   fastEstimator(1),
+		Seed:        72,
+		Trace:       obs.New("augment"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := res.Trace.Counters
 	misses, entries, hits := c["prep_cache.misses"], c["prep_cache.entries"], c["prep_cache.hits"]
-	if entries == 0 {
-		t.Fatal("prep cache never used")
+	if res.CandidatesScreened == 0 || entries == 0 {
+		t.Fatalf("fixture did not engage the screen and the cache: %d screened out, %d entries", res.CandidatesScreened, entries)
 	}
 	if misses != entries {
 		t.Fatalf("prep cache misses %d != entries %d: some table was prepared more than once", misses, entries)
 	}
-	if len(res.KeptTables) > 0 && hits == 0 {
-		t.Fatalf("kept tables %v were materialized without any cache hit", res.KeptTables)
+	joined := 0
+	for _, b := range res.Batches {
+		joined += len(b.Tables)
+	}
+	t.Logf("pickup: %d of %d candidates screened out, %d prepared, %d hits, %d batch joins",
+		res.CandidatesScreened, len(cands), entries, hits, joined)
+	if hits < int64(joined) {
+		t.Fatalf("prep cache hits %d, want at least the %d batch joins of screened tables", hits, joined)
+	}
+
+	hard := tracedRun(t, 0, obs.New("augment")).Trace.Counters
+	if hard["prep_cache.entries"] != 0 || hard["prep_cache.hits"]+hard["prep_cache.misses"] != 0 {
+		t.Fatalf("a hard-key run used the prep cache: %d entries, %d hits, %d misses",
+			hard["prep_cache.entries"], hard["prep_cache.hits"], hard["prep_cache.misses"])
 	}
 }
 

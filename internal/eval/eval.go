@@ -61,19 +61,6 @@ func MacroF1(pred, truth []float64, classes int) float64 {
 	return sum / float64(classes)
 }
 
-// RMSE returns the root mean squared error.
-func RMSE(pred, truth []float64) float64 {
-	if len(pred) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i, p := range pred {
-		d := p - truth[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(pred)))
-}
-
 // R2 returns the coefficient of determination.
 func R2(pred, truth []float64) float64 {
 	if len(pred) == 0 {

@@ -3,6 +3,7 @@ package join
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"github.com/arda-ml/arda/internal/dataframe"
@@ -51,7 +52,7 @@ func compositeKey(cols []dataframe.Column, i int) (string, bool) {
 // skipping rows with a missing component: the number of groups
 // AggregateByKey would make.
 func DistinctKeys(cols []dataframe.Column, n int) int {
-	return len(groupRowsByKey(cols, n))
+	return groupRowsByKey(cols, n).len()
 }
 
 // Granularity detects the coarsest time unit (in seconds) that all present
@@ -78,79 +79,191 @@ func Granularity(unix []int64) int64 {
 	return 1
 }
 
-// aggregateGroups collapses each group of foreign-table rows into a single
-// row: numeric columns average their non-missing values, categorical columns
-// take the modal category, and time columns take the mean timestamp. groups
-// maps group ordinal -> member row indices. The returned table has one row
-// per group, in group-ordinal order. A malformed input table (duplicate
-// column names) surfaces as an error rather than aborting the process, so a
-// single bad candidate stays quarantinable.
-func aggregateGroups(t *dataframe.Table, groups [][]int) (*dataframe.Table, error) {
+// keyGroups groups rows by composite key in compressed sparse row form:
+// group g's rows are rows[off[g]:off[g+1]], ascending, and groups are
+// numbered in order of first appearance. Rows with a missing key component
+// belong to no group.
+type keyGroups struct {
+	off  []int
+	rows []int
+}
+
+// newKeyGroups lays rows out by group id (ids[i] < 0: no group) with one
+// counting sort over ngroups groups.
+func newKeyGroups(ids []int32, ngroups int) keyGroups {
+	off := make([]int, ngroups+1)
+	for _, g := range ids {
+		if g >= 0 {
+			off[g+1]++
+		}
+	}
+	for g := 1; g <= ngroups; g++ {
+		off[g] += off[g-1]
+	}
+	// off[g] is group g's start; it serves as g's cursor while the rows are
+	// placed, which leaves it at g's end, so shift the ends back by one group.
+	rows := make([]int, off[ngroups])
+	for i, g := range ids {
+		if g >= 0 {
+			rows[off[g]] = i
+			off[g]++
+		}
+	}
+	copy(off[1:], off[:ngroups])
+	off[0] = 0
+	return keyGroups{off: off, rows: rows}
+}
+
+// len returns the number of groups.
+func (kg keyGroups) len() int { return len(kg.off) - 1 }
+
+// members returns group g's rows.
+func (kg keyGroups) members(g int) []int { return kg.rows[kg.off[g]:kg.off[g+1]] }
+
+// stringGroupIDs is hashGroupIDs on string composite keys, the path for a
+// verified collision or a column kind the hasher does not model. The map
+// resolves a rendered key to its group.
+func stringGroupIDs(cols []dataframe.Column, n int) (ids []int32, index map[string]int32) {
+	ids = make([]int32, n)
+	index = make(map[string]int32)
+	for i := range ids {
+		key, ok := compositeKey(cols, i)
+		if !ok {
+			ids[i] = -1
+			continue
+		}
+		g, seen := index[key]
+		if !seen {
+			g = int32(len(index))
+			index[key] = g
+		}
+		ids[i] = g
+	}
+	return ids, index
+}
+
+// groupRowsByKey groups rows 0..n-1 by composite key, preferring the hashed
+// plane and falling back to string keys.
+func groupRowsByKey(cols []dataframe.Column, n int) keyGroups {
+	if kcs := newGroupHasher(cols); kcs != nil {
+		if ids, x, ok := hashGroupIDs(kcs, n); ok {
+			return newKeyGroups(ids, len(x.hash))
+		}
+	}
+	ids, index := stringGroupIDs(cols, n)
+	return newKeyGroups(ids, len(index))
+}
+
+// The reductions below collapse one group's rows to one value (§4 "Join
+// Cardinality"), visiting the members in row order: AggregateByKey applies
+// them to every group, the hard join to the groups base rows match.
+
+// meanFloat is the mean of the members' non-NaN values, NaN when there is
+// none.
+func meanFloat(vals []float64, members []int) float64 {
+	sum, cnt := 0.0, 0
+	for _, i := range members {
+		if v := vals[i]; !math.IsNaN(v) {
+			sum += v
+			cnt++
+		}
+	}
+	if cnt == 0 {
+		return math.NaN()
+	}
+	return sum / float64(cnt)
+}
+
+// meanTime is the (truncated) mean of the members' present timestamps,
+// MissingTime when there is none.
+func meanTime(unix []int64, members []int) int64 {
+	var sum int64
+	cnt := 0
+	for _, i := range members {
+		if v := unix[i]; v != dataframe.MissingTime {
+			sum += v
+			cnt++
+		}
+	}
+	if cnt == 0 {
+		return dataframe.MissingTime
+	}
+	return sum / int64(cnt)
+}
+
+// modeCode is the members' most frequent present code, the first to reach
+// the maximum count winning a tie; -1 when every code is missing. counts is
+// scratch, emptied first.
+func modeCode(codes []int, members []int, counts map[int]int) int {
+	if len(members) == 1 {
+		return max(codes[members[0]], -1)
+	}
+	clear(counts)
+	best, bestCode := 0, -1
+	for _, i := range members {
+		code := codes[i]
+		if code < 0 {
+			continue
+		}
+		counts[code]++
+		if counts[code] > best {
+			best, bestCode = counts[code], code
+		}
+	}
+	return bestCode
+}
+
+// aggregateGroups collapses each group of t's rows into a single row:
+// numeric columns average their non-missing values, categorical columns take
+// the modal category, and time columns take the mean timestamp. A key
+// column (named in keys) takes its group's first row's value instead, so the
+// result's key is exactly the group's key; a mean of equal floats need not
+// be. The returned table has one row per group, in group order. A malformed
+// input table (duplicate column names) surfaces as an error rather than
+// aborting the process, so a single bad candidate stays quarantinable.
+func aggregateGroups(t *dataframe.Table, groups keyGroups, keys []string) (*dataframe.Table, error) {
 	out := dataframe.MustNewTable(t.Name())
+	n := groups.len()
 	for _, c := range t.Columns() {
+		isKey := slices.Contains(keys, c.Name())
+		var ac dataframe.Column
 		switch col := c.(type) {
 		case *dataframe.NumericColumn:
-			vals := make([]float64, len(groups))
-			for g, members := range groups {
-				sum, cnt := 0.0, 0
-				for _, i := range members {
-					if v := col.Values[i]; !math.IsNaN(v) {
-						sum += v
-						cnt++
-					}
-				}
-				if cnt == 0 {
-					vals[g] = math.NaN()
+			vals := make([]float64, n)
+			for g := range vals {
+				if m := groups.members(g); isKey {
+					vals[g] = col.Values[m[0]]
 				} else {
-					vals[g] = sum / float64(cnt)
+					vals[g] = meanFloat(col.Values, m)
 				}
 			}
-			if err := out.AddColumn(dataframe.NewNumeric(c.Name(), vals)); err != nil {
-				return nil, fmt.Errorf("join: aggregating %q: %w", c.Name(), err)
-			}
+			ac = dataframe.NewNumeric(c.Name(), vals)
 		case *dataframe.CategoricalColumn:
-			codes := make([]int, len(groups))
+			codes := make([]int, n)
 			counts := make(map[int]int)
-			for g, members := range groups {
-				for k := range counts {
-					delete(counts, k)
-				}
-				best, bestCode := 0, -1
-				for _, i := range members {
-					code := col.Codes[i]
-					if code < 0 {
-						continue
-					}
-					counts[code]++
-					if counts[code] > best {
-						best, bestCode = counts[code], code
-					}
-				}
-				codes[g] = bestCode
-			}
-			if err := out.AddColumn(dataframe.NewCategoricalCodes(c.Name(), codes, col.Dict)); err != nil {
-				return nil, fmt.Errorf("join: aggregating %q: %w", c.Name(), err)
-			}
-		case *dataframe.TimeColumn:
-			unix := make([]int64, len(groups))
-			for g, members := range groups {
-				var sum int64
-				cnt := 0
-				for _, i := range members {
-					if v := col.Unix[i]; v != dataframe.MissingTime {
-						sum += v
-						cnt++
-					}
-				}
-				if cnt == 0 {
-					unix[g] = dataframe.MissingTime
+			for g := range codes {
+				if m := groups.members(g); isKey {
+					codes[g] = col.Codes[m[0]]
 				} else {
-					unix[g] = sum / int64(cnt)
+					codes[g] = modeCode(col.Codes, m, counts)
 				}
 			}
-			if err := out.AddColumn(dataframe.NewTime(c.Name(), unix)); err != nil {
-				return nil, fmt.Errorf("join: aggregating %q: %w", c.Name(), err)
+			ac = dataframe.NewCategoricalCodes(c.Name(), codes, col.Dict)
+		case *dataframe.TimeColumn:
+			unix := make([]int64, n)
+			for g := range unix {
+				if m := groups.members(g); isKey {
+					unix[g] = col.Unix[m[0]]
+				} else {
+					unix[g] = meanTime(col.Unix, m)
+				}
 			}
+			ac = dataframe.NewTime(c.Name(), unix)
+		default:
+			continue
+		}
+		if err := out.AddColumn(ac); err != nil {
+			return nil, fmt.Errorf("join: aggregating %q: %w", c.Name(), err)
 		}
 	}
 	return out, nil
@@ -170,33 +283,7 @@ func AggregateByKey(t *dataframe.Table, keyCols []string) (*dataframe.Table, err
 		}
 		cols[i] = c
 	}
-	return aggregateGroups(t, groupRowsByKey(cols, t.NumRows()))
-}
-
-// groupRowsByKey groups rows by composite key in first-appearance order,
-// preferring the hashed plane and falling back to string keys.
-func groupRowsByKey(cols []dataframe.Column, n int) [][]int {
-	if kcs := newGroupHasher(cols); kcs != nil {
-		if groups, ok := hashGroups(kcs, n); ok {
-			return groups
-		}
-	}
-	index := make(map[string]int)
-	var groups [][]int
-	for i := 0; i < n; i++ {
-		key, ok := compositeKey(cols, i)
-		if !ok {
-			continue
-		}
-		g, seen := index[key]
-		if !seen {
-			g = len(groups)
-			index[key] = g
-			groups = append(groups, nil)
-		}
-		groups[g] = append(groups[g], i)
-	}
-	return groups
+	return aggregateGroups(t, groupRowsByKey(cols, t.NumRows()), keyCols)
 }
 
 // ResampleTime buckets the named time (or numeric) column of t to the given

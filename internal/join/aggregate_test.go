@@ -3,6 +3,7 @@ package join
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/arda-ml/arda/internal/dataframe"
@@ -172,5 +173,42 @@ func TestImputeAllMissingCategorical(t *testing.T) {
 	filled := Impute(tab, rand.New(rand.NewSource(1)))
 	if filled != 0 {
 		t.Fatal("no observed values: nothing to impute from")
+	}
+}
+
+// TestRepeatedFloatKeyMatchesEveryRow: a numeric key that repeats groups its
+// rows under the key itself, not under a mean of equal floats (0.1 ×3 averages
+// to 0.10000000000000002), so every base row with that key matches — on the
+// hard path, which reads the foreign table in place, and on the
+// time-resample path, which aggregates it first.
+func TestRepeatedFloatKeyMatchesEveryRow(t *testing.T) {
+	base := dataframe.MustNewTable("b", dataframe.NewNumeric("k", []float64{0.1, 0.2, 0.3}))
+	foreign := dataframe.MustNewTable("f",
+		dataframe.NewNumeric("k", []float64{0.1, 0.1, 0.1, 0.2, 0.3}),
+		dataframe.NewNumeric("v", []float64{1, 2, 3, 4, 6}))
+	want := []float64{2, 4, 6}
+	for name, spec := range map[string]*Spec{
+		"hard": {Keys: []KeyPair{{BaseColumn: "k", ForeignColumn: "k", Kind: Hard}}},
+		"resample": {
+			Keys:         []KeyPair{{BaseColumn: "k", ForeignColumn: "k", Kind: Soft}},
+			Method:       HardExact,
+			TimeResample: true,
+		},
+	} {
+		res, err := Execute(base, foreign, spec, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := res.Table.Column("f.v").(*dataframe.NumericColumn).Values
+		if res.Matched != 3 || !slices.Equal(got, want) {
+			t.Fatalf("%s: matched %d, f.v = %v; want 3 and %v", name, res.Matched, got, want)
+		}
+	}
+	agg, err := ResampleTime(foreign, "k", 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := agg.Column("k").(*dataframe.NumericColumn).Values; !slices.Equal(got, []float64{0.1, 0.2, 0.3}) {
+		t.Fatalf("resampled keys = %v, want [0.1 0.2 0.3]", got)
 	}
 }

@@ -17,8 +17,8 @@ func BenchmarkDataplaneCompositeKey(b *testing.B) {
 	foreignCols := []dataframe.Column{foreign.Column("k"), foreign.Column("c")}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, ok := hashHardMatch(baseCols, foreignCols, n, n); !ok {
-			b.Fatal("unexpected fallback")
+		if _, _, matched := matchHardKeys(baseCols, foreignCols, n, n); matched == 0 {
+			b.Fatal("no base row matched")
 		}
 	}
 }
@@ -44,18 +44,19 @@ func BenchmarkDataplaneAggregate(b *testing.B) {
 	}
 }
 
+// BenchmarkDataplanePrep is a time-resample join with and without a warm
+// preparation cache (a hard-key join prepares nothing).
 func BenchmarkDataplanePrep(b *testing.B) {
-	base, foreign := benchTables(2000, 20000, 2000, 1)
-	spec := &Spec{Keys: []KeyPair{{BaseColumn: "k", ForeignColumn: "k", Kind: Hard}}}
+	base, foreign := resampleTables(2000)
 	b.Run("cached", func(b *testing.B) {
 		cache := NewPrepCache()
-		if _, err := ExecuteCached(base, foreign, spec, rand.New(rand.NewSource(1)), cache); err != nil {
+		if _, err := ExecuteCached(base, foreign, resampleSpec, rand.New(rand.NewSource(1)), cache); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := ExecuteCached(base, foreign, spec, rand.New(rand.NewSource(1)), cache); err != nil {
+			if _, err := ExecuteCached(base, foreign, resampleSpec, rand.New(rand.NewSource(1)), cache); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -63,7 +64,7 @@ func BenchmarkDataplanePrep(b *testing.B) {
 	b.Run("uncached", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Execute(base, foreign, spec, rand.New(rand.NewSource(1))); err != nil {
+			if _, err := Execute(base, foreign, resampleSpec, rand.New(rand.NewSource(1))); err != nil {
 				b.Fatal(err)
 			}
 		}

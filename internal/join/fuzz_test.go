@@ -29,11 +29,15 @@ func fuzzSpec(keys string, method int, tolerance float64, resample bool, prefix 
 }
 
 // FuzzJoinSpec drives Spec.Validate and Execute with arbitrary specs over a
-// pair of two-row tables holding one column of every kind (and a NaN, an Inf
-// and a missing time among the keys): a spec is either rejected with an error
-// or executed, never a panic, and an executed join keeps exactly the base's
-// rows and reports the columns it added. Discovery is noisy by design and
-// run specs arrive over HTTP, so a spec is untrusted input.
+// two-row base and a four-row foreign table holding one column of every kind
+// (and a NaN, an Inf and a missing time among the keys; the foreign table
+// repeats keys, holds "a" twice in one dictionary, a -0, and strings with
+// the composite separator and length-prefix bytes): a spec is either
+// rejected with an error or executed, never a panic, and an executed join
+// keeps exactly the base's rows and reports the columns it added. A hard-key
+// join also equals the frozen aggregate-then-gather join (reference_test.go),
+// on the hashed plane and under forced collisions. Discovery is noisy by
+// design and run specs arrive over HTTP, so a spec is untrusted input.
 func FuzzJoinSpec(f *testing.F) {
 	for _, seed := range []struct {
 		keys      string
@@ -59,24 +63,41 @@ func FuzzJoinSpec(f *testing.F) {
 		{"nope>k", 0, 0, false, ""},
 		{">", -3, 0, true, "\x00"},
 		{"", 0, 0, false, ""},
+		{"k>k", int(HardExact), 0, false, ""},
+		{"x>x", int(TwoWayNearest), 0, false, "d."},
+		{"k>k,s>s", int(TwoWayNearest), 0, false, ""},
+		{"nan>nan,k>k", int(TwoWayNearest), 0, false, ""},
+		{"x>k", int(TwoWayNearest), 0, false, ""},
+		{"ts>x,k>k", int(NearestNeighbor), 0, false, ""},
+		{"ts>ts", int(TwoWayNearest), 0, false, ""},
+		{"x>x:s", int(HardExact), 0, false, ""},
 	} {
 		f.Add(seed.keys, seed.method, seed.tolerance, seed.resample, seed.prefix)
 	}
 
-	mk := func(name string, shift float64) *dataframe.Table {
-		return dataframe.MustNewTable(name,
-			dataframe.NewCategorical("k", []string{"a", "b"}),
-			dataframe.NewNumeric("x", []float64{1 + shift, 2 + shift}),
-			dataframe.NewNumeric("lat", []float64{40.7 + shift, 40.8}),
-			dataframe.NewNumeric("lon", []float64{-74, -73.9 + shift}),
-			dataframe.NewNumeric("nan", []float64{math.NaN(), 1}),
-			dataframe.NewNumeric("inf", []float64{math.Inf(1), 1}),
-			dataframe.NewTime("ts", []int64{1514764800 + int64(shift*3600), dataframe.MissingTime}),
-			dataframe.NewNumeric("v", []float64{10 * shift, 20}),
-		)
-	}
+	base := dataframe.MustNewTable("base",
+		dataframe.NewCategorical("k", []string{"a", "b"}),
+		dataframe.NewCategorical("s", []string{"a\x1fb", "1:a"}),
+		dataframe.NewNumeric("x", []float64{1, 2}),
+		dataframe.NewNumeric("lat", []float64{40.7, 40.8}),
+		dataframe.NewNumeric("lon", []float64{-74, -73.9}),
+		dataframe.NewNumeric("nan", []float64{math.NaN(), 1}),
+		dataframe.NewNumeric("inf", []float64{math.Inf(1), 1}),
+		dataframe.NewTime("ts", []int64{1514764800, dataframe.MissingTime}),
+		dataframe.NewNumeric("v", []float64{0, 20}),
+	)
+	foreign := dataframe.MustNewTable("foreign",
+		dataframe.NewCategoricalCodes("k", []int{0, 1, 2, 2}, []string{"a", "b", "a"}),
+		dataframe.NewCategorical("s", []string{"a\x1fb", "1:a", "a\x1fb", "1"}),
+		dataframe.NewNumeric("x", []float64{1, 2.25, 1, math.Copysign(0, -1)}),
+		dataframe.NewNumeric("lat", []float64{40.95, 40.8, 40.7, 40.7}),
+		dataframe.NewNumeric("lon", []float64{-74, -73.65, -74, -74}),
+		dataframe.NewNumeric("nan", []float64{math.NaN(), 1, 1, math.NaN()}),
+		dataframe.NewNumeric("inf", []float64{math.Inf(1), 1, 1, 1}),
+		dataframe.NewTime("ts", []int64{1514765700, dataframe.MissingTime, 1514765700, 1514764800}),
+		dataframe.NewNumeric("v", []float64{2.5, 20, 3.5, 0.1}),
+	)
 	f.Fuzz(func(t *testing.T, keys string, method int, tolerance float64, resample bool, prefix string) {
-		base, foreign := mk("base", 0), mk("foreign", 0.25)
 		spec := fuzzSpec(keys, method, tolerance, resample, prefix)
 		verr := spec.Validate(base, foreign)
 		res, err := Execute(base, foreign, spec, rand.New(rand.NewSource(1)))
@@ -94,6 +115,11 @@ func FuzzJoinSpec(f *testing.F) {
 			if !res.Table.HasColumn(name) {
 				t.Fatalf("added column %q is not in the result", name)
 			}
+		}
+		if spec.exact() {
+			requireMatchesReference(t, base, foreign, spec, res, err)
+			withHashMask(0, func() { res, err = Execute(base, foreign, spec, nil) })
+			requireMatchesReference(t, base, foreign, spec, res, err)
 		}
 	})
 }

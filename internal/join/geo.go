@@ -176,7 +176,7 @@ func geoJoin(base, foreign *dataframe.Table, spec *Spec, prefix string) (*Result
 			matched++
 		}
 	}
-	return assemble(base, foreign.Gather(match), spec, prefix, matched)
+	return assemble(base, foreign.Gather(match).Columns(), spec, prefix, matched)
 }
 
 // buildGeoGroups partitions present foreign coordinate rows by hard composite

@@ -221,68 +221,78 @@ func newGroupHasher(cols []dataframe.Column) []keyCol {
 	return out
 }
 
-// hashGroups groups rows 0..n-1 by hashed composite key, in first-appearance
-// order exactly like the string path. Rows with missing key components are
-// skipped. ok is false when a verified hash collision between distinct keys
-// is found (caller must rerun on the string path).
-func hashGroups(cols []keyCol, n int) (groups [][]int, ok bool) {
-	index := make(map[uint64]int, n)
-	rep := make([]int, 0, 16) // group ordinal -> representative row
-	for i := 0; i < n; i++ {
-		key, present := compositeHash(cols, i)
-		if !present {
-			continue
-		}
-		g, seen := index[key]
-		if !seen {
-			g = len(groups)
-			index[key] = g
-			groups = append(groups, nil)
-			rep = append(rep, i)
-		} else if !keyEq(cols, i, cols, rep[g]) {
-			return nil, false
-		}
-		groups[g] = append(groups[g], i)
-	}
-	return groups, true
+// hashIndex maps composite-key hashes to group ids by open addressing with
+// linear probing. Grouping stops at the first verified collision, so each
+// hash belongs to at most one group.
+type hashIndex struct {
+	slot  []int32  // group id + 1 per slot; 0 marks an empty slot
+	hash  []uint64 // per group: its key's hash
+	first []int    // per group: its first row, the key's representative
+	mask  uint64
 }
 
-// hashHardMatch builds the hashed-key LEFT-join match vector: match[i] is the
-// foreign row whose key equals base row i's key (-1 when unmatched). ok is
-// false when the spec is unsupported by the hasher or a verified collision
-// occurred; the caller then reruns the string path.
-func hashHardMatch(baseCols, foreignCols []dataframe.Column, nBase, nForeign int) (match []int, matched int, ok bool) {
-	h := newJoinHasher(baseCols, foreignCols)
-	if h == nil {
-		return nil, 0, false
+// newHashIndex returns an index sized for up to n groups at load ≤ 1/2.
+func newHashIndex(n int) *hashIndex {
+	size := 2
+	for size < 2*n {
+		size <<= 1
 	}
-	index := make(map[uint64]int, nForeign)
-	for i := 0; i < nForeign; i++ {
-		key, present := h.foreignKey(i)
+	return &hashIndex{
+		slot:  make([]int32, size),
+		hash:  make([]uint64, 0, n),
+		first: make([]int, 0, n),
+		mask:  uint64(size - 1),
+	}
+}
+
+// find returns the group whose key hashes to h, or -1 when there is none.
+func (x *hashIndex) find(h uint64) int {
+	for p := h & x.mask; ; p = (p + 1) & x.mask {
+		s := x.slot[p]
+		if s == 0 {
+			return -1
+		}
+		if x.hash[s-1] == h {
+			return int(s - 1)
+		}
+	}
+}
+
+// group returns the group of hash h, opening one with row i as its first
+// row when h has none yet (fresh).
+func (x *hashIndex) group(h uint64, i int) (g int, fresh bool) {
+	p := h & x.mask
+	for ; x.slot[p] != 0; p = (p + 1) & x.mask {
+		if g := x.slot[p] - 1; x.hash[g] == h {
+			return int(g), false
+		}
+	}
+	g = len(x.hash)
+	x.slot[p] = int32(g + 1)
+	x.hash = append(x.hash, h)
+	x.first = append(x.first, i)
+	return g, true
+}
+
+// hashGroupIDs numbers rows 0..n-1 by hashed composite key, in order of first
+// appearance exactly like the string path: ids[i] is row i's group, -1 when a
+// key component is missing. The index resolves a hash to its group. ok is
+// false when a verified hash collision between distinct keys is found (the
+// caller reruns on the string path).
+func hashGroupIDs(cols []keyCol, n int) (ids []int32, x *hashIndex, ok bool) {
+	ids = make([]int32, n)
+	x = newHashIndex(n)
+	for i := range ids {
+		key, present := compositeHash(cols, i)
 		if !present {
+			ids[i] = -1
 			continue
 		}
-		if j, seen := index[key]; seen && !h.eqFF(i, j) {
-			return nil, 0, false
+		g, fresh := x.group(key, i)
+		if !fresh && !keyEq(cols, i, cols, x.first[g]) {
+			return nil, nil, false
 		}
-		// Duplicate keys overwrite, matching the string path's map semantics.
-		index[key] = i
+		ids[i] = int32(g)
 	}
-	match = make([]int, nBase)
-	for i := range match {
-		match[i] = -1
-		key, present := h.baseKey(i)
-		if !present {
-			continue
-		}
-		if j, found := index[key]; found && h.eqBF(i, j) {
-			// A lookup hit that fails verification is a base key whose hash
-			// equals a different foreign key's hash. No other foreign key can
-			// own that hash (a second one would have collided above), so
-			// "unmatched" is already the correct answer — no fallback needed.
-			match[i] = j
-			matched++
-		}
-	}
-	return match, matched, true
+	return ids, x, true
 }

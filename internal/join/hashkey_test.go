@@ -335,11 +335,11 @@ func TestMaskZeroReachesStringPlane(t *testing.T) {
 	baseCols := []dataframe.Column{base.Column("k"), base.Column("c")}
 	foreignCols := []dataframe.Column{foreign.Column("k"), foreign.Column("c")}
 	withHashMask(0, func() {
-		if _, _, ok := hashHardMatch(baseCols, foreignCols, 50, 50); ok {
-			t.Fatal("hashHardMatch accepted colliding keys under mask 0")
+		if _, _, ok := hashGroupIDs(newJoinHasher(baseCols, foreignCols).foreign, 50); ok {
+			t.Fatal("hashGroupIDs accepted the join's colliding keys under mask 0")
 		}
-		if _, ok := hashGroups(newGroupHasher(foreignCols), 50); ok {
-			t.Fatal("hashGroups accepted colliding keys under mask 0")
+		if _, _, ok := hashGroupIDs(newGroupHasher(foreignCols), 50); ok {
+			t.Fatal("hashGroupIDs accepted colliding keys under mask 0")
 		}
 	})
 }
@@ -400,65 +400,123 @@ func largeKeyTables(n int) (*dataframe.Table, *dataframe.Table) {
 	return base, foreign
 }
 
-// TestHashHardMatchAllocs is the allocation-regression gate for the
-// composite-key hot loop: the hashed plane must allocate far less than the
-// per-row string building it replaces.
-func TestHashHardMatchAllocs(t *testing.T) {
+// hardJoinTables builds an n-row base whose keys draw from a unique-key
+// m-row foreign table with four columns (the key, a numeric, a categorical
+// and a time column); every seventh base key has no foreign row.
+func hardJoinTables(n, m int) (*dataframe.Table, *dataframe.Table) {
+	bk := make([]float64, n)
+	for i := range bk {
+		bk[i] = float64(i * 13 % m)
+		if i%7 == 0 {
+			bk[i] = float64(m + i)
+		}
+	}
+	fk := make([]float64, m)
+	fv := make([]float64, m)
+	fc := make([]string, m)
+	ft := make([]int64, m)
+	for i := range fk {
+		fk[i] = float64(i)
+		fv[i] = float64(2*i) + 0.5
+		fc[i] = fmt.Sprintf("c%d", i%5)
+		ft[i] = int64(i) * 3600
+	}
+	base := dataframe.MustNewTable("b", dataframe.NewNumeric("k", bk))
+	foreign := dataframe.MustNewTable("f",
+		dataframe.NewNumeric("k", fk),
+		dataframe.NewNumeric("v", fv),
+		dataframe.NewCategorical("c", fc),
+		dataframe.NewTime("t", ft))
+	return base, foreign
+}
+
+// TestHardJoinAllocs is the allocation-regression gate for the hard join:
+// joining a 256-row base to a unique-key foreign table reads the foreign
+// table in place, so its allocations are per column and per join, not per
+// row, and a foreign table ten times longer costs no more of them.
+func TestHardJoinAllocs(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("AllocsPerRun is unreliable under -race")
 	}
-	const n = 2000
-	base, foreign := largeKeyTables(n)
-	baseCols := []dataframe.Column{base.Column("k"), base.Column("c")}
-	foreignCols := []dataframe.Column{foreign.Column("k"), foreign.Column("c")}
-
-	hashAllocs := testing.AllocsPerRun(10, func() {
-		if _, _, ok := hashHardMatch(baseCols, foreignCols, n, n); !ok {
-			t.Fatal("hashHardMatch fell back unexpectedly")
-		}
-	})
-	stringAllocs := testing.AllocsPerRun(10, func() {
-		stringHardMatch(baseCols, foreignCols, n, n)
-	})
-	// The string plane allocates at least one composite key per row on both
-	// sides; the hashed plane should cut total allocations by well over 2x.
-	if hashAllocs*2 > stringAllocs {
-		t.Fatalf("hashed plane allocates too much: %.0f allocs vs %.0f string-plane allocs",
-			hashAllocs, stringAllocs)
+	spec := &Spec{Keys: []KeyPair{{BaseColumn: "k", ForeignColumn: "k", Kind: Hard}}}
+	allocs := func(m int) float64 {
+		base, foreign := hardJoinTables(256, m)
+		return testing.AllocsPerRun(10, func() {
+			if _, err := Execute(base, foreign, spec, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	if stringAllocs < n {
-		t.Fatalf("string plane unexpectedly cheap (%.0f allocs) — baseline invalid", stringAllocs)
+	short, long := allocs(2000), allocs(20000)
+	if short > 48 {
+		t.Fatalf("hard join of 256 rows onto 2,000 made %.0f allocations, want ≤ 48 (O(columns))", short)
+	}
+	if long != short {
+		t.Fatalf("hard join allocations grow with the foreign table: %.0f at 2,000 rows, %.0f at 20,000", short, long)
 	}
 }
 
+// resampleTables builds a daily base and an hourly foreign table over the
+// same days, the shape a time-resample join prepares.
+func resampleTables(days int) (*dataframe.Table, *dataframe.Table) {
+	bt := make([]int64, days)
+	for i := range bt {
+		bt[i] = int64(i) * 86400
+	}
+	ft := make([]int64, 24*days)
+	fv := make([]float64, len(ft))
+	for i := range ft {
+		ft[i] = int64(i) * 3600
+		fv[i] = float64(i%24) + 0.25*float64(i/24)
+	}
+	base := dataframe.MustNewTable("b", dataframe.NewTime("ts", bt))
+	foreign := dataframe.MustNewTable("f", dataframe.NewTime("ts", ft), dataframe.NewNumeric("v", fv))
+	return base, foreign
+}
+
+// resampleSpec joins resampleTables' pair on the time key, resampled.
+var resampleSpec = &Spec{
+	Keys:         []KeyPair{{BaseColumn: "ts", ForeignColumn: "ts", Kind: Soft}},
+	Method:       HardExact,
+	TimeResample: true,
+}
+
 // TestPrepCacheReuse verifies ExecuteCached prepares a foreign table once per
-// (table, keys, granularity) and that cached reuse is bit-identical to a
-// fresh execution.
+// (table, keys, granularity), that cached reuse is bit-identical to a fresh
+// execution, and that a hard-key join leaves the cache empty.
 func TestPrepCacheReuse(t *testing.T) {
-	base, foreign := largeKeyTables(200)
-	spec := &Spec{Keys: []KeyPair{
-		{BaseColumn: "k", ForeignColumn: "k", Kind: Hard},
-		{BaseColumn: "c", ForeignColumn: "c", Kind: Hard},
-	}}
+	base, foreign := resampleTables(30)
 	cache := NewPrepCache()
-	first, err := ExecuteCached(base, foreign, spec, rand.New(rand.NewSource(1)), cache)
+	first, err := ExecuteCached(base, foreign, resampleSpec, rand.New(rand.NewSource(1)), cache)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cache.Len() != 1 {
 		t.Fatalf("cache has %d entries, want 1", cache.Len())
 	}
-	second, err := ExecuteCached(base, foreign, spec, rand.New(rand.NewSource(1)), cache)
+	second, err := ExecuteCached(base, foreign, resampleSpec, rand.New(rand.NewSource(1)), cache)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cache.Len() != 1 {
 		t.Fatalf("cache grew to %d entries on reuse", cache.Len())
 	}
-	fresh, err := Execute(base, foreign, spec, rand.New(rand.NewSource(1)))
+	if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("cache stats %+v, want 1 hit and 1 miss", st)
+	}
+	fresh, err := Execute(base, foreign, resampleSpec, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireTablesIdentical(t, first.Table, second.Table)
 	requireTablesIdentical(t, first.Table, fresh.Table)
+
+	hb, hf := hardJoinTables(64, 200)
+	hard := NewPrepCache()
+	if _, err := ExecuteCached(hb, hf, &Spec{Keys: []KeyPair{{BaseColumn: "k", ForeignColumn: "k", Kind: Hard}}}, nil, hard); err != nil {
+		t.Fatal(err)
+	}
+	if st := hard.Stats(); hard.Len() != 0 || st.Hits+st.Misses != 0 {
+		t.Fatalf("a hard-key join reached the cache: %d entries, %+v", hard.Len(), st)
+	}
 }

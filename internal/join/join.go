@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"github.com/arda-ml/arda/internal/dataframe"
@@ -22,18 +23,20 @@ type Result struct {
 
 // Execute performs the LEFT join described by spec, appending the foreign
 // table's non-key columns (renamed with the spec prefix) to the base table.
-// Foreign tables are pre-aggregated on the join key so the result has exactly
-// the base table's rows. Unmatched rows hold missing values (impute after).
+// The foreign rows sharing a key are reduced to one (mean, mode) so the
+// result has exactly the base table's rows. Unmatched rows hold missing
+// values (impute after).
 // rng drives categorical tie-breaking in two-way-nearest interpolation; it
 // may be nil when the method is not TwoWayNearest.
 func Execute(base, foreign *dataframe.Table, spec *Spec, rng *rand.Rand) (*Result, error) {
 	return ExecuteCached(base, foreign, spec, rng, nil)
 }
 
-// ExecuteCached is Execute with a preparation cache: when the same foreign
-// table was already aggregated/resampled under the same key set and
-// granularity, the prepared table is reused instead of recomputed. A nil
-// cache behaves exactly like Execute.
+// ExecuteCached is Execute with a preparation cache: when a soft, geo or
+// time-resample join finds its foreign table already aggregated/resampled
+// under the same key set and granularity, the prepared table is reused
+// instead of recomputed. A hard-key join prepares nothing and never touches
+// the cache. A nil cache behaves exactly like Execute.
 func ExecuteCached(base, foreign *dataframe.Table, spec *Spec, rng *rand.Rand, cache *PrepCache) (*Result, error) {
 	if err := spec.Validate(base, foreign); err != nil {
 		return nil, err
@@ -42,18 +45,16 @@ func ExecuteCached(base, foreign *dataframe.Table, spec *Spec, rng *rand.Rand, c
 	if prefix == "" {
 		prefix = foreign.Name() + "."
 	}
+	// A hard-key join reads the foreign table in place. The soft, geo and
+	// time-resample joins first reduce the foreign table to one row per key
+	// (one-to-many and many-to-many become *-to-one); that preparation
+	// depends only on (foreign, keys, granularity), never on the base rows,
+	// so it is memoized across the screen, the batches and materialize.
+	if spec.exact() {
+		return hardJoin(base, foreign, spec, prefix)
+	}
 	soft, hasSoft := spec.softKey()
 	hard := spec.hardKeys()
-
-	foreignKeyCols := make([]string, 0, len(spec.Keys))
-	for _, kp := range spec.Keys {
-		foreignKeyCols = append(foreignKeyCols, kp.ForeignColumn)
-	}
-
-	// Pre-aggregate the foreign table so every key is unique (reduces
-	// one-to-many and many-to-many joins to the *-to-one case). The
-	// preparation depends only on (foreign, keys, granularity) — never on the
-	// base rows — so it is memoizable across batches and the materialize pass.
 	var prepared *dataframe.Table
 	var err error
 	if hasSoft && spec.TimeResample && spec.Method != GeoNearest {
@@ -65,6 +66,10 @@ func ExecuteCached(base, foreign *dataframe.Table, spec *Spec, rng *rand.Rand, c
 		prepared, err = cache.prepare(foreign, prepSpec("resample", append([]string{soft.ForeignColumn}, hardCols...), gran),
 			func() (*dataframe.Table, error) { return ResampleTime(foreign, soft.ForeignColumn, gran, hardCols) })
 	} else {
+		foreignKeyCols := make([]string, 0, len(spec.Keys))
+		for _, kp := range spec.Keys {
+			foreignKeyCols = append(foreignKeyCols, kp.ForeignColumn)
+		}
 		prepared, err = cache.prepare(foreign, prepSpec("aggregate", foreignKeyCols, 0),
 			func() (*dataframe.Table, error) { return AggregateByKey(foreign, foreignKeyCols) })
 	}
@@ -75,7 +80,7 @@ func ExecuteCached(base, foreign *dataframe.Table, spec *Spec, rng *rand.Rand, c
 	switch {
 	case spec.Method == GeoNearest:
 		return geoJoin(base, prepared, spec, prefix)
-	case !hasSoft || spec.Method == HardExact:
+	case spec.Method == HardExact:
 		return hardJoin(base, prepared, spec, prefix)
 	default:
 		return softJoin(base, prepared, spec, soft, hard, prefix, rng)
@@ -91,43 +96,120 @@ func baseGranularity(c dataframe.Column) int64 {
 	return 1
 }
 
-// hardJoin matches base rows to prepared foreign rows on exact composite-key
-// equality, hashing keys when the key columns support it and falling back to
-// string composite keys otherwise.
+// hardJoin matches base rows to foreign rows on exact composite-key
+// equality and appends the foreign feature columns, reading the foreign
+// table in place: its keys are grouped once and each added column is built
+// for the base rows only. A key's foreign rows are reduced under
+// aggregateGroups' rules (§4 "Join Cardinality"), a key with several rows
+// once, however many base rows match it.
 func hardJoin(base, foreign *dataframe.Table, spec *Spec, prefix string) (*Result, error) {
 	baseCols := make([]dataframe.Column, len(spec.Keys))
 	foreignCols := make([]dataframe.Column, len(spec.Keys))
+	keys := make([]string, len(spec.Keys))
 	for i, kp := range spec.Keys {
 		baseCols[i] = base.Column(kp.BaseColumn)
 		foreignCols[i] = foreign.Column(kp.ForeignColumn)
+		keys[i] = kp.ForeignColumn
 	}
-	match, matched, ok := hashHardMatch(baseCols, foreignCols, base.NumRows(), foreign.NumRows())
-	if !ok {
-		match, matched = stringHardMatch(baseCols, foreignCols, base.NumRows(), foreign.NumRows())
+	groups, pick, matched := matchHardKeys(baseCols, foreignCols, base.NumRows(), foreign.NumRows())
+	reduced := make([]dataframe.Column, 0, foreign.NumCols())
+	var counts map[int]int
+	for _, c := range foreign.Columns() {
+		if slices.Contains(keys, c.Name()) {
+			continue
+		}
+		var rc dataframe.Column
+		switch col := c.(type) {
+		case *dataframe.NumericColumn:
+			rc = dataframe.NewNumeric(c.Name(), spread(pick, groups, math.NaN(),
+				func(m []int) float64 { return meanFloat(col.Values, m) }))
+		case *dataframe.CategoricalColumn:
+			if counts == nil {
+				counts = make(map[int]int)
+			}
+			rc = dataframe.NewCategoricalCodes(c.Name(), spread(pick, groups, -1,
+				func(m []int) int { return modeCode(col.Codes, m, counts) }), col.Dict)
+		case *dataframe.TimeColumn:
+			rc = dataframe.NewTime(c.Name(), spread(pick, groups, dataframe.MissingTime,
+				func(m []int) int64 { return meanTime(col.Unix, m) }))
+		default:
+			continue
+		}
+		reduced = append(reduced, rc)
 	}
-	return assemble(base, foreign.Gather(match), spec, prefix, matched)
+	return assemble(base, reduced, spec, prefix, matched)
 }
 
-// stringHardMatch is the string-composite-key match path, used when the
-// hashed plane cannot model the key columns or detected a hash collision.
-func stringHardMatch(baseCols, foreignCols []dataframe.Column, nBase, nForeign int) (match []int, matched int) {
-	index := make(map[string]int, nForeign)
-	for i := 0; i < nForeign; i++ {
-		if key, ok := compositeKey(foreignCols, i); ok {
-			index[key] = i
+// spread builds one added column over the base rows: missing where pick is
+// -1, else the reduction of the picked group's members. A group with
+// several members is reduced once and its value reused for every base row
+// that picked it.
+func spread[T any](pick []int, groups keyGroups, missing T, reduce func(members []int) T) []T {
+	out := make([]T, len(pick))
+	var memo map[int]T
+	for i, g := range pick {
+		if g < 0 {
+			out[i] = missing
+			continue
+		}
+		m := groups.members(g)
+		if len(m) == 1 {
+			out[i] = reduce(m)
+			continue
+		}
+		v, ok := memo[g]
+		if !ok {
+			if memo == nil {
+				memo = make(map[int]T)
+			}
+			v = reduce(m)
+			memo[g] = v
+		}
+		out[i] = v
+	}
+	return out
+}
+
+// matchHardKeys groups the foreign rows by composite key and resolves every
+// base row to its key's group: pick[i] is the group, -1 when base row i has
+// a missing key component or no foreign row shares its key. The hashed
+// plane groups with the joiner's canonical key, so base and foreign
+// categorical codes compare through one dictionary; a verified collision or
+// a key pair the hasher does not model takes the string path, which groups
+// and probes the same way.
+func matchHardKeys(baseCols, foreignCols []dataframe.Column, nBase, nForeign int) (groups keyGroups, pick []int, matched int) {
+	pick = make([]int, nBase)
+	if h := newJoinHasher(baseCols, foreignCols); h != nil {
+		if ids, x, ok := hashGroupIDs(h.foreign, nForeign); ok {
+			for i := range pick {
+				pick[i] = -1
+				key, present := h.baseKey(i)
+				if !present {
+					continue
+				}
+				// A hit failing verification is a base key whose hash equals
+				// a different foreign key's. No other foreign key can own
+				// that hash (grouping would have found the collision), so
+				// the base row is unmatched.
+				if g := x.find(key); g >= 0 && h.eqBF(i, x.first[g]) {
+					pick[i] = g
+					matched++
+				}
+			}
+			return newKeyGroups(ids, len(x.hash)), pick, matched
 		}
 	}
-	match = make([]int, nBase)
-	for i := range match {
-		match[i] = -1
+	ids, index := stringGroupIDs(foreignCols, nForeign)
+	for i := range pick {
+		pick[i] = -1
 		if key, ok := compositeKey(baseCols, i); ok {
-			if j, found := index[key]; found {
-				match[i] = j
+			if g, found := index[key]; found {
+				pick[i] = int(g)
 				matched++
 			}
 		}
 	}
-	return match, matched
+	return newKeyGroups(ids, len(index)), pick, matched
 }
 
 // softGroup holds a hard-key group's foreign rows sorted by soft-key value.
@@ -309,9 +391,9 @@ func softJoin(base, foreign *dataframe.Table, spec *Spec, soft KeyPair, hard []K
 		if err != nil {
 			return nil, err
 		}
-		return assemble(base, blended, spec, prefix, matched)
+		return assemble(base, blended.Columns(), spec, prefix, matched)
 	}
-	return assemble(base, foreign.Gather(low), spec, prefix, matched)
+	return assemble(base, foreign.Gather(low).Columns(), spec, prefix, matched)
 }
 
 // blendRows builds a table whose row i is λ·foreign[low[i]] +
@@ -387,14 +469,14 @@ func blendRows(foreign *dataframe.Table, low, high []int, lambda []float64, rng 
 
 // assemble appends the matched foreign feature columns (all but the join
 // keys) to the base table under the given prefix.
-func assemble(base, matched *dataframe.Table, spec *Spec, prefix string, matchCount int) (*Result, error) {
+func assemble(base *dataframe.Table, matched []dataframe.Column, spec *Spec, prefix string, matchCount int) (*Result, error) {
 	keyCols := make(map[string]bool, len(spec.Keys))
 	for _, kp := range spec.Keys {
 		keyCols[kp.ForeignColumn] = true
 	}
 	out := dataframe.MustNewTable(base.Name(), base.Columns()...)
 	res := &Result{Table: out, Matched: matchCount}
-	for _, c := range matched.Columns() {
+	for _, c := range matched {
 		if keyCols[c.Name()] {
 			continue
 		}

@@ -10,12 +10,14 @@ import (
 	"github.com/arda-ml/arda/internal/dataframe"
 )
 
-// PrepCache memoizes Execute's foreign-table preparation (key aggregation or
-// time resampling). The ARDA pipeline prepares the same candidate table up to
-// three times — when screening it against the coreset, when joining its batch,
-// and again when materializing kept features over the full base table — and
-// the preparation depends only on the foreign table, the key set, and the
-// resample granularity, never on the base rows. Entries are keyed by the
+// PrepCache memoizes Execute's foreign-table preparation for soft, geo and
+// time-resample joins (key aggregation or time resampling); a hard-key join
+// reads its foreign table in place and prepares nothing. The ARDA pipeline
+// joins the same candidate table up to three times — when screening it
+// against the coreset, when joining its batch, and again when materializing
+// kept features over the full base table — and the preparation depends only
+// on the foreign table, the key set, and the resample granularity, never on
+// the base rows. Entries are keyed by the
 // foreign table's identity (pointer), so the cache is only valid while
 // candidate tables are not mutated; the pipeline guarantees that by joining
 // into fresh/cloned work tables. Create one cache per Augment run and drop it

@@ -1,7 +1,7 @@
 // Package join implements ARDA's augmentation joins (§4 of the paper). Only
 // LEFT joins are supported — the join must preserve every base-table row and
 // add no rows — so one-to-many and many-to-many matches are reduced to
-// *-to-one by pre-aggregating the foreign table on its join key. Hard keys
+// *-to-one by aggregating the foreign rows that share a key. Hard keys
 // match exactly; soft keys (time, location, age, …) match by proximity via
 // nearest-neighbour or two-way nearest-neighbour interpolation, optionally
 // after resampling a finer-grained time key to the base table's granularity.
@@ -172,6 +172,17 @@ func (s *Spec) softKey() (KeyPair, bool) {
 		}
 	}
 	return KeyPair{}, false
+}
+
+// exact reports whether every key pair matches by equality with nothing to
+// prepare: no soft key, or a soft key forced to HardExact without time
+// resampling. Such a join reads the foreign table in place.
+func (s *Spec) exact() bool {
+	if s.Method == GeoNearest {
+		return false
+	}
+	_, soft := s.softKey()
+	return !soft || (s.Method == HardExact && !s.TimeResample)
 }
 
 // hardKeys returns the hard key pairs.

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -49,10 +50,12 @@ func treeAllocs(t *Tree) uint64 {
 }
 
 // TestBootstrapTreeAllocs: once a workspace has served one bootstrap tree of
-// a forest, every further tree allocates nothing but its Tree, however many
-// distinct rows its bootstrap drew. The workspace is sized by the sample
-// count, which every tree of a forest shares; sized by the unit count, it
-// regrew whenever a bootstrap drew more distinct rows than any before.
+// a forest, every further tree — its bootstrap draw included — allocates
+// nothing but its Tree, however many distinct rows its bootstrap drew. The
+// workspace is sized by the sample count, which every tree of a forest
+// shares (sized by the unit count, it regrew whenever a bootstrap drew more
+// distinct rows than any before), and its RNG is reseeded, not reallocated,
+// which grows the same tree a fresh rand.NewSource(seed) does.
 func TestBootstrapTreeAllocs(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("MemStats counts the race detector's bookkeeping; run via `make alloc`")
@@ -68,29 +71,31 @@ func TestBootstrapTreeAllocs(t *testing.T) {
 	} {
 		_, tc := resolveForestConfig(sh.ds, sh.cfg)
 		ss := splitSetFor(sh.ds, tc, 1)
-		ws := treeScratch.Get()
-		drawBootstrap(ws, ss.n, rand.New(rand.NewSource(0)))
-		fitTreeFromSplitSet(ss, tc, rand.New(rand.NewSource(0)), ws)
+		ws, fresh := &treeWorkspace{}, &treeWorkspace{}
+		ws.bootstrapTree(ss, tc, 0)
 		minUnits, maxUnits := ss.n, 0
 		for seed := int64(1); seed <= 20; seed++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			tree := ws.bootstrapTree(ss, tc, seed)
+			runtime.ReadMemStats(&after)
+
 			rng := rand.New(rand.NewSource(seed))
-			drawBootstrap(ws, ss.n, rng)
+			drawBootstrap(fresh, ss.n, rng)
 			units := 0
-			for _, c := range ws.cnt {
+			for _, c := range fresh.cnt {
 				if c > 0 {
 					units++
 				}
 			}
 			minUnits, maxUnits = min(minUnits, units), max(maxUnits, units)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			tree := fitTreeFromSplitSet(ss, tc, rng, ws)
-			runtime.ReadMemStats(&after)
 			if got, want := after.Mallocs-before.Mallocs, treeAllocs(tree); got != want {
 				t.Errorf("%s, bootstrap %d (%d units): %d allocations, want the tree's %d", sh.name, seed, units, got, want)
 			}
+			if want := fitTreeFromSplitSet(ss, tc, rng, fresh); !reflect.DeepEqual(tree, want) {
+				t.Errorf("%s, bootstrap %d: the reseeded stream grew a different tree than a fresh source", sh.name, seed)
+			}
 		}
-		treeScratch.Put(ws)
 		if minUnits == maxUnits {
 			t.Fatalf("%s: every bootstrap drew %d distinct rows; the test needs them to vary", sh.name, minUnits)
 		}

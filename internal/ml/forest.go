@@ -104,15 +104,26 @@ func splitSetFor(ds *Dataset, tc TreeConfig, workers int) *splitSet {
 }
 
 // bootstrapTree draws one bootstrap sample and grows one tree from the
-// shared split set. The RNG stream is n Intn draws for the bootstrap, then
-// MTry shuffles inside tree growth.
+// shared split set in a pooled workspace.
 func bootstrapTree(ss *splitSet, tc TreeConfig, seed int64) *Tree {
-	rng := rand.New(rand.NewSource(seed))
 	ws := treeScratch.Get()
-	drawBootstrap(ws, ss.n, rng)
-	t := fitTreeFromSplitSet(ss, tc, rng, ws)
+	t := ws.bootstrapTree(ss, tc, seed)
 	treeScratch.Put(ws)
 	return t
+}
+
+// bootstrapTree is bootstrapTree in ws. The RNG stream is n Intn draws for
+// the bootstrap, then MTry shuffles inside tree growth; it comes from the
+// workspace's source reseeded, which is the stream rand.NewSource(seed)
+// gives, without allocating a source per tree.
+func (ws *treeWorkspace) bootstrapTree(ss *splitSet, tc TreeConfig, seed int64) *Tree {
+	if ws.rng == nil {
+		ws.rng = rand.New(rand.NewSource(seed))
+	} else {
+		ws.rng.Seed(seed)
+	}
+	drawBootstrap(ws, ss.n, ws.rng)
+	return fitTreeFromSplitSet(ss, tc, ws.rng, ws)
 }
 
 // drawBootstrap draws n rows with replacement into ws.cnt as per-row

@@ -45,6 +45,8 @@ type treeWorkspace struct {
 	left   []uint8 // goes-left mask during a split (all-zero invariant)
 	unitOf []int32 // unit per drawn dataset row (order derivation, counting scans)
 	ncnt   []int32 // in-node multiplicity per dataset row (all-zero invariant)
+	// rng is a bootstrap tree's stream, reseeded per tree.
+	rng *rand.Rand
 }
 
 // retained is the workspace's pooled footprint in bytes (slice capacities,
