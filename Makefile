@@ -10,7 +10,7 @@ GO ?= go
 # targets require of a run's trace.
 STAGES := prefilter,coreset,screen,join,impute,select,materialize,evaluate
 
-.PHONY: check fmt vet build test race alloc chaos crash lease-chaos quality bench-parallel bench-smoke failover-soak trace-smoke metrics-smoke serve-smoke profile-select profile-forest profile-load profile-join
+.PHONY: check fmt vet build test race alloc chaos crash lease-chaos quality bench-parallel bench-smoke failover-soak memory-soak trace-smoke metrics-smoke serve-smoke profile-select profile-forest profile-evaluate profile-load profile-join
 
 check: fmt vet build race alloc quality chaos crash lease-chaos trace-smoke metrics-smoke serve-smoke bench-smoke
 
@@ -61,6 +61,17 @@ failover-soak:
 		echo "failover-soak: pass $$i"; \
 		$(GO) run ./bench -workload service-failover -seconds 25 -seed $$i || exit 1; \
 	done
+
+# A thousand fast runs through one daemon (internal/server's manager and
+# HTTP server, in one process), each submitted, polled to completion and its
+# events read back. Logs the live heap and VmHWM every 100 runs and fails if
+# the live heap grows more than 4 KB per finished run from run 100 on: a
+# finished run must cost the daemon only its record. About five minutes, so
+# not part of check; run it when a change touches what runqueue, server or
+# obs keep per run. The test sits behind the soak build tag, out of
+# `go test ./...`.
+memory-soak:
+	$(GO) test -tags soak -run '^TestMemorySoak$$' -v -timeout 30m ./internal/server/
 
 # Allocation-regression gate: the AllocsPerRun tests that skip under -race.
 alloc:
@@ -209,6 +220,19 @@ profile-forest:
 		-cpuprofile=forest.pprof ./internal/ml/
 	@rm -f ml.test
 	@echo "wrote forest.pprof (go tool pprof forest.pprof)"
+
+# CPU profile of the final estimate on the benchmark's tall-base shape
+# (BenchmarkEvaluateTallBase: Poverty x8, 12,000 base rows, coreset 256):
+# the evaluate stage's two encodings and its base and augmented holdout
+# forests, the spans evaluate.encode, evaluate.base and evaluate.augmented.
+# Its setup runs a full Augment (twice: once per benchmark round), so focus
+# the profile on the stage: `go tool pprof -focus 'run..evaluate'
+# evaluate.pprof`.
+profile-evaluate:
+	$(GO) test -bench='^BenchmarkEvaluateTallBase$$' -benchtime=5x -run=^$$ \
+		-cpuprofile=evaluate.pprof ./internal/core/
+	@rm -f core.test
+	@echo "wrote evaluate.pprof (go tool pprof -focus 'run..evaluate' evaluate.pprof)"
 
 # CPU and allocation profiles of the front half on the wide-repo corpus
 # (school-l x1): BenchmarkReadCSVDir, the CSV load, and BenchmarkDiscover,

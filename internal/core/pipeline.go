@@ -151,6 +151,7 @@ var (
 	subStageHistograms = []string{
 		"batch", "join.cand", "select.rep", "rep.inject", "rep.forest", "rep.sparse",
 		"rep.aggregate", "select.sweep", "materialize.cand",
+		"evaluate.encode", "evaluate.base", "evaluate.augmented",
 		"select.tree_fit", "select.subset_score",
 	}
 )

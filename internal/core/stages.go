@@ -9,6 +9,7 @@ import (
 	"github.com/arda-ml/arda/internal/dataframe"
 	"github.com/arda-ml/arda/internal/eval"
 	"github.com/arda-ml/arda/internal/ml"
+	"github.com/arda-ml/arda/internal/obs"
 	"github.com/arda-ml/arda/internal/parallel"
 )
 
@@ -187,7 +188,9 @@ func (r *run) joinKept(ctx context.Context) (*dataframe.Table, error) {
 
 // evaluate is the final estimate: base vs augmented holdout score under the
 // same estimator, and the paired bootstrap between them when asked for. A
-// table that does not encode scores 0.
+// table that does not encode scores 0. Its child spans attribute the stage:
+// evaluate.encode per table (ordinal 0 the base, 1 the augmented one), then
+// evaluate.base and evaluate.augmented, each one holdout fit and score.
 func (r *run) evaluate(context.Context, int) (bool, error) {
 	span := r.tr.Root().Child("evaluate", 0)
 	defer span.End()
@@ -197,15 +200,23 @@ func (r *run) evaluate(context.Context, int) (bool, error) {
 	tables := [2]*dataframe.Table{r.base, res.Table}
 	var dss [2]*ml.Dataset
 	var errs [2]error
+	encode := [2]*obs.Span{span.Child("evaluate.encode", 0), span.Child("evaluate.encode", 1)}
 	parallel.ForEach(0, 2, func(i int) {
+		encode[i].Begin()
 		dss[i], errs[i] = DatasetOf(tables[i], o.Target, r.task, r.classes)
+		encode[i].End()
 	})
 	baseDS, augDS, errB, errA := dss[0], dss[1], errs[0], errs[1]
+	holdout := func(name string, ds *ml.Dataset) float64 {
+		fit := span.Child(name, 0)
+		defer fit.End()
+		return eval.HoldoutScore(ds, eval.TrainTestSplit(ds, 0.25, o.Seed), r.estimator)
+	}
 	if errB == nil {
-		res.BaseScore = eval.HoldoutScore(baseDS, eval.TrainTestSplit(baseDS, 0.25, o.Seed), r.estimator)
+		res.BaseScore = holdout("evaluate.base", baseDS)
 	}
 	if errA == nil {
-		res.FinalScore = eval.HoldoutScore(augDS, eval.TrainTestSplit(augDS, 0.25, o.Seed), r.estimator)
+		res.FinalScore = holdout("evaluate.augmented", augDS)
 	}
 	res.EstimatorName = "random forest"
 	if o.Significance > 0 && errB == nil && errA == nil {

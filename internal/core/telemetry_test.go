@@ -54,7 +54,8 @@ func TestTelemetryHistogramCountsWorkerInvariant(t *testing.T) {
 	// as must the per-item and per-model families threaded through the layers.
 	for _, name := range append(append([]string{}, pipelineStages...),
 		"join.cand", "select.rep", "rep.inject", "rep.forest", "rep.sparse", "rep.aggregate",
-		"materialize.cand", "select.tree_fit", "select.subset_score") {
+		"materialize.cand", "evaluate.encode", "evaluate.base", "evaluate.augmented",
+		"select.tree_fit", "select.subset_score") {
 		if one[name] == 0 {
 			t.Fatalf("histogram %q never observed (have %v)", name, one)
 		}

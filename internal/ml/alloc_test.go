@@ -33,20 +33,37 @@ func TestForestFitAllocs(t *testing.T) {
 	}
 }
 
+// mallocs reports the heap allocations f makes, as MemStats.Mallocs counts
+// them. That counter is process-wide, and the runtime's own goroutines run on
+// the test's P between the two reads: a GC cycle that starts creates its mark
+// workers, and the scavenger it wakes grows a timer heap on a P that a
+// GOMAXPROCS change emptied. Each is a one-off that adds 1–5 allocations to
+// whichever measurement it lands in. f(i) is called for i = 0…n-1 and must
+// allocate the same for every i, so the fewest any call counted is f's own.
+func mallocs(n int, f func(i int)) uint64 {
+	best := ^uint64(0)
+	for i := range n {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f(i)
+		runtime.ReadMemStats(&after)
+		best = min(best, after.Mallocs-before.Mallocs)
+	}
+	return best
+}
+
 // nodesSink keeps treeAllocs' node slice on the heap, like a fitted tree's.
 var nodesSink []treeNode
 
 // treeAllocs counts the allocations a fitted tree owns: its struct, its
 // importance slice, and its node slice grown one append at a time.
 func treeAllocs(t *Tree) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	nodesSink = nil
-	for range t.nodes {
-		nodesSink = append(nodesSink, treeNode{})
-	}
-	runtime.ReadMemStats(&after)
-	return 2 + after.Mallocs - before.Mallocs
+	return 2 + mallocs(3, func(int) {
+		nodesSink = nil
+		for range t.nodes {
+			nodesSink = append(nodesSink, treeNode{})
+		}
+	})
 }
 
 // TestBootstrapTreeAllocs: once a workspace has served one bootstrap tree of
@@ -56,6 +73,11 @@ func treeAllocs(t *Tree) uint64 {
 // shares (sized by the unit count, it regrew whenever a bootstrap drew more
 // distinct rows than any before), and its RNG is reseeded, not reallocated,
 // which grows the same tree a fresh rand.NewSource(seed) does.
+//
+// Three workspaces walk the same seeds, so each holds the same state when it
+// grows a seed's tree: a workspace that regrew would count the regrowth in
+// all three, while the runtime's one-off allocations (see mallocs) land in
+// at most one.
 func TestBootstrapTreeAllocs(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("MemStats counts the race detector's bookkeeping; run via `make alloc`")
@@ -71,14 +93,15 @@ func TestBootstrapTreeAllocs(t *testing.T) {
 	} {
 		_, tc := resolveForestConfig(sh.ds, sh.cfg)
 		ss := splitSetFor(sh.ds, tc, 1)
-		ws, fresh := &treeWorkspace{}, &treeWorkspace{}
-		ws.bootstrapTree(ss, tc, 0)
+		ws := []*treeWorkspace{{}, {}, {}}
+		for _, w := range ws {
+			w.bootstrapTree(ss, tc, 0)
+		}
+		fresh := &treeWorkspace{}
 		minUnits, maxUnits := ss.n, 0
 		for seed := int64(1); seed <= 20; seed++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			tree := ws.bootstrapTree(ss, tc, seed)
-			runtime.ReadMemStats(&after)
+			var tree *Tree
+			got := mallocs(len(ws), func(i int) { tree = ws[i].bootstrapTree(ss, tc, seed) })
 
 			rng := rand.New(rand.NewSource(seed))
 			drawBootstrap(fresh, ss.n, rng)
@@ -89,7 +112,7 @@ func TestBootstrapTreeAllocs(t *testing.T) {
 				}
 			}
 			minUnits, maxUnits = min(minUnits, units), max(maxUnits, units)
-			if got, want := after.Mallocs-before.Mallocs, treeAllocs(tree); got != want {
+			if want := treeAllocs(tree); got != want {
 				t.Errorf("%s, bootstrap %d (%d units): %d allocations, want the tree's %d", sh.name, seed, units, got, want)
 			}
 			if want := fitTreeFromSplitSet(ss, tc, rng, fresh); !reflect.DeepEqual(tree, want) {

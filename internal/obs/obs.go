@@ -267,10 +267,6 @@ type Span struct {
 	attrs    map[string]int64
 }
 
-// Child starts a sub-span. ord is the caller's deterministic ordinal among
-// same-named siblings (batch index, candidate ordinal, repetition number);
-// snapshots order siblings by (ord, name), so the tree structure never
-// depends on goroutine scheduling.
 // Trace returns the trace this span records into (nil for a nil span). It
 // lets code that was handed only a span — e.g. a selector via SpanAttacher —
 // bump trace-level counters without threading the Trace separately; the
@@ -282,6 +278,10 @@ func (s *Span) Trace() *Trace {
 	return s.trace
 }
 
+// Child starts a sub-span. ord is the caller's deterministic ordinal among
+// same-named siblings (batch index, candidate ordinal, repetition number);
+// snapshots order siblings by (ord, name), so the tree structure never
+// depends on goroutine scheduling.
 func (s *Span) Child(name string, ord int) *Span {
 	if s == nil {
 		return nil

@@ -5,12 +5,17 @@ import (
 	"sync/atomic"
 )
 
-// defaultStreamHistory is how many events a StreamSink replays to late
+// defaultStreamHistory is the most events a StreamSink replays to late
 // subscribers when constructed with NewStreamSink(0). A full traced run on
 // the largest synthetic corpus emits a few thousand events (one per ended
-// span plus the terminal metrics), so the default comfortably holds a whole
-// run.
+// span plus the terminal metrics), so the cap comfortably holds a whole run.
+// It bounds the buffer, it does not size it: the history grows with the
+// events actually emitted (an ardad run emits ~130).
 const defaultStreamHistory = 16384
+
+// minStreamHistory is the history's first allocation, made on the first
+// Emit.
+const minStreamHistory = 16
 
 // StreamSink is the live event bus of the telemetry plane: a Sink that fans
 // every emitted event out to any number of subscribers over bounded
@@ -20,13 +25,15 @@ const defaultStreamHistory = 16384
 //
 // Three properties matter to callers:
 //
-//   - Emit never blocks and never allocates once the history buffer is full:
-//     a subscriber whose channel is full loses that event and its drop
-//     counter increments, so delivered + dropped == emitted holds exactly
-//     per subscription.
+//   - Emit never blocks, and it allocates only to grow the history: a
+//     subscriber whose channel is full loses that event and its drop counter
+//     increments, so delivered + dropped == emitted holds exactly per
+//     subscription.
 //   - The sink records the first historyCap events and replays them to every
 //     new subscriber before any live event, so a subscriber that connects
-//     mid-run still sees the run from the start (in emission order).
+//     mid-run still sees the run from the start (in emission order). The
+//     history starts empty and doubles as events arrive, never past
+//     historyCap, so a sink costs about what its run emitted, not its cap.
 //   - Flush (called once by Trace.Finish) closes every subscriber channel,
 //     so range-loops over Subscription.Events terminate when the run does.
 type StreamSink struct {
@@ -39,17 +46,15 @@ type StreamSink struct {
 	closed     bool
 }
 
-// NewStreamSink returns a stream bus whose replay buffer holds historyCap
-// events (<= 0 means the default). The sink is usable immediately;
-// subscribers may attach before or after it is wired into a Trace.
+// NewStreamSink returns a stream bus whose replay buffer holds up to
+// historyCap events (<= 0 means the default). Nothing is allocated for the
+// buffer until the first Emit. The sink is usable immediately; subscribers
+// may attach before or after it is wired into a Trace.
 func NewStreamSink(historyCap int) *StreamSink {
 	if historyCap <= 0 {
 		historyCap = defaultStreamHistory
 	}
-	return &StreamSink{
-		history:    make([]Event, 0, historyCap),
-		historyCap: historyCap,
-	}
+	return &StreamSink{historyCap: historyCap}
 }
 
 // Emit implements Sink: record into the replay buffer (until full) and
@@ -61,7 +66,14 @@ func (s *StreamSink) Emit(ev Event) {
 		return
 	}
 	s.emitted++
-	if len(s.history) < s.historyCap {
+	if n := len(s.history); n < s.historyCap {
+		if n == cap(s.history) {
+			// Grown by hand, not by append, so the capacity stays at most
+			// twice the events held and never passes historyCap.
+			grown := make([]Event, n, min(max(2*n, minStreamHistory), s.historyCap))
+			copy(grown, s.history)
+			s.history = grown
+		}
 		s.history = append(s.history, ev)
 	} else {
 		s.overflowed++

@@ -108,6 +108,42 @@ func TestStreamHistoryOverflow(t *testing.T) {
 	}
 }
 
+// TestStreamHistoryGrowsOnDemand: a sink holds no replay buffer until its
+// first event, and after k events its buffer has room for at most
+// max(2k, 16), never more than its cap, so a run that emits a hundred
+// events does not pay for the default cap of 16,384.
+func TestStreamHistoryGrowsOnDemand(t *testing.T) {
+	for _, c := range []struct{ historyCap, emits int }{{0, 3000}, {100, 300}, {1, 4}} {
+		s := NewStreamSink(c.historyCap)
+		if got := cap(s.history); got != 0 {
+			t.Fatalf("cap %d: fresh sink holds capacity for %d events, want 0", c.historyCap, got)
+		}
+		for k := 1; k <= c.emits; k++ {
+			s.Emit(Event{Type: EventSpan, Name: "e", Ord: k})
+			got := cap(s.history)
+			if bound := max(2*k, 16); got > bound {
+				t.Fatalf("cap %d: after %d emits the history has capacity %d, want ≤ %d", c.historyCap, k, got, bound)
+			}
+			if got > s.historyCap {
+				t.Fatalf("cap %d: after %d emits the history has capacity %d, above the cap %d", c.historyCap, k, got, s.historyCap)
+			}
+			if want := min(k, s.historyCap); len(s.history) != want {
+				t.Fatalf("cap %d: after %d emits the history holds %d events, want %d", c.historyCap, k, len(s.history), want)
+			}
+		}
+		s.Flush()
+		got := drain(s.Subscribe(0))
+		if len(got) != min(c.emits, s.historyCap) {
+			t.Fatalf("cap %d: late subscriber got %d events, want %d", c.historyCap, len(got), min(c.emits, s.historyCap))
+		}
+		for i, ev := range got {
+			if ev.Ord != i+1 {
+				t.Fatalf("cap %d: replayed event %d is emit %d, want %d", c.historyCap, i, ev.Ord, i+1)
+			}
+		}
+	}
+}
+
 func TestStreamSubscriptionClose(t *testing.T) {
 	defer testenv.NoGoroutineLeak(t)()
 	s := NewStreamSink(0)

@@ -209,6 +209,9 @@ func (m *Manager) finishRun(r *run, state State, res *RunResult, errMsg string) 
 		counter, line = m.cCanceled, "canceled "+rec.ID
 	}
 	m.mu.Lock()
+	// From here the run's events are read from its published trace.ndjson:
+	// the attempt's fenced flush wrote it before execute called finishRun.
+	r.stream = nil
 	if r.leaseLost {
 		// A heartbeat observed the theft while the record was being written:
 		// the run is already booked as lost, and its new owner finishes it.
@@ -241,6 +244,7 @@ func (m *Manager) requeueRun(r *run) {
 	r.rec.State = StateQueued
 	r.rec.StartedAt = time.Time{}
 	r.rec.Error = ""
+	r.stream = nil
 	lse := r.lease
 	m.mu.Unlock()
 	if err := m.persist(r); err != nil {

@@ -169,9 +169,12 @@ func (m *Manager) heartbeats() {
 // queued copy leaves its lane, the running copy's pipeline is canceled (it
 // observes lease.ErrLeaseLost semantics at its next boundary and abandons),
 // and the lease.lost counter takes the run out of our accounting partition —
-// its new owner counts it from here on.
+// its new owner counts it from here on. The run's stream is dropped even
+// when the loss was already booked: an attempt that was running then set it
+// after the heartbeat's call.
 func (m *Manager) markLost(r *run) {
 	m.mu.Lock()
+	r.stream = nil
 	if r.leaseLost || r.rec.State.Terminal() || r.lease == nil {
 		m.mu.Unlock()
 		return

@@ -246,9 +246,10 @@ type run struct {
 	// owner holds it now, so this process must not write its state again.
 	// Set (and counted into lease.lost) exactly once.
 	leaseLost bool
-	// stream is the live event bus of the current execution attempt (nil
-	// before the run first starts). It survives past completion so late
-	// subscribers replay the final attempt's events.
+	// stream is the live event bus of the current execution attempt: nil
+	// before the run starts and again once this process stops holding it
+	// (finishRun, requeueRun, markLost). From then on the run's events are
+	// read from its trace.ndjson, so a finished run keeps only its Record.
 	stream *obs.StreamSink
 }
 
@@ -540,10 +541,12 @@ func (m *Manager) Cancel(id string) (Record, error) {
 	}
 }
 
-// Stream returns the live event bus of the run's current (or last) execution
-// attempt and the path of its persisted NDJSON trace. The stream is nil for
-// a run that has not started in this process; the trace file exists whenever
-// an attempt ran to a flush (including interrupted attempts).
+// Stream returns the live event bus of the run's executing attempt and the
+// path of its persisted NDJSON trace. The stream is nil unless this process
+// is executing the run: before it starts, and once it is terminal, requeued
+// or lost, the caller reads the trace file instead. That file exists
+// whenever an attempt ran to a flush (interrupted attempts included); an
+// attempt of this process publishes it before its run turns terminal.
 func (m *Manager) Stream(id string) (*obs.StreamSink, string, error) {
 	m.mu.Lock()
 	r, ok := m.runs[id]

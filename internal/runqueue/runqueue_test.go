@@ -443,28 +443,12 @@ func TestRunHardFailureIsContained(t *testing.T) {
 		t.Fatalf("accounting = %+v, want 1 failed", a)
 	}
 
-	// The attempt failed before the pipeline started, and still finished its
-	// trace: a late subscriber (GET /runs/{id}/events of the failed run)
-	// replays the history, terminal run event last, and its channel closes.
-	stream, _, err := m.Stream(bad.ID)
-	if err != nil || stream == nil {
-		t.Fatalf("Stream(%s) = %v, %v; want the failed attempt's stream", bad.ID, stream, err)
-	}
-	sub := stream.Subscribe(0)
-	defer sub.Close()
-	var last obs.Event
-	for open := true; open; {
-		select {
-		case ev, ok := <-sub.Events():
-			if open = ok; ok {
-				last = ev
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("the failed run's event stream never closed")
-		}
-	}
-	if last.Type != obs.EventRun {
-		t.Fatalf("failed run's stream ended with %q %q, want the run event", last.Type, last.Name)
+	// The attempt failed before the pipeline started, and still finished and
+	// published its trace: GET /runs/{id}/events of the failed run serves
+	// that file, terminal run event last.
+	events := publishedEvents(t, m, bad.ID)
+	if last := events[len(events)-1]; last.Type != obs.EventRun {
+		t.Fatalf("failed run's trace ended with %q %q, want the run event", last.Type, last.Name)
 	}
 	if err := m.Close(time.Minute); err != nil {
 		t.Fatal(err)
@@ -546,22 +530,9 @@ func TestStreamExposesRunEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitTerminal(t, m, rec.ID, 2*time.Minute)
-	stream, path, err := m.Stream(rec.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stream == nil {
-		t.Fatal("no stream for an executed run")
-	}
-	if stream.Emitted() == 0 {
-		t.Fatal("run stream emitted no events")
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("trace file not published: %v", err)
-	}
-	if len(raw) == 0 {
-		t.Fatal("trace file empty")
+	events := publishedEvents(t, m, rec.ID)
+	if last := events[len(events)-1]; last.Type != obs.EventRun {
+		t.Fatalf("completed run's trace ended with %q %q, want the run event", last.Type, last.Name)
 	}
 	if _, _, err := m.Stream("r424242"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Stream(unknown) = %v, want ErrNotFound", err)
@@ -569,6 +540,39 @@ func TestStreamExposesRunEvents(t *testing.T) {
 	if err := m.Close(time.Minute); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// publishedEvents asserts the contract Manager.Stream keeps for a terminal
+// run: no live stream, and a published trace at the returned path that is
+// non-empty, valid NDJSON. It returns the trace's events.
+func publishedEvents(t *testing.T, m *Manager, id string) []obs.Event {
+	t.Helper()
+	stream, path, err := m.Stream(id)
+	if err != nil {
+		t.Fatalf("Stream(%s): %v", id, err)
+	}
+	if stream != nil {
+		t.Fatalf("Stream(%s) kept the live stream of a terminal run", id)
+	}
+	if want := filepath.Join(m.cfg.StateDir, "runs", id, "trace.ndjson"); path != want {
+		t.Fatalf("Stream(%s) path = %s, want %s", id, path, want)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("trace of %s not published: %v", id, err)
+	}
+	if len(raw) == 0 {
+		t.Fatalf("trace of %s is empty", id)
+	}
+	var events []obs.Event
+	for i, line := range bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n")) {
+		var ev obs.Event
+		if err := json.Unmarshal(line, &ev); err != nil || ev.Type == "" {
+			t.Fatalf("trace of %s, line %d is not an event (%v): %q", id, i+1, err, line)
+		}
+		events = append(events, ev)
+	}
+	return events
 }
 
 // readManifest returns the fingerprint and the listed shard files of the

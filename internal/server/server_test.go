@@ -43,7 +43,9 @@ func startService(t *testing.T, cfg runqueue.Config) (string, *runqueue.Manager,
 	if cfg.Concurrency == 0 {
 		cfg.Concurrency = 1
 	}
-	cfg.Logf = t.Logf
+	if cfg.Logf == nil {
+		cfg.Logf = t.Logf
+	}
 	tr := obs.New("ardad-test")
 	cfg.Trace = tr
 	mgr, err := runqueue.Open(cfg)
@@ -390,9 +392,43 @@ func TestServiceDrainGate(t *testing.T) {
 	}
 }
 
+// readEvents GETs an NDJSON event endpoint and returns its non-empty lines
+// once the server ends the response.
+func readEvents(t *testing.T, url string) []string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/x-ndjson" {
+		t.Fatalf("GET %s = %d %q, want 200 NDJSON", url, resp.StatusCode, resp.Header.Get("Content-Type"))
+	}
+	var lines []string
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		for sc.Scan() {
+			if line := bytes.TrimSpace(sc.Bytes()); len(line) > 0 {
+				lines = append(lines, string(line))
+			}
+		}
+	}()
+	select {
+	case <-finished:
+		// The stream closed when the run's trace finished.
+	case <-time.After(2 * time.Minute):
+		t.Fatalf("event stream %s never terminated", url)
+	}
+	return lines
+}
+
 // TestServiceLiveEventStream subscribes to /runs/{id}/events while the run
 // executes and verifies the stream delivers events and terminates when the
-// run finishes.
+// run finishes, and that the same GET after completion, served from the
+// published trace, returns the same sequence.
 func TestServiceLiveEventStream(t *testing.T) {
 	defer parallel.SetMaxWorkers(0)
 	defer testenv.NoGoroutineLeak(t)()
@@ -402,48 +438,50 @@ func TestServiceLiveEventStream(t *testing.T) {
 	if resp := postJSON(t, base+"/runs", runqueue.Spec{Base: baseTable, Target: target, Size: 128}, &rec); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d", resp.StatusCode)
 	}
-	// Wait until the run starts so the live stream exists.
+	// Wait until the run's attempt has created its live stream (the record
+	// turns running a moment before), so the first GET subscribes to it.
 	deadline := time.Now().Add(time.Minute)
 	for {
-		var r runqueue.Record
-		getJSON(t, base+"/runs/"+rec.ID, &r)
-		if r.State == runqueue.StateRunning || r.State.Terminal() {
+		stream, _, err := mgr.Stream(rec.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stream != nil {
 			break
+		}
+		if r, _ := mgr.Get(rec.ID); r.State.Terminal() {
+			t.Fatalf("run finished %s before its live stream was observed", r.State)
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("run never started")
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 
-	resp, err := http.Get(base + "/runs/" + rec.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := 0
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		for sc.Scan() {
-			if len(bytes.TrimSpace(sc.Bytes())) > 0 {
-				events++
-			}
-		}
-	}()
-	select {
-	case <-finished:
-		// Stream closed when the run's trace finished.
-	case <-time.After(2 * time.Minute):
-		t.Fatal("live event stream never terminated")
-	}
-	resp.Body.Close()
-	if events == 0 {
+	live := readEvents(t, base+"/runs/"+rec.ID+"/events")
+	if len(live) == 0 {
 		t.Fatal("live stream delivered no events")
 	}
 	if rec := waitHTTPTerminal(t, base, rec.ID, time.Minute); rec.State != runqueue.StateCompleted {
 		t.Fatalf("run finished %s (%s)", rec.State, rec.Error)
+	}
+	// The finished run keeps no stream: the same endpoint now serves its
+	// published trace.ndjson, which must hold the sequence the live
+	// subscriber saw, line for line.
+	if stream, _, err := mgr.Stream(rec.ID); err != nil || stream != nil {
+		t.Fatalf("Stream of the finished run: live stream kept %v, err %v", stream != nil, err)
+	}
+	late := readEvents(t, base+"/runs/"+rec.ID+"/events")
+	if len(late) != len(live) {
+		t.Fatalf("GET after completion served %d events, the live subscriber saw %d", len(late), len(live))
+	}
+	for i := range live {
+		if late[i] != live[i] {
+			t.Fatalf("event %d differs: live %s, after completion %s", i, live[i], late[i])
+		}
+	}
+	if !strings.Contains(live[len(live)-1], `"type":"run"`) {
+		t.Fatalf("event sequence ends with %s, want the run event", live[len(live)-1])
 	}
 
 	if err := mgr.Close(time.Minute); err != nil {
