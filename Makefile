@@ -29,7 +29,7 @@ test:
 
 # Under -race (5-20x slowdown) the packages that run whole pipelines are
 # slow: on 2 vCPUs internal/core takes about 6.5 minutes and the claim tests
-# of internal/experiments about 6, close enough to Go's default 10m
+# of internal/experiments about 8, close enough to Go's default 10m
 # per-package timeout that a smaller machine would cross it.
 race:
 	$(GO) test -race -timeout 45m ./...
@@ -84,7 +84,8 @@ alloc:
 # digests and answer on a corpus the screen leaves alone, the pinned
 # Poverty / SchoolL answers of TestEndToEndWitness at 1 and 8 workers, and
 # the join-spec never-panic fuzz seeds, and the paper's evaluation claims
-# (internal/experiments, about 20 s), verbose so each prints its numbers.
+# (internal/experiments, about 35 s on 2 vCPUs), verbose so each prints its
+# numbers.
 # race runs the same tests under the detector.
 quality:
 	$(GO) test -run 'TestQuality|TestEndToEndWitness' -v ./internal/core/

@@ -107,22 +107,17 @@ type Selector = featsel.Selector
 // Method names a built-in feature-selection method.
 type Method = featsel.Method
 
-// Re-exported feature-selection methods (the paper's §7 lineup). RIFS is the
-// default used by Augment when Options.Selector is nil.
+// Re-exported feature-selection methods (the paper's noise-filter lineup,
+// Table 6 / Figure 6). RIFS is the default used by Augment when
+// Options.Selector is nil.
 const (
-	RIFS              = featsel.MethodRIFS
-	RandomForest      = featsel.MethodForest
-	SparseRegression  = featsel.MethodSparse
-	Lasso             = featsel.MethodLasso
-	LogisticReg       = featsel.MethodLogistic
-	LinearSVC         = featsel.MethodLinearSVC
-	FTest             = featsel.MethodFTest
-	MutualInfo        = featsel.MethodMutual
-	Relief            = featsel.MethodRelief
-	ForwardSelection  = featsel.MethodForward
-	BackwardSelection = featsel.MethodBackward
-	RFE               = featsel.MethodRFE
-	AllFeatures       = featsel.MethodAll
+	RIFS         = featsel.MethodRIFS
+	RandomForest = featsel.MethodForest
+	FTest        = featsel.MethodFTest
+	MutualInfo   = featsel.MethodMutual
+	LinearSVC    = featsel.MethodLinearSVC
+	Relief       = featsel.MethodRelief
+	AllFeatures  = featsel.MethodAll
 )
 
 // Join-plan strategies (§4 "Table grouping").

@@ -87,8 +87,7 @@ func TestAugmentRepositoryConvenience(t *testing.T) {
 }
 
 func TestNewSelectorNames(t *testing.T) {
-	for _, m := range []Method{RIFS, RandomForest, SparseRegression, Lasso, LogisticReg,
-		LinearSVC, FTest, MutualInfo, Relief, ForwardSelection, BackwardSelection, RFE, AllFeatures} {
+	for _, m := range []Method{RIFS, RandomForest, FTest, MutualInfo, LinearSVC, Relief, AllFeatures} {
 		sel, err := NewSelector(m)
 		if err != nil {
 			t.Fatalf("NewSelector(%s): %v", m, err)
@@ -96,6 +95,21 @@ func TestNewSelectorNames(t *testing.T) {
 		if sel.Name() != string(m) {
 			t.Fatalf("name mismatch: %q vs %q", sel.Name(), m)
 		}
+	}
+}
+
+// The selectors an earlier version exposed through NewSelector and deleted
+// since are refused, each with an error that names it.
+func TestNewSelectorRejectsRemovedNames(t *testing.T) {
+	for _, m := range []Method{
+		"sparse regression", "lasso", "logistic reg",
+		"forward selection", "backward selection", "rfe",
+	} {
+		t.Run(string(m), func(t *testing.T) {
+			if _, err := NewSelector(m); err == nil || !strings.Contains(err.Error(), string(m)) {
+				t.Fatalf("NewSelector(%q) error = %v, want one naming it", m, err)
+			}
+		})
 	}
 }
 

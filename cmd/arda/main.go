@@ -41,6 +41,7 @@ import (
 	"github.com/arda-ml/arda"
 	"github.com/arda-ml/arda/internal/checkpoint"
 	"github.com/arda-ml/arda/internal/cli"
+	"github.com/arda-ml/arda/internal/featsel"
 	"github.com/arda-ml/arda/internal/metrics"
 	"github.com/arda-ml/arda/internal/parallel"
 )
@@ -59,7 +60,7 @@ func main() {
 		baseName    = flag.String("base", "", "name of the base table (file name without .csv)")
 		target      = flag.String("target", "", "target column in the base table")
 		out         = flag.String("out", "", "path to write the augmented CSV (optional)")
-		selector    = flag.String("selector", "RIFS", "feature selector: RIFS, random forest, sparse regression, lasso, logistic reg, linear svc, f-test, mutual info, relief, forward selection, backward selection, rfe, all features")
+		selector    = flag.String("selector", "RIFS", "feature selector: "+featsel.MethodNames())
 		plan        = flag.String("plan", "budget", "join plan: budget | table | full")
 		strategy    = flag.String("coreset", "uniform", "coreset strategy: uniform | stratified | sketch | leverage")
 		size        = flag.Int("size", 0, "coreset size (0 = automatic)")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/arda-ml/arda/internal/coreset"
@@ -223,12 +224,13 @@ func TestAugmentRequiresTarget(t *testing.T) {
 
 func TestAugmentSelectorTaskMismatch(t *testing.T) {
 	base := dataframe.MustNewTable("b",
-		dataframe.NewCategorical("y", []string{"a", "b"}),
+		dataframe.NewNumeric("y", []float64{0.5, 1.5}),
 		dataframe.NewNumeric("x", []float64{1, 2}),
 	)
-	sel, _ := featsel.New(featsel.MethodLasso) // regression-only
-	if _, err := Augment(base, nil, Options{Target: "y", Selector: sel}); err == nil {
-		t.Fatal("lasso on classification should be rejected")
+	sel, _ := featsel.New(featsel.MethodLinearSVC) // classification-only
+	_, err := Augment(base, nil, Options{Target: "y", Selector: sel})
+	if err == nil || !strings.Contains(err.Error(), "does not support") {
+		t.Fatalf("linear svc on a numeric target should be rejected as a task mismatch, got %v", err)
 	}
 }
 

@@ -11,7 +11,6 @@ package discovery
 import (
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 
 	"github.com/arda-ml/arda/internal/dataframe"
@@ -48,12 +47,6 @@ type Options struct {
 	MaxValueSample int
 	// NameBonus is the score bonus for matching column names (default 0.3).
 	NameBonus float64
-	// UseMinHash estimates value containment from MinHash signatures
-	// instead of exact set intersection — O(k) per column pair once each
-	// column's signature is built from its profiled value set, the way
-	// Aurum-style profilers scale to large repositories. Estimates carry
-	// ~±0.1 error.
-	UseMinHash bool
 }
 
 func (o *Options) defaults() {
@@ -83,7 +76,7 @@ func (o *Options) defaults() {
 func Discover(base *dataframe.Table, repo []*dataframe.Table, target string, opts Options) []Candidate {
 	opts.defaults()
 	bp := profileTable(base, opts, nil)
-	needSet := bp.keyRanges(target, opts)
+	needSet := bp.keyRanges(target)
 	return discover(bp, target, len(repo),
 		func(i int) *tableProfile { return profileTable(repo[i], opts, needSet) }, opts)
 }
@@ -124,8 +117,6 @@ type columnProfile struct {
 	// nil for a foreign column whose range no base key's meets (keyRanges).
 	nums map[uint64]struct{}
 	strs map[string]struct{}
-	// sig is the MinHash signature of the value set (Options.UseMinHash).
-	sig *MinHash
 }
 
 // tableProfile is a table with one profile per column, in column order.
@@ -149,12 +140,8 @@ func profileTable(t *dataframe.Table, opts Options, needSet func(span [2]float64
 // keyRanges returns the needSet under which foreign tables are profiled
 // against this base profile: a foreign numeric column needs its value set
 // only if its span meets the span of a base numeric column other than target,
-// since every other numeric containment check stops at disjoint ranges. Under
-// UseMinHash every set feeds a signature, so it returns nil (build them all).
-func (t *tableProfile) keyRanges(target string, opts Options) func([2]float64) bool {
-	if opts.UseMinHash {
-		return nil
-	}
+// since every other numeric containment check stops at disjoint ranges.
+func (t *tableProfile) keyRanges(target string) func([2]float64) bool {
 	var spans [][2]float64
 	for i := range t.cols {
 		if c := &t.cols[i]; c.kind == dataframe.Numeric && c.name != target {
@@ -230,24 +217,12 @@ func profileColumn(c dataframe.Column, opts Options, needSet func(span [2]float6
 		}
 	}
 	p.span = [2]float64{lo, hi}
-	if opts.UseMinHash {
-		p.sig = newMinHash(len(p.nums) + len(p.strs))
-		for bits := range p.nums {
-			p.sig.add(strconv.FormatFloat(math.Float64frombits(bits), 'g', -1, 64))
-		}
-		for s := range p.strs {
-			p.sig.add(s)
-		}
-	}
 	return p
 }
 
 // containment returns the share of a's distinct values found in b, for two
 // columns of the same kind: |A ∩ B| / |A|, 0 when A is empty.
 func (a *columnProfile) containment(b *columnProfile) float64 {
-	if a.sig != nil {
-		return a.sig.Containment(b.sig)
-	}
 	if a.kind == dataframe.Categorical {
 		return containment(a.strs, b.strs)
 	}

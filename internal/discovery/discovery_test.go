@@ -169,8 +169,7 @@ func TestDiscoverIgnoresByteOrderMark(t *testing.T) {
 
 // Discover builds a foreign numeric column's value set only where a
 // containment check could read it: where its range meets a base numeric
-// column other than the target. The base side keeps every set, and under
-// UseMinHash so does every foreign column.
+// column other than the target. The base side keeps every set.
 func TestProfileAllocsNoDisjointValueSet(t *testing.T) {
 	opts := Options{}
 	opts.defaults()
@@ -184,7 +183,7 @@ func TestProfileAllocsNoDisjointValueSet(t *testing.T) {
 			t.Fatalf("base column %s has no value set", c.name)
 		}
 	}
-	needSet := base.keyRanges("y", opts)
+	needSet := base.keyRanges("y")
 	for _, tc := range []struct {
 		col  dataframe.Column
 		want bool
@@ -198,10 +197,5 @@ func TestProfileAllocsNoDisjointValueSet(t *testing.T) {
 		if p := profileColumn(tc.col, opts, needSet); (p.nums != nil) != tc.want {
 			t.Errorf("foreign column %s: value set built = %v, want %v", p.name, p.nums != nil, tc.want)
 		}
-	}
-	minhash := opts
-	minhash.UseMinHash = true
-	if base.keyRanges("y", minhash) != nil {
-		t.Fatal("under UseMinHash every foreign column needs its set for its signature")
 	}
 }

@@ -53,11 +53,10 @@ func requireMatchesReference(t testing.TB, label string, base *dataframe.Table, 
 }
 
 // equivalenceOptions are the option sets every equivalence case runs under:
-// the defaults, a value cap small enough to land mid-column, and MinHash.
+// the defaults and a value cap small enough to land mid-column.
 var equivalenceOptions = map[string]Options{
 	"default": {},
 	"cap7":    {MaxValueSample: 7, MinContainment: 0.01},
-	"minhash": {UseMinHash: true},
 }
 
 func TestDiscoverMatchesReferenceOnCorpora(t *testing.T) {
@@ -282,7 +281,7 @@ func FuzzDiscoverMatchesReference(f *testing.F) {
 		if cols := base.ColumnNames(); len(cols) > 0 && targetPick%2 == 0 {
 			target = cols[int(targetPick/2)%len(cols)]
 		}
-		opts := Options{MaxValueSample: int(limit % 5), MinContainment: 0.01, UseMinHash: limit >= 128}
+		opts := Options{MaxValueSample: int(limit % 5), MinContainment: 0.01}
 		requireMatchesReference(t, "fuzz", base, repo, target, opts)
 	})
 }

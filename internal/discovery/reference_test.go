@@ -22,42 +22,16 @@ import (
 // refDiscover is the frozen Discover.
 func refDiscover(base *dataframe.Table, repo []*dataframe.Table, target string, opts Options) []Candidate {
 	opts.defaults()
-	var sigs *refSigCache
-	if opts.UseMinHash {
-		sigs = &refSigCache{limit: opts.MaxValueSample, cache: map[dataframe.Column]*MinHash{}}
-	}
 	var out []Candidate
 	for _, foreign := range repo {
-		cands := refDiscoverTable(base, foreign, target, opts, sigs)
+		cands := refDiscoverTable(base, foreign, target, opts)
 		out = append(out, cands...)
 	}
 	sort.SliceStable(out, func(a, b int) bool { return out[a].Score > out[b].Score })
 	return out
 }
 
-type refSigCache struct {
-	limit int
-	cache map[dataframe.Column]*MinHash
-}
-
-func (s *refSigCache) of(c dataframe.Column) *MinHash {
-	if sig, ok := s.cache[c]; ok {
-		return sig
-	}
-	var sig *MinHash
-	switch col := c.(type) {
-	case *dataframe.CategoricalColumn:
-		sig = NewMinHash(refCategoricalSet(col, s.limit))
-	case *dataframe.NumericColumn:
-		sig = NewMinHash(refNumericSet(col, s.limit))
-	default:
-		sig = NewMinHash(nil)
-	}
-	s.cache[c] = sig
-	return sig
-}
-
-func refDiscoverTable(base, foreign *dataframe.Table, target string, opts Options, sigs *refSigCache) []Candidate {
+func refDiscoverTable(base, foreign *dataframe.Table, target string, opts Options) []Candidate {
 	var pairs []join.KeyPair
 	var scores []float64
 	for _, bc := range base.Columns() {
@@ -65,7 +39,7 @@ func refDiscoverTable(base, foreign *dataframe.Table, target string, opts Option
 			continue
 		}
 		for _, fc := range foreign.Columns() {
-			kp, score, ok := refMatchColumns(bc, fc, opts, sigs)
+			kp, score, ok := refMatchColumns(bc, fc, opts)
 			if !ok {
 				continue
 			}
@@ -152,13 +126,10 @@ func refGeoCandidate(base, foreign *dataframe.Table, target string) (Candidate, 
 	}, true
 }
 
-func refMatchColumns(bc, fc dataframe.Column, opts Options, sigs *refSigCache) (join.KeyPair, float64, bool) {
+func refMatchColumns(bc, fc dataframe.Column, opts Options) (join.KeyPair, float64, bool) {
 	nameScore := refNameAffinity(bc.Name(), fc.Name()) * opts.NameBonus
 	kp := join.KeyPair{BaseColumn: bc.Name(), ForeignColumn: fc.Name()}
 	containmentOf := func() float64 {
-		if sigs != nil {
-			return sigs.of(bc).Containment(sigs.of(fc))
-		}
 		switch bc.Kind() {
 		case dataframe.Categorical:
 			return refContainment(refCategoricalSet(bc.(*dataframe.CategoricalColumn), opts.MaxValueSample),

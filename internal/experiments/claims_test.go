@@ -88,6 +88,56 @@ func TestClaimDigitsRecovery(t *testing.T) {
 	}
 }
 
+// TestClaimRIFSFiltersNoise is Table 6 / Figure 6 on Kraken: with ten noise
+// columns injected per real one (a random pick keeps 1/11 real columns),
+// each registered selector picks columns on the training side and the
+// default estimator is scored on them, seeds 1–3. RIFS keeps at least half
+// real columns, scores above all features, at least as well as f-test,
+// linear svc and relief, and keeps at least as real a set as mutual info and
+// relief. Logged only, because they do not hold at every seed: random forest
+// scores above RIFS at seed 2 and keeps a more real set at seed 3, mutual
+// info scores above RIFS at seed 2, and f-test and linear svc keep more real
+// (and much smaller) sets at seed 3.
+func TestClaimRIFSFiltersNoise(t *testing.T) {
+	if testing.Short() {
+		t.Skip("twenty-one selector runs")
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		aug, mask := synth.InjectNoise(synth.Kraken(synth.Config{Seed: seed}), 10, seed+1)
+		est := automl.DefaultEstimator(seed)
+		acc := map[featsel.Method]float64{}
+		frac := map[featsel.Method]float64{}
+		for _, m := range featsel.AllMethods() {
+			sel, err := featsel.New(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, kept, orig := selectOnNoise(t, aug, mask, sel, est, seed)
+			acc[m], frac[m] = a, float64(orig)/float64(kept)
+			t.Logf("seed %d %-13s accuracy %.4f, kept %3d of %d columns, %2d originals",
+				seed, m, a, kept, aug.D, orig)
+		}
+		rifs := featsel.MethodRIFS
+		if frac[rifs] < 0.5 {
+			t.Errorf("seed %d: RIFS real fraction %.4f is below 0.5", seed, frac[rifs])
+		}
+		if acc[rifs] <= acc[featsel.MethodAll] {
+			t.Errorf("seed %d: RIFS accuracy %.4f does not beat all features' %.4f",
+				seed, acc[rifs], acc[featsel.MethodAll])
+		}
+		for _, m := range []featsel.Method{featsel.MethodFTest, featsel.MethodLinearSVC, featsel.MethodRelief} {
+			if acc[rifs] < acc[m] {
+				t.Errorf("seed %d: RIFS accuracy %.4f is below %s's %.4f", seed, acc[rifs], m, acc[m])
+			}
+		}
+		for _, m := range []featsel.Method{featsel.MethodMutual, featsel.MethodRelief} {
+			if frac[rifs] < frac[m] {
+				t.Errorf("seed %d: RIFS real fraction %.4f is below %s's %.4f", seed, frac[rifs], m, frac[m])
+			}
+		}
+	}
+}
+
 // TestClaimTupleRatioKeepsPlantedTables is Table 4's "the TR rule loses
 // little": with τ at the 75th percentile of the candidates' tuple ratios
 // (the ground-truth-free stand-in for the paper's per-dataset tuning), the

@@ -55,37 +55,56 @@ func TestRIFSWorkersDeterminism(t *testing.T) {
 	}
 }
 
-// TestVoteWorkersDeterminism: the vote ensemble must agree across worker
-// counts too — members write indexed slots and derive member-indexed seeds.
-func TestVoteWorkersDeterminism(t *testing.T) {
+// TestSelectorsWorkersDeterminism extends the contract to every registered
+// method on each task it supports: one worker and eight select the same
+// columns, every index is a distinct column of the dataset, and a planted
+// signal column is among them.
+func TestSelectorsWorkersDeterminism(t *testing.T) {
 	defer parallel.SetMaxWorkers(0)
-	ds := planted(ml.Regression, 150, 2, 10, 54)
-	mk := func() *VoteSelector {
-		return &VoteSelector{
-			Selectors: []Selector{
-				&RankingSelector{Ranker: &FTestRanker{}},
-				&RankingSelector{Ranker: &MutualInfoRanker{}},
-				&RankingSelector{Ranker: &ForestRanker{NTrees: 10, MaxDepth: 5}},
-			},
-			Parallel: true,
-		}
-	}
-	parallel.SetMaxWorkers(1)
-	one, err := mk().Select(ds, fastForest(8), 55)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel.SetMaxWorkers(8)
-	eight, err := mk().Select(ds, fastForest(8), 55)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(one) != len(eight) {
-		t.Fatalf("vote differs: %v vs %v", one, eight)
-	}
-	for i := range one {
-		if one[i] != eight[i] {
-			t.Fatalf("vote differs: %v vs %v", one, eight)
-		}
+	for _, m := range AllMethods() {
+		t.Run(string(m), func(t *testing.T) {
+			for _, task := range []ml.Task{ml.Classification, ml.Regression} {
+				sel, err := New(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sel.Supports(task) {
+					continue
+				}
+				t.Run(task.String(), func(t *testing.T) {
+					ds := planted(task, 150, 2, 10, 54)
+					parallel.SetMaxWorkers(1)
+					one, err := sel.Select(ds, fastForest(8), 55)
+					if err != nil {
+						t.Fatal(err)
+					}
+					parallel.SetMaxWorkers(8)
+					eight, err := sel.Select(ds, fastForest(8), 55)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(one) != len(eight) {
+						t.Fatalf("selection differs across worker counts: %v vs %v", one, eight)
+					}
+					for i := range one {
+						if one[i] != eight[i] {
+							t.Fatalf("selection differs across worker counts: %v vs %v", one, eight)
+						}
+					}
+					seen := map[int]bool{}
+					signal := false
+					for _, j := range one {
+						if j < 0 || j >= ds.D || seen[j] {
+							t.Fatalf("selected %v: index %d out of range or repeated (D=%d)", one, j, ds.D)
+						}
+						seen[j] = true
+						signal = signal || j < 2
+					}
+					if !signal {
+						t.Fatalf("selected %v, want a planted signal column (0 or 1)", one)
+					}
+				})
+			}
+		})
 	}
 }

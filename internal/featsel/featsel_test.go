@@ -3,6 +3,7 @@ package featsel
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/arda-ml/arda/internal/eval"
@@ -135,34 +136,19 @@ func TestSparseRegressionRanker(t *testing.T) {
 	signalOnTop(t, "sparse regression", scores, 2)
 }
 
-func TestLassoRankerRegressionOnly(t *testing.T) {
-	r := &LassoRanker{}
-	ds := planted(ml.Regression, 200, 2, 6, 14)
+func TestLinearSVCRankerClassificationOnly(t *testing.T) {
+	ds := planted(ml.Classification, 300, 2, 6, 15)
+	r := &LinearSVCRanker{}
 	scores, err := r.Rank(ds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	signalOnTop(t, "lasso", scores, 2)
-	cds := planted(ml.Classification, 50, 1, 1, 14)
-	if _, err := r.Rank(cds, 1); err == nil {
-		t.Fatal("lasso must reject classification")
+	signalOnTop(t, r.Name(), scores, 2)
+	if r.Supports(ml.Regression) {
+		t.Fatalf("%s should not support regression", r.Name())
 	}
-	if r.Supports(ml.Classification) {
-		t.Fatal("lasso Supports(classification) should be false")
-	}
-}
-
-func TestLogisticAndSVCRankersClassificationOnly(t *testing.T) {
-	ds := planted(ml.Classification, 300, 2, 6, 15)
-	for _, r := range []Ranker{&LogisticRanker{}, &LinearSVCRanker{}} {
-		scores, err := r.Rank(ds, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		signalOnTop(t, r.Name(), scores, 2)
-		if r.Supports(ml.Regression) {
-			t.Fatalf("%s should not support regression", r.Name())
-		}
+	if _, err := r.Rank(planted(ml.Regression, 50, 1, 1, 15), 1); err == nil {
+		t.Fatal("linear svc must reject regression")
 	}
 }
 
@@ -192,30 +178,6 @@ func TestReliefRankerRegression(t *testing.T) {
 	if !top[0] && !top[1] {
 		t.Fatalf("rrelief lost both signal features: order = %v", order)
 	}
-}
-
-func TestChiSquaredRanker(t *testing.T) {
-	// Chi² needs non-negative features.
-	n := 200
-	d := 4
-	x := make([]float64, n*d)
-	y := make([]float64, n)
-	rng := rand.New(rand.NewSource(18))
-	for i := 0; i < n; i++ {
-		label := i % 2
-		y[i] = float64(label)
-		x[i*d] = float64(label*3) + rng.Float64()
-		for j := 1; j < d; j++ {
-			x[i*d+j] = rng.Float64() * 3
-		}
-	}
-	ds, _ := ml.NewDataset(x, n, d, y, ml.Classification, 2)
-	r := &ChiSquaredRanker{}
-	scores, err := r.Rank(ds, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	signalOnTop(t, "chi-squared", scores, 1)
 }
 
 func TestExponentialSearchFindsPlantedSize(t *testing.T) {
@@ -295,56 +257,6 @@ func TestRankingSelectorEndToEnd(t *testing.T) {
 	}
 }
 
-func TestForwardSelector(t *testing.T) {
-	ds := planted(ml.Classification, 300, 2, 10, 23)
-	s := &ForwardSelector{MaxFeatures: 6, MaxCandidates: -1}
-	sel, err := s.Select(ds, fastForest(3), 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel) == 0 {
-		t.Fatal("forward selection chose nothing")
-	}
-	if sel[0] >= 2 {
-		t.Fatalf("first greedy pick %d should be a signal feature", sel[0])
-	}
-}
-
-func TestBackwardSelector(t *testing.T) {
-	ds := planted(ml.Classification, 200, 2, 6, 25)
-	s := &BackwardSelector{MaxCandidates: -1}
-	sel, err := s.Select(ds, fastForest(4), 26)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel) < 2 {
-		t.Fatalf("backward elimination kept %d features", len(sel))
-	}
-	keep := map[int]bool{}
-	for _, j := range sel {
-		keep[j] = true
-	}
-	if !keep[0] && !keep[1] {
-		t.Fatal("backward elimination removed all signal features")
-	}
-}
-
-func TestRFESelector(t *testing.T) {
-	ds := planted(ml.Classification, 300, 2, 14, 27)
-	s := &RFESelector{}
-	sel, err := s.Select(ds, fastForest(5), 28)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keep := map[int]bool{}
-	for _, j := range sel {
-		keep[j] = true
-	}
-	if !keep[0] || !keep[1] {
-		t.Fatalf("rfe dropped signal features: %v", sel)
-	}
-}
-
 func TestRegistry(t *testing.T) {
 	for _, m := range AllMethods() {
 		sel, err := New(m)
@@ -355,19 +267,43 @@ func TestRegistry(t *testing.T) {
 			t.Fatalf("selector name %q != method %q", sel.Name(), m)
 		}
 	}
-	if _, err := New("bogus"); err == nil {
+	_, err := New("lasso")
+	if err == nil {
 		t.Fatal("unknown method should error")
 	}
-	clsMethods := MethodsFor(ml.Classification)
-	for _, m := range clsMethods {
-		if m == MethodLasso {
-			t.Fatal("lasso should be excluded for classification")
+	for _, m := range AllMethods() {
+		if !strings.Contains(err.Error(), string(m)) {
+			t.Fatalf("unknown-method error %q does not list %q", err, m)
+		}
+		sel, _ := New(m)
+		if !sel.Supports(ml.Classification) {
+			t.Fatalf("%s should support classification", m)
+		}
+		if want := m != MethodLinearSVC; sel.Supports(ml.Regression) != want {
+			t.Fatalf("%s Supports(regression) = %v, want %v", m, !want, want)
 		}
 	}
-	regMethods := MethodsFor(ml.Regression)
-	for _, m := range regMethods {
-		if m == MethodLogistic || m == MethodLinearSVC {
-			t.Fatalf("%s should be excluded for regression", m)
-		}
+}
+
+// TestNewRejectsRemovedMethods: each method an earlier version registered and
+// this one deleted is an unknown method, and the error names it and lists
+// every valid method, so a stale spec or flag says what to use instead.
+func TestNewRejectsRemovedMethods(t *testing.T) {
+	for _, name := range []Method{
+		"sparse regression", "lasso", "logistic reg",
+		"forward selection", "backward selection", "rfe",
+	} {
+		t.Run(string(name), func(t *testing.T) {
+			sel, err := New(name)
+			if err == nil {
+				t.Fatalf("New(%q) = %s, want an unknown-method error", name, sel.Name())
+			}
+			if !strings.Contains(err.Error(), `unknown method "`+string(name)+`"`) {
+				t.Fatalf("error %q does not name %q", err, name)
+			}
+			if !strings.Contains(err.Error(), MethodNames()) {
+				t.Fatalf("error %q does not list the valid methods %q", err, MethodNames())
+			}
+		})
 	}
 }

@@ -1,10 +1,10 @@
-// Package featsel implements every feature-selection method evaluated in the
-// ARDA paper (§5–§6): filter rankers (F-test, mutual information,
-// chi-squared), embedded rankers (random forest importances, ℓ2,1 sparse
-// regression, lasso, logistic regression, linear SVM, Relief), wrapper
-// searches (forward selection, backward elimination, recursive feature
-// elimination, and the Bentley–Yao exponential/binary subset search), and the
-// paper's contribution: RIFS, random-injection feature selection.
+// Package featsel implements the paper's contribution, RIFS (random-injection
+// feature selection, §6), and the selectors of its noise-filter comparison
+// (Table 6 / Figure 6) that TestClaimRIFSFiltersNoise holds: filter rankers
+// (F-test, mutual information), embedded rankers (random forest importances,
+// linear SVM, Relief), each paired with the Bentley–Yao exponential/binary
+// subset search, and the all-features baseline. RIFS ranks with the forest
+// at ν = 1 and with the forest and ℓ2,1 sparse regression at ν < 1.
 package featsel
 
 import (
@@ -25,8 +25,8 @@ type Ranker interface {
 	Name() string
 	// Rank returns one score per feature column of ds.
 	Rank(ds *ml.Dataset, seed int64) ([]float64, error)
-	// Supports reports whether the ranker applies to the task (e.g. lasso is
-	// regression-only, logistic regression classification-only).
+	// Supports reports whether the ranker applies to the task (e.g. linear
+	// SVC is classification-only).
 	Supports(task ml.Task) bool
 }
 
@@ -151,52 +151,6 @@ func (r *SparseRegressionRanker) Rank(ds *ml.Dataset, seed int64) ([]float64, er
 	return res.RowNorms, nil
 }
 
-// LassoRanker ranks features by |coefficient| of a lasso fit (regression
-// tasks only, as in the paper's Table 1).
-type LassoRanker struct {
-	Lambda float64
-}
-
-// Name implements Ranker.
-func (r *LassoRanker) Name() string { return "lasso" }
-
-// Supports implements Ranker: regression only.
-func (r *LassoRanker) Supports(t ml.Task) bool { return t == ml.Regression }
-
-// Rank implements Ranker.
-func (r *LassoRanker) Rank(ds *ml.Dataset, seed int64) ([]float64, error) {
-	if ds.Task != ml.Regression {
-		return nil, fmt.Errorf("featsel: lasso ranks regression tasks only")
-	}
-	m := ml.FitLasso(ds, ml.LassoConfig{Lambda: r.Lambda})
-	out := make([]float64, ds.D)
-	for j, w := range m.Coefficients() {
-		out[j] = math.Abs(w)
-	}
-	return out, nil
-}
-
-// LogisticRanker ranks features by per-feature weight norm of a softmax
-// regression (classification only).
-type LogisticRanker struct {
-	Config ml.LogisticConfig
-}
-
-// Name implements Ranker.
-func (r *LogisticRanker) Name() string { return "logistic reg" }
-
-// Supports implements Ranker: classification only.
-func (r *LogisticRanker) Supports(t ml.Task) bool { return t == ml.Classification }
-
-// Rank implements Ranker.
-func (r *LogisticRanker) Rank(ds *ml.Dataset, seed int64) ([]float64, error) {
-	if ds.Task != ml.Classification {
-		return nil, fmt.Errorf("featsel: logistic regression ranks classification tasks only")
-	}
-	m := ml.FitLogistic(ds, r.Config)
-	return m.FeatureWeights(), nil
-}
-
 // LinearSVCRanker ranks features by per-feature weight norm of a linear SVM
 // (classification only).
 type LinearSVCRanker struct {
@@ -292,34 +246,6 @@ func (r *MutualInfoRanker) Rank(ds *ml.Dataset, seed int64) ([]float64, error) {
 	return out, nil
 }
 
-// ChiSquaredRanker ranks non-negative features by the chi-squared statistic
-// against class labels.
-type ChiSquaredRanker struct{}
-
-// Name implements Ranker.
-func (r *ChiSquaredRanker) Name() string { return "chi-squared" }
-
-// Supports implements Ranker: classification only.
-func (r *ChiSquaredRanker) Supports(t ml.Task) bool { return t == ml.Classification }
-
-// Rank implements Ranker.
-func (r *ChiSquaredRanker) Rank(ds *ml.Dataset, seed int64) ([]float64, error) {
-	if ds.Task != ml.Classification {
-		return nil, fmt.Errorf("featsel: chi-squared ranks classification tasks only")
-	}
-	labels := make([]int, ds.N)
-	for i := range labels {
-		labels[i] = ds.Label(i)
-	}
-	out := make([]float64, ds.D)
-	col := make([]float64, ds.N)
-	for j := 0; j < ds.D; j++ {
-		extractCol(ds, j, col)
-		out[j] = stats.ChiSquared(col, labels, ds.Classes)
-	}
-	return out, nil
-}
-
 // extractCol copies feature column j of ds into dst.
 func extractCol(ds *ml.Dataset, j int, dst []float64) {
 	for i := 0; i < ds.N; i++ {
@@ -327,5 +253,5 @@ func extractCol(ds *ml.Dataset, j int, dst []float64) {
 	}
 }
 
-// shuffled returns a permutation RNG seeded deterministically.
+// newRNG returns an RNG seeded deterministically.
 func newRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

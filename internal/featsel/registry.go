@@ -2,37 +2,40 @@ package featsel
 
 import (
 	"fmt"
-
-	"github.com/arda-ml/arda/internal/ml"
+	"strings"
 )
 
 // Method identifies a feature-selection method by the paper's name.
 type Method string
 
-// The feature-selection methods evaluated in the paper's §7.
+// The feature-selection methods of the paper's noise-filter comparison
+// (Table 6 / Figure 6), which TestClaimRIFSFiltersNoise holds.
 const (
 	MethodRIFS      Method = "RIFS"
 	MethodForest    Method = "random forest"
-	MethodSparse    Method = "sparse regression"
-	MethodLasso     Method = "lasso"
-	MethodLogistic  Method = "logistic reg"
-	MethodLinearSVC Method = "linear svc"
 	MethodFTest     Method = "f-test"
 	MethodMutual    Method = "mutual info"
+	MethodLinearSVC Method = "linear svc"
 	MethodRelief    Method = "relief"
-	MethodForward   Method = "forward selection"
-	MethodBackward  Method = "backward selection"
-	MethodRFE       Method = "rfe"
 	MethodAll       Method = "all features"
 )
 
 // AllMethods lists every method in the paper's table order.
 func AllMethods() []Method {
 	return []Method{
-		MethodRIFS, MethodForest, MethodSparse, MethodLasso, MethodLogistic,
-		MethodLinearSVC, MethodFTest, MethodMutual, MethodRelief,
-		MethodForward, MethodBackward, MethodRFE, MethodAll,
+		MethodRIFS, MethodForest, MethodFTest, MethodMutual,
+		MethodLinearSVC, MethodRelief, MethodAll,
 	}
+}
+
+// MethodNames is AllMethods as one comma-separated list, for help and error
+// text.
+func MethodNames() string {
+	names := make([]string, 0, len(AllMethods()))
+	for _, m := range AllMethods() {
+		names = append(names, string(m))
+	}
+	return strings.Join(names, ", ")
 }
 
 // New constructs the named selector with paper-default parameters.
@@ -42,44 +45,17 @@ func New(m Method) (Selector, error) {
 		return &RIFS{}, nil
 	case MethodForest:
 		return &RankingSelector{Ranker: &ForestRanker{}}, nil
-	case MethodSparse:
-		return &RankingSelector{Ranker: &SparseRegressionRanker{}}, nil
-	case MethodLasso:
-		return &RankingSelector{Ranker: &LassoRanker{}}, nil
-	case MethodLogistic:
-		return &RankingSelector{Ranker: &LogisticRanker{}}, nil
-	case MethodLinearSVC:
-		return &RankingSelector{Ranker: &LinearSVCRanker{}}, nil
 	case MethodFTest:
 		return &RankingSelector{Ranker: &FTestRanker{}}, nil
 	case MethodMutual:
 		return &RankingSelector{Ranker: &MutualInfoRanker{}}, nil
+	case MethodLinearSVC:
+		return &RankingSelector{Ranker: &LinearSVCRanker{}}, nil
 	case MethodRelief:
 		return &RankingSelector{Ranker: &ReliefRanker{}}, nil
-	case MethodForward:
-		return &ForwardSelector{}, nil
-	case MethodBackward:
-		return &BackwardSelector{}, nil
-	case MethodRFE:
-		return &RFESelector{}, nil
 	case MethodAll:
 		return AllFeatures{}, nil
 	default:
-		return nil, fmt.Errorf("featsel: unknown method %q", m)
+		return nil, fmt.Errorf("featsel: unknown method %q (valid: %s)", m, MethodNames())
 	}
-}
-
-// MethodsFor returns the methods applicable to a task, in table order.
-func MethodsFor(task ml.Task) []Method {
-	var out []Method
-	for _, m := range AllMethods() {
-		sel, err := New(m)
-		if err != nil {
-			continue
-		}
-		if sel.Supports(task) {
-			out = append(out, m)
-		}
-	}
-	return out
 }

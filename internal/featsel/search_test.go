@@ -43,31 +43,6 @@ func TestAllFeaturesSelector(t *testing.T) {
 	}
 }
 
-func TestBackwardSelectorMaxRounds(t *testing.T) {
-	ds := planted(ml.Classification, 120, 2, 20, 47)
-	s := &BackwardSelector{MaxCandidates: 5, MaxRounds: 3}
-	sel, err := s.Select(ds, fastForest(4), 48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At most 3 removals from 22 features.
-	if len(sel) < ds.D-3 {
-		t.Fatalf("MaxRounds 3 removed %d features", ds.D-len(sel))
-	}
-}
-
-func TestForwardSelectorMaxFeatures(t *testing.T) {
-	ds := planted(ml.Classification, 150, 6, 2, 49)
-	s := &ForwardSelector{MaxFeatures: 3, MaxCandidates: -1}
-	sel, err := s.Select(ds, fastForest(5), 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel) > 3 {
-		t.Fatalf("MaxFeatures 3 selected %d", len(sel))
-	}
-}
-
 // Property: Order returns a permutation sorted by descending score.
 func TestOrderProperty(t *testing.T) {
 	f := func(scores []float64) bool {

@@ -40,22 +40,6 @@ func BenchmarkSparse21Wide(b *testing.B) {
 	}
 }
 
-func BenchmarkLassoCoordinateDescent(b *testing.B) {
-	ds := makeRegression(400, 100, 105)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FitLasso(ds, LassoConfig{Lambda: 0.1})
-	}
-}
-
-func BenchmarkLogisticFit(b *testing.B) {
-	ds := makeClassification(400, 3, 30, 106)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FitLogistic(ds, LogisticConfig{MaxIter: 100})
-	}
-}
-
 // BenchmarkFitForestOneHot is the rung under the benchmark's
 // ml.forest_fit_probe_ms: the evaluation forest over a tall one-hot base
 // table (tall-base's training split — 9,000 rows, 64 one-hot columns and one

@@ -1,8 +1,8 @@
 // Package ml implements the learning models ARDA uses, from scratch on the
 // standard library: CART decision trees and random forests (classification
-// and regression, with impurity-based feature importances), lasso,
-// logistic/softmax regression, the linear SVM, and the ℓ2,1-norm
-// sparse-regression solver that powers half of RIFS's ranking ensemble.
+// and regression, with impurity-based feature importances), the linear SVM,
+// and the ℓ2,1-norm sparse-regression solver that powers half of RIFS's
+// ranking ensemble.
 package ml
 
 import (

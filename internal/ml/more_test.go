@@ -47,17 +47,9 @@ func TestTreeMTryOne(t *testing.T) {
 	}
 }
 
-func TestLogisticFeatureWeightsLength(t *testing.T) {
-	ds := makeClassification(60, 1, 3, 85)
-	m := FitLogistic(ds, LogisticConfig{MaxIter: 10})
-	if len(m.FeatureWeights()) != ds.D {
-		t.Fatal("feature weights length mismatch")
-	}
-}
-
 func TestPredictAllLength(t *testing.T) {
 	ds := makeRegression(30, 1, 86)
-	m := FitLasso(ds, LassoConfig{Lambda: 0.01, MaxIter: 20})
+	m := FitForest(ds, ForestConfig{NTrees: 3, MaxDepth: 4, Seed: 1})
 	if got := PredictAll(m, ds); len(got) != ds.N {
 		t.Fatalf("PredictAll length = %d", len(got))
 	}
@@ -80,8 +72,6 @@ func TestPredictAllAnyWorkers(t *testing.T) {
 		{"forest reg", FitForest(reg, ForestConfig{NTrees: 5, MaxDepth: 6, Seed: 2}), reg},
 		{"forest cls", FitForest(cls, ForestConfig{NTrees: 5, MaxDepth: 6, Seed: 3}), cls},
 		{"forest view", FitForest(view, ForestConfig{NTrees: 5, MaxDepth: 6, Seed: 4}), view},
-		{"lasso", FitLasso(reg, LassoConfig{Lambda: 0.01, MaxIter: 20}), reg},
-		{"logistic", FitLogistic(cls, LogisticConfig{MaxIter: 10}), cls},
 		{"linear svm", FitLinearSVM(cls, SVMConfig{Epochs: 2, Seed: 6}), cls},
 	}
 	defer parallel.SetMaxWorkers(0)
@@ -132,38 +122,6 @@ func TestForestPredictionRangeProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: lasso coefficients are finite for arbitrary (finite, non-empty)
-// regression data.
-func TestLassoFiniteProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 5 + rng.Intn(30)
-		d := 1 + rng.Intn(5)
-		x := make([]float64, n*d)
-		y := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64() * math.Exp(rng.NormFloat64())
-		}
-		for i := range y {
-			y[i] = rng.NormFloat64() * math.Exp(rng.NormFloat64())
-		}
-		ds, err := NewDataset(x, n, d, y, Regression, 0)
-		if err != nil {
-			return false
-		}
-		m := FitLasso(ds, LassoConfig{Lambda: 0.1, MaxIter: 50})
-		for _, w := range m.Coefficients() {
-			if math.IsNaN(w) || math.IsInf(w, 0) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -35,6 +35,10 @@ type Trace struct {
 	root  *Span
 	start time.Time
 	sinks []Sink
+	// emitMu makes each event's fan-out atomic, so spans ending on
+	// concurrent goroutines reach every sink in one order: a live stream and
+	// the trace file it is published as hold the same sequence.
+	emitMu sync.Mutex
 
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -241,6 +245,8 @@ func (t *Trace) Scalars() (counters, gauges map[string]int64) {
 
 // emit streams one event to every sink.
 func (t *Trace) emit(ev Event) {
+	t.emitMu.Lock()
+	defer t.emitMu.Unlock()
 	for _, s := range t.sinks {
 		s.Emit(ev)
 	}

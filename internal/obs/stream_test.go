@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"reflect"
 	"strconv"
+	"sync"
 	"testing"
 
 	"github.com/arda-ml/arda/internal/testenv"
@@ -192,5 +194,37 @@ func TestStreamSinkOnTrace(t *testing.T) {
 	if !sawSpan || !sawHist || !sawCounter {
 		t.Fatalf("stream missing event kinds: span=%v hist=%v counter=%v",
 			sawSpan, sawHist, sawCounter)
+	}
+}
+
+// TestTraceSinksSeeOneOrder ends spans from concurrent goroutines: every
+// sink of the trace must receive the events in the same order, so a live
+// stream and the trace file published beside it hold one sequence.
+func TestTraceSinksSeeOneOrder(t *testing.T) {
+	defer testenv.NoGoroutineLeak(t)()
+	a, b := NewStreamSink(0), NewStreamSink(0)
+	subA, subB := a.Subscribe(4096), b.Subscribe(4096)
+	tr := New("run", a, b)
+	root := tr.Root()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				root.Child("work", g*100+i).End()
+			}
+		}()
+	}
+	wg.Wait()
+	tr.Finish()
+	gotA, gotB := drain(subA), drain(subB)
+	if len(gotA) != len(gotB) {
+		t.Fatalf("sinks received %d and %d events", len(gotA), len(gotB))
+	}
+	for i := range gotA {
+		if !reflect.DeepEqual(gotA[i], gotB[i]) {
+			t.Fatalf("event %d differs between sinks: %+v vs %+v", i, gotA[i], gotB[i])
+		}
 	}
 }

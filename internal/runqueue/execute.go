@@ -41,6 +41,10 @@ func (m *Manager) execute(r *run) {
 	r.rec.State = StateRunning
 	r.rec.StartedAt = time.Now()
 	r.rec.Error = ""
+	// The first attempt's live stream appears with the transition, so a
+	// reader that sees the run running always finds a stream to subscribe to.
+	stream := obs.NewStreamSink(0)
+	r.stream = stream
 	r.cancel = cancel
 	if r.userCanceled {
 		// Canceled in the claim window between the queue pop and here: the
@@ -56,6 +60,7 @@ func (m *Manager) execute(r *run) {
 	}
 	if err := m.persist(r); err != nil {
 		if errors.Is(err, lease.ErrLeaseLost) {
+			stream.Flush() // no attempt will finish it
 			m.markLost(r)
 			return
 		}
@@ -74,7 +79,7 @@ func (m *Manager) execute(r *run) {
 	// fresh trace; a second such error is a real failure.
 	discarded := false
 	attempt := func() (*RunResult, error) {
-		res, err := m.attempt(ctx, r)
+		res, err := m.attempt(ctx, r, stream)
 		if discarded || !(errors.Is(err, core.ErrCheckpointCorrupt) || errors.Is(err, core.ErrCheckpointMismatch)) {
 			return res, err
 		}
@@ -91,7 +96,8 @@ func (m *Manager) execute(r *run) {
 		}
 		m.cDiscarded.Add(1)
 		m.logf("%s: checkpoint unusable, discarded; restarting from scratch: %v", id, err)
-		return m.attempt(ctx, r)
+		stream = m.newStream(r)
+		return m.attempt(ctx, r, stream)
 	}
 	for try := 1; ; try++ {
 		res, err = attempt()
@@ -116,6 +122,7 @@ func (m *Manager) execute(r *run) {
 			err = core.ErrCanceled
 			break
 		}
+		stream = m.newStream(r)
 	}
 	m.hRun.Observe(int64(time.Since(start)))
 
@@ -297,21 +304,35 @@ func sanitizeOwner(owner string) string {
 	return string(b)
 }
 
+// newStream installs a fresh live stream for r's next attempt: an attempt
+// finishes its trace, and with it its stream, so attempts cannot share one.
+func (m *Manager) newStream(r *run) *obs.StreamSink {
+	stream := obs.NewStreamSink(0)
+	m.mu.Lock()
+	r.stream = stream
+	m.mu.Unlock()
+	return stream
+}
+
 // attempt executes the spec once, end to end, under a fresh per-attempt
-// trace whose event stream is both subscribable live (Manager.Stream) and
-// persisted as trace.ndjson in the run directory. Panics anywhere in the
-// attempt — CSV loading, discovery, the pipeline — are contained here and
-// returned as errors, so one poisoned run cannot take down the daemon. The
+// trace whose event stream is both subscribable live (Manager.Stream, over
+// stream, which execute installed as r's) and persisted as trace.ndjson in
+// the run directory. Panics anywhere in the attempt — CSV loading,
+// discovery, the pipeline — are contained here and returned as errors, so
+// one poisoned run cannot take down the daemon. The
 // attempt is fenced end to end: every checkpoint write re-verifies the lease
 // (core.Options.CheckpointGuard), the final outputs are written only after a
 // last verification, and a lost lease suppresses even the trace flush — the
 // new owner's artifacts win everywhere.
-func (m *Manager) attempt(ctx context.Context, r *run) (res *RunResult, err error) {
+func (m *Manager) attempt(ctx context.Context, r *run, stream *obs.StreamSink) (res *RunResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = nil, fmt.Errorf("runqueue: run panicked: %v", p)
 		}
 	}()
+	// Every exit closes the stream, those before the trace exists included,
+	// so no subscriber waits on an attempt that has ended.
+	defer stream.Flush()
 
 	m.mu.Lock()
 	// Counted per call; persisted by whichever transition follows the attempt.
@@ -331,7 +352,6 @@ func (m *Manager) attempt(ctx context.Context, r *run) (res *RunResult, err erro
 	// A fresh trace per attempt: a trace is finished once, on every exit of
 	// the attempt, so attempts cannot share one. The stream sink replays history to
 	// late subscribers; the file sink publishes atomically on Flush.
-	stream := obs.NewStreamSink(0)
 	tracePath := filepath.Join(m.runDir(id), "trace.ndjson")
 	// Owner-unique tmp: a peer re-attempting this run after a takeover must
 	// never truncate the stale owner's still-open in-progress file (or vice
@@ -343,9 +363,6 @@ func (m *Manager) attempt(ctx context.Context, r *run) (res *RunResult, err erro
 	}
 	guarded := &fencedSink{inner: fileSink, lse: lse}
 	trace := obs.New("augment", stream, guarded)
-	m.mu.Lock()
-	r.stream = stream
-	m.mu.Unlock()
 	// Every exit finishes the trace — the front half's (load, base lookup,
 	// spec options) before the pipeline ever sees it, and a panic's — so the
 	// stream closes and GET /runs/{id}/events of a failed run ends instead of

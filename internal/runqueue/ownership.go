@@ -170,7 +170,7 @@ func (m *Manager) heartbeats() {
 // observes lease.ErrLeaseLost semantics at its next boundary and abandons),
 // and the lease.lost counter takes the run out of our accounting partition —
 // its new owner counts it from here on. The run's stream is dropped even
-// when the loss was already booked: an attempt that was running then set it
+// when the loss was already booked: a retry may have installed a fresh one
 // after the heartbeat's call.
 func (m *Manager) markLost(r *run) {
 	m.mu.Lock()

@@ -247,7 +247,9 @@ type run struct {
 	// Set (and counted into lease.lost) exactly once.
 	leaseLost bool
 	// stream is the live event bus of the current execution attempt: nil
-	// before the run starts and again once this process stops holding it
+	// before the run starts (it is set in the critical section that turns
+	// the run running, so a running run always has one) and again once this
+	// process stops holding it
 	// (finishRun, requeueRun, markLost). From then on the run's events are
 	// read from its trace.ndjson, so a finished run keeps only its Record.
 	stream *obs.StreamSink

@@ -455,6 +455,63 @@ func TestRunHardFailureIsContained(t *testing.T) {
 	}
 }
 
+// A spec naming a selector the registry does not hold (lasso, which an
+// earlier version registered) is refused at admission with the valid names.
+// A run persisted with such a spec before an upgrade fails on its first
+// attempt with the same error: it is not transient, so it is not retried,
+// and the queue goes on serving.
+func TestRunHardFailureRemovedSelector(t *testing.T) {
+	defer parallel.SetMaxWorkers(0)
+	defer testenv.NoGoroutineLeak(t)()
+	state := t.TempDir()
+	dataDir, base, target := writeCorpus(t)
+	removed := fastSpec(dataDir, base, target)
+	removed.Selector = "lasso"
+	if err := removed.Validate(); err == nil || !strings.Contains(err.Error(), "random forest") {
+		t.Fatalf("Validate(lasso) = %v, want an error listing the valid selectors", err)
+	}
+	kept := fastSpec(dataDir, base, target)
+	kept.Selector = "random forest"
+	if err := kept.Validate(); err != nil {
+		t.Fatalf("Validate(random forest) = %v", err)
+	}
+
+	dir := filepath.Join(state, "runs", "r000001")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(Record{ID: "r000001", Seq: 1, Spec: removed, State: StateQueued})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "run.json"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m := openManager(t, Config{StateDir: state, RetryAttempts: 3})
+	if _, err := m.Submit(removed); err == nil {
+		t.Fatal("spec with a removed selector was admitted")
+	}
+	final := waitTerminal(t, m, "r000001", time.Minute)
+	if final.State != StateFailed || final.Attempts != 1 || !strings.Contains(final.Error, `unknown method "lasso"`) {
+		t.Fatalf("persisted lasso run finished %s after %d attempts (%q), want failed after 1 with the unknown-method error",
+			final.State, final.Attempts, final.Error)
+	}
+	rec, err := m.Submit(kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done := waitTerminal(t, m, rec.ID, 2*time.Minute); done.State != StateCompleted {
+		t.Fatalf("run after the failed one finished %s (%s), want completed", done.State, done.Error)
+	}
+	checkAccounting(t, m)
+	if a := waitSettled(t, m, time.Minute); a.Failed != 1 || a.Completed != 1 || a.Takeovers != 1 {
+		t.Fatalf("accounting = %+v, want 1 taken over and failed, 1 completed", a)
+	}
+	if err := m.Close(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRecoverSkipsTerminalAndCorruptRecords(t *testing.T) {
 	defer parallel.SetMaxWorkers(0)
 	defer testenv.NoGoroutineLeak(t)()
@@ -528,6 +585,14 @@ func TestStreamExposesRunEvents(t *testing.T) {
 	rec, err := m.Submit(fastSpec(dataDir, base, target))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The live stream is created with the running transition: whenever the
+	// record reads running, Stream has one to subscribe to.
+	waitRunning(t, m, rec.ID, time.Minute)
+	if stream, _, err := m.Stream(rec.ID); err != nil || stream == nil {
+		if r, _ := m.Get(rec.ID); !r.State.Terminal() {
+			t.Fatalf("Stream of a running run = %v, %v, want its live stream", stream, err)
+		}
 	}
 	waitTerminal(t, m, rec.ID, 2*time.Minute)
 	events := publishedEvents(t, m, rec.ID)

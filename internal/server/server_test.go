@@ -144,6 +144,12 @@ func TestServiceEndToEnd(t *testing.T) {
 	if resp := postJSON(t, base+"/runs", map[string]any{"base": baseTable, "target": target, "siize": 9}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("typo submit = %d, want 400", resp.StatusCode)
 	}
+	// So is a selector the registry does not hold; the error lists the
+	// valid names.
+	apiErr = nil
+	if resp := postJSON(t, base+"/runs", map[string]any{"base": baseTable, "target": target, "selector": "lasso"}, &apiErr); resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr["error"], "random forest") {
+		t.Fatalf("removed-selector submit = %d %v, want 400 listing the valid selectors", resp.StatusCode, apiErr)
+	}
 	// So are resource budgets: a spec has none.
 	if resp := postJSON(t, base+"/runs", map[string]any{"base": baseTable, "target": target, "max_candidate_bytes": 1 << 20}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("budget submit = %d, want 400", resp.StatusCode)
@@ -425,9 +431,10 @@ func readEvents(t *testing.T, url string) []string {
 	return lines
 }
 
-// TestServiceLiveEventStream subscribes to /runs/{id}/events while the run
-// executes and verifies the stream delivers events and terminates when the
-// run finishes, and that the same GET after completion, served from the
+// TestServiceLiveEventStream subscribes to /runs/{id}/events the moment the
+// run reads running and verifies the GET is answered from the live stream
+// (never a 404), that the stream delivers events and terminates when the run
+// finishes, and that the same GET after completion, served from the
 // published trace, returns the same sequence.
 func TestServiceLiveEventStream(t *testing.T) {
 	defer parallel.SetMaxWorkers(0)
@@ -438,26 +445,26 @@ func TestServiceLiveEventStream(t *testing.T) {
 	if resp := postJSON(t, base+"/runs", runqueue.Spec{Base: baseTable, Target: target, Size: 128}, &rec); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d", resp.StatusCode)
 	}
-	// Wait until the run's attempt has created its live stream (the record
-	// turns running a moment before), so the first GET subscribes to it.
+	// GET the events as soon as the record reads running: the run's live
+	// stream is created in the same critical section as that transition, so
+	// the GET subscribes to it (readEvents fails on anything but a 200).
 	deadline := time.Now().Add(time.Minute)
 	for {
-		stream, _, err := mgr.Stream(rec.ID)
+		r, err := mgr.Get(rec.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stream != nil {
+		if r.State == runqueue.StateRunning {
 			break
 		}
-		if r, _ := mgr.Get(rec.ID); r.State.Terminal() {
-			t.Fatalf("run finished %s before its live stream was observed", r.State)
+		if r.State.Terminal() {
+			t.Fatalf("run finished %s before it was seen running", r.State)
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("run never started")
 		}
-		time.Sleep(time.Millisecond)
+		time.Sleep(100 * time.Microsecond)
 	}
-
 	live := readEvents(t, base+"/runs/"+rec.ID+"/events")
 	if len(live) == 0 {
 		t.Fatal("live stream delivered no events")

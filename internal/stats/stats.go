@@ -1,7 +1,6 @@
 // Package stats provides the statistical primitives ARDA's filter-style
 // feature selectors and random feature injection rely on: summary moments,
-// Pearson correlation, ANOVA F statistics, chi-squared statistics, binned
-// mutual information, and samplers for the standard distributions used to
+// Pearson correlation, ANOVA F statistics, binned mutual information, and samplers for the standard distributions used to
 // inject synthetic noise features.
 package stats
 
@@ -157,41 +156,6 @@ func FClassif(x []float64, y []int, numClasses int) float64 {
 		return math.Inf(1)
 	}
 	return (ssBetween / dfB) / (ssWithin / dfW)
-}
-
-// ChiSquared returns the chi-squared statistic between a non-negative feature
-// x (treated as frequency mass, as in sklearn's chi2) and integer class
-// labels.
-func ChiSquared(x []float64, y []int, numClasses int) float64 {
-	observed := make([]float64, numClasses)
-	classTotal := make([]float64, numClasses)
-	featureTotal := 0.0
-	n := 0.0
-	for i, v := range x {
-		if math.IsNaN(v) || y[i] < 0 || y[i] >= numClasses {
-			continue
-		}
-		if v < 0 {
-			v = -v
-		}
-		observed[y[i]] += v
-		classTotal[y[i]]++
-		featureTotal += v
-		n++
-	}
-	if n == 0 || featureTotal == 0 {
-		return 0
-	}
-	chi := 0.0
-	for k := 0; k < numClasses; k++ {
-		expected := featureTotal * classTotal[k] / n
-		if expected <= 0 {
-			continue
-		}
-		d := observed[k] - expected
-		chi += d * d / expected
-	}
-	return chi
 }
 
 // EqualFrequencyBins assigns each value of x to one of up to maxBins

@@ -84,15 +84,6 @@ func TestFRegression(t *testing.T) {
 	}
 }
 
-func TestChiSquared(t *testing.T) {
-	y := []int{0, 0, 1, 1}
-	strong := []float64{5, 5, 0, 0}
-	weak := []float64{1, 1, 1, 1}
-	if ChiSquared(strong, y, 2) <= ChiSquared(weak, y, 2) {
-		t.Fatal("chi² should prefer class-concentrated mass")
-	}
-}
-
 func TestEqualFrequencyBins(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	bins, k := EqualFrequencyBins(x, 4)
