@@ -3,8 +3,9 @@
 // Machine Learning" (Chepurko et al., VLDB 2020).
 //
 // Given a base table with a prediction target and a repository of candidate
-// tables, ARDA discovers candidate joins, executes them against a coreset of
-// the base table under a feature budget, prunes the resulting features by
+// tables, ARDA discovers candidate joins, screens them down to what one
+// selection round can rank on a coreset of the base table, executes them
+// against that coreset, prunes the resulting features by
 // comparing them against injected random noise (RIFS), and returns the base
 // table augmented with exactly the features that improve a downstream model.
 //
@@ -56,7 +57,7 @@ type QuarantinedCandidate = core.QuarantinedCandidate
 
 // ScreenedTable is the screen stage's verdict on one candidate table: its
 // score on the coreset, what it would cost of one selection round, and
-// whether it went on to the join plan (see Result.Screened).
+// whether it went on to the join (see Result.Screened).
 type ScreenedTable = core.ScreenedTable
 
 // Typed interrupt errors. An Augment run stopped by cancellation or an
@@ -120,18 +121,8 @@ const (
 	AllFeatures  = featsel.MethodAll
 )
 
-// Join-plan strategies (§4 "Table grouping").
-const (
-	BudgetJoin          = core.BudgetJoin
-	TableJoin           = core.TableJoin
-	FullMaterialization = core.FullMaterialization
-)
-
 // SoftMethod selects how soft (proximity) keys are matched.
 type SoftMethod = join.SoftMethod
-
-// PlanKind selects the join-plan table-grouping strategy.
-type PlanKind = core.PlanKind
 
 // CoresetStrategy selects the row-reduction method.
 type CoresetStrategy = coreset.Strategy
@@ -257,7 +248,7 @@ func NewTraceStream(historyCap int) *TraceStream { return obs.NewStreamSink(hist
 
 // Augment runs the ARDA pipeline and returns the augmented table together
 // with base-vs-augmented model scores. See Options for tuning knobs; the
-// defaults follow the paper (uniform coreset, budget-join plan, RIFS
+// defaults follow the paper (uniform coreset, RIFS
 // selection, two-way nearest-neighbour soft joins with time resampling).
 func Augment(base *Table, cands []Candidate, opts Options) (*Result, error) {
 	return core.Augment(base, cands, opts)

@@ -8,17 +8,18 @@
 //	arda -dir data/ -base taxi -target collisions -out augmented.csv
 //
 // Flags tune the pipeline: -selector picks the feature-selection method
-// (default RIFS), -plan the join plan (budget|table|full), -coreset the
-// row-reduction strategy (uniform|stratified|sketch), -tau enables the
-// Tuple-Ratio prefilter. Observability: -v streams live stage progress plus
-// the stage-cost tree with per-stage p50/p95/p99 latencies to stderr,
-// -trace writes the run's span/counter event stream as NDJSON (published
-// atomically when the run finishes — including canceled and timed-out
-// runs), and -metrics-addr serves live telemetry: /metrics (Prometheus text
-// exposition of counters, gauges, and latency histograms), /statusz (the
-// live rendered stage tree), /events (the NDJSON event stream, replayed from
-// the start of the run), and the net/http/pprof profiles under
-// /debug/pprof/.
+// (default RIFS), -coreset the row-reduction strategy
+// (uniform|stratified|sketch|leverage), -tau enables the Tuple-Ratio
+// prefilter. There is one join plan: the screen stage passes on the
+// candidates one selection round can rank on the coreset. Observability: -v
+// streams live stage progress plus the stage-cost tree with per-stage
+// p50/p95/p99 latencies to stderr, -trace writes the run's span/counter
+// event stream as NDJSON (published atomically when the run finishes —
+// including canceled and timed-out runs), and -metrics-addr serves live
+// telemetry: /metrics (Prometheus text exposition of counters, gauges, and
+// latency histograms), /statusz (the live rendered stage tree), /events (the
+// NDJSON event stream, replayed from the start of the run), and the
+// net/http/pprof profiles under /debug/pprof/.
 //
 // Durability: -checkpoint-dir snapshots pipeline state after every stage so
 // a killed run can continue with -resume; -checkpoint-ttl discards saved
@@ -61,10 +62,8 @@ func main() {
 		target      = flag.String("target", "", "target column in the base table")
 		out         = flag.String("out", "", "path to write the augmented CSV (optional)")
 		selector    = flag.String("selector", "RIFS", "feature selector: "+featsel.MethodNames())
-		plan        = flag.String("plan", "budget", "join plan: budget | table | full")
 		strategy    = flag.String("coreset", "uniform", "coreset strategy: uniform | stratified | sketch | leverage")
 		size        = flag.Int("size", 0, "coreset size (0 = automatic)")
-		budget      = flag.Int("budget", 0, "feature budget per batch (0 = coreset size)")
 		tau         = flag.Float64("tau", 0, "Tuple-Ratio prefilter threshold (0 = disabled)")
 		seed        = flag.Int64("seed", 1, "random seed")
 		softJoin    = flag.String("soft", "2way", "soft-key join method: 2way | nearest | hard")
@@ -164,7 +163,6 @@ func main() {
 	opts := arda.Options{
 		Target:        *target,
 		CoresetSize:   *size,
-		Budget:        *budget,
 		TupleRatioTau: *tau,
 		Seed:          *seed,
 		KNNImpute:     *knnImpute,
@@ -179,16 +177,6 @@ func main() {
 	}
 	opts.Trace = trace
 
-	switch *plan {
-	case "budget":
-		opts.Plan = arda.BudgetJoin
-	case "table":
-		opts.Plan = arda.TableJoin
-	case "full":
-		opts.Plan = arda.FullMaterialization
-	default:
-		cli.Fatalf("unknown plan %q", *plan)
-	}
 	switch *strategy {
 	case "uniform":
 		opts.CoresetStrategy = arda.CoresetUniform

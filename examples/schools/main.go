@@ -1,10 +1,10 @@
 // Schools: a large, noisy repository (School-L style — hundreds of joinable
 // tables, most of them useless). This example shows what matters at
 // repository scale: the screen stage cuts 350 tables to the ones a selection
-// round can rank on the coreset, and the join plan decides how those are
-// offered. It runs the same classification task with table-join,
-// budget-join, and budget-join + TR prefilter, reporting quality and wall
-// time for each.
+// round can rank on the coreset, and RIFS keeps what beats injected noise.
+// It runs the same classification task with ARDA's defaults, with the
+// Tuple-Ratio prefilter in front, and with every screened table's features
+// kept, reporting quality and wall time for each.
 //
 //	go run ./examples/schools
 package main
@@ -27,22 +27,19 @@ func main() {
 	cands := arda.Discover(corpus.Base, corpus.Repo, corpus.Target)
 	fmt.Printf("discovery proposed %d candidate joins\n\n", len(cands))
 
-	runs := []struct {
-		name  string
-		opts  arda.Options
-		cands []arda.Candidate
-	}{
-		// Table-join runs one feature-selection pass per table that survives
-		// the screen; even capped to the 100 highest-scored candidates it is
-		// far slower than budget-join over all 350.
-		{"table-join (top 100 candidates)", arda.Options{Plan: arda.TableJoin}, cands[:100]},
-		{"budget-join (default)", arda.Options{Plan: arda.BudgetJoin}, cands},
-		{"budget-join + TR prefilter", arda.Options{Plan: arda.BudgetJoin, TupleRatioTau: 2.5}, cands},
+	all, err := arda.NewSelector(arda.AllFeatures)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	// A lighter RIFS (fewer injection repetitions, smaller ranking forest)
-	// keeps the one-table-a-batch table-join run tractable for a demo.
-	selector := arda.NewRIFS(arda.RIFSConfig{K: 4})
+	runs := []struct {
+		name string
+		opts arda.Options
+	}{
+		{"ARDA (default)", arda.Options{}},
+		{"ARDA + TR prefilter", arda.Options{TupleRatioTau: 2.5}},
+		// No selection: every feature of every table the screen passes on.
+		{"all screened tables", arda.Options{Selector: all}},
+	}
 
 	fmt.Printf("%-36s %9s %9s %6s %9s\n", "configuration", "base", "augmented", "kept", "time")
 	for _, r := range runs {
@@ -50,10 +47,9 @@ func main() {
 		opts.Target = corpus.Target
 		opts.CoresetStrategy = arda.CoresetStratified
 		opts.CoresetSize = 256
-		opts.Selector = selector
 		opts.Seed = 3
 		start := time.Now()
-		res, err := arda.Augment(corpus.Base, r.cands, opts)
+		res, err := arda.Augment(corpus.Base, cands, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -69,7 +65,7 @@ func main() {
 		}
 	}
 
-	fmt.Println("\nBudget-join groups tables into feature-budget batches, so co-predicting")
-	fmt.Println("features split across tables (tutoring hours x district volunteering)")
-	fmt.Println("can be discovered together; table-join evaluates them in isolation.")
+	fmt.Println("\nThe screened tables are joined together and selected in one round, so")
+	fmt.Println("co-predicting features split across tables (tutoring hours x district")
+	fmt.Println("volunteering) are ranked side by side rather than in isolation.")
 }

@@ -56,11 +56,9 @@ const shardSuffix = ".shard"
 
 // Entry records one completed stage in the manifest, in completion order.
 type Entry struct {
-	// Stage is the pipeline stage name ("prefilter", "coreset", "join",
-	// "impute", "select", "materialize", "evaluate").
+	// Stage is the pipeline stage name ("prefilter", "coreset", "screen",
+	// "join", "impute", "select", "materialize", "evaluate").
 	Stage string
-	// Batch is the plan-batch ordinal for per-batch stages, -1 otherwise.
-	Batch int
 	// Seq is the entry's 0-based position in the stage sequence.
 	Seq int
 	// StageSeed is the derived RNG seed the stage ran under (0 for stages
@@ -186,7 +184,7 @@ func (l *Log) verifyShard(e Entry) error {
 // crash-safely) to reference it — so a crash between the two writes leaves
 // the previous manifest, which simply does not know about the new shard. A
 // nil *Log returns nil immediately without allocating.
-func (l *Log) Save(stage string, batch int, stageSeed int64, payload any) error {
+func (l *Log) Save(stage string, stageSeed int64, payload any) error {
 	if l == nil {
 		return nil
 	}
@@ -195,14 +193,13 @@ func (l *Log) Save(stage string, batch int, stageSeed int64, payload any) error 
 		return fmt.Errorf("checkpoint: encoding %s stage: %w", stage, err)
 	}
 	seq := len(l.man.Entries)
-	shard := shardName(seq, stage, batch)
+	shard := shardName(seq, stage)
 	data := buf.Bytes()
 	if err := atomicio.WriteFileBytes(filepath.Join(l.dir, shard), data); err != nil {
 		return fmt.Errorf("checkpoint: writing shard %s: %w", shard, err)
 	}
 	l.man.Entries = append(l.man.Entries, Entry{
 		Stage:     stage,
-		Batch:     batch,
 		Seq:       seq,
 		StageSeed: stageSeed,
 		Shard:     shard,
@@ -325,11 +322,8 @@ func (l *Log) writeManifest() error {
 	return nil
 }
 
-// shardName builds a shard file name: sequence, stage, and batch (when the
-// stage is per-batch) — e.g. "003-join.b001.shard".
-func shardName(seq int, stage string, batch int) string {
-	if batch >= 0 {
-		return fmt.Sprintf("%03d-%s.b%03d%s", seq, stage, batch, shardSuffix)
-	}
+// shardName builds a shard file name from sequence and stage — e.g.
+// "003-join.shard".
+func shardName(seq int, stage string) string {
 	return fmt.Sprintf("%03d-%s%s", seq, stage, shardSuffix)
 }

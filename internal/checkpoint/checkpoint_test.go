@@ -12,14 +12,14 @@ import (
 
 // payload mirrors the shape core snapshots: a table plus scalar progress.
 type payload struct {
-	Accum *dataframe.Table
+	Work  *dataframe.Table
 	Kept  []string
 	Round int
 }
 
 func samplePayload(round int) payload {
 	return payload{
-		Accum: dataframe.MustNewTable("accum",
+		Work: dataframe.MustNewTable("work",
 			dataframe.NewNumeric("x", []float64{1, 2, 3}),
 			dataframe.NewCategorical("c", []string{"a", "b", "a"}),
 		),
@@ -34,10 +34,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Save("prefilter", -1, 0, samplePayload(0)); err != nil {
+	if err := l.Save("prefilter", 0, samplePayload(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Save("join", 0, 101, samplePayload(1)); err != nil {
+	if err := l.Save("join", 101, samplePayload(1)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -49,17 +49,17 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("identity lost: runID=%q seed=%d", re.RunID(), re.Seed())
 	}
 	last, ok := re.Latest()
-	if !ok || last.Stage != "join" || last.Batch != 0 || last.Seq != 1 || last.StageSeed != 101 {
+	if !ok || last.Stage != "join" || last.Seq != 1 || last.StageSeed != 101 {
 		t.Fatalf("latest entry = %+v", last)
 	}
 	var got payload
 	if err := re.Load(1, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Round != 1 || len(got.Kept) != 2 || got.Accum == nil {
+	if got.Round != 1 || len(got.Kept) != 2 || got.Work == nil {
 		t.Fatalf("payload = %+v", got)
 	}
-	if got.Accum.Digest() != samplePayload(1).Accum.Digest() {
+	if got.Work.Digest() != samplePayload(1).Work.Digest() {
 		t.Fatal("table changed across checkpoint round trip")
 	}
 }
@@ -70,7 +70,7 @@ func TestSaveResumeAppendContinues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Save("prefilter", -1, 0, samplePayload(0)); err != nil {
+	if err := l.Save("prefilter", 0, samplePayload(0)); err != nil {
 		t.Fatal(err)
 	}
 	// A resumed process appends where the first left off.
@@ -78,7 +78,7 @@ func TestSaveResumeAppendContinues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := re.Save("coreset", -1, 7, samplePayload(1)); err != nil {
+	if err := re.Save("coreset", 7, samplePayload(1)); err != nil {
 		t.Fatal(err)
 	}
 	re2, err := Open(dir, "fp")
@@ -117,7 +117,7 @@ func TestCreateClearsStaleRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Save("prefilter", -1, 0, samplePayload(0)); err != nil {
+	if err := l.Save("prefilter", 0, samplePayload(0)); err != nil {
 		t.Fatal(err)
 	}
 	// A stray temp file from a crashed write must be swept too, and an
@@ -159,7 +159,7 @@ func TestTruncateRewindsAndDeletesShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, stage := range []string{"prefilter", "coreset", "join"} {
-		if err := l.Save(stage, -1, int64(i), samplePayload(i)); err != nil {
+		if err := l.Save(stage, int64(i), samplePayload(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,7 +201,7 @@ func TestTruncateRewindsAndDeletesShards(t *testing.T) {
 
 func TestNilLogNoOps(t *testing.T) {
 	var l *Log
-	if err := l.Save("prefilter", -1, 0, samplePayload(0)); err != nil {
+	if err := l.Save("prefilter", 0, samplePayload(0)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := l.Latest(); ok {

@@ -16,11 +16,7 @@ func buildRun(t *testing.T, dir string) []string {
 		t.Fatal(err)
 	}
 	for i, stage := range []string{"prefilter", "coreset", "join"} {
-		batch := -1
-		if stage == "join" {
-			batch = 0
-		}
-		if err := l.Save(stage, batch, int64(i), samplePayload(i)); err != nil {
+		if err := l.Save(stage, int64(i), samplePayload(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -16,7 +16,7 @@ func makeLog(t *testing.T, dir string, age time.Duration) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Save("coreset", -1, 0, struct{ X int }{1}); err != nil {
+	if err := l.Save("coreset", 0, struct{ X int }{1}); err != nil {
 		t.Fatal(err)
 	}
 	old := time.Now().Add(-age)

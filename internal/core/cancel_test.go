@@ -15,7 +15,7 @@ import (
 )
 
 // TestCancelDuringJoin slows every join checkpoint with delay faults,
-// cancels mid-batch, and asserts the run returns promptly (far sooner than
+// cancels mid-join, and asserts the run returns promptly (far sooner than
 // draining the remaining candidates), with the typed ErrCanceled, a partial
 // result snapshot, and no leaked goroutines.
 func TestCancelDuringJoin(t *testing.T) {
@@ -97,8 +97,8 @@ func TestCancelDuringSelection(t *testing.T) {
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("AugmentContext = %v, want ErrCanceled", err)
 	}
-	if res == nil || len(res.Batches) != 0 {
-		t.Fatalf("selection was canceled mid-batch; batch reports should be empty: %+v", res)
+	if res == nil || res.Table != nil || len(res.KeptColumns) != 0 {
+		t.Fatalf("selection was canceled; the partial result should hold no table and no kept column: %+v", res)
 	}
 }
 

@@ -53,40 +53,6 @@ func TestEstimateFeatures(t *testing.T) {
 	}
 }
 
-func TestBuildPlanBudget(t *testing.T) {
-	mk := func(name string, numeric int) discovery.Candidate {
-		cols := []dataframe.Column{dataframe.NewCategorical("k", []string{"a"})}
-		for i := 0; i < numeric; i++ {
-			cols = append(cols, dataframe.NewNumeric(name+string(rune('a'+i)), []float64{1}))
-		}
-		return candidateFor(dataframe.MustNewTable(name, cols...), "k", "k", 1)
-	}
-	cands := []discovery.Candidate{mk("t1", 3), mk("t2", 3), mk("t3", 3), mk("big", 20)}
-	batches := BuildPlan(cands, BudgetJoin, 7)
-	// t1+t2 fit budget 7 (3+3=6); t3 starts a new batch; big ships alone.
-	if len(batches) != 3 {
-		t.Fatalf("batches = %d, want 3", len(batches))
-	}
-	if len(batches[0].Candidates) != 2 || batches[0].EstimatedFeatures != 6 {
-		t.Fatalf("batch 0 = %+v", batches[0])
-	}
-	if len(batches[2].Candidates) != 1 || batches[2].Candidates[0].Table.Name() != "big" {
-		t.Fatal("oversized table should ship alone")
-	}
-
-	tj := BuildPlan(cands, TableJoin, 7)
-	if len(tj) != 4 {
-		t.Fatalf("table-join batches = %d", len(tj))
-	}
-	fm := BuildPlan(cands, FullMaterialization, 7)
-	if len(fm) != 1 || len(fm[0].Candidates) != 4 {
-		t.Fatalf("full-materialization batches = %+v", fm)
-	}
-	if got := BuildPlan(nil, FullMaterialization, 7); got != nil {
-		t.Fatal("empty plan should be nil")
-	}
-}
-
 func TestTupleRatioAndFilter(t *testing.T) {
 	small := dataframe.MustNewTable("small",
 		dataframe.NewCategorical("k", []string{"a", "b"}),

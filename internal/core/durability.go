@@ -29,33 +29,27 @@ var (
 
 // Durable runs snapshot the cumulative state after every stage. Each shard
 // is self-sufficient: resume loads only the LAST one and recomputes the cheap
-// deterministic prefix (prefilter, plan) from the original inputs, which the
-// fingerprint guarantees are unchanged — so no shard serializes the candidate
-// tables themselves.
-//
-// The one subtle invariant is column aliasing. A batch's work table shares
-// column OBJECTS with Accum, and imputation mutates them in place: that is
-// how one batch's imputation of base columns reaches later batches. A
-// snapshot therefore holds Accum and the batch's added columns as two
-// tables, and the driver rebuilds work for a batch resumed past its join by
-// re-aliasing the restored Accum's columns and appending the restored added
-// ones — the exact sharing an uninterrupted run has at that point.
+// deterministic prefix (prefilter, screen) from the original inputs, which
+// the fingerprint guarantees are unchanged — so no shard serializes the
+// candidate tables themselves.
 
 // runState is the run's cumulative state, and — gob-encoded as it stands —
 // the payload of every checkpoint shard: a resumed run starts from the last
 // shard's copy of it. Stages only ever add to it, so what later stages will
 // add is still zero.
 type runState struct {
-	// Accum is the carried-forward working table: the coreset base (from the
-	// "coreset" stage on) plus every kept column so far, including all
-	// in-place imputations to date.
-	Accum *dataframe.Table
+	// Work is the table selection runs on: the coreset base (from the
+	// "coreset" stage on), with every joined candidate's columns appended by
+	// "join" and imputed in place by "impute". "select" drops the joined
+	// columns again.
+	Work *dataframe.Table
+	// Joined lists the candidates joined onto Work and not quarantined
+	// since, in candidate order, with the (prefixed) columns each added;
+	// empty outside join..select.
+	Joined []joinedCandidate
 	// KeptByCandidate maps candidate ordinal -> kept source columns
-	// (unprefixed), from the join plan on.
+	// (unprefixed), from "select" on.
 	KeptByCandidate [][]string
-	// Batch is the open batch between its "join" and its "select"; zero
-	// outside one.
-	Batch batchState
 	// Result is the Result so far — what an interrupted run returns as its
 	// partial snapshot, and after "evaluate" the complete one. Its Screened
 	// is the screen's stored verdict; Elapsed and Trace are set at the exit
@@ -80,10 +74,9 @@ func runFingerprint(base *dataframe.Table, cands []discovery.Candidate, o *Optio
 	if o.Selector != nil {
 		selector = o.Selector.Name()
 	}
-	fmt.Fprintf(h, "v3|target=%s|coreset=%d/%d|plan=%d|budget=%d|tau=%g|soft=%d|noresample=%t|tol=%g|seed=%d|knn=%d|sig=%d|sel=%s|customest=%t|",
-		o.Target, o.CoresetStrategy, o.CoresetSize, o.Plan, o.Budget,
-		o.TupleRatioTau, o.SoftMethod, o.DisableTimeResample, o.Tolerance,
-		o.Seed, o.KNNImpute, o.Significance, selector, o.Estimator != nil)
+	fmt.Fprintf(h, "v4|target=%s|coreset=%d/%d|tau=%g|soft=%d|noresample=%t|seed=%d|knn=%d|sig=%d|sel=%s|customest=%t|",
+		o.Target, o.CoresetStrategy, o.CoresetSize, o.TupleRatioTau, o.SoftMethod,
+		o.DisableTimeResample, o.Seed, o.KNNImpute, o.Significance, selector, o.Estimator != nil)
 	writeU64(base.Digest())
 	writeU64(uint64(len(cands)))
 	for _, c := range cands {
@@ -132,12 +125,8 @@ func (r *run) openLog() (err error) {
 	if err := r.ck.Load(entry.Seq, &r.st); err != nil {
 		return err
 	}
-	r.doneRank = stageRank(entry.Stage, entry.Batch)
-	from := entry.Stage
-	if entry.Batch >= 0 {
-		from = fmt.Sprintf("%s[%d]", entry.Stage, entry.Batch)
-	}
-	r.st.Result.ResumedFrom = from
-	o.logf("resuming from checkpoint %s (%d stages on disk)", from, entry.Seq+1)
+	r.doneRank = stageRank(entry.Stage)
+	r.st.Result.ResumedFrom = entry.Stage
+	o.logf("resuming from checkpoint %s (%d stages on disk)", entry.Stage, entry.Seq+1)
 	return nil
 }

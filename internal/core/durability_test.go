@@ -19,8 +19,8 @@ import (
 )
 
 // resultKey flattens the deterministic parts of a Result for equality
-// comparison: kept features, scores, batch reports, the screen's verdicts,
-// quarantines, and the full augmented table contents.
+// comparison: kept features, scores, the screen's verdicts, quarantines,
+// and the full augmented table contents.
 // Timing fields are excluded.
 func resultKey(t *testing.T, r *Result) string {
 	t.Helper()
@@ -34,12 +34,6 @@ func resultKey(t *testing.T, r *Result) string {
 	}
 	writeF(r.BaseScore)
 	writeF(r.FinalScore)
-	for _, br := range r.Batches {
-		b.WriteString("|batch:")
-		b.WriteString(strings.Join(br.Tables, ","))
-		b.WriteString("/")
-		b.WriteString(strings.Join(br.KeptFeatures, ","))
-	}
 	fmt.Fprintf(&b, "|screened:%d", r.CandidatesScreened)
 	for _, s := range r.Screened {
 		fmt.Fprintf(&b, "|s:%s/%d/%t", s.Name, s.Features, s.Kept)
@@ -91,12 +85,12 @@ func TestCheckpointResumeBitIdenticalAtEveryBoundary(t *testing.T) {
 }
 
 // TestCheckpointResumeBitIdenticalWithScreen is the same suite over a corpus
-// the screen stage has to cut (350 tables against 192 coreset rows, then two
-// budget batches): the log gains the screen boundary, and a run killed on
-// either side of it resumes to the same survivors, scores and table.
+// the screen stage has to cut (350 tables against 192 coreset rows): the log
+// gains the screen boundary, and a run killed on either side of it resumes to
+// the same survivors, scores and table.
 func TestCheckpointResumeBitIdenticalWithScreen(t *testing.T) {
 	corpus, cands := wideCorpus(t)
-	resumeAtEveryBoundary(t, corpus, cands, wideOptions,
+	resumeAtEveryBoundary(t, corpus, cands, chaosOptions,
 		"prefilter", "coreset", "screen", "join", "impute", "select", "materialize", "evaluate")
 }
 
@@ -193,7 +187,7 @@ func TestCheckpointResumeWithQuarantine(t *testing.T) {
 // whichever side of the screen boundary the run is resumed.
 func TestCheckpointResumeWithScreenQuarantine(t *testing.T) {
 	corpus, cands := wideCorpus(t)
-	resumeWithQuarantine(t, corpus, cands, wideOptions,
+	resumeWithQuarantine(t, corpus, cands, chaosOptions,
 		faults.At(faults.Error, "screen", 3),
 		faults.At(faults.Panic, "screen", 7),
 		faults.At(faults.Error, "join", 2),

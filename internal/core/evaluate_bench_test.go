@@ -32,7 +32,7 @@ func BenchmarkEvaluateTallBase(b *testing.B) {
 	r.st.Result.Table = want.Table
 	b.ResetTimer()
 	for range b.N {
-		if _, err := r.evaluate(context.Background(), 0); err != nil {
+		if _, err := r.evaluate(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,10 +1,10 @@
 // Package core implements the end-to-end ARDA pipeline (§3 of the paper) as
 // eight stages: optional Tuple-Ratio prefiltering, coreset construction over
 // the base table, a screen that passes on only as many candidate tables as
-// one selection round can rank on that coreset, join planning under a
-// feature budget with batch join execution, imputation, feature selection
-// (RIFS by default), materialization of the kept features over the full base
-// table, and the final model estimate.
+// one selection round can rank on that coreset, the join of those tables
+// onto the coreset, imputation, one feature-selection round over every
+// joined feature (RIFS by default), materialization of the kept features
+// over the full base table, and the final model estimate.
 package core
 
 import (
@@ -21,32 +21,6 @@ import (
 	"github.com/arda-ml/arda/internal/obs"
 )
 
-// PlanKind selects the table-grouping strategy for the join plan (§4 "Table
-// grouping").
-type PlanKind int
-
-const (
-	// BudgetJoin batches as many tables as fit the feature budget — the
-	// paper's default, balancing co-predictor discovery against noise.
-	BudgetJoin PlanKind = iota
-	// TableJoin considers one table at a time in priority order.
-	TableJoin
-	// FullMaterialization joins every candidate table before selection.
-	FullMaterialization
-)
-
-// String returns the plan name.
-func (p PlanKind) String() string {
-	switch p {
-	case TableJoin:
-		return "table-join"
-	case FullMaterialization:
-		return "full materialization"
-	default:
-		return "budget-join"
-	}
-}
-
 // Options configures an ARDA run.
 type Options struct {
 	// Target is the base-table column to predict. Required.
@@ -57,13 +31,6 @@ type Options struct {
 	// CoresetSize is the number of coreset rows; 0 picks
 	// coreset.DefaultSize.
 	CoresetSize int
-	// Plan selects the table-grouping strategy; default BudgetJoin.
-	Plan PlanKind
-	// Budget is the maximum number of features considered per batch; 0
-	// defaults to the coreset size. Whatever the budget, the screen stage has
-	// already cut the candidates to the tables whose features fit the
-	// coreset's row count, so at the default one batch holds them all.
-	Budget int
 	// Selector is the feature-selection method; nil defaults to RIFS.
 	Selector featsel.Selector
 	// Estimator scores candidate subsets during selection; nil defaults to
@@ -78,8 +45,6 @@ type Options struct {
 	// granularity before joining; default true (set DisableTimeResample to
 	// turn off).
 	DisableTimeResample bool
-	// Tolerance bounds soft-key nearest-neighbour distance (0 = unbounded).
-	Tolerance float64
 	// Seed drives every random choice in the run. Each stage (coreset
 	// sampling, each join, each imputation, selection) derives its own RNG
 	// from the seed by deterministic splitting, so results depend only on the
@@ -100,12 +65,12 @@ type Options struct {
 	// (0 disables).
 	Significance int
 	// CheckpointDir, when set, makes the run durable: after every pipeline
-	// stage (prefilter, coreset, screen when it had to choose, each batch's
-	// join/impute/select, materialize, evaluate) the run's state is
-	// snapshotted crash-safely into
-	// this directory via internal/checkpoint. A process killed at any instant
-	// leaves the directory describing the completed-stage prefix; rerunning
-	// with Resume continues from there. Unset (the default) costs nothing.
+	// stage (prefilter, coreset, screen when it had to choose, join, impute,
+	// select, materialize, evaluate) the run's state is snapshotted
+	// crash-safely into this directory via internal/checkpoint. A process
+	// killed at any instant leaves the directory describing the
+	// completed-stage prefix; rerunning with Resume continues from there.
+	// Unset (the default) costs nothing.
 	CheckpointDir string
 	// Resume continues a prior run from the checkpoints in CheckpointDir.
 	// The recorded fingerprint — a digest of the base table, every candidate,
@@ -133,11 +98,11 @@ type Options struct {
 	// hook. Faulted candidates are quarantined, not fatal. nil (the default)
 	// makes every checkpoint a free no-op.
 	FaultInjector *faults.Injector
-	// Logf, when set, receives progress lines (batch starts, selections,
+	// Logf, when set, receives progress lines (screen, selection,
 	// materialization) during the run.
 	Logf func(format string, args ...any)
 	// Trace, when set, receives hierarchical stage spans (prefilter, coreset,
-	// screen, per-batch join/impute/select, materialize, evaluate) and run
+	// screen, join, impute, select, materialize, evaluate) and run
 	// counters. Create one obs.Trace per run. Tracing only observes: output is
 	// bit-identical with Trace nil (the default, which costs nothing) or set.
 	// Whenever Augment returns a Result — complete, or partial beside an
@@ -187,17 +152,6 @@ func TaskOf(base *dataframe.Table, target string) (ml.Task, int, error) {
 	return ml.Regression, 0, nil
 }
 
-// BatchReport records one executed join-plan batch.
-type BatchReport struct {
-	// Tables lists the foreign tables joined in the batch.
-	Tables []string
-	// CandidateFeatures is the number of new feature columns the batch
-	// offered.
-	CandidateFeatures int
-	// KeptFeatures lists the new columns the selector kept.
-	KeptFeatures []string
-}
-
 // QuarantinedCandidate records one candidate table isolated by the fault
 // boundary: instead of failing the run, the candidate was dropped at the
 // named stage and the run continued without it.
@@ -226,8 +180,6 @@ type Result struct {
 	BaseScore, FinalScore float64
 	// EstimatorName names the winning final estimator.
 	EstimatorName string
-	// Batches reports each executed batch.
-	Batches []BatchReport
 	// Quarantined lists candidates isolated by the fault boundary (malformed
 	// tables, empty tables, injected faults), in quarantine order. A
 	// quarantined candidate contributes nothing to Table; everything else in
@@ -240,7 +192,7 @@ type Result struct {
 	CandidatesConsidered, CandidatesDeduped, CandidatesFiltered int
 	// CandidatesScreened is the number of candidates the screen stage took
 	// out — ranked below the cut, or quarantined there — so the count
-	// entering the join plan is CandidatesDeduped - CandidatesFiltered -
+	// entering the join is CandidatesDeduped - CandidatesFiltered -
 	// CandidatesScreened. 0 when every candidate's features fit the coreset.
 	CandidatesScreened int
 	// Screened is the screen stage's verdict on every candidate it scored, in
@@ -252,7 +204,7 @@ type Result struct {
 	// SelectionElapsed is the time spent inside feature selection.
 	SelectionElapsed time.Duration
 	// ResumedFrom names the checkpoint stage the run continued from (e.g.
-	// "coreset" or "select[2]") when Options.Resume found usable state;
+	// "coreset" or "select") when Options.Resume found usable state;
 	// empty for a run executed start to finish.
 	ResumedFrom string
 	// Significance holds the paired bootstrap comparison of the augmented

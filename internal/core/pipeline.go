@@ -50,10 +50,10 @@ func stageRNG(seed int64, ids ...int64) *rand.Rand {
 	return rand.New(rand.NewSource(stageSeed(seed, ids...)))
 }
 
-// Augment runs the full ARDA pipeline: prefilter and plan the candidate
-// joins, execute them batch-by-batch against the coreset, select features
-// against injected noise, materialize the kept features over the full base
-// table, and report base-vs-augmented holdout scores.
+// Augment runs the full ARDA pipeline: prefilter and screen the candidate
+// joins, execute them against the coreset, select features against injected
+// noise, materialize the kept features over the full base table, and report
+// base-vs-augmented holdout scores.
 func Augment(base *dataframe.Table, cands []discovery.Candidate, opts Options) (*Result, error) {
 	return AugmentContext(context.Background(), base, cands, opts)
 }
@@ -63,10 +63,10 @@ func Augment(base *dataframe.Table, cands []discovery.Candidate, opts Options) (
 // join, and inside the parallel loops of selection, so a canceled or
 // deadline-bounded run stops promptly instead of draining its work queues.
 // On interruption it returns the typed ErrCanceled or ErrDeadline together
-// with a partial Result snapshot — the attrition counts, batch reports, and
-// quarantine log accumulated so far (Result.Table and the scores are only
-// set by a completed run) — and a stage that fails for any other reason
-// returns its error with the same snapshot. Options.Timeout > 0 additionally
+// with a partial Result snapshot — the attrition counts, the screen's
+// verdicts and the quarantine log accumulated so far (Result.Table and the
+// scores are only set by a completed run) — and a stage that fails for any
+// other reason returns its error with the same snapshot. Options.Timeout > 0 additionally
 // bounds the run's wall-clock duration. The context only gates scheduling: a
 // run that completes is bit-identical to the same run without a context.
 // Whatever execute returns, this one exit finishes the trace (Options.Trace).
@@ -102,36 +102,26 @@ type run struct {
 	estimator eval.Fitter
 
 	// The cheap deterministic prefix, recomputed by every run: prefilter sets
-	// size and narrows cands, screen narrows them again, and the plan and
-	// everything after it index that list.
+	// size and narrows cands, screen narrows them again, and everything after
+	// it indexes that list.
 	cands []discovery.Candidate
 	size  int
-	plan  []Batch
 
-	// Per-run caches: soft, geo and time-resample foreign-table preparations
-	// shared by screen, the batches and materialize (a hard-key join
-	// prepares nothing), binarize plans by the batches' re-encodings of carried
-	// columns — valid because candidate tables are never mutated and work
-	// tables only encoded fully imputed.
+	// prep caches the soft, geo and time-resample foreign-table preparations
+	// screen, join and materialize share (a hard-key join prepares nothing);
+	// valid because candidate tables are never mutated.
 	prep *join.PrepCache
-	enc  *dataframe.EncodeCache
 
 	// Tracing only observes — spans and counters never feed back and draw no
-	// randomness — and is a free no-op when Options.Trace is nil. batchSpan
-	// parents the open batch's stage spans.
-	tr        *obs.Trace
-	batchSpan *obs.Span
+	// randomness — and is a free no-op when Options.Trace is nil.
+	tr *obs.Trace
 
 	// ck is nil unless Options.CheckpointDir is set. Under Resume, st starts
 	// as the last completed stage's snapshot and doneRank is that stage's
 	// stageRank; -1 runs everything.
 	ck       *checkpoint.Log
 	doneRank int
-
-	// work is the open batch's table: Accum's own column objects plus the
-	// columns joined so far (the aliasing invariant in durability.go).
-	work *dataframe.Table
-	st   runState
+	st       runState
 }
 
 // Pre-registered, so a live scrape (-metrics-addr) exposes every counter and
@@ -149,7 +139,7 @@ var (
 		"quarantine.total", "checkpoint.saved", "checkpoint.write_failures",
 	}
 	subStageHistograms = []string{
-		"batch", "join.cand", "select.rep", "rep.inject", "rep.forest", "rep.sparse",
+		"join.cand", "select.rep", "rep.inject", "rep.forest", "rep.sparse",
 		"rep.aggregate", "select.sweep", "materialize.cand",
 		"evaluate.encode", "evaluate.base", "evaluate.augmented",
 		"select.tree_fit", "select.subset_score",
@@ -172,7 +162,7 @@ func newRun(base *dataframe.Table, cands []discovery.Candidate, opts Options) (*
 	}
 	r := &run{
 		base: base, opts: opts, task: task, classes: classes, estimator: opts.Estimator,
-		cands: cands, prep: join.NewPrepCache(), enc: dataframe.NewEncodeCache(),
+		cands: cands, prep: join.NewPrepCache(),
 		tr: opts.Trace, doneRank: -1,
 	}
 	if r.estimator == nil {
@@ -194,15 +184,12 @@ func newRun(base *dataframe.Table, cands []discovery.Candidate, opts Options) (*
 	return r, nil
 }
 
-// publishCacheStats sets the per-run caches' final figures as gauges.
+// publishCacheStats sets the preparation cache's final figures as gauges.
 func (r *run) publishCacheStats() {
-	ps, es := r.prep.Stats(), r.enc.Stats()
+	ps := r.prep.Stats()
 	r.tr.Gauge("prep_cache.hits").Set(ps.Hits)
 	r.tr.Gauge("prep_cache.misses").Set(ps.Misses)
 	r.tr.Gauge("prep_cache.entries").Set(int64(r.prep.Len()))
-	r.tr.Gauge("encode_cache.hits").Set(es.Hits)
-	r.tr.Gauge("encode_cache.misses").Set(es.Misses)
-	r.tr.Gauge("encode_cache.entries").Set(int64(r.enc.Len()))
 }
 
 // quarantine is the fault boundary's record: a candidate that faults is
@@ -236,7 +223,6 @@ func specFor(c discovery.Candidate, opts Options, prefix string) *join.Spec {
 	return &join.Spec{
 		Keys:         c.Keys,
 		Method:       method,
-		Tolerance:    opts.Tolerance,
 		TimeResample: !opts.DisableTimeResample,
 		Prefix:       prefix,
 	}
@@ -254,14 +240,14 @@ func sourceColumn(name string) string {
 // DatasetOf converts a table into an ml.Dataset for the given target,
 // one-hot-encoding categoricals and mean-filling any remaining NaNs.
 func DatasetOf(t *dataframe.Table, target string, task ml.Task, classes int) (*ml.Dataset, error) {
-	_, ds, err := encodeTable(t, nil, target, task, classes)
+	_, ds, err := encodeTable(t, target, task, classes)
 	return ds, err
 }
 
-// encodeTable is DatasetOf through an encode cache (nil for none), returning
-// the numeric view beside the dataset so features can be named.
-func encodeTable(t *dataframe.Table, cache *dataframe.EncodeCache, target string, task ml.Task, classes int) (*dataframe.NumericView, *ml.Dataset, error) {
-	view := t.ToNumericViewCached(cache, target)
+// encodeTable is DatasetOf returning the numeric view beside the dataset, so
+// features can be named.
+func encodeTable(t *dataframe.Table, target string, task ml.Task, classes int) (*dataframe.NumericView, *ml.Dataset, error) {
+	view := t.ToNumericView(target)
 	y, err := t.TargetVector(target)
 	if err != nil {
 		return nil, nil, err

@@ -43,46 +43,6 @@ func TestAugmentSketchCoreset(t *testing.T) {
 	}
 }
 
-func TestAugmentTableJoinPlan(t *testing.T) {
-	corpus := synth.Poverty(synth.Config{Seed: 53, Scale: 0.15})
-	cands := discovery.Discover(corpus.Base, corpus.Repo, corpus.Target, discovery.Options{})
-	res, err := Augment(corpus.Base, cands, Options{
-		Target:      corpus.Target,
-		Plan:        TableJoin,
-		CoresetSize: 160,
-		Selector:    fastRIFS(),
-		Estimator:   fastEstimator(4),
-		Seed:        54,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Table-join runs one batch per candidate.
-	if len(res.Batches) < 10 {
-		t.Fatalf("table-join ran only %d batches for %d candidates",
-			len(res.Batches), res.CandidatesConsidered)
-	}
-}
-
-func TestAugmentFullMaterializationPlan(t *testing.T) {
-	corpus := synth.Poverty(synth.Config{Seed: 55, Scale: 0.15})
-	cands := discovery.Discover(corpus.Base, corpus.Repo, corpus.Target, discovery.Options{})
-	res, err := Augment(corpus.Base, cands, Options{
-		Target:      corpus.Target,
-		Plan:        FullMaterialization,
-		CoresetSize: 160,
-		Selector:    fastRIFS(),
-		Estimator:   fastEstimator(5),
-		Seed:        56,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Batches) != 1 {
-		t.Fatalf("full materialization ran %d batches, want 1", len(res.Batches))
-	}
-}
-
 func TestAugmentTupleRatioFilterRemovesTables(t *testing.T) {
 	corpus := synth.Poverty(synth.Config{Seed: 57, Scale: 0.15})
 	cands := discovery.Discover(corpus.Base, corpus.Repo, corpus.Target, discovery.Options{})
@@ -156,11 +116,11 @@ func TestSourceColumn(t *testing.T) {
 func TestSpecForDefaults(t *testing.T) {
 	cand := discovery.Candidate{Keys: []join.KeyPair{{BaseColumn: "a", ForeignColumn: "b"}}}
 	spec := specFor(cand, Options{}, "p.")
-	if spec.Prefix != "p." || spec.TimeResample != true {
+	if spec.Prefix != "p." || spec.TimeResample != true || spec.Tolerance != 0 {
 		t.Fatalf("spec defaults wrong: %+v", spec)
 	}
-	spec = specFor(cand, Options{DisableTimeResample: true, Tolerance: 5}, "q.")
-	if spec.TimeResample || spec.Tolerance != 5 {
+	spec = specFor(cand, Options{DisableTimeResample: true}, "q.")
+	if spec.TimeResample {
 		t.Fatalf("spec overrides wrong: %+v", spec)
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"strconv"
+
 	"github.com/arda-ml/arda/internal/dataframe"
 	"github.com/arda-ml/arda/internal/discovery"
 	"github.com/arda-ml/arda/internal/join"
@@ -58,4 +60,32 @@ func FilterTupleRatio(baseRows int, cands []discovery.Candidate, tau float64) ([
 		}
 	}
 	return out, removed
+}
+
+// DedupeCandidates keeps at most one candidate per (table, key-set) pair and
+// drops self-joins with the base table — by identity or by name, so a
+// repository that happens to contain a copy of the base file cannot leak the
+// target back in as a feature. Score order is preserved. Discovery may emit
+// both a single-key and composite-key candidate for a table; both are kept
+// (the paper's "multiple-option key join" joins on each key separately).
+func DedupeCandidates(base *dataframe.Table, cands []discovery.Candidate) []discovery.Candidate {
+	seen := make(map[string]bool)
+	out := make([]discovery.Candidate, 0, len(cands))
+	for _, c := range cands {
+		if c.Table == base || c.Table.Name() == base.Name() {
+			continue
+		}
+		// Quoted names are self-delimiting, so distinct key sets never
+		// render alike.
+		key := strconv.Quote(c.Table.Name())
+		for _, kp := range c.Keys {
+			key += strconv.Quote(kp.BaseColumn) + strconv.Quote(kp.ForeignColumn)
+		}
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		out = append(out, c)
+	}
+	return out
 }

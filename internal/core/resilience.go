@@ -29,7 +29,7 @@ var (
 // Per-candidate retry policy for faults classified transient: a handful of
 // quick deterministic attempts. The backoff is tiny because the faults being
 // retried (injected transients, momentary resource blips) either clear
-// immediately or keep failing — a long ladder would just stall the batch.
+// immediately or keep failing — a long ladder would just stall the stage.
 var candidateRetry = retry.Policy{Attempts: 3, Base: time.Millisecond}
 
 // mapInterrupt reduces a cancellation or deadline error — raw from the

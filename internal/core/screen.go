@@ -12,15 +12,16 @@ import (
 	"github.com/arda-ml/arda/internal/parallel"
 )
 
-// The screen stage sits between coreset and join. One RIFS round ranks real
-// features against injected noise on the coreset's rows, and it stops telling
-// them apart once features outnumber rows; a repository whose candidates add
-// up to more than that used to be cut into budget batches, each its own d > n
-// round. The screen instead joins every candidate to the coreset on its own,
-// scores it by the best univariate F statistic among the columns it adds, and
-// passes on — in candidate order — the best-scoring tables whose estimated
-// features fit the coreset's row count. When everything already fits it does
-// nothing, joins nothing and records nothing.
+// The screen stage sits between coreset and join, and it is the run's join
+// plan (§4 "Table grouping"): the paper groups candidates into batches whose
+// features fit the coreset, because one RIFS round ranks real features
+// against injected noise on the coreset's rows and stops telling them apart
+// once features outnumber rows. The screen instead joins every candidate to
+// the coreset on its own, scores it by the best univariate F statistic among
+// the columns it adds, and passes on — in candidate order — the best-scoring
+// tables whose estimated features fit the coreset's row count, so what it
+// passes on is one batch and one selection round. When everything already
+// fits it does nothing, joins nothing and records nothing.
 
 // ScreenedTable is the screen stage's verdict on one candidate join.
 type ScreenedTable struct {
@@ -33,7 +34,7 @@ type ScreenedTable struct {
 	// against the target, on the coreset) among the feature columns the join
 	// adds; 0 for a candidate quarantined at the stage.
 	Score float64
-	// Kept reports whether the candidate went on to the join plan.
+	// Kept reports whether the candidate went on to the join.
 	Kept bool
 }
 
@@ -136,7 +137,8 @@ func screenCandidates(ctx context.Context, in screenInput) (out *screenOutcome, 
 	}
 	// Best score first, ties in candidate order. Every table that still fits
 	// is kept; the best one is kept even when it alone exceeds the capacity,
-	// the way BuildPlan ships an oversized table as its own batch.
+	// so a repository whose every table is too wide still offers selection
+	// its best one.
 	sort.SliceStable(order, func(a, b int) bool {
 		return out.Tables[order[a]].Score > out.Tables[order[b]].Score
 	})
@@ -187,4 +189,32 @@ func screenScore(ctx context.Context, in *screenInput, ord int, y []float64) (be
 		}
 	}
 	return best, nil
+}
+
+// EstimateFeatures projects how many numeric feature columns a candidate
+// join adds: one per numeric/time column, and one per one-hot indicator for
+// categorical columns (capped at dataframe.MaxOneHotCardinality), excluding
+// the join-key columns.
+func EstimateFeatures(c discovery.Candidate) int {
+	keyCols := make(map[string]bool, len(c.Keys))
+	for _, kp := range c.Keys {
+		keyCols[kp.ForeignColumn] = true
+	}
+	total := 0
+	for _, col := range c.Table.Columns() {
+		if keyCols[col.Name()] {
+			continue
+		}
+		switch cc := col.(type) {
+		case *dataframe.CategoricalColumn:
+			card := cc.Cardinality()
+			if card > dataframe.MaxOneHotCardinality {
+				card = dataframe.MaxOneHotCardinality
+			}
+			total += card
+		default:
+			total++
+		}
+	}
+	return total
 }

@@ -21,7 +21,7 @@ import (
 )
 
 // wideCorpus is the fixture the screen stage has to cut: SchoolL's 350
-// tables (about 1,050 features) against wideOptions' 192-row coreset.
+// tables (about 1,050 features) against chaosOptions' 192-row coreset.
 func wideCorpus(t *testing.T) (*synth.Corpus, []discovery.Candidate) {
 	t.Helper()
 	corpus := synth.SchoolL(synth.Config{Seed: 61, Scale: 0.2})
@@ -30,14 +30,6 @@ func wideCorpus(t *testing.T) (*synth.Corpus, []discovery.Candidate) {
 		t.Fatalf("discovery found only %d candidates", len(cands))
 	}
 	return corpus, cands
-}
-
-// wideOptions is chaosOptions with a budget half the coreset, so the tables
-// the screen passes on still take more than one join/impute/select round.
-func wideOptions(corpus *synth.Corpus, workers int, inj *faults.Injector) Options {
-	opts := chaosOptions(corpus, workers, inj)
-	opts.Budget = 96
-	return opts
 }
 
 // screenFixture builds a 40-row base whose target is a function of x, and
@@ -150,12 +142,12 @@ func TestScreenKeepsBestThatFit(t *testing.T) {
 // TestScreenWorkersBitIdentical runs the wide fixture traced at 1 and 8
 // workers: the screen fans out over the pool, and nothing it produces — the
 // verdicts, the survivors, the table, the span tree, the counters — may
-// depend on how.
+// depend on how. It also pins the width the screen lets through.
 func TestScreenWorkersBitIdentical(t *testing.T) {
 	defer parallel.SetMaxWorkers(0)
 	corpus, cands := wideCorpus(t)
 	run := func(workers int) (*Result, string) {
-		opts := wideOptions(corpus, workers, nil)
+		opts := chaosOptions(corpus, workers, nil)
 		opts.Trace = obs.New("augment")
 		res, err := Augment(corpus.Base, cands, opts)
 		if err != nil {
@@ -167,9 +159,9 @@ func TestScreenWorkersBitIdentical(t *testing.T) {
 	}
 	one, oneTree := run(1)
 	eight, eightTree := run(8)
-	if one.CandidatesScreened == 0 || len(one.Screened) != len(cands) || len(one.Batches) < 2 {
-		t.Fatalf("fixture did not engage the screen: dropped %d, %d verdicts, %d batches",
-			one.CandidatesScreened, len(one.Screened), len(one.Batches))
+	if one.CandidatesScreened == 0 || len(one.Screened) != len(cands) {
+		t.Fatalf("fixture did not engage the screen: dropped %d, %d verdicts",
+			one.CandidatesScreened, len(one.Screened))
 	}
 	if !reflect.DeepEqual(one.Screened, eight.Screened) {
 		t.Fatal("screen verdicts differ between 1 and 8 workers")
@@ -185,7 +177,7 @@ func TestScreenWorkersBitIdentical(t *testing.T) {
 	}
 
 	// The stage is a top-level span with the attrition on it and in the
-	// gauges, and its survivors are exactly what the batches were offered.
+	// gauges, and its survivors are exactly what the join stage joined.
 	var span *obs.SpanStat
 	for _, ch := range one.Trace.Root.Children {
 		if ch.Name == "screen" {
@@ -199,17 +191,31 @@ func TestScreenWorkersBitIdentical(t *testing.T) {
 	if got := one.Trace.Counters["candidates.after_screen"]; got != int64(kept) {
 		t.Fatalf("candidates.after_screen = %d, want %d", got, kept)
 	}
-	offered := 0
-	for _, b := range one.Batches {
-		offered += len(b.Tables)
+
+	// The screen is the run's one candidate cap: the tables it keeps
+	// estimate no more features than the coreset has rows (unless the best
+	// table alone is kept), and selection is offered no more than that
+	// either.
+	rows := int64(chaosOptions(corpus, 1, nil).CoresetSize)
+	var features int64
+	for _, s := range one.Screened {
+		if s.Kept {
+			features += int64(s.Features)
+		}
 	}
-	if offered != kept {
-		t.Fatalf("batches were offered %d tables, the screen passed on %d", offered, kept)
+	if kept > 1 && features > rows {
+		t.Fatalf("screen kept %d tables estimating %d features, over the %d-row coreset", kept, features, rows)
+	}
+	if offered := one.Trace.Counters["select.features_offered"]; offered > rows {
+		t.Fatalf("select.features_offered = %d, over the %d-row coreset", offered, rows)
+	}
+	c := one.Trace.Counters
+	if joined := c["join.candidates_scored"] + c["join.candidates_skipped"]; joined != int64(kept) {
+		t.Fatalf("the join stage tried %d tables, the screen passed on %d", joined, kept)
 	}
 
 	// Every key here is hard, so every join reads its foreign table in
 	// place and no prepared copy is retained.
-	c := one.Trace.Counters
 	if c["prep_cache.entries"] != 0 || c["prep_cache.hits"]+c["prep_cache.misses"] != 0 {
 		t.Fatalf("hard-key joins used the prep cache: %d entries, %d hits, %d misses",
 			c["prep_cache.entries"], c["prep_cache.hits"], c["prep_cache.misses"])
@@ -218,14 +224,14 @@ func TestScreenWorkersBitIdentical(t *testing.T) {
 
 // TestChaosScreenFaultQuarantinesCandidate injects an error and a panic at
 // the screen's fault site: exactly those two candidates are quarantined at
-// stage "screen", neither reaches a batch, and the run completes identically
+// stage "screen", neither reaches the join, and the run completes identically
 // at 1 and 8 workers.
 func TestChaosScreenFaultQuarantinesCandidate(t *testing.T) {
 	defer parallel.SetMaxWorkers(0)
 	corpus, cands := wideCorpus(t)
 	ordered := DedupeCandidates(corpus.Base, cands)
 	run := func(workers int) *Result {
-		res, err := Augment(corpus.Base, cands, wideOptions(corpus, workers, faults.New(99,
+		res, err := Augment(corpus.Base, cands, chaosOptions(corpus, workers, faults.New(99,
 			faults.At(faults.Error, "screen", 3), faults.At(faults.Panic, "screen", 7))))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -247,11 +253,9 @@ func TestChaosScreenFaultQuarantinesCandidate(t *testing.T) {
 		if v := one.Screened[ord]; v.Kept || v.Score != 0 {
 			t.Fatalf("faulted candidate %d has verdict %+v", ord, v)
 		}
-		for _, b := range one.Batches {
-			for _, name := range b.Tables {
-				if name == ordered[ord].Table.Name() {
-					t.Fatalf("faulted candidate %s was offered to a batch", name)
-				}
+		for _, name := range one.KeptTables {
+			if name == ordered[ord].Table.Name() {
+				t.Fatalf("faulted candidate %s contributed a kept column", name)
 			}
 		}
 	}
@@ -268,7 +272,7 @@ func TestChaosScreenFaultQuarantinesCandidate(t *testing.T) {
 func TestChaosScreenPanicFlood(t *testing.T) {
 	defer parallel.SetMaxWorkers(0)
 	corpus, cands := wideCorpus(t)
-	res, err := Augment(corpus.Base, cands, wideOptions(corpus, 8,
+	res, err := Augment(corpus.Base, cands, chaosOptions(corpus, 8,
 		faults.New(3, faults.Rule{Stage: "screen", Ordinal: -1, Kind: faults.Panic})))
 	if err != nil {
 		t.Fatalf("all-panic screen failed instead of quarantining: %v", err)
@@ -277,8 +281,8 @@ func TestChaosScreenPanicFlood(t *testing.T) {
 	if len(res.Quarantined) != planned || res.CandidatesScreened != planned {
 		t.Fatalf("quarantined %d, screened out %d of %d candidates", len(res.Quarantined), res.CandidatesScreened, planned)
 	}
-	if len(res.KeptColumns) != 0 || len(res.Batches) != 0 || res.Table == nil {
-		t.Fatalf("flooded run kept %v in %d batches", res.KeptColumns, len(res.Batches))
+	if len(res.KeptColumns) != 0 || res.Table == nil {
+		t.Fatalf("flooded run kept %v", res.KeptColumns)
 	}
 }
 
@@ -292,7 +296,7 @@ func TestCancelDuringScreen(t *testing.T) {
 
 	const perJoin = 20 * time.Millisecond
 	const workers = 4
-	opts := wideOptions(corpus, workers, faults.New(1,
+	opts := chaosOptions(corpus, workers, faults.New(1,
 		faults.Rule{Stage: "screen", Ordinal: -1, Kind: faults.Delay, Delay: perJoin}))
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -305,42 +309,10 @@ func TestCancelDuringScreen(t *testing.T) {
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("AugmentContext = %v, want ErrCanceled", err)
 	}
-	if res == nil || res.CandidatesConsidered == 0 || res.Table != nil || len(res.Batches) != 0 {
+	if res == nil || res.CandidatesConsidered == 0 || res.Table != nil || len(res.KeptColumns) != 0 {
 		t.Fatalf("partial result of a run canceled in the screen: %+v", res)
 	}
 	if drain := time.Duration(len(cands)/workers) * perJoin; elapsed > drain/2 {
 		t.Fatalf("canceled run took %v, draining the screen would take %v — not prompt", elapsed, drain)
-	}
-}
-
-// TestScreenBoundsWidth pins the one candidate cap the run has: on the wide
-// fixture at the default budget the tables the screen keeps estimate no more
-// features than the coreset has rows (unless the best table alone is kept),
-// and selection is offered no more than that either.
-func TestScreenBoundsWidth(t *testing.T) {
-	defer parallel.SetMaxWorkers(0)
-	corpus, cands := wideCorpus(t)
-	opts := chaosOptions(corpus, 2, nil)
-	opts.Trace = obs.New("augment")
-	res, err := Augment(corpus.Base, cands, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := int64(opts.CoresetSize)
-	var kept, features int64
-	for _, s := range res.Screened {
-		if s.Kept {
-			kept++
-			features += int64(s.Features)
-		}
-	}
-	if res.CandidatesScreened == 0 || kept == 0 {
-		t.Fatalf("fixture did not engage the screen: dropped %d, kept %d", res.CandidatesScreened, kept)
-	}
-	if kept > 1 && features > rows {
-		t.Fatalf("screen kept %d tables estimating %d features, over the %d-row coreset", kept, features, rows)
-	}
-	if offered := res.Trace.Counters["select.features_offered"]; offered > rows {
-		t.Fatalf("select.features_offered = %d, over the %d-row coreset", offered, rows)
 	}
 }

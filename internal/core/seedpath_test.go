@@ -3,19 +3,25 @@ package core
 import (
 	"fmt"
 	"testing"
+
+	"github.com/arda-ml/arda/internal/checkpoint"
+	"github.com/arda-ml/arda/internal/coreset"
+	"github.com/arda-ml/arda/internal/dataframe"
+	"github.com/arda-ml/arda/internal/discovery"
+	"github.com/arda-ml/arda/internal/featsel"
+	"github.com/arda-ml/arda/internal/join"
+	"github.com/arda-ml/arda/internal/synth"
 )
 
 // TestStageSeedPathUniqueness guards the seed-splitting contract underneath
 // every stage RNG: across the stage/id paths the pipeline actually derives —
-// coreset, per-ordinal screening, per-(batch, candidate) joins, per-batch
-// imputation and sketching, per-ordinal materialization, the final
-// imputation, and one nesting level
-// of per-repetition selector splits — no two distinct paths may collide on
-// the derived seed, for a sampled set of run seeds. A collision would
-// silently correlate two stages' randomness and undermine the determinism
-// guarantees the worker pool relies on.
+// coreset, per-ordinal screening, per-candidate joins, imputation and
+// sketching, per-ordinal materialization and the final imputation — no two
+// distinct paths may collide on the derived seed, for a sampled set of run
+// seeds. A collision would silently correlate two stages' randomness and
+// undermine the determinism guarantees the worker pool relies on.
 func TestStageSeedPathUniqueness(t *testing.T) {
-	const maxBatch, maxCand = 48, 48
+	const maxCand = 2304
 	for _, runSeed := range []int64{0, 1, 2, 7, 42, -1, -13, 1 << 40, -(1 << 52)} {
 		seen := make(map[int64]string, 1<<14)
 		add := func(path string, ids ...int64) {
@@ -28,16 +34,112 @@ func TestStageSeedPathUniqueness(t *testing.T) {
 		}
 		add("coreset", seedStageCoreset)
 		add("final-impute", seedStageFinal)
-		for bi := int64(0); bi < maxBatch; bi++ {
-			add(fmt.Sprintf("impute/%d", bi), seedStageImpute, bi)
-			add(fmt.Sprintf("sketch/%d", bi), seedStageSketch, bi)
-			for ci := int64(0); ci < maxCand; ci++ {
-				add(fmt.Sprintf("join/%d/%d", bi, ci), seedStageJoin, bi, ci)
-			}
-		}
-		for ord := int64(0); ord < maxBatch*maxCand; ord++ {
+		add("impute", seedStageImpute, 0)
+		add("sketch", seedStageSketch, 0)
+		for ord := int64(0); ord < maxCand; ord++ {
+			add(fmt.Sprintf("join/%d", ord), seedStageJoin, 0, ord)
 			add(fmt.Sprintf("materialize/%d", ord), seedStageMaterialize, ord)
 			add(fmt.Sprintf("screen/%d", ord), seedStageScreen, ord)
 		}
+	}
+}
+
+// TestRunShapesPinned pins the answer of the run shapes no other golden
+// covers — each coreset strategy, and kNN imputation — on one small
+// classification corpus (School-S, corpus seed 1, scale 0.3, pipeline seed
+// 2), so that a seed path that moves, the sketch path's 0 and selection's
+// run seed + 1 included, fails here instead of moving an answer unnoticed.
+// Recorded at ced4b9d. No synthetic corpus's answer depends on the join or
+// impute RNG; TestJoinedTablePinned holds those two paths.
+func TestRunShapesPinned(t *testing.T) {
+	c := synth.SchoolS(synth.Config{Seed: 1, Scale: 0.3})
+	cands := discovery.Discover(c.Base, c.Repo, c.Target, discovery.Options{})
+	for _, shape := range []struct {
+		name   string
+		opts   Options
+		digest uint64
+		final  float64
+	}{
+		{"uniform", Options{CoresetStrategy: coreset.Uniform}, 0x40b97f8363639523, 0.725},
+		{"stratified", Options{CoresetStrategy: coreset.Stratified}, 0xf1ac46580ce0e78d, 0.625},
+		{"sketch", Options{CoresetStrategy: coreset.Sketch}, 0x4a1f68552fc20f80, 0.6083333333333333},
+		{"leverage", Options{CoresetStrategy: coreset.Leverage}, 0x2cbcc2e26e9d809d, 0.675},
+		{"knn", Options{KNNImpute: 5}, 0x495a5caa5a51da18, 0.725},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			opts := shape.opts
+			opts.Target, opts.Seed = c.Target, 2
+			res, err := Augment(c.Base, cands, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Table.Digest(); got != shape.digest || res.FinalScore != shape.final {
+				t.Errorf("digest %#x final %v, recorded %#x %v", got, res.FinalScore, shape.digest, shape.final)
+			}
+		})
+	}
+}
+
+// TestJoinedTablePinned pins the table selection sees — Work as the "join"
+// and "impute" checkpoints hold it — on seedFixture, whose join and
+// imputation both draw from their stage RNGs, so a move in either seed path
+// (the 0 after each stage tag included) fails here. Recorded at ced4b9d, as
+// the coreset's columns followed by the joined ones.
+func TestJoinedTablePinned(t *testing.T) {
+	base, cands := seedFixture()
+	opts := Options{Target: "y", Seed: 2, Selector: featsel.AllFeatures{}, CheckpointDir: t.TempDir()}
+	if _, err := Augment(base, cands, opts); err != nil {
+		t.Fatal(err)
+	}
+	log, err := checkpoint.Open(opts.CheckpointDir, runFingerprint(base, cands, &opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]uint64{"join": 0x7299b1a04e199c, "impute": 0xee5ab0871fedeb7c}
+	for _, e := range log.Entries() {
+		if _, ok := want[e.Stage]; !ok {
+			continue
+		}
+		var st runState
+		if err := log.Load(e.Seq, &st); err != nil {
+			t.Fatal(err)
+		}
+		if got := dataframe.MustNewTable("work", st.Work.Columns()...).Digest(); got != want[e.Stage] {
+			t.Errorf("%s: Work digest %#x, recorded %#x", e.Stage, got, want[e.Stage])
+		}
+		delete(want, e.Stage)
+	}
+	if len(want) != 0 {
+		t.Fatalf("no checkpoint of %v", want)
+	}
+}
+
+// seedFixture is a base table whose join and imputation both draw random
+// numbers: a soft numeric key "t" that falls between the foreign table's
+// keys, so the two-way nearest join picks each categorical value from one of
+// two neighbours at random, and a hard key "k" the second table matches on
+// only every third row, so imputation fills its categorical NULLs by random
+// draws.
+func seedFixture() (*dataframe.Table, []discovery.Candidate) {
+	const n = 60
+	t, k, y := make([]float64, n), make([]string, n), make([]float64, n)
+	ft, fc, fv := make([]float64, n+1), make([]string, n+1), make([]float64, n+1)
+	var hk, hd []string
+	var hw []float64
+	for i := 0; i <= n; i++ {
+		ft[i], fc[i], fv[i] = float64(i), fmt.Sprintf("c%d", i%5), float64((i*7)%11)
+	}
+	for i := 0; i < n; i++ {
+		t[i], k[i], y[i] = float64(i)+0.5, fmt.Sprintf("k%02d", i), float64(i%4)+0.1*float64(i)
+		if i%3 == 0 {
+			hk, hd, hw = append(hk, k[i]), append(hd, fmt.Sprintf("d%d", i%4)), append(hw, float64(i%5))
+		}
+	}
+	base := dataframe.MustNewTable("base", dataframe.NewNumeric("t", t), dataframe.NewCategorical("k", k), dataframe.NewNumeric("y", y))
+	soft := dataframe.MustNewTable("soft", dataframe.NewNumeric("t", ft), dataframe.NewCategorical("c", fc), dataframe.NewNumeric("v", fv))
+	hard := dataframe.MustNewTable("hard", dataframe.NewCategorical("k", hk), dataframe.NewCategorical("d", hd), dataframe.NewNumeric("w", hw))
+	return base, []discovery.Candidate{
+		{Table: soft, Keys: []join.KeyPair{{BaseColumn: "t", ForeignColumn: "t", Kind: join.Soft}}, Score: 2, Soft: true},
+		{Table: hard, Keys: []join.KeyPair{{BaseColumn: "k", ForeignColumn: "k", Kind: join.Hard}}, Score: 1},
 	}
 }

@@ -2,22 +2,28 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
+	"time"
 
 	"github.com/arda-ml/arda/internal/coreset"
 	"github.com/arda-ml/arda/internal/dataframe"
 	"github.com/arda-ml/arda/internal/eval"
+	"github.com/arda-ml/arda/internal/featsel"
+	"github.com/arda-ml/arda/internal/join"
 	"github.com/arda-ml/arda/internal/ml"
 	"github.com/arda-ml/arda/internal/obs"
 	"github.com/arda-ml/arda/internal/parallel"
 )
 
-// The stages outside the per-batch group (batch.go), in table order.
+// The stages, in table order, and the join helper join and materialize
+// share.
 
 // prefilter dedupes the candidates, applies the Tuple-Ratio rule and fixes
 // the coreset size.
-func (r *run) prefilter(context.Context, int) (bool, error) {
+func (r *run) prefilter(context.Context) (bool, error) {
 	span := r.tr.Root().Child("prefilter", 0)
 	defer span.End()
 	o, res, tr := &r.opts, &r.st.Result, r.tr
@@ -42,21 +48,21 @@ func (r *run) prefilter(context.Context, int) (bool, error) {
 
 // coreset reduces the base rows the rest of the run works on. Sketching must
 // happen after the join, so the sketch strategy joins on all rows and
-// sketches each batch's numeric view instead. Either way the result owns its
-// columns: batch imputation mutates them in place and must never leak into
+// sketches selection's numeric view instead. Either way Work owns its
+// columns: the impute stage mutates them in place and must never leak into
 // the caller's table.
-func (r *run) coreset(context.Context, int) (bool, error) {
+func (r *run) coreset(context.Context) (bool, error) {
 	span := r.tr.Root().Child("coreset", 0)
 	defer span.End()
 	if r.opts.CoresetStrategy != coreset.Sketch && r.size < r.base.NumRows() {
 		idx := r.coresetRows(stageRNG(r.opts.Seed, seedStageCoreset))
 		sort.Ints(idx)
-		r.st.Accum = r.base.Gather(idx)
+		r.st.Work = r.base.Gather(idx)
 	} else {
-		r.st.Accum = r.base.Clone()
+		r.st.Work = r.base.Clone()
 	}
 	span.SetInt("rows_in", int64(r.base.NumRows()))
-	span.SetInt("rows_out", int64(r.st.Accum.NumRows()))
+	span.SetInt("rows_out", int64(r.st.Work.NumRows()))
 	return true, nil
 }
 
@@ -86,7 +92,7 @@ func (r *run) coresetRows(rng *rand.Rand) []int {
 // can rank on this coreset go on. A verdict the resumed snapshot carries is
 // applied, not recomputed; "everything fits" stores none and asks for no
 // snapshot — it is found again on resume, like the prefilter's result.
-func (r *run) screen(ctx context.Context, _ int) (bool, error) {
+func (r *run) screen(ctx context.Context) (bool, error) {
 	span := r.tr.Root().Child("screen", 0)
 	defer span.End()
 	res, in := &r.st.Result, len(r.cands)
@@ -96,7 +102,7 @@ func (r *run) screen(ctx context.Context, _ int) (bool, error) {
 		var faults []error
 		var err error
 		out, faults, err = screenCandidates(ctx, screenInput{
-			Coreset: r.st.Accum, Cands: r.cands, Capacity: min(r.size, r.st.Accum.NumRows()),
+			Coreset: r.st.Work, Cands: r.cands, Capacity: min(r.size, r.st.Work.NumRows()),
 			Task: r.task, Classes: r.classes, Opts: &r.opts, Prep: r.prep,
 		})
 		if err != nil {
@@ -118,11 +124,191 @@ func (r *run) screen(ctx context.Context, _ int) (bool, error) {
 	return out.Tables != nil, nil
 }
 
+// joinedCandidate is a candidate the join stage joined onto Work and no
+// fault site has quarantined since: its ordinal and the (prefixed) columns
+// it added.
+type joinedCandidate struct {
+	Ordinal int
+	Cols    []string
+}
+
+// prefixOf is candidate ord's stable unique column prefix.
+func prefixOf(ord int) string { return fmt.Sprintf("t%d.", ord) }
+
+// selectSeed is the seed selection runs under.
+func selectSeed(runSeed int64) int64 { return runSeed + 1 }
+
+// joinCandidate joins candidate ord onto left through the fault boundary,
+// under a "<stage>.cand" span of parent. On success it returns the join and
+// the still-open span, for the caller to note what it made of the columns and
+// End. A candidate that faults (discovery is noisy by design) is quarantined
+// at the stage and returns nil, nil, nil; an error is an interrupt.
+func (r *run) joinCandidate(ctx context.Context, parent *obs.Span, stage string, ord int,
+	left *dataframe.Table, seedPath ...int64) (*join.Result, *obs.Span, error) {
+	cand := r.cands[ord]
+	span := parent.Child(stage+".cand", ord)
+	span.SetLabel(cand.Table.Name())
+	jr, err := guardedJoin(ctx, &r.opts, r.prep, stage, ord, left, cand, prefixOf(ord), seedPath...)
+	if err != nil {
+		span.End()
+		if isInterrupt(err) {
+			return nil, nil, err
+		}
+		r.quarantine(cand.Table.Name(), stage, err)
+		return nil, nil, nil
+	}
+	span.SetInt("rows_matched", int64(jr.Matched))
+	r.tr.Counter("join.rows_matched").Add(int64(jr.Matched))
+	return jr, span, nil
+}
+
+// join joins the screened candidates onto the coreset in Work, one after
+// the other.
+func (r *run) join(ctx context.Context) (bool, error) {
+	span := r.tr.Root().Child("join", 0)
+	defer span.End()
+	for ord := range r.cands {
+		if err := interruptOf(ctx); err != nil {
+			return false, err
+		}
+		jr, candSpan, err := r.joinCandidate(ctx, span, "join", ord, r.st.Work, seedStageJoin, 0, int64(ord))
+		if err != nil {
+			return false, err
+		}
+		if jr == nil {
+			r.tr.Counter("join.candidates_skipped").Add(1)
+			continue
+		}
+		candSpan.SetInt("cols_added", int64(len(jr.AddedColumns)))
+		candSpan.End()
+		r.tr.Counter("join.candidates_scored").Add(1)
+		r.st.Work = jr.Table
+		r.st.Joined = append(r.st.Joined, joinedCandidate{ord, jr.AddedColumns})
+	}
+	return true, nil
+}
+
+// dropFaulted is the fault site of the stages that act on the whole work
+// table (impute, select's encoding): a candidate faulted at the site is
+// quarantined and its joined columns dropped before the stage runs.
+func (r *run) dropFaulted(site string) {
+	inj := r.opts.FaultInjector
+	if inj == nil {
+		return
+	}
+	live := r.st.Joined[:0]
+	for _, a := range r.st.Joined {
+		if err := faultAt(inj, site, a.Ordinal); err != nil {
+			r.quarantine(r.cands[a.Ordinal].Table.Name(), site, err)
+			for _, c := range a.Cols {
+				r.st.Work.DropColumn(c)
+			}
+			continue
+		}
+		live = append(live, a)
+	}
+	r.st.Joined = live
+}
+
+// impute fills Work's NULLs in place. With no candidate joined there is
+// nothing to fill for selection, and no snapshot to take.
+func (r *run) impute(context.Context) (bool, error) {
+	r.dropFaulted("impute")
+	if len(r.st.Joined) == 0 {
+		return false, nil
+	}
+	span := r.tr.Root().Child("impute", 0)
+	defer span.End()
+	imputeTable(r.st.Work, r.opts, stageRNG(r.opts.Seed, seedStageImpute, 0))
+	return true, nil
+}
+
+// selectFeatures encodes Work, runs the selector over it and credits each
+// kept feature to the candidate that brought it. It leaves Work the coreset
+// again, the joined columns dropped, so the snapshots after it carry no
+// joined column. With no candidate left (each faulted at the encode site, or
+// none joined) it selects nothing and asks for no snapshot.
+func (r *run) selectFeatures(ctx context.Context) (bool, error) {
+	r.dropFaulted("encode")
+	joined, o, work := r.st.Joined, &r.opts, r.st.Work
+	if len(joined) == 0 {
+		return false, nil
+	}
+	view, ds, err := encodeTable(work, o.Target, r.task, r.classes)
+	if err != nil {
+		return false, err
+	}
+	if o.CoresetStrategy == coreset.Sketch {
+		ds = coreset.SketchDataset(ds, r.size, stageRNG(o.Seed, seedStageSketch, 0))
+	}
+
+	// The span counts what the counters count — candidate columns offered
+	// and kept; the base table's own columns are features_base.
+	offered := 0
+	for _, a := range joined {
+		offered += len(a.Cols)
+	}
+	span := r.tr.Root().Child("select", 0)
+	defer span.End()
+	span.SetInt("features_in", int64(offered))
+	span.SetInt("features_base", int64(work.NumCols()-offered-1))
+	selected, err := r.runSelector(ctx, span, ds)
+	if err != nil {
+		return false, fmt.Errorf("core: feature selection: %w", err)
+	}
+
+	// A feature belongs to the joined candidate whose prefix its source
+	// column carries; base columns belong to none.
+	owner := make(map[string]int, len(joined))
+	for _, a := range joined {
+		owner[prefixOf(a.Ordinal)] = a.Ordinal
+	}
+	r.st.KeptByCandidate = make([][]string, len(r.cands))
+	seen := map[string]bool{}
+	for _, j := range selected {
+		src := sourceColumn(view.Names[j])
+		prefix := src[:strings.Index(src, ".")+1]
+		ord, ok := owner[prefix]
+		if !ok || seen[src] {
+			continue
+		}
+		seen[src] = true
+		r.st.KeptByCandidate[ord] = append(r.st.KeptByCandidate[ord], strings.TrimPrefix(src, prefix))
+	}
+	for _, a := range joined {
+		for _, c := range a.Cols {
+			work.DropColumn(c)
+		}
+	}
+	r.st.Joined = nil
+	span.SetInt("features_selected", int64(len(seen)))
+	r.tr.Counter("select.features_offered").Add(int64(offered))
+	r.tr.Counter("select.features_kept").Add(int64(len(seen)))
+	o.logf("select: %d tables, %d candidate features, kept %d", len(joined), offered, len(seen))
+	return true, nil
+}
+
+// runSelector runs the selector with the run's hooks attached for the call:
+// its span and the selection clock.
+func (r *run) runSelector(ctx context.Context, span *obs.Span, ds *ml.Dataset) ([]int, error) {
+	sel := r.opts.Selector
+	if sa, ok := sel.(obs.SpanAttacher); ok {
+		sa.AttachSpan(span)
+		defer sa.AttachSpan(nil)
+	}
+	defer func(start time.Time) { r.st.Result.SelectionElapsed += time.Since(start) }(time.Now())
+	// The context-aware path stops a canceled run's selection promptly.
+	if cs, ok := sel.(featsel.ContextSelector); ok {
+		return cs.SelectCtx(ctx, ds, r.estimator, selectSeed(r.opts.Seed))
+	}
+	return sel.Select(ds, r.estimator, selectSeed(r.opts.Seed))
+}
+
 // materialize re-joins, over the full base table, the candidates that kept a
 // column, then imputes the result. The stage includes that final imputation
 // — its snapshot captures the fully imputed table, so a resume never
 // re-imputes.
-func (r *run) materialize(ctx context.Context, _ int) (bool, error) {
+func (r *run) materialize(ctx context.Context) (bool, error) {
 	final, err := r.joinKept(ctx)
 	if err == nil {
 		err = interruptOf(ctx)
@@ -191,7 +377,7 @@ func (r *run) joinKept(ctx context.Context) (*dataframe.Table, error) {
 // table that does not encode scores 0. Its child spans attribute the stage:
 // evaluate.encode per table (ordinal 0 the base, 1 the augmented one), then
 // evaluate.base and evaluate.augmented, each one holdout fit and score.
-func (r *run) evaluate(context.Context, int) (bool, error) {
+func (r *run) evaluate(context.Context) (bool, error) {
 	span := r.tr.Root().Child("evaluate", 0)
 	defer span.End()
 	o, res := &r.opts, &r.st.Result

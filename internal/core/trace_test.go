@@ -36,9 +36,6 @@ func tracedRun(t *testing.T, workers int, trace *obs.Trace) *Result {
 	res, err := Augment(corpus.Base, cands, Options{
 		Target:      corpus.Target,
 		CoresetSize: 192,
-		// A small budget forces several batches, so carried-forward columns
-		// are re-encoded and the encode cache sees reuse.
-		Budget: 48,
 		// The paper's ensemble, so that every repetition part (rep.sparse
 		// included) shows in the trace.
 		Selector:  &featsel.RIFS{Config: featsel.RIFSConfig{K: 3, Nu: 0.5, Forest: featsel.ForestRanker{NTrees: 15, MaxDepth: 6}}},
@@ -54,8 +51,10 @@ func tracedRun(t *testing.T, workers int, trace *obs.Trace) *Result {
 }
 
 // TestAugmentTraceStageCoverage asserts a traced run yields a span tree
-// covering every pipeline stage, with serial top-level stage durations
-// summing to no more than the root, and the expected run counters.
+// whose top level is the stage table, in table order (materialize's final
+// imputation is a second "impute" span there),
+// with serial top-level stage durations summing to no more than the root,
+// and the expected run counters.
 func TestAugmentTraceStageCoverage(t *testing.T) {
 	defer parallel.SetMaxWorkers(0)
 	res := tracedRun(t, 0, obs.New("augment"))
@@ -71,6 +70,15 @@ func TestAugmentTraceStageCoverage(t *testing.T) {
 	if counts["join.cand"] == 0 || counts["select.rep"] == 0 || counts["materialize.cand"] == 0 {
 		t.Fatalf("per-item child spans missing: %v", counts)
 	}
+	var top []string
+	for _, c := range res.Trace.Root.Children {
+		if len(top) == 0 || top[len(top)-1] != c.Name {
+			top = append(top, c.Name)
+		}
+	}
+	if strings.Join(top, ",") != strings.Join(pipelineStages, ",") {
+		t.Fatalf("top-level spans %v, want the stage table %v", top, pipelineStages)
+	}
 
 	// The root's direct children run serially, so their summed durations
 	// cannot exceed the root span.
@@ -82,8 +90,8 @@ func TestAugmentTraceStageCoverage(t *testing.T) {
 		t.Fatalf("top-level stage durations sum to %d > root %d", childSum, int64(res.Trace.Root.Dur))
 	}
 
-	// Counters: candidate attrition mirrors the Result fields, and the
-	// caches report activity.
+	// Counters: candidate attrition mirrors the Result fields, and join and
+	// selection report activity.
 	c := res.Trace.Counters
 	if c["candidates.considered"] != int64(res.CandidatesConsidered) ||
 		c["candidates.after_dedupe"] != int64(res.CandidatesDeduped) {
@@ -93,8 +101,8 @@ func TestAugmentTraceStageCoverage(t *testing.T) {
 	if c["join.rows_matched"] <= 0 || c["join.candidates_scored"] <= 0 {
 		t.Fatalf("join counters empty: %v", c)
 	}
-	if c["encode_cache.hits"] <= 0 {
-		t.Fatalf("encode cache saw no reuse: %v", c)
+	if c["select.features_offered"] <= 0 || c["select.features_kept"] <= 0 {
+		t.Fatalf("selection counters empty: %v", c)
 	}
 	out := res.Trace.Render()
 	for _, stage := range pipelineStages {
@@ -106,7 +114,7 @@ func TestAugmentTraceStageCoverage(t *testing.T) {
 
 // TestAugmentPrepCachePreparesOnce is the guard for the caching contract:
 // a run prepares each soft or time-resample candidate once per (keys,
-// granularity) — the screen prepares it, and its batch join finds that
+// granularity) — the screen prepares it, and the join stage finds that
 // work — so cache misses equal cache entries. The fixture is Pickup, whose
 // every candidate has a soft time key, with a coreset small enough that the
 // screen cuts. A hard-key join reads its foreign table in place: on the
@@ -117,7 +125,6 @@ func TestAugmentPrepCachePreparesOnce(t *testing.T) {
 	res, err := Augment(corpus.Base, cands, Options{
 		Target:      corpus.Target,
 		CoresetSize: 40,
-		Budget:      20,
 		Selector:    &featsel.RIFS{Config: featsel.RIFSConfig{K: 3, Forest: featsel.ForestRanker{NTrees: 15, MaxDepth: 6}}},
 		Estimator:   fastEstimator(1),
 		Seed:        72,
@@ -134,14 +141,11 @@ func TestAugmentPrepCachePreparesOnce(t *testing.T) {
 	if misses != entries {
 		t.Fatalf("prep cache misses %d != entries %d: some table was prepared more than once", misses, entries)
 	}
-	joined := 0
-	for _, b := range res.Batches {
-		joined += len(b.Tables)
-	}
-	t.Logf("pickup: %d of %d candidates screened out, %d prepared, %d hits, %d batch joins",
+	joined := c["join.candidates_scored"]
+	t.Logf("pickup: %d of %d candidates screened out, %d prepared, %d hits, %d joins",
 		res.CandidatesScreened, len(cands), entries, hits, joined)
-	if hits < int64(joined) {
-		t.Fatalf("prep cache hits %d, want at least the %d batch joins of screened tables", hits, joined)
+	if joined == 0 || hits < joined {
+		t.Fatalf("prep cache hits %d, want at least the %d joins of screened tables", hits, joined)
 	}
 
 	hard := tracedRun(t, 0, obs.New("augment")).Trace.Counters
@@ -212,39 +216,20 @@ func TestAugmentTraceToggleBitIdentical(t *testing.T) {
 }
 
 // TestStageTable pins what the rest of the package derives from the stage
-// table: stageRank orders every boundary the way the driver visits it — the
-// per-batch group interleaved per batch, the stages after it above every
-// batch — and a traced run has a latency histogram registered under every
-// stage name before any stage has run (a run canceled before its first stage
-// already exposes them all, empty).
+// table: stageRank orders every boundary the way the driver visits it and
+// knows no other, and a traced run has a latency histogram registered under
+// every stage name before any stage has run (a run canceled before its first
+// stage already exposes them all, empty).
 func TestStageTable(t *testing.T) {
-	type boundary struct {
-		stage string
-		batch int
-	}
-	var visit []boundary
-	for _, s := range stageTable[:batchLo] {
-		visit = append(visit, boundary{s.name, -1})
-	}
-	for b := 0; b <= 2; b++ {
-		for _, s := range stageTable[batchLo:batchHi] {
-			visit = append(visit, boundary{s.name, b})
+	for i, s := range stageTable {
+		if r := stageRank(s.name); r != i {
+			t.Errorf("stageRank(%q) = %d, want %d", s.name, r, i)
 		}
 	}
-	for _, s := range stageTable[batchHi:] {
-		visit = append(visit, boundary{s.name, -1})
-	}
-	if len(visit) != len(stageTable)+2*(batchHi-batchLo) || batchLo >= batchHi {
-		t.Fatalf("per-batch group [%d:%d) of %d stages", batchLo, batchHi, len(stageTable))
-	}
-	for i := 1; i < len(visit); i++ {
-		prev, cur := visit[i-1], visit[i]
-		if p, c := stageRank(prev.stage, prev.batch), stageRank(cur.stage, cur.batch); p < 0 || c <= p {
-			t.Errorf("stageRank(%v) = %d, not below stageRank(%v) = %d", prev, p, cur, c)
+	for _, name := range []string{"no-such-stage", "batch"} {
+		if r := stageRank(name); r != -1 {
+			t.Errorf("stageRank(%q) = %d, want -1", name, r)
 		}
-	}
-	if r := stageRank("no-such-stage", -1); r != -1 {
-		t.Errorf("stageRank of an unknown stage = %d, want -1", r)
 	}
 
 	corpus, cands := chaosCorpus(t)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // MaxOneHotCardinality bounds the number of indicator columns produced when
@@ -75,78 +73,6 @@ func Binarize(c *CategoricalColumn) []*NumericColumn {
 	return out
 }
 
-// EncodeCache memoizes binarize plans per categorical column across
-// ToNumericView calls. The ARDA batch loop re-encodes its work table every
-// batch, and carried-forward columns are unchanged between batches, so their
-// count/sort/format work can be done once. Entries are keyed by column
-// identity (pointer), which is only valid while columns are not mutated after
-// first being encoded; the pipeline guarantees that by encoding only fully
-// imputed tables. Create one cache per Augment run.
-type EncodeCache struct {
-	mu     sync.Mutex
-	m      map[*CategoricalColumn]*binPlan
-	hits   atomic.Int64
-	misses atomic.Int64
-}
-
-// EncodeCacheStats is a hit/miss snapshot of an EncodeCache.
-type EncodeCacheStats struct {
-	// Hits counts binarize plans served from the cache.
-	Hits int64
-	// Misses counts plans computed (and then stored).
-	Misses int64
-}
-
-// Stats returns the cache's hit/miss counts so far.
-func (c *EncodeCache) Stats() EncodeCacheStats {
-	if c == nil {
-		return EncodeCacheStats{}
-	}
-	return EncodeCacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
-}
-
-// binPlan is one cached binarize layout.
-type binPlan struct {
-	names []string
-	remap []int
-}
-
-// NewEncodeCache returns an empty encode cache.
-func NewEncodeCache() *EncodeCache {
-	return &EncodeCache{m: make(map[*CategoricalColumn]*binPlan)}
-}
-
-// plan returns the (possibly cached) binarize plan for col. A nil cache
-// computes without memoizing.
-func (c *EncodeCache) plan(col *CategoricalColumn) ([]string, []int) {
-	if c == nil {
-		return binarizePlan(col)
-	}
-	c.mu.Lock()
-	p := c.m[col]
-	c.mu.Unlock()
-	if p != nil {
-		c.hits.Add(1)
-		return p.names, p.remap
-	}
-	c.misses.Add(1)
-	names, remap := binarizePlan(col)
-	c.mu.Lock()
-	c.m[col] = &binPlan{names: names, remap: remap}
-	c.mu.Unlock()
-	return names, remap
-}
-
-// Len returns the number of cached plans.
-func (c *EncodeCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
 // NumericView is a table rendered as a dense design matrix: time columns
 // become float64 Unix seconds, categorical columns are binarized, numeric
 // columns pass through. Missing numeric entries remain NaN (impute before
@@ -175,22 +101,12 @@ func (v *NumericView) Col(j int, dst []float64) []float64 {
 }
 
 // ToNumericView converts the table into a design matrix, excluding the named
-// columns (typically the target and join keys).
+// columns (typically the target and join keys). It lays out the matrix
+// columns in one pass over the table's columns, then fills each block with a
+// direct typed loop — no per-element closure dispatch, and categorical blocks
+// write only their 1s into the zeroed matrix instead of materializing
+// indicator columns first.
 func (t *Table) ToNumericView(exclude ...string) *NumericView {
-	return t.toNumericView(nil, exclude)
-}
-
-// ToNumericViewCached is ToNumericView with binarize plans memoized in cache,
-// for callers that re-encode tables sharing column storage (the batch loop).
-func (t *Table) ToNumericViewCached(cache *EncodeCache, exclude ...string) *NumericView {
-	return t.toNumericView(cache, exclude)
-}
-
-// toNumericView lays out the matrix columns in one pass over the table's
-// columns, then fills each block with a direct typed loop — no per-element
-// closure dispatch, and categorical blocks write only their 1s into the
-// zeroed matrix instead of materializing indicator columns first.
-func (t *Table) toNumericView(cache *EncodeCache, exclude []string) *NumericView {
 	skip := make(map[string]bool, len(exclude))
 	for _, n := range exclude {
 		skip[n] = true
@@ -213,7 +129,7 @@ func (t *Table) toNumericView(cache *EncodeCache, exclude []string) *NumericView
 			blocks = append(blocks, block{col: c, name: c.Name(), off: d})
 			d++
 		case *CategoricalColumn:
-			names, remap := cache.plan(col)
+			names, remap := binarizePlan(col)
 			blocks = append(blocks, block{col: c, names: names, remap: remap, off: d})
 			d += len(names)
 		}

@@ -1,7 +1,7 @@
 // Package obs is the pipeline observability layer: hierarchical spans with
 // monotonic durations, typed counters and gauges, and pluggable sinks
 // (no-op, in-memory collector, NDJSON writer). The ARDA pipeline threads a
-// *Trace through every stage — prefilter, coreset, per-batch join execution,
+// *Trace through every stage — prefilter, coreset, screen, join execution,
 // imputation, feature selection, materialization, final evaluation — so a
 // run can be broken down the way the paper's §6 evaluation reports costs.
 //

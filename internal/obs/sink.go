@@ -23,7 +23,7 @@ const (
 // Event is one observability record — the unit sinks consume and the NDJSON
 // line schema (validated by cmd/tracecheck):
 //
-//	{"type":"span","name":"join","path":"augment/batch[2]/join","ord":0,
+//	{"type":"span","name":"join.cand","path":"augment/join/join.cand[2]","ord":2,
 //	 "start_us":1042,"dur_us":3187,"attrs":{"rows_matched":192}}
 //	{"type":"counter","name":"join.rows_matched","value":1920}
 //	{"type":"run","name":"augment","dur_us":812345}

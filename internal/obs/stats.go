@@ -132,8 +132,8 @@ func (r *RunStats) SpanCounts() map[string]int {
 //
 //	augment                          812.3ms
 //	├─ prefilter                       0.1ms
-//	├─ batch                          97.2ms
-//	│  ├─ join                        12.0ms  rows_matched=192
+//	├─ join                           12.0ms
+//	│  ├─ join.cand[0]                 0.4ms  rows_matched=192
 //	…
 //	counters:
 //	  join.rows_matched              1920

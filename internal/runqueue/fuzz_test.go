@@ -31,6 +31,7 @@ func FuzzReadRecord(f *testing.F) {
 	f.Add("r000005", []byte(`{"state":7,"spec":[]}`))
 	f.Add("../r000001", []byte("{}"))
 	f.Add("r1/../../x", []byte("{}"))
+	f.Add("r000006", []byte(`{"id":"r000006","state":"queued","spec":{"base":"b","target":"t","plan":"table","budget":"48"}}`))
 
 	f.Fuzz(func(t *testing.T, id string, data []byte) {
 		m := &Manager{cfg: Config{StateDir: t.TempDir()}}
@@ -66,10 +67,10 @@ func FuzzReadRecord(f *testing.F) {
 func FuzzSpecJSON(f *testing.F) {
 	for _, spec := range []Spec{
 		{Dir: "data", Base: "poverty", Target: "poverty_rate", Size: 128, Seed: 7},
-		{Base: "taxi", Target: "collisions", Tenant: "acme", Plan: "table", Coreset: "leverage", Soft: "nearest",
+		{Base: "taxi", Target: "collisions", Tenant: "acme", Coreset: "leverage", Soft: "nearest",
 			Selector: "rifs", Tau: 0.5, Timeout: "90s", KNNImpute: 3, Transitive: true, KeepTable: true},
 		{Base: "no-such-table", Target: "y", Size: 64, Tenant: "Bad Tenant!"},
-		{Target: "y", Plan: "bogus"},
+		{Target: "y", Coreset: "bogus"},
 	} {
 		raw, err := json.Marshal(spec)
 		if err != nil {

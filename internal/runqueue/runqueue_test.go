@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -221,8 +222,8 @@ func TestQueueBoundsCancelAndValidation(t *testing.T) {
 	if _, err := m.Submit(Spec{Target: target}); err == nil {
 		t.Fatal("spec without base was admitted")
 	}
-	if _, err := m.Submit(Spec{Dir: dataDir, Base: base, Target: target, Plan: "bogus"}); err == nil {
-		t.Fatal("spec with unknown plan was admitted")
+	if _, err := m.Submit(Spec{Dir: dataDir, Base: base, Target: target, Coreset: "bogus"}); err == nil {
+		t.Fatal("spec with unknown coreset strategy was admitted")
 	}
 
 	first, err := m.Submit(fastSpec(dataDir, base, target))
@@ -506,6 +507,59 @@ func TestRunHardFailureRemovedSelector(t *testing.T) {
 	checkAccounting(t, m)
 	if a := waitSettled(t, m, time.Minute); a.Failed != 1 || a.Completed != 1 || a.Takeovers != 1 {
 		t.Fatalf("accounting = %+v, want 1 taken over and failed, 1 completed", a)
+	}
+	if err := m.Close(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunHardFailureRemovedKnobs: the join plan and its feature budget are
+// gone from Spec, but a run.json an earlier version persisted may still set
+// them. Such a run must fail on its first attempt, unretried, with an error
+// naming the field — never run under the one plan it did not ask for — and
+// the field stays named across the adopting daemon's rewrite of the record.
+func TestRunHardFailureRemovedKnobs(t *testing.T) {
+	defer parallel.SetMaxWorkers(0)
+	defer testenv.NoGoroutineLeak(t)()
+	state := t.TempDir()
+	dataDir, base, target := writeCorpus(t)
+	for i, knob := range []struct{ name, value string }{{"plan", `"table"`}, {"budget", "48"}} {
+		id := fmt.Sprintf("r%06d", i+1)
+		raw, err := json.Marshal(Record{ID: id, Seq: int64(i + 1), Spec: fastSpec(dataDir, base, target), State: StateQueued})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw = bytes.Replace(raw, []byte(`"spec":{`), []byte(`"spec":{"`+knob.name+`":`+knob.value+`,`), 1)
+		dir := filepath.Join(state, "runs", id)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "run.json"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := openManager(t, Config{StateDir: state, RetryAttempts: 3})
+	for i, knob := range []string{"plan", "budget"} {
+		id := fmt.Sprintf("r%06d", i+1)
+		final := waitTerminal(t, m, id, time.Minute)
+		if final.State != StateFailed || final.Attempts != 1 || !strings.Contains(final.Error, "sets "+knob) {
+			t.Fatalf("persisted run with a %s finished %s after %d attempts (%q), want failed after 1 naming it",
+				knob, final.State, final.Attempts, final.Error)
+		}
+		if got, err := m.readRecord(id); err != nil || !reflect.DeepEqual(got.Removed, []string{knob}) {
+			t.Fatalf("rewritten record of %s names %v (%v), want [%s]", id, got.Removed, err, knob)
+		}
+	}
+	rec, err := m.Submit(fastSpec(dataDir, base, target))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done := waitTerminal(t, m, rec.ID, 2*time.Minute); done.State != StateCompleted {
+		t.Fatalf("run after the failed ones finished %s (%s), want completed", done.State, done.Error)
+	}
+	checkAccounting(t, m)
+	if a := waitSettled(t, m, time.Minute); a.Failed != 2 || a.Completed != 1 || a.Takeovers != 2 {
+		t.Fatalf("accounting = %+v, want 2 taken over and failed, 1 completed", a)
 	}
 	if err := m.Close(time.Minute); err != nil {
 		t.Fatal(err)

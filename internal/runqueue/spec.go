@@ -1,6 +1,7 @@
 package runqueue
 
 import (
+	"encoding/json"
 	"fmt"
 	"time"
 
@@ -30,15 +31,11 @@ type Spec struct {
 	Target string `json:"target"`
 	// Selector is the feature-selection method (featsel.Method); default RIFS.
 	Selector string `json:"selector,omitempty"`
-	// Plan is the join plan: budget | table | full.
-	Plan string `json:"plan,omitempty"`
 	// Coreset is the row-reduction strategy: uniform | stratified | sketch |
 	// leverage.
 	Coreset string `json:"coreset,omitempty"`
 	// Size is the coreset size (0 = automatic).
 	Size int `json:"size,omitempty"`
-	// Budget is the per-batch feature budget (0 = coreset size).
-	Budget int `json:"budget,omitempty"`
 	// Tau enables the Tuple-Ratio prefilter when > 0.
 	Tau float64 `json:"tau,omitempty"`
 	// Seed drives every random choice; 0 means 1 (the CLI default).
@@ -72,9 +69,6 @@ func (s *Spec) Validate() error {
 	if s.Tenant != "" && !validTenant(s.Tenant) {
 		return fmt.Errorf("runqueue: bad spec.tenant %q (want 1-32 chars of [a-z0-9_-], starting alphanumeric)", s.Tenant)
 	}
-	if _, err := s.planKind(); err != nil {
-		return err
-	}
 	if _, err := s.coresetStrategy(); err != nil {
 		return err
 	}
@@ -90,18 +84,6 @@ func (s *Spec) Validate() error {
 		return err
 	}
 	return nil
-}
-
-func (s *Spec) planKind() (core.PlanKind, error) {
-	switch s.Plan {
-	case "", "budget":
-		return core.BudgetJoin, nil
-	case "table":
-		return core.TableJoin, nil
-	case "full":
-		return core.FullMaterialization, nil
-	}
-	return 0, fmt.Errorf("runqueue: unknown plan %q", s.Plan)
 }
 
 func (s *Spec) coresetStrategy() (coreset.Strategy, error) {
@@ -153,10 +135,6 @@ func (s *Spec) seed() int64 {
 // The default timeout comes from the manager config; checkpointing,
 // tracing, workers, and injectors are wired by the supervisor.
 func (s *Spec) options(defaults Config) (core.Options, error) {
-	plan, err := s.planKind()
-	if err != nil {
-		return core.Options{}, err
-	}
 	strat, err := s.coresetStrategy()
 	if err != nil {
 		return core.Options{}, err
@@ -176,8 +154,6 @@ func (s *Spec) options(defaults Config) (core.Options, error) {
 		Target:          s.Target,
 		CoresetStrategy: strat,
 		CoresetSize:     s.Size,
-		Plan:            plan,
-		Budget:          s.Budget,
 		TupleRatioTau:   s.Tau,
 		SoftMethod:      soft,
 		Seed:            s.seed(),
@@ -193,4 +169,28 @@ func (s *Spec) options(defaults Config) (core.Options, error) {
 		opts.Selector = sel
 	}
 	return opts, nil
+}
+
+// removedKnobs returns the spec fields a persisted record sets that Spec no
+// longer has: "plan" and "budget", the join plan and its per-batch feature
+// budget, which the screen stage replaced. A client cannot send them — the
+// server refuses unknown fields — but a record written by an earlier version
+// can carry them, and such a run must fail, not run under a plan it did not
+// ask for.
+func removedKnobs(record []byte) []string {
+	var old struct {
+		Spec struct {
+			Plan   string  `json:"plan"`
+			Budget float64 `json:"budget"`
+		} `json:"spec"`
+	}
+	_ = json.Unmarshal(record, &old) // the caller has decoded the same bytes
+	var out []string
+	if old.Spec.Plan != "" {
+		out = append(out, "plan")
+	}
+	if old.Spec.Budget != 0 {
+		out = append(out, "budget")
+	}
+	return out
 }

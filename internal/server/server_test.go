@@ -154,6 +154,18 @@ func TestServiceEndToEnd(t *testing.T) {
 	if resp := postJSON(t, base+"/runs", map[string]any{"base": baseTable, "target": target, "max_candidate_bytes": 1 << 20}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("budget submit = %d, want 400", resp.StatusCode)
 	}
+	// So are the removed join plan and its feature budget: the screen stage
+	// is the one plan, and a spec that asks for another must not run under it.
+	for _, knob := range []map[string]any{{"plan": "table"}, {"plan": "budget"}, {"budget": 48}} {
+		body := map[string]any{"base": baseTable, "target": target}
+		for k, v := range knob {
+			body[k] = v
+		}
+		apiErr = nil
+		if resp := postJSON(t, base+"/runs", body, &apiErr); resp.StatusCode != http.StatusBadRequest || apiErr["error"] == "" {
+			t.Fatalf("submit with %v = %d %v, want 400", knob, resp.StatusCode, apiErr)
+		}
+	}
 
 	final := waitHTTPTerminal(t, base, rec.ID, 2*time.Minute)
 	if final.State != runqueue.StateCompleted {
