@@ -10,6 +10,7 @@ import (
 	"github.com/arda-ml/arda/internal/eval"
 	"github.com/arda-ml/arda/internal/faults"
 	"github.com/arda-ml/arda/internal/ml"
+	"github.com/arda-ml/arda/internal/obs"
 	"github.com/arda-ml/arda/internal/parallel"
 	"github.com/arda-ml/arda/internal/testenv"
 )
@@ -92,13 +93,19 @@ func TestCancelDuringSelection(t *testing.T) {
 		once.Do(cancel) // first estimator fit = selection has started
 		return inner(ds)
 	})
+	opts.Trace = obs.New("augment")
 
 	res, err := AugmentContext(ctx, corpus.Base, cands, opts)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("AugmentContext = %v, want ErrCanceled", err)
 	}
-	if res == nil || res.Table != nil || len(res.KeptColumns) != 0 {
-		t.Fatalf("selection was canceled; the partial result should hold no table and no kept column: %+v", res)
+	if res == nil || res.Trace == nil || res.Table != nil || len(res.KeptColumns) != 0 {
+		t.Fatalf("selection was canceled; the partial result should hold a trace, no table and no kept column: %+v", res)
+	}
+	// The counter is added only once the selector has returned: a selection
+	// that ignored the cancel and ran to the end would have added it.
+	if offered := res.Trace.Counters["select.features_offered"]; offered != 0 {
+		t.Fatalf("select.features_offered = %d after a cancel during selection, want 0", offered)
 	}
 }
 

@@ -231,8 +231,10 @@ func TestChaosScreenFaultQuarantinesCandidate(t *testing.T) {
 	corpus, cands := wideCorpus(t)
 	ordered := DedupeCandidates(corpus.Base, cands)
 	run := func(workers int) *Result {
-		res, err := Augment(corpus.Base, cands, chaosOptions(corpus, workers, faults.New(99,
-			faults.At(faults.Error, "screen", 3), faults.At(faults.Panic, "screen", 7))))
+		opts := chaosOptions(corpus, workers, faults.New(99,
+			faults.At(faults.Error, "screen", 3), faults.At(faults.Panic, "screen", 7)))
+		opts.Trace = obs.New("augment")
+		res, err := Augment(corpus.Base, cands, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -249,13 +251,17 @@ func TestChaosScreenFaultQuarantinesCandidate(t *testing.T) {
 			t.Fatalf("quarantine record %+v", q)
 		}
 	}
+	joined := spanLabels(one.Trace.Root, "join.cand")
+	if len(joined) == 0 {
+		t.Fatal("the join stage joined no candidate")
+	}
 	for _, ord := range []int{3, 7} {
 		if v := one.Screened[ord]; v.Kept || v.Score != 0 {
 			t.Fatalf("faulted candidate %d has verdict %+v", ord, v)
 		}
-		for _, name := range one.KeptTables {
+		for _, name := range joined {
 			if name == ordered[ord].Table.Name() {
-				t.Fatalf("faulted candidate %s contributed a kept column", name)
+				t.Fatalf("faulted candidate %s was joined", name)
 			}
 		}
 	}
@@ -298,6 +304,7 @@ func TestCancelDuringScreen(t *testing.T) {
 	const workers = 4
 	opts := chaosOptions(corpus, workers, faults.New(1,
 		faults.Rule{Stage: "screen", Ordinal: -1, Kind: faults.Delay, Delay: perJoin}))
+	opts.Trace = obs.New("augment")
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(3 * perJoin)
@@ -309,10 +316,25 @@ func TestCancelDuringScreen(t *testing.T) {
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("AugmentContext = %v, want ErrCanceled", err)
 	}
-	if res == nil || res.CandidatesConsidered == 0 || res.Table != nil || len(res.KeptColumns) != 0 {
+	if res == nil || res.CandidatesConsidered == 0 || res.Table != nil || res.Trace == nil {
 		t.Fatalf("partial result of a run canceled in the screen: %+v", res)
+	}
+	if n := res.Trace.SpanCounts()["join"]; n != 0 {
+		t.Fatalf("a run canceled in the screen went on to the join (%d spans)", n)
 	}
 	if drain := time.Duration(len(cands)/workers) * perJoin; elapsed > drain/2 {
 		t.Fatalf("canceled run took %v, draining the screen would take %v — not prompt", elapsed, drain)
 	}
+}
+
+// spanLabels returns the labels of the spans named name anywhere under s.
+func spanLabels(s *obs.SpanStat, name string) []string {
+	var out []string
+	if s.Name == name {
+		out = append(out, s.Label)
+	}
+	for _, c := range s.Children {
+		out = append(out, spanLabels(c, name)...)
+	}
+	return out
 }

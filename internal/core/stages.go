@@ -316,7 +316,9 @@ func (r *run) materialize(ctx context.Context) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	span := r.tr.Root().Child("impute", 0)
+	// Ordinal 1: the join-phase "impute" is ordinal 0 among the same
+	// top-level siblings, and their event paths must differ.
+	span := r.tr.Root().Child("impute", 1)
 	defer span.End()
 	imputeTable(final, r.opts, stageRNG(r.opts.Seed, seedStageFinal))
 	res := &r.st.Result

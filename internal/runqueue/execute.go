@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"github.com/arda-ml/arda/internal/atomicio"
@@ -342,11 +341,7 @@ func (m *Manager) attempt(ctx context.Context, r *run, stream *obs.StreamSink) (
 	id := r.rec.ID
 	seq := r.rec.Seq
 	lse := r.lease
-	removed := r.rec.Removed
 	m.mu.Unlock()
-	if len(removed) > 0 {
-		return nil, fmt.Errorf("runqueue: the spec sets %s, removed from this version; resubmit without", strings.Join(removed, " and "))
-	}
 
 	// The attempt-level fault site: chaos tests fire transient faults here to
 	// exercise the supervisor's retry loop around whole attempts.

@@ -31,7 +31,7 @@ func FuzzReadRecord(f *testing.F) {
 	f.Add("r000005", []byte(`{"state":7,"spec":[]}`))
 	f.Add("../r000001", []byte("{}"))
 	f.Add("r1/../../x", []byte("{}"))
-	f.Add("r000006", []byte(`{"id":"r000006","state":"queued","spec":{"base":"b","target":"t","plan":"table","budget":"48"}}`))
+	f.Add("r000006", []byte(`{"id":"r000006","state":"queued","spec":{"base":"b","target":"t","plan":"table","budget":48}}`))
 
 	f.Fuzz(func(t *testing.T, id string, data []byte) {
 		m := &Manager{cfg: Config{StateDir: t.TempDir()}}

@@ -118,12 +118,6 @@ func (m *Manager) readRecord(id string) (Record, error) {
 	if err := json.Unmarshal(raw, &rec); err != nil {
 		return Record{}, ErrNotFound
 	}
-	// Only a run still to execute can run under a knob it cannot have.
-	if !rec.State.Terminal() {
-		if removed := removedKnobs(raw); len(removed) > 0 {
-			rec.Removed = removed
-		}
-	}
 	return rec, nil
 }
 

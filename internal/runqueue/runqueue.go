@@ -157,10 +157,6 @@ type Record struct {
 	Fence int64 `json:"fence,omitempty"`
 	// Takeovers counts ownership changes (informational).
 	Takeovers int `json:"takeovers,omitempty"`
-	// Removed names the spec fields this record was persisted with that
-	// Spec no longer has (removedKnobs). Kept with the record, so a run that
-	// names one fails on its first attempt in whichever daemon adopts it.
-	Removed []string `json:"removed,omitempty"`
 }
 
 // Config configures a Manager.

@@ -1,7 +1,6 @@
 package runqueue
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -54,6 +53,13 @@ type Spec struct {
 	// KeepTable also writes the augmented table (table.csv in the run
 	// directory) for download.
 	KeepTable bool `json:"keep_table,omitempty"`
+	// Plan and Budget are removed: they chose the join plan and its
+	// per-batch feature budget, which the screen stage replaced. They stay
+	// only to be refused — a submission naming either is rejected, and a run
+	// an earlier version persisted with either fails instead of running under
+	// a plan it did not ask for.
+	Plan   string `json:"plan,omitempty"`
+	Budget int    `json:"budget,omitempty"`
 }
 
 // Validate checks the spec is executable before admission, so malformed
@@ -82,6 +88,17 @@ func (s *Spec) Validate() error {
 	}
 	if _, err := s.timeout(); err != nil {
 		return err
+	}
+	return s.removed()
+}
+
+// removed refuses a spec that sets a removed field.
+func (s *Spec) removed() error {
+	switch {
+	case s.Plan != "":
+		return fmt.Errorf("runqueue: the spec sets plan, removed from this version; resubmit without")
+	case s.Budget != 0:
+		return fmt.Errorf("runqueue: the spec sets budget, removed from this version; resubmit without")
 	}
 	return nil
 }
@@ -135,6 +152,9 @@ func (s *Spec) seed() int64 {
 // The default timeout comes from the manager config; checkpointing,
 // tracing, workers, and injectors are wired by the supervisor.
 func (s *Spec) options(defaults Config) (core.Options, error) {
+	if err := s.removed(); err != nil {
+		return core.Options{}, err
+	}
 	strat, err := s.coresetStrategy()
 	if err != nil {
 		return core.Options{}, err
@@ -169,28 +189,4 @@ func (s *Spec) options(defaults Config) (core.Options, error) {
 		opts.Selector = sel
 	}
 	return opts, nil
-}
-
-// removedKnobs returns the spec fields a persisted record sets that Spec no
-// longer has: "plan" and "budget", the join plan and its per-batch feature
-// budget, which the screen stage replaced. A client cannot send them — the
-// server refuses unknown fields — but a record written by an earlier version
-// can carry them, and such a run must fail, not run under a plan it did not
-// ask for.
-func removedKnobs(record []byte) []string {
-	var old struct {
-		Spec struct {
-			Plan   string  `json:"plan"`
-			Budget float64 `json:"budget"`
-		} `json:"spec"`
-	}
-	_ = json.Unmarshal(record, &old) // the caller has decoded the same bytes
-	var out []string
-	if old.Spec.Plan != "" {
-		out = append(out, "plan")
-	}
-	if old.Spec.Budget != 0 {
-		out = append(out, "budget")
-	}
-	return out
 }

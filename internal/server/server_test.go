@@ -158,12 +158,13 @@ func TestServiceEndToEnd(t *testing.T) {
 	// is the one plan, and a spec that asks for another must not run under it.
 	for _, knob := range []map[string]any{{"plan": "table"}, {"plan": "budget"}, {"budget": 48}} {
 		body := map[string]any{"base": baseTable, "target": target}
+		name := ""
 		for k, v := range knob {
-			body[k] = v
+			body[k], name = v, k
 		}
 		apiErr = nil
-		if resp := postJSON(t, base+"/runs", body, &apiErr); resp.StatusCode != http.StatusBadRequest || apiErr["error"] == "" {
-			t.Fatalf("submit with %v = %d %v, want 400", knob, resp.StatusCode, apiErr)
+		if resp := postJSON(t, base+"/runs", body, &apiErr); resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr["error"], "sets "+name) {
+			t.Fatalf("submit with %v = %d %v, want 400 naming %s", knob, resp.StatusCode, apiErr, name)
 		}
 	}
 
