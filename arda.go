@@ -135,13 +135,11 @@ const (
 )
 
 // Coreset strategies (§3.1). CoresetLeverage is a specialized construction
-// beyond the paper's three: ridge leverage-score sampling that
+// beyond the paper's uniform sampling: ridge leverage-score sampling that
 // preferentially keeps influential rows.
 const (
-	CoresetUniform    = coreset.Uniform
-	CoresetStratified = coreset.Stratified
-	CoresetSketch     = coreset.Sketch
-	CoresetLeverage   = coreset.Leverage
+	CoresetUniform  = coreset.Uniform
+	CoresetLeverage = coreset.Leverage
 )
 
 // ReadCSVFile loads one table from a CSV file with type inference; the table

@@ -73,10 +73,9 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 func TestAugmentRepositoryConvenience(t *testing.T) {
 	corpus := synth.SchoolS(synth.Config{Seed: 22, Scale: 0.15})
 	res, err := AugmentRepository(corpus.Base, corpus.Repo, Options{
-		Target:          corpus.Target,
-		CoresetStrategy: CoresetStratified,
-		CoresetSize:     192,
-		Seed:            22,
+		Target:      corpus.Target,
+		CoresetSize: 192,
+		Seed:        22,
 	})
 	if err != nil {
 		t.Fatal(err)

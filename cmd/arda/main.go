@@ -8,10 +8,10 @@
 //	arda -dir data/ -base taxi -target collisions -out augmented.csv
 //
 // Flags tune the pipeline: -selector picks the feature-selection method
-// (default RIFS), -coreset the row-reduction strategy
-// (uniform|stratified|sketch|leverage), -tau enables the Tuple-Ratio
-// prefilter. There is one join plan: the screen stage passes on the
-// candidates one selection round can rank on the coreset. Observability: -v
+// (default RIFS), -coreset the row-reduction strategy (uniform or
+// leverage), -tau enables the Tuple-Ratio prefilter. There is one join
+// plan: the screen stage passes on the candidates one selection round can
+// rank on the coreset. Observability: -v
 // streams live stage progress plus the stage-cost tree with per-stage
 // p50/p95/p99 latencies to stderr, -trace writes the run's span/counter
 // event stream as NDJSON (published atomically when the run finishes —
@@ -42,6 +42,7 @@ import (
 	"github.com/arda-ml/arda"
 	"github.com/arda-ml/arda/internal/checkpoint"
 	"github.com/arda-ml/arda/internal/cli"
+	"github.com/arda-ml/arda/internal/coreset"
 	"github.com/arda-ml/arda/internal/featsel"
 	"github.com/arda-ml/arda/internal/metrics"
 	"github.com/arda-ml/arda/internal/parallel"
@@ -62,7 +63,7 @@ func main() {
 		target      = flag.String("target", "", "target column in the base table")
 		out         = flag.String("out", "", "path to write the augmented CSV (optional)")
 		selector    = flag.String("selector", "RIFS", "feature selector: "+featsel.MethodNames())
-		strategy    = flag.String("coreset", "uniform", "coreset strategy: uniform | stratified | sketch | leverage")
+		strategy    = flag.String("coreset", "uniform", "coreset strategy: uniform | leverage")
 		size        = flag.Int("size", 0, "coreset size (0 = automatic)")
 		tau         = flag.Float64("tau", 0, "Tuple-Ratio prefilter threshold (0 = disabled)")
 		seed        = flag.Int64("seed", 1, "random seed")
@@ -177,18 +178,11 @@ func main() {
 	}
 	opts.Trace = trace
 
-	switch *strategy {
-	case "uniform":
-		opts.CoresetStrategy = arda.CoresetUniform
-	case "stratified":
-		opts.CoresetStrategy = arda.CoresetStratified
-	case "sketch":
-		opts.CoresetStrategy = arda.CoresetSketch
-	case "leverage":
-		opts.CoresetStrategy = arda.CoresetLeverage
-	default:
-		cli.Fatalf("unknown coreset strategy %q", *strategy)
+	strat, err := coreset.ParseStrategy(*strategy)
+	if err != nil {
+		cli.Fatalf("%v", err)
 	}
+	opts.CoresetStrategy = strat
 	switch *softJoin {
 	case "2way":
 		opts.SoftMethod = arda.TwoWayNearest

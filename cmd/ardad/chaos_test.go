@@ -111,7 +111,7 @@ func TestMultiDaemonChaosExactlyOnce(t *testing.T) {
 	for i, tn := range tenants {
 		specs = append(specs,
 			runqueue.Spec{Base: base, Target: target, Size: 640, Seed: int64(7 + 2*i), Tenant: tn},
-			runqueue.Spec{Base: base, Target: target, Size: 640, Seed: int64(8 + 2*i), Tenant: tn, Coreset: "stratified"},
+			runqueue.Spec{Base: base, Target: target, Size: 640, Seed: int64(8 + 2*i), Tenant: tn, Coreset: "leverage"},
 		)
 	}
 

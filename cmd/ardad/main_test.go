@@ -199,7 +199,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 	data, base, target := writeCorpus(t, tmp)
 	specs := []runqueue.Spec{
 		{Base: base, Target: target, Size: 768, Seed: 7},
-		{Base: base, Target: target, Size: 768, Seed: 11, Coreset: "stratified"},
+		{Base: base, Target: target, Size: 768, Seed: 11, Coreset: "leverage"},
 	}
 
 	// Reference: an uninterrupted daemon completes both runs.

@@ -45,7 +45,6 @@ func main() {
 	for _, r := range runs {
 		opts := r.opts
 		opts.Target = corpus.Target
-		opts.CoresetStrategy = arda.CoresetStratified
 		opts.CoresetSize = 256
 		opts.Seed = 3
 		start := time.Now()

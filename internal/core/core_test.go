@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/arda-ml/arda/internal/coreset"
 	"github.com/arda-ml/arda/internal/dataframe"
 	"github.com/arda-ml/arda/internal/discovery"
 	"github.com/arda-ml/arda/internal/eval"
@@ -158,16 +157,15 @@ func TestAugmentEndToEndPoverty(t *testing.T) {
 	}
 }
 
-func TestAugmentClassificationStratified(t *testing.T) {
+func TestAugmentClassification(t *testing.T) {
 	corpus := synth.SchoolS(synth.Config{Seed: 43, Scale: 0.25})
 	cands := discovery.Discover(corpus.Base, corpus.Repo, corpus.Target, discovery.Options{})
 	res, err := Augment(corpus.Base, cands, Options{
-		Target:          corpus.Target,
-		CoresetStrategy: coreset.Stratified,
-		CoresetSize:     256,
-		Selector:        &featsel.RIFS{Config: featsel.RIFSConfig{K: 4, Forest: featsel.ForestRanker{NTrees: 20, MaxDepth: 8}}},
-		Estimator:       fastEstimator(2),
-		Seed:            44,
+		Target:      corpus.Target,
+		CoresetSize: 256,
+		Selector:    &featsel.RIFS{Config: featsel.RIFSConfig{K: 4, Forest: featsel.ForestRanker{NTrees: 20, MaxDepth: 8}}},
+		Estimator:   fastEstimator(2),
+		Seed:        44,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -63,10 +63,12 @@ type runState struct {
 // observability and fault-injection hooks are deliberately excluded — a
 // checkpointed run may be resumed at a different worker count, under a
 // different timeout, or with different logging, and still produce the
-// identical Result. The leading version tag is bumped whenever the option set
-// or runState's gob layout changes: gob zero-fills fields it does not find,
+// identical Result. The leading version tag is bumped whenever the option
+// set, an option's numbering or runState's gob layout changes: gob
+// zero-fills fields it does not find, and an enum is hashed as its number,
 // so a shard written by an older binary must surface as
-// ErrCheckpointMismatch, never as a silent partial decode.
+// ErrCheckpointMismatch, never as a silent partial decode or another
+// strategy's state.
 func runFingerprint(base *dataframe.Table, cands []discovery.Candidate, o *Options) string {
 	h := fnv.New64a()
 	writeU64 := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
@@ -74,7 +76,7 @@ func runFingerprint(base *dataframe.Table, cands []discovery.Candidate, o *Optio
 	if o.Selector != nil {
 		selector = o.Selector.Name()
 	}
-	fmt.Fprintf(h, "v4|target=%s|coreset=%d/%d|tau=%g|soft=%d|noresample=%t|seed=%d|knn=%d|sig=%d|sel=%s|customest=%t|",
+	fmt.Fprintf(h, "v5|target=%s|coreset=%d/%d|tau=%g|soft=%d|noresample=%t|seed=%d|knn=%d|sig=%d|sel=%s|customest=%t|",
 		o.Target, o.CoresetStrategy, o.CoresetSize, o.TupleRatioTau, o.SoftMethod,
 		o.DisableTimeResample, o.Seed, o.KNNImpute, o.Significance, selector, o.Estimator != nil)
 	writeU64(base.Digest())

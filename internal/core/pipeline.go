@@ -28,6 +28,8 @@ const (
 	seedStageCoreset int64 = iota + 1
 	seedStageJoin
 	seedStageImpute
+	// seedStageSketch is a slot no stage draws from; it stays so that the
+	// tags after it, and every answer drawn from them, keep their values.
 	seedStageSketch
 	seedStageMaterialize
 	seedStageFinal

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/arda-ml/arda/internal/coreset"
 	"github.com/arda-ml/arda/internal/dataframe"
 	"github.com/arda-ml/arda/internal/discovery"
 	"github.com/arda-ml/arda/internal/featsel"
@@ -19,28 +18,6 @@ func fastRIFS() featsel.Selector {
 		K:      3,
 		Forest: featsel.ForestRanker{NTrees: 15, MaxDepth: 7},
 	}}
-}
-
-func TestAugmentSketchCoreset(t *testing.T) {
-	corpus := synth.Poverty(synth.Config{Seed: 51, Scale: 0.2})
-	cands := discovery.Discover(corpus.Base, corpus.Repo, corpus.Target, discovery.Options{})
-	res, err := Augment(corpus.Base, cands, Options{
-		Target:          corpus.Target,
-		CoresetStrategy: coreset.Sketch,
-		CoresetSize:     160,
-		Selector:        fastRIFS(),
-		Estimator:       fastEstimator(3),
-		Seed:            52,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Table.NumRows() != corpus.Base.NumRows() {
-		t.Fatal("sketch pipeline must still materialize full base rows")
-	}
-	if res.FinalScore <= res.BaseScore {
-		t.Fatalf("sketch pipeline did not improve: %.3f -> %.3f", res.BaseScore, res.FinalScore)
-	}
 }
 
 func TestAugmentTupleRatioFilterRemovesTables(t *testing.T) {
@@ -116,7 +93,7 @@ func TestSourceColumn(t *testing.T) {
 func TestSpecForDefaults(t *testing.T) {
 	cand := discovery.Candidate{Keys: []join.KeyPair{{BaseColumn: "a", ForeignColumn: "b"}}}
 	spec := specFor(cand, Options{}, "p.")
-	if spec.Prefix != "p." || spec.TimeResample != true || spec.Tolerance != 0 {
+	if spec.Prefix != "p." || spec.TimeResample != true {
 		t.Fatalf("spec defaults wrong: %+v", spec)
 	}
 	spec = specFor(cand, Options{DisableTimeResample: true}, "q.")

@@ -15,8 +15,8 @@ import (
 
 // TestStageSeedPathUniqueness guards the seed-splitting contract underneath
 // every stage RNG: across the stage/id paths the pipeline actually derives —
-// coreset, per-ordinal screening, per-candidate joins, imputation and
-// sketching, per-ordinal materialization and the final imputation — no two
+// coreset, per-ordinal screening, per-candidate joins, imputation,
+// per-ordinal materialization and the final imputation — no two
 // distinct paths may collide on the derived seed, for a sampled set of run
 // seeds. A collision would silently correlate two stages' randomness and
 // undermine the determinism guarantees the worker pool relies on.
@@ -35,7 +35,6 @@ func TestStageSeedPathUniqueness(t *testing.T) {
 		add("coreset", seedStageCoreset)
 		add("final-impute", seedStageFinal)
 		add("impute", seedStageImpute, 0)
-		add("sketch", seedStageSketch, 0)
 		for ord := int64(0); ord < maxCand; ord++ {
 			add(fmt.Sprintf("join/%d", ord), seedStageJoin, 0, ord)
 			add(fmt.Sprintf("materialize/%d", ord), seedStageMaterialize, ord)
@@ -47,8 +46,8 @@ func TestStageSeedPathUniqueness(t *testing.T) {
 // TestRunShapesPinned pins the answer of the run shapes no other golden
 // covers — each coreset strategy, and kNN imputation — on one small
 // classification corpus (School-S, corpus seed 1, scale 0.3, pipeline seed
-// 2), so that a seed path that moves, the sketch path's 0 and selection's
-// run seed + 1 included, fails here instead of moving an answer unnoticed.
+// 2), so that a seed path that moves, selection's run seed + 1 included,
+// fails here instead of moving an answer unnoticed.
 // Recorded at ced4b9d. No synthetic corpus's answer depends on the join or
 // impute RNG; TestJoinedTablePinned holds those two paths.
 func TestRunShapesPinned(t *testing.T) {
@@ -61,8 +60,6 @@ func TestRunShapesPinned(t *testing.T) {
 		final  float64
 	}{
 		{"uniform", Options{CoresetStrategy: coreset.Uniform}, 0x40b97f8363639523, 0.725},
-		{"stratified", Options{CoresetStrategy: coreset.Stratified}, 0xf1ac46580ce0e78d, 0.625},
-		{"sketch", Options{CoresetStrategy: coreset.Sketch}, 0x4a1f68552fc20f80, 0.6083333333333333},
 		{"leverage", Options{CoresetStrategy: coreset.Leverage}, 0x2cbcc2e26e9d809d, 0.675},
 		{"knn", Options{KNNImpute: 5}, 0x495a5caa5a51da18, 0.725},
 	} {

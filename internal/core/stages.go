@@ -46,15 +46,13 @@ func (r *run) prefilter(context.Context) (bool, error) {
 	return true, nil
 }
 
-// coreset reduces the base rows the rest of the run works on. Sketching must
-// happen after the join, so the sketch strategy joins on all rows and
-// sketches selection's numeric view instead. Either way Work owns its
-// columns: the impute stage mutates them in place and must never leak into
-// the caller's table.
+// coreset reduces the base rows the rest of the run works on. Work owns its
+// columns either way: the impute stage mutates them in place and must never
+// leak into the caller's table.
 func (r *run) coreset(context.Context) (bool, error) {
 	span := r.tr.Root().Child("coreset", 0)
 	defer span.End()
-	if r.opts.CoresetStrategy != coreset.Sketch && r.size < r.base.NumRows() {
+	if r.size < r.base.NumRows() {
 		idx := r.coresetRows(stageRNG(r.opts.Seed, seedStageCoreset))
 		sort.Ints(idx)
 		r.st.Work = r.base.Gather(idx)
@@ -67,15 +65,10 @@ func (r *run) coreset(context.Context) (bool, error) {
 }
 
 // coresetRows draws the coreset's row indices under the configured strategy,
-// falling back to uniform sampling where the strategy does not apply.
+// falling back to uniform sampling where leverage scores cannot be computed.
 func (r *run) coresetRows(rng *rand.Rand) []int {
 	base, o := r.base, &r.opts
-	switch {
-	case o.CoresetStrategy == coreset.Stratified && r.task == ml.Classification:
-		// TaskOf made the task classification because the target is categorical.
-		labels := base.Column(o.Target).(*dataframe.CategoricalColumn).Codes
-		return coreset.StratifiedIndices(labels, r.classes, r.size, rng)
-	case o.CoresetStrategy == coreset.Leverage:
+	if o.CoresetStrategy == coreset.Leverage {
 		view := base.ToNumericView(o.Target)
 		ds, err := ml.NewDataset(view.Data, view.Rows, view.Cols, make([]float64, view.Rows), ml.Regression, 0)
 		if err == nil {
@@ -237,9 +230,6 @@ func (r *run) selectFeatures(ctx context.Context) (bool, error) {
 	view, ds, err := encodeTable(work, o.Target, r.task, r.classes)
 	if err != nil {
 		return false, err
-	}
-	if o.CoresetStrategy == coreset.Sketch {
-		ds = coreset.SketchDataset(ds, r.size, stageRNG(o.Seed, seedStageSketch, 0))
 	}
 
 	// The span counts what the counters count — candidate columns offered

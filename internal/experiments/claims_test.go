@@ -9,6 +9,7 @@ import (
 
 	"github.com/arda-ml/arda/internal/automl"
 	"github.com/arda-ml/arda/internal/core"
+	"github.com/arda-ml/arda/internal/coreset"
 	"github.com/arda-ml/arda/internal/discovery"
 	"github.com/arda-ml/arda/internal/eval"
 	"github.com/arda-ml/arda/internal/featsel"
@@ -35,11 +36,20 @@ var corpora = []struct {
 // school-l 70:1), selection scores at least as well as joining every table.
 // On taxi, pickup and school-s all-tables is logged only: there it can edge
 // out ARDA.
+//
+// It is also Tables 2–3 (§3.1, coreset strategies): on the regression
+// corpora (taxi, pickup, poverty) a leverage-score coreset scores at least
+// as well as the uniform one on every seed and strictly better on at least
+// five of the nine pairs. On the classification corpora it is logged only:
+// there it scores below uniform on most seeds. It does not show that the
+// leverage weights make the gain: another uniform draw passes it too
+// (EXPERIMENTS.md, "Tables 2–3").
 func TestClaimAugmentBeatsBaseAndAllTables(t *testing.T) {
 	if testing.Short() {
-		t.Skip("thirty pipeline runs")
+		t.Skip("forty-five pipeline runs")
 	}
 	noiseDominated := map[string]bool{"poverty": true, "school-l": true}
+	leverageAbove := 0
 	for _, spec := range corpora {
 		for seed := int64(1); seed <= 3; seed++ {
 			c := spec.gen(synth.Config{Seed: seed, Scale: 0.3})
@@ -52,8 +62,14 @@ func TestClaimAugmentBeatsBaseAndAllTables(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			lev, err := core.Augment(c.Base, cands, core.Options{Target: c.Target, Seed: seed, CoresetStrategy: coreset.Leverage})
+			if err != nil {
+				t.Fatal(err)
+			}
 			t.Logf("%s seed %d: base %.4f, ARDA %.4f (%d tables), all-tables %.4f",
 				spec.name, seed, arda.BaseScore, arda.FinalScore, len(arda.KeptTables), all.FinalScore)
+			t.Logf("%s seed %d: leverage coreset %.4f (%d tables), uniform %.4f",
+				spec.name, seed, lev.FinalScore, len(lev.KeptTables), arda.FinalScore)
 			if arda.FinalScore <= arda.BaseScore {
 				t.Errorf("%s seed %d: ARDA %.4f does not beat the base table's %.4f",
 					spec.name, seed, arda.FinalScore, arda.BaseScore)
@@ -62,7 +78,20 @@ func TestClaimAugmentBeatsBaseAndAllTables(t *testing.T) {
 				t.Errorf("%s seed %d: ARDA %.4f is below all-tables' %.4f",
 					spec.name, seed, arda.FinalScore, all.FinalScore)
 			}
+			if c.Task != ml.Regression {
+				continue
+			}
+			if lev.FinalScore < arda.FinalScore {
+				t.Errorf("%s seed %d: leverage coreset %.4f is below uniform's %.4f",
+					spec.name, seed, lev.FinalScore, arda.FinalScore)
+			}
+			if lev.FinalScore > arda.FinalScore {
+				leverageAbove++
+			}
 		}
+	}
+	if leverageAbove < 5 {
+		t.Errorf("leverage coreset scored above uniform on %d of the nine regression pairs, want at least 5", leverageAbove)
 	}
 }
 

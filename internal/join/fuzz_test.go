@@ -12,8 +12,8 @@ import (
 // fuzzSpec decodes a key list of the form "base>foreign:s,base>foreign" (":s"
 // marks a soft pair) into a Spec; anything it cannot split becomes a column
 // name as is, which is the point.
-func fuzzSpec(keys string, method int, tolerance float64, resample bool, prefix string) *Spec {
-	s := &Spec{Method: SoftMethod(method), Tolerance: tolerance, TimeResample: resample, Prefix: prefix}
+func fuzzSpec(keys string, method int, resample bool, prefix string) *Spec {
+	s := &Spec{Method: SoftMethod(method), TimeResample: resample, Prefix: prefix}
 	if keys == "" {
 		return s
 	}
@@ -40,39 +40,38 @@ func fuzzSpec(keys string, method int, tolerance float64, resample bool, prefix 
 // design and run specs arrive over HTTP, so a spec is untrusted input.
 func FuzzJoinSpec(f *testing.F) {
 	for _, seed := range []struct {
-		keys      string
-		method    int
-		tolerance float64
-		resample  bool
-		prefix    string
+		keys     string
+		method   int
+		resample bool
+		prefix   string
 	}{
-		{"k>k", int(TwoWayNearest), 0, true, "t0."},
-		{"k>k,x>x:s", int(TwoWayNearest), 0, false, ""},
-		{"k>k,x>x:s", int(NearestNeighbor), 0.5, false, "p."},
-		{"ts>ts:s", int(TwoWayNearest), 0, true, ""},
-		{"ts>ts:s,k>k", int(HardExact), 0, true, ""},
-		{"lat>lat:s,lon>lon:s", int(GeoNearest), 1, false, "g."},
-		{"lat>lat:s", int(GeoNearest), 0, false, ""},
-		{"x>x:s,lat>lat:s", int(TwoWayNearest), 0, false, ""},
-		{"k>x", int(TwoWayNearest), 0, false, ""},
-		{"k>k:s", int(NearestNeighbor), 0, false, ""},
-		{"x>ts:s", int(NearestNeighbor), -1, true, ""},
-		{"inf>inf", int(HardExact), 0, false, ""},
-		{"nan>nan:s", int(TwoWayNearest), math.NaN(), false, ""},
-		{"k>k,k>k", 7, math.Inf(1), true, "k"},
-		{"nope>k", 0, 0, false, ""},
-		{">", -3, 0, true, "\x00"},
-		{"", 0, 0, false, ""},
-		{"k>k", int(HardExact), 0, false, ""},
-		{"x>x", int(TwoWayNearest), 0, false, "d."},
-		{"k>k,s>s", int(TwoWayNearest), 0, false, ""},
-		{"nan>nan,k>k", int(TwoWayNearest), 0, false, ""},
-		{"x>k", int(TwoWayNearest), 0, false, ""},
-		{"ts>x,k>k", int(NearestNeighbor), 0, false, ""},
-		{"ts>ts", int(TwoWayNearest), 0, false, ""},
-		{"x>x:s", int(HardExact), 0, false, ""},
+		{"k>k", int(TwoWayNearest), true, "t0."},
+		{"k>k,x>x:s", int(TwoWayNearest), false, ""},
+		{"k>k,x>x:s", int(NearestNeighbor), false, "p."},
+		{"ts>ts:s", int(TwoWayNearest), true, ""},
+		{"ts>ts:s,k>k", int(HardExact), true, ""},
+		{"lat>lat:s,lon>lon:s", int(GeoNearest), false, "g."},
+		{"lat>lat:s", int(GeoNearest), false, ""},
+		{"x>x:s,lat>lat:s", int(TwoWayNearest), false, ""},
+		{"k>x", int(TwoWayNearest), false, ""},
+		{"k>k:s", int(NearestNeighbor), false, ""},
+		{"x>ts:s", int(NearestNeighbor), true, ""},
+		{"inf>inf", int(HardExact), false, ""},
+		{"nan>nan:s", int(TwoWayNearest), false, ""},
+		{"k>k,k>k", 7, true, "k"},
+		{"nope>k", 0, false, ""},
+		{">", -3, true, "\x00"},
+		{"", 0, false, ""},
+		{"k>k", int(HardExact), false, ""},
+		{"x>x", int(TwoWayNearest), false, "d."},
+		{"k>k,s>s", int(TwoWayNearest), false, ""},
+		{"nan>nan,k>k", int(TwoWayNearest), false, ""},
+		{"x>k", int(TwoWayNearest), false, ""},
+		{"ts>x,k>k", int(NearestNeighbor), false, ""},
+		{"ts>ts", int(TwoWayNearest), false, ""},
+		{"x>x:s", int(HardExact), false, ""},
 	} {
-		f.Add(seed.keys, seed.method, seed.tolerance, seed.resample, seed.prefix)
+		f.Add(seed.keys, seed.method, seed.resample, seed.prefix)
 	}
 
 	base := dataframe.MustNewTable("base",
@@ -97,8 +96,8 @@ func FuzzJoinSpec(f *testing.F) {
 		dataframe.NewTime("ts", []int64{1514765700, dataframe.MissingTime, 1514765700, 1514764800}),
 		dataframe.NewNumeric("v", []float64{2.5, 20, 3.5, 0.1}),
 	)
-	f.Fuzz(func(t *testing.T, keys string, method int, tolerance float64, resample bool, prefix string) {
-		spec := fuzzSpec(keys, method, tolerance, resample, prefix)
+	f.Fuzz(func(t *testing.T, keys string, method int, resample bool, prefix string) {
+		spec := fuzzSpec(keys, method, resample, prefix)
 		verr := spec.Validate(base, foreign)
 		res, err := Execute(base, foreign, spec, rand.New(rand.NewSource(1)))
 		if verr != nil && err == nil {

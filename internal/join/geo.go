@@ -10,7 +10,7 @@ import (
 // GeoNearest is the location-based soft join the paper leaves as future
 // work (§9): a spec with exactly two soft key pairs — the x/y (or lon/lat)
 // coordinates — matches each base row with the foreign row nearest in
-// Euclidean distance, optionally within Tolerance, grouped by any hard keys.
+// Euclidean distance, grouped by any hard keys.
 const GeoNearest SoftMethod = 100
 
 // geoValidate checks the structural constraints of a GeoNearest spec.
@@ -51,9 +51,8 @@ type geoGrid struct {
 	all    []geoPoint
 }
 
-// newGeoGrid indexes points with a cell size adapted to the point density
-// (or the tolerance when one is set).
-func newGeoGrid(points []geoPoint, tolerance float64) *geoGrid {
+// newGeoGrid indexes points with a cell size adapted to the point density.
+func newGeoGrid(points []geoPoint) *geoGrid {
 	g := &geoGrid{points: make(map[[2]int][]geoPoint), all: points}
 	if len(points) == 0 {
 		g.cell = 1
@@ -69,9 +68,6 @@ func newGeoGrid(points []geoPoint, tolerance float64) *geoGrid {
 	}
 	span := math.Max(maxX-minX, maxY-minY)
 	g.cell = span / math.Max(1, math.Sqrt(float64(len(points))))
-	if tolerance > 0 && (g.cell == 0 || tolerance < g.cell) {
-		g.cell = tolerance
-	}
 	if g.cell <= 0 {
 		g.cell = 1
 	}
@@ -155,7 +151,7 @@ func geoJoin(base, foreign *dataframe.Table, spec *Spec, prefix string) (*Result
 	lookup, groups := buildGeoGroups(baseHard, foreignHard, fx, fy, foreign.NumRows())
 	grids := make([]*geoGrid, len(groups))
 	for g, pts := range groups {
-		grids[g] = newGeoGrid(pts, spec.Tolerance)
+		grids[g] = newGeoGrid(pts)
 	}
 
 	match := make([]int, base.NumRows())
@@ -169,9 +165,7 @@ func geoJoin(base, foreign *dataframe.Table, spec *Spec, prefix string) (*Result
 		if g < 0 {
 			continue
 		}
-		grid := grids[g]
-		row, dist, found := grid.nearest(bx.Values[i], by.Values[i])
-		if found && (spec.Tolerance <= 0 || dist <= spec.Tolerance) {
+		if row, _, found := grids[g].nearest(bx.Values[i], by.Values[i]); found {
 			match[i] = row
 			matched++
 		}

@@ -9,14 +9,13 @@ import (
 	"github.com/arda-ml/arda/internal/dataframe"
 )
 
-func geoSpec(tolerance float64) *Spec {
+func geoSpec() *Spec {
 	return &Spec{
 		Keys: []KeyPair{
 			{BaseColumn: "lon", ForeignColumn: "lon", Kind: Soft},
 			{BaseColumn: "lat", ForeignColumn: "lat", Kind: Soft},
 		},
-		Method:    GeoNearest,
-		Tolerance: tolerance,
+		Method: GeoNearest,
 	}
 }
 
@@ -30,7 +29,7 @@ func TestGeoJoinNearestStation(t *testing.T) {
 		dataframe.NewNumeric("lat", []float64{0, 5, 10}),
 		dataframe.NewNumeric("capacity", []float64{100, 200, 300}),
 	)
-	res, err := Execute(base, stations, geoSpec(0), nil)
+	res, err := Execute(base, stations, geoSpec(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,26 +45,30 @@ func TestGeoJoinNearestStation(t *testing.T) {
 	}
 }
 
-func TestGeoJoinTolerance(t *testing.T) {
+func TestGeoJoinMatchesDistantStation(t *testing.T) {
+	// Like the 1-D nearest join, the geo join has no distance cut-off: a
+	// point far outside the stations' extent matches the nearest one.
 	base := dataframe.MustNewTable("trips",
-		dataframe.NewNumeric("lon", []float64{0, 50}),
-		dataframe.NewNumeric("lat", []float64{0, 50}),
+		dataframe.NewNumeric("lon", []float64{0, 500, -400}),
+		dataframe.NewNumeric("lat", []float64{0, 500, 3}),
 	)
 	stations := dataframe.MustNewTable("stations",
-		dataframe.NewNumeric("lon", []float64{1}),
-		dataframe.NewNumeric("lat", []float64{1}),
-		dataframe.NewNumeric("v", []float64{7}),
+		dataframe.NewNumeric("lon", []float64{1, 4}),
+		dataframe.NewNumeric("lat", []float64{1, 4}),
+		dataframe.NewNumeric("v", []float64{7, 8}),
 	)
-	res, err := Execute(base, stations, geoSpec(5), nil)
+	res, err := Execute(base, stations, geoSpec(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := res.Table.Column("stations.v").(*dataframe.NumericColumn)
-	if v.IsMissing(0) {
-		t.Fatal("in-tolerance point should match")
+	if res.Matched != 3 {
+		t.Fatalf("matched = %d, want every trip", res.Matched)
 	}
-	if !v.IsMissing(1) {
-		t.Fatal("out-of-tolerance point should be NULL")
+	v := res.Table.Column("stations.v").(*dataframe.NumericColumn)
+	for i, want := range []float64{7, 8, 7} {
+		if v.IsMissing(i) || v.Values[i] != want {
+			t.Fatalf("trip %d: v = %v (missing %v), want %v", i, v.Values[i], v.IsMissing(i), want)
+		}
 	}
 }
 
@@ -82,7 +85,7 @@ func TestGeoJoinWithHardKeyGroup(t *testing.T) {
 		dataframe.NewNumeric("lat", []float64{0, 0}),
 		dataframe.NewNumeric("v", []float64{10, 20}),
 	)
-	spec := geoSpec(0)
+	spec := geoSpec()
 	spec.Keys = append([]KeyPair{{BaseColumn: "city", ForeignColumn: "city", Kind: Hard}}, spec.Keys...)
 	res, err := Execute(base, stations, spec, nil)
 	if err != nil {
@@ -104,7 +107,7 @@ func TestGeoValidation(t *testing.T) {
 		dataframe.NewCategorical("lat", []string{"x"}),
 		dataframe.NewNumeric("v", []float64{1}),
 	)
-	spec := geoSpec(0)
+	spec := geoSpec()
 	if err := spec.Validate(base, foreign); err == nil {
 		t.Fatal("categorical geo key should fail validation")
 	}
@@ -126,7 +129,7 @@ func TestGeoGridMatchesBruteForceProperty(t *testing.T) {
 		for i := range pts {
 			pts[i] = geoPoint{x: rng.NormFloat64() * 10, y: rng.NormFloat64() * 10, row: i}
 		}
-		grid := newGeoGrid(pts, 0)
+		grid := newGeoGrid(pts)
 		for q := 0; q < 10; q++ {
 			x, y := rng.NormFloat64()*12, rng.NormFloat64()*12
 			row, dist, ok := grid.nearest(x, y)

@@ -203,7 +203,7 @@ func equivalenceCases() map[string]func() (*dataframe.Table, *dataframe.Table, *
 				Method: TwoWayNearest,
 			}
 		},
-		"soft nearest with tolerance": func() (*dataframe.Table, *dataframe.Table, *Spec) {
+		"soft nearest": func() (*dataframe.Table, *dataframe.Table, *Spec) {
 			base := dataframe.MustNewTable("b",
 				dataframe.NewCategorical("g", []string{"a", "b", "a"}),
 				dataframe.NewNumeric("t", []float64{1, 2, 100}),
@@ -217,8 +217,7 @@ func equivalenceCases() map[string]func() (*dataframe.Table, *dataframe.Table, *
 					{BaseColumn: "g", ForeignColumn: "g", Kind: Hard},
 					{BaseColumn: "t", ForeignColumn: "t", Kind: Soft},
 				},
-				Method:    NearestNeighbor,
-				Tolerance: 2,
+				Method: NearestNeighbor,
 			}
 		},
 		"time resample": func() (*dataframe.Table, *dataframe.Table, *Spec) {

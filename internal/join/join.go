@@ -374,12 +374,10 @@ func softJoin(base, foreign *dataframe.Table, spec *Spec, soft KeyPair, hard []K
 			if pos < len(g.keys) {
 				best, bestDist = g.rows[pos], math.Abs(g.keys[pos]-x)
 			}
-			if pos-1 >= 0 {
-				if d := math.Abs(g.keys[pos-1] - x); d < bestDist {
-					best, bestDist = g.rows[pos-1], d
-				}
+			if pos-1 >= 0 && math.Abs(g.keys[pos-1]-x) < bestDist {
+				best = g.rows[pos-1]
 			}
-			if best >= 0 && (spec.Tolerance <= 0 || bestDist <= spec.Tolerance) {
+			if best >= 0 {
 				low[i], high[i], lambda[i] = best, best, 1
 				matched++
 			}

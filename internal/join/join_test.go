@@ -121,26 +121,30 @@ func TestSoftNearestNeighborJoin(t *testing.T) {
 	}
 }
 
-func TestSoftNearestNeighborTolerance(t *testing.T) {
-	base := dataframe.MustNewTable("base", dataframe.NewNumeric("k", []float64{100}))
+func TestSoftNearestNeighborMatchesDistantKey(t *testing.T) {
+	// A nearest-neighbour join has no distance cut-off: a base key far from
+	// every foreign key still takes the nearest foreign row's values.
+	base := dataframe.MustNewTable("base", dataframe.NewNumeric("k", []float64{-1e6, 100, 1e9}))
 	foreign := dataframe.MustNewTable("f",
-		dataframe.NewNumeric("k", []float64{10}),
-		dataframe.NewNumeric("v", []float64{1}),
+		dataframe.NewNumeric("k", []float64{10, 20}),
+		dataframe.NewNumeric("v", []float64{1, 2}),
 	)
 	spec := &Spec{
-		Keys:      []KeyPair{{BaseColumn: "k", ForeignColumn: "k", Kind: Soft}},
-		Method:    NearestNeighbor,
-		Tolerance: 5,
+		Keys:   []KeyPair{{BaseColumn: "k", ForeignColumn: "k", Kind: Soft}},
+		Method: NearestNeighbor,
 	}
 	res, err := Execute(base, foreign, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Table.Column("f.v").IsMissing(0) {
-		t.Fatal("match outside tolerance should be NULL")
+	if res.Matched != 3 {
+		t.Fatalf("matched = %d, want every base row", res.Matched)
 	}
-	if res.Matched != 0 {
-		t.Fatalf("matched = %d", res.Matched)
+	v := res.Table.Column("f.v").(*dataframe.NumericColumn)
+	for i, want := range []float64{1, 2, 2} {
+		if v.IsMissing(i) || v.Values[i] != want {
+			t.Fatalf("row %d: v = %v (missing %v), want %v", i, v.Values[i], v.IsMissing(i), want)
+		}
 	}
 }
 

@@ -43,7 +43,7 @@ const (
 	// paper's Figure 5 usually the best) soft-join method.
 	TwoWayNearest SoftMethod = iota
 	// NearestNeighbor joins each base row with the single closest foreign
-	// row (by soft-key distance), or NULLs if Tolerance is exceeded.
+	// row (by soft-key distance).
 	NearestNeighbor
 	// HardExact forces exact matching even for a soft-typed key (used by the
 	// soft-join ablation in the paper's Figure 5).
@@ -82,9 +82,6 @@ type Spec struct {
 	// Method selects the soft-key matching strategy; ignored when every key
 	// is hard.
 	Method SoftMethod
-	// Tolerance bounds the soft-key distance for NearestNeighbor matches;
-	// 0 means unbounded. Expressed in the key's units (seconds for time).
-	Tolerance float64
 	// TimeResample aggregates a finer-grained foreign time key up to the
 	// base table's granularity before joining.
 	TimeResample bool

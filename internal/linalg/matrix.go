@@ -1,7 +1,7 @@
 // Package linalg provides the dense linear-algebra primitives ARDA needs:
 // row-major matrices, matrix products, Cholesky factorization and solves,
-// regularized least squares, and multivariate-normal sampling for the
-// moment-matched random feature injection of RIFS.
+// and multivariate-normal sampling for the moment-matched random feature
+// injection of RIFS.
 package linalg
 
 import (
@@ -229,22 +229,9 @@ func Scale(v []float64, alpha float64) {
 	}
 }
 
-// ErrNotSPD is returned by Cholesky when the input is not (numerically)
-// symmetric positive definite.
+// ErrNotSPD is returned when a matrix to factor is not (numerically)
+// symmetric positive definite, even after jitter.
 var ErrNotSPD = errors.New("linalg: matrix is not positive definite")
-
-// Cholesky computes the lower-triangular factor L with A = L·Lᵀ for a
-// symmetric positive-definite A. Only the lower triangle of A is read.
-func Cholesky(a *Matrix) (*Matrix, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("linalg: cholesky of non-square %dx%d", a.Rows, a.Cols)
-	}
-	l := NewMatrix(a.Rows, a.Rows)
-	if err := choleskyInto(l, a); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
 
 // choleskyInto factors a into the caller-provided l (n×n). Only entries on
 // or below l's diagonal are written, and the algorithm only reads entries it
@@ -384,20 +371,9 @@ func solveCholeskyInto(l *Matrix, b, y, x []float64) {
 	}
 }
 
-// SolveSPD solves A·X = B for symmetric positive-definite A (jittered if
-// needed), where B has one column per solve.
-func SolveSPD(a, b *Matrix) (*Matrix, error) {
-	var s SPDSolver
-	out, err := s.Solve(a, b)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // SPDSolver solves a sequence of same-shape SPD systems (e.g. successive
 // IRLS iterations) reusing its factorization and solution buffers, so only
-// the first Solve allocates. Arithmetic is identical to SolveSPD. The
+// the first Solve allocates. The
 // returned matrix is owned by the solver and valid until the next Solve;
 // clone it to retain.
 type SPDSolver struct {
@@ -422,7 +398,9 @@ func reuseVec(v []float64, n int) []float64 {
 	return v[:n]
 }
 
-// Solve solves A·X = B like SolveSPD, into the solver's reused buffers.
+// Solve solves A·X = B for symmetric positive-definite A (jittered if
+// needed), where B has one column per solve, into the solver's reused
+// buffers.
 func (s *SPDSolver) Solve(a, b *Matrix) (*Matrix, error) {
 	n := a.Rows
 	s.work = reuseMatrix(s.work, n, n)

@@ -53,7 +53,7 @@ func spdMatrix(rng *rand.Rand, n int) *Matrix {
 func TestCholeskySolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := spdMatrix(rng, 8)
-	l, err := Cholesky(a)
+	l, err := CholeskyJittered(a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCholeskySolve(t *testing.T) {
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, err := Cholesky(a); err == nil {
+	if err := choleskyInto(NewMatrix(2, 2), a); err != ErrNotSPD {
 		t.Fatal("expected ErrNotSPD")
 	}
 }
@@ -104,13 +104,40 @@ func TestSolveSPDMultiRHS(t *testing.T) {
 		x.Data[i] = rng.NormFloat64()
 	}
 	b := Mul(a, x)
-	got, err := SolveSPD(a, b)
+	var s SPDSolver
+	got, err := s.Solve(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range x.Data {
 		if math.Abs(got.Data[i]-x.Data[i]) > 1e-7 {
-			t.Fatalf("SolveSPD[%d] = %v, want %v", i, got.Data[i], x.Data[i])
+			t.Fatalf("Solve[%d] = %v, want %v", i, got.Data[i], x.Data[i])
+		}
+	}
+}
+
+func TestSPDSolverReusedAcrossSizes(t *testing.T) {
+	// One solver serves systems of different sizes in turn: its buffers are
+	// resized, and no stale entry of a larger system leaks into a smaller.
+	rng := rand.New(rand.NewSource(3))
+	var s SPDSolver
+	for _, n := range []int{7, 3, 7, 5} {
+		a := spdMatrix(rng, n)
+		x := NewMatrix(n, 3)
+		for i := range x.Data {
+			x.Data[i] = rng.NormFloat64()
+		}
+		got, err := s.Solve(a, Mul(a, x))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Rows != n || got.Cols != 3 {
+			t.Fatalf("n=%d: solution is %dx%d", n, got.Rows, got.Cols)
+		}
+		for i := range x.Data {
+			if math.Abs(got.Data[i]-x.Data[i]) > 1e-7 {
+				t.Fatalf("n=%d: Solve[%d] = %v, want %v", n, i, got.Data[i], x.Data[i])
+			}
 		}
 	}
 }
@@ -163,7 +190,7 @@ func TestSolveRecoveryProperty(t *testing.T) {
 			x0[i] = rng.NormFloat64()
 		}
 		b := a.MulVec(x0)
-		l, err := Cholesky(a)
+		l, err := CholeskyJittered(a, 0)
 		if err != nil {
 			return false
 		}
@@ -207,7 +234,7 @@ func TestVectorHelpers(t *testing.T) {
 }
 
 func TestCholeskyNonSquare(t *testing.T) {
-	if _, err := Cholesky(NewMatrix(2, 3)); err == nil {
+	if _, err := CholeskyJittered(NewMatrix(2, 3), 0); err == nil {
 		t.Fatal("non-square Cholesky should error")
 	}
 }

@@ -455,20 +455,45 @@ func TestRunHardFailureIsContained(t *testing.T) {
 	}
 }
 
-// A spec naming a selector the registry does not hold (lasso, which an
-// earlier version registered) is refused at admission with the valid names.
-// A run persisted with such a spec before an upgrade fails on its first
-// attempt with the same error: it is not transient, so it is not retried,
-// and the queue goes on serving.
+// A spec naming a selector the registry does not hold (lasso) or a coreset
+// strategy this version does not have (stratified), both of which an earlier
+// version accepted, is refused at admission with the valid names. A run
+// persisted with such a spec before an upgrade fails on its first attempt
+// with the same error: it is not transient, so it is not retried, and the
+// queue goes on serving.
 func TestRunHardFailureRemovedSelector(t *testing.T) {
 	defer parallel.SetMaxWorkers(0)
 	defer testenv.NoGoroutineLeak(t)()
 	state := t.TempDir()
 	dataDir, base, target := writeCorpus(t)
-	removed := fastSpec(dataDir, base, target)
-	removed.Selector = "lasso"
-	if err := removed.Validate(); err == nil || !strings.Contains(err.Error(), "random forest") {
-		t.Fatalf("Validate(lasso) = %v, want an error listing the valid selectors", err)
+	lasso := fastSpec(dataDir, base, target)
+	lasso.Selector = "lasso"
+	stratified := fastSpec(dataDir, base, target)
+	stratified.Coreset = "stratified"
+	removed := []struct {
+		spec Spec
+		// valid is a name the refusal lists; unknown is the persisted run's error.
+		valid, unknown string
+	}{
+		{lasso, "random forest", `unknown method "lasso"`},
+		{stratified, "uniform, leverage", `unknown strategy "stratified"`},
+	}
+	for i, r := range removed {
+		if err := r.spec.Validate(); err == nil || !strings.Contains(err.Error(), r.valid) {
+			t.Fatalf("Validate(%s) = %v, want an error listing %s", r.unknown, err, r.valid)
+		}
+		id := fmt.Sprintf("r%06d", i+1)
+		dir := filepath.Join(state, "runs", id)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(Record{ID: id, Seq: int64(i + 1), Spec: r.spec, State: StateQueued})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "run.json"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	kept := fastSpec(dataDir, base, target)
 	kept.Selector = "random forest"
@@ -476,36 +501,28 @@ func TestRunHardFailureRemovedSelector(t *testing.T) {
 		t.Fatalf("Validate(random forest) = %v", err)
 	}
 
-	dir := filepath.Join(state, "runs", "r000001")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := json.Marshal(Record{ID: "r000001", Seq: 1, Spec: removed, State: StateQueued})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "run.json"), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	m := openManager(t, Config{StateDir: state, RetryAttempts: 3})
-	if _, err := m.Submit(removed); err == nil {
-		t.Fatal("spec with a removed selector was admitted")
-	}
-	final := waitTerminal(t, m, "r000001", time.Minute)
-	if final.State != StateFailed || final.Attempts != 1 || !strings.Contains(final.Error, `unknown method "lasso"`) {
-		t.Fatalf("persisted lasso run finished %s after %d attempts (%q), want failed after 1 with the unknown-method error",
-			final.State, final.Attempts, final.Error)
+	for i, r := range removed {
+		if _, err := m.Submit(r.spec); err == nil {
+			t.Fatalf("spec with %s was admitted", r.unknown)
+		}
+		id := fmt.Sprintf("r%06d", i+1)
+		final := waitTerminal(t, m, id, time.Minute)
+		if final.State != StateFailed || final.Attempts != 1 || !strings.Contains(final.Error, r.unknown) {
+			t.Fatalf("persisted run %s finished %s after %d attempts (%q), want failed after 1 with %s",
+				id, final.State, final.Attempts, final.Error, r.unknown)
+		}
 	}
 	rec, err := m.Submit(kept)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if done := waitTerminal(t, m, rec.ID, 2*time.Minute); done.State != StateCompleted {
-		t.Fatalf("run after the failed one finished %s (%s), want completed", done.State, done.Error)
+		t.Fatalf("run after the failed ones finished %s (%s), want completed", done.State, done.Error)
 	}
 	checkAccounting(t, m)
-	if a := waitSettled(t, m, time.Minute); a.Failed != 1 || a.Completed != 1 || a.Takeovers != 1 {
-		t.Fatalf("accounting = %+v, want 1 taken over and failed, 1 completed", a)
+	if a := waitSettled(t, m, time.Minute); a.Failed != 2 || a.Completed != 1 || a.Takeovers != 2 {
+		t.Fatalf("accounting = %+v, want 2 taken over and failed, 1 completed", a)
 	}
 	if err := m.Close(time.Minute); err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@ type Spec struct {
 	Target string `json:"target"`
 	// Selector is the feature-selection method (featsel.Method); default RIFS.
 	Selector string `json:"selector,omitempty"`
-	// Coreset is the row-reduction strategy: uniform | stratified | sketch |
+	// Coreset is the row-reduction strategy: uniform (the default) or
 	// leverage.
 	Coreset string `json:"coreset,omitempty"`
 	// Size is the coreset size (0 = automatic).
@@ -104,17 +104,14 @@ func (s *Spec) removed() error {
 }
 
 func (s *Spec) coresetStrategy() (coreset.Strategy, error) {
-	switch s.Coreset {
-	case "", "uniform":
+	if s.Coreset == "" {
 		return coreset.Uniform, nil
-	case "stratified":
-		return coreset.Stratified, nil
-	case "sketch":
-		return coreset.Sketch, nil
-	case "leverage":
-		return coreset.Leverage, nil
 	}
-	return 0, fmt.Errorf("runqueue: unknown coreset strategy %q", s.Coreset)
+	strat, err := coreset.ParseStrategy(s.Coreset)
+	if err != nil {
+		return 0, fmt.Errorf("runqueue: %w", err)
+	}
+	return strat, nil
 }
 
 func (s *Spec) softMethod() (join.SoftMethod, error) {

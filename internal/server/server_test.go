@@ -144,11 +144,17 @@ func TestServiceEndToEnd(t *testing.T) {
 	if resp := postJSON(t, base+"/runs", map[string]any{"base": baseTable, "target": target, "siize": 9}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("typo submit = %d, want 400", resp.StatusCode)
 	}
-	// So is a selector the registry does not hold; the error lists the
-	// valid names.
-	apiErr = nil
-	if resp := postJSON(t, base+"/runs", map[string]any{"base": baseTable, "target": target, "selector": "lasso"}, &apiErr); resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr["error"], "random forest") {
-		t.Fatalf("removed-selector submit = %d %v, want 400 listing the valid selectors", resp.StatusCode, apiErr)
+	// So is a selector the registry does not hold, or a coreset strategy
+	// this version does not have; the error lists the valid names.
+	for _, removed := range []struct{ field, value, valid string }{
+		{"selector", "lasso", "random forest"},
+		{"coreset", "sketch", "uniform, leverage"},
+	} {
+		apiErr = nil
+		body := map[string]any{"base": baseTable, "target": target, removed.field: removed.value}
+		if resp := postJSON(t, base+"/runs", body, &apiErr); resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr["error"], removed.valid) {
+			t.Fatalf("submit with %s %q = %d %v, want 400 listing %s", removed.field, removed.value, resp.StatusCode, apiErr, removed.valid)
+		}
 	}
 	// So are resource budgets: a spec has none.
 	if resp := postJSON(t, base+"/runs", map[string]any{"base": baseTable, "target": target, "max_candidate_bytes": 1 << 20}, nil); resp.StatusCode != http.StatusBadRequest {
