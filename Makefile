@@ -37,7 +37,7 @@ race:
 # Parallel-kernel micro-benchmarks: report speedup_x at 1 worker vs all cores.
 # Discover and ReadCSVDir are the pre-Augment front half on school-l x1.
 bench-parallel:
-	$(GO) test -bench='Mul|MulABt|Transpose|RStar|LeverageIndices|Discover|ReadCSVDir' -benchtime=1x -run=^$$ \
+	$(GO) test -bench='Mul|MulABt|RStar|LeverageIndices|Discover|ReadCSVDir' -benchtime=1x -run=^$$ \
 		./internal/linalg/ ./internal/featsel/ ./internal/coreset/ ./internal/discovery/ ./internal/dataframe/
 
 # The system benchmark's own checks, shortened (about a minute and a half):
@@ -226,14 +226,15 @@ profile-forest:
 # (BenchmarkEvaluateTallBase: Poverty x8, 12,000 base rows, coreset 256):
 # the evaluate stage's two encodings and its base and augmented holdout
 # forests, the spans evaluate.encode, evaluate.base and evaluate.augmented.
-# Its setup runs a full Augment (twice: once per benchmark round), so focus
-# the profile on the stage: `go tool pprof -focus 'run..evaluate'
-# evaluate.pprof`.
+# Its setup runs a full Augment (twice: once per benchmark round); ten
+# evaluations make that a small share of the profile. Do not focus it on
+# run.evaluate: the trees grow on the shared pool's goroutines, whose stacks
+# do not contain it, so such a focus keeps about a fifth of the samples.
 profile-evaluate:
-	$(GO) test -bench='^BenchmarkEvaluateTallBase$$' -benchtime=5x -run=^$$ \
+	$(GO) test -bench='^BenchmarkEvaluateTallBase$$' -benchtime=10x -run=^$$ \
 		-cpuprofile=evaluate.pprof ./internal/core/
 	@rm -f core.test
-	@echo "wrote evaluate.pprof (go tool pprof -focus 'run..evaluate' evaluate.pprof)"
+	@echo "wrote evaluate.pprof (go tool pprof evaluate.pprof)"
 
 # CPU and allocation profiles of the front half on the wide-repo corpus
 # (school-l x1): BenchmarkReadCSVDir, the CSV load, and BenchmarkDiscover,

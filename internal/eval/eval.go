@@ -28,39 +28,6 @@ func Accuracy(pred, truth []float64) float64 {
 	return float64(hits) / float64(len(pred))
 }
 
-// MacroF1 returns the unweighted mean per-class F1 score.
-func MacroF1(pred, truth []float64, classes int) float64 {
-	if classes < 2 || len(pred) == 0 {
-		return 0
-	}
-	tp := make([]float64, classes)
-	fp := make([]float64, classes)
-	fn := make([]float64, classes)
-	for i, p := range pred {
-		pk, tk := int(p), int(truth[i])
-		if pk == tk {
-			tp[pk]++
-		} else {
-			if pk >= 0 && pk < classes {
-				fp[pk]++
-			}
-			if tk >= 0 && tk < classes {
-				fn[tk]++
-			}
-		}
-	}
-	sum := 0.0
-	for k := 0; k < classes; k++ {
-		var f1 float64
-		den := 2*tp[k] + fp[k] + fn[k]
-		if den > 0 {
-			f1 = 2 * tp[k] / den
-		}
-		sum += f1
-	}
-	return sum / float64(classes)
-}
-
 // R2 returns the coefficient of determination.
 func R2(pred, truth []float64) float64 {
 	if len(pred) == 0 {

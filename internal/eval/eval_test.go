@@ -17,17 +17,6 @@ func TestAccuracy(t *testing.T) {
 	}
 }
 
-func TestMacroF1(t *testing.T) {
-	// Perfect predictions: F1 = 1 for both classes.
-	if got := MacroF1([]float64{0, 1, 0, 1}, []float64{0, 1, 0, 1}, 2); got != 1 {
-		t.Fatalf("perfect F1 = %v", got)
-	}
-	// All wrong: F1 = 0.
-	if got := MacroF1([]float64{1, 0}, []float64{0, 1}, 2); got != 0 {
-		t.Fatalf("all-wrong F1 = %v", got)
-	}
-}
-
 func TestRegressionMetrics(t *testing.T) {
 	truth := []float64{2, 2, 5}
 	if got := R2(truth, truth); got != 1 {

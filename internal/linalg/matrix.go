@@ -40,21 +40,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic(fmt.Sprintf("linalg: row %d has %d entries, want %d", i, len(r), m.Cols))
-		}
-		copy(m.Data[i*m.Cols:], r)
-	}
-	return m
-}
-
 // At returns entry (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -71,33 +56,10 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// T returns the transpose as a new matrix. Input rows are scattered into
-// output columns concurrently; every input row writes a disjoint stride, so
-// the result is independent of the worker count.
-func (m *Matrix) T() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	parallel.Blocks(0, m.Rows, kernelBlockRows(m.Cols), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := m.Row(i)
-			for j, v := range row {
-				out.Data[j*m.Rows+i] = v
-			}
-		}
-	})
-	return out
-}
-
-// Mul returns the product a·b. Output rows are computed concurrently by row
-// blocks; each row's accumulation order is the same as the sequential kernel,
-// so results are bit-identical for any worker count.
-func Mul(a, b *Matrix) *Matrix {
-	out := NewMatrix(a.Rows, b.Cols)
-	MulInto(out, a, b)
-	return out
-}
-
 // MulInto computes a·b into out (which must be a.Rows×b.Cols), zeroing it
-// first — same arithmetic as Mul, without the per-call allocation.
+// first. Output rows are computed concurrently by row blocks; each row's
+// accumulation order is the same as the sequential kernel, so results are
+// bit-identical for any worker count.
 func MulInto(out, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("linalg: mul dims %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -151,20 +113,6 @@ func MulABt(a, b *Matrix) *Matrix {
 	return out
 }
 
-// MulVec returns the product m·x as a new vector.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("linalg: mulvec dims %dx%d · %d", m.Rows, m.Cols, len(x)))
-	}
-	out := make([]float64, m.Rows)
-	parallel.Blocks(0, m.Rows, kernelBlockRows(m.Cols), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = Dot(m.Row(i), x)
-		}
-	})
-	return out
-}
-
 // Dot returns the inner product of equal-length vectors. The loop is
 // unrolled 4× into a single accumulator — the additions happen in exactly
 // the sequential order of the plain loop, so the result is bit-identical;
@@ -213,13 +161,6 @@ func Norm2(v []float64) float64 {
 		s += x * x
 	}
 	return math.Sqrt(s)
-}
-
-// AddScaled adds alpha*src to dst in place.
-func AddScaled(dst []float64, alpha float64, src []float64) {
-	for i, v := range src {
-		dst[i] += alpha * v
-	}
 }
 
 // Scale multiplies every entry of v by alpha in place.
@@ -446,18 +387,9 @@ func NewMVNSampler(mu []float64, sigma *Matrix) (*MVNSampler, error) {
 	return &MVNSampler{mu: mu, l: l}, nil
 }
 
-// Sample draws one vector from the distribution.
-func (s *MVNSampler) Sample(rng *rand.Rand) []float64 {
-	n := len(s.mu)
-	out := make([]float64, n)
-	s.SampleTo(rng, out, make([]float64, n))
-	return out
-}
-
 // SampleTo draws one vector into dst using z as standard-normal scratch
-// (both of the sampler's dimension). It consumes exactly the NormFloat64
-// stream Sample would and writes the same values, so callers can reuse
-// buffers across draws without changing a single output bit.
+// (both of the sampler's dimension): mu + L·z for n fresh NormFloat64 draws
+// z, L the Cholesky factor of sigma. Callers reuse the buffers across draws.
 func (s *MVNSampler) SampleTo(rng *rand.Rand, dst, z []float64) {
 	n := len(s.mu)
 	for i := 0; i < n; i++ {
@@ -472,17 +404,4 @@ func (s *MVNSampler) SampleTo(rng *rand.Rand, dst, z []float64) {
 		}
 		dst[i] = acc
 	}
-}
-
-// Mean returns the column-wise mean of m as a vector of length Cols.
-func Mean(m *Matrix) []float64 {
-	mu := make([]float64, m.Cols)
-	if m.Rows == 0 {
-		return mu
-	}
-	for i := 0; i < m.Rows; i++ {
-		AddScaled(mu, 1, m.Row(i))
-	}
-	Scale(mu, 1/float64(m.Rows))
-	return mu
 }

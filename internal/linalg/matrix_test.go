@@ -3,14 +3,19 @@ package linalg
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"github.com/arda-ml/arda/internal/parallel"
 )
 
 func TestMulBasics(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	c := Mul(a, b)
+	a := &Matrix{Rows: 2, Cols: 2, Data: []float64{1, 2, 3, 4}}
+	b := &Matrix{Rows: 2, Cols: 2, Data: []float64{5, 6, 7, 8}}
+	c := NewMatrix(2, 2)
+	c.Data[0] = 99 // MulInto zeroes its output first
+	MulInto(c, a, b)
 	want := [][]float64{{19, 22}, {43, 50}}
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
@@ -19,22 +24,21 @@ func TestMulBasics(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestTranspose(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	at := a.T()
-	if at.Rows != 3 || at.Cols != 2 || at.At(2, 1) != 6 || at.At(0, 1) != 4 {
-		t.Fatalf("transpose wrong: %+v", at)
+	if bt := MulABt(a, b); bt.At(0, 1) != 23 || bt.At(1, 0) != 39 {
+		t.Fatalf("a·bᵀ = %v, want [17 23 39 53]", bt.Data)
 	}
 }
 
-func TestMulVec(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	y := a.MulVec([]float64{1, -1})
-	if y[0] != -1 || y[1] != -1 {
-		t.Fatalf("MulVec = %v", y)
-	}
+// mul returns a·b.
+func mul(a, b *Matrix) *Matrix {
+	out := NewMatrix(a.Rows, b.Cols)
+	MulInto(out, a, b)
+	return out
+}
+
+// mulVec returns a·x.
+func mulVec(a *Matrix, x []float64) []float64 {
+	return mul(a, &Matrix{Rows: len(x), Cols: 1, Data: x}).Data
 }
 
 func spdMatrix(rng *rand.Rand, n int) *Matrix {
@@ -43,7 +47,7 @@ func spdMatrix(rng *rand.Rand, n int) *Matrix {
 	for i := range b.Data {
 		b.Data[i] = rng.NormFloat64()
 	}
-	a := Mul(b, b.T())
+	a := MulABt(b, b)
 	for i := 0; i < n; i++ {
 		a.Data[i*n+i] += float64(n)
 	}
@@ -58,7 +62,7 @@ func TestCholeskySolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Verify A = L·Lᵀ.
-	rec := Mul(l, l.T())
+	rec := MulABt(l, l)
 	for i := range a.Data {
 		if math.Abs(rec.Data[i]-a.Data[i]) > 1e-8 {
 			t.Fatalf("LLᵀ differs at %d: %v vs %v", i, rec.Data[i], a.Data[i])
@@ -68,7 +72,7 @@ func TestCholeskySolve(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	b := a.MulVec(x)
+	b := mulVec(a, x)
 	got := SolveCholesky(l, b)
 	for i := range x {
 		if math.Abs(got[i]-x[i]) > 1e-8 {
@@ -78,7 +82,7 @@ func TestCholeskySolve(t *testing.T) {
 }
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
+	a := &Matrix{Rows: 2, Cols: 2, Data: []float64{1, 2, 2, 1}} // eigenvalues 3, -1
 	if err := choleskyInto(NewMatrix(2, 2), a); err != ErrNotSPD {
 		t.Fatal("expected ErrNotSPD")
 	}
@@ -86,7 +90,7 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 
 func TestCholeskyJitteredRecovers(t *testing.T) {
 	// Singular PSD matrix: rank 1.
-	a := FromRows([][]float64{{1, 1}, {1, 1}})
+	a := &Matrix{Rows: 2, Cols: 2, Data: []float64{1, 1, 1, 1}}
 	l, err := CholeskyJittered(a, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +107,7 @@ func TestSolveSPDMultiRHS(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
 	}
-	b := Mul(a, x)
+	b := mul(a, x)
 	var s SPDSolver
 	got, err := s.Solve(a, b)
 	if err != nil {
@@ -127,7 +131,7 @@ func TestSPDSolverReusedAcrossSizes(t *testing.T) {
 		for i := range x.Data {
 			x.Data[i] = rng.NormFloat64()
 		}
-		got, err := s.Solve(a, Mul(a, x))
+		got, err := s.Solve(a, mul(a, x))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +148,7 @@ func TestSPDSolverReusedAcrossSizes(t *testing.T) {
 
 func TestMVNSamplerMoments(t *testing.T) {
 	mu := []float64{1, -2}
-	sigma := FromRows([][]float64{{2, 0.8}, {0.8, 1}})
+	sigma := &Matrix{Rows: 2, Cols: 2, Data: []float64{2, 0.8, 0.8, 1}}
 	s, err := NewMVNSampler(mu, sigma)
 	if err != nil {
 		t.Fatal(err)
@@ -153,8 +157,9 @@ func TestMVNSamplerMoments(t *testing.T) {
 	const n = 20000
 	sum := []float64{0, 0}
 	var c00, c01, c11 float64
+	v, z := make([]float64, 2), make([]float64, 2)
 	for i := 0; i < n; i++ {
-		v := s.Sample(rng)
+		s.SampleTo(rng, v, z)
 		sum[0] += v[0]
 		sum[1] += v[1]
 		d0, d1 := v[0]-mu[0], v[1]-mu[1]
@@ -171,14 +176,6 @@ func TestMVNSamplerMoments(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
-	mu := Mean(m)
-	if mu[0] != 2 || mu[1] != 3 {
-		t.Fatalf("Mean = %v", mu)
-	}
-}
-
 // Property: solving A·x = A·x0 recovers x0 for random SPD A.
 func TestSolveRecoveryProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -189,7 +186,7 @@ func TestSolveRecoveryProperty(t *testing.T) {
 		for i := range x0 {
 			x0[i] = rng.NormFloat64()
 		}
-		b := a.MulVec(x0)
+		b := mulVec(a, x0)
 		l, err := CholeskyJittered(a, 0)
 		if err != nil {
 			return false
@@ -207,23 +204,12 @@ func TestSolveRecoveryProperty(t *testing.T) {
 	}
 }
 
-func TestFromRowsEmpty(t *testing.T) {
-	m := FromRows(nil)
-	if m.Rows != 0 || m.Cols != 0 {
-		t.Fatalf("empty FromRows = %dx%d", m.Rows, m.Cols)
-	}
-}
-
 func TestVectorHelpers(t *testing.T) {
 	v := []float64{3, 4}
 	if got := Norm2(v); got != 5 {
 		t.Fatalf("Norm2 = %v", got)
 	}
-	dst := []float64{1, 1}
-	AddScaled(dst, 2, v)
-	if dst[0] != 7 || dst[1] != 9 {
-		t.Fatalf("AddScaled = %v", dst)
-	}
+	dst := []float64{7, 9}
 	Scale(dst, 0.5)
 	if dst[0] != 3.5 || dst[1] != 4.5 {
 		t.Fatalf("Scale = %v", dst)
@@ -246,10 +232,72 @@ func TestMVNSamplerDimensionMismatch(t *testing.T) {
 }
 
 func TestCloneIndependent(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}})
+	a := &Matrix{Rows: 1, Cols: 2, Data: []float64{1, 2}}
 	b := a.Clone()
 	b.Data[0] = 99
 	if a.Data[0] == 99 {
 		t.Fatal("Clone must copy storage")
+	}
+}
+
+// TestProductsWorkersDeterminism: MulInto and MulABt split their output rows
+// into blocks by shape alone and sum each entry in one fixed order, so a
+// product large enough to span many blocks is bit-identical at 1 and 8
+// workers, and MulABt(a, b) equals MulInto(a, bᵀ) entry for entry up to
+// rounding.
+func TestProductsWorkersDeterminism(t *testing.T) {
+	defer parallel.SetMaxWorkers(0)
+	a, b := randMatrix(150, 90, 5), randMatrix(90, 120, 6)
+	bt := NewMatrix(120, 90)
+	for i := 0; i < b.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			bt.Set(j, i, b.At(i, j))
+		}
+	}
+	var prods, grams [2]*Matrix
+	for k, workers := range []int{1, 8} {
+		parallel.SetMaxWorkers(workers)
+		prods[k] = mul(a, b)
+		grams[k] = MulABt(a, bt)
+	}
+	if !slices.Equal(prods[0].Data, prods[1].Data) || !slices.Equal(grams[0].Data, grams[1].Data) {
+		t.Fatal("a product differs between 1 and 8 workers")
+	}
+	for i, v := range prods[0].Data {
+		if math.Abs(v-grams[0].Data[i]) > 1e-9 {
+			t.Fatalf("entry %d: a·b = %v, a·(bᵀ)ᵀ = %v", i, v, grams[0].Data[i])
+		}
+	}
+}
+
+// TestSampleToIsMuPlusLz: a draw is mu + L·z for the factor L of sigma and
+// the next NormFloat64 draws z of the caller's stream, written into dst
+// whatever it held before.
+func TestSampleToIsMuPlusLz(t *testing.T) {
+	mu := []float64{1, -2, 0.5}
+	sigma := &Matrix{Rows: 3, Cols: 3, Data: []float64{4, 1, 0.5, 1, 3, 0.2, 0.5, 0.2, 2}}
+	s, err := NewMVNSampler(mu, sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := CholeskyJittered(sigma, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zs := rand.New(rand.NewSource(8))
+	rng := rand.New(rand.NewSource(8))
+	dst, z := []float64{9, 9, 9}, make([]float64, 3)
+	for draw := 0; draw < 5; draw++ {
+		s.SampleTo(rng, dst, z)
+		want := append([]float64(nil), mu...)
+		zw := []float64{zs.NormFloat64(), zs.NormFloat64(), zs.NormFloat64()}
+		for i := range want {
+			for k := 0; k <= i; k++ {
+				want[i] += l.At(i, k) * zw[k]
+			}
+		}
+		if !slices.Equal(dst, want) {
+			t.Fatalf("draw %d: %v, want mu + L·z = %v", draw, dst, want)
+		}
 	}
 }

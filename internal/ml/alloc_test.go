@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"github.com/arda-ml/arda/internal/testenv"
 )
@@ -88,7 +89,7 @@ func TestBootstrapTreeAllocs(t *testing.T) {
 		ds   *Dataset
 		cfg  ForestConfig
 	}{
-		{"presorted regression", oneHotFixture(192, 40, 90, Regression, 205), ForestConfig{MaxDepth: 12}},
+		{"presorted regression", oneHotFixture(192, 40, 8, 90, Regression, 205), ForestConfig{MaxDepth: 12}},
 		{"flat classification", makeClassification(160, 6, 144, 201), ForestConfig{MaxDepth: 10}},
 	} {
 		_, tc := resolveForestConfig(sh.ds, sh.cfg)
@@ -121,6 +122,26 @@ func TestBootstrapTreeAllocs(t *testing.T) {
 		}
 		if minUnits == maxUnits {
 			t.Fatalf("%s: every bootstrap drew %d distinct rows; the test needs them to vary", sh.name, minUnits)
+		}
+	}
+}
+
+// TestRetainedCountsEveryBuffer: the pool's retention cap sees every slice a
+// workspace keeps — each slice field, given a capacity of 16, adds at least
+// 16 elements' bytes to retained — so no scratch buffer is held past the
+// cap unaccounted.
+func TestRetainedCountsEveryBuffer(t *testing.T) {
+	typ := reflect.TypeOf(treeWorkspace{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Type.Kind() != reflect.Slice {
+			continue
+		}
+		ws := &treeWorkspace{}
+		field := reflect.ValueOf(ws).Elem().Field(i) // unexported: set it through its address
+		reflect.NewAt(f.Type, unsafe.Pointer(field.UnsafeAddr())).Elem().Set(reflect.MakeSlice(f.Type, 0, 16))
+		if got, want := ws.retained(), 16*int(f.Type.Elem().Size()); got < want {
+			t.Errorf("%s with capacity 16: retained %d bytes, want at least %d", f.Name, got, want)
 		}
 	}
 }

@@ -45,7 +45,7 @@ func BenchmarkSparse21Wide(b *testing.B) {
 // table (tall-base's training split — 9,000 rows, 64 one-hot columns and one
 // continuous — under automl.DefaultForestConfig's shape).
 func BenchmarkFitForestOneHot(b *testing.B) {
-	ds := oneHotFixture(9000, 64, 1, Regression, 108)
+	ds := oneHotFixture(9000, 64, 8, 1, Regression, 108)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

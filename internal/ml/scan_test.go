@@ -360,86 +360,275 @@ func gatherAt(xs []float64, idx []int32) []float64 {
 	return out
 }
 
-// TestTwoValuedCutMatchesScan: the two-valued pass over a node's units scores
-// a two-valued column as scanning its materialised sequence — the node's
-// units holding lo, then those holding hi, each with its value, label or
-// target, and multiplicity — does: bit-equal for classification, whose counts
-// are exact integers; for regression the same threshold, the proxy within
-// 1e-12 relative and the exact gain within 1e-12 of the node's variance.
-// Nodes are a bootstrap's units and random
-// subsets of them, some too small for every minLeaf.
-func TestTwoValuedCutMatchesScan(t *testing.T) {
-	for _, task := range []Task{Classification, Regression} {
-		ss := buildSplitSet(twoValuedFixture(300, 24, task, 41), 1, false)
-		rng := rand.New(rand.NewSource(43))
-		ws := &treeWorkspace{}
-		drawBootstrap(ws, ss.n, rng)
-		checked := 0
-		for trial := 0; trial < 40; trial++ {
-			b := &treeBuilder{}
-			b.initUnits(ss, TreeConfig{MinLeaf: 1 + trial%5}, rng, ws)
-			node := make([]int32, b.units)
-			for i := range node {
-				node[i] = int32(i)
-			}
-			if trial > 0 {
-				rng.Shuffle(len(node), func(i, j int) { node[i], node[j] = node[j], node[i] })
-				node = node[:1+rng.Intn(len(node))]
-			}
-			nt, _ := b.nodeStats(node)
-			for feat := range ss.cols {
-				sc := &ss.cols[feat]
-				if sc.mask == nil {
-					continue
-				}
-				got := b.twoValuedCut(sc, node, &nt)
-				// The column's sequence over the node: lows, then highs, each
-				// side in ascending unit order.
-				var ord []int32
-				for _, side := range []uint8{0, 1} {
-					for u := int32(0); u < int32(b.units); u++ {
-						if slices.Contains(node, u) && sc.mask[b.rowOf[u]] == side {
-							ord = append(ord, u)
-						}
-					}
-				}
-				vals := make([]float64, b.units)
-				for _, u := range ord {
-					vals[u] = sc.v[b.rowOf[u]]
-				}
-				if task == Classification {
-					sv, sl, sw := gatherAt(vals, ord), make([]int32, len(ord)), gatherAt(ws.wt, ord)
-					for i, u := range ord {
-						sl[i] = ws.labels[u]
-					}
-					thr, gain := scanSplitsClass(sv, sl, sw, ws.lcnt, ws.rcnt, nt.imp, b.cfg.MinLeaf)
-					if math.IsInf(gain, -1) {
-						thr = got.thr // no boundary: only the score is defined
-					}
-					if got.thr != thr || got.score != gain {
-						t.Fatalf("trial %d feature %d: two-valued pass (%v, %v), scan (%v, %v)", trial, feat, got.thr, got.score, thr, gain)
-					}
-				} else {
-					want := regressionCut(vals, ord, ws.ys, ws.wt, &nt, b.cfg.MinLeaf)
-					if math.IsInf(want.score, -1) || math.IsInf(got.score, -1) {
-						if math.IsInf(want.score, -1) != math.IsInf(got.score, -1) {
-							t.Fatalf("trial %d feature %d: two-valued pass score %v, scan %v", trial, feat, got.score, want.score)
-						}
-						continue
-					}
-					// The gain is a difference of terms of the node's variance, so
-					// that is the scale its rounding is relative to.
-					near := func(a, b, scale float64) bool { return math.Abs(a-b) <= 1e-12*scale }
-					if got.thr != want.thr || !near(got.score, want.score, math.Abs(want.score)) ||
-						!near(varianceGain(got, &nt), varianceGain(want, &nt), nt.imp) {
-						t.Fatalf("trial %d feature %d: two-valued pass %+v, scan %+v", trial, feat, got, want)
-					}
-				}
-				checked++
+// groupingFixture is a dataset whose two-valued columns fall into a known
+// grouping, with its expected group sizes. Column 0 is continuous and every
+// target draws on it and on the first two-valued column.
+type groupingFixture struct {
+	name  string
+	ds    *Dataset
+	sizes []int
+}
+
+// groupingFixtures covers every way groupTwo places a column: a complete
+// one-hot (every row high in one indicator), an incomplete one (a third of
+// the rows high in none), overlapping indicators that must land in
+// different groups (u < 0.4 and u < 0.7; u ≥ 0.7 then joins the first, the
+// first group it is disjoint from), a lone two-valued column, a one-hot of
+// 256 levels that fills a group to the 254-member cap and starts another,
+// and the mixed design of twoValuedFixture, whose expected sizes are nil:
+// they are whatever its sparse random columns happen to give.
+func groupingFixtures(task Task) []groupingFixture {
+	build := func(n, d int, seed int64, fill func(rng *rand.Rand, i int, row []float64)) *Dataset {
+		rng := rand.New(rand.NewSource(seed))
+		x := make([]float64, n*d)
+		y := make([]float64, n)
+		for i := 0; i < n; i++ {
+			row := x[i*d : (i+1)*d]
+			row[0] = rng.NormFloat64()
+			fill(rng, i, row[1:])
+			s := row[0] + 1.5*row[1] + 0.2*rng.NormFloat64()
+			if task == Classification {
+				y[i] = float64(int(math.Abs(s)*2) % 3)
+			} else {
+				y[i] = s
 			}
 		}
-		if checked < 100 {
-			t.Fatalf("%v: only %d admissible columns checked", task, checked)
+		return mustDataset(x, n, d, y, task, 3)
+	}
+	return []groupingFixture{
+		{"complete one-hot", build(300, 7, 51, func(rng *rand.Rand, _ int, row []float64) {
+			row[rng.Intn(6)] = 1
+		}), []int{6}},
+		{"incomplete one-hot", build(300, 7, 52, func(rng *rand.Rand, _ int, row []float64) {
+			if rng.Float64() < 2.0/3 {
+				row[rng.Intn(6)] = 1
+			}
+		}), []int{6}},
+		{"overlapping", build(300, 4, 53, func(rng *rand.Rand, _ int, row []float64) {
+			u := rng.Float64()
+			row[0] = b2f(u < 0.4)
+			row[1] = b2f(u < 0.7)
+			row[2] = b2f(u >= 0.7)
+		}), []int{2, 1}},
+		{"lone", build(300, 3, 54, func(rng *rand.Rand, _ int, row []float64) {
+			row[0] = -3.5
+			if rng.Float64() < 0.5 {
+				row[0] = 7.25
+			}
+			row[1] = rng.Float64()
+		}), []int{1}},
+		{"cap", build(600, 257, 55, func(_ *rand.Rand, i int, row []float64) {
+			row[i%256] = 1
+		}), []int{maxGroup, 256 - maxGroup}},
+		{"mixed", twoValuedFixture(300, 24, task, 41), nil}, // chance decides how its sparse columns group
+	}
+}
+
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// maskCut is the per-column pass the groups replaced: it lists the node's
+// high units through the column's mask, in the order of units, and sums
+// their terms. It referees the grouped regression cut bit-for-bit.
+func maskCut(b *treeBuilder, sc *SplitColumn, units []int32, nt *nodeTotals) cut {
+	var nh, sh, qh float64
+	for _, p := range units {
+		if sc.mask[b.rowOf[p]] == 1 {
+			w, y := b.ws.wt[p], b.ws.ys[p]
+			nh += w
+			sh += w * y
+			qh += w * (y * y)
 		}
 	}
+	nl, fmin := nt.n-nh, float64(b.cfg.MinLeaf)
+	if nl < fmin || nh < fmin {
+		return noCut
+	}
+	c := cut{thr: sc.lo + (sc.hi-sc.lo)/2, n: nl, sum: nt.sum - sh, sq: nt.sq - qh}
+	c.score = c.sum*c.sum/nl + sh*sh/nh
+	return c
+}
+
+// TestTwoValuedCutMatchesScan: the grouped cut — a column's slot of its
+// group's block, summed by whichever member a node draws first — scores a
+// two-valued column as scanning its materialised sequence does (the node's
+// units holding lo, then those holding hi, each with its value, label or
+// target, and multiplicity): bit-equal for classification, whose counts are
+// exact integers; for regression bit-equal to the per-column mask pass and,
+// against the scan, the same threshold, the proxy within 1e-12 relative and
+// the exact gain within 1e-12 of the node's variance. Every grouping of
+// groupingFixtures is checked, over a bootstrap's units (multiplicities up to
+// several) and random subsets of them, some too small for every minLeaf, with
+// the members visited in a fresh random order per node.
+func TestTwoValuedCutMatchesScan(t *testing.T) {
+	for _, task := range []Task{Classification, Regression} {
+		for _, fx := range groupingFixtures(task) {
+			ss := buildSplitSet(fx.ds, 1, false)
+			if got := groupSizes(ss.groups); fx.sizes != nil && !slices.Equal(got, fx.sizes) {
+				t.Fatalf("%v %s: group sizes %v, want %v", task, fx.name, got, fx.sizes)
+			}
+			rng := rand.New(rand.NewSource(43))
+			ws := &treeWorkspace{}
+			drawBootstrap(ws, ss.n, rng)
+			checked := 0
+			for trial := 0; trial < 40; trial++ {
+				b := &treeBuilder{}
+				b.initUnits(ss, TreeConfig{MinLeaf: 1 + trial%5}, rng, ws)
+				b.scols = ss.cols
+				node := make([]int32, b.units)
+				for i := range node {
+					node[i] = int32(i)
+				}
+				if trial > 0 {
+					rng.Shuffle(len(node), func(i, j int) { node[i], node[j] = node[j], node[i] })
+					node = node[:1+rng.Intn(len(node))]
+				}
+				inNode := make([]bool, b.units)
+				for _, u := range node {
+					inNode[u] = true
+				}
+				nt, _ := b.nodeStats(node)
+				b.stamp++
+				for _, feat := range rng.Perm(ss.d) {
+					sc := &ss.cols[feat]
+					if sc.mask == nil {
+						continue
+					}
+					got := b.twoValuedCut(feat, node, &nt)
+					// The column's sequence over the node: lows, then highs, each
+					// side in ascending unit order.
+					var ord []int32
+					for _, side := range []uint8{0, 1} {
+						for u := int32(0); u < int32(b.units); u++ {
+							if inNode[u] && sc.mask[b.rowOf[u]] == side {
+								ord = append(ord, u)
+							}
+						}
+					}
+					vals := make([]float64, b.units)
+					for _, u := range ord {
+						vals[u] = sc.v[b.rowOf[u]]
+					}
+					if task == Classification {
+						sv, sl, sw := gatherAt(vals, ord), make([]int32, len(ord)), gatherAt(ws.wt, ord)
+						for i, u := range ord {
+							sl[i] = ws.labels[u]
+						}
+						thr, gain := scanSplitsClass(sv, sl, sw, ws.lcnt, ws.rcnt, nt.imp, b.cfg.MinLeaf)
+						if math.IsInf(gain, -1) {
+							thr = got.thr // no boundary: only the score is defined
+						}
+						if got.thr != thr || got.score != gain {
+							t.Fatalf("%s trial %d feature %d: grouped cut (%v, %v), scan (%v, %v)", fx.name, trial, feat, got.thr, got.score, thr, gain)
+						}
+					} else {
+						if want := maskCut(b, sc, node, &nt); got != want {
+							t.Fatalf("%s trial %d feature %d: grouped cut %+v, mask pass %+v", fx.name, trial, feat, got, want)
+						}
+						want := regressionCut(vals, ord, ws.ys, ws.wt, &nt, b.cfg.MinLeaf)
+						if math.IsInf(want.score, -1) || math.IsInf(got.score, -1) {
+							if math.IsInf(want.score, -1) != math.IsInf(got.score, -1) {
+								t.Fatalf("%s trial %d feature %d: grouped cut score %v, scan %v", fx.name, trial, feat, got.score, want.score)
+							}
+							continue
+						}
+						// The gain is a difference of terms of the node's variance, so
+						// that is the scale its rounding is relative to.
+						near := func(a, b, scale float64) bool { return math.Abs(a-b) <= 1e-12*scale }
+						if got.thr != want.thr || !near(got.score, want.score, math.Abs(want.score)) ||
+							!near(varianceGain(got, &nt), varianceGain(want, &nt), nt.imp) {
+							t.Fatalf("%s trial %d feature %d: grouped cut %+v, scan %+v", fx.name, trial, feat, got, want)
+						}
+					}
+					if !math.IsInf(got.score, -1) {
+						checked++
+					}
+				}
+			}
+			if checked < 20 {
+				t.Fatalf("%v %s: only %d admissible columns checked", task, fx.name, checked)
+			}
+		}
+	}
+}
+
+// groupSizes lists the groups' member counts.
+func groupSizes(groups []twoGroup) []int {
+	var sizes []int
+	for _, g := range groups {
+		sizes = append(sizes, g.size)
+	}
+	return sizes
+}
+
+// TestGroupTwo: groupTwo's groups are pairwise disjoint — a row's code names
+// exactly the member high on it — every two-valued column is in exactly one
+// group and nothing else is in any, no group exceeds maxGroup, the masks are
+// left as they were, and the grouping is the greedy first fit in column
+// order: replayed column by column, each joins the first group that was open
+// to it, so the same columns in the same order always group alike.
+func TestGroupTwo(t *testing.T) {
+	for _, fx := range groupingFixtures(Regression) {
+		cols := buildSplitSet(fx.ds, 1, false).cols
+		groups, twoOf := groupTwo(cols)
+		members := make([][]int, len(groups)) // column per slot-1, in slot order
+		for j, c := range cols {
+			if c.mask == nil {
+				continue
+			}
+			ref := twoOf[j]
+			g := groups[ref.group]
+			if int(ref.slot) != len(members[ref.group])+1 {
+				t.Fatalf("%s: column %d has slot %d in group %d, want %d", fx.name, j, ref.slot, ref.group, len(members[ref.group])+1)
+			}
+			members[ref.group] = append(members[ref.group], j)
+			// The first fit: every earlier group was full or clashed with a
+			// member placed before column j.
+			for e := int32(0); e < ref.group; e++ {
+				open := len(members[e]) < maxGroup
+				for _, k := range members[e] {
+					open = open && disjoint(cols[k].mask, c.mask)
+				}
+				if open {
+					t.Fatalf("%s: column %d went to group %d, but group %d was open to it", fx.name, j, ref.group, e)
+				}
+			}
+			for r, h := range c.mask {
+				if h != b2f8(c.v[r] == c.hi) {
+					t.Fatalf("%s: column %d's mask changed at row %d", fx.name, j, r)
+				}
+				if (g.code[r] == uint8(ref.slot)) != (h == 1) {
+					t.Fatalf("%s: row %d code %d, column %d (slot %d) mask %d", fx.name, r, g.code[r], j, ref.slot, h)
+				}
+			}
+		}
+		for gi, g := range groups {
+			if g.size != len(members[gi]) || g.size > maxGroup {
+				t.Fatalf("%s: group %d has size %d and %d members (cap %d)", fx.name, gi, g.size, len(members[gi]), maxGroup)
+			}
+			for r, code := range g.code {
+				if int(code) > g.size {
+					t.Fatalf("%s: group %d row %d code %d beyond its %d members", fx.name, gi, r, code, g.size)
+				}
+			}
+		}
+		again, twoAgain := groupTwo(cols)
+		if !slices.Equal(twoOf, twoAgain) || !slices.Equal(groupSizes(again), groupSizes(groups)) {
+			t.Fatalf("%s: grouping the same columns twice differs", fx.name)
+		}
+	}
+	if groups, twoOf := groupTwo(PresortColumns(kernelFixture(50, 4, Regression, 3), 1)); groups != nil || twoOf != nil {
+		t.Fatalf("no two-valued column: %d groups, twoOf %v", len(groups), twoOf)
+	}
+}
+
+func b2f8(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
 }

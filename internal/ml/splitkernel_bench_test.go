@@ -31,7 +31,7 @@ func BenchmarkSelectForestRegression(b *testing.B) {
 // (40 one-hot, 90 continuous), mtry = d/3 = 43, so the cost rule keeps every
 // node above eight samples presorted.
 func BenchmarkSelectForestCoresetRegression(b *testing.B) {
-	benchFitForest(b, oneHotFixture(192, 40, 90, Regression, 205),
+	benchFitForest(b, oneHotFixture(192, 40, 8, 90, Regression, 205),
 		ForestConfig{NTrees: 60, MaxDepth: 12, Seed: 7, Parallel: true})
 }
 
@@ -43,11 +43,13 @@ func BenchmarkSelectForestEvaluate(b *testing.B) {
 }
 
 // BenchmarkSelectForestEvaluateRegression is tall-base's evaluation-forest
-// shape: a 9,000-row regression base table of 64 one-hot and 9 continuous
+// shape: a 9,000-row regression base table whose 64 one-hot columns encode
+// two 32-level categoricals, as synth.Poverty's do, plus 9 continuous
 // columns, 10 trees of depth 12 — mtry = 24, so presorted from the root down
-// to nodes of nine samples, its one-hot columns split by mask.
+// to nodes of nine samples, each categorical's drawn indicators scored from
+// one pass per node.
 func BenchmarkSelectForestEvaluateRegression(b *testing.B) {
-	benchFitForest(b, oneHotFixture(9000, 64, 9, Regression, 206),
+	benchFitForest(b, oneHotFixture(9000, 64, 32, 9, Regression, 206),
 		ForestConfig{NTrees: 10, MaxDepth: 12, Seed: 7, Parallel: true})
 }
 

@@ -205,7 +205,7 @@ func TestUnitsMatchExpandedCopies(t *testing.T) {
 		return units, copies
 	}
 
-	oneHot := oneHotFixture(256, 64, 40, Classification, 29)
+	oneHot := oneHotFixture(256, 64, 8, 40, Classification, 29)
 	mixed := twoValuedFixture(300, 24, Classification, 19)
 	for _, sh := range []shape{
 		{"one-hot flat", oneHot, TreeConfig{MTry: 10}, true, false},

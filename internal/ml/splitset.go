@@ -45,6 +45,10 @@ type treeWorkspace struct {
 	left   []uint8 // goes-left mask during a split (all-zero invariant)
 	unitOf []int32 // unit per drawn dataset row (order derivation, counting scans)
 	ncnt   []int32 // in-node multiplicity per dataset row (all-zero invariant)
+	// Two-valued groups' scratch: the blocks of the groups' high-side sums
+	// (twoGroup), and per group the node stamp its block was last summed at.
+	gsum  []float64
+	gseen []int32
 	// rng is a bootstrap tree's stream, reseeded per tree.
 	rng *rand.Rand
 }
@@ -55,9 +59,9 @@ type treeWorkspace struct {
 // scratch alive.
 func (ws *treeWorkspace) retained() int {
 	f := cap(ws.ys) + cap(ws.wt) + cap(ws.vbuf) + cap(ws.uval) + cap(ws.wbuf) +
-		cap(ws.tcnt) + cap(ws.lcnt) + cap(ws.rcnt) + cap(ws.rbuf) + cap(ws.colv)
+		cap(ws.tcnt) + cap(ws.lcnt) + cap(ws.rcnt) + cap(ws.rbuf) + cap(ws.colv) + cap(ws.gsum)
 	i := cap(ws.labels) + cap(ws.lbuf) + cap(ws.samples) + cap(ws.pay) + cap(ws.cnt) +
-		cap(ws.rowOf) + cap(ws.orders) + cap(ws.spill) + cap(ws.unitOf) + cap(ws.ncnt)
+		cap(ws.rowOf) + cap(ws.orders) + cap(ws.spill) + cap(ws.unitOf) + cap(ws.ncnt) + cap(ws.gseen)
 	return f*8 + i*4 + cap(ws.feats)*8 + cap(ws.left) + cap(ws.scols)*splitColumnBytes
 }
 
@@ -146,10 +150,14 @@ type splitSet struct {
 	task    Task
 	classes int
 	cols    []SplitColumn // per-feature values (+ (value,row) orders when presorted)
-	anyTwo  bool          // some column is two-valued
-	ys      []float64     // targets; for regression centred, ys[r] = Y[r] - ymean
-	ymean   float64
-	labels  []int32 // class codes (classification)
+	// groups partition the two-valued columns (groupTwo); twoOf[j] places
+	// column j in one, and gsize is the slots all groups' blocks take.
+	groups []twoGroup
+	twoOf  []twoRef
+	gsize  int
+	ys     []float64 // targets; for regression centred, ys[r] = Y[r] - ymean
+	ymean  float64
+	labels []int32 // class codes (classification)
 }
 
 // setTargets gives the set ds's targets: class codes for classification, for
@@ -203,14 +211,100 @@ func buildSplitSet(ds *Dataset, workers int, needOrders bool) *splitSet {
 	return ss
 }
 
-// markTwo records whether any of the set's columns is two-valued.
+// maxGroup caps a group's members: a row's code is one byte, 0 for none.
+const maxGroup = 254
+
+// twoGroup is a set of two-valued columns no two of which are high on the
+// same row. code[r] is 1 + the member high on row r, or 0 when none is; a
+// lone member's code is its own mask. Its members' high-side sums sit in
+// one block of size+1 slots from off in the tree's ws.gsum, slot 0 taking
+// the rows no member is high on.
+type twoGroup struct {
+	code      []uint8
+	size, off int
+}
+
+// twoRef places a two-valued column in its group: slot is 1 + its member
+// index, the code its high rows carry, and at is where that slot starts in
+// ws.gsum.
+type twoRef struct {
+	group, slot, at int32
+}
+
+// markTwo groups the set's two-valued columns (groupTwo) and lays out the
+// groups' blocks: a slot holds class counts for classification, and Σw,
+// Σw·y, Σw·(y·y) for regression.
 func (ss *splitSet) markTwo() {
-	for i := range ss.cols {
-		if ss.cols[i].mask != nil {
-			ss.anyTwo = true
-			return
+	ss.groups, ss.twoOf = groupTwo(ss.cols)
+	width := slotWidth(ss.task, ss.classes)
+	for g := range ss.groups {
+		ss.groups[g].off = ss.gsize
+		ss.gsize += (ss.groups[g].size + 1) * width
+	}
+	for j, ref := range ss.twoOf {
+		if ss.cols[j].mask != nil {
+			ss.twoOf[j].at = int32(ss.groups[ref.group].off) + ref.slot*int32(width)
 		}
 	}
+}
+
+// slotWidth is the floats one member's slot of a group's block holds.
+func slotWidth(task Task, classes int) int {
+	if task == Classification {
+		return classes
+	}
+	return 3
+}
+
+// groupTwo partitions the two-valued columns of cols into groups whose high
+// rows are pairwise disjoint — a one-hot categorical's indicators share one
+// — greedily in column order: each column joins the first group it is
+// disjoint from and that has fewer than maxGroup members, or starts a new
+// one. Only disjointness matters to the kernel, so the grouping needs
+// nothing from the encoder. twoOf is nil when no column is two-valued.
+func groupTwo(cols []SplitColumn) ([]twoGroup, []twoRef) {
+	var groups []twoGroup
+	var twoOf []twoRef
+	for j := range cols {
+		mask := cols[j].mask
+		if mask == nil {
+			continue
+		}
+		if twoOf == nil {
+			twoOf = make([]twoRef, len(cols))
+		}
+		g := 0
+		for ; g < len(groups); g++ {
+			if groups[g].size < maxGroup && disjoint(groups[g].code, mask) {
+				break
+			}
+		}
+		if g == len(groups) {
+			groups = append(groups, twoGroup{code: mask, size: 1})
+			twoOf[j] = twoRef{group: int32(g), slot: 1}
+			continue
+		}
+		grp := &groups[g]
+		if grp.size == 1 {
+			grp.code = append([]uint8(nil), grp.code...) // stop aliasing the first member's mask
+		}
+		grp.size++
+		for r, h := range mask {
+			grp.code[r] += h * uint8(grp.size)
+		}
+		twoOf[j] = twoRef{group: int32(g), slot: int32(grp.size)}
+	}
+	return groups, twoOf
+}
+
+// disjoint reports whether no row is high in mask and coded in code.
+func disjoint(code, mask []uint8) bool {
+	for r, h := range mask {
+		if h != 0 && code[r] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // fitTreeFromSplitSet grows one tree over a bootstrap sample given as
@@ -249,7 +343,7 @@ func fitTreeFromSplitSet(ss *splitSet, cfg TreeConfig, rng *rand.Rand, ws *treeW
 	}
 
 	b.planes = d
-	if ss.anyTwo {
+	if ss.groups != nil {
 		b.planes, b.copied = d+1, true
 	}
 	ws.reserveCols(m, d)
@@ -275,7 +369,7 @@ func fitTreeFromSplitSet(ss *splitSet, cfg TreeConfig, rng *rand.Rand, ws *treeW
 		}
 		ws.scols[j] = SplitColumn{v: tcol}
 	}
-	if ss.anyTwo {
+	if ss.groups != nil {
 		for u, pos := 0, ws.orders[d*units:(d+1)*units]; u < units; u++ {
 			pos[u] = int32(u)
 		}
@@ -315,10 +409,17 @@ func (b *treeBuilder) initUnits(ss *splitSet, cfg TreeConfig, rng *rand.Rand, ws
 		d:       d,
 		ws:      ws,
 		ymean:   ss.ymean,
+		groups:  ss.groups,
+		twoOf:   ss.twoOf,
 	}
 	b.mtry = resolveMTry(cfg.MTry, d)
 	ws.reserve(m, d, b.classScratch())
-	if useFlatKernel(b.mtry, d, m) || ss.anyTwo {
+	if ss.groups != nil {
+		ws.gsum = growFloat(ws.gsum, ss.gsize)
+		ws.gseen = growInt32(ws.gseen, len(ss.groups))
+		clear(ws.gseen)
+	}
+	if useFlatKernel(b.mtry, d, m) || ss.groups != nil {
 		ws.rowOf = growInt32(ws.rowOf, m)
 		b.rowOf = ws.rowOf
 	}

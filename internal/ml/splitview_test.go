@@ -3,6 +3,7 @@ package ml
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -109,7 +110,7 @@ func TestSplitViewShapeMismatchFallsBack(t *testing.T) {
 // a caller-presorted NewSplitColumn builds — and no order at all for a
 // two-valued column.
 func TestPresortColumnsMatchesNewSplitColumn(t *testing.T) {
-	ds := oneHotFixture(200, 4, 3, Regression, 77)
+	ds := oneHotFixture(200, 8, 8, 3, Regression, 77)
 	one := PresortColumns(ds, 1)
 	eight := PresortColumns(ds, 8)
 	for j := 0; j < ds.D; j++ {
@@ -133,5 +134,51 @@ func TestPresortColumnsMatchesNewSplitColumn(t *testing.T) {
 				t.Fatalf("column %d: order differs from NewSplitColumn's", j)
 			}
 		}
+	}
+}
+
+// TestSplitViewGroupsExtraColumns: a view groups its shared and extra
+// columns together, as the split set FitForest builds over the whole design
+// does — here an extra indicator of the rows an incomplete one-hot leaves
+// empty joins the shared columns' group, and one overlapping it starts its
+// own — and the forest fitted through the view is the plain one bit for bit,
+// presorted throughout and handing off to the flat kernel.
+func TestSplitViewGroupsExtraColumns(t *testing.T) {
+	base := groupingFixtures(Regression)[1].ds // continuous, then a 6-level one-hot with empty rows
+	n, d, extra := base.N, base.D, 2
+	d2 := d + extra
+	x := make([]float64, n*d2)
+	noise := make([]SplitColumn, extra)
+	vals := [2][]float64{make([]float64, n), make([]float64, n)}
+	for i := 0; i < n; i++ {
+		copy(x[i*d2:], base.Row(i))
+		empty := true
+		for _, v := range base.Row(i)[1:] {
+			empty = empty && v == 0
+		}
+		vals[0][i] = b2f(empty)
+		vals[1][i] = b2f(!empty && i%3 == 0)
+		x[i*d2+d], x[i*d2+d+1] = vals[0][i], vals[1][i]
+	}
+	for c := range noise {
+		noise[c] = NewSplitColumn(vals[c], make([]int32, n))
+	}
+	aug := &Dataset{X: x, N: n, D: d2, Y: base.Y, Task: base.Task}
+	view := NewSplitView(base, PresortColumns(base, 0), noise)
+	own := buildSplitSet(aug, 1, true)
+	if got := groupSizes(view.ss.groups); !slices.Equal(got, []int{7, 1}) ||
+		!slices.Equal(view.ss.twoOf, own.twoOf) || !slices.Equal(got, groupSizes(own.groups)) {
+		t.Fatalf("view groups %v (%v), own split set %v (%v), want sizes [7 1]",
+			got, view.ss.twoOf, groupSizes(own.groups), own.twoOf)
+	}
+	for _, cfg := range []ForestConfig{
+		{NTrees: 6, MaxDepth: 10, Seed: 3},          // mtry = d/3: presorted throughout
+		{NTrees: 6, MaxDepth: 10, MTry: 1, Seed: 3}, // presorted root, flat below 256 samples
+	} {
+		want := FitForest(aug, cfg)
+		aug.AttachSplits(view)
+		got := FitForest(aug, cfg)
+		aug.AttachSplits(nil)
+		sameForest(t, want, got)
 	}
 }

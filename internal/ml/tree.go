@@ -59,17 +59,23 @@ type TreeConfig struct {
 //
 // Every candidate is scored from sums against the node's totals, which
 // nodeStats computes once per node. A two-valued column (SplitColumn.mask;
-// every one-hot column) has one admissible boundary and needs no order: one
-// pass over the node's units, in any order, adds up its high side — class
-// counts, or Σw, Σw·y, Σw·(y·y) — and the low side is the node total minus
-// that. An ordered column is swept in (value, unit) order: classification
-// through scanSplitsClass's incremental Gini, regression by regressionCut,
-// which reads values, targets and weights through the order in place and
-// maximises CART's proxy sumL²/nL + sumR²/nR (sumR and nR from the node
-// totals) — the exact variance reduction is computed once per node, for the
-// winner, from its kept left-side sums. Class counts are exact integers, so
-// the two-valued pass scores a classification split bit-identically to
-// scanning the column's (lows, then highs) sequence.
+// every one-hot column) has one admissible boundary and needs no order: its
+// high side's sums — class counts, or Σw, Σw·y, Σw·(y·y) — score it, the low
+// side being the node total minus them. The split set groups its two-valued
+// columns so that no two members of a group are high on the same row (a
+// one-hot categorical's indicators form one group), and the first member of
+// a group a node draws sums every member's high side in one pass over the
+// node's units (sumGroup); the others read theirs. Each member's sums still
+// add its own high units in the node's unit order, so they are bit-identical
+// to a pass over that column alone. An ordered column is swept in
+// (value, unit) order: classification through scanSplitsClass's incremental
+// Gini, regression by regressionCut, which reads values, targets and weights
+// through the order in place and maximises CART's proxy sumL²/nL + sumR²/nR
+// (sumR and nR from the node totals) — the exact variance reduction is
+// computed once per node, for the winner, from its kept left-side sums.
+// Class counts are exact integers, so a two-valued classification split
+// scores bit-identically to scanning the column's (lows, then highs)
+// sequence.
 
 // useFlatKernel reports whether the flat kernel is the cheaper regime for a
 // (sub)tree of m samples with the given resolved mtry. A tree without
@@ -154,6 +160,12 @@ type treeBuilder struct {
 	// order instead of sorting.
 	canScan bool
 	ymean   float64 // the mean the regression targets ws.ys were centred by
+	// groups and twoOf are the split set's two-valued groups (twoGroup);
+	// stamp numbers the nodes bestSplit has searched, so a group's block in
+	// ws.gsum is summed once per node, by the first of its members drawn.
+	groups []twoGroup
+	twoOf  []twoRef
+	stamp  int32
 }
 
 // FitTree grows a CART tree over the samples indexed by idx (all samples if
@@ -317,6 +329,7 @@ func varianceGain(c cut, nt *nodeTotals) float64 {
 func (b *treeBuilder) bestSplit(units []int32, nt *nodeTotals, flat bool, start int, counts []int32) (int, float64, float64) {
 	mtry := b.shuffleFeats()
 	ws := b.ws
+	b.stamp++
 	end := start + len(units)
 	bestFeat, best := -1, noCut
 	for _, feat := range ws.feats[:mtry] {
@@ -324,7 +337,7 @@ func (b *treeBuilder) bestSplit(units []int32, nt *nodeTotals, flat bool, start 
 		var c cut
 		switch {
 		case sc.mask != nil:
-			c = b.twoValuedCut(sc, units, nt)
+			c = b.twoValuedCut(feat, units, nt)
 		case b.task == Classification:
 			var ord []int32
 			if !flat {
@@ -352,63 +365,81 @@ func (b *treeBuilder) bestSplit(units []int32, nt *nodeTotals, flat bool, start 
 	return bestFeat, best.thr, varianceGain(best, nt)
 }
 
-// twoValuedCut scores a two-valued column's one boundary over the node
-// holding units. One branch-free pass through the column's mask lists the
-// units on its high side, in the order of units, and the sums run over that
-// list alone; the low side is the node's total minus them. Class counts are
-// exact integers, so the gain is bit-equal to scanSplitsClass's at that
-// boundary.
-func (b *treeBuilder) twoValuedCut(sc *SplitColumn, units []int32, nt *nodeTotals) cut {
+// twoValuedCut scores two-valued column feat's one boundary over the node
+// holding units, from its slot of its group's block: the high side's class
+// counts, or Σw, Σw·y and Σw·(y·y); the low side is the node's total minus
+// them. The first member of a group drawn at a node sums the block for all
+// members (sumGroup).
+func (b *treeBuilder) twoValuedCut(feat int, units []int32, nt *nodeTotals) cut {
 	ws := b.ws
-	mask, ro, wt := sc.mask, b.rowOf, ws.wt
-	highs := ws.pay[:len(units)]
-	k := 0
-	for _, p := range units {
-		highs[k] = p
-		k += int(mask[ro[p]])
+	ref := b.twoOf[feat]
+	if ws.gseen[ref.group] != b.stamp {
+		ws.gseen[ref.group] = b.stamp
+		b.sumGroup(&b.groups[ref.group], units)
 	}
-	highs = highs[:k]
 	fmin := float64(b.cfg.MinLeaf)
-	c := cut{thr: sc.lo + (sc.hi-sc.lo)/2}
+	var c cut
 	if b.task == Classification {
-		hcnt, labels := ws.rcnt, ws.labels
-		clear(hcnt)
+		h := ws.gsum[ref.at : int(ref.at)+b.classes]
 		nh := 0.0
-		for _, p := range highs {
-			w := wt[p]
-			hcnt[labels[p]] += w
-			nh += w
+		for _, x := range h {
+			nh += x
 		}
 		nl := nt.n - nh
 		if nl < fmin || nh < fmin {
 			return noCut
 		}
 		leftSq, rightSq := 0.0, 0.0
-		for cls, h := range hcnt {
-			l := ws.tcnt[cls] - h
+		for cls, x := range h {
+			l := ws.tcnt[cls] - x
 			leftSq += l * l
-			rightSq += h * h
+			rightSq += x * x
 		}
 		giniL := 1 - leftSq/(nl*nl)
 		giniR := 1 - rightSq/(nh*nh)
 		c.score = nt.imp - (nl/nt.n)*giniL - (nh/nt.n)*giniR
-		return c
+	} else {
+		h := ws.gsum[ref.at : ref.at+3 : ref.at+3]
+		nh, sh, qh := h[0], h[1], h[2]
+		nl := nt.n - nh
+		if nl < fmin || nh < fmin {
+			return noCut
+		}
+		c.n, c.sum, c.sq = nl, nt.sum-sh, nt.sq-qh
+		c.score = c.sum*c.sum/nl + sh*sh/nh
+	}
+	sc := &b.scols[feat]
+	c.thr = sc.lo + (sc.hi-sc.lo)/2
+	return c
+}
+
+// sumGroup fills group g's block in one pass over the node's units: each
+// unit's class count, or w, w·y and w·(y·y), goes to the slot its row's code
+// names. A member's slot thus adds its high units' terms in the order of
+// units — the sequence a pass over that member alone would add, so its sums
+// are bit-identical to one. Class counts are exact integers, so their total
+// is the high side's Σw in any order.
+func (b *treeBuilder) sumGroup(g *twoGroup, units []int32) {
+	ws := b.ws
+	code, ro, wt := g.code, b.rowOf, ws.wt
+	blk := ws.gsum[g.off : g.off+(g.size+1)*slotWidth(b.task, b.classes)]
+	clear(blk)
+	if b.task == Classification {
+		k, labels := b.classes, ws.labels
+		for _, p := range units {
+			blk[int(code[ro[p]])*k+int(labels[p])] += wt[p]
+		}
+		return
 	}
 	ys := ws.ys
-	var nh, sh, qh float64
-	for _, p := range highs {
+	for _, p := range units {
+		s := blk[3*int(code[ro[p]]):]
+		s = s[:3:3]
 		w, y := wt[p], ys[p]
-		nh += w
-		sh += w * y
-		qh += w * (y * y)
+		s[0] += w
+		s[1] += w * y
+		s[2] += w * (y * y)
 	}
-	nl := nt.n - nh
-	if nl < fmin || nh < fmin {
-		return noCut
-	}
-	c.n, c.sum, c.sq = nl, nt.sum-sh, nt.sq-qh
-	c.score = c.sum*c.sum/nl + sh*sh/nh
-	return c
 }
 
 // classCut scores an ordered feature of a classification node: it fills

@@ -81,9 +81,10 @@ func twoValuedFixture(n, d int, task Task, seed int64) *Dataset {
 }
 
 // oneHotFixture is the shape ARDA's base tables take after ToNumericView:
-// hot/8 categorical variables of eight levels each, one-hot encoded (exactly
-// one 1 per group and row), followed by cont continuous columns.
-func oneHotFixture(n, hot, cont int, task Task, seed int64) *Dataset {
+// hot/levels categorical variables of that many levels each, one-hot
+// encoded (exactly one 1 per group and row), followed by cont continuous
+// columns.
+func oneHotFixture(n, hot, levels, cont int, task Task, seed int64) *Dataset {
 	rng := rand.New(rand.NewSource(seed))
 	d := hot + cont
 	x := make([]float64, n*d)
@@ -91,10 +92,10 @@ func oneHotFixture(n, hot, cont int, task Task, seed int64) *Dataset {
 	for i := 0; i < n; i++ {
 		row := x[i*d : (i+1)*d]
 		s := 0.0
-		for g := 0; g+8 <= hot; g += 8 {
-			level := rng.Intn(8)
+		for g := 0; g+levels <= hot; g += levels {
+			level := rng.Intn(levels)
 			row[g+level] = 1
-			s += float64((level*(g/8+3))%5) / 4
+			s += float64((level*(g/levels+3))%5) / 4
 		}
 		for j := hot; j < d; j++ {
 			row[j] = rng.NormFloat64()
@@ -202,10 +203,13 @@ func TestTwoValuedColumnsMatchReference(t *testing.T) {
 		check(sh.name, twoValuedFixture(sh.n, sh.d, Classification, 19), sh.cfg)
 	}
 	// ARDA's own shapes: a selection forest over a coreset (mtry = √d, flat)
-	// and an evaluation forest over a one-hot base table (presorted).
-	check("select_256x216", oneHotFixture(256, 64, 152, Classification, 29),
+	// and an evaluation forest over a one-hot base table (presorted), its
+	// indicators in eight 8-level groups or, as Poverty's are, two of 32.
+	check("select_256x216", oneHotFixture(256, 64, 8, 152, Classification, 29),
 		ForestConfig{NTrees: 8, MaxDepth: 12, Seed: 17, Parallel: true})
-	check("evaluate_3000x65", oneHotFixture(3000, 64, 1, Classification, 31),
+	check("evaluate_3000x65", oneHotFixture(3000, 64, 8, 1, Classification, 31),
+		ForestConfig{NTrees: 3, MaxDepth: 12, Seed: 19, Parallel: true})
+	check("evaluate_3000x65_32_levels", oneHotFixture(3000, 64, 32, 1, Classification, 31),
 		ForestConfig{NTrees: 3, MaxDepth: 12, Seed: 19, Parallel: true})
 }
 
@@ -231,9 +235,9 @@ func TestTwoValuedRegressionFingerprints(t *testing.T) {
 		cases = append(cases, fixture{sh.name, twoValuedFixture(sh.n, sh.d, Regression, 23), sh.cfg, wants[i]})
 	}
 	cases = append(cases,
-		fixture{"rifs_256x216", oneHotFixture(256, 64, 152, Regression, 29),
+		fixture{"rifs_256x216", oneHotFixture(256, 64, 8, 152, Regression, 29),
 			ForestConfig{NTrees: 8, MaxDepth: 12, Seed: 17, Parallel: true}, 0xdff72447e39c01e3},
-		fixture{"evaluate_3000x65", oneHotFixture(3000, 64, 1, Regression, 31),
+		fixture{"evaluate_3000x65", oneHotFixture(3000, 64, 8, 1, Regression, 31),
 			ForestConfig{NTrees: 4, MaxDepth: 12, Seed: 19, Parallel: true}, 0xe0d158c9812bfba9},
 	)
 	for _, c := range cases {
@@ -284,9 +288,9 @@ func TestClassifyTwo(t *testing.T) {
 }
 
 // TestNoTwoValuedColumnReservesNothing: a presorted tree over columns none of
-// which is two-valued gets no position plane, no position→row map and no
-// split scratch — the workspace is exactly what it was before the kernel
-// learned about such columns.
+// which is two-valued gets no position plane, no position→row map, no
+// groups and no group scratch — the workspace is exactly what it was before
+// the kernel learned about such columns.
 func TestNoTwoValuedColumnReservesNothing(t *testing.T) {
 	for _, tc := range []struct {
 		ds     *Dataset
@@ -305,6 +309,10 @@ func TestNoTwoValuedColumnReservesNothing(t *testing.T) {
 		if len(ws.orders) != tc.planes*tc.ds.N || (ws.rowOf != nil) != two {
 			t.Errorf("d=%d two-valued=%v: %d order entries (want %d planes of %d), rowOf %v",
 				tc.ds.D, two, len(ws.orders), tc.planes, tc.ds.N, ws.rowOf != nil)
+		}
+		if (ss.groups != nil) != two || (ws.gsum != nil) != two || (ws.gseen != nil) != two {
+			t.Errorf("d=%d two-valued=%v: %d groups, group scratch %d sums and %d stamps",
+				tc.ds.D, two, len(ss.groups), len(ws.gsum), len(ws.gseen))
 		}
 	}
 }
