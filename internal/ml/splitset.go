@@ -26,7 +26,7 @@ type treeWorkspace struct {
 	wbuf    []float64     // node multiplicities in sorted order (classification)
 	tcnt    []float64     // the node's class counts (nodeStats)
 	lcnt    []float64     // class-count scratch (left)
-	rcnt    []float64     // class-count scratch (right; a two-valued column's high side)
+	rcnt    []float64     // class-count scratch (right)
 	rbuf    []float64     // one-row gather scratch
 	feats   []int         // feature permutation for MTry shuffles
 	samples []int32       // flat-kernel unit lists, partitioned in place
@@ -315,7 +315,8 @@ func disjoint(code, mask []uint8) bool {
 // comparing a single value; in the flat regime the tree reads the shared
 // columns through the unit→row map and no per-tree columns are materialized
 // at all. In either regime a two-valued column is read in place, through
-// that map and its byte mask, and gets neither an order nor a copy.
+// that map and its group's code bytes (scoring) or its byte mask
+// (partitioning), and gets neither an order nor a copy.
 func fitTreeFromSplitSet(ss *splitSet, cfg TreeConfig, rng *rand.Rand, ws *treeWorkspace) *Tree {
 	b := &treeBuilder{}
 	m := b.initUnits(ss, cfg, rng, ws)
