@@ -109,8 +109,10 @@ chaos:
 		./internal/runqueue/ ./internal/server/
 
 # Crash/durability suite under the race detector: checkpoint corruption
-# rejection, kill-at-every-stage-boundary resume equivalence (with and without
-# the screen boundary), atomic artifact writes, daemon state recovery
+# rejection, kill-at-every-checkpoint-boundary resume equivalence (with and
+# without the screen boundary), atomic artifact writes (atomicio, and the
+# CSV and NDJSON writers: dataframe's TestWriteCSVFileAtomic, obs's
+# TestNDJSONFileSink*), daemon state recovery
 # (incl. a run's persist → publish → discard completion order and a restart
 # from scratch over a half-deleted checkpoint), and the process-level gates (arda SIGINT partial report, ardad SIGKILL
 # with two runs in flight resuming bit-identically at 1 and 8 workers).

@@ -21,8 +21,8 @@
 // NDJSON event stream, replayed from the start of the run), and the
 // net/http/pprof profiles under /debug/pprof/.
 //
-// Durability: -checkpoint-dir snapshots pipeline state after every stage so
-// a killed run can continue with -resume; -checkpoint-ttl discards saved
+// Durability: -checkpoint-dir saves the run's verdicts (screen, selection,
+// scores) as they are decided, so a killed run can continue with -resume; -checkpoint-ttl discards saved
 // state older than the given age before the run. SIGINT/SIGTERM stop the
 // run at the next stage boundary with a partial report.
 //
@@ -76,9 +76,9 @@ func main() {
 		verbose     = flag.Bool("v", false, "stream pipeline progress and the stage-cost tree to stderr")
 		traceFile   = flag.String("trace", "", "write the run's trace event stream to this file as NDJSON")
 		metricsAddr = flag.String("metrics-addr", "", "serve live run telemetry on this address: /metrics (Prometheus), /statusz (stage tree), /events (NDJSON stream), /debug/pprof/")
-		ckDir       = flag.String("checkpoint-dir", "", "snapshot pipeline state into this directory after every stage (crash-safe)")
+		ckDir       = flag.String("checkpoint-dir", "", "save the run's verdicts into this directory as they are decided (crash-safe)")
 		ckTTL       = flag.Duration("checkpoint-ttl", 0, "discard checkpoint state in -checkpoint-dir older than this before the run (0 = keep)")
-		resume      = flag.Bool("resume", false, "continue from the last completed stage recorded in -checkpoint-dir")
+		resume      = flag.Bool("resume", false, "continue from the last verdict saved in -checkpoint-dir")
 	)
 	flag.Parse()
 	cli.Setup("arda", *verbose)
@@ -154,7 +154,7 @@ func main() {
 	// being resumed weeks later. Losing a checkpoint costs recompute time,
 	// never correctness.
 	if *ckDir != "" && *ckTTL > 0 {
-		if pruned, err := checkpoint.Prune(*ckDir, *ckTTL, 0, nil); err != nil {
+		if pruned, err := checkpoint.Prune(*ckDir, *ckTTL, nil); err != nil {
 			cli.Errorf("pruning checkpoints: %v", err)
 		} else if len(pruned) > 0 {
 			cli.Noticef("discarded %d stale checkpoint log(s) older than %s in %s", len(pruned), *ckTTL, *ckDir)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/arda-ml/arda/internal/checkpoint"
 	"github.com/arda-ml/arda/internal/lease"
 	"github.com/arda-ml/arda/internal/runqueue"
 )
@@ -22,10 +24,13 @@ import (
 const chaosLeaseTTL = 1500 * time.Millisecond
 
 // runningOwners scans the shared state directory and returns, for every
-// non-terminal run that is currently executing, the PID recorded in its
-// live lease. This is the chaos driver's targeting data: it lets the test
-// SIGKILL specifically a daemon that owns in-flight work, guaranteeing the
-// takeover path is exercised rather than hoping a random kill lands well.
+// non-terminal run that is currently executing and has saved a checkpoint
+// shard, the PID recorded in its live lease. This is the chaos driver's
+// targeting data: it lets the test SIGKILL specifically a daemon that owns
+// in-flight work, guaranteeing the takeover path is exercised rather than
+// hoping a random kill lands well, and the adopter resumes from the shard
+// rather than starting over (TestCrashRecoveryBitIdentical kills before
+// any shard).
 func runningOwners(t *testing.T, state string) map[string]int {
 	t.Helper()
 	owners := map[string]int{}
@@ -43,6 +48,10 @@ func runningOwners(t *testing.T, state string) map[string]int {
 		}
 		var rec runqueue.Record
 		if json.Unmarshal(raw, &rec) != nil || rec.State != runqueue.StateRunning {
+			continue
+		}
+		man, err := os.ReadFile(filepath.Join(state, "checkpoints", e.Name(), checkpoint.ManifestName))
+		if err != nil || !bytes.Contains(man, []byte(".shard")) {
 			continue
 		}
 		info, err := lease.Read(filepath.Join(state, "runs", e.Name(), lease.FileName))

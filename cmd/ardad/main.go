@@ -21,9 +21,9 @@
 //	curl -d '{"base":"taxi","target":"collisions"}' localhost:8080/runs
 //
 // Durability: every accepted run is persisted before it is acknowledged and
-// checkpoints its pipeline state after every stage, so killing the daemon —
-// including kill -9 — and restarting it over the same -state directory
-// adopts and resumes in-flight runs to bit-identical results. SIGTERM and
+// checkpoints its pipeline's verdicts as they are decided, so killing the
+// daemon — including kill -9 — and restarting it over the same -state
+// directory adopts and resumes in-flight runs to bit-identical results. SIGTERM and
 // SIGINT drain gracefully: admission closes (new submits get 503 +
 // Retry-After), in-flight runs get -drain-timeout to finish, stragglers are
 // checkpointed and their leases released for a peer or the next start to

@@ -16,7 +16,7 @@ func TestNilLogSaveZeroAllocs(t *testing.T) {
 	var l *Log
 	p := samplePayload(0)
 	allocs := testing.AllocsPerRun(1000, func() {
-		if err := l.Save("prefilter", 0, &p); err != nil {
+		if err := l.Save("prefilter", &p); err != nil {
 			t.Fatal(err)
 		}
 	})

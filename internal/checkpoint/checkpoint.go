@@ -1,9 +1,10 @@
 // Package checkpoint is a crash-safe, stage-granular run log: the durability
 // substrate behind core.Options.CheckpointDir. A Log owns one run directory
-// holding a manifest plus one gob "shard" per completed pipeline stage; every
-// file is written with the temp-file + fsync + rename + dir-fsync discipline
-// (internal/atomicio), so a process killed at any instant leaves the
-// directory describing some prefix of completed stages — never a torn state.
+// holding a manifest plus one gob "shard" per checkpointed pipeline stage;
+// every file is written with the temp-file + fsync + rename + dir-fsync
+// discipline (internal/atomicio), so a process killed at any instant leaves
+// the directory describing some prefix of completed stages — never a torn
+// state.
 //
 // Integrity is layered: the manifest carries its own CRC-32 (any bit flip or
 // truncation of the manifest is detected), and records a CRC-32 and byte size
@@ -56,14 +57,11 @@ const shardSuffix = ".shard"
 
 // Entry records one completed stage in the manifest, in completion order.
 type Entry struct {
-	// Stage is the pipeline stage name ("prefilter", "coreset", "screen",
-	// "join", "impute", "select", "materialize", "evaluate").
+	// Stage names the pipeline stage the shard was saved after ("screen",
+	// "select" or "evaluate").
 	Stage string
 	// Seq is the entry's 0-based position in the stage sequence.
 	Seq int
-	// StageSeed is the derived RNG seed the stage ran under (0 for stages
-	// that draw no randomness) — recorded for replay diagnostics.
-	StageSeed int64
 	// Shard is the payload file name within the run directory.
 	Shard string
 	// CRC is the IEEE CRC-32 of the shard file's bytes.
@@ -74,9 +72,7 @@ type Entry struct {
 
 // manifest is the JSON document inside ManifestName.
 type manifest struct {
-	RunID       string
 	Fingerprint string
-	Seed        int64
 	Entries     []Entry
 }
 
@@ -92,14 +88,14 @@ type Log struct {
 // needed and removing any previous run's manifest, shards, and stray temp
 // files. Only files the checkpoint log owns are touched; anything else in
 // dir is left alone.
-func Create(dir, runID, fingerprint string, seed int64) (*Log, error) {
+func Create(dir, fingerprint string) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	if err := removeLogFiles(dir); err != nil {
 		return nil, fmt.Errorf("checkpoint: clearing stale log: %w", err)
 	}
-	l := &Log{dir: dir, man: manifest{RunID: runID, Fingerprint: fingerprint, Seed: seed}}
+	l := &Log{dir: dir, man: manifest{Fingerprint: fingerprint}}
 	if err := l.writeManifest(); err != nil {
 		return nil, err
 	}
@@ -184,7 +180,7 @@ func (l *Log) verifyShard(e Entry) error {
 // crash-safely) to reference it — so a crash between the two writes leaves
 // the previous manifest, which simply does not know about the new shard. A
 // nil *Log returns nil immediately without allocating.
-func (l *Log) Save(stage string, stageSeed int64, payload any) error {
+func (l *Log) Save(stage string, payload any) error {
 	if l == nil {
 		return nil
 	}
@@ -199,12 +195,11 @@ func (l *Log) Save(stage string, stageSeed int64, payload any) error {
 		return fmt.Errorf("checkpoint: writing shard %s: %w", shard, err)
 	}
 	l.man.Entries = append(l.man.Entries, Entry{
-		Stage:     stage,
-		Seq:       seq,
-		StageSeed: stageSeed,
-		Shard:     shard,
-		CRC:       crc32.ChecksumIEEE(data),
-		Bytes:     int64(len(data)),
+		Stage: stage,
+		Seq:   seq,
+		Shard: shard,
+		CRC:   crc32.ChecksumIEEE(data),
+		Bytes: int64(len(data)),
 	})
 	if err := l.writeManifest(); err != nil {
 		// Roll the in-memory view back so a later Save does not reference a
@@ -252,30 +247,6 @@ func (l *Log) Latest() (Entry, bool) {
 		return Entry{}, false
 	}
 	return l.man.Entries[len(l.man.Entries)-1], true
-}
-
-// RunID returns the run identifier recorded at Create.
-func (l *Log) RunID() string {
-	if l == nil {
-		return ""
-	}
-	return l.man.RunID
-}
-
-// Seed returns the run seed recorded at Create.
-func (l *Log) Seed() int64 {
-	if l == nil {
-		return 0
-	}
-	return l.man.Seed
-}
-
-// Dir returns the run directory.
-func (l *Log) Dir() string {
-	if l == nil {
-		return ""
-	}
-	return l.dir
 }
 
 // Truncate rewinds the log in dir to its first n entries, rewriting the

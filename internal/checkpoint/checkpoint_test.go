@@ -6,38 +6,29 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"github.com/arda-ml/arda/internal/dataframe"
 )
 
-// payload mirrors the shape core snapshots: a table plus scalar progress.
+// payload mirrors the shape core snapshots: verdicts, never a table.
 type payload struct {
-	Work  *dataframe.Table
-	Kept  []string
+	Kept  [][]string
+	Score float64
 	Round int
 }
 
 func samplePayload(round int) payload {
-	return payload{
-		Work: dataframe.MustNewTable("work",
-			dataframe.NewNumeric("x", []float64{1, 2, 3}),
-			dataframe.NewCategorical("c", []string{"a", "b", "a"}),
-		),
-		Kept:  []string{"x", "cand.y"},
-		Round: round,
-	}
+	return payload{Kept: [][]string{{"x"}, nil, {"y", "z"}}, Score: 0.75, Round: round}
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Create(dir, "run-1", "fp-abc", 42)
+	l, err := Create(dir, "fp-abc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Save("prefilter", 0, samplePayload(0)); err != nil {
+	if err := l.Save("screen", samplePayload(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Save("join", 101, samplePayload(1)); err != nil {
+	if err := l.Save("select", samplePayload(1)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -45,32 +36,27 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.RunID() != "run-1" || re.Seed() != 42 {
-		t.Fatalf("identity lost: runID=%q seed=%d", re.RunID(), re.Seed())
-	}
 	last, ok := re.Latest()
-	if !ok || last.Stage != "join" || last.Seq != 1 || last.StageSeed != 101 {
+	if !ok || last.Stage != "select" || last.Seq != 1 {
 		t.Fatalf("latest entry = %+v", last)
 	}
 	var got payload
 	if err := re.Load(1, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Round != 1 || len(got.Kept) != 2 || got.Work == nil {
-		t.Fatalf("payload = %+v", got)
-	}
-	if got.Work.Digest() != samplePayload(1).Work.Digest() {
-		t.Fatal("table changed across checkpoint round trip")
+	if want := samplePayload(1); got.Round != 1 || got.Score != want.Score || len(got.Kept) != 3 ||
+		len(got.Kept[2]) != 2 || got.Kept[2][1] != "z" {
+		t.Fatalf("payload = %+v, want %+v", got, want)
 	}
 }
 
 func TestSaveResumeAppendContinues(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Create(dir, "r", "fp", 1)
+	l, err := Create(dir, "fp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Save("prefilter", 0, samplePayload(0)); err != nil {
+	if err := l.Save("prefilter", samplePayload(0)); err != nil {
 		t.Fatal(err)
 	}
 	// A resumed process appends where the first left off.
@@ -78,7 +64,7 @@ func TestSaveResumeAppendContinues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := re.Save("coreset", 7, samplePayload(1)); err != nil {
+	if err := re.Save("coreset", samplePayload(1)); err != nil {
 		t.Fatal(err)
 	}
 	re2, err := Open(dir, "fp")
@@ -99,7 +85,7 @@ func TestOpenNoManifestIsNotExist(t *testing.T) {
 
 func TestOpenFingerprintMismatch(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := Create(dir, "r", "fp-old", 1); err != nil {
+	if _, err := Create(dir, "fp-old"); err != nil {
 		t.Fatal(err)
 	}
 	_, err := Open(dir, "fp-new")
@@ -113,11 +99,11 @@ func TestOpenFingerprintMismatch(t *testing.T) {
 
 func TestCreateClearsStaleRun(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Create(dir, "old", "fp", 1)
+	l, err := Create(dir, "fp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Save("prefilter", 0, samplePayload(0)); err != nil {
+	if err := l.Save("prefilter", samplePayload(0)); err != nil {
 		t.Fatal(err)
 	}
 	// A stray temp file from a crashed write must be swept too, and an
@@ -128,7 +114,7 @@ func TestCreateClearsStaleRun(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("keep"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Create(dir, "new", "fp2", 2); err != nil {
+	if _, err := Create(dir, "fp2"); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -147,19 +133,19 @@ func TestCreateClearsStaleRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.RunID() != "new" || len(re.Entries()) != 0 {
-		t.Fatalf("stale state leaked: runID=%q entries=%d", re.RunID(), len(re.Entries()))
+	if n := len(re.Entries()); n != 0 {
+		t.Fatalf("stale state leaked: %d entries", n)
 	}
 }
 
 func TestTruncateRewindsAndDeletesShards(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Create(dir, "r", "fp", 1)
+	l, err := Create(dir, "fp")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, stage := range []string{"prefilter", "coreset", "join"} {
-		if err := l.Save(stage, int64(i), samplePayload(i)); err != nil {
+		if err := l.Save(stage, samplePayload(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,14 +187,14 @@ func TestTruncateRewindsAndDeletesShards(t *testing.T) {
 
 func TestNilLogNoOps(t *testing.T) {
 	var l *Log
-	if err := l.Save("prefilter", 0, samplePayload(0)); err != nil {
+	if err := l.Save("prefilter", samplePayload(0)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := l.Latest(); ok {
 		t.Fatal("nil log has a latest entry")
 	}
-	if l.Entries() != nil || l.RunID() != "" || l.Seed() != 0 || l.Dir() != "" {
-		t.Fatal("nil log accessors not zero")
+	if l.Entries() != nil {
+		t.Fatal("nil log has entries")
 	}
 	if err := l.Load(0, &payload{}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("nil log Load err = %v", err)
@@ -217,7 +203,7 @@ func TestNilLogNoOps(t *testing.T) {
 
 func TestLoadOutOfRange(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Create(dir, "r", "fp", 1)
+	l, err := Create(dir, "fp")
 	if err != nil {
 		t.Fatal(err)
 	}

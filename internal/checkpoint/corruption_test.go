@@ -11,12 +11,12 @@ import (
 // buildRun lays down a three-stage checkpoint in dir and returns its files.
 func buildRun(t *testing.T, dir string) []string {
 	t.Helper()
-	l, err := Create(dir, "run", "fp", 7)
+	l, err := Create(dir, "fp")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, stage := range []string{"prefilter", "coreset", "join"} {
-		if err := l.Save(stage, int64(i), samplePayload(i)); err != nil {
+		if err := l.Save(stage, samplePayload(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,7 +144,7 @@ func TestOpenRejectsMissingShard(t *testing.T) {
 // return (typed) errors or a valid manifest, never panic.
 func FuzzParseManifest(f *testing.F) {
 	dir := f.TempDir()
-	if _, err := Create(dir, "run", "fp", 7); err != nil {
+	if _, err := Create(dir, "fp"); err != nil {
 		f.Fatal(err)
 	}
 	valid, err := os.ReadFile(filepath.Join(dir, ManifestName))

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -17,13 +16,11 @@ import (
 // the `arda -checkpoint-dir` shape), and any immediate subdirectory of dir
 // holding a manifest is an independent run log (the `ardad` per-run shape).
 //
-// A log is stale when its manifest was last written more than maxAge ago;
-// the keepLatest most recently written logs are exempt regardless of age
-// (keepLatest <= 0 exempts none). Pruning a log removes only the files the
-// checkpoint package owns — manifest, shards, stray temp files — and then
-// the containing subdirectory if that leaves it empty; foreign files are
-// never touched. dir itself is never removed, only emptied of checkpoint
-// files when it is a stale log.
+// A log is stale when its manifest was last written more than maxAge ago.
+// Pruning a log removes only the files the checkpoint package owns —
+// manifest, shards, stray temp files — and then the containing subdirectory
+// if that leaves it empty; foreign files are never touched. dir itself is
+// never removed, only emptied of checkpoint files when it is a stale log.
 //
 // Pruning is safe to race with future runs: a pruned directory is
 // indistinguishable from one that never checkpointed, and resume treats
@@ -36,24 +33,10 @@ import (
 // slow-but-alive run owned by another process — whose checkpoint mtimes can
 // legitimately be older than the TTL while it holds a live lease — cannot
 // have its resume state pruned out from under it.
-func Prune(dir string, maxAge time.Duration, keepLatest int, skip func(rel string) bool) ([]string, error) {
+func Prune(dir string, maxAge time.Duration, skip func(rel string) bool) ([]string, error) {
 	if maxAge <= 0 {
 		return nil, nil
 	}
-	type log struct {
-		rel   string // "" for dir itself
-		path  string // directory containing the manifest
-		mtime time.Time
-	}
-	var logs []log
-	stat := func(rel, path string) {
-		fi, err := os.Stat(filepath.Join(path, ManifestName))
-		if err != nil {
-			return
-		}
-		logs = append(logs, log{rel: rel, path: path, mtime: fi.ModTime()})
-	}
-	stat("", dir)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
@@ -61,34 +44,31 @@ func Prune(dir string, maxAge time.Duration, keepLatest int, skip func(rel strin
 		}
 		return nil, err
 	}
+	rels := []string{""} // "" for dir itself
 	for _, e := range entries {
 		if e.IsDir() {
-			stat(e.Name(), filepath.Join(dir, e.Name()))
+			rels = append(rels, e.Name())
 		}
 	}
-	// Newest first; the keepLatest head is exempt from the age check.
-	sort.Slice(logs, func(i, j int) bool { return logs[i].mtime.After(logs[j].mtime) })
 	cutoff := time.Now().Add(-maxAge)
 	var pruned []string
-	for i, l := range logs {
-		if i < keepLatest || !l.mtime.Before(cutoff) {
+	for _, rel := range rels {
+		path := filepath.Join(dir, rel)
+		fi, err := os.Stat(filepath.Join(path, ManifestName))
+		if err != nil || !fi.ModTime().Before(cutoff) {
 			continue
 		}
-		if skip != nil && skip(l.rel) {
+		if skip != nil && skip(rel) {
 			continue
 		}
 		// dir itself is only emptied of checkpoint files; a per-run
 		// subdirectory goes with them unless foreign files remain in it.
-		rm := Discard
-		if l.rel == "" {
-			rm = removeLogFiles
+		rm, name := Discard, rel
+		if rel == "" {
+			rm, name = removeLogFiles, "."
 		}
-		if err := rm(l.path); err != nil {
+		if err := rm(path); err != nil {
 			return pruned, err
-		}
-		name := l.rel
-		if name == "" {
-			name = "."
 		}
 		pruned = append(pruned, name)
 	}

@@ -12,11 +12,11 @@ import (
 // manifest by age.
 func makeLog(t *testing.T, dir string, age time.Duration) {
 	t.Helper()
-	l, err := Create(dir, "run", "fp", 1)
+	l, err := Create(dir, "fp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Save("coreset", 0, struct{ X int }{1}); err != nil {
+	if err := l.Save("coreset", struct{ X int }{1}); err != nil {
 		t.Fatal(err)
 	}
 	old := time.Now().Add(-age)
@@ -31,7 +31,7 @@ func TestPruneSubdirectoryLogs(t *testing.T) {
 	makeLog(t, filepath.Join(root, "r2"), 30*time.Hour)
 	makeLog(t, filepath.Join(root, "r3"), time.Minute)
 
-	pruned, err := Prune(root, 24*time.Hour, 0, nil)
+	pruned, err := Prune(root, 24*time.Hour, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,23 +48,6 @@ func TestPruneSubdirectoryLogs(t *testing.T) {
 	}
 }
 
-func TestPruneKeepLatestExemptsNewest(t *testing.T) {
-	root := t.TempDir()
-	makeLog(t, filepath.Join(root, "old"), 72*time.Hour)
-	makeLog(t, filepath.Join(root, "older"), 96*time.Hour)
-
-	pruned, err := Prune(root, 24*time.Hour, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pruned) != 1 || pruned[0] != "older" {
-		t.Fatalf("pruned %v, want [older]", pruned)
-	}
-	if _, err := os.Stat(filepath.Join(root, "old", ManifestName)); err != nil {
-		t.Fatalf("keepLatest log pruned: %v", err)
-	}
-}
-
 func TestPruneDirItselfAsLog(t *testing.T) {
 	dir := t.TempDir()
 	makeLog(t, dir, 48*time.Hour)
@@ -74,7 +57,7 @@ func TestPruneDirItselfAsLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pruned, err := Prune(dir, 24*time.Hour, 0, nil)
+	pruned, err := Prune(dir, 24*time.Hour, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,17 +78,17 @@ func TestPruneDirItselfAsLog(t *testing.T) {
 func TestPruneNoops(t *testing.T) {
 	dir := t.TempDir()
 	makeLog(t, filepath.Join(dir, "r1"), 48*time.Hour)
-	if pruned, err := Prune(dir, 0, 0, nil); err != nil || pruned != nil {
+	if pruned, err := Prune(dir, 0, nil); err != nil || pruned != nil {
 		t.Fatalf("Prune(maxAge=0) = %v, %v, want no-op", pruned, err)
 	}
-	if pruned, err := Prune(filepath.Join(dir, "missing"), time.Hour, 0, nil); err != nil || pruned != nil {
+	if pruned, err := Prune(filepath.Join(dir, "missing"), time.Hour, nil); err != nil || pruned != nil {
 		t.Fatalf("Prune(missing dir) = %v, %v, want no-op", pruned, err)
 	}
 	// Fresh logs and non-log directories are untouched.
 	if err := os.MkdirAll(filepath.Join(dir, "plain"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if pruned, err := Prune(dir, 100*time.Hour, 0, nil); err != nil || len(pruned) != 0 {
+	if pruned, err := Prune(dir, 100*time.Hour, nil); err != nil || len(pruned) != 0 {
 		t.Fatalf("Prune(all fresh) = %v, %v, want nothing pruned", pruned, err)
 	}
 }
@@ -117,7 +100,7 @@ func TestPruneLeavesForeignFilesInSubdir(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(sub, "result.json"), []byte("{}"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := Prune(root, 24*time.Hour, 0, nil)
+	pruned, err := Prune(root, 24*time.Hour, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +123,7 @@ func TestPruneSkipExemptsLiveLogs(t *testing.T) {
 	makeLog(t, filepath.Join(root, "r1"), 48*time.Hour)
 	makeLog(t, filepath.Join(root, "r2"), 48*time.Hour)
 
-	pruned, err := Prune(root, 24*time.Hour, 0, func(rel string) bool { return rel == "r1" })
+	pruned, err := Prune(root, 24*time.Hour, func(rel string) bool { return rel == "r1" })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +141,7 @@ func TestPruneSkipExemptsLiveLogs(t *testing.T) {
 func TestPruneThenResumeStartsFresh(t *testing.T) {
 	dir := t.TempDir()
 	makeLog(t, dir, 48*time.Hour)
-	if _, err := Prune(dir, 24*time.Hour, 0, nil); err != nil {
+	if _, err := Prune(dir, 24*time.Hour, nil); err != nil {
 		t.Fatal(err)
 	}
 	// A pruned directory must look like "nothing to resume".

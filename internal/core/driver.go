@@ -5,21 +5,18 @@ import (
 )
 
 // stage is one row of the stage table. A stage is a method over the run: it
-// reads what earlier stages left there, adds its output to the cumulative
-// state, closes its span by defer, and returns an error where it cannot go
-// on. Whether to run at all, the checkpoint, the interrupt check at the
-// boundary and the one exit are the driver's.
+// reads what earlier stages left there, adds its output to the run, closes
+// its span by defer, and returns an error where it cannot go on. Whether to
+// run at all, the checkpoint, the interrupt check at the boundary and the one
+// exit are the driver's.
 type stage struct {
 	// name is the stage's span, latency histogram and checkpoint name.
 	name string
-	// replay stages are cheap and deterministic given the fingerprinted
-	// inputs and what they stored, so a resumed run executes them again
-	// rather than restoring their output.
+	// replay stages build what no shard stores — the candidate list and the
+	// tables — deterministically from the fingerprinted inputs and the stored
+	// verdicts, so a resumed run executes them again.
 	replay bool
-	// seed derives the RNG seed the stage runs under, recorded with its
-	// checkpoint for replay diagnostics; nil for stages that draw nothing.
-	seed func(runSeed int64) int64
-	// run executes the stage and reports whether it reached a boundary worth
+	// run executes the stage and reports whether it reached a verdict worth
 	// a snapshot.
 	run func(r *run, ctx context.Context) (bool, error)
 }
@@ -29,18 +26,13 @@ type stage struct {
 // pre-registered stage histograms all read it.
 var stageTable = []stage{
 	{name: "prefilter", replay: true, run: (*run).prefilter},
-	{name: "coreset", seed: seedPath(seedStageCoreset), run: (*run).coreset},
-	{name: "screen", replay: true, seed: seedPath(seedStageScreen), run: (*run).screen},
-	{name: "join", seed: seedPath(seedStageJoin, 0), run: (*run).join},
-	{name: "impute", seed: seedPath(seedStageImpute, 0), run: (*run).impute},
-	{name: "select", seed: selectSeed, run: (*run).selectFeatures},
-	{name: "materialize", seed: seedPath(seedStageFinal), run: (*run).materialize},
+	{name: "coreset", replay: true, run: (*run).coreset},
+	{name: "screen", replay: true, run: (*run).screen},
+	{name: "join", run: (*run).join},
+	{name: "impute", run: (*run).impute},
+	{name: "select", run: (*run).selectFeatures},
+	{name: "materialize", replay: true, run: (*run).materialize},
 	{name: "evaluate", run: (*run).evaluate},
-}
-
-// seedPath is the seed of a stage whose RNGs hang off the path ids.
-func seedPath(ids ...int64) func(int64) int64 {
-	return func(runSeed int64) int64 { return stageSeed(runSeed, ids...) }
 }
 
 // stageRank is the stage's position in the table, so "how far did the run
@@ -54,11 +46,11 @@ func stageRank(name string) int {
 	return -1
 }
 
-// execute drives the stage table in order. A stage the resumed snapshot
-// covers is skipped — its output is already in the cumulative state — unless
-// it is a replay stage. Otherwise the context is checked at the boundary
-// before it, the stage runs, and it is checkpointed outside its span, unless
-// it reports nothing worth a snapshot or the one on disk is already past it.
+// execute drives the stage table in order. A stage the resumed shard covers
+// is skipped — nothing after it reads what it built — unless it is a replay
+// stage. Otherwise the context is checked at the boundary before it, the
+// stage runs, and it is checkpointed outside its span, unless it reports
+// nothing worth a snapshot or the shard on disk is already past it.
 func (r *run) execute(ctx context.Context) error {
 	for i := range stageTable {
 		s := &stageTable[i]
@@ -69,27 +61,24 @@ func (r *run) execute(ctx context.Context) error {
 		if err := interruptOf(ctx); err != nil {
 			return err
 		}
+		r.replaying = done
 		save, err := s.run(r, ctx)
 		if err != nil {
 			return err
 		}
 		if save && !done {
-			r.save(s)
+			r.save(s.name)
 		}
 	}
 	return nil
 }
 
-// save snapshots the cumulative state at the boundary after stage s. A
+// save snapshots the run's verdicts at the boundary after the named stage. A
 // failed write — fenced, injected or real — never fails the run: durability
 // degrades, the run continues.
-func (r *run) save(s *stage) {
+func (r *run) save(stage string) {
 	if r.ck == nil {
 		return
-	}
-	var seed int64
-	if s.seed != nil {
-		seed = s.seed(r.opts.Seed)
 	}
 	// The fencing guard runs before anything touches disk: a stale owner
 	// (lease lost to another process) must not write into a checkpoint log
@@ -103,11 +92,11 @@ func (r *run) save(s *stage) {
 		err = faultAt(r.opts.FaultInjector, "checkpoint.write", len(r.ck.Entries()))
 	}
 	if err == nil {
-		err = r.ck.Save(s.name, seed, &r.st)
+		err = r.ck.Save(stage, r.verdicts())
 	}
 	if err != nil {
 		r.tr.Counter("checkpoint.write_failures").Add(1)
-		r.opts.logf("checkpoint: skipping %s snapshot: %v", s.name, err)
+		r.opts.logf("checkpoint: skipping %s snapshot: %v", stage, err)
 		return
 	}
 	r.tr.Counter("checkpoint.saved").Add(1)

@@ -7,11 +7,11 @@ import (
 	"hash/fnv"
 	"math"
 	"os"
-	"time"
 
 	"github.com/arda-ml/arda/internal/checkpoint"
 	"github.com/arda-ml/arda/internal/dataframe"
 	"github.com/arda-ml/arda/internal/discovery"
+	"github.com/arda-ml/arda/internal/eval"
 )
 
 // Typed checkpoint failures surfaced by AugmentContext when Options.Resume
@@ -27,34 +27,28 @@ var (
 	ErrCheckpointMismatch = checkpoint.ErrMismatch
 )
 
-// Durable runs snapshot the cumulative state after every stage. Each shard
-// is self-sufficient: resume loads only the LAST one and recomputes the cheap
-// deterministic prefix (prefilter, screen) from the original inputs, which
-// the fingerprint guarantees are unchanged — so no shard serializes the
-// candidate tables themselves.
+// verdicts is the payload of every checkpoint shard: what the run has decided
+// so far, as pointers into the run — a save encodes them as they stand, a
+// load decodes them back into place. Shards are taken only after the stages
+// that decide something (screen when it had to choose, select, evaluate), and
+// resume loads only the last one. Everything else replays from the inputs,
+// which the fingerprint guarantees are unchanged — the candidate list, the
+// attrition counts and every table, Result.Table included — or belongs to the
+// process that ran it (Elapsed, SelectionElapsed, Trace). gob refuses a
+// *dataframe.Table, so a table put in here fails every save.
+type verdicts struct {
+	Screened              *[]ScreenedTable
+	Quarantined           *[]QuarantinedCandidate
+	KeptByCandidate       *[][]string
+	BaseScore, FinalScore *float64
+	EstimatorName         *string
+	Significance          **eval.SignificanceResult
+}
 
-// runState is the run's cumulative state, and — gob-encoded as it stands —
-// the payload of every checkpoint shard: a resumed run starts from the last
-// shard's copy of it. Stages only ever add to it, so what later stages will
-// add is still zero.
-type runState struct {
-	// Work is the table selection runs on: the coreset base (from the
-	// "coreset" stage on), with every joined candidate's columns appended by
-	// "join" and imputed in place by "impute". "select" drops the joined
-	// columns again.
-	Work *dataframe.Table
-	// Joined lists the candidates joined onto Work and not quarantined
-	// since, in candidate order, with the (prefixed) columns each added;
-	// empty outside join..select.
-	Joined []joinedCandidate
-	// KeptByCandidate maps candidate ordinal -> kept source columns
-	// (unprefixed), from "select" on.
-	KeptByCandidate [][]string
-	// Result is the Result so far — what an interrupted run returns as its
-	// partial snapshot, and after "evaluate" the complete one. Its Screened
-	// is the screen's stored verdict; Elapsed and Trace are set at the exit
-	// only and never stored.
-	Result Result
+func (r *run) verdicts() *verdicts {
+	res := &r.res
+	return &verdicts{&res.Screened, &res.Quarantined, &r.kept,
+		&res.BaseScore, &res.FinalScore, &res.EstimatorName, &res.Significance}
 }
 
 // runFingerprint digests everything that determines a run's output: the base
@@ -64,7 +58,7 @@ type runState struct {
 // checkpointed run may be resumed at a different worker count, under a
 // different timeout, or with different logging, and still produce the
 // identical Result. The leading version tag is bumped whenever the option
-// set, an option's numbering or runState's gob layout changes: gob
+// set, an option's numbering or the shards' gob layout (verdicts) changes: gob
 // zero-fills fields it does not find, and an enum is hashed as its number,
 // so a shard written by an older binary must surface as
 // ErrCheckpointMismatch, never as a silent partial decode or another
@@ -76,7 +70,7 @@ func runFingerprint(base *dataframe.Table, cands []discovery.Candidate, o *Optio
 	if o.Selector != nil {
 		selector = o.Selector.Name()
 	}
-	fmt.Fprintf(h, "v5|target=%s|coreset=%d/%d|tau=%g|soft=%d|noresample=%t|seed=%d|knn=%d|sig=%d|sel=%s|customest=%t|",
+	fmt.Fprintf(h, "v6|target=%s|coreset=%d/%d|tau=%g|soft=%d|noresample=%t|seed=%d|knn=%d|sig=%d|sel=%s|customest=%t|",
 		o.Target, o.CoresetStrategy, o.CoresetSize, o.TupleRatioTau, o.SoftMethod,
 		o.DisableTimeResample, o.Seed, o.KNNImpute, o.Significance, selector, o.Estimator != nil)
 	writeU64(base.Digest())
@@ -94,10 +88,9 @@ func runFingerprint(base *dataframe.Table, cands []discovery.Candidate, o *Optio
 
 // openLog sets up the checkpoint log per the options: none when durability
 // is off, a fresh log otherwise, and — under Resume — the prior run's log,
-// with its last snapshot loaded as the cumulative state and doneRank marking
-// how far it got. An empty directory under Resume starts fresh rather than
-// erroring; corrupt or mismatched state is a typed error, never a silent
-// partial reuse.
+// with its last shard's verdicts restored and doneRank marking how far it
+// got. An empty directory under Resume starts fresh rather than erroring;
+// corrupt or mismatched state is a typed error, never a silent partial reuse.
 func (r *run) openLog() (err error) {
 	o := &r.opts
 	if o.CheckpointDir == "" {
@@ -108,8 +101,7 @@ func (r *run) openLog() (err error) {
 		r.ck, err = checkpoint.Open(o.CheckpointDir, fp)
 	}
 	if !o.Resume || errors.Is(err, os.ErrNotExist) {
-		runID := fmt.Sprintf("arda-%s-%d", fp[:8], time.Now().UnixNano())
-		r.ck, err = checkpoint.Create(o.CheckpointDir, runID, fp, o.Seed)
+		r.ck, err = checkpoint.Create(o.CheckpointDir, fp)
 		return err
 	}
 	if err != nil {
@@ -124,11 +116,11 @@ func (r *run) openLog() (err error) {
 	if err := faultAt(o.FaultInjector, "checkpoint.load", entry.Seq); err != nil {
 		return fmt.Errorf("checkpoint: shard %s: %v: %w", entry.Shard, err, ErrCheckpointCorrupt)
 	}
-	if err := r.ck.Load(entry.Seq, &r.st); err != nil {
+	if err := r.ck.Load(entry.Seq, r.verdicts()); err != nil {
 		return err
 	}
 	r.doneRank = stageRank(entry.Stage)
-	r.st.Result.ResumedFrom = entry.Stage
+	r.res.ResumedFrom = entry.Stage
 	o.logf("resuming from checkpoint %s (%d stages on disk)", entry.Stage, entry.Seq+1)
 	return nil
 }

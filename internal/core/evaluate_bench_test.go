@@ -29,7 +29,7 @@ func BenchmarkEvaluateTallBase(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r.st.Result.Table = want.Table
+	r.res.Table = want.Table
 	b.ResetTimer()
 	for range b.N {
 		if _, err := r.evaluate(context.Background()); err != nil {
@@ -37,7 +37,7 @@ func BenchmarkEvaluateTallBase(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	got := &r.st.Result
+	got := &r.res
 	if math.Float64bits(got.BaseScore) != math.Float64bits(want.BaseScore) ||
 		math.Float64bits(got.FinalScore) != math.Float64bits(want.FinalScore) {
 		b.Fatalf("evaluate scored %v → %v, the run %v → %v", got.BaseScore, got.FinalScore, want.BaseScore, want.FinalScore)

@@ -64,13 +64,13 @@ type Options struct {
 	// augmented features"); the value is the number of bootstrap resamples
 	// (0 disables).
 	Significance int
-	// CheckpointDir, when set, makes the run durable: after every pipeline
-	// stage (prefilter, coreset, screen when it had to choose, join, impute,
-	// select, materialize, evaluate) the run's state is snapshotted
-	// crash-safely into this directory via internal/checkpoint. A process
-	// killed at any instant leaves the directory describing the
-	// completed-stage prefix; rerunning with Resume continues from there.
-	// Unset (the default) costs nothing.
+	// CheckpointDir, when set, makes the run durable: after the stages that
+	// decide something (screen when it had to choose, select, evaluate) the
+	// run's verdicts are saved crash-safely into this directory via
+	// internal/checkpoint. A process killed at any instant leaves the
+	// directory holding the last saved verdicts; rerunning with Resume
+	// rebuilds the tables from them and continues. Unset (the default)
+	// costs nothing.
 	CheckpointDir string
 	// Resume continues a prior run from the checkpoints in CheckpointDir.
 	// The recorded fingerprint — a digest of the base table, every candidate,
@@ -203,9 +203,9 @@ type Result struct {
 	Elapsed time.Duration
 	// SelectionElapsed is the time spent inside feature selection.
 	SelectionElapsed time.Duration
-	// ResumedFrom names the checkpoint stage the run continued from (e.g.
-	// "coreset" or "select") when Options.Resume found usable state;
-	// empty for a run executed start to finish.
+	// ResumedFrom names the checkpoint stage the run continued from
+	// ("screen", "select" or "evaluate") when Options.Resume found usable
+	// state; empty for a run executed start to finish.
 	ResumedFrom string
 	// Significance holds the paired bootstrap comparison of the augmented
 	// model against the base model when Options.Significance > 0.

@@ -88,14 +88,14 @@ func AugmentContext(ctx context.Context, base *dataframe.Table, cands []discover
 	}
 	err = mapInterrupt(r.execute(ctx))
 	r.publishCacheStats()
-	res := &r.st.Result
+	res := &r.res
 	res.Elapsed = time.Since(start)
 	res.Trace = r.tr.Finish()
 	return res, err
 }
 
-// run is one pipeline execution: what every stage reads, and the one
-// cumulative state they all add to.
+// run is one pipeline execution: what every stage reads, and what they all
+// add to.
 type run struct {
 	base      *dataframe.Table
 	opts      Options
@@ -118,12 +118,27 @@ type run struct {
 	// randomness — and is a free no-op when Options.Trace is nil.
 	tr *obs.Trace
 
-	// ck is nil unless Options.CheckpointDir is set. Under Resume, st starts
-	// as the last completed stage's snapshot and doneRank is that stage's
-	// stageRank; -1 runs everything.
-	ck       *checkpoint.Log
-	doneRank int
-	st       runState
+	// work is the table selection runs on: the coreset base (from "coreset"
+	// on), with every joined candidate's columns appended by "join" and
+	// imputed in place by "impute". joined lists the candidates joined onto
+	// work and not quarantined since, in candidate order, with the
+	// (prefixed) columns each added. Neither is ever saved.
+	work   *dataframe.Table
+	joined []joinedCandidate
+
+	// ck is nil unless Options.CheckpointDir is set. Under Resume, doneRank
+	// is the last shard's stageRank (-1 runs everything), and replaying is
+	// set while the driver runs a stage again that the shard covers.
+	ck        *checkpoint.Log
+	doneRank  int
+	replaying bool
+
+	// kept maps candidate ordinal -> kept source columns (unprefixed), from
+	// "select" on. res is the Result so far — what an interrupted run
+	// returns as its partial snapshot, and after "evaluate" the complete one;
+	// Elapsed and Trace are set at the exit only.
+	kept [][]string
+	res  Result
 }
 
 // Pre-registered, so a live scrape (-metrics-addr) exposes every counter and
@@ -182,7 +197,7 @@ func newRun(base *dataframe.Table, cands []discovery.Candidate, opts Options) (*
 	if err := r.openLog(); err != nil {
 		return nil, err
 	}
-	r.st.Result.CandidatesConsidered = len(cands)
+	r.res.CandidatesConsidered = len(cands)
 	return r, nil
 }
 
@@ -195,10 +210,14 @@ func (r *run) publishCacheStats() {
 }
 
 // quarantine is the fault boundary's record: a candidate that faults is
-// dropped at the named stage and logged, never fatal.
+// dropped at the named stage and logged, never fatal. A stage run again on
+// resume records nothing: the restored list already holds its quarantines.
 func (r *run) quarantine(name, stage string, reason error) {
+	if r.replaying {
+		return
+	}
 	q := QuarantinedCandidate{Name: name, Stage: stage, Reason: reason.Error()}
-	r.st.Result.Quarantined = append(r.st.Result.Quarantined, q)
+	r.res.Quarantined = append(r.res.Quarantined, q)
 	r.tr.Counter("quarantine.total").Add(1)
 	r.tr.Counter("quarantine." + stage).Add(1)
 	r.opts.logf("quarantine: %s at %s: %v", name, stage, reason)

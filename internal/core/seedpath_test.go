@@ -1,10 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
-	"github.com/arda-ml/arda/internal/checkpoint"
 	"github.com/arda-ml/arda/internal/coreset"
 	"github.com/arda-ml/arda/internal/dataframe"
 	"github.com/arda-ml/arda/internal/discovery"
@@ -77,37 +77,36 @@ func TestRunShapesPinned(t *testing.T) {
 	}
 }
 
-// TestJoinedTablePinned pins the table selection sees — Work as the "join"
-// and "impute" checkpoints hold it — on seedFixture, whose join and
-// imputation both draw from their stage RNGs, so a move in either seed path
-// (the 0 after each stage tag included) fails here. Recorded at ced4b9d, as
-// the coreset's columns followed by the joined ones.
+// TestJoinedTablePinned pins the table selection sees — work after the
+// "join" and "impute" stages — on seedFixture, whose join and imputation both
+// draw from their stage RNGs, so a move in either seed path (the 0 after each
+// stage tag included) fails here. The run's stages are driven directly, up to
+// impute. Recorded at ced4b9d, as the coreset's columns followed by the
+// joined ones.
 func TestJoinedTablePinned(t *testing.T) {
 	base, cands := seedFixture()
-	opts := Options{Target: "y", Seed: 2, Selector: featsel.AllFeatures{}, CheckpointDir: t.TempDir()}
-	if _, err := Augment(base, cands, opts); err != nil {
+	opts := Options{Target: "y", Seed: 2, Selector: featsel.AllFeatures{}}
+	if err := opts.validate(base); err != nil {
 		t.Fatal(err)
 	}
-	log, err := checkpoint.Open(opts.CheckpointDir, runFingerprint(base, cands, &opts))
+	r, err := newRun(base, cands, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]uint64{"join": 0x7299b1a04e199c, "impute": 0xee5ab0871fedeb7c}
-	for _, e := range log.Entries() {
-		if _, ok := want[e.Stage]; !ok {
-			continue
+	for _, s := range stageTable[:stageRank("impute")+1] {
+		if _, err := s.run(r, context.Background()); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
 		}
-		var st runState
-		if err := log.Load(e.Seq, &st); err != nil {
-			t.Fatal(err)
+		if w, ok := want[s.name]; ok {
+			if got := dataframe.MustNewTable("work", r.work.Columns()...).Digest(); got != w {
+				t.Errorf("%s: work digest %#x, recorded %#x", s.name, got, w)
+			}
+			delete(want, s.name)
 		}
-		if got := dataframe.MustNewTable("work", st.Work.Columns()...).Digest(); got != want[e.Stage] {
-			t.Errorf("%s: Work digest %#x, recorded %#x", e.Stage, got, want[e.Stage])
-		}
-		delete(want, e.Stage)
 	}
 	if len(want) != 0 {
-		t.Fatalf("no checkpoint of %v", want)
+		t.Fatalf("no stage %v ran", want)
 	}
 }
 

@@ -26,7 +26,7 @@ import (
 func (r *run) prefilter(context.Context) (bool, error) {
 	span := r.tr.Root().Child("prefilter", 0)
 	defer span.End()
-	o, res, tr := &r.opts, &r.st.Result, r.tr
+	o, res, tr := &r.opts, &r.res, r.tr
 	rows := r.base.NumRows()
 
 	cands := DedupeCandidates(r.base, r.cands)
@@ -43,10 +43,10 @@ func (r *run) prefilter(context.Context) (bool, error) {
 	tr.Gauge("candidates.considered").Set(int64(res.CandidatesConsidered))
 	tr.Gauge("candidates.after_dedupe").Set(int64(res.CandidatesDeduped))
 	tr.Gauge("candidates.after_tuple_ratio").Set(int64(len(cands)))
-	return true, nil
+	return false, nil
 }
 
-// coreset reduces the base rows the rest of the run works on. Work owns its
+// coreset reduces the base rows the rest of the run works on. work owns its
 // columns either way: the impute stage mutates them in place and must never
 // leak into the caller's table.
 func (r *run) coreset(context.Context) (bool, error) {
@@ -55,13 +55,13 @@ func (r *run) coreset(context.Context) (bool, error) {
 	if r.size < r.base.NumRows() {
 		idx := r.coresetRows(stageRNG(r.opts.Seed, seedStageCoreset))
 		sort.Ints(idx)
-		r.st.Work = r.base.Gather(idx)
+		r.work = r.base.Gather(idx)
 	} else {
-		r.st.Work = r.base.Clone()
+		r.work = r.base.Clone()
 	}
 	span.SetInt("rows_in", int64(r.base.NumRows()))
-	span.SetInt("rows_out", int64(r.st.Work.NumRows()))
-	return true, nil
+	span.SetInt("rows_out", int64(r.work.NumRows()))
+	return false, nil
 }
 
 // coresetRows draws the coreset's row indices under the configured strategy,
@@ -82,20 +82,20 @@ func (r *run) coresetRows(rng *rand.Rand) []int {
 }
 
 // screen (screen.go has the rule) lets only the tables one selection round
-// can rank on this coreset go on. A verdict the resumed snapshot carries is
+// can rank on this coreset go on. A verdict the resumed shard carries is
 // applied, not recomputed; "everything fits" stores none and asks for no
 // snapshot — it is found again on resume, like the prefilter's result.
 func (r *run) screen(ctx context.Context) (bool, error) {
 	span := r.tr.Root().Child("screen", 0)
 	defer span.End()
-	res, in := &r.st.Result, len(r.cands)
+	res, in := &r.res, len(r.cands)
 	span.SetInt("candidates_in", int64(in))
 	out := &screenOutcome{Kept: keptOrdinals(res.Screened), Tables: res.Screened}
 	if out.Tables == nil {
 		var faults []error
 		var err error
 		out, faults, err = screenCandidates(ctx, screenInput{
-			Coreset: r.st.Work, Cands: r.cands, Capacity: min(r.size, r.st.Work.NumRows()),
+			Coreset: r.work, Cands: r.cands, Capacity: min(r.size, r.work.NumRows()),
 			Task: r.task, Classes: r.classes, Opts: &r.opts, Prep: r.prep,
 		})
 		if err != nil {
@@ -117,7 +117,7 @@ func (r *run) screen(ctx context.Context) (bool, error) {
 	return out.Tables != nil, nil
 }
 
-// joinedCandidate is a candidate the join stage joined onto Work and no
+// joinedCandidate is a candidate the join stage joined onto work and no
 // fault site has quarantined since: its ordinal and the (prefixed) columns
 // it added.
 type joinedCandidate struct {
@@ -155,7 +155,7 @@ func (r *run) joinCandidate(ctx context.Context, parent *obs.Span, stage string,
 	return jr, span, nil
 }
 
-// join joins the screened candidates onto the coreset in Work, one after
+// join joins the screened candidates onto the coreset in work, one after
 // the other.
 func (r *run) join(ctx context.Context) (bool, error) {
 	span := r.tr.Root().Child("join", 0)
@@ -164,7 +164,7 @@ func (r *run) join(ctx context.Context) (bool, error) {
 		if err := interruptOf(ctx); err != nil {
 			return false, err
 		}
-		jr, candSpan, err := r.joinCandidate(ctx, span, "join", ord, r.st.Work, seedStageJoin, 0, int64(ord))
+		jr, candSpan, err := r.joinCandidate(ctx, span, "join", ord, r.work, seedStageJoin, 0, int64(ord))
 		if err != nil {
 			return false, err
 		}
@@ -175,10 +175,10 @@ func (r *run) join(ctx context.Context) (bool, error) {
 		candSpan.SetInt("cols_added", int64(len(jr.AddedColumns)))
 		candSpan.End()
 		r.tr.Counter("join.candidates_scored").Add(1)
-		r.st.Work = jr.Table
-		r.st.Joined = append(r.st.Joined, joinedCandidate{ord, jr.AddedColumns})
+		r.work = jr.Table
+		r.joined = append(r.joined, joinedCandidate{ord, jr.AddedColumns})
 	}
-	return true, nil
+	return false, nil
 }
 
 // dropFaulted is the fault site of the stages that act on the whole work
@@ -189,41 +189,40 @@ func (r *run) dropFaulted(site string) {
 	if inj == nil {
 		return
 	}
-	live := r.st.Joined[:0]
-	for _, a := range r.st.Joined {
+	live := r.joined[:0]
+	for _, a := range r.joined {
 		if err := faultAt(inj, site, a.Ordinal); err != nil {
 			r.quarantine(r.cands[a.Ordinal].Table.Name(), site, err)
 			for _, c := range a.Cols {
-				r.st.Work.DropColumn(c)
+				r.work.DropColumn(c)
 			}
 			continue
 		}
 		live = append(live, a)
 	}
-	r.st.Joined = live
+	r.joined = live
 }
 
-// impute fills Work's NULLs in place. With no candidate joined there is
-// nothing to fill for selection, and no snapshot to take.
+// impute fills work's NULLs in place. With no candidate joined there is
+// nothing to fill for selection.
 func (r *run) impute(context.Context) (bool, error) {
 	r.dropFaulted("impute")
-	if len(r.st.Joined) == 0 {
+	if len(r.joined) == 0 {
 		return false, nil
 	}
 	span := r.tr.Root().Child("impute", 0)
 	defer span.End()
-	imputeTable(r.st.Work, r.opts, stageRNG(r.opts.Seed, seedStageImpute, 0))
-	return true, nil
+	imputeTable(r.work, r.opts, stageRNG(r.opts.Seed, seedStageImpute, 0))
+	return false, nil
 }
 
-// selectFeatures encodes Work, runs the selector over it and credits each
-// kept feature to the candidate that brought it. It leaves Work the coreset
-// again, the joined columns dropped, so the snapshots after it carry no
-// joined column. With no candidate left (each faulted at the encode site, or
-// none joined) it selects nothing and asks for no snapshot.
+// selectFeatures encodes work, runs the selector over it and credits each
+// kept feature to the candidate that brought it. With no candidate left
+// (each faulted at the encode site, or none joined) it selects nothing and
+// asks for no snapshot.
 func (r *run) selectFeatures(ctx context.Context) (bool, error) {
 	r.dropFaulted("encode")
-	joined, o, work := r.st.Joined, &r.opts, r.st.Work
+	joined, o, work := r.joined, &r.opts, r.work
 	if len(joined) == 0 {
 		return false, nil
 	}
@@ -253,7 +252,7 @@ func (r *run) selectFeatures(ctx context.Context) (bool, error) {
 	for _, a := range joined {
 		owner[prefixOf(a.Ordinal)] = a.Ordinal
 	}
-	r.st.KeptByCandidate = make([][]string, len(r.cands))
+	r.kept = make([][]string, len(r.cands))
 	seen := map[string]bool{}
 	for _, j := range selected {
 		src := sourceColumn(view.Names[j])
@@ -263,14 +262,8 @@ func (r *run) selectFeatures(ctx context.Context) (bool, error) {
 			continue
 		}
 		seen[src] = true
-		r.st.KeptByCandidate[ord] = append(r.st.KeptByCandidate[ord], strings.TrimPrefix(src, prefix))
+		r.kept[ord] = append(r.kept[ord], strings.TrimPrefix(src, prefix))
 	}
-	for _, a := range joined {
-		for _, c := range a.Cols {
-			work.DropColumn(c)
-		}
-	}
-	r.st.Joined = nil
 	span.SetInt("features_selected", int64(len(seen)))
 	r.tr.Counter("select.features_offered").Add(int64(offered))
 	r.tr.Counter("select.features_kept").Add(int64(len(seen)))
@@ -286,7 +279,7 @@ func (r *run) runSelector(ctx context.Context, span *obs.Span, ds *ml.Dataset) (
 		sa.AttachSpan(span)
 		defer sa.AttachSpan(nil)
 	}
-	defer func(start time.Time) { r.st.Result.SelectionElapsed += time.Since(start) }(time.Now())
+	defer func(start time.Time) { r.res.SelectionElapsed += time.Since(start) }(time.Now())
 	// The context-aware path stops a canceled run's selection promptly.
 	if cs, ok := sel.(featsel.ContextSelector); ok {
 		return cs.SelectCtx(ctx, ds, r.estimator, selectSeed(r.opts.Seed))
@@ -295,9 +288,8 @@ func (r *run) runSelector(ctx context.Context, span *obs.Span, ds *ml.Dataset) (
 }
 
 // materialize re-joins, over the full base table, the candidates that kept a
-// column, then imputes the result. The stage includes that final imputation
-// — its snapshot captures the fully imputed table, so a resume never
-// re-imputes.
+// column, then imputes the result. It saves nothing: a run resumed past it
+// replays it from the stored KeptByCandidate to the same table.
 func (r *run) materialize(ctx context.Context) (bool, error) {
 	final, err := r.joinKept(ctx)
 	if err == nil {
@@ -311,11 +303,11 @@ func (r *run) materialize(ctx context.Context) (bool, error) {
 	span := r.tr.Root().Child("impute", 1)
 	defer span.End()
 	imputeTable(final, r.opts, stageRNG(r.opts.Seed, seedStageFinal))
-	res := &r.st.Result
+	res := &r.res
 	res.Table = final
 	r.opts.logf("materialized %d kept columns from %d tables over %d rows",
 		len(res.KeptColumns), len(res.KeptTables), final.NumRows())
-	return true, nil
+	return false, nil
 }
 
 // joinKept is materialize's join pass, onto a clone of the base so the final
@@ -324,10 +316,10 @@ func (r *run) materialize(ctx context.Context) (bool, error) {
 func (r *run) joinKept(ctx context.Context) (*dataframe.Table, error) {
 	span := r.tr.Root().Child("materialize", 0)
 	defer span.End()
-	res := &r.st.Result
+	res := &r.res
 	final := r.base.Clone()
 	seenTables := make(map[string]bool)
-	for ord, kept := range r.st.KeptByCandidate {
+	for ord, kept := range r.kept {
 		if len(kept) == 0 {
 			continue
 		}
@@ -372,7 +364,7 @@ func (r *run) joinKept(ctx context.Context) (*dataframe.Table, error) {
 func (r *run) evaluate(context.Context) (bool, error) {
 	span := r.tr.Root().Child("evaluate", 0)
 	defer span.End()
-	o, res := &r.opts, &r.st.Result
+	o, res := &r.opts, &r.res
 	// The two encodings are independent (tables are only read), so they run
 	// as two pool items.
 	tables := [2]*dataframe.Table{r.base, res.Table}

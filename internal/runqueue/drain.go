@@ -55,8 +55,8 @@ func (m *Manager) Drain(timeout time.Duration) error {
 		return nil
 	}
 
-	// Deadline passed: preempt. The pipeline checkpoints at every stage
-	// boundary, so cancellation loses at most the in-progress stage.
+	// Deadline passed: preempt. The pipeline checkpoints every verdict it
+	// reaches, so cancellation loses at most the work since the last one.
 	m.mu.Lock()
 	for _, r := range m.runs {
 		if r.rec.State == StateRunning && r.cancel != nil {

@@ -391,7 +391,7 @@ func Open(cfg Config) (*Manager, error) {
 		}
 		return lease.Live(filepath.Join(cfg.StateDir, "runs", rel, lease.FileName))
 	}
-	if pruned, err := checkpoint.Prune(filepath.Join(cfg.StateDir, "checkpoints"), cfg.CheckpointTTL, 0, skip); err != nil {
+	if pruned, err := checkpoint.Prune(filepath.Join(cfg.StateDir, "checkpoints"), cfg.CheckpointTTL, skip); err != nil {
 		m.logf("checkpoint prune: %v", err)
 	} else if len(pruned) > 0 {
 		m.cPruned.Add(int64(len(pruned)))

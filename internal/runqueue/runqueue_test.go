@@ -756,7 +756,9 @@ func TestHalfDeletedCheckpointRestartsFromScratch(t *testing.T) {
 	}
 
 	state := t.TempDir()
-	inj := faults.New(1, faults.Rule{Stage: "join", Ordinal: -1, Kind: faults.Delay, Delay: 40 * time.Millisecond})
+	// The first shard is select's; slowing the stage after it lets the drain
+	// land before the run finishes.
+	inj := faults.New(1, faults.Rule{Stage: "materialize", Ordinal: -1, Kind: faults.Delay, Delay: 40 * time.Millisecond})
 	m1 := openManager(t, Config{StateDir: state, Injector: inj})
 	rec, err := m1.Submit(spec)
 	if err != nil {
