@@ -92,11 +92,12 @@ func resolveForestConfig(ds *Dataset, cfg ForestConfig) (ForestConfig, TreeConfi
 
 // splitSetFor returns the split set backing a forest fit on ds: the attached
 // split view when one matches (presort already paid), a fresh per-forest
-// build otherwise. All bootstrap trees have m == ds.N samples, so they all
-// land in the same kernel regime; global orders are only required when the
-// presorted regime will consume them.
+// build otherwise. Global orders, and the codes derived from them, are
+// required by classification trees and by the presorted regression regime;
+// all bootstrap trees have m == ds.N samples, so they all land in the same
+// one.
 func splitSetFor(ds *Dataset, tc TreeConfig, workers int) *splitSet {
-	needOrders := !useFlatKernel(resolveMTry(tc.MTry, ds.D), ds.D, ds.N)
+	needOrders := ds.Task == Classification || !useFlatKernel(resolveMTry(tc.MTry, ds.D), ds.D, ds.N)
 	if ss := ds.attachedSplits(needOrders); ss != nil {
 		return ss
 	}
@@ -129,7 +130,7 @@ func (ws *treeWorkspace) bootstrapTree(ss *splitSet, tc TreeConfig, seed int64) 
 // drawBootstrap draws n rows with replacement into ws.cnt as per-row
 // multiplicities: n Intn draws from rng.
 func drawBootstrap(ws *treeWorkspace, n int, rng *rand.Rand) {
-	ws.cnt = growInt32(ws.cnt, n)
+	ws.cnt = grow(ws.cnt, n)
 	cnt := ws.cnt
 	clear(cnt)
 	for i := 0; i < n; i++ {

@@ -294,7 +294,7 @@ func FitStandardization(ds *Dataset) *Standardization {
 		ss := 0.0
 		for i := 0; i < ds.N; i++ {
 			d := ds.At(i, j) - mu
-			ss += d * d
+			ss += float64(d * d)
 		}
 		sd := math.Sqrt(ss / float64(ds.N))
 		if sd < 1e-12 {

@@ -13,7 +13,7 @@ import (
 // boundary is admissible).
 func scanReg(vals, ys, weights []float64, minLeaf int) (float64, float64) {
 	nt := totalsOf(ys, weights)
-	c := regressionCut(vals, identity(len(vals)), ys, weights, &nt, minLeaf)
+	c := regressionCut(vals, identity(len(vals)), ys, weights, invTable(int(nt.n)), &nt, minLeaf)
 	if math.IsInf(c.score, -1) {
 		return c.thr, c.score
 	}
@@ -32,6 +32,64 @@ func totalsOf(ys, weights []float64) nodeTotals {
 	mean := t.sum / t.n
 	t.imp = t.sq/t.n - mean*mean
 	return t
+}
+
+// invTable is the cuts' screen table over m samples: inv[i] = 1/i.
+func invTable(m int) []float64 {
+	inv := make([]float64, m+1)
+	for i := 1; i <= m; i++ {
+		inv[i] = 1 / float64(i)
+	}
+	return inv
+}
+
+// scanSplitsClass is the sorted-sequence Gini scan the rank-code histogram
+// replaced, kept as its referee: it sweeps a node's value-sorted (values,
+// labels, weights) sequence for the best Gini split; each entry stands for
+// weights[i] samples, and minLeaf counts samples. leftCnt/rightCnt are
+// class-count scratch. Moving w samples of class c from right to left
+// changes Σcnt² by ±w·(2·cnt[c] ± w), so each entry updates in O(1). Every
+// count is an integer, exact in float64, so the gains are bit-equal to those
+// of the sequence with each entry repeated weights[i] times.
+func scanSplitsClass(vals []float64, labels []int32, weights, leftCnt, rightCnt []float64, parentImp float64, minLeaf int) (float64, float64) {
+	n := len(vals)
+	for k := range leftCnt {
+		leftCnt[k] = 0
+		rightCnt[k] = 0
+	}
+	fn := 0.0
+	for i, c := range labels {
+		rightCnt[c] += weights[i]
+		fn += weights[i]
+	}
+	leftSq, rightSq := 0.0, 0.0
+	for _, c := range rightCnt {
+		rightSq += c * c
+	}
+	fmin := float64(minLeaf)
+	nl := 0.0
+	bestThr, bestGain := 0.0, math.Inf(-1)
+	for pos := 1; pos < n; pos++ {
+		cls, w := labels[pos-1], weights[pos-1]
+		leftSq += w * (2*leftCnt[cls] + w)
+		rightSq += w * (w - 2*rightCnt[cls])
+		leftCnt[cls] += w
+		rightCnt[cls] -= w
+		nl += w
+		nr := fn - nl
+		v0, v1 := vals[pos-1], vals[pos]
+		if v0 == v1 || nl < fmin || nr < fmin {
+			continue
+		}
+		giniL := 1 - leftSq/(nl*nl)
+		giniR := 1 - rightSq/(nr*nr)
+		gain := parentImp - (nl/fn)*giniL - (nr/fn)*giniR
+		if gain > bestGain {
+			bestGain = gain
+			bestThr = v0 + (v1-v0)/2
+		}
+	}
+	return bestThr, bestGain
 }
 
 // identity is the order [0, n).
@@ -330,7 +388,7 @@ func TestProxyMatchesExactGain(t *testing.T) {
 			for i, r := range ord {
 				vals[i], tys[i], tws[i] = col[r], y[r], w[r]
 			}
-			c := regressionCut(col, ord, y, w, &nt, minLeaf)
+			c := regressionCut(col, ord, y, w, invTable(int(nt.n)), &nt, minLeaf)
 			thr, gain := exactScanReg(vals[:size], tys[:size], tws[:size], nt.imp, minLeaf)
 			if c.thr != thr || math.IsInf(c.score, -1) != math.IsInf(gain, -1) {
 				t.Fatalf("trial %d feature %d: proxy threshold %v, exact %v", trial, j, c.thr, thr)
@@ -529,7 +587,7 @@ func TestTwoValuedCutMatchesScan(t *testing.T) {
 						if want := maskCut(b, sc, node, &nt); got != want {
 							t.Fatalf("%s trial %d feature %d: grouped cut %+v, mask pass %+v", fx.name, trial, feat, got, want)
 						}
-						want := regressionCut(vals, ord, ws.ys, ws.wt, &nt, b.cfg.MinLeaf)
+						want := regressionCut(vals, ord, ws.ys, ws.wt, ws.inv, &nt, b.cfg.MinLeaf)
 						if math.IsInf(want.score, -1) || math.IsInf(got.score, -1) {
 							if math.IsInf(want.score, -1) != math.IsInf(got.score, -1) {
 								t.Fatalf("%s trial %d feature %d: grouped cut score %v, scan %v", fx.name, trial, feat, got.score, want.score)

@@ -170,7 +170,7 @@ func SolveSparse21(ds *Dataset, cfg Sparse21Config) (*Sparse21Result, error) {
 				}
 				wrow := w.Row(j)
 				for k := 0; k < c; k++ {
-					wrow[k] += xrow[j] * zrow[k]
+					wrow[k] += float64(xrow[j] * zrow[k])
 				}
 			}
 		}
@@ -183,7 +183,7 @@ func SolveSparse21(ds *Dataset, cfg Sparse21Config) (*Sparse21Result, error) {
 			yrow := y.Row(i)
 			for k := 0; k < c; k++ {
 				dv := prow[k] - yrow[k]
-				rnorm += dv * dv
+				rnorm += float64(dv * dv)
 			}
 			rnorm = math.Sqrt(rnorm)
 			obj += rnorm
@@ -191,7 +191,7 @@ func SolveSparse21(ds *Dataset, cfg Sparse21Config) (*Sparse21Result, error) {
 		}
 		for j := 0; j < d; j++ {
 			wn := linalg.Norm2(w.Row(j))
-			obj += cfg.Gamma * wn
+			obj += float64(cfg.Gamma * wn)
 			vInv[j] = 2 * math.Max(wn, cfg.Eps)
 		}
 		if cfg.RobustLabels && sds.Task == Classification {

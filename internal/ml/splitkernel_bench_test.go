@@ -11,12 +11,22 @@ func benchFitForest(b *testing.B, ds *Dataset, cfg ForestConfig) {
 	}
 }
 
-// BenchmarkSelectForestCoreset is the RIFS selection-forest shape: a small
-// coreset with many (mostly noise) columns, classification mtry = √d — the
-// flat regime of the adaptive kernel.
+// BenchmarkSelectForestCoreset is a small two-class coreset with many
+// (mostly noise) Gaussian columns: 160 rows × 150 columns, mtry = √d.
 func BenchmarkSelectForestCoreset(b *testing.B) {
 	benchFitForest(b, makeClassification(160, 6, 144, 201),
 		ForestConfig{NTrees: 20, MaxDepth: 10, Seed: 7, Parallel: true})
+}
+
+// BenchmarkSelectForestWideRepo is the ranking forest of a RIFS repetition
+// on the wide-repo workload: its 256-row coreset, 256 real columns (64
+// one-hot indicators in eight 8-level groups, 192 continuous) plus the 52
+// injected noise columns, three classes, 40 trees of depth 10, mtry = √d.
+// As in RIFS, the forest reads a split view presorted outside the loop.
+func BenchmarkSelectForestWideRepo(b *testing.B) {
+	ds := oneHotFixture(256, 64, 8, 192+52, Classification, 207)
+	ds.AttachSplits(NewSplitView(ds, PresortColumns(ds, 0), nil))
+	benchFitForest(b, ds, ForestConfig{NTrees: 40, MaxDepth: 10, Seed: 7, Parallel: true})
 }
 
 // BenchmarkSelectForestRegression is the regression ranking-forest shape:

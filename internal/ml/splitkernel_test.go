@@ -177,10 +177,10 @@ func expandCounts(cnt []int32) []int {
 // over a bootstrap's units (fitTreeFromSplitSet over per-row multiplicities)
 // is the tree FitTree grows over the expanded index list, one weight-1 unit
 // per copy. Classification trees are bit-equal — class counts add integer
-// weights exactly — in both regimes, with and without global orders, on the
-// one-hot and the mixed fixtures. Regression trees over a tie-free fixture
-// keep every feature, threshold and child; only their sums round
-// differently, so node values agree within 1e-12 relative. Tie-free means
+// weights exactly — at any mtry, on the one-hot and the mixed fixtures.
+// Regression trees over a tie-free fixture, in both regimes, with and
+// without global orders, keep every feature, threshold and child; only their
+// sums round differently, so node values agree within 1e-12 relative. Tie-free means
 // continuous values and leaves of at least eight samples: in a node of a few
 // units, two features can cut out the same partition, and which of their
 // mathematically equal gains wins is decided by last-ulp rounding.
@@ -189,12 +189,12 @@ func TestUnitsMatchExpandedCopies(t *testing.T) {
 		name   string
 		ds     *Dataset
 		cfg    TreeConfig
-		flat   bool // the root's regime, asserted so no case tests nothing
-		orders bool // the split set carries global orders (counting scans when flat)
+		flat   bool // a regression root's regime, asserted so no case tests nothing
+		orders bool // the split set carries global orders
 	}
 	fit := func(t *testing.T, sh shape, seed int64) (units, copies *Tree) {
 		t.Helper()
-		if got := useFlatKernel(resolveMTry(sh.cfg.MTry, sh.ds.D), sh.ds.D, sh.ds.N); got != sh.flat {
+		if got := useFlatKernel(resolveMTry(sh.cfg.MTry, sh.ds.D), sh.ds.D, sh.ds.N); sh.ds.Task == Regression && got != sh.flat {
 			t.Fatalf("%s: root flat=%v, want %v", sh.name, got, sh.flat)
 		}
 		ws := &treeWorkspace{}
@@ -208,12 +208,11 @@ func TestUnitsMatchExpandedCopies(t *testing.T) {
 	oneHot := oneHotFixture(256, 64, 8, 40, Classification, 29)
 	mixed := twoValuedFixture(300, 24, Classification, 19)
 	for _, sh := range []shape{
-		{"one-hot flat", oneHot, TreeConfig{MTry: 10}, true, false},
-		{"one-hot flat scan", oneHot, TreeConfig{MTry: 10, MinLeaf: 3}, true, true},
-		{"one-hot presorted", oneHot, TreeConfig{MTry: 35, MaxDepth: 12}, false, true},
-		{"mixed flat", mixed, TreeConfig{MTry: 2}, true, false},
-		{"mixed flat scan", mixed, TreeConfig{MTry: 2}, true, true},
-		{"mixed presorted", mixed, TreeConfig{MTry: 8, MinLeaf: 3}, false, true},
+		{"one-hot", oneHot, TreeConfig{MTry: 10}, false, true},
+		{"one-hot minleaf", oneHot, TreeConfig{MTry: 10, MinLeaf: 3}, false, true},
+		{"one-hot wide mtry", oneHot, TreeConfig{MTry: 35, MaxDepth: 12}, false, true},
+		{"mixed", mixed, TreeConfig{MTry: 2}, false, true},
+		{"mixed wide mtry", mixed, TreeConfig{MTry: 8, MinLeaf: 3}, false, true},
 	} {
 		for seed := int64(1); seed <= 3; seed++ {
 			if units, copies := fit(t, sh, seed); !sameTree(units, copies) {
@@ -359,8 +358,10 @@ func TestUseFlatKernelRule(t *testing.T) {
 }
 
 // TestKernelRegimeOfBenchmarkShapes names the regime — at the root and at
-// nodes of 64, 16 and 4 samples — of the forests the benchmark fits, with
-// FitForest's own mtry defaulting: which shapes ever sort is this table.
+// nodes of 64, 16 and 4 samples — of the regression forests the benchmark
+// fits, with FitForest's own mtry defaulting: which shapes ever sort is this
+// table. (Classification forests, wide-repo's, have no regimes: their trees
+// score rank-code histograms and never sort.)
 func TestKernelRegimeOfBenchmarkShapes(t *testing.T) {
 	const P, F = false, true // presorted, flat
 	for _, tc := range []struct {
@@ -370,12 +371,9 @@ func TestKernelRegimeOfBenchmarkShapes(t *testing.T) {
 		want [4]bool // root, m = 64, 16, 4
 	}{
 		{"tall-base RIFS ranking forest (180 real + 36 injected)", 256, 216, Regression, [4]bool{P, P, P, F}},
-		{"wide-repo RIFS ranking forest", 256, 387, Classification, [4]bool{F, F, F, F}},
 		{"service RIFS ranking forest", 192, 130, Regression, [4]bool{P, P, P, F}},
 		{"tall-base sweep forest (a subset on 3/4 of the coreset)", 192, 60, Regression, [4]bool{P, P, P, F}},
-		{"wide-repo sweep forest", 192, 40, Classification, [4]bool{P, F, F, F}},
 		{"tall-base evaluate forest", 9000, 73, Regression, [4]bool{P, P, P, F}},
-		{"wide-repo evaluate forest", 1200, 100, Classification, [4]bool{P, F, F, F}},
 	} {
 		_, tcfg := resolveForestConfig(&Dataset{N: tc.n, D: tc.d, Task: tc.task}, ForestConfig{})
 		for i, m := range [4]int{tc.n, 64, 16, 4} {

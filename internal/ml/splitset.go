@@ -20,20 +20,22 @@ type treeWorkspace struct {
 	ys      []float64     // target by unit (regression: centred)
 	labels  []int32       // class code by unit (classification)
 	wt      []float64     // multiplicity by unit
-	vbuf    []float64     // node values in sorted order (flat sort keys, class scan input)
+	inv     []float64     // inv[i] = 1/i for i ≤ m: the cuts' screen
+	vbuf    []float64     // a flat regression node's values in sorted order
 	uval    []float64     // a flat node's feature values by unit (regression, columns read through rowOf)
-	lbuf    []int32       // node labels in sorted order (classification)
-	wbuf    []float64     // node multiplicities in sorted order (classification)
 	tcnt    []float64     // the node's class counts (nodeStats)
 	lcnt    []float64     // class-count scratch (left)
 	rcnt    []float64     // class-count scratch (right)
-	rbuf    []float64     // one-row gather scratch
 	feats   []int         // feature permutation for MTry shuffles
 	samples []int32       // flat-kernel unit lists, partitioned in place
 	pay     []int32       // flat-kernel sort payload (units)
-	cnt     []int32       // bootstrap multiplicity per dataset row (forest path)
-	rowOf   []int32       // unit → dataset row (forest path)
+	cnt     []int32       // multiplicity per split-set row
+	rowOf   []int32       // unit → split-set row
 	scols   []SplitColumn // per-feature column headers handed to the builder
+	// A classification node's histogram: class counts per (rank code, class)
+	// cell, and the codes present (codeMarks); both all-zero between cuts.
+	hist  []float64
+	marks []uint64
 	// Presorted-kernel scratch.
 	colv []float64 // d×u column-major feature values by unit
 	// orders holds one u-long plane per feature — its units, value-sorted
@@ -43,8 +45,7 @@ type treeWorkspace struct {
 	orders []int32
 	spill  []int32 // stable-partition scratch for right-bound units
 	left   []uint8 // goes-left mask during a split (all-zero invariant)
-	unitOf []int32 // unit per drawn dataset row (order derivation, counting scans)
-	ncnt   []int32 // in-node multiplicity per dataset row (all-zero invariant)
+	unitOf []int32 // unit per drawn split-set row (order derivation)
 	// Two-valued groups' scratch: the blocks of the groups' high-side sums
 	// (twoGroup), and per group the node stamp its block was last summed at.
 	gsum  []float64
@@ -58,10 +59,10 @@ type treeWorkspace struct {
 // pool's retention cap so sweep-sized trees don't keep base-table-sized
 // scratch alive.
 func (ws *treeWorkspace) retained() int {
-	f := cap(ws.ys) + cap(ws.wt) + cap(ws.vbuf) + cap(ws.uval) + cap(ws.wbuf) +
-		cap(ws.tcnt) + cap(ws.lcnt) + cap(ws.rcnt) + cap(ws.rbuf) + cap(ws.colv) + cap(ws.gsum)
-	i := cap(ws.labels) + cap(ws.lbuf) + cap(ws.samples) + cap(ws.pay) + cap(ws.cnt) +
-		cap(ws.rowOf) + cap(ws.orders) + cap(ws.spill) + cap(ws.unitOf) + cap(ws.ncnt) + cap(ws.gseen)
+	f := cap(ws.ys) + cap(ws.wt) + cap(ws.inv) + cap(ws.vbuf) + cap(ws.uval) + cap(ws.tcnt) +
+		cap(ws.lcnt) + cap(ws.rcnt) + cap(ws.colv) + cap(ws.gsum) + cap(ws.hist) + cap(ws.marks)
+	i := cap(ws.labels) + cap(ws.samples) + cap(ws.pay) + cap(ws.cnt) +
+		cap(ws.rowOf) + cap(ws.orders) + cap(ws.spill) + cap(ws.unitOf) + cap(ws.gseen)
 	return f*8 + i*4 + cap(ws.feats)*8 + cap(ws.left) + cap(ws.scols)*splitColumnBytes
 }
 
@@ -70,26 +71,32 @@ var treeScratch = parallel.NewScratchPoolSized(
 	(*treeWorkspace).retained,
 )
 
-// reserve sizes the common scratch for m samples, d features, and k classes
-// (0 for regression), growing allocations only when needed, and resets the
-// feature permutation to the identity (each tree starts its Fisher-Yates
-// state fresh, as the per-node sorting kernel did).
-func (ws *treeWorkspace) reserve(m, d, k int) {
-	ws.ys = growFloat(ws.ys, m)
-	ws.wt = growFloat(ws.wt, m)
-	ws.vbuf = growFloat(ws.vbuf, m)
-	ws.rbuf = growFloat(ws.rbuf, d)
-	ws.samples = growInt32(ws.samples, m)
-	ws.pay = growInt32(ws.pay, m)
-	if k > 0 {
-		ws.labels = growInt32(ws.labels, m)
-		ws.lbuf = growInt32(ws.lbuf, m)
-		ws.wbuf = growFloat(ws.wbuf, m)
-		ws.tcnt = growFloat(ws.tcnt, k)
-		ws.lcnt = growFloat(ws.lcnt, k)
-		ws.rcnt = growFloat(ws.rcnt, k)
+// reserve sizes the common scratch for m samples, d features, and, for a
+// classification tree, k classes and the histogram over ss's rank codes,
+// growing allocations only when needed, and resets the feature permutation
+// to the identity (each tree starts its Fisher-Yates state fresh, as the
+// per-node sorting kernel did).
+func (ws *treeWorkspace) reserve(ss *splitSet, m, d int, marks codeMarks) {
+	ws.ys = grow(ws.ys, m)
+	ws.wt = grow(ws.wt, m)
+	ws.samples = grow(ws.samples, m)
+	if len(ws.inv) <= m {
+		ws.inv = make([]float64, m+1)
+		for i := 1; i <= m; i++ {
+			ws.inv[i] = 1 / float64(i)
+		}
+	}
+	if k := ss.classes; ss.task == Classification {
+		ws.labels = grow(ws.labels, m)
+		ws.tcnt = grow(ws.tcnt, k)
+		ws.lcnt = grow(ws.lcnt, k)
+		ws.rcnt = grow(ws.rcnt, k)
+		ws.hist = grow(ws.hist, ss.codes*k)
+		ws.marks = grow(ws.marks, marks.off[marks.levels])
 	} else {
-		ws.uval = growFloat(ws.uval, m)
+		ws.vbuf = grow(ws.vbuf, m)
+		ws.pay = grow(ws.pay, m)
+		ws.uval = grow(ws.uval, m)
 	}
 	if cap(ws.feats) < d {
 		ws.feats = make([]int, d)
@@ -100,56 +107,46 @@ func (ws *treeWorkspace) reserve(m, d, k int) {
 	}
 }
 
-// reserveCols sizes the per-tree column store.
-func (ws *treeWorkspace) reserveCols(m, d int) {
-	ws.colv = growFloat(ws.colv, m*d)
-}
-
-// reserveColHeaders sizes the per-feature column-header slice.
-func (ws *treeWorkspace) reserveColHeaders(d int) {
+// reserveOrders sizes the presorted kernel's column copies, column headers,
+// order planes and partition scratch.
+func (ws *treeWorkspace) reserveOrders(m, d, planes int) {
+	ws.colv = grow(ws.colv, m*d)
 	if cap(ws.scols) < d {
 		ws.scols = make([]SplitColumn, d)
 	}
 	ws.scols = ws.scols[:d]
-}
-
-// reserveOrders sizes the presorted kernel's order planes and partition
-// scratch.
-func (ws *treeWorkspace) reserveOrders(m, planes int) {
-	ws.orders = growInt32(ws.orders, m*planes)
-	ws.spill = growInt32(ws.spill, m)
+	ws.orders = grow(ws.orders, m*planes)
+	ws.spill = grow(ws.spill, m)
 	if cap(ws.left) < m {
 		ws.left = make([]uint8, m)
 	}
 	ws.left = ws.left[:m]
 }
 
-func growFloat(s []float64, n int) []float64 {
+// grow returns s resized to n, reallocating (zeroed) only when its capacity
+// is short.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growInt32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
 // splitSet is a dataset's shared presort scaffold: column-major feature
-// values plus — in the presorted regime — per-feature row indices sorted by
-// (value, row). FitForest builds it once; every bootstrap tree either
-// derives its per-tree orders from the global ones with a linear counting
-// scan (presorted regime) or reads the shared columns through its bootstrap
-// row map and sorts nodes flat. A forest whose trees start flat skips the
+// values plus — for a classification forest and in the presorted regression
+// regime — per-feature row indices sorted by (value, row) and the rank codes
+// derived from them. FitForest builds it once; a classification tree reads
+// the shared columns' codes through its bootstrap row map; a regression tree
+// either derives its per-tree orders from the global ones with a linear
+// counting scan (presorted regime) or reads the shared columns through that
+// map and sorts nodes flat, and a forest whose trees start flat skips the
 // global orders entirely.
 type splitSet struct {
 	n, d    int
 	task    Task
 	classes int
-	cols    []SplitColumn // per-feature values (+ (value,row) orders when presorted)
+	cols    []SplitColumn // per-feature values (+ (value,row) orders and codes when presorted)
+	codes   int           // the most distinct values an ordered column has
 	// groups partition the two-valued columns (groupTwo); twoOf[j] places
 	// column j in one, and gsize is the slots all groups' blocks take.
 	groups []twoGroup
@@ -177,8 +174,8 @@ func (ss *splitSet) setTargets(ds *Dataset) {
 }
 
 // buildSplitSet gathers ds into column-major form, classifies each column
-// and, when needOrders is set (the presorted regime), sorts every column that
-// is not two-valued once — all on the worker pool (columns are independent,
+// and, when needOrders is set (classification, or the presorted regression
+// regime), sorts every column that is not two-valued once — all on the worker pool (columns are independent,
 // so parallelism cannot change the result).
 func buildSplitSet(ds *Dataset, workers int, needOrders bool) *splitSet {
 	n, d := ds.N, ds.D
@@ -233,8 +230,11 @@ type twoRef struct {
 
 // markTwo groups the set's two-valued columns (groupTwo) and lays out the
 // groups' blocks: a slot holds class counts for classification, and Σw,
-// Σw·y, Σw·(y·y) for regression.
+// Σw·y, Σw·(y·y) for regression. It also sizes the histograms: codes.
 func (ss *splitSet) markTwo() {
+	for _, c := range ss.cols {
+		ss.codes = max(ss.codes, len(c.vals))
+	}
 	ss.groups, ss.twoOf = groupTwo(ss.cols)
 	width := slotWidth(ss.task, ss.classes)
 	for g := range ss.groups {
@@ -310,35 +310,20 @@ func disjoint(code, mask []uint8) bool {
 // fitTreeFromSplitSet grows one tree over a bootstrap sample given as
 // per-row multiplicities ws.cnt (Σcnt samples total). The tree's units are
 // the rows the bootstrap drew, in ascending row order, each weighted by its
-// multiplicity — so in the presorted regime, emitting drawn rows in global
-// value order yields per-tree orders already sorted by (value, unit) without
-// comparing a single value; in the flat regime the tree reads the shared
-// columns through the unit→row map and no per-tree columns are materialized
-// at all. In either regime a two-valued column is read in place, through
-// that map and its group's code bytes (scoring) or its byte mask
-// (partitioning), and gets neither an order nor a copy.
+// multiplicity. A classification tree, and a regression tree in the flat
+// regime, reads the shared columns through the unit→row map and no per-tree
+// columns are materialized at all; in the presorted regime, emitting drawn
+// rows in global value order yields per-tree orders already sorted by
+// (value, unit) without comparing a single value. In either regime a
+// two-valued column is read in place, through that map and its group's code
+// bytes (scoring) or its byte mask (partitioning), and gets neither an order
+// nor a copy.
 func fitTreeFromSplitSet(ss *splitSet, cfg TreeConfig, rng *rand.Rand, ws *treeWorkspace) *Tree {
 	b := &treeBuilder{}
 	m := b.initUnits(ss, cfg, rng, ws)
-	n, d, units := ss.n, ss.d, b.units
-	cnt, unitOf := ws.cnt, ws.unitOf
-	if useFlatKernel(b.mtry, d, m) {
-		b.scols, b.ssn = ss.cols, n
-		// Large classification nodes can skip the per-node sort when a
-		// feature carries a global (value, row) order: walking that order and
-		// emitting each in-node row reproduces the sort's (value, unit)
-		// sequence exactly. Interior nodes register their membership as
-		// per-row multiplicities in ws.ncnt (zeroed by make and kept all-zero
-		// by growFlat's mark/clear pairing), so the scan skips out-of-node
-		// rows without per-unit mask checks. (A regression forest — mtry =
-		// d/3 — goes flat only at m ≈ 4, where sorting is the cheaper side.)
-		for _, col := range ss.cols {
-			if col.ord != nil && ss.task == Classification {
-				b.canScan = true
-				ws.ncnt = growInt32(ws.ncnt, n)
-				break
-			}
-		}
+	d, units := ss.d, b.units
+	if ss.task == Classification || useFlatKernel(b.mtry, d, m) {
+		b.scols = ss.cols
 		b.flatRoot()
 		return b.tree
 	}
@@ -347,9 +332,8 @@ func fitTreeFromSplitSet(ss *splitSet, cfg TreeConfig, rng *rand.Rand, ws *treeW
 	if ss.groups != nil {
 		b.planes, b.copied = d+1, true
 	}
-	ws.reserveCols(m, d)
-	ws.reserveOrders(m, b.planes)
-	ws.reserveColHeaders(d)
+	ws.reserveOrders(m, d, b.planes)
+	cnt, unitOf := ws.cnt, ws.unitOf
 	for j := 0; j < d; j++ {
 		if ss.cols[j].mask != nil {
 			ws.scols[j] = ss.cols[j]
@@ -412,19 +396,20 @@ func (b *treeBuilder) initUnits(ss *splitSet, cfg TreeConfig, rng *rand.Rand, ws
 		ymean:   ss.ymean,
 		groups:  ss.groups,
 		twoOf:   ss.twoOf,
+		marks:   newCodeMarks(ss.codes),
 	}
 	b.mtry = resolveMTry(cfg.MTry, d)
-	ws.reserve(m, d, b.classScratch())
+	ws.reserve(ss, m, d, b.marks)
 	if ss.groups != nil {
-		ws.gsum = growFloat(ws.gsum, ss.gsize)
-		ws.gseen = growInt32(ws.gseen, len(ss.groups))
+		ws.gsum = grow(ws.gsum, ss.gsize)
+		ws.gseen = grow(ws.gseen, len(ss.groups))
 		clear(ws.gseen)
 	}
-	if useFlatKernel(b.mtry, d, m) || ss.groups != nil {
-		ws.rowOf = growInt32(ws.rowOf, m)
+	if ss.task == Classification || useFlatKernel(b.mtry, d, m) || ss.groups != nil {
+		ws.rowOf = grow(ws.rowOf, m)
 		b.rowOf = ws.rowOf
 	}
-	ws.unitOf = growInt32(ws.unitOf, n)
+	ws.unitOf = grow(ws.unitOf, n)
 	unitOf := ws.unitOf
 	u := 0
 	for r, c := range cnt[:n] {

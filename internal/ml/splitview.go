@@ -9,15 +9,21 @@ import (
 
 // SplitColumn is one feature column of a split set: the column's values over
 // a fixed row set, plus what the split kernel needs to walk them in
-// (value, row) order — for most columns the row indices sorted that way, for
-// a two-valued column (every one-hot column) nothing but a byte per row
-// saying which of its two values the row holds: its order over any row set is
-// that set ascending, lows first, then highs. A SplitColumn is immutable once
-// published: the split kernel only reads it, so one column can back any
-// number of concurrently fitted forests over the same rows.
+// (value, row) order — for most columns the row indices sorted that way and
+// each row's rank code, for a two-valued column (every one-hot column)
+// nothing but a byte per row saying which of its two values the row holds:
+// its order over any row set is that set ascending, lows first, then highs.
+// A SplitColumn is immutable once published: the split kernel only reads it,
+// so one column can back any number of concurrently fitted forests over the
+// same rows.
 type SplitColumn struct {
 	v   []float64
 	ord []int32 // rows sorted by (value, row); nil when not presorted
+	// code[r] is row r's index into vals, the column's distinct values
+	// ascending; values equal as floats (-0 and +0) share a code. Both are
+	// derived from ord, and nil with it.
+	code []int32
+	vals []float64
 	// mask is non-nil exactly when the column is two-valued: mask[r] is 1
 	// where v[r] == hi and 0 where v[r] == lo.
 	mask   []uint8
@@ -78,7 +84,9 @@ func NewSplitColumn(values []float64, ord []int32) SplitColumn {
 }
 
 // presort gives a classified column its (value, row) order — in buf, or in a
-// fresh buffer when buf is nil — unless it is two-valued and needs none.
+// fresh buffer when buf is nil — and its rank codes, unless it is two-valued
+// and needs neither. A row opens a new code when its value differs from the
+// previous row's in that order; a code's value is its last row's.
 func (c *SplitColumn) presort(buf []int32) {
 	if c.mask != nil {
 		return
@@ -91,6 +99,18 @@ func (c *SplitColumn) presort(buf []int32) {
 	}
 	sortOrder(c.v, buf)
 	c.ord = buf
+	c.code = make([]int32, len(c.v))
+	k := 0
+	for i, r := range buf {
+		if i > 0 && c.v[r] != c.v[buf[i-1]] {
+			k++
+		}
+		c.code[r] = int32(k)
+	}
+	c.vals = make([]float64, min(len(buf), k+1))
+	for _, r := range buf {
+		c.vals[c.code[r]] = c.v[r]
+	}
 }
 
 // Presorted reports whether the column can be walked in (value, row) order

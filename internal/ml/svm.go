@@ -62,11 +62,11 @@ func FitLinearSVM(ds *Dataset, cfg SVMConfig) *LinearSVM {
 				row := sds.Row(i)
 				margin := b
 				for j, v := range row {
-					margin += w[j] * v
+					margin += float64(w[j] * v)
 				}
 				margin *= y
 				// w ← (1−ηλ)w (+ ηy·x if margin < 1)
-				shrink := 1 - eta*cfg.Lambda
+				shrink := 1 - float64(eta*cfg.Lambda)
 				if shrink < 0 {
 					shrink = 0
 				}
@@ -75,9 +75,9 @@ func FitLinearSVM(ds *Dataset, cfg SVMConfig) *LinearSVM {
 				}
 				if margin < 1 {
 					for j, v := range row {
-						w[j] += eta * y * v
+						w[j] += float64(eta * y * v)
 					}
-					b += eta * y
+					b += float64(eta * y)
 				}
 			}
 		}
@@ -95,7 +95,7 @@ func (m *LinearSVM) Predict(x []float64) float64 {
 		w := m.W[k*m.d : (k+1)*m.d]
 		s := m.B[k]
 		for j, v := range sx {
-			s += w[j] * v
+			s += float64(w[j] * v)
 		}
 		if s > best {
 			best, bestK = s, k
@@ -112,7 +112,7 @@ func (m *LinearSVM) FeatureWeights() []float64 {
 		s := 0.0
 		for k := 0; k < m.classes; k++ {
 			w := m.W[k*m.d+j]
-			s += w * w
+			s += float64(w * w)
 		}
 		out[j] = math.Sqrt(s)
 	}

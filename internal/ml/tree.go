@@ -20,25 +20,31 @@ type TreeConfig struct {
 // A tree's samples are units: the distinct rows a bootstrap drew, in
 // ascending row order, each weighted by its multiplicity w (FitTree: one unit
 // of weight 1 per index entry). Every per-sample loop — order derivation,
-// partitions, node sums, scans — walks units, and a node's sample count m is
-// its units' Σw: MinLeaf, the importance weight, the leaf mean and the regime
-// rule all count samples, so a tree over units is the tree over the expanded
-// copies. Class counts add w exactly, so classification trees are
-// bit-identical to the expanded kernel's; regression sums add w·y and w·(y·y)
-// once per unit, a different float order from adding y w times. Regression
-// targets are centred once, by the training mean (a forest's split set, or
-// FitTree's samples), and the mean is added back at the leaves: the sums then
-// stay near zero, where Σw·y² − (Σw·y)²/Σw keeps the variance of targets far
-// from it.
+// partitions, node sums, histograms, scans — walks units, and a node's sample
+// count m is its units' Σw: MinLeaf, the importance weight, the leaf mean and
+// the regime rule all count samples, so a tree over units is the tree over
+// the expanded copies. Class counts add w exactly, so classification trees
+// are bit-identical to the expanded kernel's; regression sums add w·y and
+// w·(y·y) once per unit, a different float order from adding y w times.
+// Regression targets are centred once, by the training mean of the split
+// set, and the mean is added back at the leaves: the sums then stay near
+// zero, where Σw·y² − (Σw·y)²/Σw keeps the variance of targets far from it.
 //
-// The split kernel has two regimes, chosen per subtree by counts only — the
-// node's samples m, the feature count d and the resolved mtry, never data
-// values or scheduling — so the choice is deterministic:
+// A classification tree grows from its unit list alone: a node partitions
+// its units in place and scores an ordered column from a histogram over the
+// column's rank codes (SplitColumn.code), so it needs no order and never
+// sorts. Its class counts are exact integers in any order, so its cuts are
+// those of a scan over the node's (value, unit)-sorted sequence, bit for bit.
+//
+// A regression tree's sums are not order-free, so its ordered columns are
+// swept in (value, unit) order, in one of two regimes chosen per subtree by
+// counts only — the node's samples m, the feature count d and the resolved
+// mtry, never data values or scheduling — so the choice is deterministic:
 //
 //   - presorted: every feature's (value, unit) order is derived once per
-//     tree, linearly, from the forest's shared split set (or sorted once, for
-//     a lone FitTree) and stably partitioned down the tree, so nodes never
-//     sort. Each split pays O(d·u) to repartition the orders of its u units.
+//     tree, linearly, from the forest's shared split set, and stably
+//     partitioned down the tree, so nodes never sort. Each split pays O(d·u)
+//     to repartition the orders of its u units.
 //   - flat: a node gathers each candidate feature's values into flat scratch
 //     and sorts them with a specialized (float64 key, int32 payload)
 //     introsort. Each split pays O(mtry·u·log u) with tiny constants and no
@@ -48,34 +54,36 @@ type TreeConfig struct {
 // nothing else, and grow's hand-off, a forest's need for global orders and a
 // tree's root regime all ask it with the node's sample count, so the regimes
 // are those of the expanded kernel. It is monotone in m, so a subtree that
-// crosses into the flat regime stays there. The boundary separates ARDA's
-// forest shapes: classification selection forests on a coreset (mtry = √d,
-// d in the hundreds) are flat at every m; regression forests (mtry = d/3)
-// stay presorted down to m ≈ 4, whatever n is; an evaluation forest over
-// thousands of rows and √d of ~100 columns starts presorted and hands off
-// where ⌈log₂ m⌉ drops below d/mtry. No node size overrides the rule and no
-// constant weights it: with the sort side counted twice the benchmark measured
-// the same, and counted four times the wide classification run lost a quarter.
+// crosses into the flat regime stays there. Regression forests (mtry = d/3)
+// stay presorted down to m ≈ 4, whatever n is; no node size overrides the
+// rule and no constant weights it: with the sort side counted twice the
+// benchmark measured the same.
 //
 // Every candidate is scored from sums against the node's totals, which
 // nodeStats computes once per node. A two-valued column (SplitColumn.mask;
-// every one-hot column) has one admissible boundary and needs no order: its
-// high side's sums — class counts, or Σw, Σw·y, Σw·(y·y) — score it, the low
-// side being the node total minus them. The split set groups its two-valued
-// columns so that no two members of a group are high on the same row (a
-// one-hot categorical's indicators form one group), and the first member of
-// a group a node draws sums every member's high side in one pass over the
-// node's units (sumGroup); the others read theirs. Each member's sums still
-// add its own high units in the node's unit order, so they are bit-identical
-// to a pass over that column alone. An ordered column is swept in
-// (value, unit) order: classification through scanSplitsClass's incremental
-// Gini, regression by regressionCut, which reads values, targets and weights
-// through the order in place and maximises CART's proxy sumL²/nL + sumR²/nR
-// (sumR and nR from the node totals) — the exact variance reduction is
-// computed once per node, for the winner, from its kept left-side sums.
-// Class counts are exact integers, so a two-valued classification split
-// scores bit-identically to scanning the column's (lows, then highs)
-// sequence.
+// every one-hot column) has one admissible boundary and needs neither an
+// order nor codes: its high side's sums — class counts, or Σw, Σw·y,
+// Σw·(y·y) — score it, the low side being the node total minus them. The
+// split set groups its two-valued columns so that no two members of a group
+// are high on the same row (a one-hot categorical's indicators form one
+// group), and the first member of a group a node draws sums every member's
+// high side in one pass over the node's units (sumGroup); the others read
+// theirs. Each member's sums still add its own high units in the node's unit
+// order, so they are bit-identical to a pass over that column alone. An
+// ordered regression column is swept by regressionCut, which reads values,
+// targets and weights through the order in place and maximises CART's proxy
+// sumL²/nL + sumR²/nR (sumR and nR from the node totals) — the exact
+// variance reduction is computed once per node, for the winner, from its
+// kept left-side sums.
+//
+// Both ordered cuts screen each boundary before its divisions: sample counts
+// are integers, so a per-workspace table inv[i] = 1/i turns the score into
+// products whose error is a few ulp, and a boundary whose screened score
+// falls short of the best so far by more than that error (1e-12 of it) is
+// skipped. A skipped boundary could never have won, so the argmax is that
+// of the unscreened scan. Every product an exact score relies on is wrapped
+// in float64(...), which rounds it, so no architecture fuses it into a
+// multiply-add: the goldens are the unfused amd64 bits everywhere.
 
 // useFlatKernel reports whether the flat kernel is the cheaper regime for a
 // (sub)tree of m samples with the given resolved mtry. A tree without
@@ -152,89 +160,35 @@ type treeBuilder struct {
 	// columns are per-tree copies indexed by unit, and only two-valued
 	// columns are read in place through rowOf.
 	copied bool
-	planes int // order planes in ws.orders: d, plus the unit plane when copied
-	ssn    int // shared split-set row count (scan cost rule)
-	// canScan marks the shared-column flat path of a classification tree,
-	// where units are rows in ascending order: large nodes then extract their
-	// sorted (value, label, multiplicity) sequence from a column's global
-	// order instead of sorting.
-	canScan bool
-	ymean   float64 // the mean the regression targets ws.ys were centred by
+	planes int     // order planes in ws.orders: d, plus the unit plane when copied
+	ymean  float64 // the mean the regression targets ws.ys were centred by
 	// groups and twoOf are the split set's two-valued groups (twoGroup);
 	// stamp numbers the nodes bestSplit has searched, so a group's block in
 	// ws.gsum is summed once per node, by the first of its members drawn.
 	groups []twoGroup
 	twoOf  []twoRef
 	stamp  int32
+	marks  codeMarks // the layout of ws.marks (classification)
 }
 
 // FitTree grows a CART tree over the samples indexed by idx (all samples if
 // idx is nil; duplicate indices are allowed and count with multiplicity).
-// Each index entry is one unit of weight 1. rng is only used when cfg.MTry
-// restricts the feature set.
+// Each index entry is one unit of weight 1: the tree is the one a forest
+// grows over a split set of the indexed rows with every multiplicity 1. rng
+// is only used when cfg.MTry restricts the feature set.
 func FitTree(ds *Dataset, idx []int, cfg TreeConfig, rng *rand.Rand) *Tree {
-	if cfg.MinLeaf <= 0 {
-		cfg.MinLeaf = 1
-	}
-	m := ds.N
 	if idx != nil {
-		m = len(idx)
+		ds = ds.Subset(idx)
 	}
+	ss := splitSetFor(ds, cfg, 1)
 	ws := treeScratch.Get()
-	b := &treeBuilder{
-		cfg:     cfg,
-		rng:     rng,
-		tree:    &Tree{importance: make([]float64, ds.D)},
-		task:    ds.Task,
-		classes: ds.Classes,
-		units:   m,
-		d:       ds.D,
-		ws:      ws,
+	ws.cnt = grow(ws.cnt, ds.N)
+	for r := range ws.cnt {
+		ws.cnt[r] = 1
 	}
-	b.mtry = resolveMTry(cfg.MTry, ds.D)
-	ws.reserve(m, ds.D, b.classScratch())
-	ws.reserveCols(m, ds.D)
-	ws.reserveColHeaders(ds.D)
-	for j := 0; j < ds.D; j++ {
-		ws.scols[j] = SplitColumn{v: ws.colv[j*m : (j+1)*m]}
-	}
-	b.scols = ws.scols
-	rbuf := ws.rbuf
-	for p := 0; p < m; p++ {
-		i := p
-		if idx != nil {
-			i = idx[p]
-		}
-		ws.ys[p] = ds.Y[i]
-		ws.wt[p] = 1
-		if b.task == Classification {
-			ws.labels[p] = int32(ds.Label(i))
-		}
-		ds.RowTo(i, rbuf)
-		for j := 0; j < ds.D; j++ {
-			ws.colv[j*m+p] = rbuf[j]
-		}
-	}
-	if b.task == Regression {
-		b.ymean = centre(ws.ys[:m])
-	}
-	if !useFlatKernel(b.mtry, ds.D, m) {
-		b.planes = ds.D
-		ws.reserveOrders(m, ds.D)
-		for j := 0; j < ds.D; j++ {
-			col := ws.colv[j*m : (j+1)*m]
-			ord := ws.orders[j*m : (j+1)*m]
-			for p := range ord {
-				ord[p] = int32(p)
-			}
-			sortOrder(col, ord)
-		}
-		b.grow(0, m, 0)
-	} else {
-		b.flatRoot()
-	}
+	t := fitTreeFromSplitSet(ss, cfg, rng, ws)
 	treeScratch.Put(ws)
-	return b.tree
+	return t
 }
 
 // centre subtracts the mean of ys from each entry in place and returns the
@@ -252,14 +206,6 @@ func centre(ys []float64) float64 {
 		ys[i] -= mean
 	}
 	return mean
-}
-
-// classScratch is the class-count scratch size (0 for regression).
-func (b *treeBuilder) classScratch() int {
-	if b.task == Classification {
-		return b.classes
-	}
-	return 0
 }
 
 // flatRoot grows the whole tree with the flat kernel (a lone leaf when
@@ -302,10 +248,12 @@ type nodeTotals struct {
 // regression, which orders a node's candidates as the variance reduction does
 // — and, for regression, the left side's Σw, Σw·y and Σw·(y·y), from which
 // varianceGain computes the winner's exact reduction. A cut scoring -Inf has no
-// admissible boundary.
+// admissible boundary. evals counts the boundaries the screen let through to
+// an exact score.
 type cut struct {
 	thr, score float64
 	n, sum, sq float64
+	evals      int
 }
 
 var noCut = cut{score: math.Inf(-1)}
@@ -314,19 +262,18 @@ var noCut = cut{score: math.Inf(-1)}
 // node with totals nt.
 func varianceGain(c cut, nt *nodeTotals) float64 {
 	nr, sumR, sqR := nt.n-c.n, nt.sum-c.sum, nt.sq-c.sq
-	varL := max(c.sq/c.n-(c.sum/c.n)*(c.sum/c.n), 0)
-	varR := max(sqR/nr-(sumR/nr)*(sumR/nr), 0)
-	return nt.imp - (c.n/nt.n)*varL - (nr/nt.n)*varR
+	varL := max(c.sq/c.n-float64((c.sum/c.n)*(c.sum/c.n)), 0)
+	varR := max(sqR/nr-float64((sumR/nr)*(sumR/nr)), 0)
+	return nt.imp - float64((c.n/nt.n)*varL) - float64((nr/nt.n)*varR)
 }
 
 // bestSplit scores MTry candidate features over the node holding units and
 // returns the best (feature, threshold, impurity gain), or feature -1. A
-// presorted node (flat false) reads an ordered feature's order from its plane
-// at [start, start+len(units)); a flat node sorts, or — classification, with
-// counts non-nil — extracts by counting scan. The feats permutation persists
-// across nodes of one tree, exactly like the original kernel's partial
-// Fisher-Yates state.
-func (b *treeBuilder) bestSplit(units []int32, nt *nodeTotals, flat bool, start int, counts []int32) (int, float64, float64) {
+// presorted regression node (flat false) reads an ordered feature's order
+// from its plane at [start, start+len(units)); a flat one sorts. The feats
+// permutation persists across nodes of one tree, exactly like the original
+// kernel's partial Fisher-Yates state.
+func (b *treeBuilder) bestSplit(units []int32, nt *nodeTotals, flat bool, start int) (int, float64, float64) {
 	mtry := b.shuffleFeats()
 	ws := b.ws
 	b.stamp++
@@ -339,18 +286,14 @@ func (b *treeBuilder) bestSplit(units []int32, nt *nodeTotals, flat bool, start 
 		case sc.mask != nil:
 			c = b.twoValuedCut(feat, units, nt)
 		case b.task == Classification:
-			var ord []int32
-			if !flat {
-				ord = ws.orders[feat*b.units+start : feat*b.units+end]
-			}
-			c = b.classCut(feat, units, ord, counts, nt.imp)
+			c = b.classCut(sc, units, nt)
 		case flat:
 			c = noCut
 			if col, ord, ok := b.flatOrder(units, feat); ok {
-				c = regressionCut(col, ord, ws.ys, ws.wt, nt, b.cfg.MinLeaf)
+				c = regressionCut(col, ord, ws.ys, ws.wt, ws.inv, nt, b.cfg.MinLeaf)
 			}
 		default:
-			c = regressionCut(sc.v, ws.orders[feat*b.units+start:feat*b.units+end], ws.ys, ws.wt, nt, b.cfg.MinLeaf)
+			c = regressionCut(sc.v, ws.orders[feat*b.units+start:feat*b.units+end], ws.ys, ws.wt, ws.inv, nt, b.cfg.MinLeaf)
 		}
 		if c.score > best.score {
 			bestFeat, best = feat, c
@@ -392,12 +335,12 @@ func (b *treeBuilder) twoValuedCut(feat int, units []int32, nt *nodeTotals) cut 
 		leftSq, rightSq := 0.0, 0.0
 		for cls, x := range h {
 			l := ws.tcnt[cls] - x
-			leftSq += l * l
-			rightSq += x * x
+			leftSq += float64(l * l)
+			rightSq += float64(x * x)
 		}
 		giniL := 1 - leftSq/(nl*nl)
 		giniR := 1 - rightSq/(nh*nh)
-		c.score = nt.imp - (nl/nt.n)*giniL - (nh/nt.n)*giniR
+		c.score = nt.imp - float64((nl/nt.n)*giniL) - float64((nh/nt.n)*giniR)
 	} else {
 		h := ws.gsum[ref.at : ref.at+3 : ref.at+3]
 		nh, sh, qh := h[0], h[1], h[2]
@@ -409,7 +352,7 @@ func (b *treeBuilder) twoValuedCut(feat int, units []int32, nt *nodeTotals) cut 
 		c.score = c.sum*c.sum/nl + sh*sh/nh
 	}
 	sc := &b.scols[feat]
-	c.thr = sc.lo + (sc.hi-sc.lo)/2
+	c.thr = sc.lo + float64((sc.hi-sc.lo)/2)
 	return c
 }
 
@@ -437,44 +380,124 @@ func (b *treeBuilder) sumGroup(g *twoGroup, units []int32) {
 		s = s[:3:3]
 		w, y := wt[p], ys[p]
 		s[0] += w
-		s[1] += w * y
-		s[2] += w * (y * y)
+		s[1] += float64(w * y)
+		s[2] += float64(w * (y * y))
 	}
 }
 
-// classCut scores an ordered feature of a classification node: it fills
-// (vbuf, lbuf, wbuf) with the feature's ascending (value, label,
-// multiplicity) sequence — read through ord, the feature's order-plane range,
-// over a presorted node; over a flat node (ord nil) by counting scan where
-// that is cheaper (counts non-nil) and the feature carries a global order,
-// and by sorting otherwise — and sweeps it with scanSplitsClass.
-func (b *treeBuilder) classCut(feat int, units, ord, counts []int32, parentImp float64) cut {
+// classCut scores ordered column sc of a classification node from a
+// histogram over its rank codes: one pass over the node's units adds each
+// unit's multiplicity into its (code, class) cell of ws.hist and marks the
+// code (codeMarks); the marked codes are then walked in ascending order — the
+// column's distinct values over the node, ascending — moving each code's
+// class counts from the right side to the left with the incremental
+// Σcnt² update (moving x samples of class c changes Σcnt² by
+// ±x·(2·cnt[c] ± x)), and clearing the cells and marks behind them. Every
+// count is an exact integer, so each boundary's gain and threshold are
+// bit-equal to a scan over the node's value-sorted units; a boundary whose
+// screened gain (through ws.inv) is more than 1e-12 below the best so far
+// skips the exact one.
+func (b *treeBuilder) classCut(sc *SplitColumn, units []int32, nt *nodeTotals) cut {
 	ws := b.ws
-	u := len(units)
-	vbuf, lbuf, wbuf := ws.vbuf[:u], ws.lbuf[:u], ws.wbuf[:u]
-	switch {
-	case ord != nil:
-		col := b.scols[feat].v
-		for i, p := range ord {
-			vbuf[i] = col[p]
-			lbuf[i] = ws.labels[p]
-			wbuf[i] = ws.wt[p]
-		}
-	case counts != nil && b.scanVals(feat, counts, vbuf, lbuf, wbuf):
-		// the counting scan filled all three
-	default:
-		pay := ws.pay[:u]
-		b.sortedPairs(units, feat, vbuf, pay)
-		for i, p := range pay {
-			lbuf[i] = ws.labels[p]
-			wbuf[i] = ws.wt[p]
+	k, code, ro, labels, wt := b.classes, sc.code, b.rowOf, ws.labels, ws.wt
+	hist, marks, lv := ws.hist, ws.marks, &b.marks
+	for _, p := range units {
+		c := int(code[ro[p]])
+		hist[c*k+int(labels[p])] += wt[p]
+		lv.mark(marks, c)
+	}
+	lcnt, rcnt := ws.lcnt, ws.rcnt
+	clear(lcnt)
+	copy(rcnt, ws.tcnt)
+	leftSq, rightSq := 0.0, 0.0
+	for _, x := range rcnt {
+		rightSq += float64(x * x)
+	}
+	fn, fmin, inv := nt.n, float64(b.cfg.MinLeaf), ws.inv
+	invFn, base := 1/fn, nt.imp-1
+	best, nl, prev := noCut, 0.0, -1
+	for w := lv.first(marks); w >= 0; w = lv.next(marks, w) {
+		word := marks[w]
+		marks[w] = 0
+		for ; word != 0; word &= word - 1 {
+			c := w<<6 | bits.TrailingZeros64(word)
+			if nr := fn - nl; prev >= 0 && nl >= fmin && nr >= fmin &&
+				float64((float64(leftSq*inv[int(nl)])+float64(rightSq*inv[int(nr)]))*invFn)+base >= best.score-1e-12 {
+				best.evals++
+				giniL := 1 - leftSq/(nl*nl)
+				giniR := 1 - rightSq/(nr*nr)
+				if gain := nt.imp - float64((nl/fn)*giniL) - float64((nr/fn)*giniR); gain > best.score {
+					v0, v1 := sc.vals[prev], sc.vals[c]
+					best.thr, best.score = v0+float64((v1-v0)/2), gain
+				}
+			}
+			h := hist[c*k : c*k+k]
+			var dl, dr, dn float64
+			for cls, x := range h {
+				dl += float64(x * (lcnt[cls] + lcnt[cls] + x))
+				dr += float64(x * (x - rcnt[cls] - rcnt[cls]))
+				lcnt[cls] += x
+				rcnt[cls] -= x
+				dn += x
+				h[cls] = 0
+			}
+			leftSq, rightSq, nl, prev = leftSq+dl, rightSq+dr, nl+dn, c
 		}
 	}
-	if vbuf[0] == vbuf[u-1] {
-		return noCut // constant feature in this node: no split exists
+	return best
+}
+
+// codeMarks lays a set of rank codes out as a bitset hierarchy in ws.marks:
+// level 0 holds a bit per code, each level above a bit per non-empty word of
+// the level below, and the top level is one word, so the depth grows with
+// log₆₄ of the code count. first and next visit the non-empty level-0 words
+// in ascending order, clearing the upper levels behind them; the caller
+// clears each level-0 word it reads, so a full walk leaves the set empty.
+type codeMarks struct {
+	off    [7]int // level l's first word; off[levels] is the words the set takes
+	levels int
+}
+
+func newCodeMarks(codes int) codeMarks {
+	var m codeMarks
+	for words := max((codes+63)>>6, 1); ; words = (words + 63) >> 6 {
+		m.off[m.levels+1] = m.off[m.levels] + words
+		if m.levels++; words == 1 {
+			return m
+		}
 	}
-	thr, gain := scanSplitsClass(vbuf, lbuf, wbuf, ws.lcnt, ws.rcnt, parentImp, b.cfg.MinLeaf)
-	return cut{thr: thr, score: gain}
+}
+
+// mark adds code c to the set.
+func (m *codeMarks) mark(w []uint64, c int) {
+	for l := 0; l < m.levels; l++ {
+		w[m.off[l]+c>>6] |= 1 << (c & 63)
+		c >>= 6
+	}
+}
+
+// first returns the lowest non-empty level-0 word, or -1 for an empty set.
+func (m *codeMarks) first(w []uint64) int {
+	if w[m.off[m.levels-1]] == 0 {
+		return -1
+	}
+	i := 0
+	for l := m.levels - 1; l > 0; l-- {
+		i = i<<6 | bits.TrailingZeros64(w[m.off[l]+i])
+	}
+	return i
+}
+
+// next unmarks level-0 word i in the levels above it and returns first.
+func (m *codeMarks) next(w []uint64, i int) int {
+	for l := 1; l < m.levels; l++ {
+		j := m.off[l] + i>>6
+		if w[j] &^= 1 << (i & 63); w[j] != 0 {
+			break
+		}
+		i >>= 6
+	}
+	return m.first(w)
 }
 
 // flatOrder sorts a flat regression node's units by ordered feature feat and
@@ -533,7 +556,7 @@ func (b *treeBuilder) grow(start, end, depth int) int32 {
 	}
 	// Zero-gain splits are allowed (impurity gain is non-negative for
 	// concave criteria, and e.g. XOR's first split has exactly zero gain).
-	feat, thr, gain := b.bestSplit(units, &nt, false, start, nil)
+	feat, thr, gain := b.bestSplit(units, &nt, false, start)
 	if feat < 0 || gain < 0 {
 		return id
 	}
@@ -544,7 +567,7 @@ func (b *treeBuilder) grow(start, end, depth int) int32 {
 		// Predict's `<= threshold` walk always agrees with training.
 		return id
 	}
-	b.tree.importance[feat] += gain * float64(m)
+	b.tree.importance[feat] += float64(gain * float64(m))
 	left := b.grow(start, start+nl, depth+1)
 	right := b.grow(start+nl, end, depth+1)
 	nd := &b.tree.nodes[id]
@@ -650,8 +673,9 @@ func (b *treeBuilder) partition(feat int, thr float64, start, end int) int {
 
 // ---- flat kernel ----
 
-// growFlat recursively builds the subtree over the given units, sorting
-// each candidate feature's node values into flat scratch per split.
+// growFlat recursively builds the subtree over the given units, partitioning
+// them in place: a regression node sorts each candidate feature's values into
+// flat scratch, a classification node histograms its codes.
 func (b *treeBuilder) growFlat(samples []int32, depth int) int32 {
 	nt, value := b.nodeStats(samples)
 	m := int(nt.n)
@@ -661,42 +685,15 @@ func (b *treeBuilder) growFlat(samples []int32, depth int) int32 {
 		(b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) {
 		return id
 	}
-	// Scan extraction beats per-node sorting only while the node is large:
-	// the scan pays O(n + u) per feature regardless of node size, the sort
-	// pays O(u·log u) on the node's u units alone — but a sort comparison
-	// (call, float compare, ~50% mispredicted branch) costs several times a
-	// scan step (sequential loads, predictable branches), hence the 2× weight
-	// on the sort side. Either kernel yields identical pairs, so the crossover
-	// only affects speed; the rule depends only on unit counts, keeping the
-	// choice deterministic. Interior nodes register membership as per-row
-	// multiplicities in ncnt (cleared right after the split search,
-	// restoring the all-zero invariant); the root's are the bootstrap's own.
-	u := len(samples)
-	var counts []int32 // in-node multiplicity per row when scanning, else nil
-	if b.canScan && 2*u*bits.Len(uint(u-1)) > b.ssn+u {
-		counts = b.ws.cnt
-		if u != b.units {
-			counts = b.ws.ncnt
-			for _, p := range samples {
-				r := b.rowOf[p]
-				counts[r] = b.ws.cnt[r]
-			}
-		}
-	}
-	feat, thr, gain := b.bestSplit(samples, &nt, true, 0, counts)
-	if counts != nil && u != b.units {
-		for _, p := range samples {
-			counts[b.rowOf[p]] = 0
-		}
-	}
+	feat, thr, gain := b.bestSplit(samples, &nt, true, 0)
 	if feat < 0 || gain < 0 {
 		return id
 	}
 	nl := b.partitionFlat(samples, feat, thr)
-	if nl == 0 || nl == u {
+	if nl == 0 || nl == len(samples) {
 		return id
 	}
-	b.tree.importance[feat] += gain * float64(m)
+	b.tree.importance[feat] += float64(gain * float64(m))
 	left := b.growFlat(samples[:nl], depth+1)
 	right := b.growFlat(samples[nl:], depth+1)
 	nd := &b.tree.nodes[id]
@@ -727,7 +724,7 @@ func (b *treeBuilder) nodeStats(samples []int32) (nodeTotals, float64) {
 		best, bestK := -1.0, 0
 		for k, c := range cnt {
 			p := c / t.n
-			gini -= p * p
+			gini -= float64(p * p)
 			if c > best {
 				best, bestK = c, k
 			}
@@ -738,17 +735,16 @@ func (b *treeBuilder) nodeStats(samples []int32) (nodeTotals, float64) {
 	for _, p := range samples {
 		w, y := wt[p], ws.ys[p]
 		t.n += w
-		t.sum += w * y
-		t.sq += w * (y * y)
+		t.sum += float64(w * y)
+		t.sq += float64(w * (y * y))
 	}
 	mean := t.sum / t.n
-	t.imp = t.sq/t.n - mean*mean
+	t.imp = t.sq/t.n - float64(mean*mean)
 	return t, mean + b.ymean
 }
 
 // sortedPairs fills (vbuf, pay) with the node's (value, unit) pairs in
-// ascending (value, unit) order by gathering and sorting. Classification
-// nodes eligible for counting-scan extraction use scanVals instead.
+// ascending (value, unit) order by gathering and sorting.
 func (b *treeBuilder) sortedPairs(samples []int32, feat int, vbuf []float64, pay []int32) {
 	col := b.scols[feat].v
 	if ro := b.rowsOf(feat); ro != nil {
@@ -763,36 +759,6 @@ func (b *treeBuilder) sortedPairs(samples []int32, feat int, vbuf []float64, pay
 		}
 	}
 	sortKV(vbuf, pay)
-}
-
-// scanVals fills (vbuf, lbuf, wbuf) with the node's ascending
-// (value, label, multiplicity) triples via a counting scan of the feature's
-// global (value, row) order — units are the drawn rows in ascending row
-// order, so walking rows in global value order and emitting each in-node row
-// once produces exactly the sequence sortKV would: same comparison relation,
-// unique total order, zero comparisons. The payload is the unit's label
-// rather than the unit itself, and in-node membership is counts, the node's
-// multiplicity per row — no per-unit mask checks. Returns false when the
-// feature carries no global order (caller falls back to the sort).
-func (b *treeBuilder) scanVals(feat int, counts []int32, vbuf []float64, lbuf []int32, wbuf []float64) bool {
-	sc := b.scols[feat]
-	if sc.ord == nil {
-		return false
-	}
-	unitOf, labels := b.ws.unitOf, b.ws.labels
-	col := sc.v
-	k := 0
-	for _, r := range sc.ord {
-		c := counts[r]
-		if c == 0 {
-			continue
-		}
-		vbuf[k] = col[r]
-		lbuf[k] = labels[unitOf[r]]
-		wbuf[k] = float64(c)
-		k++
-	}
-	return true
 }
 
 // partitionFlat partitions samples in place around `feat <= thr` and
@@ -816,74 +782,27 @@ func (b *treeBuilder) partitionFlat(samples []int32, feat int, thr float64) int 
 	return lo
 }
 
-// ---- scan loops ----
-
-// scanSplitsClass sweeps a node's value-sorted (values, labels, weights)
-// sequence for the best Gini split; each entry stands for weights[i] samples,
-// and minLeaf counts samples. leftCnt/rightCnt are caller-owned class-count
-// scratch. The incremental trick: moving w samples of class c from right to
-// left changes Σcnt² by ±w·(2·cnt[c] ± w), so each entry updates in O(1).
-// Every count is an integer, exact in float64, so the gains are bit-equal to
-// those of the sequence with each entry repeated weights[i] times.
-func scanSplitsClass(vals []float64, labels []int32, weights, leftCnt, rightCnt []float64, parentImp float64, minLeaf int) (float64, float64) {
-	n := len(vals)
-	for k := range leftCnt {
-		leftCnt[k] = 0
-		rightCnt[k] = 0
-	}
-	fn := 0.0
-	for i, c := range labels {
-		rightCnt[c] += weights[i]
-		fn += weights[i]
-	}
-	leftSq, rightSq := 0.0, 0.0
-	for _, c := range rightCnt {
-		rightSq += c * c
-	}
-	fmin := float64(minLeaf)
-	nl := 0.0
-	bestThr, bestGain := 0.0, math.Inf(-1)
-	for pos := 1; pos < n; pos++ {
-		cls, w := labels[pos-1], weights[pos-1]
-		leftSq += w * (2*leftCnt[cls] + w)
-		rightSq += w * (w - 2*rightCnt[cls])
-		leftCnt[cls] += w
-		rightCnt[cls] -= w
-		nl += w
-		nr := fn - nl
-		v0, v1 := vals[pos-1], vals[pos]
-		if v0 == v1 || nl < fmin || nr < fmin {
-			continue
-		}
-		giniL := 1 - leftSq/(nl*nl)
-		giniR := 1 - rightSq/(nr*nr)
-		gain := parentImp - (nl/fn)*giniL - (nr/fn)*giniR
-		if gain > bestGain {
-			bestGain = gain
-			bestThr = v0 + (v1-v0)/2
-		}
-	}
-	return bestThr, bestGain
-}
-
 // regressionCut sweeps a regression node whose units in ascending
 // (value, unit) order are ord — values col, centred targets ys and
 // multiplicities wt, all indexed by unit and read in place — for the
 // boundary maximising CART's proxy sumL²/nL + sumR²/nR, the right side taken
-// from the node totals nt: two divisions per admissible boundary and no
-// clamp. Each entry adds w·y and w·(y·y) once to the left sums the winner
-// keeps, and minLeaf counts samples.
-func regressionCut(col []float64, ord []int32, ys, wt []float64, nt *nodeTotals, minLeaf int) cut {
+// from the node totals nt. Each entry adds w·y and w·(y·y) once to the left
+// sums the winner keeps, and minLeaf counts samples. A boundary pays the
+// proxy's two divisions only when its screened proxy, through inv and raised
+// by 1e-12 of itself, reaches the best so far: its terms are non-negative, so
+// that bounds the few ulp it can fall short of the exact one.
+func regressionCut(col []float64, ord []int32, ys, wt, inv []float64, nt *nodeTotals, minLeaf int) cut {
 	fmin := float64(minLeaf)
 	best := noCut
+	evals := 0
 	var nl, sl, ql float64
 	v0 := col[ord[0]]
 	for i := 1; i < len(ord); i++ {
 		p := ord[i-1]
 		w, y := wt[p], ys[p]
 		nl += w
-		sl += w * y
-		ql += w * (y * y)
+		sl += float64(w * y)
+		ql += float64(w * (y * y))
 		nr := nt.n - nl
 		if nr < fmin {
 			break // every later boundary leaves fewer on the right
@@ -891,11 +810,15 @@ func regressionCut(col []float64, ord []int32, ys, wt []float64, nt *nodeTotals,
 		v1 := col[ord[i]]
 		if v0 != v1 && nl >= fmin {
 			sr := nt.sum - sl
-			if s := sl*sl/nl + sr*sr/nr; s > best.score {
-				best = cut{thr: v0 + (v1-v0)/2, score: s, n: nl, sum: sl, sq: ql}
+			if (float64(sl*sl*inv[int(nl)])+float64(sr*sr*inv[int(nr)]))*(1+1e-12) >= best.score {
+				evals++
+				if s := sl*sl/nl + sr*sr/nr; s > best.score {
+					best = cut{thr: v0 + float64((v1-v0)/2), score: s, n: nl, sum: sl, sq: ql}
+				}
 			}
 		}
 		v0 = v1
 	}
+	best.evals = evals
 	return best
 }
