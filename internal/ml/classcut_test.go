@@ -169,8 +169,8 @@ func TestClassCutManyCodes(t *testing.T) {
 		cnt[rng.Intn(n)]++
 	}
 	cn := newCodedNode(mustDataset(x, n, 1, y, Classification, 3), cnt, 3)
-	if cn.ss.codes <= 65536 || cn.b.marks.levels != 3 {
-		t.Fatalf("%d codes in %d levels, want more than 65,536 in 3", cn.ss.codes, cn.b.marks.levels)
+	if levels := newCodeMarks(cn.ss.codes).levels; cn.ss.codes <= 65536 || levels != 3 {
+		t.Fatalf("%d codes in %d levels, want more than 65,536 in 3", cn.ss.codes, levels)
 	}
 	units := make([]int32, cn.b.units)
 	for i := range units {
@@ -185,9 +185,10 @@ func TestClassCutManyCodes(t *testing.T) {
 	}
 }
 
-// TestCodeMarks: marking any set of codes and walking it visits exactly the
-// set's words in ascending order, with each word holding the set's codes,
-// and leaves every word zero — at one to four levels.
+// TestCodeMarks: filling a histogram over any multiset of codes and walking
+// the marks visits exactly the distinct codes in ascending order, each
+// cell holding its code's multiplicity, and leaves every word zero — at one
+// to four levels.
 func TestCodeMarks(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	for _, tc := range []struct{ codes, levels int }{{1, 1}, {64, 1}, {65, 2}, {4096, 2}, {4097, 3}, {262145, 4}} {
@@ -195,21 +196,32 @@ func TestCodeMarks(t *testing.T) {
 		if m.levels != tc.levels {
 			t.Fatalf("%d codes: %d levels, want %d", tc.codes, m.levels, tc.levels)
 		}
-		w := make([]uint64, m.off[m.levels])
+		w, hist := make([]uint64, m.off[m.levels]), make([]int32, tc.codes)
 		for trial := 0; trial < 20; trial++ {
-			want := map[int]bool{}
+			want := map[int]int32{}
+			var codes []int32
 			for i := rng.Intn(200); i >= 0; i-- {
 				c := rng.Intn(tc.codes)
 				if trial%2 == 1 {
 					c = tc.codes - 1 - rng.Intn(min(tc.codes, 3)) // the top of the range
 				}
-				want[c] = true
-				m.mark(w, c)
+				want[c]++
+				codes = append(codes, int32(c))
 			}
+			units, ones := identity(len(codes)), make([]int32, len(codes))
+			for i := range ones {
+				ones[i] = 1
+			}
+			m.fill(hist, w, 1, units, codes, units, make([]int32, len(codes)), ones)
 			var got []int
 			for i := m.first(w); i >= 0; i = m.next(w, i) {
 				for word := w[i]; word != 0; word &= word - 1 {
-					got = append(got, i<<6|trailingZeros(word))
+					c := i<<6 | trailingZeros(word)
+					if hist[c] != want[c] {
+						t.Fatalf("%d codes, trial %d: code %d counted %d, want %d", tc.codes, trial, c, hist[c], want[c])
+					}
+					hist[c] = 0
+					got = append(got, c)
 				}
 				w[i] = 0
 			}

@@ -576,7 +576,7 @@ func TestTwoValuedCutMatchesScan(t *testing.T) {
 						for i, u := range ord {
 							sl[i] = ws.labels[u]
 						}
-						thr, gain := scanSplitsClass(sv, sl, sw, ws.lcnt, ws.rcnt, nt.imp, b.cfg.MinLeaf)
+						thr, gain := scanSplitsClass(sv, sl, sw, make([]float64, b.classes), make([]float64, b.classes), nt.imp, b.cfg.MinLeaf)
 						if math.IsInf(gain, -1) {
 							thr = got.thr // no boundary: only the score is defined
 						}

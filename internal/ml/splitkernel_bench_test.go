@@ -1,6 +1,9 @@
 package ml
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // Forest-fit benchmarks over the shapes ARDA fits.
 
@@ -19,12 +22,19 @@ func BenchmarkSelectForestCoreset(b *testing.B) {
 }
 
 // BenchmarkSelectForestWideRepo is the ranking forest of a RIFS repetition
-// on the wide-repo workload: its 256-row coreset, 256 real columns (64
-// one-hot indicators in eight 8-level groups, 192 continuous) plus the 52
-// injected noise columns, three classes, 40 trees of depth 10, mtry = √d.
-// As in RIFS, the forest reads a split view presorted outside the loop.
+// on the wide-repo workload: its 256-row coreset, 256 real columns plus the
+// 52 injected noise columns, three classes, 40 trees of depth 10, mtry = √d.
+// The real columns mix as the workload's do: 64 one-hot indicators (eight
+// 8-level groups), 96 joined columns of a few dozen distinct values
+// (Gaussians rounded to eighths) and 96 continuous ones. As in RIFS, the
+// forest reads a split view presorted outside the loop.
 func BenchmarkSelectForestWideRepo(b *testing.B) {
 	ds := oneHotFixture(256, 64, 8, 192+52, Classification, 207)
+	for i := 0; i < ds.N; i++ {
+		for j := 64; j < 160; j++ {
+			ds.X[i*ds.D+j] = math.Round(ds.X[i*ds.D+j]*8) / 8
+		}
+	}
 	ds.AttachSplits(NewSplitView(ds, PresortColumns(ds, 0), nil))
 	benchFitForest(b, ds, ForestConfig{NTrees: 40, MaxDepth: 10, Seed: 7, Parallel: true})
 }

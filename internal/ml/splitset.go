@@ -24,8 +24,8 @@ type treeWorkspace struct {
 	vbuf    []float64     // a flat regression node's values in sorted order
 	uval    []float64     // a flat node's feature values by unit (regression, columns read through rowOf)
 	tcnt    []float64     // the node's class counts (nodeStats)
-	lcnt    []float64     // class-count scratch (left)
-	rcnt    []float64     // class-count scratch (right)
+	lcnt    []int64       // a classification cut's class counts left of a boundary
+	icnt    []int64       // the node's class counts, as integers (classCut)
 	feats   []int         // feature permutation for MTry shuffles
 	samples []int32       // flat-kernel unit lists, partitioned in place
 	pay     []int32       // flat-kernel sort payload (units)
@@ -34,7 +34,7 @@ type treeWorkspace struct {
 	scols   []SplitColumn // per-feature column headers handed to the builder
 	// A classification node's histogram: class counts per (rank code, class)
 	// cell, and the codes present (codeMarks); both all-zero between cuts.
-	hist  []float64
+	hist  []int32
 	marks []uint64
 	// Presorted-kernel scratch.
 	colv []float64 // d×u column-major feature values by unit
@@ -60,8 +60,8 @@ type treeWorkspace struct {
 // scratch alive.
 func (ws *treeWorkspace) retained() int {
 	f := cap(ws.ys) + cap(ws.wt) + cap(ws.inv) + cap(ws.vbuf) + cap(ws.uval) + cap(ws.tcnt) +
-		cap(ws.lcnt) + cap(ws.rcnt) + cap(ws.colv) + cap(ws.gsum) + cap(ws.hist) + cap(ws.marks)
-	i := cap(ws.labels) + cap(ws.samples) + cap(ws.pay) + cap(ws.cnt) +
+		cap(ws.lcnt) + cap(ws.icnt) + cap(ws.colv) + cap(ws.gsum) + cap(ws.marks)
+	i := cap(ws.labels) + cap(ws.samples) + cap(ws.pay) + cap(ws.cnt) + cap(ws.hist) +
 		cap(ws.rowOf) + cap(ws.orders) + cap(ws.spill) + cap(ws.unitOf) + cap(ws.gseen)
 	return f*8 + i*4 + cap(ws.feats)*8 + cap(ws.left) + cap(ws.scols)*splitColumnBytes
 }
@@ -76,7 +76,7 @@ var treeScratch = parallel.NewScratchPoolSized(
 // growing allocations only when needed, and resets the feature permutation
 // to the identity (each tree starts its Fisher-Yates state fresh, as the
 // per-node sorting kernel did).
-func (ws *treeWorkspace) reserve(ss *splitSet, m, d int, marks codeMarks) {
+func (ws *treeWorkspace) reserve(ss *splitSet, m, d int) {
 	ws.ys = grow(ws.ys, m)
 	ws.wt = grow(ws.wt, m)
 	ws.samples = grow(ws.samples, m)
@@ -90,8 +90,9 @@ func (ws *treeWorkspace) reserve(ss *splitSet, m, d int, marks codeMarks) {
 		ws.labels = grow(ws.labels, m)
 		ws.tcnt = grow(ws.tcnt, k)
 		ws.lcnt = grow(ws.lcnt, k)
-		ws.rcnt = grow(ws.rcnt, k)
+		ws.icnt = grow(ws.icnt, k)
 		ws.hist = grow(ws.hist, ss.codes*k)
+		marks := newCodeMarks(ss.codes)
 		ws.marks = grow(ws.marks, marks.off[marks.levels])
 	} else {
 		ws.vbuf = grow(ws.vbuf, m)
@@ -396,10 +397,9 @@ func (b *treeBuilder) initUnits(ss *splitSet, cfg TreeConfig, rng *rand.Rand, ws
 		ymean:   ss.ymean,
 		groups:  ss.groups,
 		twoOf:   ss.twoOf,
-		marks:   newCodeMarks(ss.codes),
 	}
 	b.mtry = resolveMTry(cfg.MTry, d)
-	ws.reserve(ss, m, d, b.marks)
+	ws.reserve(ss, m, d)
 	if ss.groups != nil {
 		ws.gsum = grow(ws.gsum, ss.gsize)
 		ws.gseen = grow(ws.gseen, len(ss.groups))

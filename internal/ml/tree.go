@@ -168,7 +168,6 @@ type treeBuilder struct {
 	groups []twoGroup
 	twoOf  []twoRef
 	stamp  int32
-	marks  codeMarks // the layout of ws.marks (classification)
 }
 
 // FitTree grows a CART tree over the samples indexed by idx (all samples if
@@ -388,61 +387,62 @@ func (b *treeBuilder) sumGroup(g *twoGroup, units []int32) {
 // classCut scores ordered column sc of a classification node from a
 // histogram over its rank codes: one pass over the node's units adds each
 // unit's multiplicity into its (code, class) cell of ws.hist and marks the
-// code (codeMarks); the marked codes are then walked in ascending order — the
-// column's distinct values over the node, ascending — moving each code's
-// class counts from the right side to the left with the incremental
-// Σcnt² update (moving x samples of class c changes Σcnt² by
-// ±x·(2·cnt[c] ± x)), and clearing the cells and marks behind them. Every
-// count is an exact integer, so each boundary's gain and threshold are
-// bit-equal to a scan over the node's value-sorted units; a boundary whose
-// screened gain (through ws.inv) is more than 1e-12 below the best so far
-// skips the exact one.
+// code (codeMarks.fill); the marked codes are then walked in ascending order
+// — the column's distinct values over the node, ascending — moving each
+// code's class counts to the left side, and clearing the cells and marks
+// behind them. Moving x samples of class c adds x·(2·l[c] + x) to the left's
+// Σcnt² and t[c]·x to Σt·l, from which the right's Σ(t−l)² follows. These
+// are integers, exact in int64 and in their float64 images, so each
+// boundary's gain and threshold are bit-equal to a scan over the node's
+// value-sorted units. A boundary pays the gain's four divisions only when its
+// screened Σcnt²/n terms, through ws.inv, reach the best gain less 1e-12.
 func (b *treeBuilder) classCut(sc *SplitColumn, units []int32, nt *nodeTotals) cut {
 	ws := b.ws
-	k, code, ro, labels, wt := b.classes, sc.code, b.rowOf, ws.labels, ws.wt
-	hist, marks, lv := ws.hist, ws.marks, &b.marks
-	for _, p := range units {
-		c := int(code[ro[p]])
-		hist[c*k+int(labels[p])] += wt[p]
-		lv.mark(marks, c)
+	k, hist, marks, lv := b.classes, ws.hist, ws.marks, newCodeMarks(len(sc.vals))
+	lv.fill(hist, marks, k, units, sc.code, b.rowOf, ws.labels, ws.cnt)
+	lcnt, tcnt := ws.lcnt, ws.icnt
+	var leftSq, cross, totSq, nl int64 // cross = Σ tcnt·lcnt
+	for cls, t := range ws.tcnt {
+		lcnt[cls], tcnt[cls] = 0, int64(t)
+		totSq += int64(t) * int64(t)
 	}
-	lcnt, rcnt := ws.lcnt, ws.rcnt
-	clear(lcnt)
-	copy(rcnt, ws.tcnt)
-	leftSq, rightSq := 0.0, 0.0
-	for _, x := range rcnt {
-		rightSq += float64(x * x)
-	}
-	fn, fmin, inv := nt.n, float64(b.cfg.MinLeaf), ws.inv
-	invFn, base := 1/fn, nt.imp-1
-	best, nl, prev := noCut, 0.0, -1
+	// The gain is nt.imp - 1 + (leftSq/nl + rightSq/nr)/n, so a boundary's
+	// screened Σ/n terms must reach need: the best gain less 1e-12, in them.
+	n, fmin, inv := int64(nt.n), int64(b.cfg.MinLeaf), ws.inv
+	best, need, prev, lo, hi := noCut, math.Inf(-1), -1, 0, 0
 	for w := lv.first(marks); w >= 0; w = lv.next(marks, w) {
 		word := marks[w]
 		marks[w] = 0
 		for ; word != 0; word &= word - 1 {
 			c := w<<6 | bits.TrailingZeros64(word)
-			if nr := fn - nl; prev >= 0 && nl >= fmin && nr >= fmin &&
-				float64((float64(leftSq*inv[int(nl)])+float64(rightSq*inv[int(nr)]))*invFn)+base >= best.score-1e-12 {
-				best.evals++
-				giniL := 1 - leftSq/(nl*nl)
-				giniR := 1 - rightSq/(nr*nr)
-				if gain := nt.imp - float64((nl/fn)*giniL) - float64((nr/fn)*giniR); gain > best.score {
-					v0, v1 := sc.vals[prev], sc.vals[c]
-					best.thr, best.score = v0+float64((v1-v0)/2), gain
+			if nr := n - nl; prev >= 0 && nl >= fmin && nr >= fmin {
+				ls, rs := float64(leftSq), float64(totSq-2*cross+leftSq)
+				if float64(ls*inv[nl])+float64(rs*inv[nr]) >= need {
+					best.evals++
+					fl, fr := float64(nl), float64(nr)
+					giniL, giniR := 1-ls/(fl*fl), 1-rs/(fr*fr)
+					if gain := nt.imp - float64((fl/nt.n)*giniL) - float64((fr/nt.n)*giniR); gain > best.score {
+						best.score, lo, hi = gain, prev, c
+						need = float64((gain - 1e-12 - nt.imp + 1) * nt.n)
+					}
 				}
 			}
 			h := hist[c*k : c*k+k]
-			var dl, dr, dn float64
-			for cls, x := range h {
-				dl += float64(x * (lcnt[cls] + lcnt[cls] + x))
-				dr += float64(x * (x - rcnt[cls] - rcnt[cls]))
+			var dl, dc, dn int64
+			for cls, x32 := range h {
+				x := int64(x32)
+				dl += x * (2*lcnt[cls] + x)
+				dc += x * tcnt[cls]
 				lcnt[cls] += x
-				rcnt[cls] -= x
 				dn += x
 				h[cls] = 0
 			}
-			leftSq, rightSq, nl, prev = leftSq+dl, rightSq+dr, nl+dn, c
+			leftSq, cross, nl, prev = leftSq+dl, cross+dc, nl+dn, c
 		}
+	}
+	if hi > 0 {
+		v0, v1 := sc.vals[lo], sc.vals[hi]
+		best.thr = v0 + float64((v1-v0)/2)
 	}
 	return best
 }
@@ -468,12 +468,21 @@ func newCodeMarks(codes int) codeMarks {
 	}
 }
 
-// mark adds code c to the set.
-func (m *codeMarks) mark(w []uint64, c int) {
-	for l := 0; l < m.levels; l++ {
-		w[m.off[l]+c>>6] |= 1 << (c & 63)
-		c >>= 6
+// fill adds each unit's multiplicity cnt[r] into the (code[r], class) cell
+// of hist, r being the unit's row, and marks the codes in w.
+func (m *codeMarks) fill(hist []int32, w []uint64, k int, units, code, ro, labels, cnt []int32) {
+	top, shift := uint64(0), 6*(m.levels-1) // the top word, kept in a register
+	for _, p := range units {
+		r := ro[p]
+		c := int(code[r])
+		hist[c*k+int(labels[p])] += cnt[r]
+		top |= 1 << (c >> shift)
+		for l, j := 0, c; l < m.levels-1; l++ {
+			w[m.off[l]+j>>6] |= 1 << (j & 63)
+			j >>= 6
+		}
 	}
+	w[m.off[m.levels-1]] = top
 }
 
 // first returns the lowest non-empty level-0 word, or -1 for an empty set.
