@@ -29,8 +29,8 @@ const chaosLeaseTTL = 1500 * time.Millisecond
 // targeting data: it lets the test SIGKILL specifically a daemon that owns
 // in-flight work, guaranteeing the takeover path is exercised rather than
 // hoping a random kill lands well, and the adopter resumes from the shard
-// rather than starting over (TestCrashRecoveryBitIdentical kills before
-// any shard).
+// rather than starting over (TestCrashRecoveryBitIdentical kills on the
+// same signal).
 func runningOwners(t *testing.T, state string) map[string]int {
 	t.Helper()
 	owners := map[string]int{}

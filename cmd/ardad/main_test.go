@@ -189,10 +189,12 @@ func (d *daemon) waitCompleted(t *testing.T, ids []string, deadline time.Duratio
 }
 
 // TestCrashRecoveryBitIdentical is the crash gate: a daemon killed with
-// SIGKILL while two runs are executing must, on restart over the same state
-// directory, requeue and finish both runs with results bit-identical to an
-// uninterrupted daemon's — augmented-table digest, scores, and kept columns
-// all equal — at both ends of the worker-count range.
+// SIGKILL while runs are executing — once one of them has saved a checkpoint
+// shard — must, on restart over the same state directory, requeue and finish
+// both runs with results bit-identical to an uninterrupted daemon's —
+// augmented-table digest, scores, and kept columns all equal — and at least
+// one of them must resume from its shard rather than start over, at both
+// ends of the worker-count range.
 func TestCrashRecoveryBitIdentical(t *testing.T) {
 	tmp := t.TempDir()
 	bin := buildArdad(t, tmp)
@@ -215,27 +217,19 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			state := filepath.Join(tmp, fmt.Sprintf("state-w%d", workers))
 
-			// Start, submit both runs, and SIGKILL once both are executing.
+			// Start, submit both runs, and SIGKILL once a run still executing
+			// has a shard in its checkpoint log (runningOwners).
 			d := startDaemon(t, bin, state, data, workers)
 			var ids []string
 			for _, s := range specs {
 				ids = append(ids, d.submit(t, s))
 			}
-			killStop := time.Now().Add(time.Minute)
-			for {
-				running := 0
-				for _, id := range ids {
-					if d.get(t, id).State == runqueue.StateRunning {
-						running++
-					}
-				}
-				if running == len(ids) {
-					break
-				}
+			killStop := time.Now().Add(2 * time.Minute)
+			for len(runningOwners(t, state)) == 0 {
 				if time.Now().After(killStop) {
-					t.Fatalf("both runs never in flight together\nstderr:\n%s", d.log())
+					t.Fatalf("no running run ever saved a shard\nstderr:\n%s", d.log())
 				}
-				time.Sleep(10 * time.Millisecond)
+				time.Sleep(5 * time.Millisecond)
 			}
 			if err := d.cmd.Process.Kill(); err != nil {
 				t.Fatalf("SIGKILL: %v", err)
@@ -247,6 +241,16 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 			d2 := startDaemon(t, bin, state, data, workers)
 			got := d2.waitCompleted(t, ids, 3*time.Minute)
 			d2.stop(t)
+			resumed := 0
+			for _, id := range ids {
+				if g := got[id]; g != nil && g.ResumedFrom != "" {
+					t.Logf("run %s resumed from %s", id, g.ResumedFrom)
+					resumed++
+				}
+			}
+			if resumed == 0 {
+				t.Errorf("no restarted run resumed from a checkpoint shard\nstderr:\n%s", d2.log())
+			}
 
 			for i, id := range ids {
 				w, g := want[refIDs[i]], got[id]
