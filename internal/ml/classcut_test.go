@@ -27,10 +27,15 @@ func newCodedNode(ds *Dataset, cnt []int32, minLeaf int) codedNode {
 }
 
 // cut scores ordered column feat over the node holding units with the
-// histogram cut.
+// histogram cut, and gives it the threshold bestSplit would.
 func (cn codedNode) cut(feat int, units []int32) (cut, nodeTotals) {
 	nt, _ := cn.b.nodeStats(units)
-	return cn.b.classCut(&cn.ss.cols[feat], units, &nt), nt
+	sc := &cn.ss.cols[feat]
+	c := cn.b.classCut(sc, units, &nt)
+	if !math.IsInf(c.score, -1) {
+		c.thr = midpoint(sc.vals[c.lo], sc.vals[c.hi])
+	}
+	return c, nt
 }
 
 // scan scores it with the test-kept sorted-sequence scan: the node's units
@@ -196,7 +201,7 @@ func TestCodeMarks(t *testing.T) {
 		if m.levels != tc.levels {
 			t.Fatalf("%d codes: %d levels, want %d", tc.codes, m.levels, tc.levels)
 		}
-		w, hist := make([]uint64, m.off[m.levels]), make([]int32, tc.codes)
+		w, hist, cls := make([]uint64, m.off[m.levels]), make([]int32, tc.codes), make([]uint64, tc.codes)
 		for trial := 0; trial < 20; trial++ {
 			want := map[int]int32{}
 			var codes []int32
@@ -212,15 +217,15 @@ func TestCodeMarks(t *testing.T) {
 			for i := range ones {
 				ones[i] = 1
 			}
-			m.fill(hist, w, 1, units, codes, units, make([]int32, len(codes)), ones)
+			m.fill(hist, cls, w, 1, units, codes, units, make([]int32, len(codes)), ones)
 			var got []int
 			for i := m.first(w); i >= 0; i = m.next(w, i) {
 				for word := w[i]; word != 0; word &= word - 1 {
 					c := i<<6 | trailingZeros(word)
-					if hist[c] != want[c] {
-						t.Fatalf("%d codes, trial %d: code %d counted %d, want %d", tc.codes, trial, c, hist[c], want[c])
+					if hist[c] != want[c] || cls[c] != 1 {
+						t.Fatalf("%d codes, trial %d: code %d counted %d with classes %#x, want %d with 0x1", tc.codes, trial, c, hist[c], cls[c], want[c])
 					}
-					hist[c] = 0
+					hist[c], cls[c] = 0, 0
 					got = append(got, c)
 				}
 				w[i] = 0

@@ -76,8 +76,8 @@ func BenchmarkSelectForestEvaluateRegression(b *testing.B) {
 // BenchmarkSelectForestRepetitions is the presorted-columns pair over the
 // RIFS repetition shape: the same forest fit from a view over columns
 // presorted once outside the loop ("cached" — what every repetition pays)
-// versus building its own per-forest split set ("uncached"). The view's
-// global orders also light up the counting-scan extraction at large nodes.
+// versus building its own per-forest split set ("uncached"), which sorts
+// every column once to code it.
 func BenchmarkSelectForestRepetitions(b *testing.B) {
 	ds := makeClassification(160, 6, 144, 204)
 	cfg := ForestConfig{NTrees: 20, MaxDepth: 10, Seed: 7, Parallel: true}

@@ -59,10 +59,12 @@ func sameTree(a, b *Tree) bool {
 	return true
 }
 
-// TestTreeKernelEquivalenceClassification: the live kernel must reproduce the
-// legacy sort-per-node kernel's classification trees bit-for-bit, in both
-// regimes (presorted for large nodes, flat for small ones / restricted MTry)
-// and with duplicate indices in idx (bootstrap-style multiplicities).
+// TestTreeKernelEquivalenceClassification: the live kernel's rank-code
+// histograms must reproduce the legacy sort-per-node kernel's classification
+// trees bit-for-bit, over small and large n, full and restricted MTry, MinLeaf
+// and depth caps, and duplicate indices in idx (bootstrap-style
+// multiplicities). The case names are the regimes these shapes had when
+// classification trees still sorted.
 func TestTreeKernelEquivalenceClassification(t *testing.T) {
 	cases := []struct {
 		name string
@@ -293,8 +295,8 @@ func TestForestKernelEquivalenceRegression(t *testing.T) {
 }
 
 // TestForestMatchesReference: the one production forest path against the
-// frozen reference at 1 and 8 workers, over the selection-forest shape (flat
-// regime, mtry = √d) and the evaluation shape (presorted regime).
+// frozen reference at 1 and 8 workers, over the selection-forest shape
+// (mtry = √d of 40 columns) and the evaluation shape (400 rows, 5 columns).
 func TestForestMatchesReference(t *testing.T) {
 	shapes := []struct {
 		name string

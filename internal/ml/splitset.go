@@ -33,8 +33,10 @@ type treeWorkspace struct {
 	rowOf   []int32       // unit → split-set row
 	scols   []SplitColumn // per-feature column headers handed to the builder
 	// A classification node's histogram: class counts per (rank code, class)
-	// cell, and the codes present (codeMarks); both all-zero between cuts.
+	// cell, the classes (mod 64) present per code, and the codes present
+	// (codeMarks); all three all-zero between cuts.
 	hist  []int32
+	cls   []uint64
 	marks []uint64
 	// Presorted-kernel scratch.
 	colv []float64 // d×u column-major feature values by unit
@@ -60,7 +62,7 @@ type treeWorkspace struct {
 // scratch alive.
 func (ws *treeWorkspace) retained() int {
 	f := cap(ws.ys) + cap(ws.wt) + cap(ws.inv) + cap(ws.vbuf) + cap(ws.uval) + cap(ws.tcnt) +
-		cap(ws.lcnt) + cap(ws.icnt) + cap(ws.colv) + cap(ws.gsum) + cap(ws.marks)
+		cap(ws.lcnt) + cap(ws.icnt) + cap(ws.colv) + cap(ws.gsum) + cap(ws.cls) + cap(ws.marks)
 	i := cap(ws.labels) + cap(ws.samples) + cap(ws.pay) + cap(ws.cnt) + cap(ws.hist) +
 		cap(ws.rowOf) + cap(ws.orders) + cap(ws.spill) + cap(ws.unitOf) + cap(ws.gseen)
 	return f*8 + i*4 + cap(ws.feats)*8 + cap(ws.left) + cap(ws.scols)*splitColumnBytes
@@ -92,6 +94,7 @@ func (ws *treeWorkspace) reserve(ss *splitSet, m, d int) {
 		ws.lcnt = grow(ws.lcnt, k)
 		ws.icnt = grow(ws.icnt, k)
 		ws.hist = grow(ws.hist, ss.codes*k)
+		ws.cls = grow(ws.cls, ss.codes)
 		marks := newCodeMarks(ss.codes)
 		ws.marks = grow(ws.marks, marks.off[marks.levels])
 	} else {

@@ -26,17 +26,17 @@ func sameForest(t *testing.T, want, got *Forest) {
 }
 
 // TestSplitViewForestEquivalence: a forest fitted from an attached
-// PresortColumns view must be bit-identical to one that builds its own split set —
-// in the flat regime (where the view's global orders additionally enable
-// counting-scan extraction at large nodes) and in the presorted regime.
+// PresortColumns view must be bit-identical to one that builds its own split
+// set — classification, whose histograms read the view's rank codes, at a
+// narrow and a wide mtry, and regression in the flat and presorted regimes.
 func TestSplitViewForestEquivalence(t *testing.T) {
 	cases := []struct {
 		name string
 		task Task
 		cfg  ForestConfig
 	}{
-		// mtry restricted → flat regime; the view's orders light up the
-		// counting-scan path that plain FitForest never builds.
+		// mtry restricted → flat regime for regression; the view's orders
+		// are there, unused, where plain FitForest builds none.
 		{"flat_scan_classification", Classification, ForestConfig{NTrees: 8, MaxDepth: 10, MTry: 3, Seed: 4}},
 		{"flat_scan_regression", Regression, ForestConfig{NTrees: 8, MaxDepth: 10, MTry: 2, Seed: 4}},
 		// defaults → presorted regime for regression at d=24.

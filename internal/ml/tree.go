@@ -246,12 +246,15 @@ type nodeTotals struct {
 // Gini gain for classification; CART's proxy sumL²/nL + sumR²/nR for
 // regression, which orders a node's candidates as the variance reduction does
 // — and, for regression, the left side's Σw, Σw·y and Σw·(y·y), from which
-// varianceGain computes the winner's exact reduction. A cut scoring -Inf has no
-// admissible boundary. evals counts the boundaries the screen let through to
-// an exact score.
+// varianceGain computes the winner's exact reduction; for an ordered
+// classification column, the rank codes lo and hi either side of the
+// boundary, from which bestSplit computes the winner's threshold. A cut
+// scoring -Inf has no admissible boundary. evals counts the boundaries the
+// screen let through to an exact score.
 type cut struct {
 	thr, score float64
 	n, sum, sq float64
+	lo, hi     int
 	evals      int
 }
 
@@ -302,6 +305,9 @@ func (b *treeBuilder) bestSplit(units []int32, nt *nodeTotals, flat bool, start 
 		return -1, 0, 0
 	}
 	if b.task == Classification {
+		if vals := b.scols[bestFeat].vals; vals != nil {
+			best.thr = midpoint(vals[best.lo], vals[best.hi])
+		}
 		return bestFeat, best.thr, best.score
 	}
 	return bestFeat, best.thr, varianceGain(best, nt)
@@ -351,7 +357,7 @@ func (b *treeBuilder) twoValuedCut(feat int, units []int32, nt *nodeTotals) cut 
 		c.score = c.sum*c.sum/nl + sh*sh/nh
 	}
 	sc := &b.scols[feat]
-	c.thr = sc.lo + float64((sc.hi-sc.lo)/2)
+	c.thr = midpoint(sc.lo, sc.hi)
 	return c
 }
 
@@ -398,18 +404,18 @@ func (b *treeBuilder) sumGroup(g *twoGroup, units []int32) {
 // screened Σcnt²/n terms, through ws.inv, reach the best gain less 1e-12.
 func (b *treeBuilder) classCut(sc *SplitColumn, units []int32, nt *nodeTotals) cut {
 	ws := b.ws
-	k, hist, marks, lv := b.classes, ws.hist, ws.marks, newCodeMarks(len(sc.vals))
-	lv.fill(hist, marks, k, units, sc.code, b.rowOf, ws.labels, ws.cnt)
+	k, hist, cls, marks, lv := b.classes, ws.hist, ws.cls, ws.marks, newCodeMarks(len(sc.vals))
+	lv.fill(hist, cls, marks, k, units, sc.code, b.rowOf, ws.labels, ws.cnt)
 	lcnt, tcnt := ws.lcnt, ws.icnt
 	var leftSq, cross, totSq, nl int64 // cross = Σ tcnt·lcnt
-	for cls, t := range ws.tcnt {
-		lcnt[cls], tcnt[cls] = 0, int64(t)
+	for j, t := range ws.tcnt {
+		lcnt[j], tcnt[j] = 0, int64(t)
 		totSq += int64(t) * int64(t)
 	}
 	// The gain is nt.imp - 1 + (leftSq/nl + rightSq/nr)/n, so a boundary's
 	// screened Σ/n terms must reach need: the best gain less 1e-12, in them.
 	n, fmin, inv := int64(nt.n), int64(b.cfg.MinLeaf), ws.inv
-	best, need, prev, lo, hi := noCut, math.Inf(-1), -1, 0, 0
+	best, need, prev := noCut, math.Inf(-1), -1
 	for w := lv.first(marks); w >= 0; w = lv.next(marks, w) {
 		word := marks[w]
 		marks[w] = 0
@@ -422,29 +428,33 @@ func (b *treeBuilder) classCut(sc *SplitColumn, units []int32, nt *nodeTotals) c
 					fl, fr := float64(nl), float64(nr)
 					giniL, giniR := 1-ls/(fl*fl), 1-rs/(fr*fr)
 					if gain := nt.imp - float64((fl/nt.n)*giniL) - float64((fr/nt.n)*giniR); gain > best.score {
-						best.score, lo, hi = gain, prev, c
+						best.score, best.lo, best.hi = gain, prev, c
 						need = float64((gain - 1e-12 - nt.imp + 1) * nt.n)
 					}
 				}
 			}
 			h := hist[c*k : c*k+k]
 			var dl, dc, dn int64
-			for cls, x32 := range h {
-				x := int64(x32)
-				dl += x * (2*lcnt[cls] + x)
-				dc += x * tcnt[cls]
-				lcnt[cls] += x
-				dn += x
-				h[cls] = 0
+			for m := cls[c]; m != 0; m &= m - 1 {
+				for j := bits.TrailingZeros64(m); j < k; j += 64 {
+					x := int64(h[j])
+					dl += x * (2*lcnt[j] + x)
+					dc += x * tcnt[j]
+					lcnt[j] += x
+					dn += x
+					h[j] = 0
+				}
 			}
+			cls[c] = 0
 			leftSq, cross, nl, prev = leftSq+dl, cross+dc, nl+dn, c
 		}
 	}
-	if hi > 0 {
-		v0, v1 := sc.vals[lo], sc.vals[hi]
-		best.thr = v0 + float64((v1-v0)/2)
-	}
 	return best
+}
+
+// midpoint is the threshold between adjacent values v0 < v1.
+func midpoint(v0, v1 float64) float64 {
+	return v0 + float64((v1-v0)/2)
 }
 
 // codeMarks lays a set of rank codes out as a bitset hierarchy in ws.marks:
@@ -469,13 +479,15 @@ func newCodeMarks(codes int) codeMarks {
 }
 
 // fill adds each unit's multiplicity cnt[r] into the (code[r], class) cell
-// of hist, r being the unit's row, and marks the codes in w.
-func (m *codeMarks) fill(hist []int32, w []uint64, k int, units, code, ro, labels, cnt []int32) {
+// of hist, r being the unit's row, sets bit class mod 64 of cls[code[r]],
+// and marks the codes in w.
+func (m *codeMarks) fill(hist []int32, cls, w []uint64, k int, units, code, ro, labels, cnt []int32) {
 	top, shift := uint64(0), 6*(m.levels-1) // the top word, kept in a register
 	for _, p := range units {
-		r := ro[p]
+		r, y := ro[p], int(labels[p])
 		c := int(code[r])
-		hist[c*k+int(labels[p])] += cnt[r]
+		hist[c*k+y] += cnt[r]
+		cls[c] |= 1 << (y & 63)
 		top |= 1 << (c >> shift)
 		for l, j := 0, c; l < m.levels-1; l++ {
 			w[m.off[l]+j>>6] |= 1 << (j & 63)
@@ -822,7 +834,7 @@ func regressionCut(col []float64, ord []int32, ys, wt, inv []float64, nt *nodeTo
 			if (float64(sl*sl*inv[int(nl)])+float64(sr*sr*inv[int(nr)]))*(1+1e-12) >= best.score {
 				evals++
 				if s := sl*sl/nl + sr*sr/nr; s > best.score {
-					best = cut{thr: v0 + float64((v1-v0)/2), score: s, n: nl, sum: sl, sq: ql}
+					best = cut{thr: midpoint(v0, v1), score: s, n: nl, sum: sl, sq: ql}
 				}
 			}
 		}
