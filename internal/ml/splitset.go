@@ -102,10 +102,7 @@ func (ws *treeWorkspace) reserve(ss *splitSet, m, d int) {
 		ws.pay = grow(ws.pay, m)
 		ws.uval = grow(ws.uval, m)
 	}
-	if cap(ws.feats) < d {
-		ws.feats = make([]int, d)
-	}
-	ws.feats = ws.feats[:d]
+	ws.feats = grow(ws.feats, d)
 	for j := range ws.feats {
 		ws.feats[j] = j
 	}
@@ -115,16 +112,10 @@ func (ws *treeWorkspace) reserve(ss *splitSet, m, d int) {
 // order planes and partition scratch.
 func (ws *treeWorkspace) reserveOrders(m, d, planes int) {
 	ws.colv = grow(ws.colv, m*d)
-	if cap(ws.scols) < d {
-		ws.scols = make([]SplitColumn, d)
-	}
-	ws.scols = ws.scols[:d]
+	ws.scols = grow(ws.scols, d)
 	ws.orders = grow(ws.orders, m*planes)
 	ws.spill = grow(ws.spill, m)
-	if cap(ws.left) < m {
-		ws.left = make([]uint8, m)
-	}
-	ws.left = ws.left[:m]
+	ws.left = grow(ws.left, m)
 }
 
 // grow returns s resized to n, reallocating (zeroed) only when its capacity

@@ -468,6 +468,7 @@ type codeMarks struct {
 	levels int
 }
 
+// newCodeMarks lays out a set of codes [0, codes).
 func newCodeMarks(codes int) codeMarks {
 	var m codeMarks
 	for words := max((codes+63)>>6, 1); ; words = (words + 63) >> 6 {
