@@ -58,11 +58,22 @@ func (cn codedNode) scan(feat int, units []int32, nt *nodeTotals) (float64, floa
 // boundaries counts the adjacent distinct values of column feat over units:
 // the boundaries a cut can consider.
 func (cn codedNode) boundaries(feat int, units []int32) int {
-	seen := map[int32]bool{}
+	seen := map[int]bool{}
 	for _, u := range units {
-		seen[cn.ss.cols[feat].code[cn.b.rowOf[u]]] = true
+		seen[codeAt(&cn.ss.cols[feat], cn.b.rowOf[u])] = true
 	}
 	return len(seen) - 1
+}
+
+// codeAt is row r's rank code in column sc, whatever its width.
+func codeAt(sc *SplitColumn, r int32) int {
+	switch {
+	case sc.code.u8 != nil:
+		return int(sc.code.u8[r])
+	case sc.code.u16 != nil:
+		return int(sc.code.u16[r])
+	}
+	return int(sc.code.u32[r])
 }
 
 // sameCut reports whether the histogram cut equals the scan's (threshold,
@@ -102,6 +113,7 @@ func codedColumn(rng *rand.Rand, n, kind int) []float64 {
 func TestClassCutMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	evals, bounds := 0, 0
+	widths := map[bool]bool{} // one-byte codes (few values) and two-byte ones (continuous)
 	for k := 2; k <= 5; k++ {
 		const n, d = 400, 6
 		x, y := make([]float64, n*d), make([]float64, n)
@@ -136,6 +148,7 @@ func TestClassCutMatchesScan(t *testing.T) {
 					if cn.ss.cols[feat].mask != nil {
 						continue
 					}
+					widths[cn.ss.cols[feat].code.u8 != nil] = true
 					c, nt := cn.cut(feat, units)
 					thr, gain := cn.scan(feat, units, &nt)
 					if !sameCut(c, thr, gain) {
@@ -143,7 +156,7 @@ func TestClassCutMatchesScan(t *testing.T) {
 							k, minLeaf, trial, feat, c.thr, c.score, thr, gain)
 					}
 					if feat == 5 && trial == 0 { // the continuous noise column, over the whole node
-						evals += c.evals
+						evals += int(c.screened)
 						bounds += cn.boundaries(feat, units)
 					}
 				}
@@ -153,11 +166,14 @@ func TestClassCutMatchesScan(t *testing.T) {
 	if bounds == 0 || float64(evals) >= 0.1*float64(bounds) {
 		t.Fatalf("the screen let %d of %d boundaries through to an exact gain, want fewer than 10%%", evals, bounds)
 	}
+	if len(widths) != 2 {
+		t.Fatalf("code widths cut (one byte?): %v, want both one- and two-byte codes", widths)
+	}
 	t.Logf("exact gains at %d of %d boundaries (%.1f%%)", evals, bounds, 100*float64(evals)/float64(bounds))
 }
 
-// TestClassCutManyCodes: a column of more than 65,536 distinct values takes a
-// three-level code set; the cut still equals the scan.
+// TestClassCutManyCodes: a column of more than 65,536 distinct values takes
+// four-byte codes and a three-level code set; the cut still equals the scan.
 func TestClassCutManyCodes(t *testing.T) {
 	const n = 70000
 	rng := rand.New(rand.NewSource(62))
@@ -174,8 +190,8 @@ func TestClassCutManyCodes(t *testing.T) {
 		cnt[rng.Intn(n)]++
 	}
 	cn := newCodedNode(mustDataset(x, n, 1, y, Classification, 3), cnt, 3)
-	if levels := newCodeMarks(cn.ss.codes).levels; cn.ss.codes <= 65536 || levels != 3 {
-		t.Fatalf("%d codes in %d levels, want more than 65,536 in 3", cn.ss.codes, levels)
+	if levels := newCodeMarks(cn.ss.codes).levels; cn.ss.codes <= 65536 || levels != 3 || cn.ss.cols[0].code.u32 == nil {
+		t.Fatalf("%d codes in %d levels, want more than 65,536, four bytes each, in 3", cn.ss.codes, levels)
 	}
 	units := make([]int32, cn.b.units)
 	for i := range units {
@@ -204,20 +220,20 @@ func TestCodeMarks(t *testing.T) {
 		w, hist, cls := make([]uint64, m.off[m.levels]), make([]int32, tc.codes), make([]uint64, tc.codes)
 		for trial := 0; trial < 20; trial++ {
 			want := map[int]int32{}
-			var codes []int32
+			var codes []uint32
 			for i := rng.Intn(200); i >= 0; i-- {
 				c := rng.Intn(tc.codes)
 				if trial%2 == 1 {
 					c = tc.codes - 1 - rng.Intn(min(tc.codes, 3)) // the top of the range
 				}
 				want[c]++
-				codes = append(codes, int32(c))
+				codes = append(codes, uint32(c))
 			}
 			units, ones := identity(len(codes)), make([]int32, len(codes))
 			for i := range ones {
 				ones[i] = 1
 			}
-			m.fill(hist, cls, w, 1, units, codes, units, make([]int32, len(codes)), ones)
+			fill(&m, hist, cls, w, 1, units, codes, units, make([]int32, len(codes)), ones)
 			var got []int
 			for i := m.first(w); i >= 0; i = m.next(w, i) {
 				for word := w[i]; word != 0; word &= word - 1 {
@@ -256,35 +272,6 @@ func trailingZeros(x uint64) int {
 	return n
 }
 
-// unscreenedRegressionCut is regressionCut without its screen: the proxy's
-// two divisions at every admissible boundary. It referees the screen.
-func unscreenedRegressionCut(col []float64, ord []int32, ys, wt []float64, nt *nodeTotals, minLeaf int) cut {
-	fmin := float64(minLeaf)
-	best := noCut
-	var nl, sl, ql float64
-	v0 := col[ord[0]]
-	for i := 1; i < len(ord); i++ {
-		p := ord[i-1]
-		w, y := wt[p], ys[p]
-		nl += w
-		sl += float64(w * y)
-		ql += float64(w * (y * y))
-		nr := nt.n - nl
-		if nr < fmin {
-			break
-		}
-		v1 := col[ord[i]]
-		if v0 != v1 && nl >= fmin {
-			sr := nt.sum - sl
-			if s := sl*sl/nl + sr*sr/nr; s > best.score {
-				best = cut{thr: v0 + float64((v1-v0)/2), score: s, n: nl, sum: sl, sq: ql}
-			}
-		}
-		v0 = v1
-	}
-	return best
-}
-
 // nearTies counts the scores within 4 ulp of best that differ from it: the
 // boundaries an over-eager screen could wrongly skip.
 func nearTies(scores []float64, best float64) int {
@@ -302,90 +289,15 @@ func ulp(x float64) float64 {
 	return math.Nextafter(x, math.Inf(1)) - x
 }
 
-// adversarialTargets are regression nodes whose boundaries tie in exact
-// arithmetic and differ only in rounding: mirrored targets (y and -y at
-// mirrored ranks, so boundaries a and n-a score alike), a block of targets
-// repeated (every block end scores alike), and the same with the column tied
-// within each block (block ends are then the only boundaries). Multiplicities
-// mirror or repeat with the targets.
-func adversarialTargets(rng *rand.Rand) [][3][]float64 {
-	var cases [][3][]float64
-	for trial := 0; trial < 30; trial++ {
-		half := 4 + rng.Intn(60)
-		col, ys, wt := make([]float64, 2*half), make([]float64, 2*half), make([]float64, 2*half)
-		for i := 0; i < half; i++ {
-			y, w := rng.NormFloat64()*math.Pow(10, float64(rng.Intn(7)-3)), float64(1+rng.Intn(3))
-			ys[i], ys[2*half-1-i] = y, -y
-			wt[i], wt[2*half-1-i] = w, w
-		}
-		for i := range col {
-			col[i] = float64(i)
-		}
-		cases = append(cases, [3][]float64{col, ys, wt})
-
-		size, reps := 2+rng.Intn(9), 3+rng.Intn(12)
-		block, bw := make([]float64, size), make([]float64, size)
-		for i := range block {
-			block[i], bw[i] = rng.NormFloat64()+0.3, float64(1+rng.Intn(2))
-		}
-		for _, tied := range []bool{false, true} {
-			var col, ys, wt []float64
-			for r := 0; r < reps; r++ {
-				for i := range block {
-					v := float64(len(col))
-					if tied {
-						v = float64(r)
-					}
-					col, ys, wt = append(col, v), append(ys, block[i]), append(wt, bw[i])
-				}
-			}
-			cases = append(cases, [3][]float64{col, ys, wt})
-		}
-	}
-	return cases
-}
-
-// TestScreenKeepsTheArgmax: on adversarial near-ties, the screened cuts are
-// bit-equal to unscreened ones — regressionCut to its unscreened copy,
-// the histogram cut to the test-kept scan — and the cases do hold scores
-// within a few ulp of the winner, which a screen without its margin could
-// skip.
+// TestScreenKeepsTheArgmax: on adversarial near-ties — mirrored labels
+// (class c and k-1-c at mirrored ranks, so boundaries a and n-a gain alike)
+// and a block of labels repeated (every block end gains alike), the column
+// distinct or tied within each block — the screened histogram cut is
+// bit-equal to the test-kept scan, and the cases do hold gains within a few
+// ulp of the winner, which a screen without its margin could skip.
 func TestScreenKeepsTheArgmax(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	ties := 0
-	for ci, c := range adversarialTargets(rng) {
-		col, ys, wt := c[0], c[1], c[2]
-		nt := totalsOf(ys, wt)
-		ord := identity(len(col))
-		for minLeaf := 1; minLeaf <= 3; minLeaf++ {
-			got := regressionCut(col, ord, ys, wt, invTable(int(nt.n)), &nt, minLeaf)
-			want := unscreenedRegressionCut(col, ord, ys, wt, &nt, minLeaf)
-			got.evals = 0
-			if got != want {
-				t.Fatalf("regression case %d minLeaf %d: screened %+v, unscreened %+v", ci, minLeaf, got, want)
-			}
-		}
-		var scores []float64
-		var nl, sl float64
-		for i := 0; i+1 < len(col); i++ {
-			nl += wt[i]
-			sl += float64(wt[i] * ys[i])
-			if col[i] != col[i+1] {
-				sr := nt.sum - sl
-				scores = append(scores, sl*sl/nl+sr*sr/(nt.n-nl))
-			}
-		}
-		ties += nearTies(scores, unscreenedRegressionCut(col, ord, ys, wt, &nt, 1).score)
-	}
-	if ties == 0 {
-		t.Fatal("no regression case holds a near-tie: the test cannot catch a skipped winner")
-	}
-	t.Logf("regression: %d near-ties", ties)
-
-	// Classification: mirrored labels (class c and k-1-c at mirrored ranks),
-	// and a block of labels repeated, with the column distinct or tied within
-	// each block.
-	ties = 0
 	for trial := 0; trial < 40; trial++ {
 		k := 2 + trial%4
 		var x, y []float64
@@ -427,9 +339,7 @@ func TestScreenKeepsTheArgmax(t *testing.T) {
 			if !sameCut(c, thr, gain) {
 				t.Fatalf("classification trial %d minLeaf %d: screened (%v, %v), scan (%v, %v)", trial, minLeaf, c.thr, c.score, thr, gain)
 			}
-			if minLeaf == 1 {
-				ties += nearTies(classGains(cn, units, &nt), gain)
-			}
+			ties += nearTies(classGains(cn, units, &nt), gain)
 		}
 	}
 	if ties == 0 {
@@ -444,7 +354,7 @@ func classGains(cn codedNode, units []int32, nt *nodeTotals) []float64 {
 	b, sc := cn.b, &cn.ss.cols[0]
 	byCode := make([][]float64, len(sc.vals))
 	for _, u := range units {
-		c := sc.code[b.rowOf[u]]
+		c := codeAt(sc, b.rowOf[u])
 		if byCode[c] == nil {
 			byCode[c] = make([]float64, b.classes)
 		}
@@ -472,27 +382,4 @@ func classGains(cn codedNode, units []int32, nt *nodeTotals) []float64 {
 		}
 	}
 	return gains
-}
-
-// TestRegressionScreenSkipsMost: on random data, regressionCut pays the
-// exact proxy at fewer than 10% of the boundaries it considers.
-func TestRegressionScreenSkipsMost(t *testing.T) {
-	rng := rand.New(rand.NewSource(65))
-	evals, bounds := 0, 0
-	for trial := 0; trial < 40; trial++ {
-		n := 64 + rng.Intn(400)
-		col, ys, wt := make([]float64, n), make([]float64, n), make([]float64, n)
-		for i := range col {
-			col[i], ys[i], wt[i] = float64(i), rng.NormFloat64(), float64(1+rng.Intn(3))
-		}
-		centre(ys)
-		nt := totalsOf(ys, wt)
-		c := regressionCut(col, identity(n), ys, wt, invTable(int(nt.n)), &nt, 2)
-		evals += c.evals
-		bounds += n - 1
-	}
-	if float64(evals) >= 0.1*float64(bounds) {
-		t.Fatalf("the screen let %d of %d boundaries through to an exact proxy, want fewer than 10%%", evals, bounds)
-	}
-	t.Logf("exact proxies at %d of %d boundaries (%.1f%%)", evals, bounds, 100*float64(evals)/float64(bounds))
 }

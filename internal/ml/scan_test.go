@@ -13,7 +13,7 @@ import (
 // boundary is admissible).
 func scanReg(vals, ys, weights []float64, minLeaf int) (float64, float64) {
 	nt := totalsOf(ys, weights)
-	c := regressionCut(vals, identity(len(vals)), ys, weights, invTable(int(nt.n)), &nt, minLeaf)
+	c := regressionCut(vals, identity(len(vals)), ys, weights, &nt, minLeaf)
 	if math.IsInf(c.score, -1) {
 		return c.thr, c.score
 	}
@@ -32,15 +32,6 @@ func totalsOf(ys, weights []float64) nodeTotals {
 	mean := t.sum / t.n
 	t.imp = t.sq/t.n - mean*mean
 	return t
-}
-
-// invTable is the cuts' screen table over m samples: inv[i] = 1/i.
-func invTable(m int) []float64 {
-	inv := make([]float64, m+1)
-	for i := 1; i <= m; i++ {
-		inv[i] = 1 / float64(i)
-	}
-	return inv
 }
 
 // scanSplitsClass is the sorted-sequence Gini scan the rank-code histogram
@@ -388,7 +379,7 @@ func TestProxyMatchesExactGain(t *testing.T) {
 			for i, r := range ord {
 				vals[i], tys[i], tws[i] = col[r], y[r], w[r]
 			}
-			c := regressionCut(col, ord, y, w, invTable(int(nt.n)), &nt, minLeaf)
+			c := regressionCut(col, ord, y, w, &nt, minLeaf)
 			thr, gain := exactScanReg(vals[:size], tys[:size], tws[:size], nt.imp, minLeaf)
 			if c.thr != thr || math.IsInf(c.score, -1) != math.IsInf(gain, -1) {
 				t.Fatalf("trial %d feature %d: proxy threshold %v, exact %v", trial, j, c.thr, thr)
@@ -587,7 +578,7 @@ func TestTwoValuedCutMatchesScan(t *testing.T) {
 						if want := maskCut(b, sc, node, &nt); got != want {
 							t.Fatalf("%s trial %d feature %d: grouped cut %+v, mask pass %+v", fx.name, trial, feat, got, want)
 						}
-						want := regressionCut(vals, ord, ws.ys, ws.wt, ws.inv, &nt, b.cfg.MinLeaf)
+						want := regressionCut(vals, ord, ws.ys, ws.wt, &nt, b.cfg.MinLeaf)
 						if math.IsInf(want.score, -1) || math.IsInf(got.score, -1) {
 							if math.IsInf(want.score, -1) != math.IsInf(got.score, -1) {
 								t.Fatalf("%s trial %d feature %d: grouped cut score %v, scan %v", fx.name, trial, feat, got.score, want.score)

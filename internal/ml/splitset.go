@@ -20,7 +20,7 @@ type treeWorkspace struct {
 	ys      []float64     // target by unit (regression: centred)
 	labels  []int32       // class code by unit (classification)
 	wt      []float64     // multiplicity by unit
-	inv     []float64     // inv[i] = 1/i for i ≤ m: the cuts' screen
+	inv     []float64     // inv[i] = 1/i for i ≤ m: the classification cut's screen
 	vbuf    []float64     // a flat regression node's values in sorted order
 	uval    []float64     // a flat node's feature values by unit (regression, columns read through rowOf)
 	tcnt    []float64     // the node's class counts (nodeStats)
@@ -82,13 +82,13 @@ func (ws *treeWorkspace) reserve(ss *splitSet, m, d int) {
 	ws.ys = grow(ws.ys, m)
 	ws.wt = grow(ws.wt, m)
 	ws.samples = grow(ws.samples, m)
-	if len(ws.inv) <= m {
-		ws.inv = make([]float64, m+1)
-		for i := 1; i <= m; i++ {
-			ws.inv[i] = 1 / float64(i)
-		}
-	}
 	if k := ss.classes; ss.task == Classification {
+		if len(ws.inv) <= m {
+			ws.inv = make([]float64, m+1)
+			for i := 1; i <= m; i++ {
+				ws.inv[i] = 1 / float64(i)
+			}
+		}
 		ws.labels = grow(ws.labels, m)
 		ws.tcnt = grow(ws.tcnt, k)
 		ws.lcnt = grow(ws.lcnt, k)
@@ -170,7 +170,8 @@ func (ss *splitSet) setTargets(ds *Dataset) {
 
 // buildSplitSet gathers ds into column-major form, classifies each column
 // and, when needOrders is set (classification, or the presorted regression
-// regime), sorts every column that is not two-valued once — all on the worker pool (columns are independent,
+// regime), sorts every column that is not two-valued once, giving it rank
+// codes for classification — all on the worker pool (columns are independent,
 // so parallelism cannot change the result).
 func buildSplitSet(ds *Dataset, workers int, needOrders bool) *splitSet {
 	n, d := ds.N, ds.D
@@ -197,6 +198,9 @@ func buildSplitSet(ds *Dataset, workers int, needOrders bool) *splitSet {
 		ss.cols[j].classifyTwo()
 		if needOrders {
 			ss.cols[j].presort(nil)
+		}
+		if ss.task == Classification {
+			ss.cols[j].rank()
 		}
 	})
 	ss.markTwo()

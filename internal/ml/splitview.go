@@ -19,15 +19,24 @@ import (
 type SplitColumn struct {
 	v   []float64
 	ord []int32 // rows sorted by (value, row); nil when not presorted
-	// code[r] is row r's index into vals, the column's distinct values
+	// code holds row r's index into vals, the column's distinct values
 	// ascending; values equal as floats (-0 and +0) share a code. Both are
-	// derived from ord, and nil with it.
-	code []int32
+	// derived from ord (rank), for classification forests only.
+	code rankCodes
 	vals []float64
 	// mask is non-nil exactly when the column is two-valued: mask[r] is 1
 	// where v[r] == hi and 0 where v[r] == lo.
 	mask   []uint8
 	lo, hi float64
+}
+
+// rankCodes are a column's per-row rank codes in the narrowest width that
+// holds its distinct count — exactly one slice is set — so that the codes a
+// histogram pass reads stay in cache.
+type rankCodes struct {
+	u8  []uint8
+	u16 []uint16
+	u32 []uint32
 }
 
 // splitColumnBytes is a SplitColumn header's size (workspace accounting).
@@ -84,9 +93,7 @@ func NewSplitColumn(values []float64, ord []int32) SplitColumn {
 }
 
 // presort gives a classified column its (value, row) order — in buf, or in a
-// fresh buffer when buf is nil — and its rank codes, unless it is two-valued
-// and needs neither. A row opens a new code when its value differs from the
-// previous row's in that order; a code's value is its last row's.
+// fresh buffer when buf is nil — unless it is two-valued and needs none.
 func (c *SplitColumn) presort(buf []int32) {
 	if c.mask != nil {
 		return
@@ -99,18 +106,45 @@ func (c *SplitColumn) presort(buf []int32) {
 	}
 	sortOrder(c.v, buf)
 	c.ord = buf
-	c.code = make([]int32, len(c.v))
+}
+
+// rank gives a presorted column its rank codes, which classification trees
+// score from, unless it has them. A row opens a new code when its value
+// differs from the previous row's in (value, row) order; a code's value is
+// its last row's.
+func (c *SplitColumn) rank() {
+	if c.ord == nil || c.vals != nil {
+		return
+	}
+	distinct := 0
+	for i, r := range c.ord {
+		if i == 0 || c.v[r] != c.v[c.ord[i-1]] {
+			distinct++
+		}
+	}
+	c.vals = make([]float64, distinct)
+	switch {
+	case distinct <= 1<<8:
+		c.code.u8 = codesOf(c, make([]uint8, len(c.ord)))
+	case distinct <= 1<<16:
+		c.code.u16 = codesOf(c, make([]uint16, len(c.ord)))
+	default:
+		c.code.u32 = codesOf(c, make([]uint32, len(c.ord)))
+	}
+}
+
+// codesOf sets each row's code to its rank along ord and each rank's value
+// to that of its last row, and returns code.
+func codesOf[C uint8 | uint16 | uint32](c *SplitColumn, code []C) []C {
 	k := 0
-	for i, r := range buf {
-		if i > 0 && c.v[r] != c.v[buf[i-1]] {
+	for i, r := range c.ord {
+		if i > 0 && c.v[r] != c.v[c.ord[i-1]] {
 			k++
 		}
-		c.code[r] = int32(k)
+		code[r] = C(k)
+		c.vals[k] = c.v[r]
 	}
-	c.vals = make([]float64, min(len(buf), k+1))
-	for _, r := range buf {
-		c.vals[c.code[r]] = c.v[r]
-	}
+	return code
 }
 
 // Presorted reports whether the column can be walked in (value, row) order
@@ -132,6 +166,9 @@ func PresortColumns(ds *Dataset, workers int) []SplitColumn {
 		}
 		c := NewSplitColumn(v, nil)
 		c.presort(nil)
+		if ds.Task == Classification {
+			c.rank()
+		}
 		cols[j] = c
 	})
 	return cols
@@ -146,6 +183,11 @@ func NewSplitView(ds *Dataset, cols, extra []SplitColumn) *SplitView {
 	all := make([]SplitColumn, 0, len(cols)+len(extra))
 	all = append(all, cols...)
 	all = append(all, extra...)
+	if ds.Task == Classification {
+		for j := range all {
+			all[j].rank() // the view's copy of a column presorted without codes
+		}
+	}
 	ss := &splitSet{
 		n:       ds.N,
 		d:       len(all),

@@ -76,14 +76,15 @@ type TreeConfig struct {
 // variance reduction is computed once per node, for the winner, from its
 // kept left-side sums.
 //
-// Both ordered cuts screen each boundary before its divisions: sample counts
-// are integers, so a per-workspace table inv[i] = 1/i turns the score into
-// products whose error is a few ulp, and a boundary whose screened score
-// falls short of the best so far by more than that error (1e-12 of it) is
-// skipped. A skipped boundary could never have won, so the argmax is that
-// of the unscreened scan. Every product an exact score relies on is wrapped
-// in float64(...), which rounds it, so no architecture fuses it into a
-// multiply-add: the goldens are the unfused amd64 bits everywhere.
+// The classification cut screens each boundary before its divisions: sample
+// counts are integers, so a per-workspace table inv[i] = 1/i turns the gain
+// into products whose error is a few ulp, and a boundary whose screened gain
+// falls short of the best so far by more than 1e-12 could never have won, so
+// it is skipped and the argmax is the unscreened scan's. (The same screen in
+// regressionCut measured no faster than its two divisions, so it has none.)
+// Every product an exact score relies on is wrapped in float64(...), which
+// rounds it, so no architecture fuses it into a multiply-add: the goldens
+// are the unfused amd64 bits everywhere.
 
 // useFlatKernel reports whether the flat kernel is the cheaper regime for a
 // (sub)tree of m samples with the given resolved mtry. A tree without
@@ -248,14 +249,13 @@ type nodeTotals struct {
 // — and, for regression, the left side's Σw, Σw·y and Σw·(y·y), from which
 // varianceGain computes the winner's exact reduction; for an ordered
 // classification column, the rank codes lo and hi either side of the
-// boundary, from which bestSplit computes the winner's threshold. A cut
-// scoring -Inf has no admissible boundary. evals counts the boundaries the
-// screen let through to an exact score.
+// boundary, from which bestSplit computes the winner's threshold, and the
+// boundaries its screen let through to an exact gain. A cut scoring -Inf has
+// no admissible boundary.
 type cut struct {
-	thr, score float64
-	n, sum, sq float64
-	lo, hi     int
-	evals      int
+	thr, score       float64
+	n, sum, sq       float64
+	lo, hi, screened int32
 }
 
 var noCut = cut{score: math.Inf(-1)}
@@ -292,10 +292,10 @@ func (b *treeBuilder) bestSplit(units []int32, nt *nodeTotals, flat bool, start 
 		case flat:
 			c = noCut
 			if col, ord, ok := b.flatOrder(units, feat); ok {
-				c = regressionCut(col, ord, ws.ys, ws.wt, ws.inv, nt, b.cfg.MinLeaf)
+				c = regressionCut(col, ord, ws.ys, ws.wt, nt, b.cfg.MinLeaf)
 			}
 		default:
-			c = regressionCut(sc.v, ws.orders[feat*b.units+start:feat*b.units+end], ws.ys, ws.wt, ws.inv, nt, b.cfg.MinLeaf)
+			c = regressionCut(sc.v, ws.orders[feat*b.units+start:feat*b.units+end], ws.ys, ws.wt, nt, b.cfg.MinLeaf)
 		}
 		if c.score > best.score {
 			bestFeat, best = feat, c
@@ -405,7 +405,14 @@ func (b *treeBuilder) sumGroup(g *twoGroup, units []int32) {
 func (b *treeBuilder) classCut(sc *SplitColumn, units []int32, nt *nodeTotals) cut {
 	ws := b.ws
 	k, hist, cls, marks, lv := b.classes, ws.hist, ws.cls, ws.marks, newCodeMarks(len(sc.vals))
-	lv.fill(hist, cls, marks, k, units, sc.code, b.rowOf, ws.labels, ws.cnt)
+	switch code := sc.code; {
+	case code.u8 != nil:
+		fill(&lv, hist, cls, marks, k, units, code.u8, b.rowOf, ws.labels, ws.cnt)
+	case code.u16 != nil:
+		fill(&lv, hist, cls, marks, k, units, code.u16, b.rowOf, ws.labels, ws.cnt)
+	default:
+		fill(&lv, hist, cls, marks, k, units, code.u32, b.rowOf, ws.labels, ws.cnt)
+	}
 	lcnt, tcnt := ws.lcnt, ws.icnt
 	var leftSq, cross, totSq, nl int64 // cross = Σ tcnt·lcnt
 	for j, t := range ws.tcnt {
@@ -424,11 +431,11 @@ func (b *treeBuilder) classCut(sc *SplitColumn, units []int32, nt *nodeTotals) c
 			if nr := n - nl; prev >= 0 && nl >= fmin && nr >= fmin {
 				ls, rs := float64(leftSq), float64(totSq-2*cross+leftSq)
 				if float64(ls*inv[nl])+float64(rs*inv[nr]) >= need {
-					best.evals++
+					best.screened++
 					fl, fr := float64(nl), float64(nr)
 					giniL, giniR := 1-ls/(fl*fl), 1-rs/(fr*fr)
 					if gain := nt.imp - float64((fl/nt.n)*giniL) - float64((fr/nt.n)*giniR); gain > best.score {
-						best.score, best.lo, best.hi = gain, prev, c
+						best.score, best.lo, best.hi = gain, int32(prev), int32(c)
 						need = float64((gain - 1e-12 - nt.imp + 1) * nt.n)
 					}
 				}
@@ -481,8 +488,8 @@ func newCodeMarks(codes int) codeMarks {
 
 // fill adds each unit's multiplicity cnt[r] into the (code[r], class) cell
 // of hist, r being the unit's row, sets bit class mod 64 of cls[code[r]],
-// and marks the codes in w.
-func (m *codeMarks) fill(hist []int32, cls, w []uint64, k int, units, code, ro, labels, cnt []int32) {
+// and marks the codes in w, laid out by m.
+func fill[C uint8 | uint16 | uint32](m *codeMarks, hist []int32, cls, w []uint64, k int, units []int32, code []C, ro, labels, cnt []int32) {
 	top, shift := uint64(0), 6*(m.levels-1) // the top word, kept in a register
 	for _, p := range units {
 		r, y := ro[p], int(labels[p])
@@ -808,15 +815,12 @@ func (b *treeBuilder) partitionFlat(samples []int32, feat int, thr float64) int 
 // (value, unit) order are ord — values col, centred targets ys and
 // multiplicities wt, all indexed by unit and read in place — for the
 // boundary maximising CART's proxy sumL²/nL + sumR²/nR, the right side taken
-// from the node totals nt. Each entry adds w·y and w·(y·y) once to the left
-// sums the winner keeps, and minLeaf counts samples. A boundary pays the
-// proxy's two divisions only when its screened proxy, through inv and raised
-// by 1e-12 of itself, reaches the best so far: its terms are non-negative, so
-// that bounds the few ulp it can fall short of the exact one.
-func regressionCut(col []float64, ord []int32, ys, wt, inv []float64, nt *nodeTotals, minLeaf int) cut {
+// from the node totals nt: two divisions per admissible boundary and no
+// clamp. Each entry adds w·y and w·(y·y) once to the left sums the winner
+// keeps, and minLeaf counts samples.
+func regressionCut(col []float64, ord []int32, ys, wt []float64, nt *nodeTotals, minLeaf int) cut {
 	fmin := float64(minLeaf)
 	best := noCut
-	evals := 0
 	var nl, sl, ql float64
 	v0 := col[ord[0]]
 	for i := 1; i < len(ord); i++ {
@@ -832,15 +836,11 @@ func regressionCut(col []float64, ord []int32, ys, wt, inv []float64, nt *nodeTo
 		v1 := col[ord[i]]
 		if v0 != v1 && nl >= fmin {
 			sr := nt.sum - sl
-			if (float64(sl*sl*inv[int(nl)])+float64(sr*sr*inv[int(nr)]))*(1+1e-12) >= best.score {
-				evals++
-				if s := sl*sl/nl + sr*sr/nr; s > best.score {
-					best = cut{thr: midpoint(v0, v1), score: s, n: nl, sum: sl, sq: ql}
-				}
+			if s := sl*sl/nl + sr*sr/nr; s > best.score {
+				best = cut{thr: midpoint(v0, v1), score: s, n: nl, sum: sl, sq: ql}
 			}
 		}
 		v0 = v1
 	}
-	best.evals = evals
 	return best
 }
