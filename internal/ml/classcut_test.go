@@ -42,14 +42,14 @@ func (cn codedNode) cut(feat int, units []int32) (cut, nodeTotals) {
 // sorted by (value, unit), with their labels and multiplicities.
 func (cn codedNode) scan(feat int, units []int32, nt *nodeTotals) (float64, float64) {
 	b, col := cn.b, cn.ss.cols[feat].v
-	vals, ord := make([]float64, len(units)), make([]int32, len(units))
-	for i, u := range units {
-		vals[i], ord[i] = col[b.rowOf[u]], u
+	byUnit, ord := make([]float64, b.units), append([]int32(nil), units...)
+	for _, u := range units {
+		byUnit[u] = col[b.rowOf[u]]
 	}
-	sortKV(vals, ord)
-	labels, wts := make([]int32, len(ord)), make([]float64, len(ord))
+	sortOrder(byUnit, ord)
+	vals, labels, wts := make([]float64, len(ord)), make([]int32, len(ord)), make([]float64, len(ord))
 	for i, u := range ord {
-		labels[i], wts[i] = b.ws.labels[u], b.ws.wt[u]
+		vals[i], labels[i], wts[i] = byUnit[u], b.ws.labels[u], b.ws.wt[u]
 	}
 	lcnt, rcnt := make([]float64, b.classes), make([]float64, b.classes)
 	return scanSplitsClass(vals, labels, wts, lcnt, rcnt, nt.imp, b.cfg.MinLeaf)

@@ -21,7 +21,6 @@ type treeWorkspace struct {
 	labels  []int32       // class code by unit (classification)
 	wt      []float64     // multiplicity by unit
 	inv     []float64     // inv[i] = 1/i for i ≤ m: the classification cut's screen
-	vbuf    []float64     // a flat regression node's values in sorted order
 	uval    []float64     // a flat node's feature values by unit (regression, columns read through rowOf)
 	tcnt    []float64     // the node's class counts (nodeStats)
 	lcnt    []int64       // a classification cut's class counts left of a boundary
@@ -61,7 +60,7 @@ type treeWorkspace struct {
 // pool's retention cap so sweep-sized trees don't keep base-table-sized
 // scratch alive.
 func (ws *treeWorkspace) retained() int {
-	f := cap(ws.ys) + cap(ws.wt) + cap(ws.inv) + cap(ws.vbuf) + cap(ws.uval) + cap(ws.tcnt) +
+	f := cap(ws.ys) + cap(ws.wt) + cap(ws.inv) + cap(ws.uval) + cap(ws.tcnt) +
 		cap(ws.lcnt) + cap(ws.icnt) + cap(ws.colv) + cap(ws.gsum) + cap(ws.cls) + cap(ws.marks)
 	i := cap(ws.labels) + cap(ws.samples) + cap(ws.pay) + cap(ws.cnt) + cap(ws.hist) +
 		cap(ws.rowOf) + cap(ws.orders) + cap(ws.spill) + cap(ws.unitOf) + cap(ws.gseen)
@@ -98,7 +97,6 @@ func (ws *treeWorkspace) reserve(ss *splitSet, m, d int) {
 		marks := newCodeMarks(ss.codes)
 		ws.marks = grow(ws.marks, marks.off[marks.levels])
 	} else {
-		ws.vbuf = grow(ws.vbuf, m)
 		ws.pay = grow(ws.pay, m)
 		ws.uval = grow(ws.uval, m)
 	}
@@ -432,8 +430,8 @@ func (b *treeBuilder) initUnits(ss *splitSet, cfg TreeConfig, rng *rand.Rand, ws
 // sortOrder sorts ord in place by (key[ord[i]], ord[i]) ascending — the
 // index tie-break makes the relation a total order over distinct positions,
 // so the result is unique and any correct sort is deterministic. It is a
-// handwritten introsort specialized to float64 keys and int32 payloads,
-// replacing sort.Slice's interface comparator in the kernel's setup loop.
+// handwritten introsort specialized to float64 keys and int32 payloads; it
+// presorts split columns and sorts a flat regression node's units.
 func sortOrder(key []float64, ord []int32) {
 	limit := 1
 	for n := len(ord); n > 0; n >>= 1 {
@@ -518,102 +516,6 @@ func heapSortOrder(key []float64, ord []int32) {
 	}
 	for i := n - 1; i > 0; i-- {
 		ord[0], ord[i] = ord[i], ord[0]
-		siftDown(0, i)
-	}
-}
-
-// sortKV sorts the parallel (key, payload) arrays in place by (key, payload)
-// ascending — same total order as sortOrder, over materialized keys. The
-// flat kernel calls it once per (node, candidate feature).
-func sortKV(key []float64, pay []int32) {
-	limit := 1
-	for n := len(key); n > 0; n >>= 1 {
-		limit += 2
-	}
-	introSortKV(key, pay, limit)
-}
-
-func kvLess(ka float64, pa int32, kb float64, pb int32) bool {
-	return ka < kb || (ka == kb && pa < pb)
-}
-
-func introSortKV(key []float64, pay []int32, limit int) {
-	for len(key) > 16 {
-		if limit == 0 {
-			heapSortKV(key, pay)
-			return
-		}
-		limit--
-		mid, last := len(key)/2, len(key)-1
-		if kvLess(key[mid], pay[mid], key[0], pay[0]) {
-			key[mid], key[0] = key[0], key[mid]
-			pay[mid], pay[0] = pay[0], pay[mid]
-		}
-		if kvLess(key[last], pay[last], key[0], pay[0]) {
-			key[last], key[0] = key[0], key[last]
-			pay[last], pay[0] = pay[0], pay[last]
-		}
-		if kvLess(key[last], pay[last], key[mid], pay[mid]) {
-			key[last], key[mid] = key[mid], key[last]
-			pay[last], pay[mid] = pay[mid], pay[last]
-		}
-		key[0], key[mid] = key[mid], key[0]
-		pay[0], pay[mid] = pay[mid], pay[0]
-		pk, pp := key[0], pay[0]
-		i := 0
-		for j := 1; j < len(key); j++ {
-			if kvLess(key[j], pay[j], pk, pp) {
-				i++
-				key[i], key[j] = key[j], key[i]
-				pay[i], pay[j] = pay[j], pay[i]
-			}
-		}
-		key[0], key[i] = key[i], key[0]
-		pay[0], pay[i] = pay[i], pay[0]
-		if i < len(key)-i-1 {
-			introSortKV(key[:i], pay[:i], limit)
-			key, pay = key[i+1:], pay[i+1:]
-		} else {
-			introSortKV(key[i+1:], pay[i+1:], limit)
-			key, pay = key[:i], pay[:i]
-		}
-	}
-	for i := 1; i < len(key); i++ {
-		kv, pv := key[i], pay[i]
-		j := i - 1
-		for j >= 0 && kvLess(kv, pv, key[j], pay[j]) {
-			key[j+1], pay[j+1] = key[j], pay[j]
-			j--
-		}
-		key[j+1], pay[j+1] = kv, pv
-	}
-}
-
-func heapSortKV(key []float64, pay []int32) {
-	n := len(key)
-	siftDown := func(root, end int) {
-		for {
-			child := 2*root + 1
-			if child >= end {
-				return
-			}
-			if child+1 < end && kvLess(key[child], pay[child], key[child+1], pay[child+1]) {
-				child++
-			}
-			if !kvLess(key[root], pay[root], key[child], pay[child]) {
-				return
-			}
-			key[root], key[child] = key[child], key[root]
-			pay[root], pay[child] = pay[child], pay[root]
-			root = child
-		}
-	}
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		key[0], key[i] = key[i], key[0]
-		pay[0], pay[i] = pay[i], pay[0]
 		siftDown(0, i)
 	}
 }

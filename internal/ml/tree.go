@@ -45,10 +45,9 @@ type TreeConfig struct {
 //     tree, linearly, from the forest's shared split set, and stably
 //     partitioned down the tree, so nodes never sort. Each split pays O(d·u)
 //     to repartition the orders of its u units.
-//   - flat: a node gathers each candidate feature's values into flat scratch
-//     and sorts them with a specialized (float64 key, int32 payload)
-//     introsort. Each split pays O(mtry·u·log u) with tiny constants and no
-//     d-factor.
+//   - flat: a node sorts its units by each candidate feature's values with
+//     the presort's own introsort (sortOrder). Each split pays
+//     O(mtry·u·log u) with tiny constants and no d-factor.
 //
 // Flat wins exactly when mtry·⌈log₂ m⌉ < d: useFlatKernel is that rule and
 // nothing else, and grow's hand-off, a forest's need for global orders and a
@@ -531,21 +530,20 @@ func (m *codeMarks) next(w []uint64, i int) int {
 
 // flatOrder sorts a flat regression node's units by ordered feature feat and
 // returns the feature's values indexed by unit with that (value, unit) order
-// — a column read through rowOf is scattered into ws.uval first — or false
+// — a column read through rowOf is gathered into ws.uval first — or false
 // when the feature is constant over the node.
 func (b *treeBuilder) flatOrder(units []int32, feat int) ([]float64, []int32, bool) {
-	u := len(units)
-	vbuf, ord := b.ws.vbuf[:u], b.ws.pay[:u]
-	b.sortedPairs(units, feat, vbuf, ord)
-	if vbuf[0] == vbuf[u-1] {
-		return nil, nil, false
-	}
-	col := b.scols[feat].v
-	if b.rowsOf(feat) != nil {
-		col = b.ws.uval
-		for i, p := range ord {
-			col[p] = vbuf[i]
+	col, ord := b.scols[feat].v, b.ws.pay[:len(units)]
+	copy(ord, units)
+	if ro := b.rowsOf(feat); ro != nil {
+		for _, p := range units {
+			b.ws.uval[p] = col[ro[p]]
 		}
+		col = b.ws.uval
+	}
+	sortOrder(col, ord)
+	if col[ord[0]] == col[ord[len(ord)-1]] {
+		return nil, nil, false
 	}
 	return col, ord, true
 }
@@ -770,24 +768,6 @@ func (b *treeBuilder) nodeStats(samples []int32) (nodeTotals, float64) {
 	mean := t.sum / t.n
 	t.imp = t.sq/t.n - float64(mean*mean)
 	return t, mean + b.ymean
-}
-
-// sortedPairs fills (vbuf, pay) with the node's (value, unit) pairs in
-// ascending (value, unit) order by gathering and sorting.
-func (b *treeBuilder) sortedPairs(samples []int32, feat int, vbuf []float64, pay []int32) {
-	col := b.scols[feat].v
-	if ro := b.rowsOf(feat); ro != nil {
-		for i, p := range samples {
-			vbuf[i] = col[ro[p]]
-			pay[i] = p
-		}
-	} else {
-		for i, p := range samples {
-			vbuf[i] = col[p]
-			pay[i] = p
-		}
-	}
-	sortKV(vbuf, pay)
 }
 
 // partitionFlat partitions samples in place around `feat <= thr` and
