@@ -33,7 +33,7 @@ func (cn codedNode) cut(feat int, units []int32) (cut, nodeTotals) {
 	sc := &cn.ss.cols[feat]
 	c := cn.b.classCut(sc, units, &nt)
 	if !math.IsInf(c.score, -1) {
-		c.thr = midpoint(sc.vals[c.lo], sc.vals[c.hi])
+		c.thr = midpoint(sc.codes.vals[c.lo], sc.codes.vals[c.hi])
 	}
 	return c, nt
 }
@@ -68,12 +68,12 @@ func (cn codedNode) boundaries(feat int, units []int32) int {
 // codeAt is row r's rank code in column sc, whatever its width.
 func codeAt(sc *SplitColumn, r int32) int {
 	switch {
-	case sc.code.u8 != nil:
-		return int(sc.code.u8[r])
-	case sc.code.u16 != nil:
-		return int(sc.code.u16[r])
+	case sc.codes.u8 != nil:
+		return int(sc.codes.u8[r])
+	case sc.codes.u16 != nil:
+		return int(sc.codes.u16[r])
 	}
-	return int(sc.code.u32[r])
+	return int(sc.codes.u32[r])
 }
 
 // sameCut reports whether the histogram cut equals the scan's (threshold,
@@ -148,7 +148,7 @@ func TestClassCutMatchesScan(t *testing.T) {
 					if cn.ss.cols[feat].mask != nil {
 						continue
 					}
-					widths[cn.ss.cols[feat].code.u8 != nil] = true
+					widths[cn.ss.cols[feat].codes.u8 != nil] = true
 					c, nt := cn.cut(feat, units)
 					thr, gain := cn.scan(feat, units, &nt)
 					if !sameCut(c, thr, gain) {
@@ -190,7 +190,7 @@ func TestClassCutManyCodes(t *testing.T) {
 		cnt[rng.Intn(n)]++
 	}
 	cn := newCodedNode(mustDataset(x, n, 1, y, Classification, 3), cnt, 3)
-	if levels := newCodeMarks(cn.ss.codes).levels; cn.ss.codes <= 65536 || levels != 3 || cn.ss.cols[0].code.u32 == nil {
+	if levels := newCodeMarks(cn.ss.codes).levels; cn.ss.codes <= 65536 || levels != 3 || cn.ss.cols[0].codes.u32 == nil {
 		t.Fatalf("%d codes in %d levels, want more than 65,536, four bytes each, in 3", cn.ss.codes, levels)
 	}
 	units := make([]int32, cn.b.units)
@@ -352,7 +352,7 @@ func TestScreenKeepsTheArgmax(t *testing.T) {
 // node, in the kernel's formula, from the class counts left of it.
 func classGains(cn codedNode, units []int32, nt *nodeTotals) []float64 {
 	b, sc := cn.b, &cn.ss.cols[0]
-	byCode := make([][]float64, len(sc.vals))
+	byCode := make([][]float64, len(sc.codes.vals))
 	for _, u := range units {
 		c := codeAt(sc, b.rowOf[u])
 		if byCode[c] == nil {

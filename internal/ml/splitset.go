@@ -230,7 +230,9 @@ type twoRef struct {
 // Σw·y, Σw·(y·y) for regression. It also sizes the histograms: codes.
 func (ss *splitSet) markTwo() {
 	for _, c := range ss.cols {
-		ss.codes = max(ss.codes, len(c.vals))
+		if c.codes != nil {
+			ss.codes = max(ss.codes, len(c.codes.vals))
+		}
 	}
 	ss.groups, ss.twoOf = groupTwo(ss.cols)
 	width := slotWidth(ss.task, ss.classes)

@@ -19,24 +19,24 @@ import (
 type SplitColumn struct {
 	v   []float64
 	ord []int32 // rows sorted by (value, row); nil when not presorted
-	// code holds row r's index into vals, the column's distinct values
-	// ascending; values equal as floats (-0 and +0) share a code. Both are
-	// derived from ord (rank), for classification forests only.
-	code rankCodes
-	vals []float64
+	// codes are the column's rank codes, derived from ord (rank) for
+	// classification forests only; nil otherwise.
+	codes *rankCodes
 	// mask is non-nil exactly when the column is two-valued: mask[r] is 1
 	// where v[r] == hi and 0 where v[r] == lo.
 	mask   []uint8
 	lo, hi float64
 }
 
-// rankCodes are a column's per-row rank codes in the narrowest width that
-// holds its distinct count — exactly one slice is set — so that the codes a
-// histogram pass reads stay in cache.
+// rankCodes are a column's distinct values ascending (vals; values equal as
+// floats, -0 and +0, are one) and each row's index into them, in the
+// narrowest width that holds the distinct count — exactly one of u8, u16,
+// u32 is set — so that the codes a histogram pass reads stay in cache.
 type rankCodes struct {
-	u8  []uint8
-	u16 []uint16
-	u32 []uint32
+	u8   []uint8
+	u16  []uint16
+	u32  []uint32
+	vals []float64
 }
 
 // splitColumnBytes is a SplitColumn header's size (workspace accounting).
@@ -113,7 +113,7 @@ func (c *SplitColumn) presort(buf []int32) {
 // differs from the previous row's in (value, row) order; a code's value is
 // its last row's.
 func (c *SplitColumn) rank() {
-	if c.ord == nil || c.vals != nil {
+	if c.ord == nil || c.codes != nil {
 		return
 	}
 	distinct := 0
@@ -122,27 +122,28 @@ func (c *SplitColumn) rank() {
 			distinct++
 		}
 	}
-	c.vals = make([]float64, distinct)
+	rc := &rankCodes{vals: make([]float64, distinct)}
 	switch {
 	case distinct <= 1<<8:
-		c.code.u8 = codesOf(c, make([]uint8, len(c.ord)))
+		rc.u8 = codesOf(c, rc.vals, make([]uint8, len(c.ord)))
 	case distinct <= 1<<16:
-		c.code.u16 = codesOf(c, make([]uint16, len(c.ord)))
+		rc.u16 = codesOf(c, rc.vals, make([]uint16, len(c.ord)))
 	default:
-		c.code.u32 = codesOf(c, make([]uint32, len(c.ord)))
+		rc.u32 = codesOf(c, rc.vals, make([]uint32, len(c.ord)))
 	}
+	c.codes = rc
 }
 
-// codesOf sets each row's code to its rank along ord and each rank's value
-// to that of its last row, and returns code.
-func codesOf[C uint8 | uint16 | uint32](c *SplitColumn, code []C) []C {
+// codesOf sets each row's code to its rank along c's order and each rank's
+// value in vals to that of its last row, and returns code.
+func codesOf[C uint8 | uint16 | uint32](c *SplitColumn, vals []float64, code []C) []C {
 	k := 0
 	for i, r := range c.ord {
 		if i > 0 && c.v[r] != c.v[c.ord[i-1]] {
 			k++
 		}
 		code[r] = C(k)
-		c.vals[k] = c.v[r]
+		vals[k] = c.v[r]
 	}
 	return code
 }

@@ -32,7 +32,7 @@ type TreeConfig struct {
 //
 // A classification tree grows from its unit list alone: a node partitions
 // its units in place and scores an ordered column from a histogram over the
-// column's rank codes (SplitColumn.code), so it needs no order and never
+// column's rank codes (SplitColumn.codes), so it needs no order and never
 // sorts. Its class counts are exact integers in any order, so its cuts are
 // those of a scan over the node's (value, unit)-sorted sequence, bit for bit.
 //
@@ -304,8 +304,8 @@ func (b *treeBuilder) bestSplit(units []int32, nt *nodeTotals, flat bool, start 
 		return -1, 0, 0
 	}
 	if b.task == Classification {
-		if vals := b.scols[bestFeat].vals; vals != nil {
-			best.thr = midpoint(vals[best.lo], vals[best.hi])
+		if rc := b.scols[bestFeat].codes; rc != nil {
+			best.thr = midpoint(rc.vals[best.lo], rc.vals[best.hi])
 		}
 		return bestFeat, best.thr, best.score
 	}
@@ -392,7 +392,7 @@ func (b *treeBuilder) sumGroup(g *twoGroup, units []int32) {
 // classCut scores ordered column sc of a classification node from a
 // histogram over its rank codes: one pass over the node's units adds each
 // unit's multiplicity into its (code, class) cell of ws.hist and marks the
-// code (codeMarks.fill); the marked codes are then walked in ascending order
+// code (fill, codeMarks); the marked codes are then walked in ascending order
 // — the column's distinct values over the node, ascending — moving each
 // code's class counts to the left side, and clearing the cells and marks
 // behind them. Moving x samples of class c adds x·(2·l[c] + x) to the left's
@@ -403,14 +403,15 @@ func (b *treeBuilder) sumGroup(g *twoGroup, units []int32) {
 // screened Σcnt²/n terms, through ws.inv, reach the best gain less 1e-12.
 func (b *treeBuilder) classCut(sc *SplitColumn, units []int32, nt *nodeTotals) cut {
 	ws := b.ws
-	k, hist, cls, marks, lv := b.classes, ws.hist, ws.cls, ws.marks, newCodeMarks(len(sc.vals))
-	switch code := sc.code; {
-	case code.u8 != nil:
-		fill(&lv, hist, cls, marks, k, units, code.u8, b.rowOf, ws.labels, ws.cnt)
-	case code.u16 != nil:
-		fill(&lv, hist, cls, marks, k, units, code.u16, b.rowOf, ws.labels, ws.cnt)
+	rc := sc.codes
+	k, hist, cls, marks, lv := b.classes, ws.hist, ws.cls, ws.marks, newCodeMarks(len(rc.vals))
+	switch {
+	case rc.u8 != nil:
+		fill(&lv, hist, cls, marks, k, units, rc.u8, b.rowOf, ws.labels, ws.cnt)
+	case rc.u16 != nil:
+		fill(&lv, hist, cls, marks, k, units, rc.u16, b.rowOf, ws.labels, ws.cnt)
 	default:
-		fill(&lv, hist, cls, marks, k, units, code.u32, b.rowOf, ws.labels, ws.cnt)
+		fill(&lv, hist, cls, marks, k, units, rc.u32, b.rowOf, ws.labels, ws.cnt)
 	}
 	lcnt, tcnt := ws.lcnt, ws.icnt
 	var leftSq, cross, totSq, nl int64 // cross = Σ tcnt·lcnt
