@@ -9,13 +9,13 @@ import (
 
 // SplitColumn is one feature column of a split set: the column's values over
 // a fixed row set, plus what the split kernel needs to walk them in
-// (value, row) order — for most columns the row indices sorted that way and
-// each row's rank code, for a two-valued column (every one-hot column)
-// nothing but a byte per row saying which of its two values the row holds:
-// its order over any row set is that set ascending, lows first, then highs.
-// A SplitColumn is immutable once published: the split kernel only reads it,
-// so one column can back any number of concurrently fitted forests over the
-// same rows.
+// (value, row) order — for most columns the row indices sorted that way (and
+// for classification each row's rank code), for a two-valued column (every
+// one-hot column) nothing but a byte per row saying which of its two values
+// the row holds: its order over any row set is that set ascending, lows
+// first, then highs. A SplitColumn is immutable once published: the split
+// kernel only reads it, so one column can back any number of concurrently
+// fitted forests over the same rows.
 type SplitColumn struct {
 	v   []float64
 	ord []int32 // rows sorted by (value, row); nil when not presorted
@@ -153,10 +153,10 @@ func codesOf[C uint8 | uint16 | uint32](c *SplitColumn, vals []float64, code []C
 func (c SplitColumn) Presorted() bool { return c.ord != nil || c.mask != nil }
 
 // PresortColumns builds every column of ds as a split column carrying its
-// (value, row) order (a two-valued column needs none), on up to workers
-// goroutines (0 = process-wide maximum). Columns are independent and the
-// order is a unique total order, so the result is identical at any worker
-// count. The columns are immutable: any number of views over ds's rows, and
+// (value, row) order and, for classification, its rank codes (a two-valued
+// column needs neither), on up to workers goroutines (0 = process-wide
+// maximum). Columns are independent and the order is a unique total order,
+// so the result is identical at any worker count. The columns are immutable: any number of views over ds's rows, and
 // the forests fitted through them, can share them.
 func PresortColumns(ds *Dataset, workers int) []SplitColumn {
 	cols := make([]SplitColumn, ds.D)
