@@ -252,8 +252,7 @@ profile-load:
 
 # CPU and allocation profiles of the join data plane (BenchmarkDataplane*:
 # key grouping and probing on a composite key, the hard join, AggregateByKey,
-# and a time-resample join with its preparation cached and not). Inspect
-# with `go tool pprof join.pprof`, or
+# and a time-resample join). Inspect with `go tool pprof join.pprof`, or
 # `go tool pprof -sample_index=alloc_space join.mem.pprof` for bytes.
 profile-join:
 	$(GO) test -bench='^BenchmarkDataplane' -benchtime=10x -run=^$$ \

@@ -22,7 +22,6 @@ package arda
 import (
 	"context"
 	"io"
-	"math/rand"
 
 	"github.com/arda-ml/arda/internal/core"
 	"github.com/arda-ml/arda/internal/coreset"
@@ -157,17 +156,6 @@ func LoadCSVDir(dir string) ([]*Table, error) { return dataframe.ReadCSVDir(dir)
 // from such a system, pass them to Augment directly.
 func Discover(base *Table, repo []*Table, target string) []Candidate {
 	return discovery.Discover(base, repo, target, discovery.Options{})
-}
-
-// DiscoverTransitive proposes two-hop candidates (base → A → B) in addition
-// to nothing else: signal reachable only through an intermediate table is
-// materialized as a widened candidate (B's columns prefixed "via.<B>.") that
-// joins on the original base key. Append the result to Discover's output
-// before calling Augment (§9 future work: augmentation via transitive
-// joins).
-func DiscoverTransitive(base *Table, repo []*Table, target string, seed int64) []Candidate {
-	rng := rand.New(rand.NewSource(seed))
-	return discovery.Transitive(base, repo, target, discovery.TransitiveOptions{}, rng)
 }
 
 // Describe renders a per-column profile of the table: kinds, ranges,

@@ -128,18 +128,3 @@ func TestNewRIFSFacade(t *testing.T) {
 		t.Fatalf("NewRIFS name = %q", sel.Name())
 	}
 }
-
-func TestDiscoverTransitiveFacade(t *testing.T) {
-	corpus := synth.Poverty(synth.Config{Seed: 24, Scale: 0.1})
-	trans := DiscoverTransitive(corpus.Base, corpus.Repo, corpus.Target, 25)
-	// Poverty's signal is all directly reachable, but the call must still
-	// produce widened candidates from the strongest first hops.
-	if len(trans) == 0 {
-		t.Fatal("no transitive candidates")
-	}
-	for _, c := range trans {
-		if !strings.Contains(c.Table.Name(), "+") {
-			t.Fatalf("widened table name %q lacks hop marker", c.Table.Name())
-		}
-	}
-}

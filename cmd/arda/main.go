@@ -68,8 +68,6 @@ func main() {
 		tau         = flag.Float64("tau", 0, "Tuple-Ratio prefilter threshold (0 = disabled)")
 		seed        = flag.Int64("seed", 1, "random seed")
 		softJoin    = flag.String("soft", "2way", "soft-key join method: 2way | nearest | hard")
-		transitive  = flag.Bool("transitive", false, "also discover two-hop (transitive) join candidates")
-		knnImpute   = flag.Int("knn-impute", 0, "use k-nearest-neighbour imputation with this k (0 = median/random)")
 		sig         = flag.Int("significance", 0, "bootstrap resamples for the augmentation significance test (0 = off)")
 		workers     = flag.Int("workers", 0, "max parallel workers (0 = all cores); results are identical for any value")
 		timeout     = flag.Duration("timeout", 0, "bound the run's wall-clock time (e.g. 90s, 5m); an exceeded run stops with a partial report (0 = unbounded)")
@@ -166,7 +164,6 @@ func main() {
 		CoresetSize:   *size,
 		TupleRatioTau: *tau,
 		Seed:          *seed,
-		KNNImpute:     *knnImpute,
 		Significance:  *sig,
 		Workers:       *workers,
 		Timeout:       *timeout,
@@ -203,17 +200,10 @@ func main() {
 	fmt.Printf("repository: %d tables\n", len(repo))
 	cands := arda.Discover(base, repo, *target)
 	fmt.Printf("discovered: %d candidate joins\n", len(cands))
-	if *transitive {
-		trans := arda.DiscoverTransitive(base, repo, *target, *seed)
-		fmt.Printf("transitive: %d widened candidates\n", len(trans))
-		cands = append(cands, trans...)
-	}
 	if *mode == "discover" {
 		for _, c := range cands {
 			kind := "hard"
-			if c.Geo {
-				kind = "geo"
-			} else if c.Soft {
+			if c.Soft {
 				kind = "soft"
 			}
 			keys := ""

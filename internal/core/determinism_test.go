@@ -28,7 +28,6 @@ func TestAugmentWorkersDeterminism(t *testing.T) {
 			Selector:    &featsel.RIFS{Config: featsel.RIFSConfig{K: 3, Forest: featsel.ForestRanker{NTrees: 15, MaxDepth: 6}}},
 			Estimator:   fastEstimator(1),
 			Seed:        62,
-			KNNImpute:   3,
 			Workers:     workers,
 		})
 		if err != nil {

@@ -70,9 +70,9 @@ func runFingerprint(base *dataframe.Table, cands []discovery.Candidate, o *Optio
 	if o.Selector != nil {
 		selector = o.Selector.Name()
 	}
-	fmt.Fprintf(h, "v6|target=%s|coreset=%d/%d|tau=%g|soft=%d|noresample=%t|seed=%d|knn=%d|sig=%d|sel=%s|customest=%t|",
+	fmt.Fprintf(h, "v7|target=%s|coreset=%d/%d|tau=%g|soft=%d|noresample=%t|seed=%d|sig=%d|sel=%s|customest=%t|",
 		o.Target, o.CoresetStrategy, o.CoresetSize, o.TupleRatioTau, o.SoftMethod,
-		o.DisableTimeResample, o.Seed, o.KNNImpute, o.Significance, selector, o.Estimator != nil)
+		o.DisableTimeResample, o.Seed, o.Significance, selector, o.Estimator != nil)
 	writeU64(base.Digest())
 	writeU64(uint64(len(cands)))
 	for _, c := range cands {
@@ -81,7 +81,7 @@ func runFingerprint(base *dataframe.Table, cands []discovery.Candidate, o *Optio
 			fmt.Fprintf(h, "%s>%s/%d|", k.BaseColumn, k.ForeignColumn, k.Kind)
 		}
 		writeU64(math.Float64bits(c.Score))
-		fmt.Fprintf(h, "soft=%t|geo=%t|", c.Soft, c.Geo)
+		fmt.Fprintf(h, "soft=%t|", c.Soft)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }

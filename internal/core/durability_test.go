@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -300,6 +302,38 @@ func TestCheckpointResumeAfterCancel(t *testing.T) {
 	}
 	if got, want := resultKey(t, res), resultKey(t, baseline); got != want {
 		t.Fatalf("resume after cancel diverged:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestResumeRefusesV6Checkpoint: the fingerprint's tag went from v6 to v7
+// when kNN imputation left the options and geo candidates left the
+// candidate record. A log a v6 binary wrote for the same inputs and options
+// (its knn=0 and geo=false fields, as every such run recorded them) must be
+// refused as a mismatch, never decoded.
+func TestResumeRefusesV6Checkpoint(t *testing.T) {
+	corpus, cands := chaosCorpus(t)
+	opts := chaosOptions(corpus, 1, nil)
+	opts.CheckpointDir, opts.Resume = t.TempDir(), true
+	h := fnv.New64a()
+	writeU64 := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+	fmt.Fprintf(h, "v6|target=%s|coreset=%d/%d|tau=%g|soft=%d|noresample=%t|seed=%d|knn=%d|sig=%d|sel=%s|customest=%t|",
+		opts.Target, opts.CoresetStrategy, opts.CoresetSize, opts.TupleRatioTau, opts.SoftMethod,
+		opts.DisableTimeResample, opts.Seed, 0, opts.Significance, opts.Selector.Name(), opts.Estimator != nil)
+	writeU64(corpus.Base.Digest())
+	writeU64(uint64(len(cands)))
+	for _, c := range cands {
+		writeU64(c.Table.Digest())
+		for _, k := range c.Keys {
+			fmt.Fprintf(h, "%s>%s/%d|", k.BaseColumn, k.ForeignColumn, k.Kind)
+		}
+		writeU64(math.Float64bits(c.Score))
+		fmt.Fprintf(h, "soft=%t|geo=%t|", c.Soft, false)
+	}
+	if _, err := checkpoint.Create(opts.CheckpointDir, fmt.Sprintf("%016x", h.Sum64())); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Augment(corpus.Base, cands, opts); !errors.Is(err, ErrCheckpointMismatch) {
+		t.Fatalf("resume over a v6 log: err = %v, want ErrCheckpointMismatch", err)
 	}
 }
 

@@ -51,14 +51,10 @@ type Options struct {
 	// seed — never on execution order or the worker count.
 	Seed int64
 	// Workers caps the process-wide worker pool used by the parallel stages
-	// (RIFS repetitions, forests, leverage scores, kNN imputation, linalg
-	// kernels); 0 keeps the current cap (GOMAXPROCS by default). The cap only
-	// affects speed: a run's output is bit-identical for any value.
+	// (RIFS repetitions, forests, leverage scores, linalg kernels); 0 keeps
+	// the current cap (GOMAXPROCS by default). The cap only affects speed: a
+	// run's output is bit-identical for any value.
 	Workers int
-	// KNNImpute switches imputation from the paper's simple median/random
-	// strategy to k-nearest-neighbour imputation (§9 "sophisticated methods
-	// for data imputation"); the value is k (0 disables).
-	KNNImpute int
 	// Significance runs a paired bootstrap test of the final augmentation
 	// against the base table (§9 "statistical significance tests for
 	// augmented features"); the value is the number of bootstrap resamples

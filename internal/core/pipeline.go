@@ -87,7 +87,6 @@ func AugmentContext(ctx context.Context, base *dataframe.Table, cands []discover
 		return nil, err
 	}
 	err = mapInterrupt(r.execute(ctx))
-	r.publishCacheStats()
 	res := &r.res
 	res.Elapsed = time.Since(start)
 	res.Trace = r.tr.Finish()
@@ -108,11 +107,6 @@ type run struct {
 	// it indexes that list.
 	cands []discovery.Candidate
 	size  int
-
-	// prep caches the soft, geo and time-resample foreign-table preparations
-	// screen, join and materialize share (a hard-key join prepares nothing);
-	// valid because candidate tables are never mutated.
-	prep *join.PrepCache
 
 	// Tracing only observes — spans and counters never feed back and draw no
 	// randomness — and is a free no-op when Options.Trace is nil.
@@ -179,8 +173,7 @@ func newRun(base *dataframe.Table, cands []discovery.Candidate, opts Options) (*
 	}
 	r := &run{
 		base: base, opts: opts, task: task, classes: classes, estimator: opts.Estimator,
-		cands: cands, prep: join.NewPrepCache(),
-		tr: opts.Trace, doneRank: -1,
+		cands: cands, tr: opts.Trace, doneRank: -1,
 	}
 	if r.estimator == nil {
 		r.estimator = automl.DefaultEstimator(opts.Seed)
@@ -201,14 +194,6 @@ func newRun(base *dataframe.Table, cands []discovery.Candidate, opts Options) (*
 	return r, nil
 }
 
-// publishCacheStats sets the preparation cache's final figures as gauges.
-func (r *run) publishCacheStats() {
-	ps := r.prep.Stats()
-	r.tr.Gauge("prep_cache.hits").Set(ps.Hits)
-	r.tr.Gauge("prep_cache.misses").Set(ps.Misses)
-	r.tr.Gauge("prep_cache.entries").Set(int64(r.prep.Len()))
-}
-
 // quarantine is the fault boundary's record: a candidate that faults is
 // dropped at the named stage and logged, never fatal. A stage run again on
 // resume records nothing: the restored list already holds its quarantines.
@@ -223,27 +208,11 @@ func (r *run) quarantine(name, stage string, reason error) {
 	r.opts.logf("quarantine: %s at %s: %v", name, stage, reason)
 }
 
-// imputeTable applies the configured imputation strategy: kNN when enabled
-// (falling back to simple imputation for anything kNN cannot fill), simple
-// median/random otherwise.
-func imputeTable(t *dataframe.Table, opts Options, rng *rand.Rand) {
-	if opts.KNNImpute > 0 {
-		join.KNNImpute(t, opts.KNNImpute)
-	}
-	join.Impute(t, rng)
-}
-
-// specFor builds the join spec for a candidate under the run options. Geo
-// candidates override the run-wide soft method: they only make sense with
-// GeoNearest matching.
+// specFor builds the join spec for a candidate under the run options.
 func specFor(c discovery.Candidate, opts Options, prefix string) *join.Spec {
-	method := opts.SoftMethod
-	if c.Geo {
-		method = join.GeoNearest
-	}
 	return &join.Spec{
 		Keys:         c.Keys,
-		Method:       method,
+		Method:       opts.SoftMethod,
 		TimeResample: !opts.DisableTimeResample,
 		Prefix:       prefix,
 	}

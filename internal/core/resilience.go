@@ -93,7 +93,7 @@ func faultAt(inj *faults.Injector, stage string, ordinal int) (err error) {
 // so only a spec with a soft key gets one; it is re-derived from seedPath
 // for every attempt — attempt-local state, so a retried join draws exactly
 // the sequence a first-try success would and the output stays bit-identical.
-func guardedJoin(ctx context.Context, o *Options, prep *join.PrepCache, stage string, ordinal int,
+func guardedJoin(ctx context.Context, o *Options, stage string, ordinal int,
 	left *dataframe.Table, cand discovery.Candidate, prefix string, seedPath ...int64) (*join.Result, error) {
 	if cand.Table.NumRows() == 0 {
 		return nil, errors.New("candidate table is empty")
@@ -114,7 +114,7 @@ func guardedJoin(ctx context.Context, o *Options, prep *join.PrepCache, stage st
 		if soft {
 			rng = stageRNG(o.Seed, seedPath...)
 		}
-		jr, err = join.ExecuteCached(left, cand.Table, spec, rng, prep)
+		jr, err = join.Execute(left, cand.Table, spec, rng)
 		return err
 	})
 	return jr, err

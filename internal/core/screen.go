@@ -7,7 +7,6 @@ import (
 	"github.com/arda-ml/arda/internal/dataframe"
 	"github.com/arda-ml/arda/internal/discovery"
 	"github.com/arda-ml/arda/internal/featsel"
-	"github.com/arda-ml/arda/internal/join"
 	"github.com/arda-ml/arda/internal/ml"
 	"github.com/arda-ml/arda/internal/parallel"
 )
@@ -52,9 +51,6 @@ type screenInput struct {
 	// Opts supplies the target, the run seed, the join settings and the
 	// fault injector.
 	Opts *Options
-	// Prep is the run's preparation cache; what the stage aggregates or
-	// resamples here, join and materialize reuse.
-	Prep *join.PrepCache
 }
 
 // screenOutcome is everything the stage decides, and what its checkpoint
@@ -164,7 +160,7 @@ func screenScore(ctx context.Context, in *screenInput, ord int, y []float64) (be
 		}
 	}()
 	cand := in.Cands[ord]
-	jr, err := guardedJoin(ctx, in.Opts, in.Prep, "screen", ord, in.Coreset, cand, "screen.",
+	jr, err := guardedJoin(ctx, in.Opts, "screen", ord, in.Coreset, cand, "screen.",
 		seedStageScreen, int64(ord))
 	if err != nil || len(jr.AddedColumns) == 0 {
 		return 0, err

@@ -72,11 +72,10 @@ func screenFixture() (*dataframe.Table, []discovery.Candidate) {
 // size, and survivors come back in candidate order.
 func TestScreenKeepsBestThatFit(t *testing.T) {
 	base, cands := screenFixture()
-	run := func(capacity int) (*screenOutcome, *join.PrepCache) {
-		prep := join.NewPrepCache()
+	run := func(capacity int) *screenOutcome {
 		out, faults, err := screenCandidates(context.Background(), screenInput{
 			Coreset: base, Cands: cands, Capacity: capacity, Task: ml.Regression,
-			Opts: &Options{Target: "y", Seed: 1}, Prep: prep,
+			Opts: &Options{Target: "y", Seed: 1},
 		})
 		if err != nil {
 			t.Fatalf("capacity %d: %v", capacity, err)
@@ -86,14 +85,13 @@ func TestScreenKeepsBestThatFit(t *testing.T) {
 				t.Fatalf("capacity %d: candidate %d faulted: %v", capacity, ord, ferr)
 			}
 		}
-		return out, prep
+		return out
 	}
 
 	// Six features in all: a capacity of six is the identity, and free.
-	out, prep := run(6)
-	if !reflect.DeepEqual(out.Kept, []int{0, 1, 2, 3}) || out.Tables != nil || prep.Len() != 0 {
-		t.Fatalf("fitting candidates: kept %v, %d verdicts, %d tables prepared; want all, none, none",
-			out.Kept, len(out.Tables), prep.Len())
+	out := run(6)
+	if !reflect.DeepEqual(out.Kept, []int{0, 1, 2, 3}) || out.Tables != nil {
+		t.Fatalf("fitting candidates: kept %v, %d verdicts; want all, none", out.Kept, len(out.Tables))
 	}
 	if got := out.keep(cands); len(got) != 4 || got[3].Table.Name() != "faint" {
 		t.Fatalf("identity keep returned %d candidates", len(got))
@@ -109,7 +107,7 @@ func TestScreenKeepsBestThatFit(t *testing.T) {
 		{1, []int{0}}, // the tie goes to the earlier candidate
 		{0, []int{0}}, // the best table goes on even when nothing fits
 	} {
-		out, _ := run(c.capacity)
+		out := run(c.capacity)
 		if !reflect.DeepEqual(out.Kept, c.want) {
 			t.Errorf("capacity %d: kept %v, want %v (%+v)", c.capacity, out.Kept, c.want, out.Tables)
 		}
@@ -132,7 +130,7 @@ func TestScreenKeepsBestThatFit(t *testing.T) {
 	// The same rule with a table that is oversized on its own.
 	only, _, err := screenCandidates(context.Background(), screenInput{
 		Coreset: base, Cands: cands[1:2], Capacity: 2, Task: ml.Regression,
-		Opts: &Options{Target: "y", Seed: 1}, Prep: join.NewPrepCache(),
+		Opts: &Options{Target: "y", Seed: 1},
 	})
 	if err != nil || !reflect.DeepEqual(only.Kept, []int{0}) {
 		t.Fatalf("a lone oversized table: kept %v, err %v", only.Kept, err)
@@ -212,13 +210,6 @@ func TestScreenWorkersBitIdentical(t *testing.T) {
 	c := one.Trace.Counters
 	if joined := c["join.candidates_scored"] + c["join.candidates_skipped"]; joined != int64(kept) {
 		t.Fatalf("the join stage tried %d tables, the screen passed on %d", joined, kept)
-	}
-
-	// Every key here is hard, so every join reads its foreign table in
-	// place and no prepared copy is retained.
-	if c["prep_cache.entries"] != 0 || c["prep_cache.hits"]+c["prep_cache.misses"] != 0 {
-		t.Fatalf("hard-key joins used the prep cache: %d entries, %d hits, %d misses",
-			c["prep_cache.entries"], c["prep_cache.hits"], c["prep_cache.misses"])
 	}
 }
 

@@ -44,10 +44,10 @@ func TestStageSeedPathUniqueness(t *testing.T) {
 }
 
 // TestRunShapesPinned pins the answer of the run shapes no other golden
-// covers — each coreset strategy, and kNN imputation — on one small
-// classification corpus (School-S, corpus seed 1, scale 0.3, pipeline seed
-// 2), so that a seed path that moves, selection's run seed + 1 included,
-// fails here instead of moving an answer unnoticed.
+// covers — each coreset strategy — on one small classification corpus
+// (School-S, corpus seed 1, scale 0.3, pipeline seed 2), so that a seed path
+// that moves, selection's run seed + 1 included, fails here instead of moving
+// an answer unnoticed.
 // Recorded at ced4b9d. No synthetic corpus's answer depends on the join or
 // impute RNG; TestJoinedTablePinned holds those two paths.
 func TestRunShapesPinned(t *testing.T) {
@@ -61,7 +61,6 @@ func TestRunShapesPinned(t *testing.T) {
 	}{
 		{"uniform", Options{CoresetStrategy: coreset.Uniform}, 0x40b97f8363639523, 0.725},
 		{"leverage", Options{CoresetStrategy: coreset.Leverage}, 0x2cbcc2e26e9d809d, 0.675},
-		{"knn", Options{KNNImpute: 5}, 0x495a5caa5a51da18, 0.725},
 	} {
 		t.Run(shape.name, func(t *testing.T) {
 			opts := shape.opts

@@ -96,7 +96,7 @@ func (r *run) screen(ctx context.Context) (bool, error) {
 		var err error
 		out, faults, err = screenCandidates(ctx, screenInput{
 			Coreset: r.work, Cands: r.cands, Capacity: min(r.size, r.work.NumRows()),
-			Task: r.task, Classes: r.classes, Opts: &r.opts, Prep: r.prep,
+			Task: r.task, Classes: r.classes, Opts: &r.opts,
 		})
 		if err != nil {
 			return false, err
@@ -141,7 +141,7 @@ func (r *run) joinCandidate(ctx context.Context, parent *obs.Span, stage string,
 	cand := r.cands[ord]
 	span := parent.Child(stage+".cand", ord)
 	span.SetLabel(cand.Table.Name())
-	jr, err := guardedJoin(ctx, &r.opts, r.prep, stage, ord, left, cand, prefixOf(ord), seedPath...)
+	jr, err := guardedJoin(ctx, &r.opts, stage, ord, left, cand, prefixOf(ord), seedPath...)
 	if err != nil {
 		span.End()
 		if isInterrupt(err) {
@@ -212,7 +212,7 @@ func (r *run) impute(context.Context) (bool, error) {
 	}
 	span := r.tr.Root().Child("impute", 0)
 	defer span.End()
-	imputeTable(r.work, r.opts, stageRNG(r.opts.Seed, seedStageImpute, 0))
+	join.Impute(r.work, stageRNG(r.opts.Seed, seedStageImpute, 0))
 	return false, nil
 }
 
@@ -302,7 +302,7 @@ func (r *run) materialize(ctx context.Context) (bool, error) {
 	// top-level siblings, and their event paths must differ.
 	span := r.tr.Root().Child("impute", 1)
 	defer span.End()
-	imputeTable(final, r.opts, stageRNG(r.opts.Seed, seedStageFinal))
+	join.Impute(final, stageRNG(r.opts.Seed, seedStageFinal))
 	res := &r.res
 	res.Table = final
 	r.opts.logf("materialized %d kept columns from %d tables over %d rows",

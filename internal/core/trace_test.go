@@ -112,49 +112,6 @@ func TestAugmentTraceStageCoverage(t *testing.T) {
 	}
 }
 
-// TestAugmentPrepCachePreparesOnce is the guard for the caching contract:
-// a run prepares each soft or time-resample candidate once per (keys,
-// granularity) — the screen prepares it, and the join stage finds that
-// work — so cache misses equal cache entries. The fixture is Pickup, whose
-// every candidate has a soft time key, with a coreset small enough that the
-// screen cuts. A hard-key join reads its foreign table in place: on the
-// Poverty run, whose keys are all hard, the cache holds nothing.
-func TestAugmentPrepCachePreparesOnce(t *testing.T) {
-	corpus := synth.Pickup(synth.Config{Seed: 71, Scale: 0.2})
-	cands := discovery.Discover(corpus.Base, corpus.Repo, corpus.Target, discovery.Options{})
-	res, err := Augment(corpus.Base, cands, Options{
-		Target:      corpus.Target,
-		CoresetSize: 40,
-		Selector:    &featsel.RIFS{Config: featsel.RIFSConfig{K: 3, Forest: featsel.ForestRanker{NTrees: 15, MaxDepth: 6}}},
-		Estimator:   fastEstimator(1),
-		Seed:        72,
-		Trace:       obs.New("augment"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := res.Trace.Counters
-	misses, entries, hits := c["prep_cache.misses"], c["prep_cache.entries"], c["prep_cache.hits"]
-	if res.CandidatesScreened == 0 || entries == 0 {
-		t.Fatalf("fixture did not engage the screen and the cache: %d screened out, %d entries", res.CandidatesScreened, entries)
-	}
-	if misses != entries {
-		t.Fatalf("prep cache misses %d != entries %d: some table was prepared more than once", misses, entries)
-	}
-	joined := c["join.candidates_scored"]
-	t.Logf("pickup: %d of %d candidates screened out, %d prepared, %d hits, %d joins",
-		res.CandidatesScreened, len(cands), entries, hits, joined)
-	if joined == 0 || hits < joined {
-		t.Fatalf("prep cache hits %d, want at least the %d joins of screened tables", hits, joined)
-	}
-
-	hard := tracedRun(t, 0, obs.New("augment")).Trace.Counters
-	if hard["prep_cache.entries"] != 0 || hard["prep_cache.hits"]+hard["prep_cache.misses"] != 0 {
-		t.Fatalf("a hard-key run used the prep cache: %d entries, %d hits, %d misses",
-			hard["prep_cache.entries"], hard["prep_cache.hits"], hard["prep_cache.misses"])
-	}
-}
-
 // normalizeTree renders a span tree's structure — names, ordinals, labels,
 // attributes, nesting — without durations, the scheduling-independent shape
 // two runs of the same seeded pipeline must share.

@@ -38,9 +38,6 @@ func MustNewTable(name string, cols ...Column) *Table {
 // Name returns the table name.
 func (t *Table) Name() string { return t.name }
 
-// SetName changes the table name.
-func (t *Table) SetName(name string) { t.name = name }
-
 // NumRows returns the number of rows (0 for an empty table).
 func (t *Table) NumRows() int {
 	if len(t.cols) == 0 {

@@ -31,9 +31,6 @@ type Candidate struct {
 	Score float64
 	// Soft reports whether any key pair requires proximity matching.
 	Soft bool
-	// Geo marks a two-soft-key location candidate (lat/lon pair) that must
-	// be executed with join.GeoNearest.
-	Geo bool
 }
 
 // Options tunes candidate generation.
@@ -77,19 +74,9 @@ func Discover(base *dataframe.Table, repo []*dataframe.Table, target string, opt
 	opts.defaults()
 	bp := profileTable(base, opts, nil)
 	needSet := bp.keyRanges(target)
-	return discover(bp, target, len(repo),
-		func(i int) *tableProfile { return profileTable(repo[i], opts, needSet) }, opts)
-}
-
-// discover matches an immutable base profile against n foreign profiles.
-// foreign(i) is called once per index, from a pool worker; it either builds
-// the profile (Discover) or hands out one built earlier (Transitive).
-func discover(base *tableProfile, target string, n int, foreign func(i int) *tableProfile, opts Options) []Candidate {
-	bLat := base.coordinate(geoLatNames, target)
-	bLon := base.coordinate(geoLonNames, target)
-	perTable := make([][]Candidate, n)
-	parallel.ForEach(0, n, func(i int) {
-		perTable[i] = matchTable(base, target, bLat, bLon, foreign(i), opts)
+	perTable := make([][]Candidate, len(repo))
+	parallel.ForEach(0, len(repo), func(i int) {
+		perTable[i] = matchTable(bp, target, profileTable(repo[i], opts, needSet), opts)
 	})
 	var out []Candidate
 	for _, cands := range perTable {
@@ -252,8 +239,8 @@ func containment[K comparable](a, b map[K]struct{}) float64 {
 // matchTable proposes candidates between the base table and one foreign
 // table: every sufficiently-overlapping column pair individually (base-column
 // major), then a composite candidate when several hard pairs hit the same
-// table, then the geo candidate.
-func matchTable(base *tableProfile, target string, bLat, bLon *columnProfile, foreign *tableProfile, opts Options) []Candidate {
+// table.
+func matchTable(base *tableProfile, target string, foreign *tableProfile, opts Options) []Candidate {
 	var pairs []join.KeyPair
 	var scores []float64
 	for i := range base.cols {
@@ -301,60 +288,7 @@ func matchTable(base *tableProfile, target string, bLat, bLon *columnProfile, fo
 			Score: compScore / float64(len(comp)) * 1.1,
 		})
 	}
-	if geo, ok := geoCandidate(bLat, bLon, foreign); ok {
-		out = append(out, geo)
-	}
 	return out
-}
-
-// geoLatNames and geoLonNames list normalized name fragments identifying
-// latitude and longitude columns.
-var geoLatNames = []string{"lat", "latitude"}
-var geoLonNames = []string{"lon", "lng", "longitude"}
-
-// coordinate returns the first numeric column whose normalized name matches
-// one of the fragments, skipping the column named exclude.
-func (t *tableProfile) coordinate(fragments []string, exclude string) *columnProfile {
-	for i := range t.cols {
-		c := &t.cols[i]
-		if c.name == exclude || c.kind != dataframe.Numeric {
-			continue
-		}
-		for _, f := range fragments {
-			if c.norm == f || strings.HasSuffix(c.norm, f) || strings.HasPrefix(c.norm, f) {
-				return c
-			}
-		}
-	}
-	return nil
-}
-
-// geoCandidate proposes a location-based join when both tables carry a
-// lat/lon coordinate pair with overlapping extents.
-func geoCandidate(bLat, bLon *columnProfile, foreign *tableProfile) (Candidate, bool) {
-	if bLat == nil || bLon == nil {
-		return Candidate{}, false
-	}
-	fLat := foreign.coordinate(geoLatNames, "")
-	fLon := foreign.coordinate(geoLonNames, "")
-	if fLat == nil || fLon == nil {
-		return Candidate{}, false
-	}
-	ovLat := rangeOverlap(bLat.span, fLat.span)
-	ovLon := rangeOverlap(bLon.span, fLon.span)
-	if ovLat <= 0 || ovLon <= 0 {
-		return Candidate{}, false
-	}
-	return Candidate{
-		Table: foreign.table,
-		Keys: []join.KeyPair{
-			{BaseColumn: bLon.name, ForeignColumn: fLon.name, Kind: join.Soft},
-			{BaseColumn: bLat.name, ForeignColumn: fLat.name, Kind: join.Soft},
-		},
-		Score: (ovLat + ovLon) / 2,
-		Soft:  true,
-		Geo:   true,
-	}, true
 }
 
 // matchColumns scores one base/foreign column pair as a potential key. It

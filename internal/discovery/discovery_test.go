@@ -163,7 +163,7 @@ func TestDiscoverIgnoresByteOrderMark(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatalf("%s: no candidates; the comparison is vacuous", label)
 		}
-		requireSameCandidates(t, label, Discover(marked, repo, "performance", Options{}), want, true)
+		requireSameCandidates(t, label, Discover(marked, repo, "performance", Options{}), want)
 	}
 }
 
@@ -196,6 +196,35 @@ func TestProfileAllocsNoDisjointValueSet(t *testing.T) {
 	} {
 		if p := profileColumn(tc.col, opts, needSet); (p.nums != nil) != tc.want {
 			t.Errorf("foreign column %s: value set built = %v, want %v", p.name, p.nums != nil, tc.want)
+		}
+	}
+}
+
+// Coordinate columns are ordinary columns: a base and a foreign table that
+// both carry lat/lon yield one candidate per matching column, never a
+// candidate pairing the two soft keys, which join.Spec.Validate refuses.
+func TestDiscoverCoordinatesYieldSingleKeyCandidates(t *testing.T) {
+	base := dataframe.MustNewTable("trips",
+		dataframe.NewNumeric("lon", []float64{-74.0, -73.9, -73.95}),
+		dataframe.NewNumeric("lat", []float64{40.7, 40.75, 40.72}),
+		dataframe.NewNumeric("y", []float64{1, 2, 3}),
+	)
+	stations := dataframe.MustNewTable("stations",
+		dataframe.NewNumeric("lon", []float64{-74.01, -73.91}),
+		dataframe.NewNumeric("lat", []float64{40.69, 40.76}),
+		dataframe.NewNumeric("capacity", []float64{10, 20}),
+	)
+	cands := Discover(base, []*dataframe.Table{stations}, "y", Options{})
+	if len(cands) == 0 {
+		t.Fatal("no candidates; the coordinate columns should match as soft keys")
+	}
+	for _, c := range cands {
+		if len(c.Keys) != 1 {
+			t.Errorf("candidate on %s has %d keys %+v, want 1", c.Table.Name(), len(c.Keys), c.Keys)
+		}
+		spec := &join.Spec{Keys: c.Keys}
+		if err := spec.Validate(base, c.Table); err != nil {
+			t.Errorf("candidate %+v is not executable: %v", c.Keys, err)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package discovery
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 
 	"github.com/arda-ml/arda/internal/dataframe"
@@ -13,9 +12,8 @@ import (
 )
 
 // requireSameCandidates fails unless got is want bit for bit: same foreign
-// tables (by identity when byIdentity, else by name and content digest), key
-// pairs, flags, score bits and order.
-func requireSameCandidates(t testing.TB, label string, got, want []Candidate, byIdentity bool) {
+// tables (by identity), key pairs, flags, score bits and order.
+func requireSameCandidates(t testing.TB, label string, got, want []Candidate) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d candidates, reference has %d", label, len(got), len(want))
@@ -23,18 +21,15 @@ func requireSameCandidates(t testing.TB, label string, got, want []Candidate, by
 	for i := range want {
 		g, w := got[i], want[i]
 		sameTable := g.Table == w.Table
-		if !byIdentity {
-			sameTable = g.Table.Name() == w.Table.Name() && g.Table.Digest() == w.Table.Digest()
-		}
 		sameKeys := len(g.Keys) == len(w.Keys)
 		for k := 0; sameKeys && k < len(w.Keys); k++ {
 			sameKeys = g.Keys[k] == w.Keys[k]
 		}
-		if !sameTable || !sameKeys || g.Soft != w.Soft || g.Geo != w.Geo ||
+		if !sameTable || !sameKeys || g.Soft != w.Soft ||
 			math.Float64bits(g.Score) != math.Float64bits(w.Score) {
-			t.Fatalf("%s: candidate %d differs\n got  %s %+v soft=%v geo=%v score=%x\n want %s %+v soft=%v geo=%v score=%x",
-				label, i, g.Table.Name(), g.Keys, g.Soft, g.Geo, math.Float64bits(g.Score),
-				w.Table.Name(), w.Keys, w.Soft, w.Geo, math.Float64bits(w.Score))
+			t.Fatalf("%s: candidate %d differs\n got  %s %+v soft=%v score=%x\n want %s %+v soft=%v score=%x",
+				label, i, g.Table.Name(), g.Keys, g.Soft, math.Float64bits(g.Score),
+				w.Table.Name(), w.Keys, w.Soft, math.Float64bits(w.Score))
 		}
 	}
 }
@@ -48,7 +43,7 @@ func requireMatchesReference(t testing.TB, label string, base *dataframe.Table, 
 	for _, workers := range []int{1, 8} {
 		parallel.SetMaxWorkers(workers)
 		got := Discover(base, repo, target, opts)
-		requireSameCandidates(t, fmt.Sprintf("%s workers=%d", label, workers), got, want, true)
+		requireSameCandidates(t, fmt.Sprintf("%s workers=%d", label, workers), got, want)
 	}
 }
 
@@ -144,7 +139,7 @@ func TestDiscoverMatchesReferenceOnAdversarialTables(t *testing.T) {
 		},
 		{
 			// The target contains every foreign id and is named like a
-			// coordinate; it must be neither a key nor a geo anchor.
+			// coordinate; it must never be a key.
 			name: "target that is a plausible key",
 			base: tbl("base", num("lat", ints(0, 5)), num("lon", ints(10, 5)), num("id", ints(0, 5))),
 			repo: []*dataframe.Table{
@@ -189,32 +184,6 @@ func labels(prefix string, from, n int) []string {
 		out[i] = fmt.Sprintf("%s%d", prefix, from+i)
 	}
 	return out
-}
-
-func TestTransitiveMatchesReference(t *testing.T) {
-	base, repo := transitiveScenario()
-	poverty := synth.Poverty(synth.Config{Seed: 5, Scale: 0.2})
-	cases := []struct {
-		name   string
-		base   *dataframe.Table
-		repo   []*dataframe.Table
-		target string
-	}{
-		{"two-hop scenario", base, repo, "y"},
-		// The base table listed in its own repository is matched on the first
-		// hop and skipped on the second.
-		{"base inside repo", base, append([]*dataframe.Table{base}, repo...), "y"},
-		{"poverty", poverty.Base, poverty.Repo, poverty.Target},
-	}
-	defer parallel.SetMaxWorkers(0)
-	for _, tc := range cases {
-		want := refTransitive(tc.base, tc.repo, tc.target, TransitiveOptions{}, rand.New(rand.NewSource(1)))
-		for _, workers := range []int{1, 8} {
-			parallel.SetMaxWorkers(workers)
-			got := Transitive(tc.base, tc.repo, tc.target, TransitiveOptions{}, rand.New(rand.NewSource(1)))
-			requireSameCandidates(t, fmt.Sprintf("%s workers=%d", tc.name, workers), got, want, false)
-		}
-	}
 }
 
 // fuzzTable builds a small table from fuzz bytes: up to four columns of

@@ -1,9 +1,7 @@
 package discovery
 
 import (
-	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strings"
 
@@ -14,10 +12,9 @@ import (
 // This file freezes the string-set discovery implementation that column
 // profiles replaced: the same code under a ref prefix, small helpers inlined.
 // It rebuilds a map[string]bool of both columns for every column pair,
-// formats every float through FormatFloat, re-discovers the whole repository
-// for every transitive hop, and runs on one goroutine — slow, and obviously
-// what it says. The equivalence tests and the fuzz target hold the live
-// implementation to its candidate list bit for bit.
+// formats every float through FormatFloat, and runs on one goroutine — slow,
+// and obviously what it says. The equivalence tests and the fuzz target hold
+// the live implementation to its candidate list bit for bit.
 
 // refDiscover is the frozen Discover.
 func refDiscover(base *dataframe.Table, repo []*dataframe.Table, target string, opts Options) []Candidate {
@@ -76,54 +73,7 @@ func refDiscoverTable(base, foreign *dataframe.Table, target string, opts Option
 			Score: compScore / float64(len(comp)) * 1.1,
 		})
 	}
-	if geo, ok := refGeoCandidate(base, foreign, target); ok {
-		out = append(out, geo)
-	}
 	return out
-}
-
-func refFindCoordinate(t *dataframe.Table, fragments []string, exclude string) *dataframe.NumericColumn {
-	for _, c := range t.Columns() {
-		if c.Name() == exclude {
-			continue
-		}
-		nc, ok := c.(*dataframe.NumericColumn)
-		if !ok {
-			continue
-		}
-		name := refNormalizeName(c.Name())
-		for _, f := range fragments {
-			if name == f || strings.HasSuffix(name, f) || strings.HasPrefix(name, f) {
-				return nc
-			}
-		}
-	}
-	return nil
-}
-
-func refGeoCandidate(base, foreign *dataframe.Table, target string) (Candidate, bool) {
-	bLat := refFindCoordinate(base, []string{"lat", "latitude"}, target)
-	bLon := refFindCoordinate(base, []string{"lon", "lng", "longitude"}, target)
-	fLat := refFindCoordinate(foreign, []string{"lat", "latitude"}, "")
-	fLon := refFindCoordinate(foreign, []string{"lon", "lng", "longitude"}, "")
-	if bLat == nil || bLon == nil || fLat == nil || fLon == nil {
-		return Candidate{}, false
-	}
-	ovLat := refRangeOverlap(refNumericRange(bLat), refNumericRange(fLat))
-	ovLon := refRangeOverlap(refNumericRange(bLon), refNumericRange(fLon))
-	if ovLat <= 0 || ovLon <= 0 {
-		return Candidate{}, false
-	}
-	return Candidate{
-		Table: foreign,
-		Keys: []join.KeyPair{
-			{BaseColumn: bLon.Name(), ForeignColumn: fLon.Name(), Kind: join.Soft},
-			{BaseColumn: bLat.Name(), ForeignColumn: fLat.Name(), Kind: join.Soft},
-		},
-		Score: (ovLat + ovLon) / 2,
-		Soft:  true,
-		Geo:   true,
-	}, true
 }
 
 func refMatchColumns(bc, fc dataframe.Column, opts Options) (join.KeyPair, float64, bool) {
@@ -285,64 +235,4 @@ func refRangeOverlap(a, b [2]float64) float64 {
 		return 1
 	}
 	return (hi - lo) / width
-}
-
-// refTransitive is the frozen Transitive: one refDiscover over the whole
-// repository per hop.
-func refTransitive(base *dataframe.Table, repo []*dataframe.Table, target string, opts TransitiveOptions, rng *rand.Rand) []Candidate {
-	opts.defaults()
-	firstHop := refDiscover(base, repo, target, opts.Options)
-	expanded := 0
-	var out []Candidate
-	seen := map[string]bool{}
-	for _, first := range firstHop {
-		if expanded >= opts.MaxIntermediates {
-			break
-		}
-		if first.Score < opts.MinScore || seen[first.Table.Name()] {
-			continue
-		}
-		seen[first.Table.Name()] = true
-		expanded++
-		var rest []*dataframe.Table
-		for _, t := range repo {
-			if t != first.Table && t != base {
-				rest = append(rest, t)
-			}
-		}
-		second := refDiscover(first.Table, rest, "", opts.Options)
-		joined := 0
-		widened := first.Table
-		for _, hop := range second {
-			if joined >= opts.MaxPerIntermediate {
-				break
-			}
-			if hop.Score < opts.MinScore {
-				break
-			}
-			spec := &join.Spec{
-				Keys:         hop.Keys,
-				Method:       join.TwoWayNearest,
-				TimeResample: true,
-				Prefix:       fmt.Sprintf("via.%s.", hop.Table.Name()),
-			}
-			res, err := join.Execute(widened, hop.Table, spec, rng)
-			if err != nil {
-				continue
-			}
-			widened = res.Table
-			joined++
-		}
-		if joined == 0 {
-			continue
-		}
-		widened.SetName(fmt.Sprintf("%s+%dhop", first.Table.Name(), joined))
-		out = append(out, Candidate{
-			Table: widened,
-			Keys:  first.Keys,
-			Score: first.Score * 0.9,
-			Soft:  first.Soft,
-		})
-	}
-	return out
 }

@@ -117,43 +117,6 @@ func BenchmarkImpute(b *testing.B) {
 	}
 }
 
-func BenchmarkGeoJoin(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	n, m := 2000, 10000
-	blon := make([]float64, n)
-	blat := make([]float64, n)
-	flon := make([]float64, m)
-	flat := make([]float64, m)
-	fv := make([]float64, m)
-	for i := range blon {
-		blon[i] = rng.Float64() * 100
-		blat[i] = rng.Float64() * 100
-	}
-	for i := range flon {
-		flon[i] = rng.Float64() * 100
-		flat[i] = rng.Float64() * 100
-		fv[i] = rng.NormFloat64()
-	}
-	base := dataframe.MustNewTable("b",
-		dataframe.NewNumeric("lon", blon), dataframe.NewNumeric("lat", blat))
-	foreign := dataframe.MustNewTable("f",
-		dataframe.NewNumeric("lon", flon), dataframe.NewNumeric("lat", flat),
-		dataframe.NewNumeric("v", fv))
-	spec := &Spec{
-		Keys: []KeyPair{
-			{BaseColumn: "lon", ForeignColumn: "lon", Kind: Soft},
-			{BaseColumn: "lat", ForeignColumn: "lat", Kind: Soft},
-		},
-		Method: GeoNearest,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Execute(base, foreign, spec, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // nan avoids importing math just for the benchmark.
 func nan() float64 {
 	var z float64

@@ -8,7 +8,7 @@ import (
 )
 
 // Dataplane benchmarks time the allocation-light join data plane; the
-// end-to-end figures are `go run ./bench`'s join.ms / join.prep_cache_hit_ratio.
+// end-to-end figure is `go run ./bench`'s join.ms.
 
 func BenchmarkDataplaneCompositeKey(b *testing.B) {
 	const n = 5000
@@ -44,29 +44,40 @@ func BenchmarkDataplaneAggregate(b *testing.B) {
 	}
 }
 
-// BenchmarkDataplanePrep is a time-resample join with and without a warm
-// preparation cache (a hard-key join prepares nothing).
-func BenchmarkDataplanePrep(b *testing.B) {
+// BenchmarkDataplaneResample is a time-resample join: the foreign table is
+// resampled to the base's granularity on every call (a hard-key join
+// prepares nothing).
+func BenchmarkDataplaneResample(b *testing.B) {
 	base, foreign := resampleTables(2000)
-	b.Run("cached", func(b *testing.B) {
-		cache := NewPrepCache()
-		if _, err := ExecuteCached(base, foreign, resampleSpec, rand.New(rand.NewSource(1)), cache); err != nil {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Execute(base, foreign, resampleSpec, rand.New(rand.NewSource(1))); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := ExecuteCached(base, foreign, resampleSpec, rand.New(rand.NewSource(1)), cache); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("uncached", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Execute(base, foreign, resampleSpec, rand.New(rand.NewSource(1))); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
+}
+
+// resampleTables builds a daily base and an hourly foreign table over the
+// same days, the shape a time-resample join prepares.
+func resampleTables(days int) (*dataframe.Table, *dataframe.Table) {
+	bt := make([]int64, days)
+	for i := range bt {
+		bt[i] = int64(i) * 86400
+	}
+	ft := make([]int64, 24*days)
+	fv := make([]float64, len(ft))
+	for i := range ft {
+		ft[i] = int64(i) * 3600
+		fv[i] = float64(i%24) + 0.25*float64(i/24)
+	}
+	base := dataframe.MustNewTable("b", dataframe.NewTime("ts", bt))
+	foreign := dataframe.MustNewTable("f", dataframe.NewTime("ts", ft), dataframe.NewNumeric("v", fv))
+	return base, foreign
+}
+
+// resampleSpec joins resampleTables' pair on the time key, resampled.
+var resampleSpec = &Spec{
+	Keys:         []KeyPair{{BaseColumn: "ts", ForeignColumn: "ts", Kind: Soft}},
+	Method:       HardExact,
+	TimeResample: true,
 }

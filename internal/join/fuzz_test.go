@@ -50,8 +50,6 @@ func FuzzJoinSpec(f *testing.F) {
 		{"k>k,x>x:s", int(NearestNeighbor), false, "p."},
 		{"ts>ts:s", int(TwoWayNearest), true, ""},
 		{"ts>ts:s,k>k", int(HardExact), true, ""},
-		{"lat>lat:s,lon>lon:s", int(GeoNearest), false, "g."},
-		{"lat>lat:s", int(GeoNearest), false, ""},
 		{"x>x:s,lat>lat:s", int(TwoWayNearest), false, ""},
 		{"k>x", int(TwoWayNearest), false, ""},
 		{"k>k:s", int(NearestNeighbor), false, ""},

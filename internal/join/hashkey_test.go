@@ -233,26 +233,6 @@ func equivalenceCases() map[string]func() (*dataframe.Table, *dataframe.Table, *
 				TimeResample: true,
 			}
 		},
-		"geo grouped": func() (*dataframe.Table, *dataframe.Table, *Spec) {
-			base := dataframe.MustNewTable("b",
-				dataframe.NewCategorical("g", []string{"a", "a", "b"}),
-				dataframe.NewNumeric("lon", []float64{0, 5, 0}),
-				dataframe.NewNumeric("lat", []float64{0, 5, 0}),
-				dataframe.NewNumeric("x", []float64{1, 2, 3}))
-			foreign := dataframe.MustNewTable("f",
-				dataframe.NewCategorical("g", []string{"a", "a", "b"}),
-				dataframe.NewNumeric("lon", []float64{1, 6, 2}),
-				dataframe.NewNumeric("lat", []float64{0, 5, 1}),
-				dataframe.NewNumeric("v", []float64{10, 20, 30}))
-			return base, foreign, &Spec{
-				Keys: []KeyPair{
-					{BaseColumn: "g", ForeignColumn: "g", Kind: Hard},
-					{BaseColumn: "lon", ForeignColumn: "lon", Kind: Soft},
-					{BaseColumn: "lat", ForeignColumn: "lat", Kind: Soft},
-				},
-				Method: GeoNearest,
-			}
-		},
 	}
 }
 
@@ -452,70 +432,5 @@ func TestHardJoinAllocs(t *testing.T) {
 	}
 	if long != short {
 		t.Fatalf("hard join allocations grow with the foreign table: %.0f at 2,000 rows, %.0f at 20,000", short, long)
-	}
-}
-
-// resampleTables builds a daily base and an hourly foreign table over the
-// same days, the shape a time-resample join prepares.
-func resampleTables(days int) (*dataframe.Table, *dataframe.Table) {
-	bt := make([]int64, days)
-	for i := range bt {
-		bt[i] = int64(i) * 86400
-	}
-	ft := make([]int64, 24*days)
-	fv := make([]float64, len(ft))
-	for i := range ft {
-		ft[i] = int64(i) * 3600
-		fv[i] = float64(i%24) + 0.25*float64(i/24)
-	}
-	base := dataframe.MustNewTable("b", dataframe.NewTime("ts", bt))
-	foreign := dataframe.MustNewTable("f", dataframe.NewTime("ts", ft), dataframe.NewNumeric("v", fv))
-	return base, foreign
-}
-
-// resampleSpec joins resampleTables' pair on the time key, resampled.
-var resampleSpec = &Spec{
-	Keys:         []KeyPair{{BaseColumn: "ts", ForeignColumn: "ts", Kind: Soft}},
-	Method:       HardExact,
-	TimeResample: true,
-}
-
-// TestPrepCacheReuse verifies ExecuteCached prepares a foreign table once per
-// (table, keys, granularity), that cached reuse is bit-identical to a fresh
-// execution, and that a hard-key join leaves the cache empty.
-func TestPrepCacheReuse(t *testing.T) {
-	base, foreign := resampleTables(30)
-	cache := NewPrepCache()
-	first, err := ExecuteCached(base, foreign, resampleSpec, rand.New(rand.NewSource(1)), cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cache.Len() != 1 {
-		t.Fatalf("cache has %d entries, want 1", cache.Len())
-	}
-	second, err := ExecuteCached(base, foreign, resampleSpec, rand.New(rand.NewSource(1)), cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cache.Len() != 1 {
-		t.Fatalf("cache grew to %d entries on reuse", cache.Len())
-	}
-	if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("cache stats %+v, want 1 hit and 1 miss", st)
-	}
-	fresh, err := Execute(base, foreign, resampleSpec, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireTablesIdentical(t, first.Table, second.Table)
-	requireTablesIdentical(t, first.Table, fresh.Table)
-
-	hb, hf := hardJoinTables(64, 200)
-	hard := NewPrepCache()
-	if _, err := ExecuteCached(hb, hf, &Spec{Keys: []KeyPair{{BaseColumn: "k", ForeignColumn: "k", Kind: Hard}}}, nil, hard); err != nil {
-		t.Fatal(err)
-	}
-	if st := hard.Stats(); hard.Len() != 0 || st.Hits+st.Misses != 0 {
-		t.Fatalf("a hard-key join reached the cache: %d entries, %+v", hard.Len(), st)
 	}
 }

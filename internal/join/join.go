@@ -29,15 +29,6 @@ type Result struct {
 // rng drives categorical tie-breaking in two-way-nearest interpolation; it
 // may be nil when the method is not TwoWayNearest.
 func Execute(base, foreign *dataframe.Table, spec *Spec, rng *rand.Rand) (*Result, error) {
-	return ExecuteCached(base, foreign, spec, rng, nil)
-}
-
-// ExecuteCached is Execute with a preparation cache: when a soft, geo or
-// time-resample join finds its foreign table already aggregated/resampled
-// under the same key set and granularity, the prepared table is reused
-// instead of recomputed. A hard-key join prepares nothing and never touches
-// the cache. A nil cache behaves exactly like Execute.
-func ExecuteCached(base, foreign *dataframe.Table, spec *Spec, rng *rand.Rand, cache *PrepCache) (*Result, error) {
 	if err := spec.Validate(base, foreign); err != nil {
 		return nil, err
 	}
@@ -45,11 +36,9 @@ func ExecuteCached(base, foreign *dataframe.Table, spec *Spec, rng *rand.Rand, c
 	if prefix == "" {
 		prefix = foreign.Name() + "."
 	}
-	// A hard-key join reads the foreign table in place. The soft, geo and
+	// A hard-key join reads the foreign table in place. The soft and
 	// time-resample joins first reduce the foreign table to one row per key
-	// (one-to-many and many-to-many become *-to-one); that preparation
-	// depends only on (foreign, keys, granularity), never on the base rows,
-	// so it is memoized across the screen, the batches and materialize.
+	// (one-to-many and many-to-many become *-to-one).
 	if spec.exact() {
 		return hardJoin(base, foreign, spec, prefix)
 	}
@@ -57,34 +46,27 @@ func ExecuteCached(base, foreign *dataframe.Table, spec *Spec, rng *rand.Rand, c
 	hard := spec.hardKeys()
 	var prepared *dataframe.Table
 	var err error
-	if hasSoft && spec.TimeResample && spec.Method != GeoNearest {
+	if hasSoft && spec.TimeResample {
 		gran := baseGranularity(base.Column(soft.BaseColumn))
 		hardCols := make([]string, 0, len(hard))
 		for _, kp := range hard {
 			hardCols = append(hardCols, kp.ForeignColumn)
 		}
-		prepared, err = cache.prepare(foreign, prepSpec("resample", append([]string{soft.ForeignColumn}, hardCols...), gran),
-			func() (*dataframe.Table, error) { return ResampleTime(foreign, soft.ForeignColumn, gran, hardCols) })
+		prepared, err = ResampleTime(foreign, soft.ForeignColumn, gran, hardCols)
 	} else {
 		foreignKeyCols := make([]string, 0, len(spec.Keys))
 		for _, kp := range spec.Keys {
 			foreignKeyCols = append(foreignKeyCols, kp.ForeignColumn)
 		}
-		prepared, err = cache.prepare(foreign, prepSpec("aggregate", foreignKeyCols, 0),
-			func() (*dataframe.Table, error) { return AggregateByKey(foreign, foreignKeyCols) })
+		prepared, err = AggregateByKey(foreign, foreignKeyCols)
 	}
 	if err != nil {
 		return nil, err
 	}
-
-	switch {
-	case spec.Method == GeoNearest:
-		return geoJoin(base, prepared, spec, prefix)
-	case spec.Method == HardExact:
+	if spec.Method == HardExact {
 		return hardJoin(base, prepared, spec, prefix)
-	default:
-		return softJoin(base, prepared, spec, soft, hard, prefix, rng)
 	}
+	return softJoin(base, prepared, spec, soft, hard, prefix, rng)
 }
 
 // baseGranularity returns the time granularity (seconds) of a base key
@@ -418,7 +400,7 @@ func blendRows(foreign *dataframe.Table, low, high []int, lambda []float64, rng 
 				case math.IsNaN(hi):
 					vals[i] = lo
 				default:
-					vals[i] = lambda[i]*lo + (1-lambda[i])*hi
+					vals[i] = float64(lambda[i]*lo) + float64((1-lambda[i])*hi)
 				}
 			}
 			if err := addBlended(out, dataframe.NewNumeric(c.Name(), vals)); err != nil {
@@ -438,7 +420,7 @@ func blendRows(foreign *dataframe.Table, low, high []int, lambda []float64, rng 
 				case hi == dataframe.MissingTime:
 					vals[i] = lo
 				default:
-					vals[i] = int64(lambda[i]*float64(lo) + (1-lambda[i])*float64(hi))
+					vals[i] = int64(float64(lambda[i]*float64(lo)) + float64((1-lambda[i])*float64(hi)))
 				}
 			}
 			if err := addBlended(out, dataframe.NewTime(c.Name(), vals)); err != nil {

@@ -59,8 +59,6 @@ func (m SoftMethod) String() string {
 		return "2-way nearest"
 	case HardExact:
 		return "hard"
-	case GeoNearest:
-		return "geo nearest"
 	default:
 		return fmt.Sprintf("SoftMethod(%d)", int(m))
 	}
@@ -94,9 +92,6 @@ type Spec struct {
 func (s *Spec) Validate(base, foreign *dataframe.Table) error {
 	if len(s.Keys) == 0 {
 		return fmt.Errorf("join: spec for %q has no keys", foreign.Name())
-	}
-	if s.Method == GeoNearest {
-		return geoValidate(s, base, foreign)
 	}
 	soft := 0
 	for _, kp := range s.Keys {
@@ -175,9 +170,6 @@ func (s *Spec) softKey() (KeyPair, bool) {
 // prepare: no soft key, or a soft key forced to HardExact without time
 // resampling. Such a join reads the foreign table in place.
 func (s *Spec) exact() bool {
-	if s.Method == GeoNearest {
-		return false
-	}
 	_, soft := s.softKey()
 	return !soft || (s.Method == HardExact && !s.TimeResample)
 }

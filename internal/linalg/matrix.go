@@ -80,7 +80,7 @@ func MulInto(out, a, b *Matrix) {
 				}
 				brow := b.Row(k)
 				for j, bv := range brow {
-					orow[j] += av * bv
+					orow[j] += float64(av * bv)
 				}
 			}
 		}
@@ -122,13 +122,13 @@ func Dot(a, b []float64) float64 {
 	s := 0.0
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
-		s += a[i] * b[i]
-		s += a[i+1] * b[i+1]
-		s += a[i+2] * b[i+2]
-		s += a[i+3] * b[i+3]
+		s += float64(a[i] * b[i])
+		s += float64(a[i+1] * b[i+1])
+		s += float64(a[i+2] * b[i+2])
+		s += float64(a[i+3] * b[i+3])
 	}
 	for ; i < len(a); i++ {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }
@@ -146,10 +146,10 @@ func Dot4(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
 	b2 = b2[:len(a)]
 	b3 = b3[:len(a)]
 	for i, v := range a {
-		s0 += v * b0[i]
-		s1 += v * b1[i]
-		s2 += v * b2[i]
-		s3 += v * b3[i]
+		s0 += float64(v * b0[i])
+		s1 += float64(v * b1[i])
+		s2 += float64(v * b2[i])
+		s3 += float64(v * b3[i])
 	}
 	return
 }
@@ -158,7 +158,7 @@ func Dot4(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
 func Norm2(v []float64) float64 {
 	s := 0.0
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }
@@ -187,7 +187,7 @@ func choleskyInto(l, a *Matrix) error {
 		lj := l.Row(j)[:j+1]
 		d := a.At(j, j)
 		for _, v := range lj[:j] {
-			d -= v * v
+			d -= float64(v * v)
 		}
 		if d <= 0 || math.IsNaN(d) {
 			return ErrNotSPD
@@ -210,10 +210,10 @@ func choleskyInto(l, a *Matrix) error {
 			s2 := acol[(i+2)*n]
 			s3 := acol[(i+3)*n]
 			for k, v := range lj[:j] {
-				s0 -= r0[k] * v
-				s1 -= r1[k] * v
-				s2 -= r2[k] * v
-				s3 -= r3[k] * v
+				s0 -= float64(r0[k] * v)
+				s1 -= float64(r1[k] * v)
+				s2 -= float64(r2[k] * v)
+				s3 -= float64(r3[k] * v)
 			}
 			r0[j] = s0 / d
 			r1[j] = s1 / d
@@ -224,7 +224,7 @@ func choleskyInto(l, a *Matrix) error {
 			li := l.Row(i)[:j+1]
 			s := acol[i*n]
 			for k, v := range li[:j] {
-				s -= v * lj[k]
+				s -= float64(v * lj[k])
 			}
 			li[j] = s / d
 		}
@@ -296,7 +296,7 @@ func solveCholeskyInto(l *Matrix, b, y, x []float64) {
 		s := b[i]
 		row := l.Row(i)
 		for k, v := range row[:i] {
-			s -= v * y[k]
+			s -= float64(v * y[k])
 		}
 		y[i] = s / row[i]
 	}
@@ -306,7 +306,7 @@ func solveCholeskyInto(l *Matrix, b, y, x []float64) {
 		// Walk column i below the diagonal (stride n), same order as the
 		// At form.
 		for k := i + 1; k < n; k++ {
-			s -= data[k*n+i] * x[k]
+			s -= float64(data[k*n+i] * x[k])
 		}
 		x[i] = s / data[i*n+i]
 	}
@@ -400,7 +400,7 @@ func (s *MVNSampler) SampleTo(rng *rand.Rand, dst, z []float64) {
 		row := s.l.Row(i)
 		acc := dst[i]
 		for k := 0; k <= i; k++ {
-			acc += row[k] * z[k]
+			acc += float64(row[k] * z[k])
 		}
 		dst[i] = acc
 	}

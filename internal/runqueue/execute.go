@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"path/filepath"
 	"time"
 
@@ -410,10 +409,6 @@ func (m *Manager) attempt(ctx context.Context, r *run, stream *obs.StreamSink) (
 	}
 	discoverStart := time.Now()
 	cands := discovery.Discover(base, repo, spec.Target, discovery.Options{})
-	if spec.Transitive {
-		rng := rand.New(rand.NewSource(spec.seed()))
-		cands = append(cands, discovery.Transitive(base, repo, spec.Target, discovery.TransitiveOptions{}, rng)...)
-	}
 	discoverMS := time.Since(discoverStart).Milliseconds()
 	if ctx.Err() != nil {
 		return nil, core.ErrCanceled

@@ -68,7 +68,7 @@ func FuzzSpecJSON(f *testing.F) {
 	for _, spec := range []Spec{
 		{Dir: "data", Base: "poverty", Target: "poverty_rate", Size: 128, Seed: 7},
 		{Base: "taxi", Target: "collisions", Tenant: "acme", Coreset: "leverage", Soft: "nearest",
-			Selector: "rifs", Tau: 0.5, Timeout: "90s", KNNImpute: 3, Transitive: true, KeepTable: true},
+			Selector: "rifs", Tau: 0.5, Timeout: "90s", Significance: 50, KeepTable: true},
 		{Base: "no-such-table", Target: "y", Size: 64, Tenant: "Bad Tenant!"},
 		{Target: "y", Coreset: "bogus"},
 	} {

@@ -529,16 +529,19 @@ func TestRunHardFailureRemovedSelector(t *testing.T) {
 	}
 }
 
-// TestRunHardFailureRemovedKnobs: the join plan and its feature budget are
-// removed, but a run.json an earlier version persisted may still set them. Such a run must fail on its first attempt, unretried, with an error
-// naming the field — never run under the one plan it did not ask for — and
-// the field stays named across the adopting daemon's rewrite of the record.
+// TestRunHardFailureRemovedKnobs: the join plan and its feature budget,
+// two-hop discovery and kNN imputation are removed, but a run.json an earlier
+// version persisted may still set them. Such a run must fail on its first
+// attempt, unretried, with an error naming the field — never run under the
+// one plan, candidate list or imputation it did not ask for — and the field
+// stays named across the adopting daemon's rewrite of the record.
 func TestRunHardFailureRemovedKnobs(t *testing.T) {
 	defer parallel.SetMaxWorkers(0)
 	defer testenv.NoGoroutineLeak(t)()
 	state := t.TempDir()
 	dataDir, base, target := writeCorpus(t)
-	for i, knob := range []struct{ name, value string }{{"plan", `"table"`}, {"budget", "48"}} {
+	knobs := []struct{ name, value string }{{"plan", `"table"`}, {"budget", "48"}, {"transitive", "true"}, {"knn_impute", "3"}}
+	for i, knob := range knobs {
 		id := fmt.Sprintf("r%06d", i+1)
 		raw, err := json.Marshal(Record{ID: id, Seq: int64(i + 1), Spec: fastSpec(dataDir, base, target), State: StateQueued})
 		if err != nil {
@@ -554,15 +557,15 @@ func TestRunHardFailureRemovedKnobs(t *testing.T) {
 		}
 	}
 	m := openManager(t, Config{StateDir: state, RetryAttempts: 3})
-	for i, knob := range []string{"plan", "budget"} {
+	for i, knob := range knobs {
 		id := fmt.Sprintf("r%06d", i+1)
 		final := waitTerminal(t, m, id, time.Minute)
-		if final.State != StateFailed || final.Attempts != 1 || !strings.Contains(final.Error, "sets "+knob) {
+		if final.State != StateFailed || final.Attempts != 1 || !strings.Contains(final.Error, "sets "+knob.name) {
 			t.Fatalf("persisted run with a %s finished %s after %d attempts (%q), want failed after 1 naming it",
-				knob, final.State, final.Attempts, final.Error)
+				knob.name, final.State, final.Attempts, final.Error)
 		}
 		if got, err := m.readRecord(id); err != nil || got.Spec.removed() == nil {
-			t.Fatalf("rewritten record of %s lost its %s (%+v, %v)", id, knob, got.Spec, err)
+			t.Fatalf("rewritten record of %s lost its %s (%+v, %v)", id, knob.name, got.Spec, err)
 		}
 	}
 	rec, err := m.Submit(fastSpec(dataDir, base, target))
@@ -573,8 +576,8 @@ func TestRunHardFailureRemovedKnobs(t *testing.T) {
 		t.Fatalf("run after the failed ones finished %s (%s), want completed", done.State, done.Error)
 	}
 	checkAccounting(t, m)
-	if a := waitSettled(t, m, time.Minute); a.Failed != 2 || a.Completed != 1 || a.Takeovers != 2 {
-		t.Fatalf("accounting = %+v, want 2 taken over and failed, 1 completed", a)
+	if a := waitSettled(t, m, time.Minute); a.Failed != int64(len(knobs)) || a.Completed != 1 || a.Takeovers != int64(len(knobs)) {
+		t.Fatalf("accounting = %+v, want %d taken over and failed, 1 completed", a, len(knobs))
 	}
 	if err := m.Close(time.Minute); err != nil {
 		t.Fatal(err)

@@ -41,10 +41,6 @@ type Spec struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Soft selects the soft-key join method: 2way | nearest | hard.
 	Soft string `json:"soft,omitempty"`
-	// Transitive also discovers two-hop candidates.
-	Transitive bool `json:"transitive,omitempty"`
-	// KNNImpute switches to k-NN imputation with this k (0 = median/random).
-	KNNImpute int `json:"knn_impute,omitempty"`
 	// Significance is the bootstrap resample count (0 = off).
 	Significance int `json:"significance,omitempty"`
 	// Timeout bounds the run's wall clock as a Go duration string ("90s");
@@ -60,6 +56,12 @@ type Spec struct {
 	// a plan it did not ask for.
 	Plan   string `json:"plan,omitempty"`
 	Budget int    `json:"budget,omitempty"`
+	// Transitive and KNNImpute are removed the same way: they asked for
+	// two-hop candidate discovery and k-nearest-neighbour imputation, which
+	// no longer exist. A run persisted with either fails instead of running
+	// with single-hop candidates and median imputation.
+	Transitive bool `json:"transitive,omitempty"`
+	KNNImpute  int  `json:"knn_impute,omitempty"`
 }
 
 // Validate checks the spec is executable before admission, so malformed
@@ -99,6 +101,10 @@ func (s *Spec) removed() error {
 		return fmt.Errorf("runqueue: the spec sets plan, removed from this version; resubmit without")
 	case s.Budget != 0:
 		return fmt.Errorf("runqueue: the spec sets budget, removed from this version; resubmit without")
+	case s.Transitive:
+		return fmt.Errorf("runqueue: the spec sets transitive, removed from this version; resubmit without")
+	case s.KNNImpute != 0:
+		return fmt.Errorf("runqueue: the spec sets knn_impute, removed from this version; resubmit without")
 	}
 	return nil
 }
@@ -174,7 +180,6 @@ func (s *Spec) options(defaults Config) (core.Options, error) {
 		TupleRatioTau:   s.Tau,
 		SoftMethod:      soft,
 		Seed:            s.seed(),
-		KNNImpute:       s.KNNImpute,
 		Significance:    s.Significance,
 		Timeout:         timeout,
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"path/filepath"
@@ -160,19 +161,6 @@ func TestServiceEndToEnd(t *testing.T) {
 	if resp := postJSON(t, base+"/runs", map[string]any{"base": baseTable, "target": target, "max_candidate_bytes": 1 << 20}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("budget submit = %d, want 400", resp.StatusCode)
 	}
-	// So are the removed join plan and its feature budget: the screen stage
-	// is the one plan, and a spec that asks for another must not run under it.
-	for _, knob := range []map[string]any{{"plan": "table"}, {"plan": "budget"}, {"budget": 48}} {
-		body := map[string]any{"base": baseTable, "target": target}
-		name := ""
-		for k, v := range knob {
-			body[k], name = v, k
-		}
-		apiErr = nil
-		if resp := postJSON(t, base+"/runs", body, &apiErr); resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr["error"], "sets "+name) {
-			t.Fatalf("submit with %v = %d %v, want 400 naming %s", knob, resp.StatusCode, apiErr, name)
-		}
-	}
 
 	final := waitHTTPTerminal(t, base, rec.ID, 2*time.Minute)
 	if final.State != runqueue.StateCompleted {
@@ -255,6 +243,36 @@ func TestServiceEndToEnd(t *testing.T) {
 		t.Fatalf("unknown run = %d", resp.StatusCode)
 	}
 
+	if err := mgr.Close(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServiceRefusesRemovedFields: a submission that sets a removed field is
+// a 400 naming it, and nothing is queued — the join plan and its feature
+// budget (the screen stage is the one plan), two-hop discovery and kNN
+// imputation. A spec asking for any of them must not run without it.
+func TestServiceRefusesRemovedFields(t *testing.T) {
+	defer testenv.NoGoroutineLeak(t)()
+	base, mgr, srv, baseTable, target := startService(t, runqueue.Config{})
+	for _, knob := range []struct {
+		name  string
+		value any
+	}{{"plan", "table"}, {"plan", "budget"}, {"budget", 48}, {"transitive", true}, {"knn_impute", 3}} {
+		t.Run(fmt.Sprintf("%s=%v", knob.name, knob.value), func(t *testing.T) {
+			var apiErr map[string]string
+			body := map[string]any{"base": baseTable, "target": target, knob.name: knob.value}
+			if resp := postJSON(t, base+"/runs", body, &apiErr); resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr["error"], "sets "+knob.name) {
+				t.Errorf("submit = %d %v, want 400 naming %s", resp.StatusCode, apiErr, knob.name)
+			}
+		})
+	}
+	if a := mgr.Accounting(); a.Admitted != 0 {
+		t.Fatalf("refused submissions admitted %d runs", a.Admitted)
+	}
 	if err := mgr.Close(time.Minute); err != nil {
 		t.Fatal(err)
 	}

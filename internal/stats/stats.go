@@ -33,7 +33,7 @@ func Variance(xs []float64) float64 {
 	for _, x := range xs {
 		if !math.IsNaN(x) {
 			d := x - mu
-			s += d * d
+			s += float64(d * d)
 			n++
 		}
 	}
@@ -78,9 +78,9 @@ func Pearson(x, y []float64) float64 {
 		}
 		sx += x[i]
 		sy += y[i]
-		sxx += x[i] * x[i]
-		syy += y[i] * y[i]
-		sxy += x[i] * y[i]
+		sxx += float64(x[i] * x[i])
+		syy += float64(y[i] * y[i])
+		sxy += float64(x[i] * y[i])
 		n++
 	}
 	if n < 2 {
@@ -101,7 +101,7 @@ func Pearson(x, y []float64) float64 {
 func FRegression(x, y []float64) float64 {
 	r := Pearson(x, y)
 	n := float64(len(x))
-	den := 1 - r*r
+	den := 1 - float64(r*r)
 	if den <= 1e-12 {
 		return math.Inf(1)
 	}
@@ -123,7 +123,7 @@ func FClassif(x []float64, y []int, numClasses int) float64 {
 			continue
 		}
 		sums[y[i]] += v
-		sqs[y[i]] += v * v
+		sqs[y[i]] += float64(v * v)
 		counts[y[i]]++
 		total += v
 		totalSq += v * v
@@ -141,7 +141,7 @@ func FClassif(x []float64, y []int, numClasses int) float64 {
 		}
 		groups++
 		mk := sums[k] / float64(counts[k])
-		ssBetween += float64(counts[k]) * (mk - grand) * (mk - grand)
+		ssBetween += float64(float64(counts[k]) * (mk - grand) * (mk - grand))
 		ssWithin += sqs[k] - sums[k]*sums[k]/float64(counts[k])
 	}
 	if groups < 2 {
@@ -234,7 +234,7 @@ func MutualInformation(xb []int, nx int, y []int, ny int) float64 {
 			if j == 0 {
 				continue
 			}
-			mi += j / n * math.Log(j*n/(px[a]*py[b]))
+			mi += float64(j / n * math.Log(j*n/(px[a]*py[b])))
 		}
 	}
 	if mi < 0 {
@@ -273,12 +273,12 @@ func SampleColumnInto(d Distribution, rng *rand.Rand, out []float64) {
 	switch d {
 	case Normal:
 		mu := rng.NormFloat64()
-		sigma := 0.5 + rng.Float64()*2
+		sigma := 0.5 + float64(rng.Float64())*2 // x*2 is x+x: round Float64's own product
 		for i := range out {
-			out[i] = mu + sigma*rng.NormFloat64()
+			out[i] = mu + float64(sigma*rng.NormFloat64())
 		}
 	case Bernoulli:
-		p := 0.1 + 0.8*rng.Float64()
+		p := 0.1 + float64(0.8*rng.Float64())
 		for i := range out {
 			if rng.Float64() < p {
 				out[i] = 1
@@ -288,12 +288,12 @@ func SampleColumnInto(d Distribution, rng *rand.Rand, out []float64) {
 		}
 	case Uniform:
 		lo := rng.NormFloat64() * 2
-		width := 0.5 + rng.Float64()*4
+		width := 0.5 + float64(rng.Float64()*4)
 		for i := range out {
-			out[i] = lo + width*rng.Float64()
+			out[i] = lo + float64(width*rng.Float64())
 		}
 	case Poisson:
-		lambda := 0.5 + rng.Float64()*9.5
+		lambda := 0.5 + float64(rng.Float64()*9.5)
 		for i := range out {
 			out[i] = float64(poisson(lambda, rng))
 		}
