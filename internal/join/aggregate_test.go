@@ -1,9 +1,11 @@
 package join
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/arda-ml/arda/internal/dataframe"
@@ -173,6 +175,104 @@ func TestImputeAllMissingCategorical(t *testing.T) {
 	filled := Impute(tab, rand.New(rand.NewSource(1)))
 	if filled != 0 {
 		t.Fatal("no observed values: nothing to impute from")
+	}
+}
+
+// TestImputeWhollyMissingColumns: a numeric column with no observed value
+// becomes all zero and a time column all epoch, as Impute documents.
+func TestImputeWhollyMissingColumns(t *testing.T) {
+	tab := dataframe.MustNewTable("t",
+		dataframe.NewNumeric("v", []float64{math.NaN(), math.NaN()}),
+		dataframe.NewTime("ts", []int64{dataframe.MissingTime, dataframe.MissingTime}),
+	)
+	if filled := Impute(tab, rand.New(rand.NewSource(1))); filled != 4 {
+		t.Fatalf("filled = %d, want 4", filled)
+	}
+	if got := tab.Column("v").(*dataframe.NumericColumn).Values; !slices.Equal(got, []float64{0, 0}) {
+		t.Fatalf("numeric = %v, want all 0", got)
+	}
+	if got := tab.Column("ts").(*dataframe.TimeColumn).Unix; !slices.Equal(got, []int64{0, 0}) {
+		t.Fatalf("time = %v, want all epoch", got)
+	}
+}
+
+// TestImputeEmptyAndCompleteTables: a table without rows, and a table
+// without missing cells, are left as they are and report nothing filled.
+func TestImputeEmptyAndCompleteTables(t *testing.T) {
+	empty := dataframe.MustNewTable("e",
+		dataframe.NewNumeric("v", nil),
+		dataframe.NewCategorical("k", nil),
+		dataframe.NewTime("ts", nil),
+	)
+	if filled := Impute(empty, rand.New(rand.NewSource(1))); filled != 0 {
+		t.Fatalf("filled = %d on an empty table", filled)
+	}
+	full := dataframe.MustNewTable("f",
+		dataframe.NewNumeric("v", []float64{3, 1, 2}),
+		dataframe.NewCategorical("k", []string{"a", "b", "a"}),
+		dataframe.NewTime("ts", []int64{60, 0, 120}),
+	)
+	before := full.Clone()
+	if filled := Impute(full, rand.New(rand.NewSource(1))); filled != 0 {
+		t.Fatalf("filled = %d on a complete table", filled)
+	}
+	if full.Digest() != before.Digest() {
+		t.Fatal("Impute changed a table with no missing cells")
+	}
+}
+
+// TestDistinctKeys: the number of groups AggregateByKey makes, counting
+// composite keys and skipping a row with any missing component.
+func TestDistinctKeys(t *testing.T) {
+	tab := dataframe.MustNewTable("f",
+		dataframe.NewCategorical("k", []string{"a", "a", "b", "b", "", "a"}),
+		dataframe.NewNumeric("n", []float64{1, 1, 1, 2, 1, math.NaN()}),
+	)
+	k, n := tab.Column("k"), tab.Column("n")
+	if got := DistinctKeys([]dataframe.Column{k}, tab.NumRows()); got != 2 {
+		t.Fatalf("DistinctKeys(k) = %d, want 2", got)
+	}
+	if got := DistinctKeys([]dataframe.Column{k, n}, tab.NumRows()); got != 3 {
+		t.Fatalf("DistinctKeys(k, n) = %d, want 3 (a:1, b:1, b:2)", got)
+	}
+	if got := DistinctKeys([]dataframe.Column{k, n}, 2); got != 1 {
+		t.Fatalf("DistinctKeys over the first 2 rows = %d, want 1", got)
+	}
+	agg, err := AggregateByKey(tab, []string{"k", "n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg.NumRows() != 3 {
+		t.Fatalf("AggregateByKey made %d groups, DistinctKeys counted 3", agg.NumRows())
+	}
+}
+
+// TestAggregateMissingColumn: grouping or resampling on a column the table
+// lacks, or resampling on a column that is neither time nor numeric, is a
+// *MissingColumnError naming the table and the column.
+func TestAggregateMissingColumn(t *testing.T) {
+	tab := dataframe.MustNewTable("f",
+		dataframe.NewCategorical("k", []string{"a", "b"}),
+		dataframe.NewNumeric("v", []float64{1, 2}),
+	)
+	for name, run := range map[string]func() error{
+		"aggregate": func() error { _, err := AggregateByKey(tab, []string{"k", "nope"}); return err },
+		"resample":  func() error { _, err := ResampleTime(tab, "nope", 3600, nil); return err },
+		"extra key": func() error { _, err := ResampleTime(tab, "v", 3600, []string{"nope"}); return err },
+		"category":  func() error { _, err := ResampleTime(tab, "k", 3600, nil); return err },
+	} {
+		err := run()
+		var mce *MissingColumnError
+		if !errors.As(err, &mce) || mce.Table != "f" {
+			t.Fatalf("%s: err = %v, want a MissingColumnError on table f", name, err)
+		}
+		want := "nope"
+		if name == "category" {
+			want = "k"
+		}
+		if mce.Column != want || !strings.Contains(err.Error(), `"f"`) || !strings.Contains(err.Error(), `"`+want+`"`) {
+			t.Fatalf("%s: err = %v, want it to name column %q of table \"f\"", name, err, want)
+		}
 	}
 }
 

@@ -51,9 +51,19 @@ func NoFusedMultiplyAdd(t *testing.T) {
 	if !strings.Contains(string(out), "TEXT") {
 		t.Fatal("the arm64 build printed no listing")
 	}
-	for _, m := range fusedOp.FindAllStringSubmatch(string(out), -1) {
+	for _, f := range fusedIn(string(out), dir) {
+		t.Errorf("%s fuses a multiply into an add; wrap the product in float64(...)", f)
+	}
+}
+
+// fusedIn returns "file.go:line: OP" for each fused multiply-add of an -S
+// listing that the compiler attributes to a file directly in dir.
+func fusedIn(listing, dir string) []string {
+	var found []string
+	for _, m := range fusedOp.FindAllStringSubmatch(listing, -1) {
 		if file := m[1]; filepath.Dir(file) == dir {
-			t.Errorf("%s:%s: %s fuses a multiply into an add; wrap the product in float64(...)", filepath.Base(file), m[2], m[3])
+			found = append(found, filepath.Base(file)+":"+m[2]+": "+m[3])
 		}
 	}
+	return found
 }
