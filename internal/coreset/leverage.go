@@ -31,7 +31,7 @@ func LeverageScores(x []float64, n, d int, lambda float64) ([]float64, error) {
 				continue
 			}
 			for b := a; b < d; b++ {
-				g[b] += va * row[b]
+				g[b] += float64(va * row[b])
 			}
 		}
 	})
@@ -102,7 +102,7 @@ func LeverageIndices(x []float64, n, d, size int, rng *rand.Rand) ([]int, error)
 	keys := make([]keyed, n)
 	for i, s := range scores {
 		w := s + floor
-		keys[i] = keyed{key: -math.Log(1-rng.Float64()) / w, i: i}
+		keys[i] = keyed{key: -math.Log(1-float64(rng.Float64())) / w, i: i}
 	}
 	// Partial selection of the `size` smallest keys.
 	for pos := 0; pos < size; pos++ {

@@ -307,27 +307,27 @@ func matchColumns(bc, fc *columnProfile, opts Options) (join.KeyPair, float64, b
 			return kp, 0, false
 		}
 		kp.Kind = join.Soft
-		return kp, ov + nameScore, true
+		return kp, ov + float64(nameScore), true
 	case dataframe.Categorical:
 		cont := bc.containment(fc)
 		if cont < opts.MinContainment {
 			return kp, 0, false
 		}
 		kp.Kind = join.Hard
-		return kp, cont + nameScore, true
+		return kp, cont + float64(nameScore), true
 	case dataframe.Numeric:
 		// Numeric keys: exact containment suggests a hard (integer id) key;
 		// otherwise a name match with range overlap suggests a soft key.
 		cont := bc.containment(fc)
 		if cont >= opts.MinContainment {
 			kp.Kind = join.Hard
-			return kp, cont + nameScore, true
+			return kp, cont + float64(nameScore), true
 		}
 		if nameScore > 0 {
 			ov := rangeOverlap(bc.span, fc.span)
 			if ov > 0 {
 				kp.Kind = join.Soft
-				return kp, 0.5*ov + nameScore, true
+				return kp, float64(0.5*ov) + float64(nameScore), true
 			}
 		}
 		return kp, 0, false

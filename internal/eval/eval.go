@@ -41,9 +41,9 @@ func R2(pred, truth []float64) float64 {
 	ssRes, ssTot := 0.0, 0.0
 	for i, p := range pred {
 		d := p - truth[i]
-		ssRes += d * d
+		ssRes += float64(d * d)
 		t := truth[i] - mean
-		ssTot += t * t
+		ssTot += float64(t * t)
 	}
 	if ssTot <= 0 {
 		return 0

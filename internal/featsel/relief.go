@@ -171,7 +171,7 @@ func rreliefF(ds *ml.Dataset, sample []int, k int, ranges []float64) []float64 {
 			for f := 0; f < ds.D; f++ {
 				da := math.Abs(ri[f]-rj[f]) / ranges[f]
 				nda[f] += da
-				ndcda[f] += dy * da
+				ndcda[f] += float64(dy * da)
 			}
 		}
 	}

@@ -438,7 +438,7 @@ func (r *RIFS) aggregateRanking(cfg *RIFSConfig, aug *ml.Dataset, seed int64, re
 		rfRank := RanksOf(rfScores)
 		srRank := RanksOf(srScores)
 		for j := range agg {
-			agg[j] = cfg.Nu*rfRank[j] + (1-cfg.Nu)*srRank[j]
+			agg[j] = float64(cfg.Nu*rfRank[j]) + float64((1-cfg.Nu)*srRank[j])
 		}
 	}
 	return agg, nil
@@ -517,10 +517,10 @@ func (r *RIFS) newInjector(ds *ml.Dataset, seed int64) (injector, error) {
 		for i := 0; i < n; i++ {
 			v := ds.At(rowIdx[i], j)
 			sum += v
-			sq += v * v
+			sq += float64(v * v)
 		}
 		mean := sum / float64(n)
-		sd := math.Sqrt(math.Max(sq/float64(n)-mean*mean, 0))
+		sd := math.Sqrt(math.Max(sq/float64(n)-float64(mean*mean), 0))
 		if sd < 1e-12 {
 			sd = 1
 		}

@@ -63,13 +63,15 @@ func BenchmarkSelectForestEvaluate(b *testing.B) {
 }
 
 // BenchmarkSelectForestEvaluateRegression is tall-base's evaluation-forest
-// shape: a 9,000-row regression base table whose 64 one-hot columns encode
-// two 32-level categoricals, as synth.Poverty's do, plus 9 continuous
-// columns, 10 trees of depth 12 — mtry = 24, so presorted from the root down
-// to nodes of nine samples, each categorical's drawn indicators scored from
-// one pass per node.
+// shape: the 9,000-row train split of Poverty ×8's augmented table
+// (povertyShapeFixture). Its 64 one-hot columns are county_id's 31 pooled
+// single-row indicators — 8 of them constant, their row held out — and
+// county_id=<other>, then state's 31 indicators and state=<other>; 7 numeric
+// columns follow. 10 trees of depth 12, mtry = 23: presorted from the root
+// down to nodes of nine samples, each categorical's drawn indicators scored
+// from one pass per node.
 func BenchmarkSelectForestEvaluateRegression(b *testing.B) {
-	benchFitForest(b, oneHotFixture(9000, 64, 32, 9, Regression, 206),
+	benchFitForest(b, povertyShapeFixture(9000, 8, 7, Regression, 206),
 		ForestConfig{NTrees: 10, MaxDepth: 12, Seed: 7, Parallel: true})
 }
 

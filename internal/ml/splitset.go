@@ -37,12 +37,12 @@ type treeWorkspace struct {
 	hist  []int32
 	cls   []uint64
 	marks []uint64
-	// Presorted-kernel scratch.
-	colv []float64 // d×u column-major feature values by unit
-	// orders holds one u-long plane per feature — its units, value-sorted
-	// per node range — and, when the tree has two-valued columns (whose own
-	// planes then stay untouched), plane d: all units ascending per node
-	// range, from which such a column's order is split on demand.
+	// Presorted-kernel scratch, one u-long slot per plane (splitSet.plane).
+	colv []float64 // an ordered column's values by unit, per ordered column
+	// orders holds one u-long plane per column that can split and is not
+	// two-valued — its units, value-sorted per node range — and, when the
+	// split set keeps one, the unit plane: all units ascending per node
+	// range, from which a two-valued column's order is split on demand.
 	orders []int32
 	spill  []int32 // stable-partition scratch for right-bound units
 	left   []uint8 // goes-left mask during a split (all-zero invariant)
@@ -56,9 +56,9 @@ type treeWorkspace struct {
 }
 
 // retained is the workspace's pooled footprint in bytes (slice capacities,
-// not lengths); the d×m presorted-kernel planes dominate. It feeds the
-// pool's retention cap so sweep-sized trees don't keep base-table-sized
-// scratch alive.
+// not lengths); the presorted kernel's planes and column copies, m entries
+// each, dominate. It feeds the pool's retention cap so sweep-sized trees
+// don't keep base-table-sized scratch alive.
 func (ws *treeWorkspace) retained() int {
 	f := cap(ws.ys) + cap(ws.wt) + cap(ws.inv) + cap(ws.uval) + cap(ws.tcnt) +
 		cap(ws.lcnt) + cap(ws.icnt) + cap(ws.colv) + cap(ws.gsum) + cap(ws.cls) + cap(ws.marks)
@@ -106,10 +106,10 @@ func (ws *treeWorkspace) reserve(ss *splitSet, m, d int) {
 	}
 }
 
-// reserveOrders sizes the presorted kernel's column copies, column headers,
-// order planes and partition scratch.
-func (ws *treeWorkspace) reserveOrders(m, d, planes int) {
-	ws.colv = grow(ws.colv, m*d)
+// reserveOrders sizes the presorted kernel's column copies (one per ordered
+// column), column headers, order planes and partition scratch.
+func (ws *treeWorkspace) reserveOrders(m, d, ordered, planes int) {
+	ws.colv = grow(ws.colv, m*ordered)
 	ws.scols = grow(ws.scols, d)
 	ws.orders = grow(ws.orders, m*planes)
 	ws.spill = grow(ws.spill, m)
@@ -148,6 +148,15 @@ type splitSet struct {
 	ys     []float64 // targets; for regression centred, ys[r] = Y[r] - ymean
 	ymean  float64
 	labels []int32 // class codes (classification)
+	// A presorted tree's order planes: plane[j] is column j's, -1 for a
+	// two-valued or constant column, which has none. The ordered columns
+	// (ordered, in column order) take planes 0 … len(ordered)-1; unitPlane
+	// follows them when the set has two-valued groups or column 0 has no
+	// plane, and is -1 otherwise. planes counts them all.
+	plane     []int32
+	ordered   []int32
+	unitPlane int
+	planes    int
 }
 
 // setTargets gives the set ds's targets: class codes for classification, for
@@ -227,7 +236,8 @@ type twoRef struct {
 
 // markTwo groups the set's two-valued columns (groupTwo) and lays out the
 // groups' blocks: a slot holds class counts for classification, and Σw,
-// Σw·y, Σw·(y·y) for regression. It also sizes the histograms: codes.
+// Σw·y, Σw·(y·y) for regression. It also sizes the histograms (codes) and
+// maps the columns to a presorted tree's order planes (plane).
 func (ss *splitSet) markTwo() {
 	for _, c := range ss.cols {
 		if c.codes != nil {
@@ -244,6 +254,19 @@ func (ss *splitSet) markTwo() {
 		if ss.cols[j].mask != nil {
 			ss.twoOf[j].at = int32(ss.groups[ref.group].off) + ref.slot*int32(width)
 		}
+	}
+	ss.plane = make([]int32, ss.d)
+	for j, c := range ss.cols {
+		ss.plane[j] = -1
+		if c.mask == nil && !c.constant {
+			ss.plane[j] = int32(len(ss.ordered))
+			ss.ordered = append(ss.ordered, int32(j))
+		}
+	}
+	ss.unitPlane, ss.planes = -1, len(ss.ordered)
+	if ss.groups != nil || (ss.d > 0 && ss.plane[0] < 0) {
+		ss.unitPlane = ss.planes
+		ss.planes++
 	}
 }
 
@@ -315,8 +338,8 @@ func disjoint(code, mask []uint8) bool {
 // rows in global value order yields per-tree orders already sorted by
 // (value, unit) without comparing a single value. In either regime a
 // two-valued column is read in place, through that map and its group's code
-// bytes (scoring) or its byte mask (partitioning), and gets neither an order
-// nor a copy.
+// bytes (scoring) or its byte mask (partitioning), and a constant column is
+// never read: neither gets an order plane or a copy.
 func fitTreeFromSplitSet(ss *splitSet, cfg TreeConfig, rng *rand.Rand, ws *treeWorkspace) *Tree {
 	b := &treeBuilder{}
 	m := b.initUnits(ss, cfg, rng, ws)
@@ -327,20 +350,14 @@ func fitTreeFromSplitSet(ss *splitSet, cfg TreeConfig, rng *rand.Rand, ws *treeW
 		return b.tree
 	}
 
-	b.planes = d
-	if ss.groups != nil {
-		b.planes, b.copied = d+1, true
-	}
-	ws.reserveOrders(m, d, b.planes)
+	b.plane, b.unitPlane, b.planes = ss.plane, ss.unitPlane, ss.planes
+	ws.reserveOrders(m, d, len(ss.ordered), ss.planes)
+	copy(ws.scols, ss.cols)
 	cnt, unitOf := ws.cnt, ws.unitOf
-	for j := 0; j < d; j++ {
-		if ss.cols[j].mask != nil {
-			ws.scols[j] = ss.cols[j]
-			continue
-		}
+	for s, j := range ss.ordered {
 		gcol := ss.cols[j].v
-		tcol := ws.colv[j*units : (j+1)*units]
-		tord := ws.orders[j*units : (j+1)*units]
+		tcol := ws.colv[s*units : (s+1)*units]
+		tord := ws.orders[s*units : (s+1)*units]
 		w := 0
 		for _, r := range ss.cols[j].ord {
 			if cnt[r] == 0 {
@@ -353,14 +370,14 @@ func fitTreeFromSplitSet(ss *splitSet, cfg TreeConfig, rng *rand.Rand, ws *treeW
 		}
 		ws.scols[j] = SplitColumn{v: tcol}
 	}
-	if ss.groups != nil {
-		for u, pos := 0, ws.orders[d*units:(d+1)*units]; u < units; u++ {
+	if p := ss.unitPlane; p >= 0 {
+		for u, pos := 0, ws.orders[p*units:(p+1)*units]; u < units; u++ {
 			pos[u] = int32(u)
 		}
 	}
 	b.scols = ws.scols
 	b.grow(0, units, 0)
-	// The headers of columns read in place alias the forest's shared split
+	// The headers of columns without a copy alias the forest's shared split
 	// set; a pooled workspace must not keep it alive.
 	clear(ws.scols)
 	return b.tree

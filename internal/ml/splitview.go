@@ -13,9 +13,10 @@ import (
 // for classification each row's rank code), for a two-valued column (every
 // one-hot column) nothing but a byte per row saying which of its two values
 // the row holds: its order over any row set is that set ascending, lows
-// first, then highs. A SplitColumn is immutable once published: the split
-// kernel only reads it, so one column can back any number of concurrently
-// fitted forests over the same rows.
+// first, then highs. A constant column can never split, so it carries
+// nothing but the flag that says so. A SplitColumn is immutable once
+// published: the split kernel only reads it, so one column can back any
+// number of concurrently fitted forests over the same rows.
 type SplitColumn struct {
 	v   []float64
 	ord []int32 // rows sorted by (value, row); nil when not presorted
@@ -26,6 +27,9 @@ type SplitColumn struct {
 	// where v[r] == hi and 0 where v[r] == lo.
 	mask   []uint8
 	lo, hi float64
+	// constant is set when every value is equal as a float (one bit
+	// pattern, or only -0 and +0): the column has no order, codes or mask.
+	constant bool
 }
 
 // rankCodes are a column's distinct values ascending (vals; values equal as
@@ -42,10 +46,11 @@ type rankCodes struct {
 // splitColumnBytes is a SplitColumn header's size (workspace accounting).
 const splitColumnBytes = int(unsafe.Sizeof(SplitColumn{}))
 
-// classifyTwo marks the column two-valued when its values hold exactly two
-// bit patterns, both finite, with lo < hi as floats — so a NaN, an infinity
-// or a -0/+0 pair leaves the column on the ordered path, where the kernel's
-// float comparisons already say what happens to them.
+// classifyTwo marks the column constant when its values are all equal as
+// floats, and two-valued when they hold exactly two bit patterns, both
+// finite, with lo < hi as floats — so a NaN (even an all-NaN column) or an
+// infinity beside another value leaves the column on the ordered path, where
+// the kernel's float comparisons already say what happens to them.
 func (c *SplitColumn) classifyTwo() {
 	if len(c.v) == 0 {
 		return
@@ -61,6 +66,10 @@ func (c *SplitColumn) classifyTwo() {
 		}
 	}
 	lo, hi := math.Float64frombits(a), math.Float64frombits(b)
+	if lo == hi {
+		c.constant = true
+		return
+	}
 	if lo > hi {
 		lo, hi = hi, lo
 	}
@@ -78,7 +87,7 @@ func (c *SplitColumn) classifyTwo() {
 
 // NewSplitColumn wraps caller-owned buffers as a split column. When ord is
 // non-nil it must have len(values) entries; unless the column turns out
-// two-valued (which needs no order) it is filled in place with the
+// constant or two-valued (which need no order) it is filled in place with the
 // (value, row)-sorted permutation — the same unique total order the split
 // kernel's own presort produces, so a caller-presorted column is
 // indistinguishable from one PresortColumns builds. Pass a nil ord for a
@@ -93,9 +102,10 @@ func NewSplitColumn(values []float64, ord []int32) SplitColumn {
 }
 
 // presort gives a classified column its (value, row) order — in buf, or in a
-// fresh buffer when buf is nil — unless it is two-valued and needs none.
+// fresh buffer when buf is nil — unless it is constant or two-valued and
+// needs none.
 func (c *SplitColumn) presort(buf []int32) {
-	if c.mask != nil {
+	if c.mask != nil || c.constant {
 		return
 	}
 	if buf == nil {
@@ -149,15 +159,17 @@ func codesOf[C uint8 | uint16 | uint32](c *SplitColumn, vals []float64, code []C
 }
 
 // Presorted reports whether the column can be walked in (value, row) order
-// without sorting: it carries that order, or is two-valued and needs none.
-func (c SplitColumn) Presorted() bool { return c.ord != nil || c.mask != nil }
+// without sorting: it carries that order, or is constant or two-valued and
+// needs none.
+func (c SplitColumn) Presorted() bool { return c.ord != nil || c.mask != nil || c.constant }
 
 // PresortColumns builds every column of ds as a split column carrying its
-// (value, row) order and, for classification, its rank codes (a two-valued
-// column needs neither), on up to workers goroutines (0 = process-wide
-// maximum). Columns are independent and the order is a unique total order,
-// so the result is identical at any worker count. The columns are immutable: any number of views over ds's rows, and
-// the forests fitted through them, can share them.
+// (value, row) order and, for classification, its rank codes (a constant or
+// two-valued column needs neither), on up to workers goroutines (0 =
+// process-wide maximum). Columns are independent and the order is a unique
+// total order, so the result is identical at any worker count. The columns
+// are immutable: any number of views over ds's rows, and the forests fitted
+// through them, can share them.
 func PresortColumns(ds *Dataset, workers int) []SplitColumn {
 	cols := make([]SplitColumn, ds.D)
 	parallel.ForEach(workers, ds.D, func(j int) {

@@ -41,10 +41,10 @@ type TreeConfig struct {
 // counts only — the node's samples m, the feature count d and the resolved
 // mtry, never data values or scheduling — so the choice is deterministic:
 //
-//   - presorted: every feature's (value, unit) order is derived once per
-//     tree, linearly, from the forest's shared split set, and stably
-//     partitioned down the tree, so nodes never sort. Each split pays O(d·u)
-//     to repartition the orders of its u units.
+//   - presorted: every ordered feature's (value, unit) order is derived once
+//     per tree, linearly, from the forest's shared split set, and stably
+//     partitioned down the tree, so nodes never sort. Each split pays O(p·u)
+//     to repartition the p order planes over its u units.
 //   - flat: a node sorts its units by each candidate feature's values with
 //     the presort's own introsort (sortOrder). Each split pays
 //     O(mtry·u·log u) with tiny constants and no d-factor.
@@ -74,6 +74,20 @@ type TreeConfig struct {
 // sumL²/nL + sumR²/nR (sumR and nR from the node totals) — the exact
 // variance reduction is computed once per node, for the winner, from its
 // kept left-side sums.
+//
+// A column that holds one value over its split set (SplitColumn.constant;
+// a pooled one-hot indicator whose rows the holdout took) can never split,
+// so it costs nothing: no order, codes, copy or order plane, no derivation
+// or partition pass, and bestSplit scores it noCut before any task or
+// regime branch. It is still drawn by shuffleFeats: d sets mtry and the
+// RNG stream, so every tree is the one a kernel that scanned it would
+// grow. The presorted planes are therefore one per column that can split
+// and is not two-valued, plus the unit plane (splitSet.plane). A node's
+// sums run along the unit plane when the split set has two-valued groups,
+// and along column 0's plane otherwise — nothing else, since the order of
+// those sums is in the bits. A constant column 0's (value, unit) order
+// would be the ascending unit list, so the unit plane stands in for it bit
+// for bit.
 //
 // The classification cut screens each boundary before its divisions: sample
 // counts are integers, so a per-workspace table inv[i] = 1/i turns the gain
@@ -156,12 +170,15 @@ type treeBuilder struct {
 
 	scols []SplitColumn // per-feature values (+ global orders when shared)
 	rowOf []int32       // unit → row of a shared column; nil without shared columns
-	// copied marks a presorted tree over a shared split set: its ordered
-	// columns are per-tree copies indexed by unit, and only two-valued
-	// columns are read in place through rowOf.
-	copied bool
-	planes int     // order planes in ws.orders: d, plus the unit plane when copied
-	ymean  float64 // the mean the regression targets ws.ys were centred by
+	// plane, unitPlane and planes place a presorted tree's order planes in
+	// ws.orders (splitSet.plane); plane is nil in a tree grown flat from its
+	// root. A presorted tree's ordered columns are per-tree copies indexed by
+	// unit, its two-valued columns are read in place through rowOf, and its
+	// constant columns are never read.
+	plane     []int32
+	unitPlane int
+	planes    int
+	ymean     float64 // the mean the regression targets ws.ys were centred by
 	// groups and twoOf are the split set's two-valued groups (twoGroup);
 	// stamp numbers the nodes bestSplit has searched, so a group's block in
 	// ws.gsum is summed once per node, by the first of its members drawn.
@@ -228,7 +245,7 @@ func (b *treeBuilder) flatRoot() {
 // rowsOf returns the unit→row map feature feat's column is read through,
 // nil when the column is indexed by unit.
 func (b *treeBuilder) rowsOf(feat int) []int32 {
-	if b.copied && b.scols[feat].mask == nil {
+	if b.plane != nil && b.scols[feat].mask == nil {
 		return nil
 	}
 	return b.rowOf
@@ -284,6 +301,8 @@ func (b *treeBuilder) bestSplit(units []int32, nt *nodeTotals, flat bool, start 
 		sc := &b.scols[feat]
 		var c cut
 		switch {
+		case sc.constant:
+			c = noCut
 		case sc.mask != nil:
 			c = b.twoValuedCut(feat, units, nt)
 		case b.task == Classification:
@@ -294,7 +313,8 @@ func (b *treeBuilder) bestSplit(units []int32, nt *nodeTotals, flat bool, start 
 				c = regressionCut(col, ord, ws.ys, ws.wt, nt, b.cfg.MinLeaf)
 			}
 		default:
-			c = regressionCut(sc.v, ws.orders[feat*b.units+start:feat*b.units+end], ws.ys, ws.wt, nt, b.cfg.MinLeaf)
+			p := int(b.plane[feat]) * b.units
+			c = regressionCut(sc.v, ws.orders[p+start:p+end], ws.ys, ws.wt, nt, b.cfg.MinLeaf)
 		}
 		if c.score > best.score {
 			bestFeat, best = feat, c
@@ -552,14 +572,17 @@ func (b *treeBuilder) flatOrder(units []int32, feat int) ([]float64, []int32, bo
 // ---- presorted kernel ----
 
 // nodeUnits returns the units of the presorted node range [start, end), in
-// the order its sums run: the unit plane's range when the tree keeps one (a
-// two-valued column has no plane of its own), feature 0's otherwise.
+// the order its sums run: the unit plane's range when the tree keeps one,
+// feature 0's otherwise. The unit plane is kept when the split set has
+// two-valued groups, or when column 0 is constant — and then column 0's
+// (value, unit) order would be the ascending unit list, which the unit plane
+// is.
 func (b *treeBuilder) nodeUnits(start, end int) []int32 {
-	plane := 0
-	if b.copied {
-		plane = b.d
+	p := b.unitPlane
+	if p < 0 {
+		p = int(b.plane[0])
 	}
-	return b.ws.orders[plane*b.units+start : plane*b.units+end]
+	return b.ws.orders[p*b.units+start : p*b.units+end]
 }
 
 // grow recursively builds the subtree over units [start, end) of every
@@ -634,11 +657,12 @@ func (b *treeBuilder) shuffleFeats() int {
 // comes from the split feature — its order is value-sorted, so the left size
 // falls out of a binary search; a two-valued feature's byte mask says it
 // outright — and every other plane's range is stably compacted around the
-// mask, keeping both child ranges sorted without resorting. The compaction
-// writes both destinations unconditionally and advances them by the mask
-// byte: which side an element goes to is a coin flip no branch predictor
-// wins. Returns the left child's unit count (0 or end-start means the split
-// is void and the caller must keep the leaf).
+// mask, keeping both child ranges sorted without resorting. Two-valued and
+// constant columns have no plane to compact. The compaction writes both
+// destinations unconditionally and advances them by the mask byte: which
+// side an element goes to is a coin flip no branch predictor wins. Returns
+// the left child's unit count (0 or end-start means the split is void and
+// the caller must keep the leaf).
 func (b *treeBuilder) partition(feat int, thr float64, start, end int) int {
 	ws := b.ws
 	mt := b.units
@@ -648,7 +672,7 @@ func (b *treeBuilder) partition(feat int, thr float64, start, end int) int {
 		if sc.hi <= thr {
 			return end - start
 		}
-		pos := ws.orders[b.d*mt+start : b.d*mt+end]
+		pos := ws.orders[b.unitPlane*mt+start : b.unitPlane*mt+end]
 		mask, ro := sc.mask, b.rowOf
 		nl := 0
 		for _, p := range pos {
@@ -659,7 +683,8 @@ func (b *treeBuilder) partition(feat int, thr float64, start, end int) int {
 		lefts = pos[:nl] // once the unit plane itself is partitioned
 	} else {
 		col := sc.v
-		ord := ws.orders[feat*mt+start : feat*mt+end]
+		p := int(b.plane[feat]) * mt
+		ord := ws.orders[p+start : p+end]
 		lo, hi := 0, len(ord)
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
@@ -677,10 +702,10 @@ func (b *treeBuilder) partition(feat int, thr float64, start, end int) int {
 			left[p] = 1
 		}
 	}
-	spill := ws.spill
+	spill, own := ws.spill, int(b.plane[feat])
 	for j := 0; j < b.planes; j++ {
-		if j == feat || (j < b.d && b.scols[j].mask != nil) {
-			continue // its own order already has the left side first; two-valued columns have none
+		if j == own {
+			continue // its own order already has the left side first
 		}
 		seg := ws.orders[j*mt+start : j*mt+end]
 		w, r := 0, 0

@@ -281,23 +281,59 @@ func TestClassifyTwo(t *testing.T) {
 		if c.mask != nil {
 			t.Errorf("%s: flagged two-valued (lo %v hi %v)", name, c.lo, c.hi)
 		}
-		if len(vals) > 0 && c.ord == nil {
+		if len(vals) > 0 && c.ord == nil && !c.constant {
 			t.Errorf("%s: left without an order", name)
 		}
 	}
 }
 
-// TestNoTwoValuedColumnReservesNothing: a presorted tree over columns none of
-// which is two-valued gets no position plane, no position→row map, no
-// groups and no group scratch — the workspace is exactly what it was before
-// the kernel learned about such columns.
-func TestNoTwoValuedColumnReservesNothing(t *testing.T) {
-	for _, tc := range []struct {
-		ds     *Dataset
-		planes int
+// TestClassifyConstant: values all equal as floats — one bit pattern, or -0
+// and +0 — flag a column constant, with no order, codes or mask; a NaN never
+// equals itself, so an all-NaN column stays ordered.
+func TestClassifyConstant(t *testing.T) {
+	negZero, nan := math.Copysign(0, -1), math.NaN()
+	for name, tc := range map[string]struct {
+		vals     []float64
+		constant bool
 	}{
-		{kernelFixture(400, 6, Regression, 3), 6},
-		{twoValuedFixture(400, 6, Regression, 3), 7},
+		"one value":    {[]float64{2, 2, 2}, true},
+		"-0/+0":        {[]float64{0, negZero, 0, negZero}, true},
+		"+Inf":         {[]float64{math.Inf(1), math.Inf(1)}, true},
+		"one row":      {[]float64{-4}, true},
+		"empty":        {[]float64{}, false},
+		"all NaN":      {[]float64{nan, nan, nan}, false},
+		"two values":   {[]float64{2, 2, 3}, false},
+		"-0/+0/1":      {[]float64{0, negZero, 1}, false},
+		"a NaN beside": {[]float64{2, nan, 2}, false},
+	} {
+		c := NewSplitColumn(tc.vals, make([]int32, len(tc.vals)))
+		c.rank()
+		if c.constant != tc.constant {
+			t.Errorf("%s: constant %v, want %v", name, c.constant, tc.constant)
+		}
+		if tc.constant && (c.ord != nil || c.codes != nil || c.mask != nil || !c.Presorted()) {
+			t.Errorf("%s: constant column carries an order, codes or a mask, or is not Presorted: %+v", name, c)
+		}
+	}
+}
+
+// TestPlanesOnlyForSplittableColumns: a presorted tree gives an order plane
+// and a column copy only to the columns that are neither two-valued nor
+// constant, and a unit plane only when the split set has two-valued groups
+// or column 0 is constant. Without a two-valued column it gets no unit→row
+// map, no groups and no group scratch.
+func TestPlanesOnlyForSplittableColumns(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		ds             *Dataset
+		two            bool
+		copies, planes int
+	}{
+		{"ordered", kernelFixture(400, 6, Regression, 3), false, 6, 6},
+		// Two two-valued columns, a constant and three ordered ones.
+		{"two-valued", twoValuedFixture(400, 6, Regression, 3), true, 3, 4},
+		{"constant", constantFixture(400, 8, Regression, 3, false), false, 6, 6},
+		{"constant column 0", constantFixture(400, 8, Regression, 3, true), false, 5, 6},
 	} {
 		ss := buildSplitSet(tc.ds, 1, true)
 		ws := &treeWorkspace{cnt: make([]int32, tc.ds.N)}
@@ -305,14 +341,14 @@ func TestNoTwoValuedColumnReservesNothing(t *testing.T) {
 			ws.cnt[i] = 1
 		}
 		fitTreeFromSplitSet(ss, TreeConfig{MTry: 3}, rand.New(rand.NewSource(1)), ws)
-		two := tc.planes > tc.ds.D
-		if len(ws.orders) != tc.planes*tc.ds.N || (ws.rowOf != nil) != two {
-			t.Errorf("d=%d two-valued=%v: %d order entries (want %d planes of %d), rowOf %v",
-				tc.ds.D, two, len(ws.orders), tc.planes, tc.ds.N, ws.rowOf != nil)
+		two, n := tc.two, tc.ds.N
+		if len(ws.orders) != tc.planes*n || len(ws.colv) != tc.copies*n || (ws.rowOf != nil) != two {
+			t.Errorf("%s: %d order entries and %d copied values (want %d planes and %d copies of %d), rowOf %v",
+				tc.name, len(ws.orders), len(ws.colv), tc.planes, tc.copies, n, ws.rowOf != nil)
 		}
 		if (ss.groups != nil) != two || (ws.gsum != nil) != two || (ws.gseen != nil) != two {
-			t.Errorf("d=%d two-valued=%v: %d groups, group scratch %d sums and %d stamps",
-				tc.ds.D, two, len(ss.groups), len(ws.gsum), len(ws.gseen))
+			t.Errorf("%s: %d groups, group scratch %d sums and %d stamps",
+				tc.name, len(ss.groups), len(ws.gsum), len(ws.gseen))
 		}
 	}
 }
